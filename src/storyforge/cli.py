@@ -13,22 +13,32 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import tensor as T
 from .data import (DataFormatError, SynthSpec, Vocabulary, build_vocab,
-                   load_albums, save_albums, synth_dataset, synth_vocab,
-                   tokenize)
+                   decode_ids, load_albums, read_records, save_albums,
+                   story_tokens, synth_dataset, synth_vocab)
 from .metrics import EvalPair, bleu, cider, rouge_l
-from .model import (ModelConfig, encode_album, full_pipeline_grad_check,
-                    generate_story)
+from .model import (ModelConfig, build_parameters, encode_album,
+                    full_pipeline_grad_check, generate_story)
 from .scene_encoder import scene_indices
-from .trainer import TrainConfig, run_training, write_log
+from .trainer import (TrainConfig, config_from, decoded_pairs, run_training,
+                      write_log)
 
 CONFIG_ENV = "STORYFORGE_CONFIG"
+
+# model dims and training keys are the config dataclasses' fields
+MODEL_FIELDS = [f for f in dataclasses.fields(ModelConfig) if f.name != "vocab_size"]
+TRAIN_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "model"]
+MODEL_KEYS = [f.name for f in MODEL_FIELDS]
+TRAIN_KEYS = [f.name for f in TRAIN_FIELDS]
 
 # key: (default, type). Paths default to None (required where used).
 DEFAULTS = {
@@ -40,29 +50,8 @@ DEFAULTS = {
     "stories": (None, str),
     "data": (None, str),
     "out_dir": (".", str),
-    # model dims
-    "feature_dim": (8, int),
-    "photo_hidden": (16, int),
-    "attn_hidden": (32, int),
-    "attn_score_dim": (32, int),
-    "dec_hidden": (32, int),
-    "emb_dim": (32, int),
-    "mlp_hidden": (32, int),
-    "alpha_len": (0, int),
-    "max_words": (25, int),
-    "sentences": (5, int),
-    "max_photos": (40, int),
-    # training
-    "stage": ("all", str),
-    "lr": (0.0004, float),
-    "lam": (0.2, float),
-    "mu": (0.8, float),
-    "batch_size": (1, int),
-    "max_steps": (1000, int),
-    "validate_every": (100, int),
-    "patience": (30, int),
-    "seed": (0, int),
-    "nll_stop": (0.0, float),
+    # model dims, then training
+    **{f.name: (f.default, type(f.default)) for f in MODEL_FIELDS + TRAIN_FIELDS},
     "min_count": (5, int),
     # synthetic data
     "n_albums": (8, int),
@@ -144,17 +133,6 @@ def _require(cfg, *keys):
             raise ConfigError(f"missing required key '{key.replace('_', '-')}'")
 
 
-def model_config(cfg, vocab_size) -> ModelConfig:
-    return ModelConfig(vocab_size=vocab_size, feature_dim=cfg["feature_dim"],
-                       photo_hidden=cfg["photo_hidden"],
-                       attn_hidden=cfg["attn_hidden"],
-                       attn_score_dim=cfg["attn_score_dim"],
-                       dec_hidden=cfg["dec_hidden"], emb_dim=cfg["emb_dim"],
-                       mlp_hidden=cfg["mlp_hidden"], alpha_len=cfg["alpha_len"],
-                       max_words=cfg["max_words"], sentences=cfg["sentences"],
-                       max_photos=cfg["max_photos"])
-
-
 def _synth_spec(cfg) -> SynthSpec:
     return SynthSpec(albums=cfg["n_albums"],
                      scenes_per_album=(cfg["scenes_lo"], cfg["scenes_hi"]),
@@ -172,30 +150,27 @@ def _load_model(cfg):
     vocab = Vocabulary.load(cfg["vocab_file"])
     saved = meta.get("config", {})
     merged = dict(cfg)
-    for key in ("feature_dim", "photo_hidden", "attn_hidden", "attn_score_dim",
-                "dec_hidden", "emb_dim", "mlp_hidden", "alpha_len", "max_words",
-                "sentences", "max_photos"):
-        if key in saved:
-            merged[key] = saved[key]
-    return params, vocab, model_config(merged, len(vocab))
+    merged.update({k: saved[k] for k in MODEL_KEYS if k in saved})
+    mcfg = config_from(ModelConfig, merged, vocab_size=len(vocab))
+    expected = build_parameters(mcfg, np.random.default_rng(0))
+    for name in sorted(set(params.names()) | set(expected.names())):
+        got = params[name].shape if name in params else None
+        need = expected[name].shape if name in expected else None
+        if got != need:
+            raise ConfigError(f"{cfg['checkpoint']}: parameter '{name}' has shape "
+                              f"{got}, vocabulary and config need {need}")
+    return params, vocab, mcfg
 
 
-def _story_refs(album):
-    refs = []
-    for story in album.raw_stories:
-        toks = []
-        for sent in story:
-            toks.extend(tokenize(sent))
-        refs.append(toks)
-    return refs
+def _scores(pairs) -> dict:
+    b = bleu(pairs)
+    return {**{f"bleu-{n}": b[n] for n in (1, 2, 3, 4)},
+            "rouge-l": rouge_l(pairs), "cider": cider(pairs)}
 
 
 def _metric_lines(pairs):
-    b = bleu(pairs)
-    lines = [f"bleu-{n} {b[n]:.4f} {len(pairs)}" for n in (1, 2, 3, 4)]
-    lines.append(f"rouge-l {rouge_l(pairs):.4f} {len(pairs)}")
-    lines.append(f"cider {cider(pairs):.4f} {len(pairs)}")
-    return lines
+    return [f"{name} {value:.4f} {len(pairs)}"
+            for name, value in _scores(pairs).items()]
 
 
 def cmd_synth_data(cfg) -> int:
@@ -215,13 +190,9 @@ def cmd_build_vocab(cfg) -> int:
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
     sentences = []
-    with open(cfg["train_data"], encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            for story in rec.get("stories", []):
-                sentences.extend(story)
+    for _, rec in read_records(cfg["train_data"]):
+        for story in rec.get("stories", []):
+            sentences.extend(story)
     vocab = build_vocab(sentences, min_count=cfg["min_count"])
     vocab.save(out / "vocab.txt")
     print(f"vocab {len(vocab)} tokens (min_count={cfg['min_count']}) -> {out}")
@@ -233,18 +204,13 @@ def cmd_train(cfg) -> int:
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
     vocab = Vocabulary.load(cfg["vocab_file"])
-    mcfg = model_config(cfg, len(vocab))
+    mcfg = config_from(ModelConfig, cfg, vocab_size=len(vocab))
     loader = lambda p: load_albums(p, vocab, max_photos=cfg["max_photos"],
                                    n_sentences=cfg["sentences"],
                                    max_words=cfg["max_words"])
     train_set = loader(cfg["train_data"])
     val_set = loader(cfg["val_data"]) if cfg["val_data"] else train_set
-    tcfg = TrainConfig(model=mcfg, stage=cfg["stage"], lr=cfg["lr"],
-                       lam=cfg["lam"], mu=cfg["mu"],
-                       batch_size=cfg["batch_size"], max_steps=cfg["max_steps"],
-                       validate_every=cfg["validate_every"],
-                       patience=cfg["patience"], seed=cfg["seed"],
-                       nll_stop=cfg["nll_stop"])
+    tcfg = config_from(TrainConfig, cfg, model=mcfg)
 
     # the checkpoint meta echoes the run config so generate/inspect can
     # rebuild the model; output location is irrelevant to that and would
@@ -288,8 +254,7 @@ def cmd_generate(cfg) -> int:
             hyp = generate_story(album, params, mcfg, mode=cfg["mode"],
                                  beam_width=cfg["beam_width"])
             rec = {"album_id": album.album_id,
-                   "sentences": [" ".join(vocab.decode(i) for i in ids
-                                          if i not in (0, 1, 2))
+                   "sentences": [" ".join(decode_ids(ids, vocab))
                                  for ids in hyp.sentences],
                    "flags": hyp.flags,
                    "alpha": [[round(float(w), 6) for w in a] for a in hyp.alphas]}
@@ -328,20 +293,13 @@ def cmd_evaluate(cfg) -> int:
     vocab = Vocabulary.load(cfg["vocab_file"])
     albums = load_albums(cfg["data"], vocab, max_photos=cfg["max_photos"],
                          n_sentences=cfg["sentences"], max_words=cfg["max_words"])
-    refs = {a.album_id: _story_refs(a) for a in albums}
+    refs = {a.album_id: [story_tokens(s) for s in a.raw_stories] for a in albums}
     pairs = []
-    with open(cfg["stories"], encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec["album_id"] not in refs:
-                raise DataFormatError(
-                    f"line {line_no}: album '{rec['album_id']}' not in reference data")
-            cand = []
-            for sent in rec["sentences"]:
-                cand.extend(tokenize(sent))
-            pairs.append(EvalPair(cand, refs[rec["album_id"]]))
+    for line_no, rec in read_records(cfg["stories"], "album_id", "sentences"):
+        if rec["album_id"] not in refs:
+            raise DataFormatError(
+                f"line {line_no}: album '{rec['album_id']}' not in reference data")
+        pairs.append(EvalPair(story_tokens(rec["sentences"]), refs[rec["album_id"]]))
     if not pairs:
         raise DataFormatError("story file holds no records")
     lines = _metric_lines(pairs)
@@ -382,29 +340,22 @@ def cmd_sweep(cfg) -> int:
     spec = _synth_spec(cfg)
     vocab = synth_vocab(spec)
     albums = synth_dataset(spec, vocab)
-    mcfg = model_config(cfg, len(vocab))
+    mcfg = config_from(ModelConfig, cfg, vocab_size=len(vocab))
     lines = []
     with open(out / "sweep.txt", "w", encoding="utf-8") as fh:
         for lam, mu, stage in _sweep_cells(cfg):
-            tcfg = TrainConfig(model=mcfg, stage=stage, lr=cfg["lr"], lam=lam,
-                               mu=mu, batch_size=cfg["batch_size"],
-                               max_steps=cfg["sweep_steps"],
+            # a cell sets the stage, weights and schedule; nll_stop keeps
+            # its default
+            tcfg = config_from(TrainConfig, cfg, model=mcfg, stage=stage,
+                               lam=lam, mu=mu, max_steps=cfg["sweep_steps"],
                                validate_every=max(1, cfg["sweep_steps"]),
-                               patience=cfg["patience"], seed=cfg["seed"])
+                               nll_stop=TrainConfig.nll_stop)
             r1, r2 = run_training(albums, albums, tcfg, vocab)
             res = r2 if r2 is not None else r1
-            params = res.params
-            pairs = []
-            for album in albums:
-                hyp = generate_story(album, params, mcfg)
-                cand = []
-                for ids in hyp.sentences:
-                    cand.extend(vocab.decode(i) for i in ids if i not in (0, 1, 2))
-                pairs.append(EvalPair(cand, _story_refs(album)))
-            b = bleu(pairs)
-            line = (f"cell lambda={lam:.1f} mu={mu:.1f} "
-                    f"bleu-1={b[1]:.4f} bleu-4={b[4]:.4f} "
-                    f"rouge-l={rouge_l(pairs):.4f} cider={cider(pairs):.4f}")
+            scores = _scores(decoded_pairs(res.params, mcfg, albums, vocab))
+            line = f"cell lambda={lam:.1f} mu={mu:.1f} " + " ".join(
+                f"{name}={scores[name]:.4f}"
+                for name in ("bleu-1", "bleu-4", "rouge-l", "cider"))
             fh.write(line + "\n")
             fh.flush()
             lines.append(line)
@@ -429,18 +380,14 @@ def build_parser() -> _Parser:
             p.add_argument(flag, dest=key, type=typ, default=None)
         return p
 
-    dims = ["feature_dim", "photo_hidden", "attn_hidden", "attn_score_dim",
-            "dec_hidden", "emb_dim", "mlp_hidden", "alpha_len", "max_words",
-            "sentences", "max_photos"]
     synth = ["n_albums", "scenes_lo", "scenes_hi", "photos_lo", "photos_hi",
              "separation", "noise", "vocab_size", "seed"]
-    train = ["stage", "lr", "lam", "mu", "batch_size", "max_steps",
-             "validate_every", "patience", "seed", "nll_stop"]
 
     add("synth-data", cmd_synth_data, synth + ["feature_dim", "sentences"])
     add("build-vocab", cmd_build_vocab, ["train_data", "min_count"])
     add("train", cmd_train,
-        ["train_data", "val_data", "vocab_file", "checkpoint"] + dims + train)
+        ["train_data", "val_data", "vocab_file", "checkpoint"] + MODEL_KEYS
+        + TRAIN_KEYS)
     add("generate", cmd_generate,
         ["data", "checkpoint", "vocab_file", "stories", "mode", "beam_width"])
     add("inspect-scenes", cmd_inspect_scenes, ["data", "checkpoint", "vocab_file"])
@@ -449,7 +396,7 @@ def build_parser() -> _Parser:
     add("grad-check", cmd_grad_check, ["gc_seeds", "tolerance", "lam", "mu", "seed"])
     add("sweep", cmd_sweep,
         ["sweep_grid", "sweep_steps", "lr", "batch_size", "patience"]
-        + synth + dims[:7])
+        + synth + MODEL_KEYS[:7])  # feature_dim .. mlp_hidden
     return parser
 
 

@@ -95,14 +95,19 @@ def encode_sentence(tokens, vocab: Vocabulary, t_max: int = 25) -> list[int]:
 
 
 def decode_ids(ids, vocab: Vocabulary) -> list[str]:
-    """Inverse of encode_sentence for display; stops at EOS, skips pad."""
+    """Inverse of encode_sentence for display; stops at EOS, skips pad and bos."""
     out = []
     for i in ids:
         if i == EOS:
             break
-        if i != PAD:
+        if i not in (PAD, BOS):
             out.append(vocab.decode(i))
     return out
+
+
+def story_tokens(sentences) -> list[str]:
+    """One story's sentence strings as a single token list."""
+    return [tok for sent in sentences for tok in tokenize(sent)]
 
 
 @dataclass
@@ -123,11 +128,9 @@ def _check(cond, line_no, msg):
         raise DataFormatError(f"line {line_no}: {msg}")
 
 
-def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
-                n_sentences: int = 5, max_words: int = 25) -> list[AlbumExample]:
-    """Read an album file; photo streams are truncated to max_photos."""
-    albums = []
-    feat_dim = None
+def read_records(path, *required):
+    """(line number, object) for each non-blank line of a JSON-lines file;
+    every record must be an object holding the `required` fields."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -137,39 +140,50 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
             except json.JSONDecodeError as e:
                 raise DataFormatError(f"line {line_no}: invalid record: {e}") from e
             _check(isinstance(rec, dict), line_no, "record is not an object")
-            for key in ("album_id", "features", "stories"):
+            for key in required:
                 _check(key in rec, line_no, f"missing field '{key}'")
-            feats_raw = rec["features"]
-            _check(isinstance(feats_raw, list) and len(feats_raw) >= 1,
-                   line_no, "features must be a non-empty list")
-            if feat_dim is None:
-                feat_dim = len(feats_raw[0])
-            feats = []
-            for f in feats_raw[:max_photos]:
-                _check(isinstance(f, list) and len(f) == feat_dim, line_no,
-                       f"feature-dim mismatch: expected {feat_dim}, got {len(f)}")
-                feats.append(np.asarray(f, dtype=np.float64))
-            raw_stories = rec["stories"]
-            _check(isinstance(raw_stories, list) and len(raw_stories) >= 1,
-                   line_no, "stories must be a non-empty list")
-            stories = []
-            for ref in raw_stories:
-                _check(isinstance(ref, list) and
-                       all(isinstance(s, str) for s in ref), line_no,
-                       "each story must be a list of sentence strings")
-                _check(len(ref) == n_sentences, line_no,
-                       f"story has {len(ref)} sentences, expected {n_sentences}")
-                stories.append([encode_sentence(s, vocab, max_words) for s in ref])
-            gold = rec.get("gold_boundaries")
-            if gold is not None:
-                _check(isinstance(gold, list) and
-                       all(b in (0, 1) for b in gold), line_no,
-                       "gold_boundaries must be a list of 0/1")
-                _check(len(gold) == len(feats_raw), line_no,
-                       f"gold_boundaries length {len(gold)} != photo count {len(feats_raw)}")
-                gold = gold[:max_photos]
-            albums.append(AlbumExample(str(rec["album_id"]), feats, stories,
-                                       raw_stories, gold))
+            yield line_no, rec
+
+
+def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
+                n_sentences: int = 5, max_words: int = 25) -> list[AlbumExample]:
+    """Read an album file; photo streams are truncated to max_photos."""
+    albums = []
+    feat_dim = None
+    for line_no, rec in read_records(path, "album_id", "features", "stories"):
+        feats_raw = rec["features"]
+        _check(isinstance(feats_raw, list) and len(feats_raw) >= 1,
+               line_no, "features must be a non-empty list")
+        if feat_dim is None:
+            feat_dim = len(feats_raw[0])
+        feats = []
+        for f in feats_raw[:max_photos]:
+            _check(isinstance(f, list) and len(f) == feat_dim, line_no,
+                   f"feature-dim mismatch: expected {feat_dim}, got {len(f)}")
+            row = np.asarray(f, dtype=np.float64)
+            _check(np.isfinite(row).all(), line_no, "non-finite feature value")
+            feats.append(row)
+        raw_stories = rec["stories"]
+        _check(isinstance(raw_stories, list) and len(raw_stories) >= 1,
+               line_no, "stories must be a non-empty list")
+        stories = []
+        for ref in raw_stories:
+            _check(isinstance(ref, list) and
+                   all(isinstance(s, str) for s in ref), line_no,
+                   "each story must be a list of sentence strings")
+            _check(len(ref) == n_sentences, line_no,
+                   f"story has {len(ref)} sentences, expected {n_sentences}")
+            stories.append([encode_sentence(s, vocab, max_words) for s in ref])
+        gold = rec.get("gold_boundaries")
+        if gold is not None:
+            _check(isinstance(gold, list) and
+                   all(b in (0, 1) for b in gold), line_no,
+                   "gold_boundaries must be a list of 0/1")
+            _check(len(gold) == len(feats_raw), line_no,
+                   f"gold_boundaries length {len(gold)} != photo count {len(feats_raw)}")
+            gold = gold[:max_photos]
+        albums.append(AlbumExample(str(rec["album_id"]), feats, stories,
+                                   raw_stories, gold))
     return albums
 
 

@@ -56,9 +56,12 @@ def attend(memory, valid_mask, state: AttentionState, params):
     return z, alpha, AttentionState(h_new, alpha, state.step + 1)
 
 
-def _word_logits(h, z, params):
+def _decoder_step(prev, h, z, table, gru_w, params):
+    """One word step: the GRU consumes [embedding of prev ; z], then the
+    readout scores the vocabulary from [h_new ; z]. Returns (h_new, logits)."""
+    h = T.gru_cell(T.concat([T.take_row(table, prev), z]), h, gru_w)
     hidden = T.tanh(T.concat([h, z]) @ params["dec.out.w1"] + params["dec.out.b1"])
-    return hidden @ params["dec.out.w2"] + params["dec.out.b2"]
+    return h, hidden @ params["dec.out.w2"] + params["dec.out.b2"]
 
 
 def sentence_log_prob(z, sentence_ids, params):
@@ -78,9 +81,7 @@ def sentence_log_prob(z, sentence_ids, params):
     prev = BOS
     logits_seq, word_logps = [], []
     for target in sentence_ids:
-        x = T.concat([T.take_row(table, prev), z])
-        h = T.gru_cell(x, h, gru_w)
-        d = _word_logits(h, z, params)
+        h, d = _decoder_step(prev, h, z, table, gru_w, params)
         logits_seq.append(d)
         word_logps.append(T.pick(T.log_softmax(d), target))
         prev = target
@@ -99,9 +100,7 @@ def decode_sentence_greedy(z, params, max_words: int):
     ids, logps, logits_rows = [], [], []
     with T.no_grad():
         for _ in range(max_words + 1):
-            x = T.concat([T.take_row(table, prev), z])
-            h = T.gru_cell(x, h, gru_w)
-            d = _word_logits(h, z, params)
+            h, d = _decoder_step(prev, h, z, table, gru_w, params)
             log_p = T.log_softmax(d).data
             tok = int(np.argmax(log_p))
             ids.append(tok)
@@ -129,10 +128,8 @@ def decode_sentence_beam(z, params, max_words: int, width: int):
                 if done:
                     candidates.append((ids, logps, rows, h, True))
                     continue
-                prev = ids[-1] if ids else BOS
-                x = T.concat([T.take_row(table, prev), z])
-                h_new = T.gru_cell(x, h, gru_w)
-                d = _word_logits(h_new, z, params)
+                h_new, d = _decoder_step(ids[-1] if ids else BOS, h, z, table,
+                                         gru_w, params)
                 log_p = T.log_softmax(d).data
                 order = np.argsort(-log_p, kind="stable")[:width]
                 for tok in order:

@@ -13,13 +13,13 @@ import inspect
 
 import numpy as np
 
-from .data import (AlbumExample, Vocabulary, build_vocab, encode_sentence,
-                   tokenize)
+from .data import (AlbumExample, Vocabulary, build_vocab, decode_ids,
+                   encode_sentence, story_tokens)
 from .metrics import EvalPair, cider
 from .model import ModelConfig, encode_album, generate_story
 from .scene_encoder import scene_indices
 from .tensor import no_grad
-from .trainer import TrainConfig, run_training
+from .trainer import TrainConfig, config_from, run_training
 
 
 class NotFittedError(RuntimeError):
@@ -108,20 +108,10 @@ class AlbumStoryteller:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(changed.items()))
         return f"{type(self).__name__}({inner})"
 
-    def _model_config(self, vocab_size):
-        return ModelConfig(vocab_size=vocab_size, feature_dim=self.feature_dim,
-                           photo_hidden=self.photo_hidden,
-                           attn_hidden=self.attn_hidden,
-                           attn_score_dim=self.attn_score_dim,
-                           dec_hidden=self.dec_hidden, emb_dim=self.emb_dim,
-                           mlp_hidden=self.mlp_hidden, alpha_len=self.alpha_len,
-                           max_words=self.max_words, sentences=self.sentences,
-                           max_photos=self.max_photos)
-
     def _encode(self, album, vocab):
         if not album.raw_stories:
             return album
-        stories = [[encode_sentence(tokenize(s), vocab, self.max_words)
+        stories = [[encode_sentence(s, vocab, self.max_words)
                     for s in story] for story in album.raw_stories]
         return dataclasses.replace(album, stories=stories)
 
@@ -141,14 +131,9 @@ class AlbumStoryteller:
         val = ([self._encode(a, vocab)
                 for a in check_albums(validation, self.feature_dim)]
                if validation else albums)
-        mcfg = self._model_config(len(vocab))
-        tcfg = TrainConfig(model=mcfg, stage=self.stage, lr=self.lr,
-                           lam=self.lam, mu=self.mu,
-                           batch_size=self.batch_size,
-                           max_steps=self.max_steps,
-                           validate_every=self.validate_every,
-                           patience=self.patience, seed=self.seed,
-                           nll_stop=self.nll_stop)
+        settings = self.get_params()
+        mcfg = config_from(ModelConfig, settings, vocab_size=len(vocab))
+        tcfg = config_from(TrainConfig, settings, model=mcfg)
         r1, r2 = run_training(albums, val, tcfg, vocab)
         last = r2 if r2 is not None else r1
         self.vocab_ = vocab
@@ -167,8 +152,7 @@ class AlbumStoryteller:
         for album in albums:
             hyp = generate_story(album, self.params_, self.model_config_,
                                  mode=self.mode, beam_width=self.beam_width)
-            stories.append([" ".join(self.vocab_.decode(i) for i in ids
-                                     if i not in (0, 1, 2))
+            stories.append([" ".join(decode_ids(ids, self.vocab_))
                             for ids in hyp.sentences])
         return stories
 
@@ -197,10 +181,6 @@ class AlbumStoryteller:
         if any(not a.raw_stories for a in albums):
             raise ValueError("score needs albums with reference stories")
         predictions = self.predict(albums)
-        pairs = []
-        for album, sents in zip(albums, predictions):
-            cand = [tok for s in sents for tok in tokenize(s)]
-            refs = [[tok for s in story for tok in tokenize(s)]
-                    for story in album.raw_stories]
-            pairs.append(EvalPair(cand, refs))
-        return cider(pairs)
+        return cider([EvalPair(story_tokens(sents),
+                               [story_tokens(story) for story in album.raw_stories])
+                      for album, sents in zip(albums, predictions)])

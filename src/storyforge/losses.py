@@ -25,10 +25,6 @@ class LossReport:
     def per_word_nll(self):
         return self.nll / max(1, self.word_count)
 
-    def as_dict(self):
-        return {"nll": self.nll, "rank": self.rank, "recon": self.recon,
-                "total": self.total, "word_count": self.word_count}
-
 
 def nll_loss(word_logps, mask=None):
     """-sum of log-probs; word_logps is a flat list of scalar nodes.

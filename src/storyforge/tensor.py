@@ -404,8 +404,9 @@ def masked_softmax(logits, mask) -> NumArray:
     valid = mask > 0
     if not valid.any():
         raise InvalidMaskError("masked_softmax: mask has no valid positions")
-    shifted = logits.data - logits.data[valid].max()
-    e = np.exp(shifted) * mask
+    top = logits.data[valid].max()
+    # masked logits are replaced before exp, which they could overflow
+    e = np.exp(np.where(valid, logits.data, top) - top) * mask
     out = e / e.sum()
 
     def bw(g):
@@ -543,9 +544,6 @@ class ParamStore:
     def unfreeze_all(self):
         self.frozen.clear()
 
-    def is_frozen(self, name: str) -> bool:
-        return self.group_of(name) in self.frozen
-
     def trainable(self):
         """(name, entry) pairs outside frozen groups, in creation order."""
         frozen_names = set()
@@ -569,9 +567,6 @@ class ParamStore:
                 other.add(n, self.entries[n].data.copy(), g)
         other.frozen = set(self.frozen)
         return other
-
-    def num_values(self) -> int:
-        return sum(p.data.size for p in self.entries.values())
 
 
 def init_matrix(rng: np.random.Generator, shape) -> np.ndarray:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .data import decode_ids, tokenize
+from .data import decode_ids, story_tokens
 from .losses import derangement
 from .metrics import EvalPair, cider
 from .model import ModelConfig, build_parameters, generate_story, story_objective
@@ -52,6 +52,13 @@ class TrainConfig:
             raise ValueError("batch_size/validate_every must be >= 1, max_steps >= 0")
 
 
+def config_from(cls, values, **given):
+    """A `cls` config (ModelConfig or TrainConfig) whose fields outside
+    `given` are read by name from the mapping `values`."""
+    rest = {f.name: values[f.name] for f in fields(cls) if f.name not in given}
+    return cls(**given, **rest)
+
+
 @dataclass
 class TrainResult:
     params: T.ParamStore         # best-validation weights (last good on divergence)
@@ -63,22 +70,18 @@ class TrainResult:
     stop_reason: str = "max_steps"
 
 
+def decoded_pairs(params, cfg: ModelConfig, albums, vocab,
+                  generate_fn=generate_story):
+    """Decode every album and pair its tokens with all its reference stories."""
+    return [EvalPair([tok for ids in generate_fn(album, params, cfg).sentences
+                      for tok in decode_ids(ids, vocab)],
+                     [story_tokens(story) for story in album.raw_stories])
+            for album in albums]
+
+
 def validate(params, cfg: ModelConfig, albums, vocab, generate_fn=generate_story):
     """Greedy-decode every album and score corpus CIDEr against all refs."""
-    pairs = []
-    for album in albums:
-        hyp = generate_fn(album, params, cfg)
-        cand = []
-        for ids in hyp.sentences:
-            cand.extend(decode_ids(ids, vocab))
-        refs = []
-        for story in album.raw_stories:
-            toks = []
-            for sent in story:
-                toks.extend(tokenize(sent))
-            refs.append(toks)
-        pairs.append(EvalPair(cand, refs))
-    return cider(pairs)
+    return cider(decoded_pairs(params, cfg, albums, vocab, generate_fn))
 
 
 def _examples(albums):

@@ -1,5 +1,6 @@
 """End-to-end checks for the command-line interface."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -244,6 +245,84 @@ class TestEvaluate:
         assert main(["evaluate", "--out-dir", str(tmp_path), "--stories",
                      str(stories), "--data", str(workdir / "d" / "albums.jsonl"),
                      "--vocab-file", str(workdir / "d" / "vocab.txt")]) == 1
+
+
+def _evaluate_without_album_id(root, tmp_path):
+    stories = tmp_path / "s.jsonl"
+    stories.write_text(json.dumps({"sentences": ["hi"]}) + "\n")
+    return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
+            "--data", str(root / "d" / "albums.jsonl"),
+            "--vocab-file", str(root / "d" / "vocab.txt")]
+
+
+def _build_vocab_on_broken_json(root, tmp_path):
+    data = tmp_path / "albums.jsonl"
+    first = (root / "d" / "albums.jsonl").read_text().splitlines()[0]
+    data.write_text(first + "\n{broken\n")
+    return ["build-vocab", "--out-dir", str(tmp_path), "--train-data", str(data)]
+
+
+def _generate_with_smaller_vocab(root, tmp_path):
+    vocab = Vocabulary.load(root / "d" / "vocab.txt")
+    small = tmp_path / "vocab.txt"
+    Vocabulary(vocab.id_to_token[4:-3], min_count=vocab.min_count).save(small)
+    return ["generate", "--out-dir", str(tmp_path),
+            "--data", str(root / "d" / "albums.jsonl"),
+            "--checkpoint", str(root / "t" / "stage2.ckpt.json"),
+            "--vocab-file", str(small)]
+
+
+class TestBadInputExitCodes:
+    @pytest.mark.parametrize("make_argv, message", [
+        (_evaluate_without_album_id, "line 1: missing field 'album_id'"),
+        (_build_vocab_on_broken_json, "line 2: invalid record"),
+        (_generate_with_smaller_vocab, "parameter 'dec.embed.table' has shape"),
+    ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
+            "generate-smaller-vocab"])
+    def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
+                                 make_argv, message):
+        assert main(make_argv(workdir, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+
+
+class TestParser:
+    FLAGS = {
+        "synth-data": ["--n-albums", "--scenes-lo", "--scenes-hi",
+                       "--photos-lo", "--photos-hi", "--separation", "--noise",
+                       "--vocab-size", "--seed", "--feature-dim", "--sentences"],
+        "build-vocab": ["--train-data", "--min-count"],
+        "train": ["--train-data", "--val-data", "--vocab-file", "--checkpoint",
+                  "--feature-dim", "--photo-hidden", "--attn-hidden",
+                  "--attn-score-dim", "--dec-hidden", "--emb-dim",
+                  "--mlp-hidden", "--alpha-len", "--max-words", "--sentences",
+                  "--max-photos", "--stage", "--lr", "--lambda", "--mu",
+                  "--batch-size", "--max-steps", "--validate-every",
+                  "--patience", "--seed", "--nll-stop"],
+        "generate": ["--data", "--checkpoint", "--vocab-file", "--stories",
+                     "--mode", "--beam-width"],
+        "inspect-scenes": ["--data", "--checkpoint", "--vocab-file"],
+        "evaluate": ["--stories", "--data", "--vocab-file", "--max-photos",
+                     "--sentences", "--max-words"],
+        "grad-check": ["--gc-seeds", "--tolerance", "--lambda", "--mu", "--seed"],
+        "sweep": ["--sweep-grid", "--sweep-steps", "--lr", "--batch-size",
+                  "--patience", "--n-albums", "--scenes-lo", "--scenes-hi",
+                  "--photos-lo", "--photos-hi", "--separation", "--noise",
+                  "--vocab-size", "--seed", "--feature-dim", "--photo-hidden",
+                  "--attn-hidden", "--attn-score-dim", "--dec-hidden",
+                  "--emb-dim", "--mlp-hidden"],
+    }
+
+    def test_subcommand_flags_unchanged(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(self.FLAGS)
+        for name, flags in self.FLAGS.items():
+            got = [a.option_strings[0] for a in sub.choices[name]._actions
+                   if a.option_strings and a.option_strings[0] != "-h"]
+            assert got == ["--config", "--out-dir"] + flags, name
 
 
 class TestGradCheckCommand:

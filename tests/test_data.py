@@ -81,6 +81,11 @@ class TestEncodeSentence:
         v = D.build_vocab(["a b"], min_count=1)
         ids = D.encode_sentence("a b", v)
         assert D.decode_ids(ids + [5, 5], v) == ["a", "b"]
+        assert D.decode_ids([D.BOS, D.PAD] + ids, v) == ["a", "b"]
+
+    def test_story_tokens_concatenates_sentences(self):
+        assert D.story_tokens(["The cat.", "", "A dog"]) == \
+            ["the", "cat", ".", "a", "dog"]
 
 
 def make_record(m=3, f_dim=4, n_sent=5, **extra):
@@ -139,6 +144,15 @@ class TestLoadAlbums:
         del rec["stories"]
         p = write_albums(tmp_path, [rec])
         with pytest.raises(D.DataFormatError, match="stories"):
+            D.load_albums(p, vocab)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_feature_rejected(self, tmp_path, vocab, value):
+        bad = make_record()
+        bad["features"][2][1] = value
+        p = write_albums(tmp_path, [make_record(), bad])
+        with pytest.raises(D.DataFormatError,
+                           match="line 2: non-finite feature value"):
             D.load_albums(p, vocab)
 
     def test_gold_boundaries_validated(self, tmp_path, vocab):

@@ -1,5 +1,8 @@
 """Estimator facade: parameter handling, validation, fit/predict/transform."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from storyforge.data import SynthSpec, synth_dataset, synth_vocab
 from storyforge.estimator import (AlbumStoryteller, NotFittedError,
                                   as_feature_list, check_albums,
                                   check_is_fitted)
+from storyforge.model import ModelConfig
+from storyforge.trainer import TrainConfig
 
 SPEC = SynthSpec(albums=3, scenes_per_album=(2, 2), photos_per_scene=(2, 2),
                  feature_dim=6, vocab_size=25, seed=0)
@@ -44,6 +49,18 @@ class TestParams:
     def test_constructor_does_not_validate(self):
         # sklearn convention: bad values surface at fit, not construction
         AlbumStoryteller(stage="nonsense")
+
+    def test_defaults_match_config_fields(self):
+        # fit builds both configs from get_params(), so every config field
+        # needs a constructor argument with the same default
+        fields = {f.name: f.default
+                  for cls in (ModelConfig, TrainConfig)
+                  for f in dataclasses.fields(cls)
+                  if f.name not in ("vocab_size", "model")}
+        sig = inspect.signature(AlbumStoryteller.__init__).parameters
+        assert len(fields) == 21
+        for name, default in fields.items():
+            assert sig[name].default == default, name
 
     def test_repr_shows_changed_params_only(self):
         text = repr(AlbumStoryteller(seed=9))

@@ -123,8 +123,3 @@ class TestLossReport:
     def test_per_word(self):
         rep = LossReport(nll=10.0, rank=0.0, recon=0.0, total=10.0, word_count=4)
         assert rep.per_word_nll() == 2.5
-
-    def test_as_dict_round_trip(self):
-        rep = LossReport(1.0, 2.0, 3.0, 1.0 + 0.2 * 2 + 0.8 * 3, 7)
-        d = rep.as_dict()
-        assert d["word_count"] == 7 and d["total"] == rep.total

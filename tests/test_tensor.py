@@ -99,6 +99,9 @@ class TestMaskedSoftmax:
     def test_single_valid_position(self):
         out = T.masked_softmax(T.wrap([5.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0]))
         np.testing.assert_array_equal(out.data, [0.0, 1.0, 0.0])
+        # a masked logit beyond exp's range must not turn the output into nan
+        out = T.masked_softmax(T.wrap([0.0, 1000.0]), np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(out.data, [1.0, 0.0])
 
     def test_matches_exp_normalize_oracle(self):
         out = T.masked_softmax(T.wrap([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 0.0]))
@@ -109,12 +112,13 @@ class TestMaskedSoftmax:
         with pytest.raises(T.InvalidMaskError):
             T.masked_softmax(T.wrap([1.0, 2.0]), np.zeros(2))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.data())
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8), st.data())
     def test_valid_distribution(self, logits, data):
         mask = data.draw(st.lists(st.integers(0, 1), min_size=len(logits),
                                   max_size=len(logits)).filter(lambda m: any(m)))
         out = T.masked_softmax(T.wrap(logits), np.array(mask, dtype=float))
+        assert np.isfinite(out.data).all()
         assert out.data.sum() == pytest.approx(1.0)
         assert (out.data >= 0).all()
         assert all(out.data[i] == 0.0 for i, m in enumerate(mask) if m == 0)
@@ -196,6 +200,13 @@ class TestOps:
             return T.pick(ls, 2) + 0.5 * T.pick(ls, 4)
 
         assert T.grad_check(fn, store) < 1e-4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
+    def test_log_softmax_extreme_logits(self, logits):
+        out = T.log_softmax(T.wrap(logits)).data
+        assert np.isfinite(out).all() and (out <= 0.0).all()
+        assert np.exp(out).sum() == pytest.approx(1.0)
 
     def test_take_row_gradient(self):
         store = T.ParamStore()
