@@ -162,6 +162,13 @@ def _load_model(cfg):
     return params, vocab, mcfg
 
 
+def _model_albums(path, vocab, mcfg: ModelConfig):
+    """Albums with the model's photo cap, story shape and feature dim."""
+    return load_albums(path, vocab, max_photos=mcfg.max_photos,
+                       n_sentences=mcfg.sentences, max_words=mcfg.max_words,
+                       feature_dim=mcfg.feature_dim)
+
+
 def _scores(pairs) -> dict:
     b = bleu(pairs)
     return {**{f"bleu-{n}": b[n] for n in (1, 2, 3, 4)},
@@ -205,11 +212,9 @@ def cmd_train(cfg) -> int:
     write_resolved(cfg, out)
     vocab = Vocabulary.load(cfg["vocab_file"])
     mcfg = config_from(ModelConfig, cfg, vocab_size=len(vocab))
-    loader = lambda p: load_albums(p, vocab, max_photos=cfg["max_photos"],
-                                   n_sentences=cfg["sentences"],
-                                   max_words=cfg["max_words"])
-    train_set = loader(cfg["train_data"])
-    val_set = loader(cfg["val_data"]) if cfg["val_data"] else train_set
+    train_set = _model_albums(cfg["train_data"], vocab, mcfg)
+    val_set = (_model_albums(cfg["val_data"], vocab, mcfg) if cfg["val_data"]
+               else train_set)
     tcfg = config_from(TrainConfig, cfg, model=mcfg)
 
     # the checkpoint meta echoes the run config so generate/inspect can
@@ -246,8 +251,7 @@ def cmd_generate(cfg) -> int:
     params, vocab, mcfg = _load_model(cfg)
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
-    albums = load_albums(cfg["data"], vocab, max_photos=mcfg.max_photos,
-                         n_sentences=mcfg.sentences, max_words=mcfg.max_words)
+    albums = _model_albums(cfg["data"], vocab, mcfg)
     path = Path(cfg["stories"]) if cfg["stories"] else out / "stories.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         for album in albums:
@@ -268,8 +272,7 @@ def cmd_inspect_scenes(cfg) -> int:
     params, vocab, mcfg = _load_model(cfg)
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
-    albums = load_albums(cfg["data"], vocab, max_photos=mcfg.max_photos,
-                         n_sentences=mcfg.sentences, max_words=mcfg.max_words)
+    albums = _model_albums(cfg["data"], vocab, mcfg)
     lines = []
     for album in albums:
         with T.no_grad():
@@ -299,6 +302,10 @@ def cmd_evaluate(cfg) -> int:
         if rec["album_id"] not in refs:
             raise DataFormatError(
                 f"line {line_no}: album '{rec['album_id']}' not in reference data")
+        if not (isinstance(rec["sentences"], list)
+                and all(isinstance(s, str) for s in rec["sentences"])):
+            raise DataFormatError(
+                f"line {line_no}: sentences must be a list of strings")
         pairs.append(EvalPair(story_tokens(rec["sentences"]), refs[rec["album_id"]]))
     if not pairs:
         raise DataFormatError("story file holds no records")

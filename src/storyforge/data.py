@@ -123,6 +123,34 @@ class AlbumExample:
         return len(self.features)
 
 
+def feature_rows(rows, feature_dim: int | None,
+                 max_photos: int) -> list[np.ndarray]:
+    """One album's features (JSON number lists, an (m, F) array or (F,)
+    arrays) as float64 (F,) vectors; rows past `max_photos` are not read.
+    `feature_dim` None takes F from the first row."""
+    if not isinstance(rows, (list, np.ndarray)) or len(rows) == 0:
+        raise DataFormatError("features must be a non-empty list")
+    out = []
+    for row in rows[:max_photos]:
+        if not isinstance(row, (list, np.ndarray)):
+            raise DataFormatError("feature row is not a list of numbers")
+        try:
+            vec = np.array(row, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataFormatError("non-numeric feature value") from None
+        if vec.ndim != 1:
+            raise DataFormatError("feature row is not a list of numbers")
+        if feature_dim is None:
+            feature_dim = vec.shape[0]
+        if vec.shape[0] != feature_dim:
+            raise DataFormatError(f"feature-dim mismatch: expected {feature_dim}, "
+                                  f"got {vec.shape[0]}")
+        if not np.isfinite(vec).all():
+            raise DataFormatError("non-finite feature value")
+        out.append(vec)
+    return out
+
+
 def _check(cond, line_no, msg):
     if not cond:
         raise DataFormatError(f"line {line_no}: {msg}")
@@ -146,23 +174,22 @@ def read_records(path, *required):
 
 
 def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
-                n_sentences: int = 5, max_words: int = 25) -> list[AlbumExample]:
-    """Read an album file; photo streams are truncated to max_photos."""
+                n_sentences: int = 5, max_words: int = 25,
+                feature_dim: int | None = None) -> list[AlbumExample]:
+    """Read an album file; photo streams are truncated to max_photos.
+
+    Every feature row must have `feature_dim` values; None lets the file's
+    first row decide.
+    """
     albums = []
-    feat_dim = None
     for line_no, rec in read_records(path, "album_id", "features", "stories"):
         feats_raw = rec["features"]
-        _check(isinstance(feats_raw, list) and len(feats_raw) >= 1,
-               line_no, "features must be a non-empty list")
-        if feat_dim is None:
-            feat_dim = len(feats_raw[0])
-        feats = []
-        for f in feats_raw[:max_photos]:
-            _check(isinstance(f, list) and len(f) == feat_dim, line_no,
-                   f"feature-dim mismatch: expected {feat_dim}, got {len(f)}")
-            row = np.asarray(f, dtype=np.float64)
-            _check(np.isfinite(row).all(), line_no, "non-finite feature value")
-            feats.append(row)
+        try:
+            feats = feature_rows(feats_raw, feature_dim, max_photos)
+        except DataFormatError as e:
+            raise DataFormatError(f"line {line_no}: {e}") from None
+        if feats:  # empty only when max_photos < 1
+            feature_dim = len(feats[0])
         raw_stories = rec["stories"]
         _check(isinstance(raw_stories, list) and len(raw_stories) >= 1,
                line_no, "stories must be a non-empty list")

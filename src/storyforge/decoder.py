@@ -25,7 +25,6 @@ from .data import BOS, EOS
 class AttentionState:
     h_attn: T.NumArray     # (H_a,)
     alpha_prev: T.NumArray  # (L_max,) zero before the first sentence
-    step: int = 0
 
 
 @dataclass
@@ -35,10 +34,6 @@ class StoryHypothesis:
     alphas: list           # n attention vectors over the album's 2m+1 slots
     logits: list           # n arrays (T_j, vocab) of raw output scores
     flags: list            # scene boundary decisions for the album
-
-    @property
-    def total_logp(self):
-        return float(sum(sum(ws) for ws in self.word_logps))
 
 
 def attend(memory, valid_mask, state: AttentionState, params):
@@ -53,13 +48,13 @@ def attend(memory, valid_mask, state: AttentionState, params):
                   + params["attn.score.b"])
     alpha = T.masked_softmax(keys @ params["attn.score.w_out"], valid_mask)
     z = alpha @ memory
-    return z, alpha, AttentionState(h_new, alpha, state.step + 1)
+    return z, alpha, AttentionState(h_new, alpha)
 
 
 def _decoder_step(prev, h, z, table, gru_w, params):
     """One word step: the GRU consumes [embedding of prev ; z], then the
     readout scores the vocabulary from [h_new ; z]. Returns (h_new, logits)."""
-    h = T.gru_cell(T.concat([T.take_row(table, prev), z]), h, gru_w)
+    h = T.gru_cell(T.concat([T.pick(table, prev), z]), h, gru_w)
     hidden = T.tanh(T.concat([h, z]) @ params["dec.out.w1"] + params["dec.out.b1"])
     return h, hidden @ params["dec.out.w2"] + params["dec.out.b2"]
 

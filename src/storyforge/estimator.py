@@ -11,10 +11,8 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-import numpy as np
-
 from .data import (AlbumExample, Vocabulary, build_vocab, decode_ids,
-                   encode_sentence, story_tokens)
+                   encode_sentence, feature_rows, story_tokens)
 from .metrics import EvalPair, cider
 from .model import ModelConfig, encode_album, generate_story
 from .scene_encoder import scene_indices
@@ -32,23 +30,10 @@ def check_is_fitted(estimator, attr: str = "params_"):
             f"{type(estimator).__name__} is not fitted yet; call fit first")
 
 
-def as_feature_list(photos, feature_dim: int):
-    """Coerce one album's photos to a list of float64 (F,) vectors."""
-    arr = np.asarray(photos, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError(f"album features must be (m, F) with m >= 1, "
-                         f"got shape {arr.shape}")
-    if arr.shape[1] != feature_dim:
-        raise ValueError(f"expected feature dim {feature_dim}, "
-                         f"got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("album features contain non-finite values")
-    return [arr[i] for i in range(arr.shape[0])]
-
-
-def check_albums(X, feature_dim: int, fitted_vocab=None):
+def check_albums(X, feature_dim: int, max_photos: int):
     """Validate fit/predict input: AlbumExamples or bare feature matrices.
 
+    Photos past max_photos are dropped, as the album loader drops them.
     Bare matrices are wrapped into story-less albums, which is enough for
     predict and transform but rejected by fit.
     """
@@ -57,13 +42,15 @@ def check_albums(X, feature_dim: int, fitted_vocab=None):
     albums = []
     for pos, item in enumerate(X):
         if isinstance(item, AlbumExample):
-            as_feature_list(item.features, feature_dim)
-            albums.append(item)
+            gold = item.gold_boundaries
+            albums.append(dataclasses.replace(
+                item, features=feature_rows(item.features, feature_dim, max_photos),
+                gold_boundaries=None if gold is None else gold[:max_photos]))
         else:
-            feats = as_feature_list(item, feature_dim)
-            albums.append(AlbumExample(album_id=f"album{pos:04d}",
-                                       features=feats, stories=[],
-                                       raw_stories=[]))
+            albums.append(AlbumExample(
+                album_id=f"album{pos:04d}",
+                features=feature_rows(item, feature_dim, max_photos),
+                stories=[], raw_stories=[]))
     return albums
 
 
@@ -118,7 +105,7 @@ class AlbumStoryteller:
     def fit(self, X, y=None, vocab: Vocabulary | None = None,
             validation=None):
         """Train on albums with reference stories; returns self."""
-        albums = check_albums(X, self.feature_dim)
+        albums = check_albums(X, self.feature_dim, self.max_photos)
         if any(not a.stories for a in albums):
             raise ValueError("fit needs albums with reference stories")
         if vocab is None:
@@ -129,7 +116,7 @@ class AlbumStoryteller:
         # the albums originally
         albums = [self._encode(a, vocab) for a in albums]
         val = ([self._encode(a, vocab)
-                for a in check_albums(validation, self.feature_dim)]
+                for a in check_albums(validation, self.feature_dim, self.max_photos)]
                if validation else albums)
         settings = self.get_params()
         mcfg = config_from(ModelConfig, settings, vocab_size=len(vocab))
@@ -147,7 +134,7 @@ class AlbumStoryteller:
     def predict(self, X):
         """Decode one story per album: a list of sentence-string lists."""
         check_is_fitted(self)
-        albums = check_albums(X, self.feature_dim)
+        albums = check_albums(X, self.feature_dim, self.max_photos)
         stories = []
         for album in albums:
             hyp = generate_story(album, self.params_, self.model_config_,
@@ -159,7 +146,7 @@ class AlbumStoryteller:
     def transform(self, X):
         """Scene view per album: boundary flags, soft scores, scene index."""
         check_is_fitted(self)
-        albums = check_albums(X, self.feature_dim)
+        albums = check_albums(X, self.feature_dim, self.max_photos)
         out = []
         for album in albums:
             with no_grad():
@@ -177,7 +164,7 @@ class AlbumStoryteller:
     def score(self, X, y=None):
         """Consensus metric of decoded stories against the albums' references."""
         check_is_fitted(self)
-        albums = check_albums(X, self.feature_dim)
+        albums = check_albums(X, self.feature_dim, self.max_photos)
         if any(not a.raw_stories for a in albums):
             raise ValueError("score needs albums with reference stories")
         predictions = self.predict(albums)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .data import AlbumExample
 from .decoder import (AttentionState, StoryHypothesis, attend,
                       decode_sentence_beam, decode_sentence_greedy,
                       sentence_log_prob)
@@ -110,7 +111,7 @@ def encode_album(features, params, cfg: ModelConfig,
     seg = encode_scenes(enc, params, force_flags=force_flags, relax=relax)
 
     pad = np.zeros((cfg.alpha_len - used, cfg.d_v))
-    memory = T.vstack([enc.V, seg.X, pad])
+    memory = T.concat([enc.V, seg.X, pad])
     valid = np.zeros(cfg.alpha_len)
     valid[:m] = 1.0
     valid[m:used] = seg.scene_mask.astype(float)
@@ -222,7 +223,7 @@ def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8,
     features = [rng.standard_normal(cfg.feature_dim) for _ in range(m)]
     story = [[int(t) for t in rng.integers(4, vocab_size, size=rng.integers(2, 5))] + [2]
              for _ in range(cfg.sentences)]
-    album = _Album(features, [story])
+    album = AlbumExample("grad-check", features, [story], [])
     flags = [int(b) for b in rng.integers(0, 2, size=m)]
     derange = np.array([1, 2, 0])
 
@@ -234,9 +235,3 @@ def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8,
     return T.grad_check(fn, params, delta=delta,
                         max_coords_per_param=coords_per_param,
                         rng=np.random.default_rng(seed + 1))
-
-
-@dataclass
-class _Album:
-    features: list
-    stories: list

@@ -68,18 +68,8 @@ class NumArray:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "NumArray":
-        return NumArray(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Accumulate dL/dx into every reachable node that requires grad."""
@@ -276,15 +266,15 @@ def relu(a) -> NumArray:
     return _make(out, (a,), bw)
 
 
-def hard_threshold(a, threshold: float = 0.5) -> NumArray:
-    """0/1 step at `threshold` with a straight-through backward.
+def hard_threshold(a) -> NumArray:
+    """0/1 step at 0.5 with a straight-through backward.
 
-    Forward emits 1.0 where the input strictly exceeds the threshold;
-    backward passes the incoming gradient through unchanged, as if the
-    step were the identity.
+    Forward emits 1.0 where the input strictly exceeds 0.5; backward
+    passes the incoming gradient through unchanged, as if the step were
+    the identity.
     """
     a = wrap(a)
-    out = (a.data > threshold).astype(np.float64)
+    out = (a.data > 0.5).astype(np.float64)
 
     def bw(g):
         if a.requires_grad:
@@ -297,7 +287,8 @@ def hard_threshold(a, threshold: float = 0.5) -> NumArray:
 
 
 def concat(parts: Sequence) -> NumArray:
-    """Concatenate 1-D arrays."""
+    """Concatenate along the first axis: 1-D vectors, or 2-D blocks with
+    equal column counts."""
     parts = [wrap(p) for p in parts]
     sizes = [p.data.shape[0] for p in parts]
     out = np.concatenate([p.data for p in parts])
@@ -325,23 +316,6 @@ def stack_rows(rows: Sequence) -> NumArray:
     return _make(out, tuple(rows), bw)
 
 
-def vstack(parts: Sequence) -> NumArray:
-    """Stack 2-D blocks with equal column counts along rows."""
-    blocks = [wrap(p) for p in parts]
-    for b in blocks:
-        if b.data.ndim != 2:
-            raise DimensionError(f"vstack expects 2-D blocks, got shape {b.shape}")
-    out = np.vstack([b.data for b in blocks])
-    offsets = np.cumsum([0] + [b.data.shape[0] for b in blocks])
-
-    def bw(g):
-        for i, b in enumerate(blocks):
-            if b.requires_grad:
-                _acc(b, g[offsets[i]:offsets[i + 1]])
-
-    return _make(out, tuple(blocks), bw)
-
-
 def arr_sum(a, axis=None) -> NumArray:
     a = wrap(a)
     out = a.data.sum(axis=axis)
@@ -363,7 +337,8 @@ def arr_mean(a, axis=None) -> NumArray:
 
 
 def pick(a, index: int) -> NumArray:
-    """Select one entry of a 1-D array as a scalar."""
+    """Select entry `index` along the first axis: a scalar of a vector, or
+    a row of a matrix (embedding lookup)."""
     a = wrap(a)
     if not 0 <= index < a.data.shape[0]:
         raise DimensionError(f"pick index {index} out of range for {a.data.shape}")
@@ -376,22 +351,6 @@ def pick(a, index: int) -> NumArray:
             _acc(a, ga)
 
     return _make(out, (a,), bw)
-
-
-def take_row(m, index: int) -> NumArray:
-    """Select one row of a matrix (embedding lookup)."""
-    m = wrap(m)
-    if not 0 <= index < m.data.shape[0]:
-        raise DimensionError(f"row index {index} out of range for {m.data.shape}")
-    out = m.data[index]
-
-    def bw(g):
-        if m.requires_grad:
-            gm = np.zeros_like(m.data)
-            gm[index] = g
-            _acc(m, gm)
-
-    return _make(out, (m,), bw)
 
 
 def masked_softmax(logits, mask) -> NumArray:
@@ -505,12 +464,15 @@ def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
 
 
 class ParamStore:
-    """Named registry of learnable arrays, partitioned into freezable groups."""
+    """Named registry of learnable arrays, partitioned into freezable groups.
+
+    A frozen entry has `requires_grad=False`: graphs built from it alone
+    stay plain values, backward never reaches it and Adam skips it.
+    """
 
     def __init__(self):
         self.entries: dict[str, NumArray] = {}
         self.groups: dict[str, set[str]] = {}
-        self.frozen: set[str] = set()
 
     def add(self, name: str, value, group: str) -> NumArray:
         if name in self.entries:
@@ -539,17 +501,18 @@ class ParamStore:
         for g in groups:
             if g not in self.groups:
                 raise KeyError(f"unknown group '{g}'")
-            self.frozen.add(g)
+            for n in self.groups[g]:
+                self.entries[n].requires_grad = False
 
     def unfreeze_all(self):
-        self.frozen.clear()
+        for p in self.entries.values():
+            p.requires_grad = True
 
-    def trainable(self):
-        """(name, entry) pairs outside frozen groups, in creation order."""
-        frozen_names = set()
-        for g in self.frozen:
-            frozen_names |= self.groups[g]
-        return [(n, p) for n, p in self.entries.items() if n not in frozen_names]
+    @property
+    def frozen(self) -> set[str]:
+        """The groups none of whose entries require grad."""
+        return {g for g, members in self.groups.items()
+                if not any(self.entries[n].requires_grad for n in members)}
 
     def zero_grads(self):
         for p in self.entries.values():
@@ -565,7 +528,7 @@ class ParamStore:
         for g, members in self.groups.items():
             for n in sorted(members):
                 other.add(n, self.entries[n].data.copy(), g)
-        other.frozen = set(self.frozen)
+        other.freeze(*self.frozen)
         return other
 
 
@@ -586,7 +549,8 @@ def init_matrix(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 class Adam:
-    """Adam with bias correction; frozen groups are skipped entirely.
+    """Adam with bias correction; entries that do not require grad (frozen
+    groups) are skipped entirely.
 
     Moment state is keyed by parameter name and carried across steps, so
     the same instance must drive a whole training stage.
@@ -608,7 +572,9 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.trainable():
+        for name, p in self.params.entries.items():
+            if not p.requires_grad:
+                continue
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
@@ -720,5 +686,5 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         rec = obj["params"][name]
         value = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
         store.add(name, value, name_to_group[name])
-    store.frozen = set(obj["frozen"])
+    store.freeze(*obj["frozen"])
     return store, obj["meta"]

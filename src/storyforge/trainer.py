@@ -84,11 +84,6 @@ def validate(params, cfg: ModelConfig, albums, vocab, generate_fn=generate_story
     return cider(decoded_pairs(params, cfg, albums, vocab, generate_fn))
 
 
-def _examples(albums):
-    return [(ai, si) for ai, album in enumerate(albums)
-            for si in range(len(album.stories))]
-
-
 def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
                vocab, start_step: int = 0) -> TrainResult:
     cfg = tcfg.model
@@ -97,7 +92,8 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     params.freeze(*(STAGE1_FROZEN if stage_no == 1 else STAGE2_FROZEN))
     opt = T.Adam(params, lr=tcfg.lr)
     rng = np.random.default_rng([tcfg.seed, stage_no])
-    examples = _examples(train_set)
+    examples = [(ai, si) for ai, album in enumerate(train_set)
+                for si in range(len(album.stories))]
     n_sent = cfg.sentences
 
     best = params.copy()
@@ -105,78 +101,62 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     bad_validations = 0
     log, step = [], start_step
     t0 = time.time()
-    stop_reason = "max_steps"
-    diverged = False
 
-    done = tcfg.max_steps == 0
-    while not done:
-        order = rng.permutation(len(examples))
-        for lo in range(0, len(order), tcfg.batch_size):
-            batch = [examples[i] for i in order[lo:lo + tcfg.batch_size]]
-            params.zero_grads()
-            sums = {"nll": 0.0, "rank": 0.0, "recon": 0.0, "total": 0.0}
-            words = 0
-            ok = True
-            for ai, si in batch:
-                album = train_set[ai]
-                der = derangement(n_sent, rng) if n_sent >= 2 else None
-                loss, rep = story_objective(album, si, params, cfg,
-                                            derange=der, lam=tcfg.lam, mu=mu)
-                if not np.isfinite(rep.total):
-                    ok = False
-                    break
-                loss.backward()
-                for k in sums:
-                    sums[k] += getattr(rep, k)
-                words += rep.word_count
-            if not ok:
-                diverged, stop_reason, done = True, "diverged", True
-                break
-            try:
-                opt.step()
-            except T.EvaluationError:
-                diverged, stop_reason, done = True, "diverged", True
-                break
-            step += 1
-            entry = {"step": step, "stage": stage_no,
-                     "nll": sums["nll"], "rank": sums["rank"],
-                     "recon": sums["recon"], "total": sums["total"],
-                     "word_count": words,
-                     "per_word_nll": sums["nll"] / max(1, words)}
-            if step % tcfg.validate_every == 0:
-                score = validate(params, cfg, val_set, vocab)
-                entry["val_cider"] = score
-                if score > best_cider:
-                    best_cider = score
-                    best = params.copy()
-                    bad_validations = 0
-                else:
-                    bad_validations += 1
-            entry["wall_time"] = round(time.time() - t0, 6)
-            log.append(entry)
-            if bad_validations >= tcfg.patience:
-                stop_reason, done = "patience", True
-                break
-            if tcfg.nll_stop > 0 and entry["per_word_nll"] < tcfg.nll_stop:
-                stop_reason, done = "nll_stop", True
-                break
-            if step - start_step >= tcfg.max_steps:
-                done = True
-                break
+    def keep_best(entry) -> bool:
+        """Score the current weights into `entry`; keep them if they improve."""
+        nonlocal best, best_cider
+        score = entry["val_cider"] = validate(params, cfg, val_set, vocab)
+        if score > best_cider:
+            best_cider, best = score, params.copy()
+            return True
+        return False
 
-    if not diverged:
-        # close with a final validation so `best` reflects the end state
-        if log and "val_cider" not in log[-1]:
-            score = validate(params, cfg, val_set, vocab)
-            log[-1]["val_cider"] = score
-            if score > best_cider:
-                best_cider = score
-                best = params.copy()
-        elif not log:
-            best_cider = validate(params, cfg, val_set, vocab)
-            best = params.copy()
-    return TrainResult(best, params.copy(), log, float(best_cider), step,
-                       diverged, stop_reason)
+    def result(stop_reason):
+        if stop_reason != "diverged" and not (log and "val_cider" in log[-1]):
+            # close with a final validation so `best` reflects the end state
+            keep_best(log[-1] if log else {})
+        return TrainResult(best, params.copy(), log, float(best_cider), step,
+                           stop_reason == "diverged", stop_reason)
+
+    def batches():
+        while True:
+            order = rng.permutation(len(examples))
+            for lo in range(0, len(order), tcfg.batch_size):
+                yield [examples[i] for i in order[lo:lo + tcfg.batch_size]]
+
+    if tcfg.max_steps == 0:
+        return result("max_steps")
+    for batch in batches():
+        params.zero_grads()
+        sums = {"nll": 0.0, "rank": 0.0, "recon": 0.0, "total": 0.0}
+        words = 0
+        for ai, si in batch:
+            der = derangement(n_sent, rng) if n_sent >= 2 else None
+            loss, rep = story_objective(train_set[ai], si, params, cfg,
+                                        derange=der, lam=tcfg.lam, mu=mu)
+            if not np.isfinite(rep.total):
+                return result("diverged")
+            loss.backward()
+            for k in sums:
+                sums[k] += getattr(rep, k)
+            words += rep.word_count
+        try:
+            opt.step()
+        except T.EvaluationError:
+            return result("diverged")
+        step += 1
+        entry = {"step": step, "stage": stage_no, **sums, "word_count": words,
+                 "per_word_nll": sums["nll"] / max(1, words)}
+        if step % tcfg.validate_every == 0:
+            bad_validations = 0 if keep_best(entry) else bad_validations + 1
+        entry["wall_time"] = round(time.time() - t0, 6)
+        log.append(entry)
+        if bad_validations >= tcfg.patience:
+            return result("patience")
+        if tcfg.nll_stop > 0 and entry["per_word_nll"] < tcfg.nll_stop:
+            return result("nll_stop")
+        if step - start_step >= tcfg.max_steps:
+            return result("max_steps")
 
 
 def run_stage1(train_set, val_set, tcfg: TrainConfig, vocab,

@@ -272,13 +272,58 @@ def _generate_with_smaller_vocab(root, tmp_path):
             "--vocab-file", str(small)]
 
 
+def _albums_with_features(root, tmp_path, edit):
+    """The synthetic album file with the first record's features edited."""
+    lines = (root / "d" / "albums.jsonl").read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["features"] = edit(rec["features"])
+    data = tmp_path / "albums.jsonl"
+    data.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    return data
+
+
+def _evaluate_data_with(edit):
+    def make_argv(root, tmp_path):
+        stories = tmp_path / "s.jsonl"
+        stories.write_text(json.dumps({"album_id": "x", "sentences": ["hi"]}) + "\n")
+        return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
+                "--data", str(_albums_with_features(root, tmp_path, edit)),
+                "--vocab-file", str(root / "d" / "vocab.txt")]
+    return make_argv
+
+
+def _evaluate_sentences_not_a_list(root, tmp_path):
+    first = json.loads((root / "d" / "albums.jsonl").read_text().splitlines()[0])
+    stories = tmp_path / "s.jsonl"
+    stories.write_text(json.dumps({"album_id": first["album_id"], "sentences": 5}) + "\n")
+    return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
+            "--data", str(root / "d" / "albums.jsonl"),
+            "--vocab-file", str(root / "d" / "vocab.txt")]
+
+
+def _generate_with_other_feature_dim(root, tmp_path):
+    data = _albums_with_features(root, tmp_path, lambda rows: [r[:4] for r in rows])
+    return ["generate", "--out-dir", str(tmp_path), "--data", str(data),
+            "--checkpoint", str(root / "t" / "stage2.ckpt.json"),
+            "--vocab-file", str(root / "d" / "vocab.txt")]
+
+
 class TestBadInputExitCodes:
     @pytest.mark.parametrize("make_argv, message", [
         (_evaluate_without_album_id, "line 1: missing field 'album_id'"),
         (_build_vocab_on_broken_json, "line 2: invalid record"),
         (_generate_with_smaller_vocab, "parameter 'dec.embed.table' has shape"),
+        (_evaluate_data_with(lambda rows: rows[:1] + [5]),
+         "line 1: feature row is not a list of numbers"),
+        (_evaluate_data_with(lambda rows: [["x"] + rows[0][1:]] + rows[1:]),
+         "line 1: non-numeric feature value"),
+        (_evaluate_sentences_not_a_list, "line 1: sentences must be a list of strings"),
+        (_generate_with_other_feature_dim,
+         "line 1: feature-dim mismatch: expected 6, got 4"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
-            "generate-smaller-vocab"])
+            "generate-smaller-vocab", "evaluate-number-feature-row",
+            "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
+            "generate-other-feature-dim"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -166,6 +166,56 @@ class TestLoadAlbums:
         assert len(D.load_albums(p, vocab)) == 1
 
 
+ROW = [1.0, 2.0, 3.0, 4.0]
+
+
+class TestFeatureRows:
+    """One album checker: the loader and the estimator give the same
+    answer for the same features."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([ROW] * 6, None),
+        ([], "features must be a non-empty list"),
+        ({"a": ROW}, "features must be a non-empty list"),
+        ([ROW, 5], "feature row is not a list of numbers"),
+        ([ROW, [ROW]], "feature row is not a list of numbers"),
+        ([ROW, [1.0, "x", 3.0, 4.0]], "non-numeric feature value"),
+        ([ROW, [1.0, 2.0]], "feature-dim mismatch: expected 4, got 2"),
+        ([ROW, [1.0, float("nan"), 3.0, 4.0]], "non-finite feature value"),
+        ([ROW, [1.0, float("inf"), 3.0, 4.0]], "non-finite feature value"),
+    ], ids=["valid", "empty", "object", "number-row", "nested-row",
+            "string-value", "short-row", "nan", "inf"])
+    def test_loader_and_estimator_agree(self, tmp_path, vocab, rows, message):
+        from storyforge.estimator import check_albums
+        p = write_albums(tmp_path, [make_record(), make_record(),
+                                    {**make_record(), "features": rows}])
+        if message is None:
+            (album,) = check_albums([rows], 4, 4)
+            loaded = D.load_albums(p, vocab, max_photos=4, feature_dim=4)[2]
+            for feats in (album.features, loaded.features):
+                assert all(f.dtype == np.float64 for f in feats)
+                np.testing.assert_array_equal(feats, [ROW] * 4)
+            return
+        with pytest.raises(D.DataFormatError, match=f"^line 3: {message}$"):
+            D.load_albums(p, vocab, feature_dim=4)
+        with pytest.raises(D.DataFormatError, match=f"^{message}$"):
+            check_albums([rows], 4, 40)
+
+    @pytest.mark.parametrize("rows", [np.ones((6, 4)), [np.ones(4)] * 6])
+    def test_array_inputs(self, rows):
+        feats = D.feature_rows(rows, 4, max_photos=4)
+        np.testing.assert_array_equal(feats, np.ones((4, 4)))
+
+    def test_rows_past_max_photos_are_not_read(self):
+        assert len(D.feature_rows([ROW, ROW, "junk"], 4, max_photos=2)) == 2
+
+    def test_first_row_decides_without_feature_dim(self, tmp_path, vocab):
+        p = write_albums(tmp_path, [make_record(f_dim=3), make_record(f_dim=4)])
+        with pytest.raises(D.DataFormatError,
+                           match="line 2: feature-dim mismatch: expected 3, got 4"):
+            D.load_albums(p, vocab)
+
+
 class TestSynth:
     def test_deterministic(self):
         spec = D.SynthSpec(albums=4, seed=123)

@@ -83,7 +83,6 @@ class TestAttend:
         np.testing.assert_allclose(alpha.data, want_alpha, rtol=1e-10)
         np.testing.assert_allclose(z.data, want_z, rtol=1e-10)
         np.testing.assert_allclose(new_state.h_attn.data, want_h, rtol=1e-10)
-        assert new_state.step == 1
 
     def test_alpha_is_masked_distribution(self):
         cfg, ps = make(5)

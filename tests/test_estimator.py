@@ -8,8 +8,7 @@ import pytest
 
 from storyforge.data import SynthSpec, synth_dataset, synth_vocab
 from storyforge.estimator import (AlbumStoryteller, NotFittedError,
-                                  as_feature_list, check_albums,
-                                  check_is_fitted)
+                                  check_albums, check_is_fitted)
 from storyforge.model import ModelConfig
 from storyforge.trainer import TrainConfig
 
@@ -69,31 +68,39 @@ class TestParams:
 
 class TestValidationHelpers:
     def test_feature_list_shapes(self):
-        out = as_feature_list(np.zeros((3, 6)), 6)
+        (album,) = check_albums([np.zeros((3, 6))], 6, 40)
+        out = album.features
         assert len(out) == 3 and out[0].shape == (6,)
 
     def test_wrong_dim_rejected(self):
-        with pytest.raises(ValueError, match="expected feature dim 6"):
-            as_feature_list(np.zeros((3, 4)), 6)
+        with pytest.raises(ValueError, match="expected 6, got 4"):
+            check_albums([np.zeros((3, 4))], 6, 40)
 
     def test_non_finite_rejected(self):
         bad = np.zeros((2, 6))
         bad[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            as_feature_list(bad, 6)
+            check_albums([bad], 6, 40)
 
     def test_empty_album_rejected(self):
         with pytest.raises(ValueError):
-            as_feature_list(np.zeros((0, 6)), 6)
+            check_albums([np.zeros((0, 6))], 6, 40)
 
     def test_check_albums_wraps_matrices(self):
-        albums = check_albums([np.ones((2, 6)), np.ones((3, 6))], 6)
+        albums = check_albums([np.ones((2, 6)), np.ones((3, 6))], 6, 40)
         assert [a.num_photos for a in albums] == [2, 3]
         assert albums[0].stories == []
 
+    def test_check_albums_truncates_examples(self, corpus):
+        albums, _ = corpus
+        (album,) = check_albums([albums[0]], 6, 2)
+        assert album.num_photos == 2
+        assert album.gold_boundaries == albums[0].gold_boundaries[:2]
+        assert album.stories == albums[0].stories
+
     def test_check_albums_empty_input(self):
         with pytest.raises(ValueError, match="non-empty"):
-            check_albums([], 6)
+            check_albums([], 6, 40)
 
     def test_check_is_fitted(self):
         with pytest.raises(NotFittedError):
@@ -130,6 +137,22 @@ class TestFitted:
         rng = np.random.default_rng(0)
         stories = fitted.predict([rng.normal(size=(3, 6))])
         assert len(stories) == 1
+
+    def test_albums_past_max_photos_are_truncated(self, fitted):
+        # the loader's contract: photos past max_photos are dropped
+        rng = np.random.default_rng(3)
+        long_album = rng.normal(size=(fitted.max_photos + 3, 6))
+        (story,) = fitted.predict([long_album])
+        assert len(story) == fitted.sentences
+        (view,) = fitted.transform([long_album])
+        assert len(view["flags"]) == fitted.max_photos
+
+    def test_fit_truncates_long_albums(self):
+        spec = dataclasses.replace(SPEC, photos_per_scene=(4, 4))
+        albums = synth_dataset(spec, synth_vocab(spec))
+        assert all(a.num_photos > TINY["max_photos"] for a in albums)
+        est = AlbumStoryteller(**{**TINY, "max_steps": 1}).fit(albums)
+        assert est.n_iter_ > 0
 
     def test_transform_segmentation(self, fitted, corpus):
         albums, _ = corpus

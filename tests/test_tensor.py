@@ -213,7 +213,7 @@ class TestOps:
         store.add("e", np.arange(12.0).reshape(4, 3), "p")
 
         def fn(ps):
-            return T.arr_sum(T.take_row(ps["e"], 2) * T.wrap([1.0, 2.0, 3.0]))
+            return T.arr_sum(T.pick(ps["e"], 2) * T.wrap([1.0, 2.0, 3.0]))
 
         assert T.grad_check(fn, store) < 1e-4
 
@@ -249,7 +249,28 @@ class TestParamStore:
         store.add("a.w", np.ones(2), "ga")
         store.add("b.w", np.ones(2), "gb")
         store.freeze("ga")
-        assert [n for n, _ in store.trainable()] == ["b.w"]
+        assert [n for n, p in store.entries.items() if p.requires_grad] == ["b.w"]
+        assert store.frozen == {"ga"}
+
+    def test_frozen_entries_get_no_gradient(self):
+        store = T.ParamStore()
+        a = store.add("a", np.array([1.0, 2.0]), "ga")
+        b = store.add("b", np.array([3.0, 4.0]), "gb")
+        store.freeze("ga")
+        frozen_only = T.tanh(a)
+        assert not frozen_only.requires_grad and frozen_only._parents == ()
+        T.arr_sum(a * b).backward()
+        assert a.grad is None
+        np.testing.assert_array_equal(b.grad, [1.0, 2.0])
+        opt = T.Adam(store)
+        opt.step()
+        assert list(opt.m) == ["b"]
+
+        store.unfreeze_all()
+        store.zero_grads()
+        assert store.frozen == set()
+        T.arr_sum(a * b).backward()
+        np.testing.assert_array_equal(a.grad, b.data)
 
     def test_copy_is_deep(self):
         store = T.ParamStore()
@@ -257,6 +278,15 @@ class TestParamStore:
         dup = store.copy()
         dup["a.w"].data[0] = 99.0
         assert store["a.w"].data[0] == 1.0
+
+    def test_copy_keeps_freeze(self):
+        store = T.ParamStore()
+        store.add("a.w", np.ones(2), "ga")
+        store.add("b.w", np.ones(2), "gb")
+        store.freeze("gb")
+        dup = store.copy()
+        assert dup.frozen == {"gb"}
+        assert [dup[n].requires_grad for n in ("a.w", "b.w")] == [True, False]
 
 
 class TestAdam:
@@ -394,6 +424,7 @@ class TestCheckpoint:
         assert loaded.frozen == {"gb"}
         for name in store.names():
             assert loaded[name].data.tobytes() == store[name].data.tobytes()
+            assert loaded[name].requires_grad == store[name].requires_grad
             assert loaded.group_of(name) == store.group_of(name)
 
     def test_save_is_deterministic(self, tmp_path):

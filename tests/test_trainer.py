@@ -5,7 +5,7 @@ import pytest
 
 from storyforge import tensor as T
 from storyforge.data import SynthSpec, synth_dataset, synth_vocab
-from storyforge.model import ModelConfig, build_parameters
+from storyforge.model import ModelConfig, build_parameters, story_objective
 from storyforge.trainer import (STAGE2_FROZEN, TrainConfig, canonical_log,
                                 run_stage1, run_stage2, run_training, validate,
                                 write_log)
@@ -76,6 +76,32 @@ class TestStage1:
 
 
 class TestStage2:
+    def test_frozen_groups_leave_the_graph(self, corpus):
+        _, vocab, albums = corpus
+        tcfg = tiny_tcfg(vocab)
+        params = build_parameters(tcfg.model, np.random.default_rng(0))
+        params.freeze(*STAGE2_FROZEN)
+        loss, _ = story_objective(albums[0], 0, params, tcfg.model,
+                                  derange=np.array([1, 2, 3, 4, 0]), mu=0.8)
+        reached, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            for p in node._parents:
+                if id(p) not in reached:
+                    reached.add(id(p))
+                    stack.append(p)
+        frozen = [n for n in params.names()
+                  if params.group_of(n) in STAGE2_FROZEN]
+        assert not any(id(params[n]) in reached for n in frozen)
+        assert {params.group_of(n) for n in params.names()
+                if id(params[n]) in reached} == {"sentence_decoder",
+                                                 "reconstructor"}
+        loss.backward()
+        opt = T.Adam(params)
+        opt.step()
+        for n in frozen:
+            assert params[n].grad is None and n not in opt.m
+
     def test_frozen_groups_bit_identical(self, corpus):
         _, vocab, albums = corpus
         tcfg = tiny_tcfg(vocab, max_steps=4)
