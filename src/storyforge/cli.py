@@ -26,7 +26,7 @@ from .data import (DataFormatError, SynthSpec, Vocabulary, build_vocab,
                    decode_ids, load_albums, read_records, save_albums,
                    story_tokens, synth_dataset, synth_vocab)
 from .metrics import EvalPair, bleu, cider, rouge_l
-from .model import (ModelConfig, build_parameters, encode_album,
+from .model import (ConfigError, ModelConfig, build_parameters, encode_album,
                     full_pipeline_grad_check, generate_story)
 from .scene_encoder import scene_indices
 from .trainer import (TrainConfig, config_from, decoded_pairs, run_training,
@@ -71,10 +71,6 @@ DEFAULTS = {
     "sweep_grid": ("both", str),
     "sweep_steps": (20, int),
 }
-
-
-class ConfigError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,15 +139,23 @@ def _synth_spec(cfg) -> SynthSpec:
                      sentences=cfg["sentences"], seed=cfg["seed"])
 
 
-def _load_model(cfg):
-    """Checkpoint + vocab + the model config recorded at training time."""
+def _load_model(cfg, run_config: ModelConfig | None = None):
+    """Checkpoint + vocab + the model config the weights must fit: the run's
+    own `run_config` when given, else the config recorded at training time."""
     _require(cfg, "checkpoint", "vocab_file")
-    params, meta = T.load_checkpoint(cfg["checkpoint"])
+    try:
+        params, meta = T.load_checkpoint(cfg["checkpoint"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     vocab = Vocabulary.load(cfg["vocab_file"])
-    saved = meta.get("config", {})
-    merged = dict(cfg)
-    merged.update({k: saved[k] for k in MODEL_KEYS if k in saved})
-    mcfg = config_from(ModelConfig, merged, vocab_size=len(vocab))
+    mcfg = run_config
+    if mcfg is None:
+        saved = meta.get("config", {})
+        if not isinstance(saved, dict):
+            raise ConfigError(f"{cfg['checkpoint']}: meta field 'config' is malformed")
+        merged = dict(cfg)
+        merged.update({k: saved[k] for k in MODEL_KEYS if k in saved})
+        mcfg = config_from(ModelConfig, merged, vocab_size=len(vocab))
     expected = build_parameters(mcfg, np.random.default_rng(0))
     for name in sorted(set(params.names()) | set(expected.names())):
         got = params[name].shape if name in params else None
@@ -224,8 +228,7 @@ def cmd_train(cfg) -> int:
                 if v is not None and k != "out_dir"}
     init = None
     if cfg["stage"] == "2":
-        _require(cfg, "checkpoint")
-        init, _ = T.load_checkpoint(cfg["checkpoint"])
+        init, _, _ = _load_model(cfg, run_config=mcfg)
     r1, r2 = run_training(train_set, val_set, tcfg, vocab, init_params=init)
 
     entries = (r1.log if r1 else []) + (r2.log if r2 else [])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def read_records(path, *required):
 def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
                 n_sentences: int = 5, max_words: int = 25,
                 feature_dim: int | None = None) -> list[AlbumExample]:
-    """Read an album file; photo streams are truncated to max_photos.
+    """Read a non-empty album file; photo streams are truncated to max_photos.
 
     Every feature row must have `feature_dim` values; None lets the file's
     first row decide.
@@ -211,6 +211,8 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
             gold = gold[:max_photos]
         albums.append(AlbumExample(str(rec["album_id"]), feats, stories,
                                    raw_stories, gold))
+    if not albums:
+        raise DataFormatError(f"{path}: holds no albums")
     return albums
 
 

@@ -80,10 +80,7 @@ def sentence_log_prob(z, sentence_ids, params):
         logits_seq.append(d)
         word_logps.append(T.pick(T.log_softmax(d), target))
         prev = target
-    total = word_logps[0]
-    for lp in word_logps[1:]:
-        total = total + lp
-    return total, logits_seq, word_logps
+    return T.arr_sum(T.stack_rows(word_logps)), logits_seq, word_logps
 
 
 def decode_sentence_greedy(z, params, max_words: int):

@@ -64,7 +64,7 @@ class AlbumStoryteller:
 
     def __init__(self, feature_dim=8, photo_hidden=16, attn_hidden=32,
                  attn_score_dim=32, dec_hidden=32, emb_dim=32, mlp_hidden=32,
-                 alpha_len=0, max_words=25, sentences=5, max_photos=40,
+                 max_words=25, sentences=5, max_photos=40,
                  stage="all", lr=0.0004, lam=0.2, mu=0.8, batch_size=1,
                  max_steps=1000, validate_every=100, patience=30, seed=0,
                  nll_stop=0.0, min_count=1, mode="greedy", beam_width=3):

@@ -22,21 +22,11 @@ class LossReport:
     total: float
     word_count: int
 
-    def per_word_nll(self):
-        return self.nll / max(1, self.word_count)
 
-
-def nll_loss(word_logps, mask=None):
-    """-sum of log-probs; word_logps is a flat list of scalar nodes.
-
-    mask, when given, zeroes out padding positions (same length, 0/1).
-    """
-    total = T.wrap(0.0)
-    for i, lp in enumerate(word_logps):
-        if mask is not None and not mask[i]:
-            continue
-        total = total + lp
-    return -total
+def nll_loss(sentence_logps):
+    """Minus the summed true-sentence log-probs; each total already covers
+    every word and EOS."""
+    return -T.arr_sum(T.stack_rows(sentence_logps))
 
 
 def rank_loss(pos_logps, neg_logps):
@@ -44,23 +34,18 @@ def rank_loss(pos_logps, neg_logps):
     album position."""
     if len(pos_logps) != len(neg_logps):
         raise ValueError("positive/negative sentence counts differ")
-    total = T.wrap(0.0)
-    for pos, neg in zip(pos_logps, neg_logps):
-        total = total + T.relu(1.0 - pos + neg)
-    return total
+    return T.arr_sum(T.relu(1.0 - T.stack_rows(pos_logps) + T.stack_rows(neg_logps)))
 
 
 def recon_loss(z_list, z_tilde_list):
     """Sum of squared Euclidean distances over aligned sentence pairs."""
     if len(z_list) != len(z_tilde_list):
         raise ValueError("z / reconstruction counts differ")
-    total = T.wrap(0.0)
     for z, zt in zip(z_list, z_tilde_list):
         if z.shape != zt.shape:
             raise T.DimensionError(f"z dim {z.shape} != reconstruction {zt.shape}")
-        diff = zt - z
-        total = total + T.arr_sum(diff * diff)
-    return total
+    diff = T.stack_rows(z_tilde_list) - T.stack_rows(z_list)
+    return T.arr_sum(diff * diff)
 
 
 def total_loss(nll, rank, recon, lam: float = 0.2, mu: float = 0.8):

@@ -51,9 +51,7 @@ def bleu(pairs, max_n: int = 4) -> dict:
             counts = _ngrams(pair.candidate, n)
             max_ref = Counter()
             for ref in pair.references:
-                for gram, cnt in _ngrams(ref, n).items():
-                    if cnt > max_ref[gram]:
-                        max_ref[gram] = cnt
+                max_ref |= _ngrams(ref, n)  # per-gram max over references
             clipped[n] += sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
             totals[n] += sum(counts.values())
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from .reconstructor import reconstruct
 from .scene_encoder import encode_scenes
 
 
+class ConfigError(ValueError):
+    """A configuration value outside its valid range."""
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -27,17 +31,21 @@ class ModelConfig:
     dec_hidden: int = 32
     emb_dim: int = 32
     mlp_hidden: int = 32
-    alpha_len: int = 0       # 0: derive from max_photos
     max_words: int = 25
     sentences: int = 5
     max_photos: int = 40
 
     def __post_init__(self):
-        if self.alpha_len == 0:
-            # m photo slots + (m+1) scene slots at the maximum album size
-            self.alpha_len = 2 * self.max_photos + 1
         if self.vocab_size < 4:
-            raise ValueError("vocab_size must cover the special tokens")
+            raise ConfigError("vocab_size must cover the special tokens")
+        for f in fields(self)[1:]:
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
+
+    @property
+    def alpha_len(self):
+        """Attention slots: m photo slots + (m+1) scene slots at m = max_photos."""
+        return 2 * self.max_photos + 1
 
     @property
     def d_v(self):
@@ -149,33 +157,22 @@ def story_objective(album, story_idx, params, cfg: ModelConfig,
     story = album.stories[story_idx]
     zs, _ = summarize_album(encoding, len(story), params)
 
-    pos_logps, all_word_logps, logits_per_sentence = [], [], []
-    word_count = 0
-    for z, sent in zip(zs, story):
-        logp, logits_seq, word_logps = sentence_log_prob(z, sent, params)
-        pos_logps.append(logp)
-        all_word_logps.extend(word_logps)
-        logits_per_sentence.append(logits_seq)
-        word_count += len(sent)
-    nll = nll_loss(all_word_logps)
+    pos_logps, logits = zip(*(sentence_log_prob(z, sent, params)[:2]
+                              for z, sent in zip(zs, story)))
+    nll = nll_loss(pos_logps)
 
+    rank = recon = T.wrap(0.0)
     if derange is not None and len(story) >= 2:
         neg_logps = [sentence_log_prob(z, story[int(derange[j])], params)[0]
                      for j, z in enumerate(zs)]
         rank = rank_loss(pos_logps, neg_logps)
-    else:
-        rank = T.wrap(0.0)
-
     if mu > 0:
-        z_tilde = [reconstruct(seq, params) for seq in logits_per_sentence]
-        recon = recon_loss(zs, z_tilde)
-    else:
-        recon = T.wrap(0.0)
+        recon = recon_loss(zs, [reconstruct(seq, params) for seq in logits])
 
     loss = total_loss(nll, rank, recon, lam=lam, mu=mu)
     report = LossReport(nll=float(nll.data), rank=float(rank.data),
                         recon=float(recon.data), total=float(loss.data),
-                        word_count=word_count)
+                        word_count=sum(len(sent) for sent in story))
     return loss, report
 
 

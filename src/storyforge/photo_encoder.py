@@ -31,7 +31,7 @@ def encode_photos(features, params) -> PhotoEncoding:
     fwd_w = params.gru("photo.fwd")
     bwd_w = params.gru("photo.bwd")
     skip = params["photo.skip.w"]
-    feats = [f if isinstance(f, T.NumArray) else T.wrap(f) for f in features]
+    feats = [T.wrap(f) for f in features]
     m = len(feats)
 
     h = T.zeros(fwd_w.hidden_size)

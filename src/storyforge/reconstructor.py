@@ -16,10 +16,7 @@ def reconstruct(logits_seq, params) -> T.NumArray:
     if len(logits_seq) == 0:
         raise ValueError("cannot reconstruct from an empty logits sequence")
     gru_w = params.gru("recon.gru")
-    d_bar = logits_seq[0]
-    for d in logits_seq[1:]:
-        d_bar = d_bar + d
-    d_bar = (1.0 / len(logits_seq)) * d_bar
+    d_bar = T.arr_mean(T.stack_rows(logits_seq), axis=0)
 
     c = T.zeros(gru_w.hidden_size)
     states = []

@@ -60,8 +60,7 @@ def encode_scenes(photos, params, force_flags=None, relax: bool = False) -> Scen
     makes the whole computation an ordinary differentiable graph (used by
     gradient checks and the forced-flag oracles).
     """
-    v_list = photos.v_list if hasattr(photos, "v_list") else \
-        [v if isinstance(v, T.NumArray) else T.wrap(v) for v in photos]
+    v_list = photos.v_list if hasattr(photos, "v_list") else [T.wrap(v) for v in photos]
     m = len(v_list)
     if m == 0:
         raise ValueError("album has no photos")

@@ -304,7 +304,7 @@ def concat(parts: Sequence) -> NumArray:
 
 
 def stack_rows(rows: Sequence) -> NumArray:
-    """Stack 1-D arrays of equal length into a (len, dim) matrix."""
+    """Stack equal-shape scalars or vectors along a new first axis."""
     rows = [wrap(r) for r in rows]
     out = np.stack([r.data for r in rows])
 
@@ -598,12 +598,11 @@ class Adam:
 def grad_check(fn: Callable[[ParamStore], NumArray], params: ParamStore,
                delta: float = 1e-5, max_coords_per_param: int | None = None,
                rng: np.random.Generator | None = None,
-               include: Iterable[str] | None = None,
-               scale_floor: float = 1e-4) -> float:
+               include: Iterable[str] | None = None) -> float:
     """Compare analytic gradients of a scalar `fn` against central differences.
 
     Returns the max over checked coordinates of
-    |analytic - numeric| / max(|analytic|, |numeric|, scale_floor).
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
     The floor makes coordinates whose gradient sits below the
     finite-difference noise level (roundoff is about eps*|f|/delta) compare
     absolutely instead of blowing up the ratio; real defects on gradients of
@@ -645,7 +644,7 @@ def grad_check(fn: Callable[[ParamStore], NumArray], params: ParamStore,
                 raise EvaluationError(
                     f"non-finite evaluation while perturbing '{n}'")
             numeric = (f_plus - f_minus) / (2.0 * delta)
-            err = abs(ga[i] - numeric) / max(abs(ga[i]), abs(numeric), scale_floor)
+            err = abs(ga[i] - numeric) / max(abs(ga[i]), abs(numeric), 1e-4)
             if err > worst:
                 worst = err
     return worst
@@ -673,18 +672,36 @@ def save_checkpoint(path, params: ParamStore, meta: dict | None = None):
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
+    """Read a save_checkpoint container; a malformed one raises a one-line
+    ValueError naming the path and the bad field."""
+    def check(ok, msg):
+        if not ok:
+            raise ValueError(f"{path}: {msg}")
+
     with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
-    if obj.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
+        try:
+            obj = json.load(f)
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: not a JSON checkpoint: {e}") from None
+    check(isinstance(obj, dict) and obj.get("version") == CHECKPOINT_VERSION,
+          f"field 'version' must be {CHECKPOINT_VERSION}")
+    for key, typ in (("params", dict), ("groups", dict), ("frozen", list),
+                     ("meta", dict)):
+        check(isinstance(obj.get(key), typ), f"field '{key}' is missing or malformed")
     store = ParamStore()
-    name_to_group = {}
-    for g, members in obj["groups"].items():
-        for n in members:
-            name_to_group[n] = g
-    for name in sorted(obj["params"]):
-        rec = obj["params"][name]
-        value = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
-        store.add(name, value, name_to_group[name])
+    for name, rec in sorted(obj["params"].items()):
+        groups = [g for g, members in obj["groups"].items()
+                  if isinstance(members, list) and name in members]
+        check(groups, f"parameter '{name}' is in no group")
+        try:
+            value = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
+            ok = np.isfinite(value).all()
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        check(ok, f"parameter '{name}' needs a shape and that many finite values")
+        store.add(name, value, groups[0])
+    unknown = [g for g in obj["frozen"]
+               if not (isinstance(g, str) and g in store.groups)]
+    check(not unknown, f"field 'frozen' names unknown groups {unknown}")
     store.freeze(*obj["frozen"])
     return store, obj["meta"]

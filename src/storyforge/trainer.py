@@ -23,7 +23,8 @@ from . import tensor as T
 from .data import decode_ids, story_tokens
 from .losses import derangement
 from .metrics import EvalPair, cider
-from .model import ModelConfig, build_parameters, generate_story, story_objective
+from .model import (ConfigError, ModelConfig, build_parameters, generate_story,
+                    story_objective)
 
 STAGE1_FROZEN = ("reconstructor",)
 STAGE2_FROZEN = ("photo_encoder", "scene_encoder", "attention")
@@ -45,11 +46,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.stage not in ("1", "2", "all"):
-            raise ValueError(f"stage must be 1, 2, or all, got {self.stage!r}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.batch_size < 1 or self.max_steps < 0 or self.validate_every < 1:
-            raise ValueError("batch_size/validate_every must be >= 1, max_steps >= 0")
+            raise ConfigError(f"stage must be 1, 2, or all, got {self.stage!r}")
+        if min(self.batch_size, self.validate_every, self.patience) < 1:
+            raise ConfigError("batch_size, validate_every and patience must be >= 1")
+        if self.max_steps < 0 or self.lam < 0 or self.mu < 0:
+            raise ConfigError("max_steps, lambda and mu must be >= 0")
 
 
 def config_from(cls, values, **given):
@@ -94,6 +95,8 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     rng = np.random.default_rng([tcfg.seed, stage_no])
     examples = [(ai, si) for ai, album in enumerate(train_set)
                 for si in range(len(album.stories))]
+    if not (examples and val_set):
+        raise ValueError("training and validation sets must hold albums")
     n_sent = cfg.sentences
 
     best = params.copy()

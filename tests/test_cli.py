@@ -308,6 +308,78 @@ def _generate_with_other_feature_dim(root, tmp_path):
             "--vocab-file", str(root / "d" / "vocab.txt")]
 
 
+def _train_argv(root, tmp_path, *extra, data=None):
+    return ["train", "--out-dir", str(tmp_path / "run"),
+            "--train-data", str(data or root / "d" / "albums.jsonl"),
+            "--vocab-file", str(root / "d" / "vocab.txt"), *DIMS,
+            "--max-steps", "2", *extra]
+
+
+def _empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    return path
+
+
+def _train_on_empty_data(root, tmp_path):
+    return _train_argv(root, tmp_path, data=_empty_file(tmp_path))
+
+
+def _train_with_empty_val_data(root, tmp_path):
+    return _train_argv(root, tmp_path, "--val-data", str(_empty_file(tmp_path)))
+
+
+def _train_with(*extra):
+    def make_argv(root, tmp_path):
+        return _train_argv(root, tmp_path, *extra)
+    return make_argv
+
+
+def _bad_checkpoint(root, tmp_path, edit):
+    """The trained stage-2 checkpoint after `edit` (JSON object -> text)."""
+    obj = json.loads((root / "t" / "stage2.ckpt.json").read_text())
+    path = tmp_path / "bad.ckpt.json"
+    path.write_text(edit(obj))
+    return path
+
+
+def _edit_first_values(edit):
+    def apply(obj):
+        edit(obj["params"][sorted(obj["params"])[0]]["values"])
+        return json.dumps(obj)
+    return apply
+
+
+CHECKPOINT_EDITS = {
+    "version-only": lambda obj: json.dumps({"version": 1}),
+    "unknown-frozen-group": lambda obj: json.dumps({**obj, "frozen": ["nope"]}),
+    "values-one-short": _edit_first_values(list.pop),
+    "null-value": _edit_first_values(lambda values: values.__setitem__(0, None)),
+    "not-json": lambda obj: "not json at all\n",
+}
+
+
+def _generate_with_checkpoint(name):
+    def make_argv(root, tmp_path):
+        path = _bad_checkpoint(root, tmp_path, CHECKPOINT_EDITS[name])
+        return ["generate", "--out-dir", str(tmp_path),
+                "--data", str(root / "d" / "albums.jsonl"), "--checkpoint", str(path),
+                "--vocab-file", str(root / "d" / "vocab.txt")]
+    return make_argv
+
+
+def _stage2_with_checkpoint(name):
+    def make_argv(root, tmp_path):
+        path = _bad_checkpoint(root, tmp_path, CHECKPOINT_EDITS[name])
+        return _train_argv(root, tmp_path, "--stage", "2", "--checkpoint", str(path))
+    return make_argv
+
+
+def _stage2_with_other_dims(root, tmp_path):
+    return _train_argv(root, tmp_path, "--stage", "2", "--dec-hidden", "8",
+                       "--checkpoint", str(root / "t" / "stage1.ckpt.json"))
+
+
 class TestBadInputExitCodes:
     @pytest.mark.parametrize("make_argv, message", [
         (_evaluate_without_album_id, "line 1: missing field 'album_id'"),
@@ -320,10 +392,34 @@ class TestBadInputExitCodes:
         (_evaluate_sentences_not_a_list, "line 1: sentences must be a list of strings"),
         (_generate_with_other_feature_dim,
          "line 1: feature-dim mismatch: expected 6, got 4"),
+        (_train_on_empty_data, "empty.jsonl: holds no albums"),
+        (_train_with_empty_val_data, "empty.jsonl: holds no albums"),
+        (_generate_with_checkpoint("version-only"),
+         "bad.ckpt.json: field 'params' is missing or malformed"),
+        (_stage2_with_checkpoint("version-only"),
+         "bad.ckpt.json: field 'params' is missing or malformed"),
+        (_generate_with_checkpoint("unknown-frozen-group"),
+         "bad.ckpt.json: field 'frozen' names unknown groups ['nope']"),
+        (_generate_with_checkpoint("values-one-short"),
+         "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
+        (_generate_with_checkpoint("null-value"),
+         "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
+        (_generate_with_checkpoint("not-json"), "bad.ckpt.json: not a JSON checkpoint"),
+        (_stage2_with_other_dims, "parameter 'dec.gru.b' has shape (18,), "
+                                  "vocabulary and config need (24,)"),
+        (_train_with("--patience", "0"), "patience must be >= 1"),
+        (_train_with("--lambda", "-1"), "lambda and mu must be >= 0"),
+        (_train_with("--sentences", "0"), "sentences must be >= 1"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
-            "generate-other-feature-dim"])
+            "generate-other-feature-dim", "train-empty-data", "train-empty-val-data",
+            "generate-checkpoint-version-only", "stage2-checkpoint-version-only",
+            "generate-checkpoint-unknown-frozen-group",
+            "generate-checkpoint-values-one-short", "generate-checkpoint-null-value",
+            "generate-checkpoint-not-json",
+            "stage2-other-dims", "train-patience-0", "train-lambda-negative",
+            "train-sentences-0"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1
@@ -341,7 +437,7 @@ class TestParser:
         "train": ["--train-data", "--val-data", "--vocab-file", "--checkpoint",
                   "--feature-dim", "--photo-hidden", "--attn-hidden",
                   "--attn-score-dim", "--dec-hidden", "--emb-dim",
-                  "--mlp-hidden", "--alpha-len", "--max-words", "--sentences",
+                  "--mlp-hidden", "--max-words", "--sentences",
                   "--max-photos", "--stage", "--lr", "--lambda", "--mu",
                   "--batch-size", "--max-steps", "--validate-every",
                   "--patience", "--seed", "--nll-stop"],

@@ -57,7 +57,7 @@ class TestParams:
                   for f in dataclasses.fields(cls)
                   if f.name not in ("vocab_size", "model")}
         sig = inspect.signature(AlbumStoryteller.__init__).parameters
-        assert len(fields) == 21
+        assert len(fields) == 20
         for name, default in fields.items():
             assert sig[name].default == default, name
 

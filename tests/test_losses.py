@@ -4,12 +4,24 @@ import numpy as np
 import pytest
 
 from storyforge import tensor as T
-from storyforge.losses import (LossReport, derangement, nll_loss, rank_loss,
-                               recon_loss, total_loss)
+from storyforge.losses import (derangement, nll_loss, rank_loss, recon_loss,
+                               total_loss)
 
 
 def wrap_list(xs):
     return [T.wrap(float(x)) for x in xs]
+
+
+def rows_of(p, name):
+    """Each entry (or row) of a registered array as its own graph node."""
+    return [T.pick(p[name], i) for i in range(p[name].shape[0])]
+
+
+def store_of(**arrays):
+    ps = T.ParamStore()
+    for name, value in arrays.items():
+        ps.add(name, value, "inputs")
+    return ps
 
 
 class TestNllLoss:
@@ -21,18 +33,21 @@ class TestNllLoss:
         out = nll_loss(wrap_list([lp] * 10))
         assert out.item() == pytest.approx(10 * math.log(32), rel=1e-12)
 
-    def test_mask_zeroes_padding(self):
-        logps = wrap_list([-1.0, -99.0, -2.0])
-        masked = nll_loss(logps, mask=[1, 0, 1])
-        assert masked.item() == pytest.approx(3.0, rel=1e-12)
-        # altering the masked position must not change the loss
-        logps[1] = T.wrap(-12345.0)
-        assert nll_loss(logps, mask=[1, 0, 1]).item() == pytest.approx(3.0)
-
     def test_gradient_sign(self):
         x = T.NumArray(np.array(-2.0), requires_grad=True)
         nll_loss([x]).backward()
         assert x.grad == -1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_totals_match_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        ps = store_of(s=rng.uniform(-30.0, 0.0, size=rng.integers(1, 9)))
+
+        def fn(p):
+            return nll_loss(rows_of(p, "s"))
+
+        assert fn(ps).item() == pytest.approx(-ps["s"].data.sum(), rel=1e-12)
+        assert T.grad_check(fn, ps) < 1e-6
 
 
 class TestRankLoss:
@@ -62,6 +77,20 @@ class TestRankLoss:
         with pytest.raises(ValueError):
             rank_loss(wrap_list([-1.0]), wrap_list([-1.0, -2.0]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scores_match_numpy(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        n = int(rng.integers(1, 9))
+        ps = store_of(pos=rng.uniform(-6.0, 0.0, size=n),
+                      neg=rng.uniform(-6.0, 0.0, size=n))
+
+        def fn(p):
+            return rank_loss(rows_of(p, "pos"), rows_of(p, "neg"))
+
+        want = np.maximum(0.0, 1.0 - ps["pos"].data + ps["neg"].data).sum()
+        assert fn(ps).item() == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert T.grad_check(fn, ps) < 1e-6
+
 
 class TestReconLoss:
     def test_identical_is_zero(self):
@@ -84,6 +113,21 @@ class TestReconLoss:
     def test_dim_mismatch(self):
         with pytest.raises(T.DimensionError):
             recon_loss([T.zeros(3)], [T.zeros(4)])
+        with pytest.raises(T.DimensionError):
+            recon_loss([T.zeros(3), T.zeros(3)], [T.zeros(3), T.zeros(4)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pairs_match_numpy(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        n, d = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        ps = store_of(z=rng.standard_normal((n, d)), zt=rng.standard_normal((n, d)))
+
+        def fn(p):
+            return recon_loss(rows_of(p, "z"), rows_of(p, "zt"))
+
+        want = ((ps["zt"].data - ps["z"].data) ** 2).sum()
+        assert fn(ps).item() == pytest.approx(want, rel=1e-12)
+        assert T.grad_check(fn, ps) < 1e-6
 
 
 class TestTotalLoss:
@@ -117,9 +161,3 @@ class TestDerangement:
         a = derangement(5, np.random.default_rng(7))
         b = derangement(5, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
-
-
-class TestLossReport:
-    def test_per_word(self):
-        rep = LossReport(nll=10.0, rank=0.0, recon=0.0, total=10.0, word_count=4)
-        assert rep.per_word_nll() == 2.5

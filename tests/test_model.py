@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from storyforge import tensor as T
 from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
-from storyforge.model import (ModelConfig, build_parameters, encode_album,
-                              full_pipeline_grad_check, generate_story,
-                              story_objective, summarize_album)
+from storyforge.decoder import sentence_log_prob
+from storyforge.model import (ConfigError, ModelConfig, build_parameters,
+                              encode_album, full_pipeline_grad_check,
+                              generate_story, story_objective, summarize_album)
 
 
 def tiny_cfg(vocab_size=12):
@@ -54,6 +56,14 @@ class TestBuildParameters:
     def test_alpha_len_autoderived(self):
         cfg = ModelConfig(vocab_size=10, max_photos=40)
         assert cfg.alpha_len == 81
+        # derived from max_photos only; no longer a field to set
+        with pytest.raises(TypeError):
+            ModelConfig(vocab_size=10, alpha_len=99)
+
+    @pytest.mark.parametrize("field", ["sentences", "dec_hidden", "max_photos"])
+    def test_values_below_one_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            ModelConfig(vocab_size=10, **{field: 0})
 
 
 class TestEncodeAlbum:
@@ -105,6 +115,18 @@ class TestStoryObjective:
         assert loss.data == pytest.approx(rep.total)
         assert rep.word_count == sum(len(s) for s in album.stories[0])
         assert rep.nll > 0 and rep.recon > 0
+
+    def test_nll_is_minus_the_teacher_forced_word_log_probs(self):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(12))
+        album = tiny_album(np.random.default_rng(12), cfg, words=5)
+        _, rep = story_objective(album, 0, ps, cfg, derange=np.array([2, 0, 1]))
+        zs, _ = summarize_album(encode_album(album.features, ps, cfg),
+                                cfg.sentences, ps)
+        words = [float(lp.data) for z, sent in zip(zs, album.stories[0])
+                 for lp in sentence_log_prob(z, sent, ps)[2]]
+        assert len(words) == rep.word_count
+        assert rep.nll == pytest.approx(-math.fsum(words), rel=1e-12)
 
     def test_no_derangement_zero_rank(self):
         cfg = tiny_cfg()

@@ -41,6 +41,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tiny_tcfg(vocab, patience=0)
 
+    @pytest.mark.parametrize("weights", [{"lam": -1.0}, {"mu": -0.5}])
+    def test_negative_loss_weight(self, corpus, weights):
+        _, vocab, _ = corpus
+        with pytest.raises(ValueError, match="lambda and mu"):
+            tiny_tcfg(vocab, **weights)
+
+
+class TestEmptySets:
+    @pytest.mark.parametrize("which", ["train", "val"])
+    def test_raises_before_any_step(self, corpus, which):
+        _, vocab, albums = corpus
+        train, val = ([], albums) if which == "train" else (albums, [])
+        with pytest.raises(ValueError, match="must hold albums"):
+            run_training(train, val, tiny_tcfg(vocab), vocab)
+
 
 class TestStage1:
     def test_loss_decreases_on_tiny_batch(self, corpus):
