@@ -251,6 +251,10 @@ def cmd_train(cfg) -> int:
 
 def cmd_generate(cfg) -> int:
     _require(cfg, "data")
+    if cfg["mode"] not in ("greedy", "beam"):
+        raise ConfigError(f"unknown decode mode '{cfg['mode']}'")
+    if cfg["beam_width"] < 1:
+        raise ConfigError("beam width must be >= 1")
     params, vocab, mcfg = _load_model(cfg)
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
@@ -319,6 +323,8 @@ def cmd_evaluate(cfg) -> int:
 
 
 def cmd_grad_check(cfg) -> int:
+    if min(cfg["lam"], cfg["mu"]) < 0:
+        raise ConfigError("lambda and mu must be >= 0")
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
     worst = 0.0

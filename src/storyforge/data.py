@@ -27,6 +27,10 @@ class DataFormatError(ValueError):
     """Malformed album record or vocabulary file."""
 
 
+class ConfigError(ValueError):
+    """A configuration value outside its valid range."""
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, then split into alphanumeric runs and single punctuation marks."""
     return _TOKEN_RE.findall(text.lower())
@@ -244,10 +248,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("albums", "sentences"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.cluster_separation <= 0:
-            raise ValueError("cluster_separation must be > 0")
+            raise ConfigError("cluster_separation must be > 0")
         if self.num_clusters < self.scenes_per_album[1]:
-            raise ValueError(
+            raise ConfigError(
                 f"vocab_size {self.vocab_size} supports only {self.num_clusters} "
                 f"clusters, need {self.scenes_per_album[1]}")
 

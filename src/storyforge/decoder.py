@@ -5,6 +5,8 @@ the previous sentence's weight vector, every valid row of the memory R is
 scored against that state through a shared tanh layer, and the sentence
 vector z_j is the weight-averaged memory. The word decoder is a GRU over
 [previous-word embedding ; z_j] with a one-hidden-layer readout.
+Teacher-forced scoring runs an album's sentences as one padded batch
+through one GRU scan; decoding steps word by word.
 
 The attention state persists across the n sentences of an album; its
 input alpha vector is padded to a fixed length so parameter shapes do not
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import BOS, EOS
+from .data import BOS, EOS, PAD
 
 
 @dataclass
@@ -51,36 +53,60 @@ def attend(memory, valid_mask, state: AttentionState, params):
     return z, alpha, AttentionState(h_new, alpha)
 
 
+def _readout(h, z, params):
+    """Vocabulary scores from [h ; z], over any leading axes."""
+    hidden = T.tanh(T.concat([h, z], axis=-1) @ params["dec.out.w1"]
+                    + params["dec.out.b1"])
+    return hidden @ params["dec.out.w2"] + params["dec.out.b2"]
+
+
 def _decoder_step(prev, h, z, table, gru_w, params):
     """One word step: the GRU consumes [embedding of prev ; z], then the
     readout scores the vocabulary from [h_new ; z]. Returns (h_new, logits)."""
     h = T.gru_cell(T.concat([T.pick(table, prev), z]), h, gru_w)
-    hidden = T.tanh(T.concat([h, z]) @ params["dec.out.w1"] + params["dec.out.b1"])
-    return h, hidden @ params["dec.out.w2"] + params["dec.out.b2"]
+    return h, _readout(h, z, params)
+
+
+def score_sentences(Z, sentences, params):
+    """Teacher-forced scores of B EOS-terminated sentences, sentence b given
+    row b of Z (B, D_v), as one batch padded to the longest sentence; step
+    t consumes the embedding of the previous token (BOS first) joined with
+    Z. Returns ((B,) total log-probs including EOS, (T_max, B, vocab)
+    logits, (T_max, B) per-word log-probs, 0 past a sentence's end)."""
+    table = params["dec.embed.table"]
+    vocab_size = table.shape[0]
+    lengths = np.array([len(s) for s in sentences])
+    if lengths.min() < 1:
+        raise ValueError("cannot score an empty sentence")
+    ids = np.full((lengths.max(), len(sentences)), PAD)
+    for b, sent in enumerate(sentences):
+        ids[:len(sent), b] = sent
+    bad = ids[(ids < 0) | (ids >= vocab_size)]
+    if bad.size:
+        raise ValueError(f"token id {bad[0]} outside vocabulary of {vocab_size}")
+    prev = np.vstack([np.full((1, len(sentences)), BOS), ids[:-1]])
+    valid = np.arange(len(ids))[:, None] < lengths
+    targets = (ids[..., None] == np.arange(vocab_size)) & valid[..., None]
+
+    gru_w = params.gru("dec.gru")
+    Z_t = Z + np.zeros((len(ids), 1, 1))  # Z repeated at every step
+    H = T.gru_scan(T.concat([T.pick(table, prev), Z_t], axis=-1),
+                   T.zeros((len(sentences), gru_w.hidden_size)), gru_w)
+    logits = _readout(H, Z_t, params)
+    word_logps = T.arr_sum(T.log_softmax(logits) * targets, axis=2)
+    return T.arr_sum(word_logps, axis=0), logits, word_logps
 
 
 def sentence_log_prob(z, sentence_ids, params):
-    """Teacher-forced score of an EOS-terminated sentence given z.
-
-    Step t consumes the embedding of the previous token (BOS first) joined
-    with z. Returns (total log-prob node, per-step logits, per-word
-    log-prob nodes); the total includes the EOS term.
-    """
-    table = params["dec.embed.table"]
-    vocab_size = table.shape[0]
-    for i in sentence_ids:
-        if not 0 <= i < vocab_size:
-            raise ValueError(f"token id {i} outside vocabulary of {vocab_size}")
-    gru_w = params.gru("dec.gru")
-    h = T.zeros(gru_w.hidden_size)
-    prev = BOS
-    logits_seq, word_logps = [], []
-    for target in sentence_ids:
-        h, d = _decoder_step(prev, h, z, table, gru_w, params)
-        logits_seq.append(d)
-        word_logps.append(T.pick(T.log_softmax(d), target))
-        prev = target
-    return T.arr_sum(T.stack_rows(word_logps)), logits_seq, word_logps
+    """Teacher-forced score of one EOS-terminated sentence given z: a
+    one-row `score_sentences`. Returns (total log-prob node, per-step
+    logits, per-word log-prob nodes); the total includes the EOS term."""
+    total, logits, word_logps = score_sentences(T.stack_rows([z]), [sentence_ids],
+                                                params)
+    logits, word_logps = T.arr_sum(logits, axis=1), T.arr_sum(word_logps, axis=1)
+    steps = range(len(sentence_ids))
+    return (T.pick(total, 0), [T.pick(logits, t) for t in steps],
+            [T.pick(word_logps, t) for t in steps])
 
 
 def decode_sentence_greedy(z, params, max_words: int):

@@ -23,28 +23,25 @@ class LossReport:
     word_count: int
 
 
-def nll_loss(sentence_logps):
-    """Minus the summed true-sentence log-probs; each total already covers
-    every word and EOS."""
-    return -T.arr_sum(T.stack_rows(sentence_logps))
+def nll_loss(pos_logps):
+    """Minus the summed (n,) true-sentence log-probs; each total already
+    covers every word and EOS."""
+    return -T.arr_sum(pos_logps)
 
 
 def rank_loss(pos_logps, neg_logps):
-    """Margin hinge per sentence; positive and negative lists align by
-    album position."""
-    if len(pos_logps) != len(neg_logps):
-        raise ValueError("positive/negative sentence counts differ")
-    return T.arr_sum(T.relu(1.0 - T.stack_rows(pos_logps) + T.stack_rows(neg_logps)))
+    """Margin hinge per sentence over two aligned (n,) score vectors."""
+    if pos_logps.shape != neg_logps.shape:
+        raise ValueError(f"positive/negative sentence scores differ in shape: "
+                         f"{pos_logps.shape} vs {neg_logps.shape}")
+    return T.arr_sum(T.relu(1.0 - pos_logps + neg_logps))
 
 
-def recon_loss(z_list, z_tilde_list):
-    """Sum of squared Euclidean distances over aligned sentence pairs."""
-    if len(z_list) != len(z_tilde_list):
-        raise ValueError("z / reconstruction counts differ")
-    for z, zt in zip(z_list, z_tilde_list):
-        if z.shape != zt.shape:
-            raise T.DimensionError(f"z dim {z.shape} != reconstruction {zt.shape}")
-    diff = T.stack_rows(z_tilde_list) - T.stack_rows(z_list)
+def recon_loss(Z, Z_tilde):
+    """Sum of squared Euclidean distances between the aligned (n, D_v) rows."""
+    if Z.shape != Z_tilde.shape:
+        raise T.DimensionError(f"z rows {Z.shape} != reconstruction {Z_tilde.shape}")
+    diff = Z_tilde - Z
     return T.arr_sum(diff * diff)
 
 

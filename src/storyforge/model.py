@@ -7,18 +7,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .data import AlbumExample
+from .data import AlbumExample, ConfigError
 from .decoder import (AttentionState, StoryHypothesis, attend,
                       decode_sentence_beam, decode_sentence_greedy,
-                      sentence_log_prob)
+                      score_sentences)
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
 from .photo_encoder import encode_photos
 from .reconstructor import reconstruct
 from .scene_encoder import encode_scenes
-
-
-class ConfigError(ValueError):
-    """A configuration value outside its valid range."""
 
 
 @dataclass
@@ -149,7 +145,8 @@ def story_objective(album, story_idx, params, cfg: ModelConfig,
     derange: permutation of range(n) without fixed points, used to score
     each true sentence against the sentence landing at its position after
     the shuffle. None skips the order term (also skipped when n < 2).
-    Reconstruction is evaluated only when mu > 0.
+    Reconstruction is evaluated only when mu > 0. The true sentences and
+    the deranged ones are each scored as one padded batch.
     Returns (loss node, LossReport).
     """
     encoding = encode_album(album.features, params, cfg,
@@ -157,17 +154,16 @@ def story_objective(album, story_idx, params, cfg: ModelConfig,
     story = album.stories[story_idx]
     zs, _ = summarize_album(encoding, len(story), params)
 
-    pos_logps, logits = zip(*(sentence_log_prob(z, sent, params)[:2]
-                              for z, sent in zip(zs, story)))
+    Z = T.stack_rows(zs)
+    pos_logps, logits, _ = score_sentences(Z, story, params)
     nll = nll_loss(pos_logps)
 
     rank = recon = T.wrap(0.0)
     if derange is not None and len(story) >= 2:
-        neg_logps = [sentence_log_prob(z, story[int(derange[j])], params)[0]
-                     for j, z in enumerate(zs)]
+        neg_logps, _, _ = score_sentences(Z, [story[int(j)] for j in derange], params)
         rank = rank_loss(pos_logps, neg_logps)
     if mu > 0:
-        recon = recon_loss(zs, [reconstruct(seq, params) for seq in logits])
+        recon = recon_loss(Z, reconstruct(logits, [len(s) for s in story], params))
 
     loss = total_loss(nll, rank, recon, lam=lam, mu=mu)
     report = LossReport(nll=float(nll.data), rank=float(rank.data),

@@ -3,12 +3,15 @@
 Each photo feature f_i is read in album order by a forward GRU and in
 reverse order by a backward GRU; the photo vector is
     v_i = ReLU([fwd_h_i ; bwd_h_i] + f_i @ W_skip)
-so D_v = 2 * H_p. Both directions start from zero states.
+so D_v = 2 * H_p. Both directions start from zero states; each is one GRU
+scan, the backward one over the reversed rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import tensor as T
 
@@ -30,24 +33,13 @@ def encode_photos(features, params) -> PhotoEncoding:
         raise ValueError("album has no photos")
     fwd_w = params.gru("photo.fwd")
     bwd_w = params.gru("photo.bwd")
-    skip = params["photo.skip.w"]
-    feats = [T.wrap(f) for f in features]
-    m = len(feats)
+    feats = T.wrap(np.stack(features))   # (m, feature_dim)
+    m = len(features)
+    reverse = np.arange(m - 1, -1, -1)
 
-    h = T.zeros(fwd_w.hidden_size)
-    fwd = []
-    for f in feats:
-        h = T.gru_cell(f, h, fwd_w)
-        fwd.append(h)
-    fwd_final = h
-
-    h = T.zeros(bwd_w.hidden_size)
-    bwd = [None] * m
-    for i in range(m - 1, -1, -1):
-        h = T.gru_cell(feats[i], h, bwd_w)
-        bwd[i] = h
-    bwd_final = h
-
-    v_list = [T.relu(T.concat([fwd[i], bwd[i]]) + feats[i] @ skip)
-              for i in range(m)]
-    return PhotoEncoding(T.stack_rows(v_list), v_list, fwd_final, bwd_final)
+    fwd = T.gru_scan(feats, T.zeros(fwd_w.hidden_size), fwd_w)
+    bwd_rev = T.gru_scan(feats.data[reverse], T.zeros(bwd_w.hidden_size), bwd_w)
+    V = T.relu(T.concat([fwd, T.pick(bwd_rev, reverse)], axis=-1)
+               + feats @ params["photo.skip.w"])
+    return PhotoEncoding(V, [T.pick(V, i) for i in range(m)],
+                         T.pick(fwd, m - 1), T.pick(bwd_rev, m - 1))

@@ -4,23 +4,27 @@ Every word step's raw output distribution d_t is paired with the
 sentence-level mean d-bar and run through a GRU; the reconstructed
 summary is the mean of the GRU states. The hidden size equals the photo
 vector size so the result is directly comparable to the original z_j.
+A story's sentences run as one padded batch through one GRU scan.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import tensor as T
 
 
-def reconstruct(logits_seq, params) -> T.NumArray:
-    """logits_seq: list of (vocab,) score rows for one sentence, length >= 1."""
-    if len(logits_seq) == 0:
+def reconstruct(logits, lengths, params) -> T.NumArray:
+    """logits: (T_max, B, vocab) score rows, of which sentence b owns the
+    first lengths[b] >= 1; later steps are padding. Returns (B, D_v)."""
+    lengths = np.asarray(lengths)
+    if lengths.size == 0 or lengths.min() < 1:
         raise ValueError("cannot reconstruct from an empty logits sequence")
+    steps = logits.shape[0]
+    valid = (np.arange(steps)[:, None] < lengths)[..., None].astype(np.float64)
+    inv_len = 1.0 / lengths[:, None]
     gru_w = params.gru("recon.gru")
-    d_bar = T.arr_mean(T.stack_rows(logits_seq), axis=0)
-
-    c = T.zeros(gru_w.hidden_size)
-    states = []
-    for d in logits_seq:
-        c = T.gru_cell(T.concat([d, d_bar]), c, gru_w)
-        states.append(c)
-    return T.arr_mean(T.stack_rows(states), axis=0)
+    d_bar = T.arr_sum(logits * valid, axis=0) * inv_len
+    states = T.gru_scan(T.concat([logits, d_bar + np.zeros((steps, 1, 1))], axis=-1),
+                        T.zeros((len(lengths), gru_w.hidden_size)), gru_w)
+    return T.arr_sum(states * valid, axis=0) * inv_len

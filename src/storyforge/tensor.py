@@ -4,8 +4,10 @@ Eager forward math on float64 numpy arrays with reverse-mode gradients,
 a named parameter registry with freezable groups, an Adam optimizer, a
 finite-difference gradient checker, and a text checkpoint container.
 
-Recurrent cells get a fused hand-derived backward (one graph node per
-step); everything else composes from small primitives.
+A recurrence over a whole sequence is one graph node (`gru_scan`, with a
+hand-derived backward through time); loops whose next step depends on
+data (scene resets, attention feedback, decoding) take one fused node per
+step (`gru_cell`). The rest composes from small primitives.
 """
 
 from __future__ import annotations
@@ -160,6 +162,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The leading axes of `a` flattened into one: (..., k) -> (n, k)."""
+    return a.reshape(-1, a.shape[-1])
+
+
 # -- elementwise primitives ----------------------------------------------
 
 
@@ -214,23 +221,19 @@ def matmul(a, b) -> NumArray:
                 _acc(a, np.outer(g, bd))
             if b.requires_grad:
                 _acc(b, ad.T @ g)
-        else:  # (m,n) @ (n,k)
+        else:  # (..., m, n) @ (n, k)
             if a.requires_grad:
                 _acc(a, g @ bd.T)
             if b.requires_grad:
-                _acc(b, ad.T @ g)
+                _acc(b, _rows(ad).T @ _rows(g))
 
     return _make(out, (a, b), bw)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # piecewise form avoids exp overflow for large negative inputs
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a) -> NumArray:
@@ -286,19 +289,17 @@ def hard_threshold(a) -> NumArray:
 # -- shape / reduction primitives ----------------------------------------
 
 
-def concat(parts: Sequence) -> NumArray:
-    """Concatenate along the first axis: 1-D vectors, or 2-D blocks with
-    equal column counts."""
+def concat(parts: Sequence, axis: int = 0) -> NumArray:
+    """Concatenate along `axis`: 1-D vectors, or blocks whose other axes
+    agree."""
     parts = [wrap(p) for p in parts]
-    sizes = [p.data.shape[0] for p in parts]
-    out = np.concatenate([p.data for p in parts])
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    cuts = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def bw(g):
-        off = 0
-        for p, s in zip(parts, sizes):
+        for p, gp in zip(parts, np.split(g, cuts, axis=axis)):
             if p.requires_grad:
-                _acc(p, g[off:off + s])
-            off += s
+                _acc(p, gp)
 
     return _make(out, tuple(parts), bw)
 
@@ -330,24 +331,20 @@ def arr_sum(a, axis=None) -> NumArray:
     return _make(out, (a,), bw)
 
 
-def arr_mean(a, axis=None) -> NumArray:
+def pick(a, index) -> NumArray:
+    """Select along the first axis. An int picks one entry of a vector or one
+    row of a matrix; an integer array gathers rows into its own shape
+    (embedding lookup, row reversal), and backward adds repeats up."""
     a = wrap(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(arr_sum(a, axis=axis), 1.0 / n)
-
-
-def pick(a, index: int) -> NumArray:
-    """Select entry `index` along the first axis: a scalar of a vector, or
-    a row of a matrix (embedding lookup)."""
-    a = wrap(a)
-    if not 0 <= index < a.data.shape[0]:
+    idx = np.asarray(index)
+    if idx.size and not (0 <= idx.min() and idx.max() < a.data.shape[0]):
         raise DimensionError(f"pick index {index} out of range for {a.data.shape}")
     out = a.data[index]
 
     def bw(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            ga[index] = g
+            np.add.at(ga, index, g)
             _acc(a, ga)
 
     return _make(out, (a,), bw)
@@ -376,15 +373,15 @@ def masked_softmax(logits, mask) -> NumArray:
 
 
 def log_softmax(logits) -> NumArray:
+    """Log-probabilities over the last axis."""
     logits = wrap(logits)
-    shifted = logits.data - logits.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    out = shifted - lse
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     soft = np.exp(out)
 
     def bw(g):
         if logits.requires_grad:
-            _acc(logits, g - soft * g.sum())
+            _acc(logits, g - soft * g.sum(axis=-1, keepdims=True))
 
     return _make(out, (logits,), bw)
 
@@ -417,6 +414,46 @@ class GruWeights:
         return self.w_h.data.shape[0]
 
 
+def _gru_step(gx, hd, wh, hid):
+    """One step on (..., H) states from the input-side pre-activations
+    gx = x W_x + b. Returns (h', cache for `_gru_step_backward`)."""
+    zr = _sigmoid(gx[..., :2 * hid] + hd @ wh[:, :2 * hid])
+    z, r = zr[..., :hid], zr[..., hid:]
+    rh = r * hd
+    c = np.tanh(gx[..., 2 * hid:] + rh @ wh[:, 2 * hid:])
+    return (1.0 - z) * hd + z * c, (z, r, rh, c)
+
+
+def _gru_step_backward(g, hd, cache, wh, hid):
+    """dL/dh' -> (dL/d pre-activations (..., 3H), dL/dh)."""
+    z, r, rh, c = cache
+    d_c = g * z * (1.0 - c * c)
+    d_z = g * (c - hd) * z * (1.0 - z)
+    d_rh = d_c @ wh[:, 2 * hid:].T
+    d_r = d_rh * hd * r * (1.0 - r)
+    d_gates = np.concatenate([d_z, d_r, d_c], axis=-1)
+    d_h = g * (1.0 - z) + r * d_rh + d_gates[..., :2 * hid] @ wh[:, :2 * hid].T
+    return d_gates, d_h
+
+
+def _gru_grads(x, h0, w: GruWeights, hd, rh, d_gates, d_h0):
+    """Accumulate a recurrence node's gradients from its pre-activation
+    gradients; weight gradients sum over every leading axis."""
+    if x.requires_grad:
+        _acc(x, d_gates @ w.w_x.data.T)
+    if h0.requires_grad:
+        _acc(h0, d_h0)
+    hid = w.hidden_size
+    dg = _rows(d_gates)
+    if w.w_x.requires_grad:
+        _acc(w.w_x, _rows(x.data).T @ dg)
+    if w.w_h.requires_grad:
+        _acc(w.w_h, np.concatenate([_rows(hd).T @ dg[:, :2 * hid],
+                                    _rows(rh).T @ dg[:, 2 * hid:]], axis=1))
+    if w.b.requires_grad:
+        _acc(w.b, dg.sum(axis=0))
+
+
 def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
     """One recurrence step; fused node with a hand-derived backward."""
     x, h_prev = wrap(x), wrap(h_prev)
@@ -427,37 +464,44 @@ def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
     if h_prev.data.shape != (hid,):
         raise DimensionError(
             f"gru_cell state h_prev has shape {h_prev.data.shape}, expected ({hid},)")
-    wx, wh, b = w.w_x, w.w_h, w.b
-    hd = h_prev.data
-    gx = x.data @ wx.data + b.data
-    gh = hd @ wh.data[:, :2 * hid]
-    z = _sigmoid(gx[:hid] + gh[:hid])
-    r = _sigmoid(gx[hid:2 * hid] + gh[hid:])
-    rh = r * hd
-    c = np.tanh(gx[2 * hid:] + rh @ wh.data[:, 2 * hid:])
-    out = (1.0 - z) * hd + z * c
+    wh, hd = w.w_h.data, h_prev.data
+    out, cache = _gru_step(x.data @ w.w_x.data + w.b.data, hd, wh, hid)
 
     def bw(g):
-        d_c = g * z * (1.0 - c * c)
-        d_z = g * (c - hd) * z * (1.0 - z)
-        d_h = g * (1.0 - z)
-        d_rh = wh.data[:, 2 * hid:] @ d_c
-        d_r = d_rh * hd * r * (1.0 - r)
-        d_h = d_h + r * d_rh
-        d_gates = np.concatenate([d_z, d_r, d_c])
-        if x.requires_grad:
-            _acc(x, wx.data @ d_gates)
-        if h_prev.requires_grad:
-            _acc(h_prev, d_h + wh.data[:, :2 * hid] @ np.concatenate([d_z, d_r]))
-        if wx.requires_grad:
-            _acc(wx, np.outer(x.data, d_gates))
-        if wh.requires_grad:
-            _acc(wh, np.concatenate(
-                [np.outer(hd, d_z), np.outer(hd, d_r), np.outer(rh, d_c)], axis=1))
-        if b.requires_grad:
-            _acc(b, d_gates)
+        d_gates, d_h = _gru_step_backward(g, hd, cache, wh, hid)
+        _gru_grads(x, h_prev, w, hd, cache[2], d_gates, d_h)
 
-    return _make(out, (x, h_prev, wx, wh, b), bw)
+    return _make(out, (x, h_prev, w.w_x, w.w_h, w.b), bw)
+
+
+def gru_scan(x, h0, w: GruWeights) -> NumArray:
+    """The recurrence over a whole sequence as one node with a hand-written
+    backward through time: x is (T, *B, I), h0 is (*B, H), and the result
+    stacks the T states, (T, *B, H). Batch rows never mix, so the steps
+    padded onto a short row leave its earlier states as they are."""
+    x, h0 = wrap(x), wrap(h0)
+    i_dim, hid = w.input_size, w.hidden_size
+    if x.data.ndim < 2 or x.data.shape[-1] != i_dim \
+            or h0.data.shape != x.data.shape[1:-1] + (hid,):
+        raise DimensionError(f"gru_scan input x {x.data.shape} and state h0 "
+                             f"{h0.data.shape}, expected (T, ..., {i_dim}) and (..., {hid})")
+    wh = w.w_h.data
+    gx = x.data @ w.w_x.data + w.b.data
+    hs = np.empty((len(gx) + 1,) + h0.data.shape)
+    hs[0] = h0.data
+    caches = []
+    for t, gx_t in enumerate(gx):
+        hs[t + 1], cache = _gru_step(gx_t, hs[t], wh, hid)
+        caches.append(cache)
+
+    def bw(g):
+        d_gates = np.empty_like(gx)
+        d_h = np.zeros_like(hs[0])
+        for t in range(len(gx) - 1, -1, -1):
+            d_gates[t], d_h = _gru_step_backward(g[t] + d_h, hs[t], caches[t], wh, hid)
+        _gru_grads(x, h0, w, hs[:-1], np.stack([c[2] for c in caches]), d_gates, d_h)
+
+    return _make(hs[1:], (x, h0, w.w_x, w.w_h, w.b), bw)
 
 
 # -- parameter registry ----------------------------------------------------

@@ -6,9 +6,11 @@ as zero, reconstructor untouched). Stage 2 freezes everything upstream of
 the sentence decoder and adds the reconstruction term.
 
 A "step" is one optimizer update over a batch of (album, story) examples;
-losses are summed over the batch, so batching equals padded batching with
-zero-masked slots. Albums with several reference stories contribute one
-example per reference. Order-loss derangements are redrawn each epoch.
+each example builds its own graph and the losses are summed over the
+batch. Within an example the sentences run as padded batches; albums are
+not yet padded into one batch. Albums with several reference stories
+contribute one example per reference. Order-loss derangements are redrawn
+each epoch.
 """
 
 from __future__ import annotations

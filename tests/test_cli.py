@@ -380,6 +380,21 @@ def _stage2_with_other_dims(root, tmp_path):
                        "--checkpoint", str(root / "t" / "stage1.ckpt.json"))
 
 
+def _generate_with(*extra):
+    def make_argv(root, tmp_path):
+        return ["generate", "--out-dir", str(tmp_path),
+                "--data", str(root / "d" / "albums.jsonl"),
+                "--checkpoint", str(root / "t" / "stage2.ckpt.json"),
+                "--vocab-file", str(root / "d" / "vocab.txt"), *extra]
+    return make_argv
+
+
+def _command(*argv):
+    def make_argv(root, tmp_path):
+        return [argv[0], "--out-dir", str(tmp_path), *argv[1:]]
+    return make_argv
+
+
 class TestBadInputExitCodes:
     @pytest.mark.parametrize("make_argv, message", [
         (_evaluate_without_album_id, "line 1: missing field 'album_id'"),
@@ -410,6 +425,11 @@ class TestBadInputExitCodes:
         (_train_with("--patience", "0"), "patience must be >= 1"),
         (_train_with("--lambda", "-1"), "lambda and mu must be >= 0"),
         (_train_with("--sentences", "0"), "sentences must be >= 1"),
+        (_generate_with("--mode", "sample"), "unknown decode mode 'sample'"),
+        (_generate_with("--mode", "beam", "--beam-width", "0"),
+         "beam width must be >= 1"),
+        (_command("grad-check", "--lambda", "-1"), "lambda and mu must be >= 0"),
+        (_command("synth-data", "--sentences", "0"), "sentences must be >= 1"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -419,7 +439,8 @@ class TestBadInputExitCodes:
             "generate-checkpoint-values-one-short", "generate-checkpoint-null-value",
             "generate-checkpoint-not-json",
             "stage2-other-dims", "train-patience-0", "train-lambda-negative",
-            "train-sentences-0"])
+            "train-sentences-0", "generate-mode-sample", "generate-beam-width-0",
+            "grad-check-lambda-negative", "synth-data-sentences-0"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -6,7 +6,8 @@ import pytest
 from storyforge import tensor as T
 from storyforge.data import BOS, EOS
 from storyforge.decoder import (AttentionState, attend, decode_sentence_beam,
-                                decode_sentence_greedy, sentence_log_prob)
+                                decode_sentence_greedy, score_sentences,
+                                sentence_log_prob)
 from storyforge.model import ModelConfig, build_parameters
 
 
@@ -202,6 +203,70 @@ class TestSentenceLogProb:
             return total
 
         assert T.grad_check(fn, store) < 1e-4
+
+
+def random_story(rng, cfg, lengths):
+    return [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n - 1)] + [EOS]
+            for n in lengths]
+
+
+class TestScoreSentences:
+    @pytest.mark.parametrize("seed", range(30, 34))
+    def test_rows_match_oracle_and_ignore_padding(self, seed):
+        cfg, ps = make(seed)
+        rng = np.random.default_rng(seed)
+        sentences = random_story(rng, cfg, [1, 4, 2, 6])
+        Z = rng.standard_normal((4, cfg.d_v))
+        totals, logits, word_logps = score_sentences(T.wrap(Z), sentences, ps)
+        assert totals.shape == (4,) and logits.shape == (6, 4, cfg.vocab_size)
+        for b, ids in enumerate(sentences):
+            assert totals.data[b] == pytest.approx(
+                np_sentence_log_prob(Z[b], ids, ps), rel=1e-12)
+            assert np.all(word_logps.data[len(ids):, b] == 0.0)
+        # a longer row added to the batch leaves every other row unchanged
+        more, more_logits, _ = score_sentences(
+            T.wrap(np.vstack([Z, Z[:1]])), sentences + random_story(rng, cfg, [9]), ps)
+        np.testing.assert_allclose(more.data[:4], totals.data, rtol=1e-12)
+        for b, ids in enumerate(sentences):
+            np.testing.assert_allclose(more_logits.data[:len(ids), b],
+                                       logits.data[:len(ids), b], rtol=1e-12)
+
+    def test_gradients_with_unequal_lengths(self):
+        cfg, ps = make(34)
+        rng = np.random.default_rng(34)
+        store = T.ParamStore()
+        for name in ps.names():
+            if name.startswith("dec."):
+                store.add(name, ps[name].data, "dec")
+        store.add("Z", rng.standard_normal((3, cfg.d_v)), "inputs")
+        sentences = random_story(rng, cfg, [3, 1, 4])
+        w = rng.standard_normal(3)
+
+        def fn(p):
+            totals, _, _ = score_sentences(p["Z"], sentences, p)
+            return T.arr_sum(totals * T.wrap(w))
+
+        assert T.grad_check(fn, store) < 1e-4
+
+    def test_sentence_log_prob_lists_per_step_rows(self):
+        cfg, ps = make(35)
+        rng = np.random.default_rng(35)
+        z = rng.standard_normal(cfg.d_v)
+        ids = random_story(rng, cfg, [5])[0]
+        total, logits, word_logps = sentence_log_prob(T.wrap(z), ids, ps)
+        assert total.shape == () and len(logits) == len(word_logps) == len(ids)
+        assert all(d.data.shape == (cfg.vocab_size,) for d in logits)
+        assert all(lp.data.shape == () for lp in word_logps)
+        for tok, d, lp in zip(ids, logits, word_logps):
+            log_p = T.log_softmax(d).data
+            assert float(lp.data) == pytest.approx(log_p[tok], rel=1e-12)
+        assert math.fsum(float(lp.data) for lp in word_logps) == pytest.approx(
+            total.item(), rel=1e-12)
+
+    def test_empty_sentence_rejected(self):
+        cfg, ps = make(36)
+        with pytest.raises(ValueError, match="empty"):
+            score_sentences(T.zeros((2, cfg.d_v)), [[EOS], []], ps)
 
 
 class TestGeneration:

@@ -8,13 +8,8 @@ from storyforge.losses import (derangement, nll_loss, rank_loss, recon_loss,
                                total_loss)
 
 
-def wrap_list(xs):
-    return [T.wrap(float(x)) for x in xs]
-
-
-def rows_of(p, name):
-    """Each entry (or row) of a registered array as its own graph node."""
-    return [T.pick(p[name], i) for i in range(p[name].shape[0])]
+def vec(xs):
+    return T.wrap(np.array(xs, dtype=np.float64))
 
 
 def store_of(**arrays):
@@ -26,17 +21,17 @@ def store_of(**arrays):
 
 class TestNllLoss:
     def test_perfect_model_is_zero(self):
-        assert nll_loss(wrap_list([0.0, 0.0, 0.0])).item() == 0.0
+        assert nll_loss(vec([0.0, 0.0, 0.0])).item() == 0.0
 
     def test_uniform_closed_form(self):
         lp = math.log(1.0 / 32.0)
-        out = nll_loss(wrap_list([lp] * 10))
+        out = nll_loss(vec([lp] * 10))
         assert out.item() == pytest.approx(10 * math.log(32), rel=1e-12)
 
     def test_gradient_sign(self):
-        x = T.NumArray(np.array(-2.0), requires_grad=True)
-        nll_loss([x]).backward()
-        assert x.grad == -1.0
+        x = T.NumArray(np.array([-2.0]), requires_grad=True)
+        nll_loss(x).backward()
+        assert x.grad.tolist() == [-1.0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_totals_match_numpy(self, seed):
@@ -44,7 +39,7 @@ class TestNllLoss:
         ps = store_of(s=rng.uniform(-30.0, 0.0, size=rng.integers(1, 9)))
 
         def fn(p):
-            return nll_loss(rows_of(p, "s"))
+            return nll_loss(p["s"])
 
         assert fn(ps).item() == pytest.approx(-ps["s"].data.sum(), rel=1e-12)
         assert T.grad_check(fn, ps) < 1e-6
@@ -52,15 +47,15 @@ class TestNllLoss:
 
 class TestRankLoss:
     def test_margin_satisfied(self):
-        out = rank_loss(wrap_list([-2.0]), wrap_list([-5.0]))
+        out = rank_loss(vec([-2.0]), vec([-5.0]))
         assert out.item() == 0.0
 
     def test_margin_violated(self):
-        out = rank_loss(wrap_list([-5.0]), wrap_list([-2.0]))
+        out = rank_loss(vec([-5.0]), vec([-2.0]))
         assert out.item() == pytest.approx(4.0, rel=1e-12)
 
     def test_identical_scores_cost_one_each(self):
-        out = rank_loss(wrap_list([-3.0, -1.0]), wrap_list([-3.0, -1.0]))
+        out = rank_loss(vec([-3.0, -1.0]), vec([-3.0, -1.0]))
         assert out.item() == pytest.approx(2.0, rel=1e-12)
 
     def test_nonnegative_and_zero_beyond_margin(self):
@@ -68,14 +63,14 @@ class TestRankLoss:
         for _ in range(20):
             pos = rng.uniform(-10, 0, size=4)
             neg = rng.uniform(-10, 0, size=4)
-            val = rank_loss(wrap_list(pos), wrap_list(neg)).item()
+            val = rank_loss(vec(pos), vec(neg)).item()
             assert val >= 0.0
             if np.all(pos >= neg + 1.0):
                 assert val == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            rank_loss(wrap_list([-1.0]), wrap_list([-1.0, -2.0]))
+            rank_loss(vec([-1.0]), vec([-1.0, -2.0]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_scores_match_numpy(self, seed):
@@ -85,7 +80,7 @@ class TestRankLoss:
                       neg=rng.uniform(-6.0, 0.0, size=n))
 
         def fn(p):
-            return rank_loss(rows_of(p, "pos"), rows_of(p, "neg"))
+            return rank_loss(p["pos"], p["neg"])
 
         want = np.maximum(0.0, 1.0 - ps["pos"].data + ps["neg"].data).sum()
         assert fn(ps).item() == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -94,12 +89,12 @@ class TestRankLoss:
 
 class TestReconLoss:
     def test_identical_is_zero(self):
-        z = [T.wrap(np.array([1.0, 2.0]))]
+        z = T.wrap(np.array([[1.0, 2.0]]))
         assert recon_loss(z, z).item() == 0.0
 
     def test_unit_coordinate_difference(self):
-        z = [T.wrap(np.array([1.0, 2.0]))]
-        zt = [T.wrap(np.array([1.0, 3.0]))]
+        z = T.wrap(np.array([[1.0, 2.0]]))
+        zt = T.wrap(np.array([[1.0, 3.0]]))
         assert recon_loss(z, zt).item() == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_sum_of_squares_oracle(self):
@@ -107,14 +102,14 @@ class TestReconLoss:
         zs = [rng.standard_normal(4) for _ in range(3)]
         zts = [rng.standard_normal(4) for _ in range(3)]
         want = sum(((a - b) ** 2).sum() for a, b in zip(zs, zts))
-        got = recon_loss([T.wrap(a) for a in zs], [T.wrap(b) for b in zts])
+        got = recon_loss(T.wrap(np.stack(zs)), T.wrap(np.stack(zts)))
         assert got.item() == pytest.approx(want, rel=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(T.DimensionError):
-            recon_loss([T.zeros(3)], [T.zeros(4)])
+            recon_loss(T.zeros((1, 3)), T.zeros((1, 4)))
         with pytest.raises(T.DimensionError):
-            recon_loss([T.zeros(3), T.zeros(3)], [T.zeros(3), T.zeros(4)])
+            recon_loss(T.zeros((2, 3)), T.zeros((1, 3)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_pairs_match_numpy(self, seed):
@@ -123,7 +118,7 @@ class TestReconLoss:
         ps = store_of(z=rng.standard_normal((n, d)), zt=rng.standard_normal((n, d)))
 
         def fn(p):
-            return recon_loss(rows_of(p, "z"), rows_of(p, "zt"))
+            return recon_loss(p["z"], p["zt"])
 
         want = ((ps["zt"].data - ps["z"].data) ** 2).sum()
         assert fn(ps).item() == pytest.approx(want, rel=1e-12)

@@ -151,6 +151,39 @@ class TestStoryObjective:
         assert loss_a.data != loss_b.data
 
 
+def op_nodes(root):
+    """Operation nodes reachable from `root` (leaves are not counted)."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += bool(node._parents)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return count
+
+
+class TestGraphSize:
+    def test_node_budget_at_acceptance_dimensions(self):
+        # sequences are one node each: the decoder's 10 teacher-forced
+        # sentences and the reconstructor cost a fixed count, not one node
+        # per word. The largest album (11 photos) builds 234 nodes; one
+        # node per decoder word step would add about 650.
+        spec = SynthSpec(albums=8, scenes_per_album=(2, 3), photos_per_scene=(2, 4),
+                         feature_dim=8, cluster_separation=4.0, noise_scale=0.05,
+                         vocab_size=30, sentences=5, seed=42)
+        vocab = synth_vocab(spec)
+        cfg = ModelConfig(vocab_size=len(vocab), feature_dim=8, photo_hidden=16,
+                          attn_hidden=32, attn_score_dim=32, dec_hidden=32,
+                          emb_dim=32, mlp_hidden=32, max_photos=12)
+        ps = build_parameters(cfg, np.random.default_rng(0))
+        derange = np.array([1, 2, 3, 4, 0])
+        counts = [op_nodes(story_objective(album, 0, ps, cfg, derange=derange)[0])
+                  for album in synth_dataset(spec, vocab)]
+        assert max(counts) <= 350, counts
+
+
 class TestGenerateStory:
     def test_structure_and_determinism(self):
         cfg = tiny_cfg()

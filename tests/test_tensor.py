@@ -91,6 +91,40 @@ class TestGruCell:
         assert T.grad_check(fn, store) < 1e-4
 
 
+class TestGruScan:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from([(), (1,), (2,), (3,), (4,)]),
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_equals_cell_loop_and_gradients(self, steps, batch, i_dim, hid, seed):
+        rng = np.random.default_rng(seed)
+        store = random_gru(rng, i_dim, hid)
+        store.add("x", rng.standard_normal((steps,) + batch + (i_dim,)), "inputs")
+        store.add("h0", rng.standard_normal(batch + (hid,)), "inputs")
+        out = T.gru_scan(store["x"], store["h0"], store.gru("g"))
+        assert out.shape == (steps,) + batch + (hid,)
+        for b in np.ndindex(*batch):
+            h = T.wrap(store["h0"].data[b])
+            for t in range(steps):
+                h = T.gru_cell(store["x"].data[(t,) + b], h, store.gru("g"))
+                np.testing.assert_allclose(out.data[(t,) + b], h.data,
+                                           rtol=1e-12, atol=1e-12)
+        w = rng.standard_normal(out.shape)
+
+        def fn(ps):
+            return T.arr_sum(T.gru_scan(ps["x"], ps["h0"], ps.gru("g")) * T.wrap(w))
+
+        assert T.grad_check(fn, store) < 1e-4
+
+    def test_shape_mismatch_names_operand(self):
+        store = random_gru(np.random.default_rng(0), 3, 2)
+        with pytest.raises(T.DimensionError, match=r"x \(4, 2, 5\)"):
+            T.gru_scan(T.zeros((4, 2, 5)), T.zeros((2, 2)), store.gru("g"))
+        with pytest.raises(T.DimensionError, match=r"h0 \(3, 2\)"):
+            T.gru_scan(T.zeros((4, 2, 3)), T.zeros((3, 2)), store.gru("g"))
+        with pytest.raises(T.DimensionError):
+            T.gru_scan(T.zeros(3), T.zeros(2), store.gru("g"))
+
+
 class TestMaskedSoftmax:
     def test_equal_logits_uniform(self):
         out = T.masked_softmax(T.wrap([2.0, 2.0, 2.0, 2.0]), np.ones(4))
@@ -181,7 +215,7 @@ class TestOps:
         def fn(ps):
             y = T.tanh(ps["a"] @ ps["b"])
             m = T.stack_rows([y, T.relu(y), T.sigmoid(y)])
-            v = T.arr_mean(m, axis=0)
+            v = T.arr_sum(m, axis=0) * (1.0 / 3.0)
             w = T.concat([v, ps["b"] @ ps["c"]])
             return T.arr_sum(w * w)
 
@@ -216,6 +250,35 @@ class TestOps:
             return T.arr_sum(T.pick(ps["e"], 2) * T.wrap([1.0, 2.0, 3.0]))
 
         assert T.grad_check(fn, store) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_gather_concat_matmul_gradients(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        store = T.ParamStore()
+        store.add("table", rng.standard_normal((5, 3)), "p")
+        store.add("u", rng.standard_normal((2, 4)), "p")
+        store.add("w", rng.standard_normal((7, 6)), "p")
+        ids = rng.integers(0, 5, size=(3, 2))  # repeats add up in backward
+        weights = rng.standard_normal((3, 2, 6))
+
+        def fn(ps):
+            x = T.concat([T.pick(ps["table"], ids), ps["u"] + np.zeros((3, 1, 1))],
+                         axis=-1)
+            return T.arr_sum(T.log_softmax(x @ ps["w"]) * T.wrap(weights))
+
+        assert T.grad_check(fn, store) < 1e-4
+
+    def test_log_softmax_rows_match_vector_calls(self):
+        x = np.random.default_rng(3).standard_normal((4, 2, 6))
+        out = T.log_softmax(T.wrap(x)).data
+        for i, j in np.ndindex(4, 2):
+            assert out[i, j].tobytes() == T.log_softmax(T.wrap(x[i, j])).data.tobytes()
+
+    def test_pick_rejects_out_of_range_indices(self):
+        with pytest.raises(T.DimensionError):
+            T.pick(T.zeros((3, 2)), np.array([0, 3]))
+        with pytest.raises(T.DimensionError):
+            T.pick(T.zeros(3), -1)
 
     def test_matmul_shape_error(self):
         with pytest.raises(T.DimensionError):
