@@ -248,11 +248,17 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("albums", "sentences"):
+        for name in ("albums", "sentences", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.cluster_separation <= 0:
-            raise ConfigError("cluster_separation must be > 0")
+        for name in ("scenes_per_album", "photos_per_scene"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ConfigError(f"{name} range ({lo}, {hi}) needs 1 <= lo <= hi")
+        if not 0 <= self.noise_scale < np.inf:  # NaN fails both checks
+            raise ConfigError("noise_scale must be finite and >= 0")
+        if not 0 < self.cluster_separation < np.inf:
+            raise ConfigError("cluster_separation must be finite and > 0")
         if self.num_clusters < self.scenes_per_album[1]:
             raise ConfigError(
                 f"vocab_size {self.vocab_size} supports only {self.num_clusters} "
@@ -275,7 +281,7 @@ def cluster_centers(spec: SynthSpec) -> np.ndarray:
         if q > 0:
             centers[c, (r + q) % f] += s
     if len({tuple(row) for row in centers}) != k:
-        raise ValueError("cluster centers collide; raise feature_dim")
+        raise ConfigError("cluster centers collide; raise feature_dim")
     return centers
 
 

@@ -6,7 +6,9 @@ scored against that state through a shared tanh layer, and the sentence
 vector z_j is the weight-averaged memory. The word decoder is a GRU over
 [previous-word embedding ; z_j] with a one-hidden-layer readout.
 Teacher-forced scoring runs an album's sentences as one padded batch
-through one GRU scan; decoding steps word by word.
+through one GRU scan. Decoding is one beam search whose word step runs
+the unfinished hypotheses as the rows of one GRU cell; greedy decoding is
+that search at width 1.
 
 The attention state persists across the n sentences of an album; its
 input alpha vector is padded to a fixed length so parameter shapes do not
@@ -34,7 +36,6 @@ class StoryHypothesis:
     sentences: list        # n token-id lists, each ending with EOS or at length cap
     word_logps: list       # matching per-token log-probs (floats)
     alphas: list           # n attention vectors over the album's 2m+1 slots
-    logits: list           # n arrays (T_j, vocab) of raw output scores
     flags: list            # scene boundary decisions for the album
 
 
@@ -60,11 +61,12 @@ def _readout(h, z, params):
     return hidden @ params["dec.out.w2"] + params["dec.out.b2"]
 
 
-def _decoder_step(prev, h, z, table, gru_w, params):
-    """One word step: the GRU consumes [embedding of prev ; z], then the
-    readout scores the vocabulary from [h_new ; z]. Returns (h_new, logits)."""
-    h = T.gru_cell(T.concat([T.pick(table, prev), z]), h, gru_w)
-    return h, _readout(h, z, params)
+def _decoder_step(prev, h, Z, table, gru_w, params):
+    """One word step for B rows: the GRU consumes [embedding of prev (B,) ;
+    Z (B, D_v)] from states h (B, H), then the readout scores the vocabulary
+    from [h_new ; Z]. Returns (h_new (B, H), logits (B, vocab))."""
+    h = T.gru_cell(T.concat([T.pick(table, prev), Z], axis=-1), h, gru_w)
+    return h, _readout(h, Z, params)
 
 
 def score_sentences(Z, sentences, params):
@@ -109,54 +111,43 @@ def sentence_log_prob(z, sentence_ids, params):
             [T.pick(word_logps, t) for t in steps])
 
 
-def decode_sentence_greedy(z, params, max_words: int):
-    """Argmax decoding until EOS or max_words+1 tokens."""
-    table = params["dec.embed.table"]
-    gru_w = params.gru("dec.gru")
-    h = T.zeros(gru_w.hidden_size)
-    prev = BOS
-    ids, logps, logits_rows = [], [], []
+def _search(z, params, max_words: int, width: int):
+    """Beam search by total log-prob until EOS or max_words+1 tokens. Each
+    step runs the unfinished hypotheses as the rows of one `_decoder_step`
+    and ranks the top `width` tokens of every row, with the finished
+    hypotheses, by (total log-prob, ids): ties go to lower token ids, and
+    width 1 is greedy. Returns the best hypothesis's (ids, per-word logps)."""
+    table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
+    Z = np.tile(T.wrap(z).data, (width, 1))
+    H = T.zeros((1, gru_w.hidden_size))
+    # hypotheses: (total log-prob, [BOS] + ids, per-word logps, row of H, finished)
+    beams = [(0.0, [BOS], [], 0, False)]
     with T.no_grad():
         for _ in range(max_words + 1):
-            h, d = _decoder_step(prev, h, z, table, gru_w, params)
+            live = [b for b in beams if not b[4]]
+            H, d = _decoder_step(np.array([b[1][-1] for b in live]),
+                                 H.data.take([b[3] for b in live], axis=0),
+                                 Z[:len(live)], table, gru_w, params)
             log_p = T.log_softmax(d).data
-            tok = int(np.argmax(log_p))
-            ids.append(tok)
-            logps.append(float(log_p[tok]))
-            logits_rows.append(d.data.copy())
-            if tok == EOS:
+            top = (-log_p).argsort(axis=-1, kind="stable")[:, :width]
+            beams = [b for b in beams if b[4]]
+            for row, ((total, ids, logps, _, _), lp, toks) in enumerate(
+                    zip(live, log_p.tolist(), top.tolist())):
+                beams += [(total + lp[t], ids + [t], logps + [lp[t]], row, t == EOS)
+                          for t in toks]
+            beams = sorted(beams, key=lambda b: (-b[0], b[1]))[:width]
+            if all(b[4] for b in beams):
                 break
-            prev = tok
-    return ids, logps, np.stack(logits_rows)
+    return beams[0][1][1:], beams[0][2]
+
+
+def decode_sentence_greedy(z, params, max_words: int):
+    """Argmax decoding, the search at width 1: (ids, per-word logps)."""
+    return _search(z, params, max_words, 1)
 
 
 def decode_sentence_beam(z, params, max_words: int, width: int):
-    """Beam search over token sequences by total log-prob; ties break toward
-    lower token ids so width 1 reproduces greedy exactly."""
+    """Beam search of the given width: (ids, per-word logps)."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    table = params["dec.embed.table"]
-    gru_w = params.gru("dec.gru")
-    # beam entries: (ids, per-word logps, logits rows, state, finished)
-    beams = [([], [], [], T.zeros(gru_w.hidden_size), False)]
-    with T.no_grad():
-        for _ in range(max_words + 1):
-            candidates = []
-            for ids, logps, rows, h, done in beams:
-                if done:
-                    candidates.append((ids, logps, rows, h, True))
-                    continue
-                h_new, d = _decoder_step(ids[-1] if ids else BOS, h, z, table,
-                                         gru_w, params)
-                log_p = T.log_softmax(d).data
-                order = np.argsort(-log_p, kind="stable")[:width]
-                for tok in order:
-                    tok = int(tok)
-                    candidates.append((ids + [tok], logps + [float(log_p[tok])],
-                                       rows + [d.data.copy()], h_new, tok == EOS))
-            candidates.sort(key=lambda c: (-sum(c[1]), c[0]))
-            beams = candidates[:width]
-            if all(done for _, _, _, _, done in beams):
-                break
-    ids, logps, rows, _, _ = beams[0]
-    return ids, logps, np.stack(rows)
+    return _search(z, params, max_words, width)

@@ -112,7 +112,7 @@ def encode_album(features, params, cfg: ModelConfig,
     if used > cfg.alpha_len:
         raise T.DimensionError(
             f"{m} photos need {used} attention slots, config allows {cfg.alpha_len}")
-    seg = encode_scenes(enc, params, force_flags=force_flags, relax=relax)
+    seg = encode_scenes(enc.V, params, force_flags=force_flags, relax=relax)
 
     pad = np.zeros((cfg.alpha_len - used, cfg.d_v))
     memory = T.concat([enc.V, seg.X, pad])
@@ -180,20 +180,13 @@ def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",
     with T.no_grad():
         encoding = encode_album(album.features, params, cfg)
         zs, alphas = summarize_album(encoding, cfg.sentences, params)
-        sentences, word_logps, logits = [], [], []
-        for z in zs:
-            if mode == "greedy":
-                ids, lps, rows = decode_sentence_greedy(z, params, cfg.max_words)
-            else:
-                ids, lps, rows = decode_sentence_beam(z, params, cfg.max_words,
-                                                      beam_width)
-            sentences.append(ids)
-            word_logps.append(lps)
-            logits.append(rows)
+        decoded = [decode_sentence_greedy(z, params, cfg.max_words) if mode == "greedy"
+                   else decode_sentence_beam(z, params, cfg.max_words, beam_width)
+                   for z in zs]
     used = encoding.used_slots
-    return StoryHypothesis(sentences, word_logps,
+    return StoryHypothesis([ids for ids, _ in decoded], [lps for _, lps in decoded],
                            [a.data[:used].copy() for a in alphas],
-                           logits, list(encoding.scenes.flags))
+                           list(encoding.scenes.flags))
 
 
 def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8,

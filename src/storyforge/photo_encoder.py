@@ -19,13 +19,12 @@ from . import tensor as T
 @dataclass
 class PhotoEncoding:
     V: T.NumArray            # (m, D_v), row i is v_i
-    v_list: list             # the same rows, kept unstacked for per-photo loops
     fwd_final: T.NumArray    # (H_p,) forward state after photo m
     bwd_final: T.NumArray    # (H_p,) backward state after photo 1
 
     @property
     def num_photos(self):
-        return len(self.v_list)
+        return self.V.shape[0]
 
 
 def encode_photos(features, params) -> PhotoEncoding:
@@ -41,5 +40,4 @@ def encode_photos(features, params) -> PhotoEncoding:
     bwd_rev = T.gru_scan(feats.data[reverse], T.zeros(bwd_w.hidden_size), bwd_w)
     V = T.relu(T.concat([fwd, T.pick(bwd_rev, reverse)], axis=-1)
                + feats @ params["photo.skip.w"])
-    return PhotoEncoding(V, [T.pick(V, i) for i in range(m)],
-                         T.pick(fwd, m - 1), T.pick(bwd_rev, m - 1))
+    return PhotoEncoding(V, T.pick(fwd, m - 1), T.pick(bwd_rev, m - 1))

@@ -53,15 +53,16 @@ def detect_boundary(v_i, h_prev, params, relax: bool = False):
     return k, soft
 
 
-def encode_scenes(photos, params, force_flags=None, relax: bool = False) -> SceneSegmentation:
-    """Segment an album; photos is a PhotoEncoding or a list of (D_v,) arrays.
+def encode_scenes(V, params, force_flags=None, relax: bool = False) -> SceneSegmentation:
+    """Segment an album; V is the (m, D_v) photo rows, or anything `T.wrap`
+    stacks to them, such as a list of (D_v,) arrays.
 
     force_flags bypasses the classifier with fixed 0/1 decisions, which
     makes the whole computation an ordinary differentiable graph (used by
     gradient checks and the forced-flag oracles).
     """
-    v_list = photos.v_list if hasattr(photos, "v_list") else [T.wrap(v) for v in photos]
-    m = len(v_list)
+    V = T.wrap(V)
+    m = V.shape[0]
     if m == 0:
         raise ValueError("album has no photos")
     if force_flags is not None and len(force_flags) != m:
@@ -71,7 +72,8 @@ def encode_scenes(photos, params, force_flags=None, relax: bool = False) -> Scen
 
     h = T.zeros(d_v)
     rows, flags, softs, mask = [], [], [], []
-    for i, v in enumerate(v_list):
+    for i in range(m):
+        v = T.pick(V, i)
         if force_flags is not None:
             k = T.wrap(float(force_flags[i]))
             flags.append(int(force_flags[i]))

@@ -7,7 +7,8 @@ finite-difference gradient checker, and a text checkpoint container.
 A recurrence over a whole sequence is one graph node (`gru_scan`, with a
 hand-derived backward through time); loops whose next step depends on
 data (scene resets, attention feedback, decoding) take one fused node per
-step (`gru_cell`). The rest composes from small primitives.
+step (`gru_cell`, whose leading axes are independent rows, such as the
+hypotheses of a beam). The rest composes from small primitives.
 """
 
 from __future__ import annotations
@@ -294,9 +295,9 @@ def concat(parts: Sequence, axis: int = 0) -> NumArray:
     agree."""
     parts = [wrap(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    cuts = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def bw(g):
+        cuts = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
         for p, gp in zip(parts, np.split(g, cuts, axis=axis)):
             if p.requires_grad:
                 _acc(p, gp)
@@ -377,11 +378,10 @@ def log_softmax(logits) -> NumArray:
     logits = wrap(logits)
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    soft = np.exp(out)
 
     def bw(g):
         if logits.requires_grad:
-            _acc(logits, g - soft * g.sum(axis=-1, keepdims=True))
+            _acc(logits, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
 
     return _make(out, (logits,), bw)
 
@@ -455,15 +455,16 @@ def _gru_grads(x, h0, w: GruWeights, hd, rh, d_gates, d_h0):
 
 
 def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
-    """One recurrence step; fused node with a hand-derived backward."""
+    """One recurrence step on x (*B, I) and h_prev (*B, H), whose leading
+    axes are independent rows; fused node with a hand-derived backward."""
     x, h_prev = wrap(x), wrap(h_prev)
     i_dim, hid = w.input_size, w.hidden_size
-    if x.data.shape != (i_dim,):
+    if x.data.shape[-1:] != (i_dim,):
         raise DimensionError(
-            f"gru_cell input x has shape {x.data.shape}, expected ({i_dim},)")
-    if h_prev.data.shape != (hid,):
-        raise DimensionError(
-            f"gru_cell state h_prev has shape {h_prev.data.shape}, expected ({hid},)")
+            f"gru_cell input x has shape {x.data.shape}, expected (..., {i_dim})")
+    if h_prev.data.shape != x.data.shape[:-1] + (hid,):
+        raise DimensionError(f"gru_cell state h_prev has shape {h_prev.data.shape}, "
+                             f"expected {x.data.shape[:-1] + (hid,)}")
     wh, hd = w.w_h.data, h_prev.data
     out, cache = _gru_step(x.data @ w.w_x.data + w.b.data, hd, wh, hid)
 

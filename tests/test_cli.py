@@ -430,6 +430,19 @@ class TestBadInputExitCodes:
          "beam width must be >= 1"),
         (_command("grad-check", "--lambda", "-1"), "lambda and mu must be >= 0"),
         (_command("synth-data", "--sentences", "0"), "sentences must be >= 1"),
+        (_command("synth-data", "--feature-dim", "0"), "feature_dim must be >= 1"),
+        (_command("synth-data", "--feature-dim", "1"), "cluster centers collide"),
+        (_command("synth-data", "--scenes-lo", "3", "--scenes-hi", "2"),
+         "scenes_per_album range (3, 2) needs 1 <= lo <= hi"),
+        (_command("synth-data", "--photos-lo", "3", "--photos-hi", "2"),
+         "photos_per_scene range (3, 2) needs 1 <= lo <= hi"),
+        (_command("synth-data", "--photos-lo", "0"),
+         "photos_per_scene range (0, 4) needs 1 <= lo <= hi"),
+        (_command("synth-data", "--scenes-lo", "0"),
+         "scenes_per_album range (0, 3) needs 1 <= lo <= hi"),
+        (_command("synth-data", "--noise", "-1"), "noise_scale must be finite and >= 0"),
+        (_command("synth-data", "--separation", "nan"),
+         "cluster_separation must be finite and > 0"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -440,7 +453,12 @@ class TestBadInputExitCodes:
             "generate-checkpoint-not-json",
             "stage2-other-dims", "train-patience-0", "train-lambda-negative",
             "train-sentences-0", "generate-mode-sample", "generate-beam-width-0",
-            "grad-check-lambda-negative", "synth-data-sentences-0"])
+            "grad-check-lambda-negative", "synth-data-sentences-0",
+            "synth-data-feature-dim-0", "synth-data-feature-dim-1",
+            "synth-data-scenes-lo-above-hi",
+            "synth-data-photos-lo-above-hi", "synth-data-photos-lo-0",
+            "synth-data-scenes-lo-0", "synth-data-noise-negative",
+            "synth-data-separation-nan"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

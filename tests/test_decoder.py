@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from storyforge import decoder
 from storyforge import tensor as T
 from storyforge.data import BOS, EOS
-from storyforge.decoder import (AttentionState, attend, decode_sentence_beam,
-                                decode_sentence_greedy, score_sentences,
-                                sentence_log_prob)
+from storyforge.decoder import (AttentionState, _readout, attend,
+                                decode_sentence_beam, decode_sentence_greedy,
+                                score_sentences, sentence_log_prob)
 from storyforge.model import ModelConfig, build_parameters
 
 
@@ -269,36 +272,119 @@ class TestScoreSentences:
             score_sentences(T.zeros((2, cfg.d_v)), [[EOS], []], ps)
 
 
+def one_row_step(prev, h, z, table, gru_w, params):
+    """The word step on one 1-D hypothesis, as decoding ran before
+    hypotheses became rows of one step."""
+    h = T.gru_cell(T.concat([T.pick(table, prev), z]), h, gru_w)
+    return h, _readout(h, z, params)
+
+
+def greedy_oracle(z, params, max_words):
+    """Argmax decoding with a loop of its own."""
+    table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
+    h, prev = T.zeros(gru_w.hidden_size), BOS
+    ids, logps = [], []
+    with T.no_grad():
+        for _ in range(max_words + 1):
+            h, d = one_row_step(prev, h, z, table, gru_w, params)
+            log_p = T.log_softmax(d).data
+            tok = int(np.argmax(log_p))
+            ids.append(tok)
+            logps.append(float(log_p[tok]))
+            if tok == EOS:
+                break
+            prev = tok
+    return ids, logps
+
+
+def beam_oracle(z, params, max_words, width):
+    """Beam search that steps each hypothesis on its own and ranks by
+    (summed log-prob, ids)."""
+    table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
+    beams = [([], [], T.zeros(gru_w.hidden_size), False)]
+    with T.no_grad():
+        for _ in range(max_words + 1):
+            candidates = []
+            for ids, logps, h, done in beams:
+                if done:
+                    candidates.append((ids, logps, h, True))
+                    continue
+                h_new, d = one_row_step(ids[-1] if ids else BOS, h, z, table,
+                                        gru_w, params)
+                log_p = T.log_softmax(d).data
+                for tok in np.argsort(-log_p, kind="stable")[:width]:
+                    tok = int(tok)
+                    candidates.append((ids + [tok], logps + [float(log_p[tok])],
+                                       h_new, tok == EOS))
+            candidates.sort(key=lambda c: (-sum(c[1]), c[0]))
+            beams = candidates[:width]
+            if all(done for _, _, _, done in beams):
+                break
+    return beams[0][0], beams[0][1]
+
+
 class TestGeneration:
     def test_greedy_deterministic(self):
         cfg, ps = make(15)
         z = T.wrap(np.random.default_rng(15).standard_normal(cfg.d_v))
         out1 = decode_sentence_greedy(z, ps, cfg.max_words)
         out2 = decode_sentence_greedy(z, ps, cfg.max_words)
-        assert out1[0] == out2[0] and out1[1] == out2[1]
+        assert out1 == out2
 
     def test_length_cap(self):
         cfg, ps = make(16)
         z = T.wrap(np.random.default_rng(16).standard_normal(cfg.d_v))
-        ids, _, _ = decode_sentence_greedy(z, ps, max_words=4)
+        ids, _ = decode_sentence_greedy(z, ps, max_words=4)
         assert len(ids) <= 5
         assert ids[-1] == EOS or len(ids) == 5
 
     @pytest.mark.parametrize("seed", range(17, 23))
     def test_beam_width_one_equals_greedy(self, seed):
+        # bit for bit, log-probs included, and equal to the one-row loop
         cfg, ps = make(seed)
         z = T.wrap(np.random.default_rng(seed).standard_normal(cfg.d_v))
-        g_ids, g_logps, _ = decode_sentence_greedy(z, ps, cfg.max_words)
-        b_ids, b_logps, _ = decode_sentence_beam(z, ps, cfg.max_words, width=1)
-        assert g_ids == b_ids
-        np.testing.assert_allclose(g_logps, b_logps, rtol=1e-12)
+        want = greedy_oracle(z, ps, cfg.max_words)
+        assert decode_sentence_beam(z, ps, cfg.max_words, width=1) == want
+        assert decode_sentence_greedy(z, ps, cfg.max_words) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 12),
+           st.sampled_from([0.0, -10.0]), st.booleans())
+    def test_search_equals_per_hypothesis_oracles(self, seed, width, max_words,
+                                                  eos_bias, tied):
+        # eos_bias -10 runs to the length cap; tied makes every token equally
+        # likely, so the ranking falls to the tie rule (lower ids first)
+        cfg, ps = make(seed)
+        ps["dec.out.b2"].data[EOS] = eos_bias
+        if tied:
+            ps["dec.out.w2"].data[...] = 0.0
+            ps["dec.out.b2"].data[...] = 0.0
+        z = T.wrap(np.random.default_rng(seed).standard_normal(cfg.d_v))
+        assert decode_sentence_greedy(z, ps, max_words) == \
+            greedy_oracle(z, ps, max_words)
+        ids, logps = decode_sentence_beam(z, ps, max_words, width)
+        want_ids, want_logps = beam_oracle(z, ps, max_words, width)
+        assert ids == want_ids
+        np.testing.assert_allclose(logps, want_logps, rtol=1e-12, atol=1e-12)
+
+    def test_one_decoder_step_per_word(self, monkeypatch):
+        # the hypotheses of a step are rows of one call, not one call each
+        cfg, ps = make(26)
+        ps["dec.out.b2"].data[EOS] = -10.0  # no hypothesis finishes early
+        z = T.wrap(np.random.default_rng(26).standard_normal(cfg.d_v))
+        rows, step = [], decoder._decoder_step
+        monkeypatch.setattr(decoder, "_decoder_step",
+                            lambda prev, *rest: rows.append(len(prev)) or step(prev, *rest))
+        ids, _ = decode_sentence_beam(z, ps, cfg.max_words, width=3)
+        assert len(ids) == cfg.max_words + 1
+        assert rows == [1] + [3] * cfg.max_words
 
     def test_greedy_per_step_locally_optimal(self):
         # teacher-forcing greedy's own output must reproduce its choices:
         # at every step the argmax of the step logits is the emitted token
         cfg, ps = make(23)
         z = T.wrap(np.random.default_rng(23).standard_normal(cfg.d_v))
-        ids, _, _ = decode_sentence_greedy(z, ps, cfg.max_words)
+        ids, _ = decode_sentence_greedy(z, ps, cfg.max_words)
         _, logits, _ = sentence_log_prob(z, ids, ps)
         for tok, d in zip(ids, logits):
             assert int(np.argmax(d.data)) == tok
@@ -306,8 +392,8 @@ class TestGeneration:
     def test_beam_returns_finished_or_capped(self):
         cfg, ps = make(24)
         z = T.wrap(np.random.default_rng(24).standard_normal(cfg.d_v))
-        ids, logps, rows = decode_sentence_beam(z, ps, cfg.max_words, width=3)
-        assert len(ids) == len(logps) == rows.shape[0]
+        ids, logps = decode_sentence_beam(z, ps, cfg.max_words, width=3)
+        assert len(ids) == len(logps)
         assert ids[-1] == EOS or len(ids) == cfg.max_words + 1
 
     def test_bad_beam_width(self):

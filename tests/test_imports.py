@@ -1,4 +1,5 @@
-"""Every name a `storyforge` module imports is used in that module."""
+"""Every name a `storyforge` module imports is used in that module, and no
+`storyforge` module imports the benchmark."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 import storyforge
 
 MODULES = sorted(Path(storyforge.__file__).parent.glob("*.py"))
+# perfbench and the modules it puts on the path when it runs
+BENCHMARK_MODULES = {"perfbench", "spans", "layers", "workloads", "speed"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +45,30 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def benchmark_imports(source: str) -> list[str]:
+    """Absolute imports of the benchmark package or of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names
+                  if n.split(".")[0] in BENCHMARK_MODULES]
+    return found
+
+
+def test_checker_flags_a_benchmark_import():
+    assert benchmark_imports("import perfbench.layers\n") == ["line 1: perfbench.layers"]
+    assert benchmark_imports("import os\nfrom spans import Tracer\n") == [
+        "line 2: spans"]
+    assert benchmark_imports("from . import layers\nimport speedy\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_benchmark_imports(path):
+    assert benchmark_imports(path.read_text(encoding="utf-8")) == []

@@ -73,13 +73,13 @@ class TestEncodeScenes:
         rng = np.random.default_rng(3)
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(4)]
         enc = encode_photos(feats, ps)
-        seg = encode_scenes(enc, ps, force_flags=[0, 0, 0, 0])
+        seg = encode_scenes(enc.V, ps, force_flags=[0, 0, 0, 0])
         assert seg.u == 1
         assert seg.scene_mask.tolist() == [0, 0, 0, 0, 1]
         np.testing.assert_array_equal(seg.X.data[:4], np.zeros((4, cfg.d_v)))
         # the one true scene is the GRU state after all four photos
         h = T.zeros(cfg.d_v)
-        for v in enc.v_list:
+        for v in enc.V.data:
             h = T.gru_cell(v, h, ps.gru("scene.gru"))
         np.testing.assert_allclose(seg.X.data[4], h.data, rtol=1e-12)
 
@@ -89,11 +89,11 @@ class TestEncodeScenes:
         m = 5
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(m)]
         enc = encode_photos(feats, ps)
-        seg = encode_scenes(enc, ps, force_flags=[1] * m)
+        seg = encode_scenes(enc.V, ps, force_flags=[1] * m)
         assert seg.u == m
         assert seg.scene_mask.tolist() == [0] + [1] * m
         # every scene row is a one-step GRU state from a fresh zero state
-        for i, v in enumerate(enc.v_list):
+        for i, v in enumerate(enc.V.data):
             one_step = T.gru_cell(v, T.zeros(cfg.d_v), ps.gru("scene.gru"))
             np.testing.assert_allclose(seg.X.data[i + 1], one_step.data, rtol=1e-12)
 
@@ -103,7 +103,7 @@ class TestEncodeScenes:
             cfg, ps = small_params(100 + trial)
             m = int(rng.integers(1, 7))
             feats = [2.0 * rng.standard_normal(cfg.feature_dim) for _ in range(m)]
-            seg = encode_scenes(encode_photos(feats, ps), ps)
+            seg = encode_scenes(encode_photos(feats, ps).V, ps)
             assert seg.u == int(seg.scene_mask.sum())
             assert 1 <= seg.u <= m
             assert seg.num_slots == m + 1
@@ -118,10 +118,10 @@ class TestEncodeScenes:
         rng = np.random.default_rng(6)
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(4)]
         enc = encode_photos(feats, ps)
-        seg = encode_scenes(enc, ps, force_flags=[0, 1, 0, 1])
+        seg = encode_scenes(enc.V, ps, force_flags=[0, 1, 0, 1])
         w = ps.gru("scene.gru")
-        h = T.gru_cell(enc.v_list[1], T.zeros(cfg.d_v), w)
-        h = T.gru_cell(enc.v_list[2], h, w)
+        h = T.gru_cell(enc.V.data[1], T.zeros(cfg.d_v), w)
+        h = T.gru_cell(enc.V.data[2], h, w)
         np.testing.assert_allclose(seg.X.data[3], h.data, rtol=1e-12)
 
     def test_flags_match_gold_boundaries_from_geometry(self):
@@ -133,7 +133,7 @@ class TestEncodeScenes:
         ps = build_parameters(cfg, np.random.default_rng(7))
         fill_oracle_scene_weights(ps, spec)
         for album in D.synth_dataset(spec):
-            seg = encode_scenes(encode_photos(album.features, ps), ps)
+            seg = encode_scenes(encode_photos(album.features, ps).V, ps)
             assert seg.flags == album.gold_boundaries
             assert seg.u == 1 + sum(album.gold_boundaries)
 
@@ -144,7 +144,7 @@ class TestEncodeScenes:
         ps = build_parameters(cfg, np.random.default_rng(8))
         fill_oracle_scene_weights(ps, spec)
         for album in D.synth_dataset(spec):
-            seg = encode_scenes(encode_photos(album.features, ps), ps)
+            seg = encode_scenes(encode_photos(album.features, ps).V, ps)
             for s in seg.softs:
                 assert s < 1e-9 or s > 1 - 1e-9
 
@@ -155,7 +155,7 @@ class TestEncodeScenes:
         w = rng.standard_normal((5, cfg.d_v))
 
         def fn(p):
-            seg = encode_scenes(encode_photos(feats, p), p,
+            seg = encode_scenes(encode_photos(feats, p).V, p,
                                 force_flags=[0, 1, 0, 1])
             return T.arr_sum(seg.X * T.wrap(w))
 
@@ -168,7 +168,7 @@ class TestEncodeScenes:
         rng = np.random.default_rng(10)
         feats = [1.5 * rng.standard_normal(cfg.feature_dim) for _ in range(5)]
         ps.zero_grads()
-        seg = encode_scenes(encode_photos(feats, ps), ps)
+        seg = encode_scenes(encode_photos(feats, ps).V, ps)
         T.arr_sum(seg.X * T.wrap(rng.standard_normal(seg.X.shape))).backward()
         for name in ("scene.detect.w_v", "scene.detect.w_h", "scene.detect.b"):
             g = ps[name].grad
@@ -179,7 +179,7 @@ class TestEncodeScenes:
         cfg, ps = small_params(11)
         feats = [np.zeros(cfg.feature_dim) for _ in range(3)]
         with pytest.raises(ValueError, match="force_flags"):
-            encode_scenes(encode_photos(feats, ps), ps, force_flags=[0, 1])
+            encode_scenes(encode_photos(feats, ps).V, ps, force_flags=[0, 1])
 
     def test_empty_input_rejected(self):
         cfg, ps = small_params(12)

@@ -74,15 +74,26 @@ class TestGruCell:
             T.gru_cell(T.zeros(4), T.zeros(2), store.gru("g"))
         with pytest.raises(T.DimensionError, match="h_prev"):
             T.gru_cell(T.zeros(3), T.zeros(5), store.gru("g"))
+        with pytest.raises(T.DimensionError, match=r"h_prev has shape \(3, 2\)"):
+            T.gru_cell(T.zeros((2, 3)), T.zeros((3, 2)), store.gru("g"))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradients(self, seed):
+        # seeds 1, 2 and 3 mod 4 step (B, I) rows, which must equal B
+        # one-row calls
+        batch = [(), (1,), (3,), (2, 2)][seed % 4]
         rng = np.random.default_rng(seed)
         i_dim, hid = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         store = random_gru(rng, i_dim, hid)
-        x = store.add("x", rng.standard_normal(i_dim), "inputs")
-        h = store.add("h", rng.standard_normal(hid), "inputs")
+        x = store.add("x", rng.standard_normal(batch + (i_dim,)), "inputs")
+        h = store.add("h", rng.standard_normal(batch + (hid,)), "inputs")
         w = rng.standard_normal(hid)
+
+        out = T.gru_cell(x, h, store.gru("g"))
+        assert out.shape == batch + (hid,)
+        for b in np.ndindex(*batch):
+            one = T.gru_cell(x.data[b], h.data[b], store.gru("g"))
+            np.testing.assert_allclose(out.data[b], one.data, rtol=1e-12, atol=1e-12)
 
         def fn(ps):
             out = T.gru_cell(ps["x"], ps["h"], ps.gru("g"))
