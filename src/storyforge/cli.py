@@ -325,6 +325,10 @@ def cmd_evaluate(cfg) -> int:
 def cmd_grad_check(cfg) -> int:
     if min(cfg["lam"], cfg["mu"]) < 0:
         raise ConfigError("lambda and mu must be >= 0")
+    if cfg["gc_seeds"] < 1:
+        raise ConfigError("gc_seeds must be >= 1")
+    if not (np.isfinite(cfg["tolerance"]) and cfg["tolerance"] > 0):
+        raise ConfigError("tolerance must be finite and > 0")
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
     worst = 0.0

@@ -3,12 +3,13 @@
 One attention step per sentence: a GRU advances the attention state from
 the previous sentence's weight vector, every valid row of the memory R is
 scored against that state through a shared tanh layer, and the sentence
-vector z_j is the weight-averaged memory. The word decoder is a GRU over
-[previous-word embedding ; z_j] with a one-hidden-layer readout.
-Teacher-forced scoring runs an album's sentences as one padded batch
-through one GRU scan. Decoding is one beam search whose word step runs
-the unfinished hypotheses as the rows of one GRU cell; greedy decoding is
-that search at width 1.
+vector z_j is the weight-averaged memory. Attention steps every album of
+a batch at once, each over its own memory rows. The word decoder is a GRU
+over [previous-word embedding ; z_j] with a one-hidden-layer readout.
+Teacher-forced scoring runs any number of sentences (all of a batch's) as
+one padded batch through one GRU scan. Decoding is one beam search whose
+word step runs the unfinished hypotheses as the rows of one GRU cell;
+greedy decoding is that search at width 1.
 
 The attention state persists across the n sentences of an album; its
 input alpha vector is padded to a fixed length so parameter shapes do not
@@ -27,8 +28,8 @@ from .data import BOS, EOS, PAD
 
 @dataclass
 class AttentionState:
-    h_attn: T.NumArray     # (H_a,)
-    alpha_prev: T.NumArray  # (L_max,) zero before the first sentence
+    h_attn: T.NumArray     # (*B, H_a)
+    alpha_prev: T.NumArray  # (*B, L_max) zero before the first sentence
 
 
 @dataclass
@@ -42,16 +43,17 @@ class StoryHypothesis:
 def attend(memory, valid_mask, state: AttentionState, params):
     """One attention step. Returns (z, alpha, new_state).
 
-    memory: (L_max, D_v) rows = photos then scene slots then zero padding;
-    valid_mask marks the photo rows and true scene rows.
+    memory: (*B, L_max, D_v) rows = photos then scene slots then zero
+    padding, per album; valid_mask (*B, L_max) marks the photo rows and
+    true scene rows. The state holds (*B, H_a) and (*B, L_max) rows.
     """
     h_new = T.gru_cell(state.alpha_prev, state.h_attn, params.gru("attn.gru"))
-    keys = T.tanh(memory @ params["attn.score.w_mem"]
-                  + h_new @ params["attn.score.w_state"]
-                  + params["attn.score.b"])
-    alpha = T.masked_softmax(keys @ params["attn.score.w_out"], valid_mask)
-    z = alpha @ memory
-    return z, alpha, AttentionState(h_new, alpha)
+    scores = T.attention_scores(memory, params["attn.score.w_mem"],
+                                h_new @ params["attn.score.w_state"],
+                                params["attn.score.b"], params["attn.score.w_out"])
+    alpha = T.masked_softmax(scores, valid_mask)
+    z = T.reshape(alpha, alpha.shape[:-1] + (1, -1)) @ memory
+    return T.reshape(z, z.shape[:-2] + (-1,)), alpha, AttentionState(h_new, alpha)
 
 
 def _readout(h, z, params):

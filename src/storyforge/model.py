@@ -1,4 +1,10 @@
-"""Model configuration, parameter registry, and the full album pipeline."""
+"""Model configuration, parameter registry, and the full album pipeline.
+
+The pipeline runs on one album, or on B albums padded into one batch: the
+encoders and attention take the batch as leading axes, and the training
+objective scores a batch's sentences as the rows of one padded batch, so
+a batch is one graph.
+"""
 
 from __future__ import annotations
 
@@ -94,40 +100,61 @@ def build_parameters(cfg: ModelConfig, rng) -> T.ParamStore:
 class AlbumEncoding:
     photos: object           # PhotoEncoding
     scenes: object           # SceneSegmentation
-    memory: T.NumArray       # (alpha_len, D_v): photo rows, scene slots, padding
-    valid_mask: np.ndarray   # (alpha_len,) floats, 1 on photos and true scenes
+    memory: T.NumArray       # (*B, alpha_len, D_v): photo rows, scene slots, padding
+    valid_mask: np.ndarray   # (*B, alpha_len) floats, 1 on photos and true scenes
     init_state: AttentionState
 
     @property
     def used_slots(self):
-        return 2 * self.photos.num_photos + 1
+        return 2 * self.photos.lengths + 1
 
 
-def encode_album(features, params, cfg: ModelConfig,
-                 force_flags=None, relax=False) -> AlbumEncoding:
-    """Photo pass, scene segmentation, and the padded attention memory."""
-    enc = encode_photos(features, params)
-    m = enc.num_photos
-    used = 2 * m + 1
-    if used > cfg.alpha_len:
-        raise T.DimensionError(
-            f"{m} photos need {used} attention slots, config allows {cfg.alpha_len}")
-    seg = encode_scenes(enc.V, params, force_flags=force_flags, relax=relax)
+def pad_steps(sequences):
+    """B sequences of equal-shape rows (an album's photo features, or its
+    boundary flags) padded time-major with zeros: ((T_max, B, *row) array,
+    (B,) lengths)."""
+    lengths = np.array([len(seq) for seq in sequences])
+    if lengths.size == 0 or lengths.min() < 1:
+        raise ValueError("album has no photos")
+    padded = np.zeros((lengths.max(), len(sequences)) + np.shape(sequences[0][0]))
+    for b, seq in enumerate(sequences):
+        padded[:len(seq), b] = seq
+    return padded, lengths
 
-    pad = np.zeros((cfg.alpha_len - used, cfg.d_v))
-    memory = T.concat([enc.V, seg.X, pad])
-    valid = np.zeros(cfg.alpha_len)
-    valid[:m] = 1.0
-    valid[m:used] = seg.scene_mask.astype(float)
 
-    h0 = T.concat([enc.fwd_final, enc.bwd_final]) @ params["attn.init.w"] \
+def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=False,
+                 lengths=None) -> AlbumEncoding:
+    """Photo pass, scene segmentation, and the padded attention memory of
+    one album ((m, F) rows), or of B albums padded by `pad_steps` with
+    their photo counts in `lengths`."""
+    enc = encode_photos(features, params, lengths)
+    m, n = len(enc.V.data), enc.lengths
+    if 2 * n.max() + 1 > cfg.alpha_len:
+        raise T.DimensionError(f"{n.max()} photos need {2 * n.max() + 1} attention "
+                               f"slots, config allows {cfg.alpha_len}")
+    seg = encode_scenes(enc.V, params, force_flags=force_flags, relax=relax,
+                        lengths=n)
+
+    # slot s of an album of n photos: photo s below n, scene slot s - n up
+    # to 2n, then padding; photos, scene slots and a zero row form one source
+    s = np.arange(cfg.alpha_len)
+    n_col = n[..., None]
+    index = (np.where(s < n_col, s, np.where(s <= 2 * n_col, m + s - n_col, 2 * m + 1)),
+             *(r[..., None] for r in T.batch_rows(n)))
+    zero = np.zeros((1,) + enc.V.shape[1:])
+    memory = T.pick(T.concat([enc.V, seg.X, zero]), index)
+    valid = np.concatenate([np.ones((m,) + n.shape), seg.scene_mask,
+                            zero[..., 0]])[index]
+
+    h0 = T.concat([enc.fwd_final, enc.bwd_final], axis=-1) @ params["attn.init.w"] \
         + params["attn.init.b"]
-    state = AttentionState(h0, T.zeros(cfg.alpha_len))
+    state = AttentionState(h0, T.zeros(valid.shape))
     return AlbumEncoding(enc, seg, memory, valid, state)
 
 
 def summarize_album(encoding: AlbumEncoding, n: int, params):
-    """Run n attention steps; returns (z list, alpha list)."""
+    """Run n attention steps; returns (z list, alpha list), (*B, D_v) and
+    (*B, alpha_len) each."""
     state = encoding.init_state
     zs, alphas = [], []
     for _ in range(n):
@@ -137,39 +164,67 @@ def summarize_album(encoding: AlbumEncoding, n: int, params):
     return zs, alphas
 
 
-def story_objective(album, story_idx, params, cfg: ModelConfig,
-                    derange=None, lam: float = 0.2, mu: float = 0.8,
-                    force_flags=None, relax=False):
-    """Composite loss for one album/story pair.
+def batch_objective(examples, params, cfg: ModelConfig, deranges=None,
+                    lam: float = 0.2, mu: float = 0.8, force_flags=None,
+                    relax=False):
+    """Composite loss summed over B (album, story index) examples, as one
+    graph: the albums are padded into one batch, and the B*n true sentences
+    and the B*n deranged ones are each scored as one padded batch (row
+    j*B + b holds sentence j of example b). Every story needs the same
+    sentence count n.
 
-    derange: permutation of range(n) without fixed points, used to score
-    each true sentence against the sentence landing at its position after
-    the shuffle. None skips the order term (also skipped when n < 2).
-    Reconstruction is evaluated only when mu > 0. The true sentences and
-    the deranged ones are each scored as one padded batch.
-    Returns (loss node, LossReport).
+    deranges: one permutation of range(n) without fixed points per example,
+    used to score each true sentence against the sentence landing at its
+    position after the shuffle. None skips the order term (also skipped
+    when n < 2). Reconstruction is evaluated only when mu > 0.
+    force_flags: one list of 0/1 boundary decisions per album.
+    Returns (loss node, LossReport of the sums over the batch).
     """
-    encoding = encode_album(album.features, params, cfg,
-                            force_flags=force_flags, relax=relax)
-    story = album.stories[story_idx]
-    zs, _ = summarize_album(encoding, len(story), params)
+    stories = [album.stories[si] for album, si in examples]
+    n = len(stories[0])
+    if any(len(story) != n for story in stories):
+        raise ValueError("every story in a batch needs the same sentence count")
+    feats, lengths = pad_steps([album.features for album, _ in examples])
+    if force_flags is not None:
+        force_flags, counts = pad_steps(force_flags)
+        if not np.array_equal(counts, lengths):
+            raise ValueError(f"force_flags lengths {counts.tolist()} != photo "
+                             f"counts {lengths.tolist()}")
+    encoding = encode_album(feats, params, cfg, force_flags=force_flags,
+                            relax=relax, lengths=lengths)
+    zs, _ = summarize_album(encoding, n, params)
 
-    Z = T.stack_rows(zs)
-    pos_logps, logits, _ = score_sentences(Z, story, params)
+    Z = T.reshape(T.stack_rows(zs), (-1, cfg.d_v))
+    sentences = [story[j] for j in range(n) for story in stories]
+    pos_logps, logits, _ = score_sentences(Z, sentences, params)
     nll = nll_loss(pos_logps)
 
     rank = recon = T.wrap(0.0)
-    if derange is not None and len(story) >= 2:
-        neg_logps, _, _ = score_sentences(Z, [story[int(j)] for j in derange], params)
+    if deranges is not None and n >= 2:
+        deranged = [story[int(der[j])] for j in range(n)
+                    for story, der in zip(stories, deranges)]
+        neg_logps, _, _ = score_sentences(Z, deranged, params)
         rank = rank_loss(pos_logps, neg_logps)
     if mu > 0:
-        recon = recon_loss(Z, reconstruct(logits, [len(s) for s in story], params))
+        recon = recon_loss(Z, reconstruct(logits, [len(s) for s in sentences], params))
 
     loss = total_loss(nll, rank, recon, lam=lam, mu=mu)
     report = LossReport(nll=float(nll.data), rank=float(rank.data),
                         recon=float(recon.data), total=float(loss.data),
-                        word_count=sum(len(sent) for sent in story))
+                        word_count=sum(len(sent) for sent in sentences))
     return loss, report
+
+
+def story_objective(album, story_idx, params, cfg: ModelConfig,
+                    derange=None, lam: float = 0.2, mu: float = 0.8,
+                    force_flags=None, relax=False):
+    """Composite loss for one album/story pair: `batch_objective` at B=1.
+    Returns (loss node, LossReport)."""
+    return batch_objective([(album, story_idx)], params, cfg,
+                           deranges=None if derange is None else [derange],
+                           lam=lam, mu=mu,
+                           force_flags=None if force_flags is None else [force_flags],
+                           relax=relax)
 
 
 def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",

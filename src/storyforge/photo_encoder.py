@@ -4,7 +4,11 @@ Each photo feature f_i is read in album order by a forward GRU and in
 reverse order by a backward GRU; the photo vector is
     v_i = ReLU([fwd_h_i ; bwd_h_i] + f_i @ W_skip)
 so D_v = 2 * H_p. Both directions start from zero states; each is one GRU
-scan, the backward one over the reversed rows.
+scan, the backward one over every album's rows reversed in place.
+
+Albums of a batch are padded time-major to (m_max, B, F) and carry their
+photo counts; steps past an album's count are padding, whose states reach
+none of that album's outputs.
 """
 
 from __future__ import annotations
@@ -18,26 +22,34 @@ from . import tensor as T
 
 @dataclass
 class PhotoEncoding:
-    V: T.NumArray            # (m, D_v), row i is v_i
-    fwd_final: T.NumArray    # (H_p,) forward state after photo m
-    bwd_final: T.NumArray    # (H_p,) backward state after photo 1
-
-    @property
-    def num_photos(self):
-        return self.V.shape[0]
+    V: T.NumArray            # (m, *B, D_v), row i is v_i
+    fwd_final: T.NumArray    # (*B, H_p) forward state after each album's last photo
+    bwd_final: T.NumArray    # (*B, H_p) backward state after photo 1
+    lengths: np.ndarray      # (*B,) photo counts; m for one unbatched album
 
 
-def encode_photos(features, params) -> PhotoEncoding:
+def encode_photos(features, params, lengths=None) -> PhotoEncoding:
+    """features: one album's m rows ((m, F), or m (F,) arrays), or B albums
+    padded time-major to (m_max, B, F) with their photo counts in `lengths`."""
     if len(features) == 0:
         raise ValueError("album has no photos")
     fwd_w = params.gru("photo.fwd")
     bwd_w = params.gru("photo.bwd")
-    feats = T.wrap(np.stack(features))   # (m, feature_dim)
-    m = len(features)
-    reverse = np.arange(m - 1, -1, -1)
+    feats = T.wrap(np.stack(features))   # (m, *B, feature_dim)
+    m, batch = len(feats.data), feats.shape[1:-1]
+    lengths = np.full(batch, m) if lengths is None else np.asarray(lengths)
+    if lengths.shape != batch or lengths.min() < 1 or lengths.max() > m:
+        raise ValueError(f"photo counts {lengths.tolist()} do not fit {m} steps "
+                         f"of a batch of shape {batch}")
+    rows = T.batch_rows(lengths)
+    steps = np.arange(m).reshape((m,) + (1,) * len(batch))
+    # an involution: each album's first `length` steps reversed, padding kept
+    reverse = (np.where(steps < lengths, lengths - 1 - steps, steps), *rows)
+    last = (lengths - 1, *rows)
 
-    fwd = T.gru_scan(feats, T.zeros(fwd_w.hidden_size), fwd_w)
-    bwd_rev = T.gru_scan(feats.data[reverse], T.zeros(bwd_w.hidden_size), bwd_w)
+    fwd = T.gru_scan(feats, T.zeros(batch + (fwd_w.hidden_size,)), fwd_w)
+    bwd_rev = T.gru_scan(feats.data[reverse], T.zeros(batch + (bwd_w.hidden_size,)),
+                         bwd_w)
     V = T.relu(T.concat([fwd, T.pick(bwd_rev, reverse)], axis=-1)
                + feats @ params["photo.skip.w"])
-    return PhotoEncoding(V, T.pick(fwd, m - 1), T.pick(bwd_rev, m - 1))
+    return PhotoEncoding(V, T.pick(fwd, last), T.pick(bwd_rev, last), lengths)

@@ -23,11 +23,11 @@ from . import tensor as T
 
 @dataclass
 class SceneSegmentation:
-    flags: list            # m hard decisions, ints
-    softs: list            # m classifier scores in (0,1); empty when flags forced
-    X: T.NumArray          # (m+1, D_v) emitted slots
-    scene_mask: np.ndarray  # (m+1,) ints, 1 marks a true scene row
-    u: int                 # number of true scenes
+    flags: list            # (m, *B) hard decisions as nested int lists
+    softs: list            # (m, *B) classifier scores in (0,1); empty when flags forced
+    X: T.NumArray          # (m+1, *B, D_v) emitted slots
+    scene_mask: np.ndarray  # (m+1, *B) ints, 1 marks a true scene row
+    u: int                 # number of true scenes, (*B,) nested for a batch
 
     @property
     def num_slots(self):
@@ -35,7 +35,8 @@ class SceneSegmentation:
 
 
 def detect_boundary(v_i, h_prev, params, relax: bool = False):
-    """Returns (k, soft). k is 1[soft > 0.5] with identity backward.
+    """Returns (k, soft), each (*B, 1) for rows v_i and h_prev (*B, D_v).
+    k is 1[soft > 0.5] with identity backward.
 
     relax=True swaps the threshold for soft + stop_grad(k - soft): the
     forward value is bit-identical to k but the backward pass is the plain
@@ -44,57 +45,63 @@ def detect_boundary(v_i, h_prev, params, relax: bool = False):
     """
     score = v_i @ params["scene.detect.w_v"] \
         + h_prev @ params["scene.detect.w_h"] + params["scene.detect.b"]
-    soft = T.sigmoid(score)
+    soft = T.sigmoid(T.reshape(score, score.shape + (1,)))
     if relax:
-        hard = 1.0 if soft.data.item() > 0.5 else 0.0
-        k = soft + T.wrap(hard - soft.data.item())
+        k = soft + T.wrap((soft.data > 0.5) - soft.data)
     else:
         k = T.hard_threshold(soft)
     return k, soft
 
 
-def encode_scenes(V, params, force_flags=None, relax: bool = False) -> SceneSegmentation:
-    """Segment an album; V is the (m, D_v) photo rows, or anything `T.wrap`
-    stacks to them, such as a list of (D_v,) arrays.
+def encode_scenes(V, params, force_flags=None, relax: bool = False,
+                  lengths=None) -> SceneSegmentation:
+    """Segment albums; V is one album's (m, D_v) photo rows, or anything
+    `T.wrap` stacks to them such as a list of (D_v,) arrays, or B albums'
+    rows padded time-major to (m_max, B, D_v) with their photo counts in
+    `lengths`. Every step runs all B rows; each album's slots and closing
+    state are gathered from its own steps, so padding steps reach nothing.
 
-    force_flags bypasses the classifier with fixed 0/1 decisions, which
+    force_flags ((m, *B) 0/1 decisions) bypasses the classifier, which
     makes the whole computation an ordinary differentiable graph (used by
     gradient checks and the forced-flag oracles).
     """
     V = T.wrap(V)
-    m = V.shape[0]
+    m, batch = V.shape[0], V.shape[1:-1]
     if m == 0:
         raise ValueError("album has no photos")
-    if force_flags is not None and len(force_flags) != m:
-        raise ValueError(f"force_flags length {len(force_flags)} != photo count {m}")
+    if force_flags is not None and np.shape(force_flags) != (m,) + batch:
+        raise ValueError(f"force_flags shape {np.shape(force_flags)} != photo "
+                         f"steps {(m,) + batch}")
+    lengths = np.full(batch, m) if lengths is None else np.asarray(lengths)
     gru_w = params.gru("scene.gru")
-    d_v = gru_w.hidden_size
 
-    h = T.zeros(d_v)
-    rows, flags, softs, mask = [], [], [], []
+    h = T.zeros(batch + (gru_w.hidden_size,))
+    # rows[0] is the all-zero slot: the first position never emits
+    rows, states, flags, softs = [h], [], [], []
     for i in range(m):
         v = T.pick(V, i)
         if force_flags is not None:
-            k = T.wrap(float(force_flags[i]))
-            flags.append(int(force_flags[i]))
+            k = T.wrap(np.asarray(force_flags, dtype=np.float64)[i][..., None])
         else:
             k, soft = detect_boundary(v, h, params, relax=relax)
-            flags.append(int(k.data.item() > 0.5))
-            softs.append(float(soft.data.item()))
-        if i == 0:
-            # state is still the zero init; nothing to emit or clear
-            rows.append(T.zeros(d_v))
-            mask.append(0)
-        else:
+            softs.append(soft.data[..., 0])
+        flags.append(k.data[..., 0] > 0.5)
+        if i > 0:
             rows.append(k * h)
-            mask.append(flags[-1])
-            h = (1.0 - k) * h
+            h = h - rows[-1]   # a firing boundary clears the state it emits
         h = T.gru_cell(v, h, gru_w)
-    rows.append(h)
-    mask.append(1)
+        states.append(h)
 
-    return SceneSegmentation(flags, softs, T.stack_rows(rows),
-                             np.array(mask, dtype=np.int64), int(sum(mask)))
+    # slot j of an album of n photos: row j below n, the closing state at n,
+    # and the zero row past it; the mask is gathered the same way
+    slot = np.arange(m + 1).reshape((m + 1,) + (1,) * len(batch))
+    index = (np.where(slot < lengths, slot, np.where(slot == lengths, m + lengths - 1, 0)),
+             *T.batch_rows(lengths))
+    X = T.pick(T.stack_rows(rows + states), index)
+    flags = np.array(flags, dtype=np.int64)
+    mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
+    return SceneSegmentation(flags.tolist(), np.array(softs).tolist(), X, mask,
+                             mask.sum(axis=0).tolist())
 
 
 def scene_indices(flags) -> list:

@@ -8,7 +8,8 @@ A recurrence over a whole sequence is one graph node (`gru_scan`, with a
 hand-derived backward through time); loops whose next step depends on
 data (scene resets, attention feedback, decoding) take one fused node per
 step (`gru_cell`, whose leading axes are independent rows, such as the
-hypotheses of a beam). The rest composes from small primitives.
+albums of a batch or the hypotheses of a beam), and so do attention's
+scores (`attention_scores`). The rest composes from small primitives.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ class NumArray:
         return float(self.data)
 
     def backward(self):
-        """Accumulate dL/dx into every reachable node that requires grad."""
+        """Accumulate dL/dx into every reachable leaf that requires grad
+        (parameters and inputs). Each operation node releases its gradient
+        and its parents once its gradient has reached them, so a graph can
+        be walked back once."""
         if self.data.size != 1:
             raise DimensionError(
                 f"backward requires a scalar, got shape {self.data.shape}")
@@ -95,9 +99,13 @@ class NumArray:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                # propagated: the node's gradient and its link to the graph
+                # are released, so the graph is freed as backward proceeds
+                node.grad, node._parents, node._backward = None, (), None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -199,12 +207,15 @@ def mul(a, b) -> NumArray:
 
 def matmul(a, b) -> NumArray:
     a, b = wrap(a), wrap(b)
+    ad, bd = a.data, b.data
+    if ad.ndim == 1 and bd.ndim > 2:
+        raise DimensionError(f"matmul operands {ad.shape} @ {bd.shape}: "
+                             f"a vector times a stack of matrices is not supported")
     try:
-        out = a.data @ b.data
+        out = ad @ bd
     except ValueError as exc:
         raise DimensionError(
-            f"matmul operands {a.data.shape} @ {b.data.shape}: {exc}") from None
-    ad, bd = a.data, b.data
+            f"matmul operands {ad.shape} @ {bd.shape}: {exc}") from None
 
     def bw(g):
         if ad.ndim == 1 and bd.ndim == 1:  # dot
@@ -212,21 +223,26 @@ def matmul(a, b) -> NumArray:
                 _acc(a, g * bd)
             if b.requires_grad:
                 _acc(b, g * ad)
-        elif ad.ndim == 1:  # (n,) @ (n,m)
+        elif ad.ndim == 1:  # (n,) @ (n, k)
             if a.requires_grad:
                 _acc(a, bd @ g)
             if b.requires_grad:
                 _acc(b, np.outer(ad, g))
-        elif bd.ndim == 1:  # (m,n) @ (n,)
+        elif bd.ndim == 1:  # (..., m, n) @ (n,)
             if a.requires_grad:
-                _acc(a, np.outer(g, bd))
+                _acc(a, g[..., None] * bd)
             if b.requires_grad:
-                _acc(b, ad.T @ g)
-        else:  # (..., m, n) @ (n, k)
+                _acc(b, _rows(ad).T @ g.reshape(-1))
+        elif bd.ndim == 2:  # (..., m, n) @ (n, k)
             if a.requires_grad:
                 _acc(a, g @ bd.T)
             if b.requires_grad:
                 _acc(b, _rows(ad).T @ _rows(g))
+        else:  # stacks of matrices, broadcast against each other
+            if a.requires_grad:
+                _acc(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            if b.requires_grad:
+                _acc(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     return _make(out, (a, b), bw)
 
@@ -332,14 +348,35 @@ def arr_sum(a, axis=None) -> NumArray:
     return _make(out, (a,), bw)
 
 
+def batch_rows(lengths) -> tuple:
+    """Index arrays over the batch axes of per-row `lengths` (*B,): after a
+    (S, *B) array of steps, they select each row's own steps of a
+    time-major (T, *B, ...) array, `pick(x, (steps, *batch_rows(lengths)))`."""
+    return np.indices(np.shape(lengths), sparse=True)
+
+
+def reshape(a, shape) -> NumArray:
+    a = wrap(a)
+    out = a.data.reshape(shape)
+
+    def bw(g):
+        if a.requires_grad:
+            _acc(a, g.reshape(a.data.shape))
+
+    return _make(out, (a,), bw)
+
+
 def pick(a, index) -> NumArray:
     """Select along the first axis. An int picks one entry of a vector or one
     row of a matrix; an integer array gathers rows into its own shape
-    (embedding lookup, row reversal), and backward adds repeats up."""
+    (embedding lookup, row reversal). A tuple of integer arrays indexes the
+    leading axes together, as numpy does (a step of each batch row).
+    Backward adds repeats up."""
     a = wrap(a)
-    idx = np.asarray(index)
-    if idx.size and not (0 <= idx.min() and idx.max() < a.data.shape[0]):
-        raise DimensionError(f"pick index {index} out of range for {a.data.shape}")
+    for axis, idx in enumerate(index if isinstance(index, tuple) else (index,)):
+        idx = np.asarray(idx)
+        if idx.size and not (0 <= idx.min() and idx.max() < a.data.shape[axis]):
+            raise DimensionError(f"pick index {index} out of range for {a.data.shape}")
     out = a.data[index]
 
     def bw(g):
@@ -352,23 +389,24 @@ def pick(a, index) -> NumArray:
 
 
 def masked_softmax(logits, mask) -> NumArray:
-    """Softmax restricted to positions where mask is 1; exact zeros elsewhere."""
+    """Softmax over the last axis, row by row, restricted to positions where
+    mask is 1; exact zeros elsewhere. Every row needs a valid position."""
     logits = wrap(logits)
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != logits.data.shape:
         raise DimensionError(
             f"mask shape {mask.shape} does not match logits {logits.data.shape}")
     valid = mask > 0
-    if not valid.any():
-        raise InvalidMaskError("masked_softmax: mask has no valid positions")
-    top = logits.data[valid].max()
+    if not valid.any(axis=-1).all():
+        raise InvalidMaskError("masked_softmax: a row of the mask has no valid positions")
+    top = np.where(valid, logits.data, -np.inf).max(axis=-1, keepdims=True)
     # masked logits are replaced before exp, which they could overflow
     e = np.exp(np.where(valid, logits.data, top) - top) * mask
-    out = e / e.sum()
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
         if logits.requires_grad:
-            _acc(logits, out * (g - np.dot(g, out)))
+            _acc(logits, out * (g - (g * out).sum(axis=-1, keepdims=True)))
 
     return _make(out, (logits,), bw)
 
@@ -503,6 +541,31 @@ def gru_scan(x, h0, w: GruWeights) -> NumArray:
         _gru_grads(x, h0, w, hs[:-1], np.stack([c[2] for c in caches]), d_gates, d_h)
 
     return _make(hs[1:], (x, h0, w.w_x, w.w_h, w.b), bw)
+
+
+def attention_scores(memory, w_mem, query, b, w_out) -> NumArray:
+    """Additive attention scores tanh(memory W_mem + query + b) w_out as one
+    node: memory (*B, L, D) rows against one query (*B, S) per batch row
+    give (*B, L) scores. Only the tanh layer is kept for the backward."""
+    memory, query = wrap(memory), wrap(query)
+    act = np.tanh(memory.data @ w_mem.data + query.data[..., None, :] + b.data)
+    out = act @ w_out.data
+
+    def bw(g):
+        d_pre = g[..., None] * w_out.data * (1.0 - act * act)
+        if memory.requires_grad:
+            _acc(memory, d_pre @ w_mem.data.T)
+        if query.requires_grad:
+            _acc(query, d_pre.sum(axis=-2))
+        rows = _rows(d_pre)
+        if w_mem.requires_grad:
+            _acc(w_mem, _rows(memory.data).T @ rows)
+        if b.requires_grad:
+            _acc(b, rows.sum(axis=0))
+        if w_out.requires_grad:
+            _acc(w_out, _rows(act).T @ g.reshape(-1))
+
+    return _make(out, (memory, query, w_mem, b, w_out), bw)
 
 
 # -- parameter registry ----------------------------------------------------

@@ -5,19 +5,21 @@ decoder on word NLL plus the order margin (reconstruction weight treated
 as zero, reconstructor untouched). Stage 2 freezes everything upstream of
 the sentence decoder and adds the reconstruction term.
 
-A "step" is one optimizer update over a batch of (album, story) examples;
-each example builds its own graph and the losses are summed over the
-batch. Within an example the sentences run as padded batches; albums are
-not yet padded into one batch. Albums with several reference stories
-contribute one example per reference. Order-loss derangements are redrawn
-each epoch.
+A "step" is one optimizer update over a batch of (album, story) examples:
+one graph, one forward and one backward pass. The batch's albums are
+padded into one batch for the encoders and attention, and all of its
+sentences are scored as the rows of one padded batch; the losses are
+sums over the batch (`model.batch_objective`). Albums with several
+reference stories contribute one example per reference. Order-loss
+derangements are drawn per example, in batch order, and redrawn each
+epoch.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from . import tensor as T
 from .data import decode_ids, story_tokens
 from .losses import derangement
 from .metrics import EvalPair, cider
-from .model import (ConfigError, ModelConfig, build_parameters, generate_story,
-                    story_objective)
+from .model import (ConfigError, ModelConfig, batch_objective, build_parameters,
+                    generate_story)
 
 STAGE1_FROZEN = ("reconstructor",)
 STAGE2_FROZEN = ("photo_encoder", "scene_encoder", "attention")
@@ -133,25 +135,20 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
         return result("max_steps")
     for batch in batches():
         params.zero_grads()
-        sums = {"nll": 0.0, "rank": 0.0, "recon": 0.0, "total": 0.0}
-        words = 0
-        for ai, si in batch:
-            der = derangement(n_sent, rng) if n_sent >= 2 else None
-            loss, rep = story_objective(train_set[ai], si, params, cfg,
-                                        derange=der, lam=tcfg.lam, mu=mu)
-            if not np.isfinite(rep.total):
-                return result("diverged")
-            loss.backward()
-            for k in sums:
-                sums[k] += getattr(rep, k)
-            words += rep.word_count
+        # one derangement per example, drawn in batch order
+        ders = [derangement(n_sent, rng) for _ in batch] if n_sent >= 2 else None
+        loss, rep = batch_objective([(train_set[ai], si) for ai, si in batch],
+                                    params, cfg, deranges=ders, lam=tcfg.lam, mu=mu)
+        if not np.isfinite(rep.total):
+            return result("diverged")
+        loss.backward()
         try:
             opt.step()
         except T.EvaluationError:
             return result("diverged")
         step += 1
-        entry = {"step": step, "stage": stage_no, **sums, "word_count": words,
-                 "per_word_nll": sums["nll"] / max(1, words)}
+        entry = {"step": step, "stage": stage_no, **asdict(rep),
+                 "per_word_nll": rep.nll / max(1, rep.word_count)}
         if step % tcfg.validate_every == 0:
             bad_validations = 0 if keep_best(entry) else bad_validations + 1
         entry["wall_time"] = round(time.time() - t0, 6)

@@ -429,6 +429,11 @@ class TestBadInputExitCodes:
         (_generate_with("--mode", "beam", "--beam-width", "0"),
          "beam width must be >= 1"),
         (_command("grad-check", "--lambda", "-1"), "lambda and mu must be >= 0"),
+        (_command("grad-check", "--gc-seeds", "0"), "gc_seeds must be >= 1"),
+        (_command("grad-check", "--tolerance", "-1"), "tolerance must be finite and > 0"),
+        (_command("grad-check", "--tolerance", "0"), "tolerance must be finite and > 0"),
+        (_command("grad-check", "--tolerance", "nan"), "tolerance must be finite and > 0"),
+        (_command("grad-check", "--tolerance", "inf"), "tolerance must be finite and > 0"),
         (_command("synth-data", "--sentences", "0"), "sentences must be >= 1"),
         (_command("synth-data", "--feature-dim", "0"), "feature_dim must be >= 1"),
         (_command("synth-data", "--feature-dim", "1"), "cluster centers collide"),
@@ -453,7 +458,10 @@ class TestBadInputExitCodes:
             "generate-checkpoint-not-json",
             "stage2-other-dims", "train-patience-0", "train-lambda-negative",
             "train-sentences-0", "generate-mode-sample", "generate-beam-width-0",
-            "grad-check-lambda-negative", "synth-data-sentences-0",
+            "grad-check-lambda-negative", "grad-check-gc-seeds-0",
+            "grad-check-tolerance-negative", "grad-check-tolerance-0",
+            "grad-check-tolerance-nan", "grad-check-tolerance-inf",
+            "synth-data-sentences-0",
             "synth-data-feature-dim-0", "synth-data-feature-dim-1",
             "synth-data-scenes-lo-above-hi",
             "synth-data-photos-lo-above-hi", "synth-data-photos-lo-0",

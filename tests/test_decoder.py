@@ -117,6 +117,25 @@ class TestAttend:
         with pytest.raises(T.InvalidMaskError):
             attend(R, np.zeros(cfg.alpha_len), fresh_state(cfg), ps)
 
+    def test_batch_rows_equal_album_calls(self):
+        cfg, ps = make(9)
+        rng = np.random.default_rng(9)
+        R = rng.standard_normal((3, cfg.alpha_len, cfg.d_v))
+        mask = (rng.random((3, cfg.alpha_len)) < 0.6).astype(float)
+        mask[:, 0] = 1.0
+        state = AttentionState(T.wrap(rng.standard_normal((3, cfg.attn_hidden))),
+                               T.wrap(rng.standard_normal((3, cfg.alpha_len))))
+        z, alpha, new_state = attend(T.wrap(R), mask, state, ps)
+        assert z.shape == (3, cfg.d_v) and alpha.shape == (3, cfg.alpha_len)
+        for b in range(3):
+            one = AttentionState(T.wrap(state.h_attn.data[b]),
+                                 T.wrap(state.alpha_prev.data[b]))
+            want_z, want_alpha, want_state = attend(T.wrap(R[b]), mask[b], one, ps)
+            np.testing.assert_allclose(z.data[b], want_z.data, rtol=1e-12)
+            np.testing.assert_allclose(alpha.data[b], want_alpha.data, rtol=1e-12)
+            np.testing.assert_allclose(new_state.h_attn.data[b], want_state.h_attn.data,
+                                       rtol=1e-12)
+
     def test_state_persists_and_gradients_flow(self):
         cfg, ps = make(8)
         rng = np.random.default_rng(8)

@@ -7,9 +7,10 @@ import pytest
 from storyforge import tensor as T
 from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
 from storyforge.decoder import sentence_log_prob
-from storyforge.model import (ConfigError, ModelConfig, build_parameters,
-                              encode_album, full_pipeline_grad_check,
-                              generate_story, story_objective, summarize_album)
+from storyforge.model import (ConfigError, ModelConfig, batch_objective,
+                              build_parameters, encode_album,
+                              full_pipeline_grad_check, generate_story,
+                              pad_steps, story_objective, summarize_album)
 
 
 def tiny_cfg(vocab_size=12):
@@ -182,6 +183,110 @@ class TestGraphSize:
         counts = [op_nodes(story_objective(album, 0, ps, cfg, derange=derange)[0])
                   for album in synth_dataset(spec, vocab)]
         assert max(counts) <= 350, counts
+
+    def test_batched_step_node_budget(self):
+        # one optimizer step over the 8 albums builds one graph whose size
+        # follows the longest album, not the number of albums: the 8
+        # per-example graphs of a step used to total about 1,650 nodes
+        spec = SynthSpec(albums=8, scenes_per_album=(2, 3), photos_per_scene=(2, 4),
+                         feature_dim=8, cluster_separation=4.0, noise_scale=0.05,
+                         vocab_size=30, sentences=5, seed=42)
+        vocab = synth_vocab(spec)
+        cfg = ModelConfig(vocab_size=len(vocab), feature_dim=8, photo_hidden=16,
+                          attn_hidden=32, attn_score_dim=32, dec_hidden=32,
+                          emb_dim=32, mlp_hidden=32, max_photos=12)
+        ps = build_parameters(cfg, np.random.default_rng(0))
+        albums = synth_dataset(spec, vocab)
+        derange = np.array([1, 2, 3, 4, 0])
+        single = max(op_nodes(story_objective(album, 0, ps, cfg, derange=derange)[0])
+                     for album in albums)
+        batched = op_nodes(batch_objective([(album, 0) for album in albums], ps, cfg,
+                                           deranges=[derange] * len(albums))[0])
+        assert batched <= 1.5 * single, (batched, single)
+
+
+class TestBatchObjective:
+    """The batch is one graph; its loss, report and gradients are the sums
+    of the per-example ones."""
+
+    def albums(self, cfg, sizes, seed):
+        rng = np.random.default_rng(seed)
+        return [tiny_album(rng, cfg, m=m, words=int(rng.integers(1, 6))) for m in sizes]
+
+    @pytest.mark.parametrize("frozen", [(), ("photo_encoder", "scene_encoder",
+                                             "attention")])
+    def test_batch_equals_per_example_sums(self, frozen):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(20))
+        ps.freeze(*frozen)
+        albums = self.albums(cfg, (3, 5, 1, 4), seed=20)
+        ders = [np.array([1, 2, 0]), np.array([2, 0, 1]), np.array([1, 2, 0]),
+                np.array([2, 0, 1])]
+        ps.zero_grads()
+        loss, rep = batch_objective([(a, 0) for a in albums], ps, cfg, deranges=ders,
+                                    lam=0.3, mu=0.7)
+        loss.backward()
+        batched = {n: ps[n].grad for n in ps.names() if ps[n].requires_grad}
+
+        ps.zero_grads()
+        reps = []
+        for album, der in zip(albums, ders):
+            one, r = story_objective(album, 0, ps, cfg, derange=der, lam=0.3, mu=0.7)
+            one.backward()
+            reps.append(r)
+        for field in ("nll", "rank", "recon", "total"):
+            want = math.fsum(getattr(r, field) for r in reps)
+            assert getattr(rep, field) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert getattr(rep, field) > 0
+        assert loss.item() == pytest.approx(rep.total, rel=1e-15)
+        assert rep.word_count == sum(r.word_count for r in reps)
+        assert batched
+        for name, grad in batched.items():
+            np.testing.assert_allclose(grad, ps[name].grad, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+
+    def test_forced_flags_per_album(self):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(21))
+        albums = self.albums(cfg, (2, 4), seed=21)
+        flags = [[0, 1], [0, 1, 1, 0]]
+        _, rep = batch_objective([(a, 0) for a in albums], ps, cfg, force_flags=flags)
+        want = sum(story_objective(a, 0, ps, cfg, force_flags=f)[1].total
+                   for a, f in zip(albums, flags))
+        assert rep.total == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ValueError, match="force_flags"):
+            batch_objective([(a, 0) for a in albums], ps, cfg, force_flags=[[0], [0] * 4])
+
+    def test_unequal_sentence_counts_rejected(self):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(22))
+        a, b = self.albums(cfg, (2, 3), seed=22)
+        b.stories = [b.stories[0][:2]]
+        with pytest.raises(ValueError, match="sentence count"):
+            batch_objective([(a, 0), (b, 0)], ps, cfg)
+
+    def test_batched_encoding_holds_each_albums_own_layout(self):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(23))
+        albums = self.albums(cfg, (1, 5, 3), seed=23)
+        feats, lengths = pad_steps([a.features for a in albums])
+        assert feats.shape == (5, 3, cfg.feature_dim) and lengths.tolist() == [1, 5, 3]
+        batch = encode_album(feats, ps, cfg, lengths=lengths)
+        zs, alphas = summarize_album(batch, 2, ps)
+        for b, album in enumerate(albums):
+            one = encode_album(album.features, ps, cfg)
+            np.testing.assert_allclose(batch.memory.data[b], one.memory.data,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(batch.valid_mask[b], one.valid_mask)
+            assert batch.used_slots[b] == one.used_slots
+            np.testing.assert_allclose(batch.init_state.h_attn.data[b],
+                                       one.init_state.h_attn.data, rtol=1e-12)
+            m = len(album.features)
+            assert [row[b] for row in batch.scenes.flags[:m]] == one.scenes.flags
+            want_z, want_alpha = summarize_album(one, 2, ps)
+            for z, alpha, wz, wa in zip(zs, alphas, want_z, want_alpha):
+                np.testing.assert_allclose(z.data[b], wz.data, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(alpha.data[b], wa.data, rtol=1e-12, atol=1e-15)
 
 
 class TestGenerateStory:

@@ -107,6 +107,26 @@ class TestEncodePhotos:
                                   enc_rv.V.data[::-1, :3]], axis=1)
         np.testing.assert_allclose(swapped, enc_fw.V.data, rtol=1e-12)
 
+    def test_batch_rows_equal_album_calls(self):
+        rng = np.random.default_rng(9)
+        ps = make_params(rng, 4, 3)
+        lengths = np.array([2, 5, 1, 4])
+        feats = rng.standard_normal((5, 4, 4))
+        feats[np.arange(5)[:, None] >= lengths] = 0.0   # zero padding
+        batch = encode_photos(feats, ps, lengths)
+        for b, n in enumerate(lengths):
+            want_v, want_fwd, want_bwd = np_encode(list(feats[:n, b]), ps)
+            np.testing.assert_allclose(batch.V.data[:n, b], want_v, rtol=1e-12)
+            np.testing.assert_allclose(batch.fwd_final.data[b], want_fwd, rtol=1e-12)
+            np.testing.assert_allclose(batch.bwd_final.data[b], want_bwd, rtol=1e-12)
+
+    def test_batch_lengths_checked(self):
+        ps = make_params(np.random.default_rng(10), 4, 3)
+        feats = np.zeros((3, 2, 4))
+        for lengths in ([3], [0, 3], [4, 1]):
+            with pytest.raises(ValueError, match="photo counts"):
+                encode_photos(feats, ps, lengths)
+
     def test_empty_album_rejected(self):
         ps = make_params(np.random.default_rng(0), 4, 3)
         with pytest.raises(ValueError):

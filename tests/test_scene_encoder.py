@@ -175,6 +175,40 @@ class TestEncodeScenes:
             assert g is not None and np.all(np.isfinite(g))
             assert np.any(g != 0.0)
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_batch_rows_equal_album_calls(self, forced):
+        # a padded batch gives every album the slots, flags and gradients of
+        # its own call; the padding steps reach none of them
+        cfg, ps = small_params(13)
+        rng = np.random.default_rng(13)
+        lengths = np.array([3, 1, 5, 4])
+        V = 2.0 * rng.standard_normal((5, 4, cfg.d_v))
+        flags = rng.integers(0, 2, size=(5, 4)) if forced else None
+        weights = rng.standard_normal((6, 4, cfg.d_v))
+        ps.zero_grads()
+        batch = encode_scenes(V, ps, force_flags=flags, lengths=lengths)
+        T.arr_sum(batch.X * T.wrap(weights)).backward()
+        batch_grads = {n: ps[n].grad.copy() for n in ps.names() if ps[n].grad is not None}
+        ps.zero_grads()
+        for b, n in enumerate(lengths):
+            one = encode_scenes(V[:n, b], ps, force_flags=None if flags is None
+                                else flags[:n, b])
+            T.arr_sum(one.X * T.wrap(weights[:n + 1, b])).backward()
+            np.testing.assert_allclose(batch.X.data[:n + 1, b], one.X.data,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(batch.X.data[n + 1:, b], 0.0)
+            assert [row[b] for row in batch.flags[:n]] == one.flags
+            assert batch.scene_mask[:n + 1, b].tolist() == one.scene_mask.tolist()
+            assert batch.scene_mask[n + 1:, b].sum() == 0
+            assert batch.u[b] == one.u
+            if not forced:
+                assert [row[b] for row in batch.softs[:n]] == pytest.approx(one.softs,
+                                                                          rel=1e-12)
+        assert batch_grads
+        for name, grad in batch_grads.items():
+            np.testing.assert_allclose(grad, ps[name].grad, rtol=1e-11, atol=1e-13,
+                                       err_msg=name)
+
     def test_force_flags_length_checked(self):
         cfg, ps = small_params(11)
         feats = [np.zeros(cfg.feature_dim) for _ in range(3)]

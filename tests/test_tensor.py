@@ -180,6 +180,36 @@ class TestMaskedSoftmax:
 
         assert T.grad_check(fn, store) < 1e-4
 
+    def test_rows_match_vector_calls(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 2, 6))
+        mask = (rng.random((3, 2, 6)) < 0.5).astype(float)
+        mask[..., 0] = 1.0
+        out = T.masked_softmax(T.wrap(x), mask).data
+        np.testing.assert_allclose(out.sum(axis=-1), np.ones((3, 2)), rtol=1e-12)
+        for i, j in np.ndindex(3, 2):
+            row = T.masked_softmax(T.wrap(x[i, j]), mask[i, j]).data
+            assert out[i, j].tobytes() == row.tobytes()
+
+    def test_row_without_valid_position_rejected(self):
+        mask = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(T.InvalidMaskError):
+            T.masked_softmax(T.wrap(np.zeros((2, 3))), mask)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2, 2, 4)])
+    def test_rows_gradient(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        store = T.ParamStore()
+        store.add("x", rng.standard_normal(shape), "inputs")
+        mask = (rng.random(shape) < 0.6).astype(float)
+        mask[..., -1] = 1.0
+        w = rng.standard_normal(shape)
+
+        def fn(ps):
+            return T.arr_sum(T.masked_softmax(ps["x"], mask) * T.wrap(w))
+
+        assert T.grad_check(fn, store) < 1e-4
+
 
 class TestElementwise:
     def test_relu_values(self):
@@ -294,6 +324,105 @@ class TestOps:
     def test_matmul_shape_error(self):
         with pytest.raises(T.DimensionError):
             T.matmul(T.zeros((2, 3)), T.zeros((4, 2)))
+
+    def test_matmul_stack_by_vector_gradients(self):
+        rng = np.random.default_rng(11)
+        store = T.ParamStore()
+        store.add("a", rng.standard_normal((2, 3, 4)), "p")
+        store.add("w", rng.standard_normal(4), "p")
+        weights = rng.standard_normal((2, 3))
+
+        def fn(ps):
+            return T.arr_sum((ps["a"] @ ps["w"]) * T.wrap(weights))
+
+        fn(store).backward()
+        assert store["a"].grad.shape == (2, 3, 4)
+        assert store["w"].grad.shape == (4,)
+        np.testing.assert_allclose(store["a"].grad, weights[..., None] * store["w"].data,
+                                   rtol=1e-12)
+        assert T.grad_check(fn, store) < 1e-4
+
+    def test_matmul_vector_by_stack_rejected(self):
+        with pytest.raises(T.DimensionError, match="stack"):
+            T.matmul(T.zeros(3), T.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 1, 3), (2, 3, 4)),
+                                                  ((1, 3), (2, 3, 4)),
+                                                  ((2, 2, 3), (1, 3, 2))])
+    def test_matmul_stacks_gradients(self, a_shape, b_shape):
+        rng = np.random.default_rng(sum(a_shape) + sum(b_shape))
+        store = T.ParamStore()
+        store.add("a", rng.standard_normal(a_shape), "p")
+        store.add("b", rng.standard_normal(b_shape), "p")
+        weights = rng.standard_normal((np.zeros(a_shape) @ np.zeros(b_shape)).shape)
+
+        def fn(ps):
+            return T.arr_sum((ps["a"] @ ps["b"]) * T.wrap(weights))
+
+        assert T.grad_check(fn, store) < 1e-4
+
+    def test_reshape_and_tuple_pick_gradients(self):
+        rng = np.random.default_rng(12)
+        store = T.ParamStore()
+        store.add("x", rng.standard_normal((4, 3, 2)), "p")
+        steps = np.array([[3, 0, 1], [3, 2, 1]])  # a step per batch row; repeats add
+        weights = rng.standard_normal((2, 3, 2))
+
+        def fn(ps):
+            picked = T.pick(ps["x"], (steps, np.arange(3)))
+            return T.arr_sum(T.reshape(picked, (3, 4)) * T.wrap(weights.reshape(3, 4)))
+
+        np.testing.assert_array_equal(
+            T.pick(store["x"], (steps, np.arange(3))).data,
+            store["x"].data[steps, np.arange(3)])
+        assert T.grad_check(fn, store) < 1e-4
+        with pytest.raises(T.DimensionError):
+            T.pick(store["x"], (steps, np.array([0, 1, 3])))
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_attention_scores_equal_composition(self, batch):
+        rng = np.random.default_rng(13 + len(batch))
+        store = T.ParamStore()
+        store.add("memory", rng.standard_normal(batch + (5, 4)), "p")
+        store.add("w_mem", rng.standard_normal((4, 3)), "p")
+        store.add("query", rng.standard_normal(batch + (3,)), "p")
+        store.add("b", rng.standard_normal(3), "p")
+        store.add("w_out", rng.standard_normal(3), "p")
+        weights = rng.standard_normal(batch + (5,))
+
+        def fused(ps):
+            return T.attention_scores(ps["memory"], ps["w_mem"], ps["query"],
+                                      ps["b"], ps["w_out"])
+
+        def composed(ps):
+            q = T.reshape(ps["query"], batch + (1, 3))
+            return T.tanh(ps["memory"] @ ps["w_mem"] + q + ps["b"]) @ ps["w_out"]
+
+        assert fused(store).data.tobytes() == composed(store).data.tobytes()
+        grads = []
+        for fn in (fused, composed):
+            store.zero_grads()
+            T.arr_sum(fn(store) * T.wrap(weights)).backward()
+            grads.append({n: store[n].grad.copy() for n in store.names()})
+        for n in store.names():
+            np.testing.assert_allclose(grads[0][n], grads[1][n], rtol=1e-12, atol=1e-14)
+        assert T.grad_check(lambda ps: T.arr_sum(fused(ps) * T.wrap(weights)), store) < 1e-4
+
+    def test_backward_releases_interior_nodes_and_keeps_leaf_gradients(self):
+        rng = np.random.default_rng(14)
+        store = T.ParamStore()
+        w = store.add("w", rng.standard_normal((3, 2)), "p")
+        x = T.NumArray(rng.standard_normal((4, 3)), requires_grad=True)
+        c = rng.standard_normal((4, 2))
+        hidden = T.tanh(x @ w)
+        loss = T.arr_sum(hidden * T.wrap(c))
+        loss.backward()
+        # hand-derived: d loss / d (x w) = c * (1 - tanh^2)
+        d_pre = c * (1.0 - np.tanh(x.data @ w.data) ** 2)
+        np.testing.assert_allclose(w.grad, x.data.T @ d_pre, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, d_pre @ w.data.T, rtol=1e-12)
+        for node in (loss, hidden):
+            assert node.grad is None and node._parents == () and node._backward is None
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(9)
