@@ -22,13 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import (DataFormatError, SynthSpec, Vocabulary, build_vocab,
-                   decode_ids, load_albums, read_records, save_albums,
-                   story_tokens, synth_dataset, synth_vocab)
+from .data import (DataFormatError, SynthSpec, Vocabulary, at_line, build_vocab,
+                   check_stories, load_albums, read_records, save_albums,
+                   story_text, story_tokens, synth_dataset, synth_vocab)
 from .metrics import EvalPair, bleu, cider, rouge_l
-from .model import (ConfigError, ModelConfig, build_parameters, encode_album,
-                    full_pipeline_grad_check, generate_story)
-from .scene_encoder import scene_indices
+from .model import (ConfigError, ModelConfig, build_parameters,
+                    full_pipeline_grad_check, generate_story, scene_view)
 from .trainer import (TrainConfig, config_from, decoded_pairs, run_training,
                       write_log)
 
@@ -201,9 +200,9 @@ def cmd_build_vocab(cfg) -> int:
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
     sentences = []
-    for _, rec in read_records(cfg["train_data"]):
-        for story in rec.get("stories", []):
-            sentences.extend(story)
+    for line_no, rec in read_records(cfg["train_data"], "stories"):
+        with at_line(line_no):
+            sentences += [s for story in check_stories(rec["stories"], None) for s in story]
     vocab = build_vocab(sentences, min_count=cfg["min_count"])
     vocab.save(out / "vocab.txt")
     print(f"vocab {len(vocab)} tokens (min_count={cfg['min_count']}) -> {out}")
@@ -265,8 +264,7 @@ def cmd_generate(cfg) -> int:
             hyp = generate_story(album, params, mcfg, mode=cfg["mode"],
                                  beam_width=cfg["beam_width"])
             rec = {"album_id": album.album_id,
-                   "sentences": [" ".join(decode_ids(ids, vocab))
-                                 for ids in hyp.sentences],
+                   "sentences": story_text(hyp.sentences, vocab),
                    "flags": hyp.flags,
                    "alpha": [[round(float(w), 6) for w in a] for a in hyp.alphas]}
             fh.write(json.dumps(rec) + "\n")
@@ -282,14 +280,11 @@ def cmd_inspect_scenes(cfg) -> int:
     albums = _model_albums(cfg["data"], vocab, mcfg)
     lines = []
     for album in albums:
-        with T.no_grad():
-            enc = encode_album(album.features, params, mcfg)
-        seg = enc.scenes
-        idx = scene_indices(seg.flags)
+        view = scene_view(album.features, params, mcfg)
         for i in range(album.num_photos):
-            lines.append(f"{album.album_id} photo={i} soft={seg.softs[i]:.4f} "
-                         f"flag={seg.flags[i]} scene={idx[i]}")
-        lines.append(f"{album.album_id} scenes={seg.u}")
+            lines.append(f"{album.album_id} photo={i} soft={view['softs'][i]:.4f} "
+                         f"flag={view['flags'][i]} scene={view['scene_of_photo'][i]}")
+        lines.append(f"{album.album_id} scenes={view['num_scenes']}")
     text = "\n".join(lines)
     (out / "scenes.txt").write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -323,10 +318,10 @@ def cmd_evaluate(cfg) -> int:
 
 
 def cmd_grad_check(cfg) -> int:
-    if min(cfg["lam"], cfg["mu"]) < 0:
-        raise ConfigError("lambda and mu must be >= 0")
-    if cfg["gc_seeds"] < 1:
-        raise ConfigError("gc_seeds must be >= 1")
+    if not (0 <= cfg["lam"] < np.inf and 0 <= cfg["mu"] < np.inf):  # NaN fails too
+        raise ConfigError("lambda and mu must be >= 0 and finite")
+    if cfg["gc_seeds"] < 1 or cfg["seed"] < 0:
+        raise ConfigError("gc_seeds must be >= 1 and seed >= 0")
     if not (np.isfinite(cfg["tolerance"]) and cfg["tolerance"] > 0):
         raise ConfigError("tolerance must be finite and > 0")
     out = Path(cfg["out_dir"])

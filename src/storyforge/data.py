@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,11 @@ def decode_ids(ids, vocab: Vocabulary) -> list[str]:
     return out
 
 
+def story_text(sentences, vocab: Vocabulary) -> list[str]:
+    """Decoded id sequences as display sentences, tokens joined by spaces."""
+    return [" ".join(decode_ids(ids, vocab)) for ids in sentences]
+
+
 def story_tokens(sentences) -> list[str]:
     """One story's sentence strings as a single token list."""
     return [tok for sent in sentences for tok in tokenize(sent)]
@@ -155,9 +161,38 @@ def feature_rows(rows, feature_dim: int | None,
     return out
 
 
-def _check(cond, line_no, msg):
-    if not cond:
-        raise DataFormatError(f"line {line_no}: {msg}")
+def check_stories(stories, n_sentences: int | None) -> list:
+    """A non-empty list of stories, each a list of `n_sentences` (None: any) strings."""
+    if not isinstance(stories, list) or len(stories) == 0:
+        raise DataFormatError("stories must be a non-empty list")
+    for ref in stories:
+        if not (isinstance(ref, list) and all(isinstance(s, str) for s in ref)):
+            raise DataFormatError("each story must be a list of sentence strings")
+        if n_sentences is not None and len(ref) != n_sentences:
+            raise DataFormatError(f"story has {len(ref)} sentences, expected {n_sentences}")
+    return stories
+
+
+def check_gold(gold, num_photos: int, max_photos: int) -> list | None:
+    """Gold scene boundaries, if any: one 0/1 for each of the album's
+    `num_photos` photos, returned without those past `max_photos`."""
+    if gold is None:
+        return None
+    if not (isinstance(gold, list) and all(b in (0, 1) for b in gold)):
+        raise DataFormatError("gold_boundaries must be a list of 0/1")
+    if len(gold) != num_photos:
+        raise DataFormatError(
+            f"gold_boundaries length {len(gold)} != photo count {num_photos}")
+    return gold[:max_photos]
+
+
+@contextmanager
+def at_line(line_no):
+    """Prefix a DataFormatError raised inside with the record's line number."""
+    try:
+        yield
+    except DataFormatError as e:
+        raise DataFormatError(f"line {line_no}: {e}") from None
 
 
 def read_records(path, *required):
@@ -171,9 +206,11 @@ def read_records(path, *required):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataFormatError(f"line {line_no}: invalid record: {e}") from e
-            _check(isinstance(rec, dict), line_no, "record is not an object")
+            if not isinstance(rec, dict):
+                raise DataFormatError(f"line {line_no}: record is not an object")
             for key in required:
-                _check(key in rec, line_no, f"missing field '{key}'")
+                if key not in rec:
+                    raise DataFormatError(f"line {line_no}: missing field '{key}'")
             yield line_no, rec
 
 
@@ -187,32 +224,15 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
     """
     albums = []
     for line_no, rec in read_records(path, "album_id", "features", "stories"):
-        feats_raw = rec["features"]
-        try:
-            feats = feature_rows(feats_raw, feature_dim, max_photos)
-        except DataFormatError as e:
-            raise DataFormatError(f"line {line_no}: {e}") from None
+        with at_line(line_no):
+            feats = feature_rows(rec["features"], feature_dim, max_photos)
+            raw_stories = check_stories(rec["stories"], n_sentences)
+            gold = check_gold(rec.get("gold_boundaries"), len(rec["features"]),
+                              max_photos)
         if feats:  # empty only when max_photos < 1
             feature_dim = len(feats[0])
-        raw_stories = rec["stories"]
-        _check(isinstance(raw_stories, list) and len(raw_stories) >= 1,
-               line_no, "stories must be a non-empty list")
-        stories = []
-        for ref in raw_stories:
-            _check(isinstance(ref, list) and
-                   all(isinstance(s, str) for s in ref), line_no,
-                   "each story must be a list of sentence strings")
-            _check(len(ref) == n_sentences, line_no,
-                   f"story has {len(ref)} sentences, expected {n_sentences}")
-            stories.append([encode_sentence(s, vocab, max_words) for s in ref])
-        gold = rec.get("gold_boundaries")
-        if gold is not None:
-            _check(isinstance(gold, list) and
-                   all(b in (0, 1) for b in gold), line_no,
-                   "gold_boundaries must be a list of 0/1")
-            _check(len(gold) == len(feats_raw), line_no,
-                   f"gold_boundaries length {len(gold)} != photo count {len(feats_raw)}")
-            gold = gold[:max_photos]
+        stories = [[encode_sentence(s, vocab, max_words) for s in ref]
+                   for ref in raw_stories]
         albums.append(AlbumExample(str(rec["album_id"]), feats, stories,
                                    raw_stories, gold))
     if not albums:
@@ -251,6 +271,8 @@ class SynthSpec:
         for name in ("albums", "sentences", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("scenes_per_album", "photos_per_scene"):
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:

@@ -11,13 +11,10 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-from .data import (AlbumExample, Vocabulary, build_vocab, decode_ids,
-                   encode_sentence, feature_rows, story_tokens)
-from .metrics import EvalPair, cider
-from .model import ModelConfig, encode_album, generate_story
-from .scene_encoder import scene_indices
-from .tensor import no_grad
-from .trainer import TrainConfig, config_from, run_training
+from .data import (AlbumExample, Vocabulary, build_vocab, check_gold,
+                   check_stories, encode_sentence, feature_rows, story_text)
+from .model import ModelConfig, generate_story, scene_view
+from .trainer import TrainConfig, config_from, run_training, validate
 
 
 class NotFittedError(RuntimeError):
@@ -30,22 +27,24 @@ def check_is_fitted(estimator, attr: str = "params_"):
             f"{type(estimator).__name__} is not fitted yet; call fit first")
 
 
-def check_albums(X, feature_dim: int, max_photos: int):
-    """Validate fit/predict input: AlbumExamples or bare feature matrices.
-
-    Photos past max_photos are dropped, as the album loader drops them.
-    Bare matrices are wrapped into story-less albums, which is enough for
-    predict and transform but rejected by fit.
+def check_albums(X, feature_dim: int, max_photos: int,
+                 n_sentences: int | None = None):
+    """Validate AlbumExamples or bare feature matrices with the album
+    loader's checks, dropping photos past max_photos; reference stories,
+    where an album has any, need `n_sentences` sentences (None: any).
+    Bare matrices become story-less albums, which fit and score reject.
     """
     if not isinstance(X, (list, tuple)) or len(X) == 0:
         raise ValueError("X must be a non-empty list of albums")
     albums = []
     for pos, item in enumerate(X):
         if isinstance(item, AlbumExample):
-            gold = item.gold_boundaries
-            albums.append(dataclasses.replace(
-                item, features=feature_rows(item.features, feature_dim, max_photos),
-                gold_boundaries=None if gold is None else gold[:max_photos]))
+            features = feature_rows(item.features, feature_dim, max_photos)
+            if item.raw_stories:
+                check_stories(item.raw_stories, n_sentences)
+            gold = check_gold(item.gold_boundaries, len(item.features), max_photos)
+            albums.append(dataclasses.replace(item, features=features,
+                                              gold_boundaries=gold))
         else:
             albums.append(AlbumExample(
                 album_id=f"album{pos:04d}",
@@ -95,29 +94,30 @@ class AlbumStoryteller:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(changed.items()))
         return f"{type(self).__name__}({inner})"
 
-    def _encode(self, album, vocab):
-        if not album.raw_stories:
-            return album
-        stories = [[encode_sentence(s, vocab, self.max_words)
-                    for s in story] for story in album.raw_stories]
-        return dataclasses.replace(album, stories=stories)
+    def _albums(self, X, refs_for: str | None = None):
+        """`check_albums` at this estimator's sizes; caller `refs_for` needs refs."""
+        albums = check_albums(X, self.feature_dim, self.max_photos, self.sentences)
+        if refs_for and any(not a.raw_stories for a in albums):
+            raise ValueError(f"{refs_for} needs albums with reference stories")
+        return albums
+
+    def _generate(self, album, params, cfg):
+        return generate_story(album, params, cfg, mode=self.mode,
+                              beam_width=self.beam_width)
 
     def fit(self, X, y=None, vocab: Vocabulary | None = None,
             validation=None):
         """Train on albums with reference stories; returns self."""
-        albums = check_albums(X, self.feature_dim, self.max_photos)
-        if any(not a.stories for a in albums):
-            raise ValueError("fit needs albums with reference stories")
+        albums = self._albums(X, "fit")
+        val = albums if validation is None else self._albums(validation, "fit")
         if vocab is None:
-            corpus = [s for a in albums for story in a.raw_stories
-                      for s in story]
-            vocab = build_vocab(corpus, min_count=self.min_count)
+            vocab = build_vocab([s for a in albums for story in a.raw_stories
+                                 for s in story], min_count=self.min_count)
         # token ids must come from the working vocabulary, whatever encoded
         # the albums originally
-        albums = [self._encode(a, vocab) for a in albums]
-        val = ([self._encode(a, vocab)
-                for a in check_albums(validation, self.feature_dim, self.max_photos)]
-               if validation else albums)
+        albums = [dataclasses.replace(a, stories=[
+            [encode_sentence(s, vocab, self.max_words) for s in story]
+            for story in a.raw_stories]) for a in albums]
         settings = self.get_params()
         mcfg = config_from(ModelConfig, settings, vocab_size=len(vocab))
         tcfg = config_from(TrainConfig, settings, model=mcfg)
@@ -134,40 +134,22 @@ class AlbumStoryteller:
     def predict(self, X):
         """Decode one story per album: a list of sentence-string lists."""
         check_is_fitted(self)
-        albums = check_albums(X, self.feature_dim, self.max_photos)
-        stories = []
-        for album in albums:
-            hyp = generate_story(album, self.params_, self.model_config_,
-                                 mode=self.mode, beam_width=self.beam_width)
-            stories.append([" ".join(decode_ids(ids, self.vocab_))
-                            for ids in hyp.sentences])
-        return stories
+        return [story_text(self._generate(album, self.params_,
+                                          self.model_config_).sentences, self.vocab_)
+                for album in self._albums(X)]
 
     def transform(self, X):
         """Scene view per album: boundary flags, soft scores, scene index."""
         check_is_fitted(self)
-        albums = check_albums(X, self.feature_dim, self.max_photos)
-        out = []
-        for album in albums:
-            with no_grad():
-                enc = encode_album(album.features, self.params_,
-                                   self.model_config_)
-            seg = enc.scenes
-            out.append({"flags": list(seg.flags), "softs": list(seg.softs),
-                        "scene_of_photo": scene_indices(seg.flags),
-                        "num_scenes": seg.u})
-        return out
+        return [scene_view(album.features, self.params_, self.model_config_)
+                for album in self._albums(X)]
 
     def fit_transform(self, X, y=None, **fit_kwargs):
         return self.fit(X, y, **fit_kwargs).transform(X)
 
     def score(self, X, y=None):
-        """Consensus metric of decoded stories against the albums' references."""
+        """`trainer.validate`: CIDEr of the stories decoded in this estimator's
+        `mode` and `beam_width` against the albums' references."""
         check_is_fitted(self)
-        albums = check_albums(X, self.feature_dim, self.max_photos)
-        if any(not a.raw_stories for a in albums):
-            raise ValueError("score needs albums with reference stories")
-        predictions = self.predict(albums)
-        return cider([EvalPair(story_tokens(sents),
-                               [story_tokens(story) for story in album.raw_stories])
-                      for album, sents in zip(albums, predictions)])
+        return validate(self.params_, self.model_config_, self._albums(X, "score"),
+                        self.vocab_, generate_fn=self._generate)

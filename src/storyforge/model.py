@@ -20,7 +20,7 @@ from .decoder import (AttentionState, StoryHypothesis, attend,
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
 from .photo_encoder import encode_photos
 from .reconstructor import reconstruct
-from .scene_encoder import encode_scenes
+from .scene_encoder import encode_scenes, scene_indices
 
 
 @dataclass
@@ -152,6 +152,14 @@ def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=Fal
     return AlbumEncoding(enc, seg, memory, valid, state)
 
 
+def scene_view(features, params, cfg: ModelConfig) -> dict:
+    """One album's scenes under no_grad: flags, soft scores, scene of each photo."""
+    with T.no_grad():
+        seg = encode_album(features, params, cfg).scenes
+    return {"flags": list(seg.flags), "softs": list(seg.softs),
+            "scene_of_photo": scene_indices(seg.flags), "num_scenes": seg.u}
+
+
 def summarize_album(encoding: AlbumEncoding, n: int, params):
     """Run n attention steps; returns (z list, alpha list), (*B, D_v) and
     (*B, alpha_len) each."""
@@ -244,10 +252,7 @@ def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",
                            list(encoding.scenes.flags))
 
 
-def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8,
-                             delta: float = 1e-5, coords_per_param: int = 4,
-                             feature_dim: int = 8, photo_hidden: int = 6,
-                             vocab_size: int = 20) -> float:
+def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8) -> float:
     """End-to-end analytic-vs-numeric gradient comparison on a random album.
 
     Scene flags are frozen to the detector's own decisions so the loss is an
@@ -255,15 +260,14 @@ def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8,
     intentionally breaks the finite-difference equivalence otherwise).
     """
     rng = np.random.default_rng(seed)
-    cfg = ModelConfig(vocab_size=vocab_size, feature_dim=feature_dim,
-                      photo_hidden=photo_hidden, attn_hidden=8,
+    cfg = ModelConfig(vocab_size=20, feature_dim=8, photo_hidden=6, attn_hidden=8,
                       attn_score_dim=8, dec_hidden=8, emb_dim=8, mlp_hidden=8,
                       sentences=3, max_photos=6)
     params = build_parameters(cfg, rng)
     m = int(rng.integers(3, 7))
     features = [rng.standard_normal(cfg.feature_dim) for _ in range(m)]
-    story = [[int(t) for t in rng.integers(4, vocab_size, size=rng.integers(2, 5))] + [2]
-             for _ in range(cfg.sentences)]
+    story = [[int(t) for t in rng.integers(4, cfg.vocab_size, size=rng.integers(2, 5))]
+             + [2] for _ in range(cfg.sentences)]
     album = AlbumExample("grad-check", features, [story], [])
     flags = [int(b) for b in rng.integers(0, 2, size=m)]
     derange = np.array([1, 2, 0])
@@ -273,6 +277,5 @@ def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8,
                                   lam=lam, mu=mu, force_flags=flags)
         return loss
 
-    return T.grad_check(fn, params, delta=delta,
-                        max_coords_per_param=coords_per_param,
+    return T.grad_check(fn, params, max_coords_per_param=4,
                         rng=np.random.default_rng(seed + 1))

@@ -4,7 +4,7 @@ Every word step's raw output distribution d_t is paired with the
 sentence-level mean d-bar and run through a GRU; the reconstructed
 summary is the mean of the GRU states. The hidden size equals the photo
 vector size so the result is directly comparable to the original z_j.
-A story's sentences run as one padded batch through one GRU scan.
+All of a training step's sentences run as one padded batch through one GRU scan.
 """
 
 from __future__ import annotations

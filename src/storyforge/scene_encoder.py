@@ -29,10 +29,6 @@ class SceneSegmentation:
     scene_mask: np.ndarray  # (m+1, *B) ints, 1 marks a true scene row
     u: int                 # number of true scenes, (*B,) nested for a batch
 
-    @property
-    def num_slots(self):
-        return self.X.shape[0]
-
 
 def detect_boundary(v_i, h_prev, params, relax: bool = False):
     """Returns (k, soft), each (*B, 1) for rows v_i and h_prev (*B, D_v).

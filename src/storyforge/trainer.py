@@ -53,8 +53,10 @@ class TrainConfig:
             raise ConfigError(f"stage must be 1, 2, or all, got {self.stage!r}")
         if min(self.batch_size, self.validate_every, self.patience) < 1:
             raise ConfigError("batch_size, validate_every and patience must be >= 1")
-        if self.max_steps < 0 or self.lam < 0 or self.mu < 0:
-            raise ConfigError("max_steps, lambda and mu must be >= 0")
+        if min(self.max_steps, self.seed) < 0 or not np.isfinite(self.nll_stop):
+            raise ConfigError("max_steps and seed must be >= 0 and nll_stop finite")
+        if not all(0 <= v < np.inf for v in (self.lr, self.lam, self.mu)):  # NaN fails too
+            raise ConfigError("lr, lambda and mu must be >= 0 and finite")
 
 
 def config_from(cls, values, **given):
@@ -85,7 +87,7 @@ def decoded_pairs(params, cfg: ModelConfig, albums, vocab,
 
 
 def validate(params, cfg: ModelConfig, albums, vocab, generate_fn=generate_story):
-    """Greedy-decode every album and score corpus CIDEr against all refs."""
+    """Decode every album with `generate_fn` and score corpus CIDEr against all refs."""
     return cider(decoded_pairs(params, cfg, albums, vocab, generate_fn))
 
 

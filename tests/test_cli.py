@@ -262,6 +262,17 @@ def _build_vocab_on_broken_json(root, tmp_path):
     return ["build-vocab", "--out-dir", str(tmp_path), "--train-data", str(data)]
 
 
+def _build_vocab_with_stories(*stories):
+    """build-vocab on one record whose `stories` field is `stories`, or that
+    has no such field when none is given."""
+    def make_argv(root, tmp_path):
+        data = tmp_path / "albums.jsonl"
+        data.write_text(json.dumps(dict(album_id="a", stories=stories[0])
+                                   if stories else {"album_id": "a"}) + "\n")
+        return ["build-vocab", "--out-dir", str(tmp_path), "--train-data", str(data)]
+    return make_argv
+
+
 def _generate_with_smaller_vocab(root, tmp_path):
     vocab = Vocabulary.load(root / "d" / "vocab.txt")
     small = tmp_path / "vocab.txt"
@@ -448,6 +459,21 @@ class TestBadInputExitCodes:
         (_command("synth-data", "--noise", "-1"), "noise_scale must be finite and >= 0"),
         (_command("synth-data", "--separation", "nan"),
          "cluster_separation must be finite and > 0"),
+        (_build_vocab_with_stories(5), "line 1: stories must be a non-empty list"),
+        (_build_vocab_with_stories([[5, "x"]]),
+         "line 1: each story must be a list of sentence strings"),
+        (_build_vocab_with_stories(["hello world"]),
+         "line 1: each story must be a list of sentence strings"),
+        (_build_vocab_with_stories(), "line 1: missing field 'stories'"),
+        (_train_with("--seed", "-1"), "max_steps and seed must be >= 0"),
+        (_command("synth-data", "--seed", "-1"), "seed must be >= 0"),
+        (_command("grad-check", "--seed", "-1"), "gc_seeds must be >= 1 and seed >= 0"),
+        (_command("grad-check", "--lambda", "nan"), "lambda and mu must be >= 0 and finite"),
+        (_train_with("--lr", "nan"), "lr, lambda and mu must be >= 0 and finite"),
+        (_train_with("--lr", "-1"), "lr, lambda and mu must be >= 0 and finite"),
+        (_train_with("--lambda", "nan"), "lr, lambda and mu must be >= 0 and finite"),
+        (_train_with("--mu", "inf"), "lr, lambda and mu must be >= 0 and finite"),
+        (_train_with("--nll-stop", "nan"), "nll_stop finite"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -466,7 +492,13 @@ class TestBadInputExitCodes:
             "synth-data-scenes-lo-above-hi",
             "synth-data-photos-lo-above-hi", "synth-data-photos-lo-0",
             "synth-data-scenes-lo-0", "synth-data-noise-negative",
-            "synth-data-separation-nan"])
+            "synth-data-separation-nan", "build-vocab-stories-number",
+            "build-vocab-sentence-number", "build-vocab-story-string",
+            "build-vocab-without-stories", "train-seed-negative",
+            "synth-data-seed-negative", "grad-check-seed-negative",
+            "grad-check-lambda-nan", "train-lr-nan",
+            "train-lr-negative", "train-lambda-nan", "train-mu-inf",
+            "train-nll-stop-nan"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -216,6 +216,47 @@ class TestFeatureRows:
             D.load_albums(p, vocab)
 
 
+STORY = [f"word {j}" for j in range(5)]
+
+
+class TestStoryChecks:
+    """One story and gold-boundary check: the loader and the estimator give
+    the same answer for the same record. (An empty story list is an error
+    in a file, but marks a story-less album for the estimator.)"""
+
+    @pytest.mark.parametrize("stories, gold, message", [
+        ([STORY, STORY], [0, 1, 0], None),
+        (5, None, "stories must be a non-empty list"),
+        ({"a": STORY}, None, "stories must be a non-empty list"),
+        (["hello world"], None, "each story must be a list of sentence strings"),
+        ([[5, "x"]], None, "each story must be a list of sentence strings"),
+        ([STORY, STORY[:3]], None, "story has 3 sentences, expected 5"),
+        ([STORY], [0, 1, 2], "gold_boundaries must be a list of 0/1"),
+        ([STORY], "010", "gold_boundaries must be a list of 0/1"),
+        ([STORY], [0, 1], "gold_boundaries length 2 != photo count 3"),
+    ], ids=["valid", "number", "object", "string-story", "number-sentence",
+            "short-story", "gold-value-2", "gold-string", "gold-short"])
+    def test_loader_and_estimator_agree(self, tmp_path, vocab, stories, gold,
+                                        message):
+        from storyforge.estimator import check_albums
+        rec = {**make_record(), "stories": stories, "gold_boundaries": gold}
+        p = write_albums(tmp_path, [make_record(), make_record(), rec])
+        album = D.AlbumExample("a1", rec["features"], [], stories, gold)
+        if message is None:
+            (checked,) = check_albums([album], 4, 2, 5)
+            loaded = D.load_albums(p, vocab, max_photos=2)[2]
+            for a in (checked, loaded):
+                assert a.raw_stories == stories and a.gold_boundaries == gold[:2]
+            return
+        with pytest.raises(D.DataFormatError, match=f"^line 3: {message}$"):
+            D.load_albums(p, vocab)
+        with pytest.raises(D.DataFormatError, match=f"^{message}$"):
+            check_albums([album], 4, 40, 5)
+
+    def test_sentence_count_unchecked_when_none(self):
+        assert D.check_stories([STORY, STORY[:2]], None) == [STORY, STORY[:2]]
+
+
 class TestSynth:
     def test_deterministic(self):
         spec = D.SynthSpec(albums=4, seed=123)

@@ -1,16 +1,18 @@
 """Estimator facade: parameter handling, validation, fit/predict/transform."""
 
+import copy
 import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from storyforge.data import SynthSpec, synth_dataset, synth_vocab
+from storyforge import estimator
+from storyforge.data import UNK, SynthSpec, synth_dataset, synth_vocab
 from storyforge.estimator import (AlbumStoryteller, NotFittedError,
                                   check_albums, check_is_fitted)
-from storyforge.model import ModelConfig
-from storyforge.trainer import TrainConfig
+from storyforge.model import ModelConfig, generate_story
+from storyforge.trainer import TrainConfig, validate
 
 SPEC = SynthSpec(albums=3, scenes_per_album=(2, 2), photos_per_scene=(2, 2),
                  feature_dim=6, vocab_size=25, seed=0)
@@ -192,3 +194,50 @@ class TestFitted:
         est = AlbumStoryteller(**TINY)
         views = est.fit_transform(albums, vocab=vocab)
         assert views == est.transform(albums)
+
+
+def _no_training(*args, **kwargs):
+    pytest.fail("fit started training on input it should have rejected")
+
+
+class TestSharedPaths:
+    """score is the trainer's validation CIDEr, and fit rejects what the
+    album loader rejects, before any step."""
+
+    @pytest.fixture(scope="class")
+    def unk_model(self):
+        albums = synth_dataset(SynthSpec(albums=4, seed=3))
+        est = AlbumStoryteller(photo_hidden=3, attn_hidden=4, attn_score_dim=4,
+                               dec_hidden=8, emb_dim=8, mlp_hidden=8, max_steps=60,
+                               validate_every=30, batch_size=4, lr=0.01,
+                               min_count=1).fit(albums)
+        est.params_["dec.out.b2"].data[UNK] = 5.0   # decoded stories hold <unk>
+        return est, albums
+
+    def test_score_equals_validate(self, unk_model):
+        est, albums = unk_model
+        assert any("<unk>" in sent for story in est.predict(albums) for sent in story)
+        assert est.score(albums) == validate(est.params_, est.model_config_,
+                                             albums, est.vocab_)
+
+    def test_score_decodes_in_the_estimator_mode(self, unk_model):
+        est, albums = unk_model
+        beam = copy.copy(est).set_params(mode="beam", beam_width=2)
+
+        def beam2(album, params, cfg):
+            return generate_story(album, params, cfg, mode="beam", beam_width=2)
+
+        assert beam.score(albums) == validate(est.params_, est.model_config_,
+                                              albums, est.vocab_, generate_fn=beam2)
+
+    def test_fit_checks_sentence_count_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(estimator, "run_training", _no_training)
+        albums = synth_dataset(SynthSpec(albums=2, sentences=3, seed=1))
+        with pytest.raises(ValueError, match="^story has 3 sentences, expected 5$"):
+            AlbumStoryteller(sentences=5).fit(albums)
+
+    def test_fit_needs_validation_references_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(estimator, "run_training", _no_training)
+        albums = synth_dataset(SynthSpec(albums=2, seed=1))
+        with pytest.raises(ValueError, match="^fit needs albums with reference stories$"):
+            AlbumStoryteller().fit(albums, validation=[np.zeros((3, 8))])

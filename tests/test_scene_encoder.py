@@ -106,7 +106,7 @@ class TestEncodeScenes:
             seg = encode_scenes(encode_photos(feats, ps).V, ps)
             assert seg.u == int(seg.scene_mask.sum())
             assert 1 <= seg.u <= m
-            assert seg.num_slots == m + 1
+            assert seg.X.shape[0] == m + 1
             for row, mk in zip(seg.X.data, seg.scene_mask):
                 if mk == 0:
                     assert np.all(row == 0.0)
