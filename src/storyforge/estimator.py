@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-from .data import (AlbumExample, Vocabulary, build_vocab, check_gold,
+from .data import (SPECIALS, AlbumExample, Vocabulary, build_vocab, check_gold,
                    check_stories, encode_sentence, feature_rows, story_text)
 from .model import ModelConfig, generate_story, scene_view
 from .trainer import TrainConfig, config_from, run_training, validate
@@ -108,6 +108,11 @@ class AlbumStoryteller:
     def fit(self, X, y=None, vocab: Vocabulary | None = None,
             validation=None):
         """Train on albums with reference stories; returns self."""
+        # the settings are checked before the albums are checked against
+        # them; the vocabulary, and with it vocab_size, comes later
+        settings = self.get_params()
+        mcfg = config_from(ModelConfig, settings, vocab_size=len(SPECIALS))
+        tcfg = config_from(TrainConfig, settings, model=mcfg)
         albums = self._albums(X, "fit")
         val = albums if validation is None else self._albums(validation, "fit")
         if vocab is None:
@@ -118,9 +123,8 @@ class AlbumStoryteller:
         albums = [dataclasses.replace(a, stories=[
             [encode_sentence(s, vocab, self.max_words) for s in story]
             for story in a.raw_stories]) for a in albums]
-        settings = self.get_params()
-        mcfg = config_from(ModelConfig, settings, vocab_size=len(vocab))
-        tcfg = config_from(TrainConfig, settings, model=mcfg)
+        mcfg = dataclasses.replace(mcfg, vocab_size=len(vocab))
+        tcfg = dataclasses.replace(tcfg, model=mcfg)
         r1, r2 = run_training(albums, val, tcfg, vocab)
         last = r2 if r2 is not None else r1
         self.vocab_ = vocab

@@ -37,10 +37,7 @@ def encode_photos(features, params, lengths=None) -> PhotoEncoding:
     bwd_w = params.gru("photo.bwd")
     feats = T.wrap(np.stack(features))   # (m, *B, feature_dim)
     m, batch = len(feats.data), feats.shape[1:-1]
-    lengths = np.full(batch, m) if lengths is None else np.asarray(lengths)
-    if lengths.shape != batch or lengths.min() < 1 or lengths.max() > m:
-        raise ValueError(f"photo counts {lengths.tolist()} do not fit {m} steps "
-                         f"of a batch of shape {batch}")
+    lengths = T.step_lengths(lengths, m, batch)
     rows = T.batch_rows(lengths)
     steps = np.arange(m).reshape((m,) + (1,) * len(batch))
     # an involution: each album's first `length` steps reversed, padding kept

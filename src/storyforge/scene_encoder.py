@@ -5,6 +5,12 @@ state; when it fires the accumulated state is emitted as a scene
 representation and cleared before the step. The hard 0/1 decision uses a
 straight-through estimator so the classifier still receives gradients.
 
+Once the forward pass has fixed the decisions, the rest is an ordinary
+recurrence, so a batch of albums is one graph node: the forward runs the
+detector, threshold, reset and GRU step photo by photo in numpy, and a
+hand-written backward runs back through time, with dL/dsoft = dL/dk at
+each threshold.
+
 Emission layout: X has one slot per photo position plus one final slot.
 Slot i (i >= 2) holds k_i * h_{i-1}; a non-firing position contributes an
 exactly-zero row with scene_mask 0 (a false scene). The first position
@@ -51,53 +57,105 @@ def detect_boundary(v_i, h_prev, params, relax: bool = False):
 
 def encode_scenes(V, params, force_flags=None, relax: bool = False,
                   lengths=None) -> SceneSegmentation:
-    """Segment albums; V is one album's (m, D_v) photo rows, or anything
-    `T.wrap` stacks to them such as a list of (D_v,) arrays, or B albums'
-    rows padded time-major to (m_max, B, D_v) with their photo counts in
-    `lengths`. Every step runs all B rows; each album's slots and closing
-    state are gathered from its own steps, so padding steps reach nothing.
+    """Segment albums as one graph node; V is one album's (m, D_v) photo
+    rows, or anything `T.wrap` stacks to them such as a list of (D_v,)
+    arrays, or B albums' rows padded time-major to (m_max, B, D_v) with
+    their photo counts in `lengths`. Every step runs all B rows; each
+    album's slots and closing state are gathered from its own steps, so
+    padding steps reach nothing.
 
     force_flags ((m, *B) 0/1 decisions) bypasses the classifier, which
-    makes the whole computation an ordinary differentiable graph (used by
-    gradient checks and the forced-flag oracles).
+    makes the whole computation an ordinary differentiable recurrence (used
+    by gradient checks and the forced-flag oracles). relax=True takes each
+    step's detector gradient by autodiff through `detect_boundary`'s
+    relaxation in place of the straight-through rule; values are the same.
     """
     V = T.wrap(V)
     m, batch = V.shape[0], V.shape[1:-1]
     if m == 0:
         raise ValueError("album has no photos")
-    if force_flags is not None and np.shape(force_flags) != (m,) + batch:
-        raise ValueError(f"force_flags shape {np.shape(force_flags)} != photo "
-                         f"steps {(m,) + batch}")
-    lengths = np.full(batch, m) if lengths is None else np.asarray(lengths)
+    if force_flags is not None:
+        force_flags = np.asarray(force_flags)
+        if force_flags.shape != (m,) + batch:
+            raise ValueError(f"force_flags shape {force_flags.shape} != photo "
+                             f"steps {(m,) + batch}")
+        if not np.isin(force_flags, (0, 1)).all():
+            raise ValueError(f"force_flags must be 0 or 1, got "
+                             f"{sorted(set(force_flags.ravel().tolist()) - {0, 1})}")
+    n = T.step_lengths(lengths, m, batch).reshape(-1)
     gru_w = params.gru("scene.gru")
+    w_v, w_h, b = (params[f"scene.detect.{p}"] for p in ("w_v", "w_h", "b"))
+    hid, wh = gru_w.hidden_size, gru_w.w_h.data
 
-    h = T.zeros(batch + (gru_w.hidden_size,))
-    # rows[0] is the all-zero slot: the first position never emits
-    rows, states, flags, softs = [h], [], [], []
+    # steps run (B, D_v) rows, one album being a batch of one, so the input
+    # projections of all steps at once equal each step's to the bit
+    rows = V.data.reshape(m, len(n), -1)
+    gx = rows @ gru_w.w_x.data + gru_w.b.data
+    v_score = rows @ w_v.data
+    live = force_flags is None
+    k = np.empty(v_score.shape) if live else force_flags.reshape(v_score.shape) * 1.0
+    softs = np.empty(v_score.shape)
+    hs = np.zeros((m + 1, len(n), hid))   # hs[i] is the state entering step i
+    emitted, resets = np.zeros_like(hs[1:]), np.zeros_like(hs[1:])
+    caches = []
     for i in range(m):
-        v = T.pick(V, i)
-        if force_flags is not None:
-            k = T.wrap(np.asarray(force_flags, dtype=np.float64)[i][..., None])
-        else:
-            k, soft = detect_boundary(v, h, params, relax=relax)
-            softs.append(soft.data[..., 0])
-        flags.append(k.data[..., 0] > 0.5)
-        if i > 0:
-            rows.append(k * h)
-            h = h - rows[-1]   # a firing boundary clears the state it emits
-        h = T.gru_cell(v, h, gru_w)
-        states.append(h)
+        if live:
+            softs[i] = T._sigmoid(v_score[i] + hs[i] @ w_h.data + b.data)
+            k[i] = softs[i] > 0.5
+        if i > 0:   # a firing boundary emits the state and clears it
+            emitted[i] = k[i][:, None] * hs[i]
+            resets[i] = hs[i] - emitted[i]
+        hs[i + 1], cache = T._gru_step(gx[i], resets[i], wh, hid)
+        caches.append(cache)
 
-    # slot j of an album of n photos: row j below n, the closing state at n,
-    # and the zero row past it; the mask is gathered the same way
-    slot = np.arange(m + 1).reshape((m + 1,) + (1,) * len(batch))
-    index = (np.where(slot < lengths, slot, np.where(slot == lengths, m + lengths - 1, 0)),
-             *T.batch_rows(lengths))
-    X = T.pick(T.stack_rows(rows + states), index)
-    flags = np.array(flags, dtype=np.int64)
+    # slot j of an album of n photos: emitted row j below n, the closing
+    # state at n, and the all-zero row 0 past it; the mask is gathered alike
+    slot = np.arange(m + 1)[:, None]
+    index = (np.where(slot < n, slot, np.where(slot == n, m + n - 1, 0)), np.arange(len(n)))
+    flags = k.astype(np.int64)
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
-    return SceneSegmentation(flags.tolist(), np.array(softs).tolist(), X, mask,
-                             mask.sum(axis=0).tolist())
+
+    def bw(g):
+        d_out = np.zeros((2 * m,) + hs.shape[1:])
+        np.add.at(d_out, index, g.reshape((m + 1,) + hs.shape[1:]))
+        d_emitted, d_states = d_out[:m], d_out[m:]
+        d_gates = np.empty_like(gx)
+        d_score = np.zeros(k.shape)
+        d_rows = np.zeros_like(rows)   # the relaxed detector's share of dL/dV
+        d_h = np.zeros_like(hs[0])
+        for i in range(m - 1, -1, -1):
+            d_gates[i], d_reset = T._gru_step_backward(d_states[i] + d_h, resets[i],
+                                                       caches[i], wh, hid)
+            if i == 0:   # the first step starts from the constant zero state
+                break
+            d_emit = d_emitted[i] - d_reset
+            d_k = (d_emit * hs[i]).sum(axis=-1)
+            d_h = d_reset + k[i][:, None] * d_emit
+            if live and relax:   # autodiff through the relaxed detector
+                v, h = (T.NumArray(x, requires_grad=True) for x in (rows[i], hs[i]))
+                k_i, _ = detect_boundary(v, h, params, relax=True)
+                T.arr_sum(k_i * T.wrap(d_k[:, None])).backward()
+                d_rows[i] = v.grad
+                d_h += h.grad
+            elif live:   # straight through the threshold: dL/dsoft = dL/dk
+                d_score[i] = d_k * softs[i] * (1.0 - softs[i])
+                d_h += d_score[i][:, None] * w_h.data
+        T._gru_grads(V, T.zeros(()), gru_w, resets, np.stack([c[2] for c in caches]),
+                     d_gates.reshape(V.shape[:-1] + (3 * hid,)), None)
+        if V.requires_grad:
+            T._acc(V, (d_rows + d_score[..., None] * w_v.data).reshape(V.shape))
+        for p, grad in ((w_v, np.tensordot(d_score, rows, 2)),
+                        (w_h, np.tensordot(d_score, hs[:-1], 2)), (b, d_score.sum())):
+            if p.requires_grad:
+                T._acc(p, grad)
+
+    out = np.concatenate([emitted, hs[1:]])[index].reshape((m + 1,) + batch + (hid,))
+    X = T._make(out, (V, gru_w.w_x, gru_w.w_h, gru_w.b) + ((w_v, w_h, b) if live else ()),
+                bw)
+    return SceneSegmentation(flags.reshape((m,) + batch).tolist(),
+                             softs.reshape((m,) + batch).tolist() if live else [], X,
+                             mask.reshape((m + 1,) + batch),
+                             mask.sum(axis=0).reshape(batch).tolist())
 
 
 def scene_indices(flags) -> list:

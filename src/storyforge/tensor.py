@@ -5,11 +5,12 @@ a named parameter registry with freezable groups, an Adam optimizer, a
 finite-difference gradient checker, and a text checkpoint container.
 
 A recurrence over a whole sequence is one graph node (`gru_scan`, with a
-hand-derived backward through time); loops whose next step depends on
-data (scene resets, attention feedback, decoding) take one fused node per
-step (`gru_cell`, whose leading axes are independent rows, such as the
-albums of a batch or the hypotheses of a beam), and so do attention's
-scores (`attention_scores`). The rest composes from small primitives.
+hand-derived backward through time; the scene encoder builds its own such
+node on `_gru_step`). Loops whose next step depends on earlier outputs
+(attention feedback, decoding) take one fused node per step (`gru_cell`,
+whose leading axes are independent rows, such as the albums of a batch or
+the hypotheses of a beam), and so do attention's scores
+(`attention_scores`). The rest composes from small primitives.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def matmul(a, b) -> NumArray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # piecewise form avoids exp overflow for large negative inputs
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a) -> NumArray:
@@ -346,6 +347,18 @@ def arr_sum(a, axis=None) -> NumArray:
                 _acc(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
     return _make(out, (a,), bw)
+
+
+def step_lengths(lengths, steps: int, batch: tuple) -> np.ndarray:
+    """The step count of each row of a time-major batch of `steps` steps
+    and batch shape `batch`; None means every row runs all the steps.
+    Raises ValueError unless each count is an integer within 1..steps."""
+    lengths = np.full(batch, steps) if lengths is None else np.asarray(lengths)
+    if lengths.shape != batch or not np.issubdtype(lengths.dtype, np.integer) \
+            or lengths.min() < 1 or lengths.max() > steps:
+        raise ValueError(f"photo counts {lengths.tolist()} do not fit {steps} steps "
+                         f"of a batch of shape {batch}")
+    return lengths
 
 
 def batch_rows(lengths) -> tuple:

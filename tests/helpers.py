@@ -1,9 +1,10 @@
-"""Shared test utilities: hand-built detector weights for clustered data.
+"""Shared test utilities: the per-step scene encoder that the fused one is
+checked against, and hand-built detector weights for clustered data.
 
-With zero photo GRUs and a signed-identity skip, photo vectors copy the
-raw feature into positive/negative halves. The scene GRU is then rigged
-(update gate saturated open, recurrent candidate weights zero) so its
-state after any photo of cluster c is exactly
+Detector weights: with zero photo GRUs and a signed-identity skip, photo
+vectors copy the raw feature into positive/negative halves. The scene GRU
+is then rigged (update gate saturated open, recurrent candidate weights
+zero) so its state after any photo of cluster c is exactly
     h[0] = tanh((c+1) / (10K)),  h[1] = tanh(0.1)
 and the linear boundary classifier fires precisely when the incoming
 photo's cluster level exceeds the stored level by a full step. Cluster
@@ -13,6 +14,9 @@ ids inside an album ascend, so this reproduces the gold boundaries.
 import math
 
 import numpy as np
+
+from storyforge import tensor as T
+from storyforge.scene_encoder import SceneSegmentation, detect_boundary
 
 GAIN = 10000.0   # drives the classifier sigmoid to exact 0/1 saturation
 BASE = 0.15      # bias floor; above the max level so photo 1 never fires
@@ -50,3 +54,41 @@ def fill_oracle_scene_weights(ps, spec):
     ps["scene.detect.w_v"].data[...] = w_v
     ps["scene.detect.w_h"].data[...] = w_h
     ps["scene.detect.b"].data[...] = -GAIN * BASE
+
+
+def encode_scenes_per_step(V, params, force_flags=None, relax=False, lengths=None):
+    """The scene encoder built from small autodiff nodes, about a dozen per
+    photo step: the oracle for `scene_encoder.encode_scenes`, same arguments
+    and the same SceneSegmentation."""
+    V = T.wrap(V)
+    m, batch = V.shape[0], V.shape[1:-1]
+    lengths = np.full(batch, m) if lengths is None else np.asarray(lengths)
+    gru_w = params.gru("scene.gru")
+
+    h = T.zeros(batch + (gru_w.hidden_size,))
+    # rows[0] is the all-zero slot: the first position never emits
+    rows, states, flags, softs = [h], [], [], []
+    for i in range(m):
+        v = T.pick(V, i)
+        if force_flags is not None:
+            k = T.wrap(np.asarray(force_flags, dtype=np.float64)[i][..., None])
+        else:
+            k, soft = detect_boundary(v, h, params, relax=relax)
+            softs.append(soft.data[..., 0])
+        flags.append(k.data[..., 0] > 0.5)
+        if i > 0:
+            rows.append(k * h)
+            h = h - rows[-1]   # a firing boundary clears the state it emits
+        h = T.gru_cell(v, h, gru_w)
+        states.append(h)
+
+    # slot j of an album of n photos: row j below n, the closing state at n,
+    # and the zero row past it; the mask is gathered the same way
+    slot = np.arange(m + 1).reshape((m + 1,) + (1,) * len(batch))
+    index = (np.where(slot < lengths, slot, np.where(slot == lengths, m + lengths - 1, 0)),
+             *T.batch_rows(lengths))
+    X = T.pick(T.stack_rows(rows + states), index)
+    flags = np.array(flags, dtype=np.int64)
+    mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
+    return SceneSegmentation(flags.tolist(), np.array(softs).tolist(), X, mask,
+                             mask.sum(axis=0).tolist())

@@ -236,6 +236,16 @@ class TestSharedPaths:
         with pytest.raises(ValueError, match="^story has 3 sentences, expected 5$"):
             AlbumStoryteller(sentences=5).fit(albums)
 
+    @pytest.mark.parametrize("setting, message", [
+        ("feature_dim", "^feature_dim must be >= 1$"),
+        ("sentences", "^sentences must be >= 1$")])
+    def test_fit_checks_settings_before_albums(self, monkeypatch, setting, message):
+        # a setting out of range is named as such, not as an album mismatch
+        monkeypatch.setattr(estimator, "run_training", _no_training)
+        albums = synth_dataset(SynthSpec(albums=2))
+        with pytest.raises(ValueError, match=message):
+            AlbumStoryteller(max_steps=1, **{setting: 0}).fit(albums)
+
     def test_fit_needs_validation_references_before_any_step(self, monkeypatch):
         monkeypatch.setattr(estimator, "run_training", _no_training)
         albums = synth_dataset(SynthSpec(albums=2, seed=1))

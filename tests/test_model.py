@@ -167,10 +167,11 @@ def op_nodes(root):
 
 class TestGraphSize:
     def test_node_budget_at_acceptance_dimensions(self):
-        # sequences are one node each: the decoder's 10 teacher-forced
-        # sentences and the reconstructor cost a fixed count, not one node
-        # per word. The largest album (11 photos) builds 234 nodes; one
-        # node per decoder word step would add about 650.
+        # sequences are one node each: the encoders, the decoder's 10
+        # teacher-forced sentences and the reconstructor cost a fixed count,
+        # not one node per photo or word. Every album builds 104 nodes; the
+        # per-photo scene encoder built 227 for the largest (11 photos), and
+        # one node per decoder word step would add about 650.
         spec = SynthSpec(albums=8, scenes_per_album=(2, 3), photos_per_scene=(2, 4),
                          feature_dim=8, cluster_separation=4.0, noise_scale=0.05,
                          vocab_size=30, sentences=5, seed=42)
@@ -182,7 +183,21 @@ class TestGraphSize:
         derange = np.array([1, 2, 3, 4, 0])
         counts = [op_nodes(story_objective(album, 0, ps, cfg, derange=derange)[0])
                   for album in synth_dataset(spec, vocab)]
-        assert max(counts) <= 350, counts
+        assert max(counts) <= 160, counts
+
+    def test_node_count_independent_of_photo_count(self):
+        # only the attention steps (one per sentence) and the node
+        # arithmetic around them repeat; nothing repeats per photo
+        cfg = ModelConfig(vocab_size=30, feature_dim=8, photo_hidden=16,
+                          attn_hidden=32, attn_score_dim=32, dec_hidden=32,
+                          emb_dim=32, mlp_hidden=32, max_photos=40)
+        ps = build_parameters(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        derange = np.array([1, 2, 3, 4, 0])
+        counts = [op_nodes(story_objective(tiny_album(rng, cfg, m=m), 0, ps, cfg,
+                                           derange=derange)[0])
+                  for m in (7, 37)]
+        assert counts[0] == counts[1], counts
 
     def test_batched_step_node_budget(self):
         # one optimizer step over the 8 albums builds one graph whose size

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyforge import data as D
 from storyforge import tensor as T
@@ -7,7 +9,7 @@ from storyforge.model import ModelConfig, build_parameters
 from storyforge.photo_encoder import encode_photos
 from storyforge.scene_encoder import detect_boundary, encode_scenes, scene_indices
 
-from helpers import fill_oracle_scene_weights
+from helpers import encode_scenes_per_step, fill_oracle_scene_weights
 
 
 def small_params(seed=0, feature_dim=5, photo_hidden=3):
@@ -219,6 +221,64 @@ class TestEncodeScenes:
         cfg, ps = small_params(12)
         with pytest.raises(ValueError):
             encode_scenes([], ps)
+
+    @pytest.mark.parametrize("flags", [[0, 2, 0], [0, -1, 0], [0, 0.5, 1]])
+    def test_force_flags_values_checked(self, flags):
+        cfg, ps = small_params(14)
+        with pytest.raises(ValueError, match="^force_flags must be 0 or 1, got"):
+            encode_scenes(np.ones((3, cfg.d_v)), ps, force_flags=flags)
+
+    @pytest.mark.parametrize("lengths", [[0, 3], [4, 3], [2.5, 3], [3]])
+    def test_photo_counts_checked(self, lengths):
+        # a count outside 1..m steps, a fractional one, or one for two albums
+        cfg, ps = small_params(15)
+        with pytest.raises(ValueError, match="^photo counts .* do not fit 3 steps"):
+            encode_scenes(np.ones((3, 2, cfg.d_v)), ps, lengths=lengths)
+
+
+class TestFusedEqualsPerStep:
+    """The one-node scene encoder against the per-step graph it replaced:
+    the same values to the bit, and the same gradients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["live", "forced", "relax"]),
+           st.lists(st.integers(1, 7), min_size=1, max_size=4), st.booleans())
+    def test_fused_equals_per_step(self, seed, mode, lengths, batched):
+        rng = np.random.default_rng(seed)
+        cfg, ps = small_params(seed % 1000, photo_hidden=int(rng.integers(1, 5)))
+        m = max(lengths)
+        if batched:
+            feats = np.zeros((m, len(lengths), cfg.feature_dim))
+            for b, n in enumerate(lengths):
+                feats[:n, b] = 2.0 * rng.standard_normal((n, cfg.feature_dim))
+            lengths = np.array(lengths)
+        else:
+            feats, lengths = 2.0 * rng.standard_normal((m, cfg.feature_dim)), None
+        batch = feats.shape[1:-1]
+        flags = rng.integers(0, 2, size=(m,) + batch) if mode == "forced" else None
+        weights = T.wrap(rng.standard_normal((m + 1,) + batch + (cfg.d_v,)))
+        runs = []
+        for encode in (encode_scenes, encode_scenes_per_step):
+            ps.zero_grads()
+            enc = encode_photos(feats, ps, lengths)
+            V = T.NumArray(enc.V.data, requires_grad=True)
+            seg = encode(V, ps, force_flags=flags, relax=mode == "relax", lengths=lengths)
+            T.arr_sum(seg.X * weights).backward()
+            T.arr_sum(enc.V * T.wrap(V.grad)).backward()   # on into the photo weights
+            # a weight the graph never reached has no gradient: zero
+            runs.append((seg, V.grad, {n: np.zeros_like(ps[n].data) if ps[n].grad is None
+                                       else ps[n].grad for n in ps.names()
+                                       if n.startswith(("photo.", "scene."))}))
+        (fused, d_v, grads), (oracle, d_v_oracle, grads_oracle) = runs
+        assert fused.flags == oracle.flags
+        assert fused.softs == oracle.softs
+        np.testing.assert_allclose(fused.X.data, oracle.X.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(fused.scene_mask, oracle.scene_mask)
+        assert fused.u == oracle.u
+        np.testing.assert_allclose(d_v, d_v_oracle, rtol=1e-10, atol=1e-12)
+        for name, grad in grads_oracle.items():
+            np.testing.assert_allclose(grads[name], grad, rtol=1e-10, atol=1e-12,
+                                       err_msg=name)
 
 
 class TestSceneIndices:

@@ -231,6 +231,15 @@ class TestElementwise:
         out = T.sigmoid(T.wrap([-800.0, 800.0]))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
 
+    def test_sigmoid_is_the_piecewise_form_to_the_bit(self):
+        # one division over the selected numerators: 1/(1+e) at x >= 0,
+        # e/(1+e) below, with e = exp(-|x|)
+        x = np.concatenate([np.random.default_rng(0).normal(scale=8.0, size=500),
+                            [0.0, -0.0, 1e-300, -1e-300, 40.0, -745.0, np.inf, -np.inf]])
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert T.sigmoid(T.wrap(x)).data.tobytes() == want.tobytes()
+
 
 class TestHardThreshold:
     def test_forward_step(self):
