@@ -27,7 +27,7 @@ from .data import (DataFormatError, SynthSpec, Vocabulary, at_line, build_vocab,
                    story_text, story_tokens, synth_dataset, synth_vocab)
 from .metrics import EvalPair, bleu, cider, rouge_l
 from .model import (ConfigError, ModelConfig, build_parameters,
-                    full_pipeline_grad_check, generate_story, scene_view)
+                    full_pipeline_grad_check, generate_stories, scene_view)
 from .trainer import (TrainConfig, config_from, decoded_pairs, run_training,
                       write_log)
 
@@ -259,10 +259,10 @@ def cmd_generate(cfg) -> int:
     write_resolved(cfg, out)
     albums = _model_albums(cfg["data"], vocab, mcfg)
     path = Path(cfg["stories"]) if cfg["stories"] else out / "stories.jsonl"
+    hyps = generate_stories(albums, params, mcfg, mode=cfg["mode"],
+                            beam_width=cfg["beam_width"])
     with open(path, "w", encoding="utf-8") as fh:
-        for album in albums:
-            hyp = generate_story(album, params, mcfg, mode=cfg["mode"],
-                                 beam_width=cfg["beam_width"])
+        for album, hyp in zip(albums, hyps):
             rec = {"album_id": album.album_id,
                    "sentences": story_text(hyp.sentences, vocab),
                    "flags": hyp.flags,

@@ -7,9 +7,10 @@ vector z_j is the weight-averaged memory. Attention steps every album of
 a batch at once, each over its own memory rows. The word decoder is a GRU
 over [previous-word embedding ; z_j] with a one-hidden-layer readout.
 Teacher-forced scoring runs any number of sentences (all of a batch's) as
-one padded batch through one GRU scan. Decoding is one beam search whose
-word step runs the unfinished hypotheses as the rows of one GRU cell;
-greedy decoding is that search at width 1.
+one padded batch through one GRU scan. Decoding is one beam search over
+any number of z rows (at inference, every sentence of a chunk of albums),
+a beam per row; its word step runs the unfinished hypotheses of all beams
+as the rows of one GRU cell, and greedy decoding is that search at width 1.
 
 The attention state persists across the n sentences of an album; its
 input alpha vector is padded to a fixed length so parameter shapes do not
@@ -113,43 +114,46 @@ def sentence_log_prob(z, sentence_ids, params):
             [T.pick(word_logps, t) for t in steps])
 
 
-def _search(z, params, max_words: int, width: int):
-    """Beam search by total log-prob until EOS or max_words+1 tokens. Each
-    step runs the unfinished hypotheses as the rows of one `_decoder_step`
-    and ranks the top `width` tokens of every row, with the finished
-    hypotheses, by (total log-prob, ids): ties go to lower token ids, and
-    width 1 is greedy. Returns the best hypothesis's (ids, per-word logps)."""
+def _search(Z, params, max_words: int, width: int):
+    """Beam search by total log-prob until EOS or max_words+1 tokens, one
+    beam per row of Z (R, D_v). Each step runs the unfinished hypotheses of
+    every beam as the rows of one `_decoder_step`, so finished ones drop out
+    of the GRU batch; each beam ranks the top `width` tokens of its rows,
+    with its finished hypotheses, by (total log-prob, ids): ties go to lower
+    token ids, and width 1 is greedy. Returns each row's best hypothesis as
+    (ids, per-word logps)."""
     table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
-    Z = np.tile(T.wrap(z).data, (width, 1))
-    H = T.zeros((1, gru_w.hidden_size))
-    # hypotheses: (total log-prob, [BOS] + ids, per-word logps, row of H, finished)
-    beams = [(0.0, [BOS], [], 0, False)]
+    H = np.zeros((len(Z), gru_w.hidden_size))
+    # per row: hypotheses (total log-prob, [BOS] + ids, per-word logps, row of H, finished)
+    beams = [[(0.0, [BOS], [], r, False)] for r in range(len(Z))]
     with T.no_grad():
         for _ in range(max_words + 1):
-            live = [b for b in beams if not b[4]]
-            H, d = _decoder_step(np.array([b[1][-1] for b in live]),
-                                 H.data.take([b[3] for b in live], axis=0),
-                                 Z[:len(live)], table, gru_w, params)
-            log_p = T.log_softmax(d).data
-            top = (-log_p).argsort(axis=-1, kind="stable")[:, :width]
-            beams = [b for b in beams if b[4]]
-            for row, ((total, ids, logps, _, _), lp, toks) in enumerate(
-                    zip(live, log_p.tolist(), top.tolist())):
-                beams += [(total + lp[t], ids + [t], logps + [lp[t]], row, t == EOS)
-                          for t in toks]
-            beams = sorted(beams, key=lambda b: (-b[0], b[1]))[:width]
-            if all(b[4] for b in beams):
+            live = [(r, b) for r, beam in enumerate(beams) for b in beam if not b[4]]
+            if not live:
                 break
-    return beams[0][1][1:], beams[0][2]
+            h, d = _decoder_step(np.array([b[1][-1] for _, b in live]),
+                                 H.take([b[3] for _, b in live], axis=0),
+                                 Z.take([r for r, _ in live], axis=0), table, gru_w, params)
+            H, log_p = h.data, T.log_softmax(d).data
+            top = (-log_p).argsort(axis=-1, kind="stable")[:, :width]
+            beams = [[b for b in beam if b[4]] for beam in beams]
+            for i, ((r, (total, ids, logps, _, _)), lp, toks) in enumerate(
+                    zip(live, log_p.tolist(), top.tolist())):
+                beams[r] += [(total + lp[t], ids + [t], logps + [lp[t]], i, t == EOS)
+                             for t in toks]
+            beams = [sorted(beam, key=lambda b: (-b[0], b[1]))[:width] for beam in beams]
+    return [(beam[0][1][1:], beam[0][2]) for beam in beams]
 
 
 def decode_sentence_greedy(z, params, max_words: int):
-    """Argmax decoding, the search at width 1: (ids, per-word logps)."""
-    return _search(z, params, max_words, 1)
+    """Argmax decoding of one z, a one-row search at width 1: (ids, per-word
+    logps)."""
+    return _search(T.wrap(z).data[None], params, max_words, 1)[0]
 
 
 def decode_sentence_beam(z, params, max_words: int, width: int):
-    """Beam search of the given width: (ids, per-word logps)."""
+    """Beam search of one z at the given width, a one-row search: (ids,
+    per-word logps)."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    return _search(z, params, max_words, width)
+    return _search(T.wrap(z).data[None], params, max_words, width)[0]

@@ -13,7 +13,7 @@ import inspect
 
 from .data import (SPECIALS, AlbumExample, Vocabulary, build_vocab, check_gold,
                    check_stories, encode_sentence, feature_rows, story_text)
-from .model import ModelConfig, generate_story, scene_view
+from .model import ModelConfig, generate_stories, scene_view
 from .trainer import TrainConfig, config_from, run_training, validate
 
 
@@ -101,10 +101,6 @@ class AlbumStoryteller:
             raise ValueError(f"{refs_for} needs albums with reference stories")
         return albums
 
-    def _generate(self, album, params, cfg):
-        return generate_story(album, params, cfg, mode=self.mode,
-                              beam_width=self.beam_width)
-
     def fit(self, X, y=None, vocab: Vocabulary | None = None,
             validation=None):
         """Train on albums with reference stories; returns self."""
@@ -138,9 +134,10 @@ class AlbumStoryteller:
     def predict(self, X):
         """Decode one story per album: a list of sentence-string lists."""
         check_is_fitted(self)
-        return [story_text(self._generate(album, self.params_,
-                                          self.model_config_).sentences, self.vocab_)
-                for album in self._albums(X)]
+        return [story_text(hyp.sentences, self.vocab_)
+                for hyp in generate_stories(self._albums(X), self.params_,
+                                            self.model_config_, mode=self.mode,
+                                            beam_width=self.beam_width)]
 
     def transform(self, X):
         """Scene view per album: boundary flags, soft scores, scene index."""
@@ -156,4 +153,4 @@ class AlbumStoryteller:
         `mode` and `beam_width` against the albums' references."""
         check_is_fitted(self)
         return validate(self.params_, self.model_config_, self._albums(X, "score"),
-                        self.vocab_, generate_fn=self._generate)
+                        self.vocab_, mode=self.mode, beam_width=self.beam_width)

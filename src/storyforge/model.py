@@ -3,7 +3,9 @@
 The pipeline runs on one album, or on B albums padded into one batch: the
 encoders and attention take the batch as leading axes, and the training
 objective scores a batch's sentences as the rows of one padded batch, so
-a batch is one graph.
+a batch is one graph. Inference batches the same way: a chunk of albums
+is encoded and summarized once, and all of its sentences are decoded as
+the rows of one search.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import AlbumExample, ConfigError
-from .decoder import (AttentionState, StoryHypothesis, attend,
-                      decode_sentence_beam, decode_sentence_greedy,
+from .decoder import (AttentionState, StoryHypothesis, _search, attend,
                       score_sentences)
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
 from .photo_encoder import encode_photos
@@ -235,21 +236,43 @@ def story_objective(album, story_idx, params, cfg: ModelConfig,
                            relax=relax)
 
 
-def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",
-                   beam_width: int = 3) -> StoryHypothesis:
-    """Decode n sentences for an album with the live boundary detector."""
+DECODE_CHUNK = 32   # albums padded, encoded and searched together at inference
+
+
+def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
+                     beam_width: int = 3) -> list:
+    """Decode n sentences for each album with the live boundary detector,
+    DECODE_CHUNK albums at a time: a chunk is padded into one batch,
+    encoded and summarized once, and every (album, sentence, hypothesis)
+    is a row of one search. Greedy ignores `beam_width`. Returns one
+    StoryHypothesis per album."""
     if mode not in ("greedy", "beam"):
         raise ValueError(f"unknown decode mode '{mode}'")
-    with T.no_grad():
-        encoding = encode_album(album.features, params, cfg)
-        zs, alphas = summarize_album(encoding, cfg.sentences, params)
-        decoded = [decode_sentence_greedy(z, params, cfg.max_words) if mode == "greedy"
-                   else decode_sentence_beam(z, params, cfg.max_words, beam_width)
-                   for z in zs]
-    used = encoding.used_slots
-    return StoryHypothesis([ids for ids, _ in decoded], [lps for _, lps in decoded],
-                           [a.data[:used].copy() for a in alphas],
-                           list(encoding.scenes.flags))
+    width = 1 if mode == "greedy" else beam_width
+    if width < 1:
+        raise ValueError("beam width must be >= 1")
+    stories = []
+    for lo in range(0, len(albums), DECODE_CHUNK):
+        feats, lengths = pad_steps([a.features for a in albums[lo:lo + DECODE_CHUNK]])
+        with T.no_grad():
+            encoding = encode_album(feats, params, cfg, lengths=lengths)
+            zs, alphas = summarize_album(encoding, cfg.sentences, params)
+        # row j*B + b holds sentence j of album b
+        decoded = _search(np.concatenate([z.data for z in zs]), params,
+                          cfg.max_words, width)
+        for b, (m, used) in enumerate(zip(lengths, encoding.used_slots)):
+            rows = decoded[b::len(lengths)]
+            stories.append(StoryHypothesis([ids for ids, _ in rows],
+                                           [lps for _, lps in rows],
+                                           [a.data[b, :used].copy() for a in alphas],
+                                           [f[b] for f in encoding.scenes.flags[:m]]))
+    return stories
+
+
+def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",
+                   beam_width: int = 3) -> StoryHypothesis:
+    """One album's `generate_stories`."""
+    return generate_stories([album], params, cfg, mode, beam_width)[0]
 
 
 def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8) -> float:

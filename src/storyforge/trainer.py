@@ -28,7 +28,7 @@ from .data import decode_ids, story_tokens
 from .losses import derangement
 from .metrics import EvalPair, cider
 from .model import (ConfigError, ModelConfig, batch_objective, build_parameters,
-                    generate_story)
+                    generate_stories)
 
 STAGE1_FROZEN = ("reconstructor",)
 STAGE2_FROZEN = ("photo_encoder", "scene_encoder", "attention")
@@ -77,18 +77,23 @@ class TrainResult:
     stop_reason: str = "max_steps"
 
 
-def decoded_pairs(params, cfg: ModelConfig, albums, vocab,
-                  generate_fn=generate_story):
-    """Decode every album and pair its tokens with all its reference stories."""
-    return [EvalPair([tok for ids in generate_fn(album, params, cfg).sentences
-                      for tok in decode_ids(ids, vocab)],
+def decoded_pairs(params, cfg: ModelConfig, albums, vocab, generate_fn=None,
+                  mode: str = "greedy", beam_width: int = 3):
+    """Decode every album, with `generate_stories` in `mode` or with one
+    `generate_fn(album, params, cfg)` call per album, and pair its tokens
+    with all its reference stories."""
+    hyps = (generate_stories(albums, params, cfg, mode, beam_width) if generate_fn is None
+            else [generate_fn(album, params, cfg) for album in albums])
+    return [EvalPair([tok for ids in hyp.sentences for tok in decode_ids(ids, vocab)],
                      [story_tokens(story) for story in album.raw_stories])
-            for album in albums]
+            for album, hyp in zip(albums, hyps)]
 
 
-def validate(params, cfg: ModelConfig, albums, vocab, generate_fn=generate_story):
-    """Decode every album with `generate_fn` and score corpus CIDEr against all refs."""
-    return cider(decoded_pairs(params, cfg, albums, vocab, generate_fn))
+def validate(params, cfg: ModelConfig, albums, vocab, generate_fn=None,
+             mode: str = "greedy", beam_width: int = 3):
+    """Decode every album as `decoded_pairs` does and score corpus CIDEr
+    against all refs."""
+    return cider(decoded_pairs(params, cfg, albums, vocab, generate_fn, mode, beam_width))
 
 
 def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,

@@ -398,6 +398,24 @@ class TestGeneration:
         assert len(ids) == cfg.max_words + 1
         assert rows == [1] + [3] * cfg.max_words
 
+    def test_finished_rows_leave_the_step(self, monkeypatch):
+        # one beam per row of Z; a step runs only the rows still decoding,
+        # and each row decodes as it would alone
+        cfg, ps = make(28)
+        ps["dec.out.b2"].data[EOS] = 1.0   # rows end after 1, 2, 15 and 26 tokens
+        Z = np.random.default_rng(28).standard_normal((6, cfg.d_v))
+        want = [decode_sentence_greedy(z, ps, cfg.max_words) for z in Z]
+        rows, step = [], decoder._decoder_step
+        monkeypatch.setattr(decoder, "_decoder_step",
+                            lambda prev, *rest: rows.append(len(prev)) or step(prev, *rest))
+        got = decoder._search(Z, ps, cfg.max_words, 1)
+        lengths = [len(ids) for ids, _ in got]
+        assert len(set(lengths)) > 1
+        assert rows == [sum(n > t for n in lengths) for t in range(max(lengths))]
+        assert [ids for ids, _ in got] == [ids for ids, _ in want]
+        for (_, logps), (_, want_logps) in zip(got, want):
+            np.testing.assert_allclose(logps, want_logps, rtol=0, atol=1e-12)
+
     def test_greedy_per_step_locally_optimal(self):
         # teacher-forcing greedy's own output must reproduce its choices:
         # at every step the argmax of the step logits is the emitted token

@@ -3,14 +3,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from storyforge import model
 from storyforge import tensor as T
 from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
-from storyforge.decoder import sentence_log_prob
+from storyforge.decoder import (decode_sentence_beam, decode_sentence_greedy,
+                                sentence_log_prob)
 from storyforge.model import (ConfigError, ModelConfig, batch_objective,
                               build_parameters, encode_album,
-                              full_pipeline_grad_check, generate_story,
-                              pad_steps, story_objective, summarize_album)
+                              full_pipeline_grad_check, generate_stories,
+                              generate_story, pad_steps, story_objective,
+                              summarize_album)
 
 
 def tiny_cfg(vocab_size=12):
@@ -345,6 +350,74 @@ class TestGenerateStory:
         ps = build_parameters(cfg, np.random.default_rng(11))
         hyp = generate_story(albums[0], ps, cfg)
         assert len(hyp.sentences) == 5
+
+
+def per_album_story(album, ps, cfg, mode, width):
+    """The unbatched oracle: one album's own encoding, then one decode call
+    per sentence. Returns (ids, word logps, alphas, flags)."""
+    with T.no_grad():
+        encoding = encode_album(album.features, ps, cfg)
+        zs, alphas = summarize_album(encoding, cfg.sentences, ps)
+    decoded = [decode_sentence_greedy(z, ps, cfg.max_words) if mode == "greedy"
+               else decode_sentence_beam(z, ps, cfg.max_words, width) for z in zs]
+    return ([ids for ids, _ in decoded], [lps for _, lps in decoded],
+            [a.data[:encoding.used_slots] for a in alphas], list(encoding.scenes.flags))
+
+
+class TestGenerateStories:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True),
+           st.sampled_from([("greedy", 1), ("beam", 1), ("beam", 2), ("beam", 3)]),
+           st.booleans())
+    def test_batched_equals_per_album_oracle(self, seed, sizes, mode_width, early):
+        # the EOS bias stays as initialised (untrained rows mostly run to the
+        # cap), or `early` shifts it just enough that the row most inclined
+        # to EOS at its first step ends there and others end at other steps
+        mode, width = mode_width
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        albums = [tiny_album(rng, cfg, m=m) for m in sizes]
+        if early:
+            with T.no_grad():
+                zs = [z for a in albums for z in summarize_album(
+                    encode_album(a.features, ps, cfg), cfg.sentences, ps)[0]]
+            first = [sentence_log_prob(z, [EOS], ps)[1][0].data for z in zs]
+            margin = max(d[EOS] - np.delete(d, EOS).max() for d in first)
+            ps["dec.out.b2"].data[EOS] += 1e-6 - margin
+        hyps = generate_stories(albums, ps, cfg, mode=mode, beam_width=width)
+        assert len(hyps) == len(albums)
+        wants = [per_album_story(a, ps, cfg, mode, width) for a in albums]
+        if early:
+            assert [EOS] in [ids for want in wants for ids in want[0]]
+        for hyp, (ids, logps, alphas, flags) in zip(hyps, wants):
+            assert hyp.sentences == ids
+            assert hyp.flags == flags
+            for got, want in zip(hyp.word_logps, logps):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            for got, want in zip(hyp.alphas, alphas):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_no_albums(self):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(12))
+        assert generate_stories([], ps, cfg) == []
+
+    def test_bad_beam_width_raises_before_encoding(self, monkeypatch):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(13))
+        album = tiny_album(np.random.default_rng(13), cfg)
+        want = generate_story(album, ps, cfg)
+        assert generate_story(album, ps, cfg, beam_width=0).sentences == want.sentences
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("encoded an album")
+
+        monkeypatch.setattr(model, "encode_album", no_encoding)
+        with pytest.raises(ValueError, match="^beam width must be >= 1$"):
+            generate_stories([album], ps, cfg, mode="beam", beam_width=0)
 
 
 class TestFullPipelineGradients:

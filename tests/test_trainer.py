@@ -5,10 +5,11 @@ import pytest
 
 from storyforge import tensor as T
 from storyforge.data import SynthSpec, synth_dataset, synth_vocab
-from storyforge.model import ModelConfig, build_parameters, story_objective
+from storyforge.model import (DECODE_CHUNK, ModelConfig, build_parameters,
+                              generate_story, story_objective)
 from storyforge.trainer import (STAGE2_FROZEN, TrainConfig, canonical_log,
-                                run_stage1, run_stage2, run_training, validate,
-                                write_log)
+                                decoded_pairs, run_stage1, run_stage2,
+                                run_training, validate, write_log)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +250,20 @@ class TestValidate:
         params = build_parameters(cfg, np.random.default_rng(4))
         assert validate(params, cfg, albums, vocab) == \
             validate(params, cfg, albums, vocab)
+
+    def test_default_path_equals_per_album_hook(self, corpus):
+        # batched decoding over more albums than one chunk, of unequal sizes
+        _, vocab, _ = corpus
+        cfg = tiny_tcfg(vocab).model
+        params = build_parameters(cfg, np.random.default_rng(6))
+        albums = synth_dataset(SynthSpec(albums=DECODE_CHUNK + 3, scenes_per_album=(1, 2),
+                                         photos_per_scene=(1, 2), feature_dim=6,
+                                         vocab_size=25, seed=6), vocab)
+        assert len({a.num_photos for a in albums}) > 1
+        assert decoded_pairs(params, cfg, albums, vocab) == \
+            decoded_pairs(params, cfg, albums, vocab, generate_fn=generate_story)
+        assert validate(params, cfg, albums, vocab) == \
+            validate(params, cfg, albums, vocab, generate_fn=generate_story)
 
     def test_empty_generation_scores_zero(self, corpus):
         _, vocab, albums = corpus
