@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .data import (DataFormatError, SynthSpec, Vocabulary, at_line, build_vocab,
                    check_stories, load_albums, read_records, save_albums,
-                   story_text, story_tokens, synth_dataset, synth_vocab)
+                   story_text, story_tokens, synth_dataset, synth_vocab, utf8_text)
 from .metrics import EvalPair, bleu, cider, rouge_l
 from .model import (ConfigError, ModelConfig, build_parameters,
                     full_pipeline_grad_check, generate_stories, scene_view)
@@ -81,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_config_file(path) -> dict:
     raw = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -250,10 +250,6 @@ def cmd_train(cfg) -> int:
 
 def cmd_generate(cfg) -> int:
     _require(cfg, "data")
-    if cfg["mode"] not in ("greedy", "beam"):
-        raise ConfigError(f"unknown decode mode '{cfg['mode']}'")
-    if cfg["beam_width"] < 1:
-        raise ConfigError("beam width must be >= 1")
     params, vocab, mcfg = _load_model(cfg)
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
@@ -420,8 +416,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         return args.func(cfg)
-    except (ConfigError, FileNotFoundError, DataFormatError) as e:
+    except (ConfigError, DataFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:   # a path given to read or write
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
     except (ValueError, T.DimensionError, T.EvaluationError) as e:
         print(f"runtime error: {e}", file=sys.stderr)

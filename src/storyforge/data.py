@@ -32,6 +32,17 @@ class ConfigError(ValueError):
     """A configuration value outside its valid range."""
 
 
+@contextmanager
+def utf8_text(path):
+    """`path` opened as UTF-8 text; bytes read inside that do not decode
+    raise a DataFormatError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, then split into alphanumeric runs and single punctuation marks."""
     return _TOKEN_RE.findall(text.lower())
@@ -45,7 +56,8 @@ class Vocabulary:
         self.id_to_token = list(SPECIALS) + list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate tokens in vocabulary")
+            dup = next(t for t, n in Counter(self.id_to_token).items() if n > 1)
+            raise DataFormatError(f"duplicate token '{dup}' in vocabulary")
 
     def __len__(self):
         return len(self.id_to_token)
@@ -65,7 +77,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
+        with utf8_text(path) as fh:
             header = fh.readline().rstrip("\n")
             if not header.startswith(_VOCAB_HEADER):
                 raise DataFormatError(f"{path}: missing vocabulary header")
@@ -73,7 +85,10 @@ class Vocabulary:
             if m is None:
                 raise DataFormatError(f"{path}: header lacks min_count")
             tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens, min_count=int(m.group(1)))
+        try:
+            return cls(tokens, min_count=int(m.group(1)))
+        except DataFormatError as e:
+            raise DataFormatError(f"{path}: {e}") from None
 
 
 def build_vocab(corpus, min_count: int = 5) -> Vocabulary:
@@ -198,7 +213,7 @@ def at_line(line_no):
 def read_records(path, *required):
     """(line number, object) for each non-blank line of a JSON-lines file;
     every record must be an object holding the `required` fields."""
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -29,8 +29,8 @@ from .data import BOS, EOS, PAD
 
 @dataclass
 class AttentionState:
-    h_attn: T.NumArray     # (*B, H_a)
-    alpha_prev: T.NumArray  # (*B, L_max) zero before the first sentence
+    h_attn: T.NumArray     # (B, H_a)
+    alpha_prev: T.NumArray  # (B, L_max) zero before the first sentence
 
 
 @dataclass
@@ -44,9 +44,9 @@ class StoryHypothesis:
 def attend(memory, valid_mask, state: AttentionState, params):
     """One attention step. Returns (z, alpha, new_state).
 
-    memory: (*B, L_max, D_v) rows = photos then scene slots then zero
-    padding, per album; valid_mask (*B, L_max) marks the photo rows and
-    true scene rows. The state holds (*B, H_a) and (*B, L_max) rows.
+    memory: (B, L_max, D_v) rows = photos then scene slots then zero
+    padding, per album; valid_mask (B, L_max) marks the photo rows and
+    true scene rows. The state holds (B, H_a) and (B, L_max) rows.
     """
     h_new = T.gru_cell(state.alpha_prev, state.h_attn, params.gru("attn.gru"))
     scores = T.attention_scores(memory, params["attn.score.w_mem"],
@@ -103,10 +103,11 @@ def score_sentences(Z, sentences, params):
 
 
 def sentence_log_prob(z, sentence_ids, params):
-    """Teacher-forced score of one EOS-terminated sentence given z: a
-    one-row `score_sentences`. Returns (total log-prob node, per-step
-    logits, per-word log-prob nodes); the total includes the EOS term."""
-    total, logits, word_logps = score_sentences(T.stack_rows([z]), [sentence_ids],
+    """Teacher-forced score of one EOS-terminated sentence given z, (D_v,)
+    or a batch of one (1, D_v): a one-row `score_sentences`. Returns (total
+    log-prob node, per-step logits, per-word log-prob nodes); the total
+    includes the EOS term."""
+    total, logits, word_logps = score_sentences(T.reshape(z, (1, -1)), [sentence_ids],
                                                 params)
     logits, word_logps = T.arr_sum(logits, axis=1), T.arr_sum(word_logps, axis=1)
     steps = range(len(sentence_ids))

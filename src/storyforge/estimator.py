@@ -61,12 +61,20 @@ class AlbumStoryteller:
     segmentation for each album.
     """
 
-    def __init__(self, feature_dim=8, photo_hidden=16, attn_hidden=32,
-                 attn_score_dim=32, dec_hidden=32, emb_dim=32, mlp_hidden=32,
-                 max_words=25, sentences=5, max_photos=40,
-                 stage="all", lr=0.0004, lam=0.2, mu=0.8, batch_size=1,
-                 max_steps=1000, validate_every=100, patience=30, seed=0,
-                 nll_stop=0.0, min_count=1, mode="greedy", beam_width=3):
+    def __init__(self, feature_dim=ModelConfig.feature_dim,
+                 photo_hidden=ModelConfig.photo_hidden,
+                 attn_hidden=ModelConfig.attn_hidden,
+                 attn_score_dim=ModelConfig.attn_score_dim,
+                 dec_hidden=ModelConfig.dec_hidden, emb_dim=ModelConfig.emb_dim,
+                 mlp_hidden=ModelConfig.mlp_hidden, max_words=ModelConfig.max_words,
+                 sentences=ModelConfig.sentences, max_photos=ModelConfig.max_photos,
+                 stage=TrainConfig.stage, lr=TrainConfig.lr, lam=TrainConfig.lam,
+                 mu=TrainConfig.mu, batch_size=TrainConfig.batch_size,
+                 max_steps=TrainConfig.max_steps,
+                 validate_every=TrainConfig.validate_every,
+                 patience=TrainConfig.patience, seed=TrainConfig.seed,
+                 nll_stop=TrainConfig.nll_stop, min_count=1, mode="greedy",
+                 beam_width=3):
         args = locals()
         for name in self._param_names():
             setattr(self, name, args[name])

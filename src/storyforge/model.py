@@ -1,11 +1,11 @@
 """Model configuration, parameter registry, and the full album pipeline.
 
-The pipeline runs on one album, or on B albums padded into one batch: the
-encoders and attention take the batch as leading axes, and the training
-objective scores a batch's sentences as the rows of one padded batch, so
-a batch is one graph. Inference batches the same way: a chunk of albums
-is encoded and summarized once, and all of its sentences are decoded as
-the rows of one search.
+The pipeline runs on B albums padded into one batch, and a lone album is
+a batch of one: the encoders and attention keep one (step, album, ...)
+shape, and the training objective scores a batch's sentences as the rows
+of one padded batch, so a batch is one graph. Inference batches the same
+way: a chunk of albums is encoded and summarized once, and all of its
+sentences are decoded as the rows of one search.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def build_parameters(cfg: ModelConfig, rng) -> T.ParamStore:
 class AlbumEncoding:
     photos: object           # PhotoEncoding
     scenes: object           # SceneSegmentation
-    memory: T.NumArray       # (*B, alpha_len, D_v): photo rows, scene slots, padding
-    valid_mask: np.ndarray   # (*B, alpha_len) floats, 1 on photos and true scenes
+    memory: T.NumArray       # (B, alpha_len, D_v): photo rows, scene slots, padding
+    valid_mask: np.ndarray   # (B, alpha_len) floats, 1 on photos and true scenes
     init_state: AttentionState
 
     @property
@@ -126,8 +126,11 @@ def pad_steps(sequences):
 def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=False,
                  lengths=None) -> AlbumEncoding:
     """Photo pass, scene segmentation, and the padded attention memory of
-    one album ((m, F) rows), or of B albums padded by `pad_steps` with
-    their photo counts in `lengths`."""
+    B albums padded by `pad_steps` with their photo counts in `lengths`.
+    Without `lengths`, `features` is one album's (m, F) rows, encoded as a
+    batch of one."""
+    if lengths is None:
+        features, lengths = pad_steps([features])
     enc = encode_photos(features, params, lengths)
     m, n = len(enc.V.data), enc.lengths
     if 2 * n.max() + 1 > cfg.alpha_len:
@@ -139,13 +142,12 @@ def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=Fal
     # slot s of an album of n photos: photo s below n, scene slot s - n up
     # to 2n, then padding; photos, scene slots and a zero row form one source
     s = np.arange(cfg.alpha_len)
-    n_col = n[..., None]
+    n_col = n[:, None]
     index = (np.where(s < n_col, s, np.where(s <= 2 * n_col, m + s - n_col, 2 * m + 1)),
-             *(r[..., None] for r in T.batch_rows(n)))
+             np.arange(len(n))[:, None])
     zero = np.zeros((1,) + enc.V.shape[1:])
     memory = T.pick(T.concat([enc.V, seg.X, zero]), index)
-    valid = np.concatenate([np.ones((m,) + n.shape), seg.scene_mask,
-                            zero[..., 0]])[index]
+    valid = np.concatenate([np.ones((m, len(n))), seg.scene_mask, zero[..., 0]])[index]
 
     h0 = T.concat([enc.fwd_final, enc.bwd_final], axis=-1) @ params["attn.init.w"] \
         + params["attn.init.b"]
@@ -157,13 +159,14 @@ def scene_view(features, params, cfg: ModelConfig) -> dict:
     """One album's scenes under no_grad: flags, soft scores, scene of each photo."""
     with T.no_grad():
         seg = encode_album(features, params, cfg).scenes
-    return {"flags": list(seg.flags), "softs": list(seg.softs),
-            "scene_of_photo": scene_indices(seg.flags), "num_scenes": seg.u}
+    flags = [row[0] for row in seg.flags]
+    return {"flags": flags, "softs": [row[0] for row in seg.softs],
+            "scene_of_photo": scene_indices(flags), "num_scenes": seg.u[0]}
 
 
 def summarize_album(encoding: AlbumEncoding, n: int, params):
-    """Run n attention steps; returns (z list, alpha list), (*B, D_v) and
-    (*B, alpha_len) each."""
+    """Run n attention steps; returns (z list, alpha list), (B, D_v) and
+    (B, alpha_len) each."""
     state = encoding.init_state
     zs, alphas = [], []
     for _ in range(n):
@@ -247,10 +250,10 @@ def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
     is a row of one search. Greedy ignores `beam_width`. Returns one
     StoryHypothesis per album."""
     if mode not in ("greedy", "beam"):
-        raise ValueError(f"unknown decode mode '{mode}'")
+        raise ConfigError(f"unknown decode mode '{mode}'")
     width = 1 if mode == "greedy" else beam_width
     if width < 1:
-        raise ValueError("beam width must be >= 1")
+        raise ConfigError("beam width must be >= 1")
     stories = []
     for lo in range(0, len(albums), DECODE_CHUNK):
         feats, lengths = pad_steps([a.features for a in albums[lo:lo + DECODE_CHUNK]])

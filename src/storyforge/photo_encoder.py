@@ -22,31 +22,27 @@ from . import tensor as T
 
 @dataclass
 class PhotoEncoding:
-    V: T.NumArray            # (m, *B, D_v), row i is v_i
-    fwd_final: T.NumArray    # (*B, H_p) forward state after each album's last photo
-    bwd_final: T.NumArray    # (*B, H_p) backward state after photo 1
-    lengths: np.ndarray      # (*B,) photo counts; m for one unbatched album
+    V: T.NumArray            # (m_max, B, D_v), row i is v_i
+    fwd_final: T.NumArray    # (B, H_p) forward state after each album's last photo
+    bwd_final: T.NumArray    # (B, H_p) backward state after photo 1
+    lengths: np.ndarray      # (B,) photo counts
 
 
-def encode_photos(features, params, lengths=None) -> PhotoEncoding:
-    """features: one album's m rows ((m, F), or m (F,) arrays), or B albums
-    padded time-major to (m_max, B, F) with their photo counts in `lengths`."""
-    if len(features) == 0:
-        raise ValueError("album has no photos")
+def encode_photos(features, params, lengths) -> PhotoEncoding:
+    """features: B albums padded time-major to (m_max, B, F), with their
+    photo counts in `lengths`."""
     fwd_w = params.gru("photo.fwd")
     bwd_w = params.gru("photo.bwd")
-    feats = T.wrap(np.stack(features))   # (m, *B, feature_dim)
-    m, batch = len(feats.data), feats.shape[1:-1]
+    feats = T.wrap(features)
+    m, batch = feats.shape[:2]
     lengths = T.step_lengths(lengths, m, batch)
-    rows = T.batch_rows(lengths)
-    steps = np.arange(m).reshape((m,) + (1,) * len(batch))
+    steps, rows = np.arange(m)[:, None], np.arange(batch)
     # an involution: each album's first `length` steps reversed, padding kept
-    reverse = (np.where(steps < lengths, lengths - 1 - steps, steps), *rows)
-    last = (lengths - 1, *rows)
+    reverse = (np.where(steps < lengths, lengths - 1 - steps, steps), rows)
+    last = (lengths - 1, rows)
 
-    fwd = T.gru_scan(feats, T.zeros(batch + (fwd_w.hidden_size,)), fwd_w)
-    bwd_rev = T.gru_scan(feats.data[reverse], T.zeros(batch + (bwd_w.hidden_size,)),
-                         bwd_w)
+    fwd = T.gru_scan(feats, T.zeros((batch, fwd_w.hidden_size)), fwd_w)
+    bwd_rev = T.gru_scan(feats.data[reverse], T.zeros((batch, bwd_w.hidden_size)), bwd_w)
     V = T.relu(T.concat([fwd, T.pick(bwd_rev, reverse)], axis=-1)
                + feats @ params["photo.skip.w"])
     return PhotoEncoding(V, T.pick(fwd, last), T.pick(bwd_rev, last), lengths)

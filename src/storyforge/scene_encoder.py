@@ -36,23 +36,16 @@ class SceneSegmentation:
     u: int                 # number of true scenes, (*B,) nested for a batch
 
 
-def detect_boundary(v_i, h_prev, params, relax: bool = False):
-    """Returns (k, soft), each (*B, 1) for rows v_i and h_prev (*B, D_v).
-    k is 1[soft > 0.5] with identity backward.
-
-    relax=True swaps the threshold for soft + stop_grad(k - soft): the
-    forward value is bit-identical to k but the backward pass is the plain
-    sigmoid path, which is what the straight-through estimator claims to
-    equal.
+def detect_boundary(v_i, h_prev, params):
+    """Returns (k, soft), each (B, 1) for rows v_i and h_prev (B, D_v).
+    k = soft + stop_grad(1[soft > 0.5] - soft): its value is the hard
+    decision to the bit, and its backward is the plain sigmoid path, which
+    is the gradient the straight-through estimator passes to soft.
     """
     score = v_i @ params["scene.detect.w_v"] \
         + h_prev @ params["scene.detect.w_h"] + params["scene.detect.b"]
     soft = T.sigmoid(T.reshape(score, score.shape + (1,)))
-    if relax:
-        k = soft + T.wrap((soft.data > 0.5) - soft.data)
-    else:
-        k = T.hard_threshold(soft)
-    return k, soft
+    return soft + T.wrap((soft.data > 0.5) - soft.data), soft
 
 
 def encode_scenes(V, params, force_flags=None, relax: bool = False,
@@ -82,7 +75,7 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
         if not np.isin(force_flags, (0, 1)).all():
             raise ValueError(f"force_flags must be 0 or 1, got "
                              f"{sorted(set(force_flags.ravel().tolist()) - {0, 1})}")
-    n = T.step_lengths(lengths, m, batch).reshape(-1)
+    n = T.step_lengths(lengths, m, int(np.prod(batch)))
     gru_w = params.gru("scene.gru")
     w_v, w_h, b = (params[f"scene.detect.{p}"] for p in ("w_v", "w_h", "b"))
     hid, wh = gru_w.hidden_size, gru_w.w_h.data
@@ -133,7 +126,7 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
             d_h = d_reset + k[i][:, None] * d_emit
             if live and relax:   # autodiff through the relaxed detector
                 v, h = (T.NumArray(x, requires_grad=True) for x in (rows[i], hs[i]))
-                k_i, _ = detect_boundary(v, h, params, relax=True)
+                k_i, _ = detect_boundary(v, h, params)
                 T.arr_sum(k_i * T.wrap(d_k[:, None])).backward()
                 d_rows[i] = v.grad
                 d_h += h.grad

@@ -8,8 +8,8 @@ A recurrence over a whole sequence is one graph node (`gru_scan`, with a
 hand-derived backward through time; the scene encoder builds its own such
 node on `_gru_step`). Loops whose next step depends on earlier outputs
 (attention feedback, decoding) take one fused node per step (`gru_cell`,
-whose leading axes are independent rows, such as the albums of a batch or
-the hypotheses of a beam), and so do attention's scores
+whose rows are independent, such as the albums of a batch or the
+hypotheses of a beam), and so do attention's scores
 (`attention_scores`). The rest composes from small primitives.
 """
 
@@ -287,23 +287,6 @@ def relu(a) -> NumArray:
     return _make(out, (a,), bw)
 
 
-def hard_threshold(a) -> NumArray:
-    """0/1 step at 0.5 with a straight-through backward.
-
-    Forward emits 1.0 where the input strictly exceeds 0.5; backward
-    passes the incoming gradient through unchanged, as if the step were
-    the identity.
-    """
-    a = wrap(a)
-    out = (a.data > 0.5).astype(np.float64)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g)
-
-    return _make(out, (a,), bw)
-
-
 # -- shape / reduction primitives ----------------------------------------
 
 
@@ -349,23 +332,16 @@ def arr_sum(a, axis=None) -> NumArray:
     return _make(out, (a,), bw)
 
 
-def step_lengths(lengths, steps: int, batch: tuple) -> np.ndarray:
-    """The step count of each row of a time-major batch of `steps` steps
-    and batch shape `batch`; None means every row runs all the steps.
-    Raises ValueError unless each count is an integer within 1..steps."""
-    lengths = np.full(batch, steps) if lengths is None else np.asarray(lengths)
-    if lengths.shape != batch or not np.issubdtype(lengths.dtype, np.integer) \
+def step_lengths(lengths, steps: int, rows: int) -> np.ndarray:
+    """The step count of each of the `rows` rows of a time-major batch of
+    `steps` steps; None means every row runs all the steps. Raises
+    ValueError unless each count is an integer within 1..steps."""
+    lengths = np.full(rows, steps) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (rows,) or not np.issubdtype(lengths.dtype, np.integer) \
             or lengths.min() < 1 or lengths.max() > steps:
         raise ValueError(f"photo counts {lengths.tolist()} do not fit {steps} steps "
-                         f"of a batch of shape {batch}")
+                         f"of a batch of {rows} rows")
     return lengths
-
-
-def batch_rows(lengths) -> tuple:
-    """Index arrays over the batch axes of per-row `lengths` (*B,): after a
-    (S, *B) array of steps, they select each row's own steps of a
-    time-major (T, *B, ...) array, `pick(x, (steps, *batch_rows(lengths)))`."""
-    return np.indices(np.shape(lengths), sparse=True)
 
 
 def reshape(a, shape) -> NumArray:
@@ -506,8 +482,8 @@ def _gru_grads(x, h0, w: GruWeights, hd, rh, d_gates, d_h0):
 
 
 def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
-    """One recurrence step on x (*B, I) and h_prev (*B, H), whose leading
-    axes are independent rows; fused node with a hand-derived backward."""
+    """One recurrence step on x (B, I) and h_prev (B, H), whose rows are
+    independent; fused node with a hand-derived backward."""
     x, h_prev = wrap(x), wrap(h_prev)
     i_dim, hid = w.input_size, w.hidden_size
     if x.data.shape[-1:] != (i_dim,):
@@ -528,8 +504,8 @@ def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
 
 def gru_scan(x, h0, w: GruWeights) -> NumArray:
     """The recurrence over a whole sequence as one node with a hand-written
-    backward through time: x is (T, *B, I), h0 is (*B, H), and the result
-    stacks the T states, (T, *B, H). Batch rows never mix, so the steps
+    backward through time: x is (T, B, I), h0 is (B, H), and the result
+    stacks the T states, (T, B, H). Batch rows never mix, so the steps
     padded onto a short row leave its earlier states as they are."""
     x, h0 = wrap(x), wrap(h0)
     i_dim, hid = w.input_size, w.hidden_size
@@ -558,8 +534,8 @@ def gru_scan(x, h0, w: GruWeights) -> NumArray:
 
 def attention_scores(memory, w_mem, query, b, w_out) -> NumArray:
     """Additive attention scores tanh(memory W_mem + query + b) w_out as one
-    node: memory (*B, L, D) rows against one query (*B, S) per batch row
-    give (*B, L) scores. Only the tanh layer is kept for the backward."""
+    node: memory (B, L, D) rows against one query (B, S) per batch row
+    give (B, L) scores. Only the tanh layer is kept for the backward."""
     memory, query = wrap(memory), wrap(query)
     act = np.tanh(memory.data @ w_mem.data + query.data[..., None, :] + b.data)
     out = act @ w_out.data

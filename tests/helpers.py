@@ -56,10 +56,12 @@ def fill_oracle_scene_weights(ps, spec):
     ps["scene.detect.b"].data[...] = -GAIN * BASE
 
 
-def encode_scenes_per_step(V, params, force_flags=None, relax=False, lengths=None):
+def encode_scenes_per_step(V, params, force_flags=None, lengths=None):
     """The scene encoder built from small autodiff nodes, about a dozen per
     photo step: the oracle for `scene_encoder.encode_scenes`, same arguments
-    and the same SceneSegmentation."""
+    but `relax` and the same SceneSegmentation. Its detector is
+    `detect_boundary`'s relaxation, whose autodiff gradient is the
+    straight-through rule, so it is the oracle for both backwards."""
     V = T.wrap(V)
     m, batch = V.shape[0], V.shape[1:-1]
     lengths = np.full(batch, m) if lengths is None else np.asarray(lengths)
@@ -73,7 +75,7 @@ def encode_scenes_per_step(V, params, force_flags=None, relax=False, lengths=Non
         if force_flags is not None:
             k = T.wrap(np.asarray(force_flags, dtype=np.float64)[i][..., None])
         else:
-            k, soft = detect_boundary(v, h, params, relax=relax)
+            k, soft = detect_boundary(v, h, params)
             softs.append(soft.data[..., 0])
         flags.append(k.data[..., 0] > 0.5)
         if i > 0:
@@ -86,7 +88,7 @@ def encode_scenes_per_step(V, params, force_flags=None, relax=False, lengths=Non
     # and the zero row past it; the mask is gathered the same way
     slot = np.arange(m + 1).reshape((m + 1,) + (1,) * len(batch))
     index = (np.where(slot < lengths, slot, np.where(slot == lengths, m + lengths - 1, 0)),
-             *T.batch_rows(lengths))
+             *np.indices(lengths.shape, sparse=True))   # none for a lone album
     X = T.pick(T.stack_rows(rows + states), index)
     flags = np.array(flags, dtype=np.int64)
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]

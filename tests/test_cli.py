@@ -182,6 +182,13 @@ class TestGenerate:
         assert main(["generate", "--out-dir", str(out), *data_args(workdir),
                      "--mode", "beam", "--beam-width", "2"]) == 0
 
+    def test_greedy_ignores_beam_width(self, workdir, tmp_path):
+        for name, width in (("g", []), ("g0", ["--beam-width", "0"])):
+            assert main(["generate", "--out-dir", str(tmp_path / name),
+                         *data_args(workdir), "--mode", "greedy", *width]) == 0
+        assert (tmp_path / "g0" / "stories.jsonl").read_bytes() == \
+            (tmp_path / "g" / "stories.jsonl").read_bytes()
+
 
 class TestInspectScenes:
     def test_line_format(self, workdir, tmp_path, capsys):
@@ -406,6 +413,36 @@ def _command(*argv):
     return make_argv
 
 
+def _with_directory(flag, make_argv):
+    """`make_argv`'s command with `flag` naming a directory."""
+    def with_directory(root, tmp_path):
+        path = tmp_path / "adir"
+        path.mkdir()
+        return make_argv(root, tmp_path) + [flag, str(path)]
+    return with_directory
+
+
+def _synth_into_a_file(root, tmp_path):
+    path = tmp_path / "afile"
+    path.write_text("")
+    return ["synth-data", "--out-dir", str(path)]
+
+
+def _with_file(flag, name, content: bytes, make_argv):
+    """`make_argv`'s command with `flag` naming a file `name` that holds
+    `content`."""
+    def with_file(root, tmp_path):
+        path = tmp_path / name
+        path.write_bytes(content)
+        return make_argv(root, tmp_path) + [flag, str(path)]
+    return with_file
+
+
+def _vocab_file(*tokens):
+    return "\n".join(["#vocab specials=<pad>,<bos>,<eos>,<unk> min_count=1",
+                      *tokens, ""]).encode()
+
+
 class TestBadInputExitCodes:
     @pytest.mark.parametrize("make_argv, message", [
         (_evaluate_without_album_id, "line 1: missing field 'album_id'"),
@@ -474,6 +511,23 @@ class TestBadInputExitCodes:
         (_train_with("--lambda", "nan"), "lr, lambda and mu must be >= 0 and finite"),
         (_train_with("--mu", "inf"), "lr, lambda and mu must be >= 0 and finite"),
         (_train_with("--nll-stop", "nan"), "nll_stop finite"),
+        (_with_directory("--train-data", _train_with()), "adir: Is a directory"),
+        (_with_directory("--vocab-file", _train_with()), "adir: Is a directory"),
+        (_with_directory("--checkpoint", _generate_with()), "adir: Is a directory"),
+        (_with_directory("--stories", _evaluate_without_album_id),
+         "adir: Is a directory"),
+        (_with_directory("--config", _command("synth-data")), "adir: Is a directory"),
+        (_synth_into_a_file, "afile: File exists"),
+        (_with_file("--train-data", "bad.jsonl", b'\xff{"album_id": "a"}\n',
+                    _train_with()), "bad.jsonl: not UTF-8 text (invalid start byte)"),
+        (_with_file("--vocab-file", "bad.txt", _vocab_file("a") + b"caf\xe9\n",
+                    _train_with()), "bad.txt: not UTF-8 text"),
+        (_with_file("--config", "bad.cfg", b"seed=\xff\n", _command("synth-data")),
+         "bad.cfg: not UTF-8 text"),
+        (_with_file("--vocab-file", "twice.txt", _vocab_file("a", "b", "a"),
+                    _train_with()), "twice.txt: duplicate token 'a' in vocabulary"),
+        (_with_file("--vocab-file", "unk.txt", _vocab_file("a", "<unk>"), _train_with()),
+         "unk.txt: duplicate token '<unk>' in vocabulary"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -498,7 +552,11 @@ class TestBadInputExitCodes:
             "synth-data-seed-negative", "grad-check-seed-negative",
             "grad-check-lambda-nan", "train-lr-nan",
             "train-lr-negative", "train-lambda-nan", "train-mu-inf",
-            "train-nll-stop-nan"])
+            "train-nll-stop-nan", "train-data-directory", "train-vocab-directory",
+            "generate-checkpoint-directory", "evaluate-stories-directory",
+            "config-directory", "synth-data-out-dir-a-file", "train-data-not-utf8",
+            "train-vocab-not-utf8", "config-not-utf8", "train-vocab-token-twice",
+            "train-vocab-lists-unk"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -205,6 +205,20 @@ class TestSentenceLogProb:
             total, _, _ = sentence_log_prob(z, ids, ps)
             assert total.item() <= 0.0
 
+    def test_batch_of_one_z_scores_alike(self):
+        # a lone album's z rows come from `summarize_album` as (1, D_v)
+        cfg, ps = make(15)
+        rng = np.random.default_rng(15)
+        z = rng.standard_normal(cfg.d_v)
+        ids = [int(i) for i in rng.integers(0, cfg.vocab_size, size=4)] + [EOS]
+        flat_total, flat_logits, flat_logps = sentence_log_prob(T.wrap(z), ids, ps)
+        total, logits, word_logps = sentence_log_prob(T.wrap(z[None]), ids, ps)
+        assert total.data.tobytes() == flat_total.data.tobytes()
+        assert len(logits) == len(word_logps) == len(ids)
+        for got, want in zip(logits + word_logps, flat_logits + flat_logps):
+            assert got.shape == want.shape
+            assert got.data.tobytes() == want.data.tobytes()
+
     def test_out_of_range_token_rejected(self):
         cfg, ps = make(13)
         with pytest.raises(ValueError, match="token id"):

@@ -78,15 +78,15 @@ class TestEncodeAlbum:
         ps = build_parameters(cfg, np.random.default_rng(1))
         rng = np.random.default_rng(1)
         album = tiny_album(rng, cfg, m=4)
-        out = encode_album(album.features, ps, cfg)
-        assert out.memory.shape == (cfg.alpha_len, cfg.d_v)
-        assert out.used_slots == 9
-        np.testing.assert_array_equal(out.valid_mask[:4], np.ones(4))
-        np.testing.assert_array_equal(out.valid_mask[9:], np.zeros(cfg.alpha_len - 9))
-        np.testing.assert_array_equal(out.memory.data[9:],
+        out = encode_album(album.features, ps, cfg)   # a batch of one
+        assert out.memory.shape == (1, cfg.alpha_len, cfg.d_v)
+        assert out.used_slots.tolist() == [9]
+        np.testing.assert_array_equal(out.valid_mask[0, :4], np.ones(4))
+        np.testing.assert_array_equal(out.valid_mask[0, 9:], np.zeros(cfg.alpha_len - 9))
+        np.testing.assert_array_equal(out.memory.data[0, 9:],
                                       np.zeros((cfg.alpha_len - 9, cfg.d_v)))
-        np.testing.assert_allclose(out.memory.data[:4], out.photos.V.data)
-        np.testing.assert_allclose(out.memory.data[4:9], out.scenes.X.data)
+        np.testing.assert_allclose(out.memory.data[0, :4], out.photos.V.data[:, 0])
+        np.testing.assert_allclose(out.memory.data[0, 4:9], out.scenes.X.data[:, 0])
 
     def test_album_too_long_rejected(self):
         cfg = tiny_cfg()
@@ -103,7 +103,7 @@ class TestEncodeAlbum:
         album = tiny_album(rng, cfg)
         out = encode_album(album.features, ps, cfg)
         finals = np.concatenate([out.photos.fwd_final.data,
-                                 out.photos.bwd_final.data])
+                                 out.photos.bwd_final.data], axis=-1)
         want = finals @ ps["attn.init.w"].data + ps["attn.init.b"].data
         np.testing.assert_allclose(out.init_state.h_attn.data, want, rtol=1e-12)
         assert np.all(out.init_state.alpha_prev.data == 0.0)
@@ -294,19 +294,21 @@ class TestBatchObjective:
         batch = encode_album(feats, ps, cfg, lengths=lengths)
         zs, alphas = summarize_album(batch, 2, ps)
         for b, album in enumerate(albums):
-            one = encode_album(album.features, ps, cfg)
-            np.testing.assert_allclose(batch.memory.data[b], one.memory.data,
+            one = encode_album(album.features, ps, cfg)   # a batch of one
+            np.testing.assert_allclose(batch.memory.data[b], one.memory.data[0],
                                        rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(batch.valid_mask[b], one.valid_mask)
-            assert batch.used_slots[b] == one.used_slots
+            np.testing.assert_array_equal(batch.valid_mask[b], one.valid_mask[0])
+            assert batch.used_slots[b] == one.used_slots[0]
             np.testing.assert_allclose(batch.init_state.h_attn.data[b],
-                                       one.init_state.h_attn.data, rtol=1e-12)
+                                       one.init_state.h_attn.data[0], rtol=1e-12)
             m = len(album.features)
-            assert [row[b] for row in batch.scenes.flags[:m]] == one.scenes.flags
+            assert [row[b] for row in batch.scenes.flags[:m]] == \
+                [row[0] for row in one.scenes.flags]
             want_z, want_alpha = summarize_album(one, 2, ps)
             for z, alpha, wz, wa in zip(zs, alphas, want_z, want_alpha):
-                np.testing.assert_allclose(z.data[b], wz.data, rtol=1e-12, atol=1e-15)
-                np.testing.assert_allclose(alpha.data[b], wa.data, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(z.data[b], wz.data[0], rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(alpha.data[b], wa.data[0], rtol=1e-12,
+                                           atol=1e-15)
 
 
 class TestGenerateStory:
@@ -353,15 +355,17 @@ class TestGenerateStory:
 
 
 def per_album_story(album, ps, cfg, mode, width):
-    """The unbatched oracle: one album's own encoding, then one decode call
-    per sentence. Returns (ids, word logps, alphas, flags)."""
+    """The per-album oracle: one album's own encoding (a batch of one),
+    then one decode call per sentence. Returns (ids, word logps, alphas,
+    flags)."""
     with T.no_grad():
         encoding = encode_album(album.features, ps, cfg)
         zs, alphas = summarize_album(encoding, cfg.sentences, ps)
-    decoded = [decode_sentence_greedy(z, ps, cfg.max_words) if mode == "greedy"
-               else decode_sentence_beam(z, ps, cfg.max_words, width) for z in zs]
+    decoded = [decode_sentence_greedy(z.data[0], ps, cfg.max_words) if mode == "greedy"
+               else decode_sentence_beam(z.data[0], ps, cfg.max_words, width) for z in zs]
     return ([ids for ids, _ in decoded], [lps for _, lps in decoded],
-            [a.data[:encoding.used_slots] for a in alphas], list(encoding.scenes.flags))
+            [a.data[0, :encoding.used_slots[0]] for a in alphas],
+            [row[0] for row in encoding.scenes.flags])
 
 
 class TestGenerateStories:

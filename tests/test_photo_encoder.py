@@ -52,22 +52,27 @@ def make_params(rng, f_dim, hid, zero=False):
     return ps
 
 
+def encode_one(features, ps):
+    """A lone album's photos, encoded as a batch of one."""
+    return encode_photos(np.stack(features)[:, None], ps, [len(features)])
+
+
 class TestEncodePhotos:
     def test_zero_parameters_give_zero_output(self):
         rng = np.random.default_rng(0)
         ps = make_params(rng, 4, 3, zero=True)
-        enc = encode_photos([rng.standard_normal(4) for _ in range(5)], ps)
-        np.testing.assert_array_equal(enc.V.data, np.zeros((5, 6)))
+        enc = encode_one([rng.standard_normal(4) for _ in range(5)], ps)
+        np.testing.assert_array_equal(enc.V.data, np.zeros((5, 1, 6)))
 
     def test_single_photo(self):
         rng = np.random.default_rng(1)
         ps = make_params(rng, 4, 3)
         f = rng.standard_normal(4)
-        enc = encode_photos([f], ps)
-        assert enc.V.shape == (1, 6)
+        enc = encode_one([f], ps)
+        assert enc.V.shape == (1, 1, 6)
         want_v, want_fwd, want_bwd = np_encode([f], ps)
-        np.testing.assert_allclose(enc.fwd_final.data, want_fwd, rtol=1e-12)
-        np.testing.assert_allclose(enc.bwd_final.data, want_bwd, rtol=1e-12)
+        np.testing.assert_allclose(enc.fwd_final.data[0], want_fwd, rtol=1e-12)
+        np.testing.assert_allclose(enc.bwd_final.data[0], want_bwd, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_matches_numpy_oracle(self, seed):
@@ -75,16 +80,16 @@ class TestEncodePhotos:
         f_dim, hid, m = 5, 3, 4
         ps = make_params(rng, f_dim, hid)
         feats = [rng.standard_normal(f_dim) for _ in range(m)]
-        enc = encode_photos(feats, ps)
+        enc = encode_one(feats, ps)
         want_v, want_fwd, want_bwd = np_encode(feats, ps)
-        np.testing.assert_allclose(enc.V.data, want_v, rtol=1e-12)
-        np.testing.assert_allclose(enc.fwd_final.data, want_fwd, rtol=1e-12)
-        np.testing.assert_allclose(enc.bwd_final.data, want_bwd, rtol=1e-12)
+        np.testing.assert_allclose(enc.V.data[:, 0], want_v, rtol=1e-12)
+        np.testing.assert_allclose(enc.fwd_final.data[0], want_fwd, rtol=1e-12)
+        np.testing.assert_allclose(enc.bwd_final.data[0], want_bwd, rtol=1e-12)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(5)
         ps = make_params(rng, 6, 4)
-        enc = encode_photos([rng.standard_normal(6) for _ in range(7)], ps)
+        enc = encode_one([rng.standard_normal(6) for _ in range(7)], ps)
         assert (enc.V.data >= 0).all()
 
     def test_reversal_swaps_directions(self):
@@ -97,14 +102,14 @@ class TestEncodePhotos:
         skip = ps["photo.skip.w"].data
         skip[:, 3:] = skip[:, :3]  # symmetric skip so the halves commute
         feats = [rng.standard_normal(4) for _ in range(5)]
-        enc_fw = encode_photos(feats, ps)
-        enc_rv = encode_photos(feats[::-1], ps)
+        enc_fw = encode_one(feats, ps)
+        enc_rv = encode_one(feats[::-1], ps)
         np.testing.assert_allclose(enc_rv.fwd_final.data, enc_fw.bwd_final.data,
                                    rtol=1e-12)
         np.testing.assert_allclose(enc_rv.bwd_final.data, enc_fw.fwd_final.data,
                                    rtol=1e-12)
-        swapped = np.concatenate([enc_rv.V.data[::-1, 3:],
-                                  enc_rv.V.data[::-1, :3]], axis=1)
+        swapped = np.concatenate([enc_rv.V.data[::-1, :, 3:],
+                                  enc_rv.V.data[::-1, :, :3]], axis=-1)
         np.testing.assert_allclose(swapped, enc_fw.V.data, rtol=1e-12)
 
     def test_batch_rows_equal_album_calls(self):
@@ -130,22 +135,22 @@ class TestEncodePhotos:
     def test_empty_album_rejected(self):
         ps = make_params(np.random.default_rng(0), 4, 3)
         with pytest.raises(ValueError):
-            encode_photos([], ps)
+            encode_photos(np.zeros((0, 1, 4)), ps, [0])
 
     def test_feature_dim_mismatch(self):
         rng = np.random.default_rng(7)
         ps = make_params(rng, 4, 3)
         with pytest.raises(T.DimensionError):
-            encode_photos([rng.standard_normal(9)], ps)
+            encode_one([rng.standard_normal(9)], ps)
 
     def test_gradients(self):
         rng = np.random.default_rng(8)
         ps = make_params(rng, 4, 3)
         feats = [rng.standard_normal(4) for _ in range(3)]
-        w = rng.standard_normal((3, 6))
+        w = rng.standard_normal((3, 1, 6))
 
         def fn(p):
-            enc = encode_photos(feats, p)
+            enc = encode_one(feats, p)
             return T.arr_sum(enc.V * T.wrap(w)) + T.arr_sum(enc.fwd_final) \
                 + T.arr_sum(enc.bwd_final)
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,13 @@ def small_params(seed=0, feature_dim=5, photo_hidden=3):
     cfg = ModelConfig(vocab_size=10, feature_dim=feature_dim,
                       photo_hidden=photo_hidden)
     return cfg, build_parameters(cfg, np.random.default_rng(seed))
+
+
+def photo_rows(features, ps):
+    """A lone album's photo vectors (m, D_v): the rows of a batch-of-one
+    `encode_photos`."""
+    V = encode_photos(np.stack(features)[:, None], ps, [len(features)]).V
+    return T.reshape(V, (len(features), -1))
 
 
 def zero_detector(ps, bias):
@@ -39,49 +48,20 @@ class TestDetectBoundary:
         assert k.data.item() == 1.0
         assert soft.data.item() > 1 - 1e-4
 
-    def test_relaxed_forward_bit_identical(self):
-        rng = np.random.default_rng(1)
-        cfg, ps = small_params(1)
-        for _ in range(50):
-            v = T.wrap(rng.standard_normal(cfg.d_v))
-            h = T.wrap(rng.standard_normal(cfg.d_v))
-            k_hard, _ = detect_boundary(v, h, ps)
-            k_soft, _ = detect_boundary(v, h, ps, relax=True)
-            assert k_hard.data.item() == k_soft.data.item()
-
-    def test_straight_through_gradient_matches_relaxation(self):
-        # identical forward graphs; backward through the hard threshold must
-        # equal backward through the soft sigmoid, coordinate for coordinate
-        rng = np.random.default_rng(2)
-        cfg, ps = small_params(2)
-        v = rng.standard_normal(cfg.d_v)
-        h = rng.standard_normal(cfg.d_v)
-        grads = {}
-        for relax in (False, True):
-            ps.zero_grads()
-            k, _ = detect_boundary(T.wrap(v), T.wrap(h), ps, relax=relax)
-            (k * 3.5).backward()
-            grads[relax] = {n: ps[n].grad.copy() for n in
-                            ("scene.detect.w_v", "scene.detect.w_h", "scene.detect.b")}
-        for name in grads[False]:
-            np.testing.assert_allclose(grads[False][name], grads[True][name],
-                                       atol=1e-10)
-            assert np.any(grads[False][name] != 0.0)
-
 
 class TestEncodeScenes:
     def test_forced_all_zero_flags(self):
         cfg, ps = small_params(3)
         rng = np.random.default_rng(3)
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(4)]
-        enc = encode_photos(feats, ps)
-        seg = encode_scenes(enc.V, ps, force_flags=[0, 0, 0, 0])
+        V = photo_rows(feats, ps)
+        seg = encode_scenes(V, ps, force_flags=[0, 0, 0, 0])
         assert seg.u == 1
         assert seg.scene_mask.tolist() == [0, 0, 0, 0, 1]
         np.testing.assert_array_equal(seg.X.data[:4], np.zeros((4, cfg.d_v)))
         # the one true scene is the GRU state after all four photos
         h = T.zeros(cfg.d_v)
-        for v in enc.V.data:
+        for v in V.data:
             h = T.gru_cell(v, h, ps.gru("scene.gru"))
         np.testing.assert_allclose(seg.X.data[4], h.data, rtol=1e-12)
 
@@ -90,12 +70,12 @@ class TestEncodeScenes:
         rng = np.random.default_rng(4)
         m = 5
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(m)]
-        enc = encode_photos(feats, ps)
-        seg = encode_scenes(enc.V, ps, force_flags=[1] * m)
+        V = photo_rows(feats, ps)
+        seg = encode_scenes(V, ps, force_flags=[1] * m)
         assert seg.u == m
         assert seg.scene_mask.tolist() == [0] + [1] * m
         # every scene row is a one-step GRU state from a fresh zero state
-        for i, v in enumerate(enc.V.data):
+        for i, v in enumerate(V.data):
             one_step = T.gru_cell(v, T.zeros(cfg.d_v), ps.gru("scene.gru"))
             np.testing.assert_allclose(seg.X.data[i + 1], one_step.data, rtol=1e-12)
 
@@ -105,7 +85,7 @@ class TestEncodeScenes:
             cfg, ps = small_params(100 + trial)
             m = int(rng.integers(1, 7))
             feats = [2.0 * rng.standard_normal(cfg.feature_dim) for _ in range(m)]
-            seg = encode_scenes(encode_photos(feats, ps).V, ps)
+            seg = encode_scenes(photo_rows(feats, ps), ps)
             assert seg.u == int(seg.scene_mask.sum())
             assert 1 <= seg.u <= m
             assert seg.X.shape[0] == m + 1
@@ -119,11 +99,11 @@ class TestEncodeScenes:
         cfg, ps = small_params(6)
         rng = np.random.default_rng(6)
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(4)]
-        enc = encode_photos(feats, ps)
-        seg = encode_scenes(enc.V, ps, force_flags=[0, 1, 0, 1])
+        V = photo_rows(feats, ps)
+        seg = encode_scenes(V, ps, force_flags=[0, 1, 0, 1])
         w = ps.gru("scene.gru")
-        h = T.gru_cell(enc.V.data[1], T.zeros(cfg.d_v), w)
-        h = T.gru_cell(enc.V.data[2], h, w)
+        h = T.gru_cell(V.data[1], T.zeros(cfg.d_v), w)
+        h = T.gru_cell(V.data[2], h, w)
         np.testing.assert_allclose(seg.X.data[3], h.data, rtol=1e-12)
 
     def test_flags_match_gold_boundaries_from_geometry(self):
@@ -135,7 +115,7 @@ class TestEncodeScenes:
         ps = build_parameters(cfg, np.random.default_rng(7))
         fill_oracle_scene_weights(ps, spec)
         for album in D.synth_dataset(spec):
-            seg = encode_scenes(encode_photos(album.features, ps).V, ps)
+            seg = encode_scenes(photo_rows(album.features, ps), ps)
             assert seg.flags == album.gold_boundaries
             assert seg.u == 1 + sum(album.gold_boundaries)
 
@@ -146,7 +126,7 @@ class TestEncodeScenes:
         ps = build_parameters(cfg, np.random.default_rng(8))
         fill_oracle_scene_weights(ps, spec)
         for album in D.synth_dataset(spec):
-            seg = encode_scenes(encode_photos(album.features, ps).V, ps)
+            seg = encode_scenes(photo_rows(album.features, ps), ps)
             for s in seg.softs:
                 assert s < 1e-9 or s > 1 - 1e-9
 
@@ -157,8 +137,7 @@ class TestEncodeScenes:
         w = rng.standard_normal((5, cfg.d_v))
 
         def fn(p):
-            seg = encode_scenes(encode_photos(feats, p).V, p,
-                                force_flags=[0, 1, 0, 1])
+            seg = encode_scenes(photo_rows(feats, p), p, force_flags=[0, 1, 0, 1])
             return T.arr_sum(seg.X * T.wrap(w))
 
         include = [n for n in ps.names()
@@ -170,7 +149,7 @@ class TestEncodeScenes:
         rng = np.random.default_rng(10)
         feats = [1.5 * rng.standard_normal(cfg.feature_dim) for _ in range(5)]
         ps.zero_grads()
-        seg = encode_scenes(encode_photos(feats, ps).V, ps)
+        seg = encode_scenes(photo_rows(feats, ps), ps)
         T.arr_sum(seg.X * T.wrap(rng.standard_normal(seg.X.shape))).backward()
         for name in ("scene.detect.w_v", "scene.detect.w_h", "scene.detect.b"):
             g = ps[name].grad
@@ -215,7 +194,7 @@ class TestEncodeScenes:
         cfg, ps = small_params(11)
         feats = [np.zeros(cfg.feature_dim) for _ in range(3)]
         with pytest.raises(ValueError, match="force_flags"):
-            encode_scenes(encode_photos(feats, ps).V, ps, force_flags=[0, 1])
+            encode_scenes(photo_rows(feats, ps), ps, force_flags=[0, 1])
 
     def test_empty_input_rejected(self):
         cfg, ps = small_params(12)
@@ -238,7 +217,8 @@ class TestEncodeScenes:
 
 class TestFusedEqualsPerStep:
     """The one-node scene encoder against the per-step graph it replaced:
-    the same values to the bit, and the same gradients."""
+    the same values to the bit, and the same gradients. A lone album is
+    the rows of a batch-of-one `encode_photos`."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["live", "forced", "relax"]),
@@ -253,18 +233,20 @@ class TestFusedEqualsPerStep:
                 feats[:n, b] = 2.0 * rng.standard_normal((n, cfg.feature_dim))
             lengths = np.array(lengths)
         else:
-            feats, lengths = 2.0 * rng.standard_normal((m, cfg.feature_dim)), None
-        batch = feats.shape[1:-1]
+            feats, lengths = 2.0 * rng.standard_normal((m, 1, cfg.feature_dim)), None
+        batch = feats.shape[1:-1] if batched else ()
         flags = rng.integers(0, 2, size=(m,) + batch) if mode == "forced" else None
         weights = T.wrap(rng.standard_normal((m + 1,) + batch + (cfg.d_v,)))
         runs = []
-        for encode in (encode_scenes, encode_scenes_per_step):
+        fused = functools.partial(encode_scenes, relax=mode == "relax")
+        for encode in (fused, encode_scenes_per_step):
             ps.zero_grads()
-            enc = encode_photos(feats, ps, lengths)
-            V = T.NumArray(enc.V.data, requires_grad=True)
-            seg = encode(V, ps, force_flags=flags, relax=mode == "relax", lengths=lengths)
+            enc = encode_photos(feats, ps, [m] if lengths is None else lengths)
+            photos = T.reshape(enc.V, (m,) + batch + (cfg.d_v,))
+            V = T.NumArray(photos.data, requires_grad=True)
+            seg = encode(V, ps, force_flags=flags, lengths=lengths)
             T.arr_sum(seg.X * weights).backward()
-            T.arr_sum(enc.V * T.wrap(V.grad)).backward()   # on into the photo weights
+            T.arr_sum(photos * T.wrap(V.grad)).backward()   # on into the photo weights
             # a weight the graph never reached has no gradient: zero
             runs.append((seg, V.grad, {n: np.zeros_like(ps[n].data) if ps[n].grad is None
                                        else ps[n].grad for n in ps.names()

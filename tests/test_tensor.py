@@ -241,18 +241,6 @@ class TestElementwise:
         assert T.sigmoid(T.wrap(x)).data.tobytes() == want.tobytes()
 
 
-class TestHardThreshold:
-    def test_forward_step(self):
-        out = T.hard_threshold(T.wrap([0.2, 0.5, 0.9]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 1.0])
-
-    def test_backward_is_identity(self):
-        x = T.NumArray(np.array([0.2, 0.9]), requires_grad=True)
-        out = T.arr_sum(T.hard_threshold(x) * T.wrap([3.0, 5.0]))
-        out.backward()
-        np.testing.assert_array_equal(x.grad, [3.0, 5.0])
-
-
 class TestOps:
     @pytest.mark.parametrize("seed", range(20))
     def test_composite_gradients(self, seed):
