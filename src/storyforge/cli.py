@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import (DataFormatError, SynthSpec, Vocabulary, at_line, build_vocab,
+from .data import (DataFormatError, SynthSpec, Vocabulary, at_record, build_vocab,
                    check_stories, load_albums, read_records, save_albums,
                    story_text, story_tokens, synth_dataset, synth_vocab, utf8_text)
 from .metrics import EvalPair, bleu, cider, rouge_l
@@ -200,8 +200,8 @@ def cmd_build_vocab(cfg) -> int:
     out = Path(cfg["out_dir"])
     write_resolved(cfg, out)
     sentences = []
-    for line_no, rec in read_records(cfg["train_data"], "stories"):
-        with at_line(line_no):
+    for where, rec in read_records(cfg["train_data"], "stories"):
+        with at_record(where):
             sentences += [s for story in check_stories(rec["stories"], None) for s in story]
     vocab = build_vocab(sentences, min_count=cfg["min_count"])
     vocab.save(out / "vocab.txt")
@@ -296,17 +296,16 @@ def cmd_evaluate(cfg) -> int:
                          n_sentences=cfg["sentences"], max_words=cfg["max_words"])
     refs = {a.album_id: [story_tokens(s) for s in a.raw_stories] for a in albums}
     pairs = []
-    for line_no, rec in read_records(cfg["stories"], "album_id", "sentences"):
-        if rec["album_id"] not in refs:
-            raise DataFormatError(
-                f"line {line_no}: album '{rec['album_id']}' not in reference data")
-        if not (isinstance(rec["sentences"], list)
-                and all(isinstance(s, str) for s in rec["sentences"])):
-            raise DataFormatError(
-                f"line {line_no}: sentences must be a list of strings")
+    for where, rec in read_records(cfg["stories"], "album_id", "sentences"):
+        with at_record(where):
+            if rec["album_id"] not in refs:
+                raise DataFormatError(f"album '{rec['album_id']}' not in reference data")
+            if not (isinstance(rec["sentences"], list)
+                    and all(isinstance(s, str) for s in rec["sentences"])):
+                raise DataFormatError("sentences must be a list of strings")
         pairs.append(EvalPair(story_tokens(rec["sentences"]), refs[rec["album_id"]]))
     if not pairs:
-        raise DataFormatError("story file holds no records")
+        raise DataFormatError(f"{cfg['stories']}: holds no records")
     lines = _metric_lines(pairs)
     (out / "metrics.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))

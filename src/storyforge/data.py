@@ -202,31 +202,34 @@ def check_gold(gold, num_photos: int, max_photos: int) -> list | None:
 
 
 @contextmanager
-def at_line(line_no):
-    """Prefix a DataFormatError raised inside with the record's line number."""
+def at_record(where):
+    """Prefix a DataFormatError raised inside with where the bad record is:
+    `<path>: line N` for a file's record, `album N` for an estimator's."""
     try:
         yield
     except DataFormatError as e:
-        raise DataFormatError(f"line {line_no}: {e}") from None
+        raise DataFormatError(f"{where}: {e}") from None
 
 
 def read_records(path, *required):
-    """(line number, object) for each non-blank line of a JSON-lines file;
-    every record must be an object holding the `required` fields."""
+    """(`<path>: line N`, object) for each non-blank line of a JSON-lines
+    file; every record must be an object holding the `required` fields."""
     with utf8_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"line {line_no}: invalid record: {e}") from e
-            if not isinstance(rec, dict):
-                raise DataFormatError(f"line {line_no}: record is not an object")
-            for key in required:
-                if key not in rec:
-                    raise DataFormatError(f"line {line_no}: missing field '{key}'")
-            yield line_no, rec
+            where = f"{path}: line {line_no}"
+            with at_record(where):
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DataFormatError(f"invalid record: {e}") from e
+                if not isinstance(rec, dict):
+                    raise DataFormatError("record is not an object")
+                for key in required:
+                    if key not in rec:
+                        raise DataFormatError(f"missing field '{key}'")
+            yield where, rec
 
 
 def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
@@ -238,8 +241,8 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
     first row decide.
     """
     albums = []
-    for line_no, rec in read_records(path, "album_id", "features", "stories"):
-        with at_line(line_no):
+    for where, rec in read_records(path, "album_id", "features", "stories"):
+        with at_record(where):
             feats = feature_rows(rec["features"], feature_dim, max_photos)
             raw_stories = check_stories(rec["stories"], n_sentences)
             gold = check_gold(rec.get("gold_boundaries"), len(rec["features"]),

@@ -147,14 +147,14 @@ def _search(Z, params, max_words: int, width: int):
 
 
 def decode_sentence_greedy(z, params, max_words: int):
-    """Argmax decoding of one z, a one-row search at width 1: (ids, per-word
-    logps)."""
-    return _search(T.wrap(z).data[None], params, max_words, 1)[0]
+    """Argmax decoding of one z, (D_v,) or (1, D_v), a one-row search at
+    width 1: (ids, per-word logps)."""
+    return _search(T.reshape(z, (1, -1)).data, params, max_words, 1)[0]
 
 
 def decode_sentence_beam(z, params, max_words: int, width: int):
-    """Beam search of one z at the given width, a one-row search: (ids,
-    per-word logps)."""
+    """Beam search of one z, (D_v,) or (1, D_v), at the given width, a
+    one-row search: (ids, per-word logps)."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    return _search(T.wrap(z).data[None], params, max_words, width)[0]
+    return _search(T.reshape(z, (1, -1)).data, params, max_words, width)[0]

@@ -11,8 +11,8 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-from .data import (SPECIALS, AlbumExample, Vocabulary, build_vocab, check_gold,
-                   check_stories, encode_sentence, feature_rows, story_text)
+from .data import (SPECIALS, AlbumExample, Vocabulary, at_record, build_vocab,
+                   check_gold, check_stories, encode_sentence, feature_rows, story_text)
 from .model import ModelConfig, generate_stories, scene_view
 from .trainer import TrainConfig, config_from, run_training, validate
 
@@ -33,23 +33,25 @@ def check_albums(X, feature_dim: int, max_photos: int,
     loader's checks, dropping photos past max_photos; reference stories,
     where an album has any, need `n_sentences` sentences (None: any).
     Bare matrices become story-less albums, which fit and score reject.
+    An error names the album by its index in X: `album N: ...`.
     """
     if not isinstance(X, (list, tuple)) or len(X) == 0:
         raise ValueError("X must be a non-empty list of albums")
     albums = []
     for pos, item in enumerate(X):
-        if isinstance(item, AlbumExample):
-            features = feature_rows(item.features, feature_dim, max_photos)
-            if item.raw_stories:
-                check_stories(item.raw_stories, n_sentences)
-            gold = check_gold(item.gold_boundaries, len(item.features), max_photos)
-            albums.append(dataclasses.replace(item, features=features,
-                                              gold_boundaries=gold))
-        else:
-            albums.append(AlbumExample(
-                album_id=f"album{pos:04d}",
-                features=feature_rows(item, feature_dim, max_photos),
-                stories=[], raw_stories=[]))
+        with at_record(f"album {pos}"):
+            if isinstance(item, AlbumExample):
+                features = feature_rows(item.features, feature_dim, max_photos)
+                if item.raw_stories:
+                    check_stories(item.raw_stories, n_sentences)
+                gold = check_gold(item.gold_boundaries, len(item.features), max_photos)
+                albums.append(dataclasses.replace(item, features=features,
+                                                  gold_boundaries=gold))
+            else:
+                albums.append(AlbumExample(
+                    album_id=f"album{pos:04d}",
+                    features=feature_rows(item, feature_dim, max_photos),
+                    stories=[], raw_stories=[]))
     return albums
 
 
@@ -118,7 +120,10 @@ class AlbumStoryteller:
         mcfg = config_from(ModelConfig, settings, vocab_size=len(SPECIALS))
         tcfg = config_from(TrainConfig, settings, model=mcfg)
         albums = self._albums(X, "fit")
-        val = albums if validation is None else self._albums(validation, "fit")
+        val = albums
+        if validation is not None:
+            with at_record("validation"):
+                val = self._albums(validation, "fit")
         if vocab is None:
             vocab = build_vocab([s for a in albums for story in a.raw_stories
                                  for s in story], min_count=self.min_count)

@@ -159,9 +159,9 @@ def scene_view(features, params, cfg: ModelConfig) -> dict:
     """One album's scenes under no_grad: flags, soft scores, scene of each photo."""
     with T.no_grad():
         seg = encode_album(features, params, cfg).scenes
-    flags = [row[0] for row in seg.flags]
-    return {"flags": flags, "softs": [row[0] for row in seg.softs],
-            "scene_of_photo": scene_indices(flags), "num_scenes": seg.u[0]}
+    flags = seg.flags[:, 0].tolist()
+    return {"flags": flags, "softs": seg.softs[:, 0].tolist(),
+            "scene_of_photo": scene_indices(flags), "num_scenes": int(seg.u[0])}
 
 
 def summarize_album(encoding: AlbumEncoding, n: int, params):
@@ -268,7 +268,7 @@ def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
             stories.append(StoryHypothesis([ids for ids, _ in rows],
                                            [lps for _, lps in rows],
                                            [a.data[b, :used].copy() for a in alphas],
-                                           [f[b] for f in encoding.scenes.flags[:m]]))
+                                           encoding.scenes.flags[:m, b].tolist()))
     return stories
 
 

@@ -9,7 +9,8 @@ Once the forward pass has fixed the decisions, the rest is an ordinary
 recurrence, so a batch of albums is one graph node: the forward runs the
 detector, threshold, reset and GRU step photo by photo in numpy, and a
 hand-written backward runs back through time, with dL/dsoft = dL/dk at
-each threshold.
+each threshold. Every result has one (step, album, ...) layout; a lone
+album is a batch of one.
 
 Emission layout: X has one slot per photo position plus one final slot.
 Slot i (i >= 2) holds k_i * h_{i-1}; a non-firing position contributes an
@@ -29,11 +30,11 @@ from . import tensor as T
 
 @dataclass
 class SceneSegmentation:
-    flags: list            # (m, *B) hard decisions as nested int lists
-    softs: list            # (m, *B) classifier scores in (0,1); empty when flags forced
-    X: T.NumArray          # (m+1, *B, D_v) emitted slots
-    scene_mask: np.ndarray  # (m+1, *B) ints, 1 marks a true scene row
-    u: int                 # number of true scenes, (*B,) nested for a batch
+    flags: np.ndarray       # (m, B) ints, the hard decisions
+    softs: np.ndarray | None  # (m, B) classifier scores in (0,1); None when flags forced
+    X: T.NumArray           # (m+1, B, D_v) emitted slots
+    scene_mask: np.ndarray  # (m+1, B) ints, 1 marks a true scene row
+    u: np.ndarray           # (B,) ints, each album's number of true scenes
 
 
 def detect_boundary(v_i, h_prev, params):
@@ -50,45 +51,47 @@ def detect_boundary(v_i, h_prev, params):
 
 def encode_scenes(V, params, force_flags=None, relax: bool = False,
                   lengths=None) -> SceneSegmentation:
-    """Segment albums as one graph node; V is one album's (m, D_v) photo
-    rows, or anything `T.wrap` stacks to them such as a list of (D_v,)
-    arrays, or B albums' rows padded time-major to (m_max, B, D_v) with
-    their photo counts in `lengths`. Every step runs all B rows; each
-    album's slots and closing state are gathered from its own steps, so
-    padding steps reach nothing.
+    """Segment albums as one graph node; V is B albums' rows padded
+    time-major to (m_max, B, D_v) with their photo counts in `lengths`, or
+    one album's (m, D_v) rows or (D_v,) list, a batch of one. Every step
+    runs all B rows; each album's slots and closing state are gathered from
+    its own steps, so padding steps reach nothing.
 
-    force_flags ((m, *B) 0/1 decisions) bypasses the classifier, which
-    makes the whole computation an ordinary differentiable recurrence (used
-    by gradient checks and the forced-flag oracles). relax=True takes each
-    step's detector gradient by autodiff through `detect_boundary`'s
-    relaxation in place of the straight-through rule; values are the same.
+    force_flags ((m, B) 0/1 decisions, (m,) for one album) bypasses the
+    classifier, making the whole computation an ordinary differentiable
+    recurrence (used by gradient checks and the forced-flag oracles).
+    relax=True takes each step's detector gradient by autodiff through
+    `detect_boundary`'s relaxation in place of the straight-through rule;
+    values are the same.
     """
     V = T.wrap(V)
-    m, batch = V.shape[0], V.shape[1:-1]
-    if m == 0:
+    if len(V.data) == 0:
         raise ValueError("album has no photos")
+    if V.data.ndim == 2:   # one album: a batch of one
+        V = T.reshape(V, (len(V.data), 1, -1))
+        force_flags = None if force_flags is None else np.reshape(force_flags, (-1, 1))
+    m, B, _ = V.shape
     if force_flags is not None:
         force_flags = np.asarray(force_flags)
-        if force_flags.shape != (m,) + batch:
+        if force_flags.shape != (m, B):
             raise ValueError(f"force_flags shape {force_flags.shape} != photo "
-                             f"steps {(m,) + batch}")
+                             f"steps {(m, B)}")
         if not np.isin(force_flags, (0, 1)).all():
             raise ValueError(f"force_flags must be 0 or 1, got "
                              f"{sorted(set(force_flags.ravel().tolist()) - {0, 1})}")
-    n = T.step_lengths(lengths, m, int(np.prod(batch)))
+    n = T.step_lengths(lengths, m, B)
     gru_w = params.gru("scene.gru")
     w_v, w_h, b = (params[f"scene.detect.{p}"] for p in ("w_v", "w_h", "b"))
     hid, wh = gru_w.hidden_size, gru_w.w_h.data
 
-    # steps run (B, D_v) rows, one album being a batch of one, so the input
-    # projections of all steps at once equal each step's to the bit
-    rows = V.data.reshape(m, len(n), -1)
+    # the input projections of all steps at once equal each step's to the bit
+    rows = V.data
     gx = rows @ gru_w.w_x.data + gru_w.b.data
     v_score = rows @ w_v.data
     live = force_flags is None
-    k = np.empty(v_score.shape) if live else force_flags.reshape(v_score.shape) * 1.0
+    k = np.empty(v_score.shape) if live else force_flags * 1.0
     softs = np.empty(v_score.shape)
-    hs = np.zeros((m + 1, len(n), hid))   # hs[i] is the state entering step i
+    hs = np.zeros((m + 1, B, hid))   # hs[i] is the state entering step i
     emitted, resets = np.zeros_like(hs[1:]), np.zeros_like(hs[1:])
     caches = []
     for i in range(m):
@@ -104,13 +107,13 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
     # slot j of an album of n photos: emitted row j below n, the closing
     # state at n, and the all-zero row 0 past it; the mask is gathered alike
     slot = np.arange(m + 1)[:, None]
-    index = (np.where(slot < n, slot, np.where(slot == n, m + n - 1, 0)), np.arange(len(n)))
+    index = (np.where(slot < n, slot, np.where(slot == n, m + n - 1, 0)), np.arange(B))
     flags = k.astype(np.int64)
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
 
     def bw(g):
         d_out = np.zeros((2 * m,) + hs.shape[1:])
-        np.add.at(d_out, index, g.reshape((m + 1,) + hs.shape[1:]))
+        np.add.at(d_out, index, g)
         d_emitted, d_states = d_out[:m], d_out[m:]
         d_gates = np.empty_like(gx)
         d_score = np.zeros(k.shape)
@@ -134,21 +137,17 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
                 d_score[i] = d_k * softs[i] * (1.0 - softs[i])
                 d_h += d_score[i][:, None] * w_h.data
         T._gru_grads(V, T.zeros(()), gru_w, resets, np.stack([c[2] for c in caches]),
-                     d_gates.reshape(V.shape[:-1] + (3 * hid,)), None)
+                     d_gates, None)
         if V.requires_grad:
-            T._acc(V, (d_rows + d_score[..., None] * w_v.data).reshape(V.shape))
+            T._acc(V, d_rows + d_score[..., None] * w_v.data)
         for p, grad in ((w_v, np.tensordot(d_score, rows, 2)),
                         (w_h, np.tensordot(d_score, hs[:-1], 2)), (b, d_score.sum())):
             if p.requires_grad:
                 T._acc(p, grad)
 
-    out = np.concatenate([emitted, hs[1:]])[index].reshape((m + 1,) + batch + (hid,))
-    X = T._make(out, (V, gru_w.w_x, gru_w.w_h, gru_w.b) + ((w_v, w_h, b) if live else ()),
-                bw)
-    return SceneSegmentation(flags.reshape((m,) + batch).tolist(),
-                             softs.reshape((m,) + batch).tolist() if live else [], X,
-                             mask.reshape((m + 1,) + batch),
-                             mask.sum(axis=0).reshape(batch).tolist())
+    X = T._make(np.concatenate([emitted, hs[1:]])[index],
+                (V, gru_w.w_x, gru_w.w_h, gru_w.b) + ((w_v, w_h, b) if live else ()), bw)
+    return SceneSegmentation(flags, softs if live else None, X, mask, mask.sum(axis=0))
 
 
 def scene_indices(flags) -> list:

@@ -207,11 +207,12 @@ def mul(a, b) -> NumArray:
 
 
 def matmul(a, b) -> NumArray:
+    """Rows (..., m, n) times a matrix, a vector or a stack of matrices."""
     a, b = wrap(a), wrap(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 1 and bd.ndim > 2:
+    if ad.ndim < 2:
         raise DimensionError(f"matmul operands {ad.shape} @ {bd.shape}: "
-                             f"a vector times a stack of matrices is not supported")
+                             f"the left operand must be rows (..., m, n)")
     try:
         out = ad @ bd
     except ValueError as exc:
@@ -219,17 +220,7 @@ def matmul(a, b) -> NumArray:
             f"matmul operands {ad.shape} @ {bd.shape}: {exc}") from None
 
     def bw(g):
-        if ad.ndim == 1 and bd.ndim == 1:  # dot
-            if a.requires_grad:
-                _acc(a, g * bd)
-            if b.requires_grad:
-                _acc(b, g * ad)
-        elif ad.ndim == 1:  # (n,) @ (n, k)
-            if a.requires_grad:
-                _acc(a, bd @ g)
-            if b.requires_grad:
-                _acc(b, np.outer(ad, g))
-        elif bd.ndim == 1:  # (..., m, n) @ (n,)
+        if bd.ndim == 1:  # (..., m, n) @ (n,)
             if a.requires_grad:
                 _acc(a, g[..., None] * bd)
             if b.requires_grad:
@@ -645,6 +636,9 @@ def init_matrix(rng: np.random.Generator, shape) -> np.ndarray:
 # -- optimizer --------------------------------------------------------------
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction; entries that do not require grad (frozen
     groups) are skipped entirely.
@@ -653,20 +647,16 @@ class Adam:
     the same instance must drive a whole training stage.
     """
 
-    def __init__(self, params: ParamStore, lr: float = 0.0004,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParamStore, lr: float = 0.0004):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.entries.items():
@@ -686,14 +676,17 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # -- gradient checking -------------------------------------------------------
 
 
+GRAD_CHECK_DELTA = 1e-5   # central-difference step
+
+
 def grad_check(fn: Callable[[ParamStore], NumArray], params: ParamStore,
-               delta: float = 1e-5, max_coords_per_param: int | None = None,
+               max_coords_per_param: int | None = None,
                rng: np.random.Generator | None = None,
                include: Iterable[str] | None = None) -> float:
     """Compare analytic gradients of a scalar `fn` against central differences.
@@ -701,9 +694,9 @@ def grad_check(fn: Callable[[ParamStore], NumArray], params: ParamStore,
     Returns the max over checked coordinates of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
     The floor makes coordinates whose gradient sits below the
-    finite-difference noise level (roundoff is about eps*|f|/delta) compare
-    absolutely instead of blowing up the ratio; real defects on gradients of
-    usable magnitude still register. `max_coords_per_param` bounds the
+    finite-difference noise level (roundoff is about eps*|f|/GRAD_CHECK_DELTA)
+    compare absolutely instead of blowing up the ratio; real defects on
+    gradients of usable magnitude still register. `max_coords_per_param` bounds the
     coordinates sampled per entry (None checks every coordinate).
     """
     params.zero_grads()
@@ -730,17 +723,17 @@ def grad_check(fn: Callable[[ParamStore], NumArray], params: ParamStore,
         ga = analytic[n].reshape(-1)
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + delta
+            flat[i] = orig + GRAD_CHECK_DELTA
             with no_grad():
                 f_plus = float(fn(params).data)
-            flat[i] = orig - delta
+            flat[i] = orig - GRAD_CHECK_DELTA
             with no_grad():
                 f_minus = float(fn(params).data)
             flat[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise EvaluationError(
                     f"non-finite evaluation while perturbing '{n}'")
-            numeric = (f_plus - f_minus) / (2.0 * delta)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_DELTA)
             err = abs(ga[i] - numeric) / max(abs(ga[i]), abs(numeric), 1e-4)
             if err > worst:
                 worst = err

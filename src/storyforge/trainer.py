@@ -12,7 +12,8 @@ sentences are scored as the rows of one padded batch; the losses are
 sums over the batch (`model.batch_objective`). Albums with several
 reference stories contribute one example per reference. Order-loss
 derangements are drawn per example, in batch order, and redrawn each
-epoch.
+epoch. Validation decodes every album with `model.generate_stories`, a
+chunk of albums per search, and scores corpus CIDEr.
 """
 
 from __future__ import annotations
@@ -77,23 +78,21 @@ class TrainResult:
     stop_reason: str = "max_steps"
 
 
-def decoded_pairs(params, cfg: ModelConfig, albums, vocab, generate_fn=None,
-                  mode: str = "greedy", beam_width: int = 3):
-    """Decode every album, with `generate_stories` in `mode` or with one
-    `generate_fn(album, params, cfg)` call per album, and pair its tokens
-    with all its reference stories."""
-    hyps = (generate_stories(albums, params, cfg, mode, beam_width) if generate_fn is None
-            else [generate_fn(album, params, cfg) for album in albums])
+def decoded_pairs(params, cfg: ModelConfig, albums, vocab, mode: str = "greedy",
+                  beam_width: int = 3):
+    """Decode every album with `generate_stories` in `mode` and pair its
+    tokens with all its reference stories."""
+    hyps = generate_stories(albums, params, cfg, mode, beam_width)
     return [EvalPair([tok for ids in hyp.sentences for tok in decode_ids(ids, vocab)],
                      [story_tokens(story) for story in album.raw_stories])
             for album, hyp in zip(albums, hyps)]
 
 
-def validate(params, cfg: ModelConfig, albums, vocab, generate_fn=None,
-             mode: str = "greedy", beam_width: int = 3):
+def validate(params, cfg: ModelConfig, albums, vocab, mode: str = "greedy",
+             beam_width: int = 3):
     """Decode every album as `decoded_pairs` does and score corpus CIDEr
     against all refs."""
-    return cider(decoded_pairs(params, cfg, albums, vocab, generate_fn, mode, beam_width))
+    return cider(decoded_pairs(params, cfg, albums, vocab, mode, beam_width))
 
 
 def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,

@@ -1,5 +1,6 @@
 """Shared test utilities: the per-step scene encoder that the fused one is
-checked against, and hand-built detector weights for clustered data.
+checked against, validation pairs decoded one album at a time, and
+hand-built detector weights for clustered data.
 
 Detector weights: with zero photo GRUs and a signed-identity skip, photo
 vectors copy the raw feature into positive/negative halves. The scene GRU
@@ -16,6 +17,9 @@ import math
 import numpy as np
 
 from storyforge import tensor as T
+from storyforge.data import decode_ids, story_tokens
+from storyforge.metrics import EvalPair
+from storyforge.model import generate_story
 from storyforge.scene_encoder import SceneSegmentation, detect_boundary
 
 GAIN = 10000.0   # drives the classifier sigmoid to exact 0/1 saturation
@@ -58,26 +62,27 @@ def fill_oracle_scene_weights(ps, spec):
 
 def encode_scenes_per_step(V, params, force_flags=None, lengths=None):
     """The scene encoder built from small autodiff nodes, about a dozen per
-    photo step: the oracle for `scene_encoder.encode_scenes`, same arguments
-    but `relax` and the same SceneSegmentation. Its detector is
-    `detect_boundary`'s relaxation, whose autodiff gradient is the
-    straight-through rule, so it is the oracle for both backwards."""
+    photo step: the oracle for `scene_encoder.encode_scenes` on a padded
+    batch, (m_max, B, D_v) rows and (m_max, B) forced flags, with the same
+    SceneSegmentation. Its detector is `detect_boundary`'s relaxation,
+    whose autodiff gradient is the straight-through rule, so it is the
+    oracle for both backwards."""
     V = T.wrap(V)
-    m, batch = V.shape[0], V.shape[1:-1]
-    lengths = np.full(batch, m) if lengths is None else np.asarray(lengths)
+    m, B, _ = V.shape
+    lengths = np.full(B, m) if lengths is None else np.asarray(lengths)
     gru_w = params.gru("scene.gru")
 
-    h = T.zeros(batch + (gru_w.hidden_size,))
+    h = T.zeros((B, gru_w.hidden_size))
     # rows[0] is the all-zero slot: the first position never emits
     rows, states, flags, softs = [h], [], [], []
     for i in range(m):
         v = T.pick(V, i)
         if force_flags is not None:
-            k = T.wrap(np.asarray(force_flags, dtype=np.float64)[i][..., None])
+            k = T.wrap(np.asarray(force_flags, dtype=np.float64)[i][:, None])
         else:
             k, soft = detect_boundary(v, h, params)
-            softs.append(soft.data[..., 0])
-        flags.append(k.data[..., 0] > 0.5)
+            softs.append(soft.data[:, 0])
+        flags.append(k.data[:, 0] > 0.5)
         if i > 0:
             rows.append(k * h)
             h = h - rows[-1]   # a firing boundary clears the state it emits
@@ -86,11 +91,20 @@ def encode_scenes_per_step(V, params, force_flags=None, lengths=None):
 
     # slot j of an album of n photos: row j below n, the closing state at n,
     # and the zero row past it; the mask is gathered the same way
-    slot = np.arange(m + 1).reshape((m + 1,) + (1,) * len(batch))
+    slot = np.arange(m + 1)[:, None]
     index = (np.where(slot < lengths, slot, np.where(slot == lengths, m + lengths - 1, 0)),
-             *np.indices(lengths.shape, sparse=True))   # none for a lone album
+             np.arange(B))
     X = T.pick(T.stack_rows(rows + states), index)
     flags = np.array(flags, dtype=np.int64)
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
-    return SceneSegmentation(flags.tolist(), np.array(softs).tolist(), X, mask,
-                             mask.sum(axis=0).tolist())
+    return SceneSegmentation(flags, None if force_flags is not None else np.array(softs),
+                             X, mask, mask.sum(axis=0))
+
+
+def per_album_pairs(params, cfg, albums, vocab, **decode):
+    """`trainer.decoded_pairs` built from one `generate_story(album, ...,
+    **decode)` call per album: the decoded tokens against every reference."""
+    return [EvalPair([tok for ids in generate_story(album, params, cfg, **decode).sentences
+                      for tok in decode_ids(ids, vocab)],
+                     [story_tokens(story) for story in album.raw_stories])
+            for album in albums]

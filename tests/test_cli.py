@@ -528,6 +528,12 @@ class TestBadInputExitCodes:
                     _train_with()), "twice.txt: duplicate token 'a' in vocabulary"),
         (_with_file("--vocab-file", "unk.txt", _vocab_file("a", "<unk>"), _train_with()),
          "unk.txt: duplicate token '<unk>' in vocabulary"),
+        (_with_file("--val-data", "val.jsonl", b'{"album_id": "a"}\n', _train_with()),
+         "val.jsonl: line 1: missing field 'features'"),
+        (_with_file("--stories", "stories.jsonl",
+                    b'{"album_id": "nope", "sentences": ["hi"]}\n',
+                    _evaluate_without_album_id),
+         "stories.jsonl: line 1: album 'nope' not in reference data"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -556,7 +562,7 @@ class TestBadInputExitCodes:
             "generate-checkpoint-directory", "evaluate-stories-directory",
             "config-directory", "synth-data-out-dir-a-file", "train-data-not-utf8",
             "train-vocab-not-utf8", "config-not-utf8", "train-vocab-token-twice",
-            "train-vocab-lists-unk"])
+            "train-vocab-lists-unk", "train-bad-val-data", "evaluate-bad-stories"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,10 +197,10 @@ class TestFeatureRows:
                 assert all(f.dtype == np.float64 for f in feats)
                 np.testing.assert_array_equal(feats, [ROW] * 4)
             return
-        with pytest.raises(D.DataFormatError, match=f"^line 3: {message}$"):
+        with pytest.raises(D.DataFormatError, match=f"^{re.escape(str(p))}: line 3: {message}$"):
             D.load_albums(p, vocab, feature_dim=4)
-        with pytest.raises(D.DataFormatError, match=f"^{message}$"):
-            check_albums([rows], 4, 40)
+        with pytest.raises(D.DataFormatError, match=f"^album 1: {message}$"):
+            check_albums([[ROW], rows], 4, 40)
 
     @pytest.mark.parametrize("rows", [np.ones((6, 4)), [np.ones(4)] * 6])
     def test_array_inputs(self, rows):
@@ -248,9 +249,9 @@ class TestStoryChecks:
             for a in (checked, loaded):
                 assert a.raw_stories == stories and a.gold_boundaries == gold[:2]
             return
-        with pytest.raises(D.DataFormatError, match=f"^line 3: {message}$"):
+        with pytest.raises(D.DataFormatError, match=f"^{re.escape(str(p))}: line 3: {message}$"):
             D.load_albums(p, vocab)
-        with pytest.raises(D.DataFormatError, match=f"^{message}$"):
+        with pytest.raises(D.DataFormatError, match=f"^album 0: {message}$"):
             check_albums([album], 4, 40, 5)
 
     def test_sentence_count_unchecked_when_none(self):

@@ -26,7 +26,8 @@ def make(seed=0):
 
 
 def fresh_state(cfg):
-    return AttentionState(T.zeros(cfg.attn_hidden), T.zeros(cfg.alpha_len))
+    """A lone album's first attention state: rows of a batch of one."""
+    return AttentionState(T.zeros((1, cfg.attn_hidden)), T.zeros((1, cfg.alpha_len)))
 
 
 def np_gru_step(x, h, wx, wh, b):
@@ -56,22 +57,22 @@ class TestAttend:
     def test_single_valid_column_is_copied(self):
         cfg, ps = make(0)
         rng = np.random.default_rng(0)
-        R = rng.standard_normal((cfg.alpha_len, cfg.d_v))
-        mask = np.zeros(cfg.alpha_len)
-        mask[2] = 1.0
+        R = rng.standard_normal((1, cfg.alpha_len, cfg.d_v))
+        mask = np.zeros((1, cfg.alpha_len))
+        mask[0, 2] = 1.0
         z, alpha, _ = attend(T.wrap(R), mask, fresh_state(cfg), ps)
         np.testing.assert_array_equal(alpha.data, mask)
-        np.testing.assert_allclose(z.data, R[2], rtol=1e-12)
+        np.testing.assert_allclose(z.data, R[:, 2], rtol=1e-12)
 
     def test_zero_readout_gives_uniform_mean(self):
         cfg, ps = make(1)
         ps["attn.score.w_out"].data[...] = 0.0
         rng = np.random.default_rng(1)
-        R = rng.standard_normal((cfg.alpha_len, cfg.d_v))
-        mask = np.array([1, 0, 1, 1, 0, 0, 0], dtype=float)
+        R = rng.standard_normal((1, cfg.alpha_len, cfg.d_v))
+        mask = np.array([[1, 0, 1, 1, 0, 0, 0]], dtype=float)
         z, alpha, _ = attend(T.wrap(R), mask, fresh_state(cfg), ps)
         np.testing.assert_allclose(alpha.data[mask > 0], 1 / 3, rtol=1e-12)
-        np.testing.assert_allclose(z.data, R[[0, 2, 3]].mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(z.data[0], R[0, [0, 2, 3]].mean(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_matches_numpy_oracle(self, seed):
@@ -79,23 +80,23 @@ class TestAttend:
         rng = np.random.default_rng(seed)
         R = rng.standard_normal((cfg.alpha_len, cfg.d_v))
         mask = np.array([1, 1, 0, 1, 0, 1, 0], dtype=float)
-        state = AttentionState(T.wrap(rng.standard_normal(cfg.attn_hidden)),
-                               T.wrap(rng.standard_normal(cfg.alpha_len)))
-        z, alpha, new_state = attend(T.wrap(R), mask, state, ps)
-        want_z, want_alpha, want_h = np_attend(
-            R, mask, state.alpha_prev.data, state.h_attn.data, ps)
-        np.testing.assert_allclose(alpha.data, want_alpha, rtol=1e-10)
-        np.testing.assert_allclose(z.data, want_z, rtol=1e-10)
-        np.testing.assert_allclose(new_state.h_attn.data, want_h, rtol=1e-10)
+        h_attn = rng.standard_normal(cfg.attn_hidden)
+        alpha_prev = rng.standard_normal(cfg.alpha_len)
+        state = AttentionState(T.wrap(h_attn[None]), T.wrap(alpha_prev[None]))
+        z, alpha, new_state = attend(T.wrap(R[None]), mask[None], state, ps)
+        want_z, want_alpha, want_h = np_attend(R, mask, alpha_prev, h_attn, ps)
+        np.testing.assert_allclose(alpha.data[0], want_alpha, rtol=1e-10)
+        np.testing.assert_allclose(z.data[0], want_z, rtol=1e-10)
+        np.testing.assert_allclose(new_state.h_attn.data[0], want_h, rtol=1e-10)
 
     def test_alpha_is_masked_distribution(self):
         cfg, ps = make(5)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            R = rng.standard_normal((cfg.alpha_len, cfg.d_v))
-            mask = (rng.random(cfg.alpha_len) < 0.6).astype(float)
+            R = rng.standard_normal((1, cfg.alpha_len, cfg.d_v))
+            mask = (rng.random((1, cfg.alpha_len)) < 0.6).astype(float)
             if mask.sum() == 0:
-                mask[0] = 1.0
+                mask[0, 0] = 1.0
             _, alpha, _ = attend(T.wrap(R), mask, fresh_state(cfg), ps)
             assert alpha.data.sum() == pytest.approx(1.0)
             assert np.all(alpha.data[mask == 0] == 0.0)
@@ -103,8 +104,8 @@ class TestAttend:
     def test_z_in_convex_hull_of_valid_rows(self):
         cfg, ps = make(6)
         rng = np.random.default_rng(6)
-        R = rng.standard_normal((cfg.alpha_len, cfg.d_v))
-        mask = np.array([1, 1, 1, 0, 0, 1, 0], dtype=float)
+        R = rng.standard_normal((1, cfg.alpha_len, cfg.d_v))
+        mask = np.array([[1, 1, 1, 0, 0, 1, 0]], dtype=float)
         z, _, _ = attend(T.wrap(R), mask, fresh_state(cfg), ps)
         valid = R[mask > 0]
         eps = 1e-12
@@ -113,9 +114,9 @@ class TestAttend:
 
     def test_all_invalid_mask_rejected(self):
         cfg, ps = make(7)
-        R = T.wrap(np.zeros((cfg.alpha_len, cfg.d_v)))
+        R = T.wrap(np.zeros((1, cfg.alpha_len, cfg.d_v)))
         with pytest.raises(T.InvalidMaskError):
-            attend(R, np.zeros(cfg.alpha_len), fresh_state(cfg), ps)
+            attend(R, np.zeros((1, cfg.alpha_len)), fresh_state(cfg), ps)
 
     def test_batch_rows_equal_album_calls(self):
         cfg, ps = make(9)
@@ -128,20 +129,21 @@ class TestAttend:
         z, alpha, new_state = attend(T.wrap(R), mask, state, ps)
         assert z.shape == (3, cfg.d_v) and alpha.shape == (3, cfg.alpha_len)
         for b in range(3):
-            one = AttentionState(T.wrap(state.h_attn.data[b]),
-                                 T.wrap(state.alpha_prev.data[b]))
-            want_z, want_alpha, want_state = attend(T.wrap(R[b]), mask[b], one, ps)
-            np.testing.assert_allclose(z.data[b], want_z.data, rtol=1e-12)
-            np.testing.assert_allclose(alpha.data[b], want_alpha.data, rtol=1e-12)
-            np.testing.assert_allclose(new_state.h_attn.data[b], want_state.h_attn.data,
-                                       rtol=1e-12)
+            one = AttentionState(T.wrap(state.h_attn.data[b:b + 1]),
+                                 T.wrap(state.alpha_prev.data[b:b + 1]))
+            want_z, want_alpha, want_state = attend(T.wrap(R[b:b + 1]), mask[b:b + 1],
+                                                    one, ps)
+            np.testing.assert_allclose(z.data[b], want_z.data[0], rtol=1e-12)
+            np.testing.assert_allclose(alpha.data[b], want_alpha.data[0], rtol=1e-12)
+            np.testing.assert_allclose(new_state.h_attn.data[b],
+                                       want_state.h_attn.data[0], rtol=1e-12)
 
     def test_state_persists_and_gradients_flow(self):
         cfg, ps = make(8)
         rng = np.random.default_rng(8)
-        R = rng.standard_normal((cfg.alpha_len, cfg.d_v))
-        mask = np.array([1, 1, 0, 1, 0, 0, 1], dtype=float)
-        w = rng.standard_normal(cfg.d_v)
+        R = rng.standard_normal((1, cfg.alpha_len, cfg.d_v))
+        mask = np.array([[1, 1, 0, 1, 0, 0, 1]], dtype=float)
+        w = rng.standard_normal((1, cfg.d_v))
 
         def fn(p):
             state = fresh_state(cfg)
@@ -306,21 +308,21 @@ class TestScoreSentences:
 
 
 def one_row_step(prev, h, z, table, gru_w, params):
-    """The word step on one 1-D hypothesis, as decoding ran before
-    hypotheses became rows of one step."""
-    h = T.gru_cell(T.concat([T.pick(table, prev), z]), h, gru_w)
+    """The word step on one hypothesis, a (1, H) state for a (1, D_v) z, as
+    decoding ran before hypotheses became rows of one step."""
+    h = T.gru_cell(T.concat([T.pick(table, [prev]), z], axis=-1), h, gru_w)
     return h, _readout(h, z, params)
 
 
 def greedy_oracle(z, params, max_words):
     """Argmax decoding with a loop of its own."""
     table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
-    h, prev = T.zeros(gru_w.hidden_size), BOS
+    h, prev, z = T.zeros((1, gru_w.hidden_size)), BOS, T.reshape(z, (1, -1))
     ids, logps = [], []
     with T.no_grad():
         for _ in range(max_words + 1):
             h, d = one_row_step(prev, h, z, table, gru_w, params)
-            log_p = T.log_softmax(d).data
+            log_p = T.log_softmax(d).data[0]
             tok = int(np.argmax(log_p))
             ids.append(tok)
             logps.append(float(log_p[tok]))
@@ -334,7 +336,7 @@ def beam_oracle(z, params, max_words, width):
     """Beam search that steps each hypothesis on its own and ranks by
     (summed log-prob, ids)."""
     table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
-    beams = [([], [], T.zeros(gru_w.hidden_size), False)]
+    beams, z = [([], [], T.zeros((1, gru_w.hidden_size)), False)], T.reshape(z, (1, -1))
     with T.no_grad():
         for _ in range(max_words + 1):
             candidates = []
@@ -344,7 +346,7 @@ def beam_oracle(z, params, max_words, width):
                     continue
                 h_new, d = one_row_step(ids[-1] if ids else BOS, h, z, table,
                                         gru_w, params)
-                log_p = T.log_softmax(d).data
+                log_p = T.log_softmax(d).data[0]
                 for tok in np.argsort(-log_p, kind="stable")[:width]:
                     tok = int(tok)
                     candidates.append((ids + [tok], logps + [float(log_p[tok])],
@@ -399,6 +401,19 @@ class TestGeneration:
         want_ids, want_logps = beam_oracle(z, ps, max_words, width)
         assert ids == want_ids
         np.testing.assert_allclose(logps, want_logps, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_batch_of_one_z_decodes_alike(self, width):
+        # a lone album's z rows come from `summarize_album` as (1, D_v)
+        cfg, ps = make(27)
+        z = np.random.default_rng(27).standard_normal(cfg.d_v)
+
+        def decode(z):
+            if width is None:
+                return decode_sentence_greedy(z, ps, cfg.max_words)
+            return decode_sentence_beam(z, ps, cfg.max_words, width)
+
+        assert decode(T.wrap(z[None])) == decode(T.wrap(z))
 
     def test_one_decoder_step_per_word(self, monkeypatch):
         # the hypotheses of a step are rows of one call, not one call each

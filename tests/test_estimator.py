@@ -11,8 +11,11 @@ from storyforge import estimator
 from storyforge.data import UNK, SynthSpec, synth_dataset, synth_vocab
 from storyforge.estimator import (AlbumStoryteller, NotFittedError,
                                   check_albums, check_is_fitted)
-from storyforge.model import ModelConfig, generate_story
+from storyforge.metrics import cider
+from storyforge.model import ModelConfig
 from storyforge.trainer import TrainConfig, validate
+
+from helpers import per_album_pairs
 
 SPEC = SynthSpec(albums=3, scenes_per_album=(2, 2), photos_per_scene=(2, 2),
                  feature_dim=6, vocab_size=25, seed=0)
@@ -223,18 +226,25 @@ class TestSharedPaths:
     def test_score_decodes_in_the_estimator_mode(self, unk_model):
         est, albums = unk_model
         beam = copy.copy(est).set_params(mode="beam", beam_width=2)
-
-        def beam2(album, params, cfg):
-            return generate_story(album, params, cfg, mode="beam", beam_width=2)
-
-        assert beam.score(albums) == validate(est.params_, est.model_config_,
-                                              albums, est.vocab_, generate_fn=beam2)
+        assert beam.score(albums) == cider(per_album_pairs(
+            est.params_, est.model_config_, albums, est.vocab_, mode="beam", beam_width=2))
 
     def test_fit_checks_sentence_count_before_any_step(self, monkeypatch):
         monkeypatch.setattr(estimator, "run_training", _no_training)
         albums = synth_dataset(SynthSpec(albums=2, sentences=3, seed=1))
-        with pytest.raises(ValueError, match="^story has 3 sentences, expected 5$"):
+        with pytest.raises(ValueError, match="^album 0: story has 3 sentences, expected 5$"):
             AlbumStoryteller(sentences=5).fit(albums)
+
+    def test_fit_names_the_bad_album(self, monkeypatch):
+        monkeypatch.setattr(estimator, "run_training", _no_training)
+        albums = synth_dataset(SynthSpec(albums=3, seed=1))
+        bad = dataclasses.replace(albums[2], features=[f[:4] for f in albums[2].features])
+        with pytest.raises(ValueError,
+                           match="^album 2: feature-dim mismatch: expected 8, got 4$"):
+            AlbumStoryteller(max_steps=1, validate_every=1).fit(albums[:2] + [bad])
+        with pytest.raises(ValueError,
+                           match="^validation: album 0: feature-dim mismatch: expected 8, got 4$"):
+            AlbumStoryteller(max_steps=1, validate_every=1).fit(albums[:2], validation=[bad])
 
     @pytest.mark.parametrize("setting, message", [
         ("feature_dim", "^feature_dim must be >= 1$"),

@@ -37,14 +37,14 @@ class TestDetectBoundary:
     def test_saturated_low(self):
         cfg, ps = small_params()
         zero_detector(ps, -10.0)
-        k, soft = detect_boundary(T.zeros(cfg.d_v), T.zeros(cfg.d_v), ps)
+        k, soft = detect_boundary(T.zeros((1, cfg.d_v)), T.zeros((1, cfg.d_v)), ps)
         assert k.data.item() == 0.0
         assert soft.data.item() < 1e-4
 
     def test_saturated_high(self):
         cfg, ps = small_params()
         zero_detector(ps, 10.0)
-        k, soft = detect_boundary(T.zeros(cfg.d_v), T.zeros(cfg.d_v), ps)
+        k, soft = detect_boundary(T.zeros((1, cfg.d_v)), T.zeros((1, cfg.d_v)), ps)
         assert k.data.item() == 1.0
         assert soft.data.item() > 1 - 1e-4
 
@@ -56,14 +56,14 @@ class TestEncodeScenes:
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(4)]
         V = photo_rows(feats, ps)
         seg = encode_scenes(V, ps, force_flags=[0, 0, 0, 0])
-        assert seg.u == 1
-        assert seg.scene_mask.tolist() == [0, 0, 0, 0, 1]
-        np.testing.assert_array_equal(seg.X.data[:4], np.zeros((4, cfg.d_v)))
+        assert seg.u.tolist() == [1]
+        assert seg.scene_mask[:, 0].tolist() == [0, 0, 0, 0, 1]
+        np.testing.assert_array_equal(seg.X.data[:4], np.zeros((4, 1, cfg.d_v)))
         # the one true scene is the GRU state after all four photos
         h = T.zeros(cfg.d_v)
         for v in V.data:
             h = T.gru_cell(v, h, ps.gru("scene.gru"))
-        np.testing.assert_allclose(seg.X.data[4], h.data, rtol=1e-12)
+        np.testing.assert_allclose(seg.X.data[4, 0], h.data, rtol=1e-12)
 
     def test_forced_all_one_flags(self):
         cfg, ps = small_params(4)
@@ -72,12 +72,12 @@ class TestEncodeScenes:
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(m)]
         V = photo_rows(feats, ps)
         seg = encode_scenes(V, ps, force_flags=[1] * m)
-        assert seg.u == m
-        assert seg.scene_mask.tolist() == [0] + [1] * m
+        assert seg.u.tolist() == [m]
+        assert seg.scene_mask[:, 0].tolist() == [0] + [1] * m
         # every scene row is a one-step GRU state from a fresh zero state
         for i, v in enumerate(V.data):
             one_step = T.gru_cell(v, T.zeros(cfg.d_v), ps.gru("scene.gru"))
-            np.testing.assert_allclose(seg.X.data[i + 1], one_step.data, rtol=1e-12)
+            np.testing.assert_allclose(seg.X.data[i + 1, 0], one_step.data, rtol=1e-12)
 
     def test_masked_rows_exactly_zero_random_params(self):
         rng = np.random.default_rng(5)
@@ -86,10 +86,11 @@ class TestEncodeScenes:
             m = int(rng.integers(1, 7))
             feats = [2.0 * rng.standard_normal(cfg.feature_dim) for _ in range(m)]
             seg = encode_scenes(photo_rows(feats, ps), ps)
-            assert seg.u == int(seg.scene_mask.sum())
-            assert 1 <= seg.u <= m
-            assert seg.X.shape[0] == m + 1
-            for row, mk in zip(seg.X.data, seg.scene_mask):
+            u = seg.u.item()
+            assert u == int(seg.scene_mask.sum())
+            assert 1 <= u <= m
+            assert seg.X.shape == (m + 1, 1, cfg.d_v)
+            for row, mk in zip(seg.X.data[:, 0], seg.scene_mask[:, 0]):
                 if mk == 0:
                     assert np.all(row == 0.0)
 
@@ -104,7 +105,7 @@ class TestEncodeScenes:
         w = ps.gru("scene.gru")
         h = T.gru_cell(V.data[1], T.zeros(cfg.d_v), w)
         h = T.gru_cell(V.data[2], h, w)
-        np.testing.assert_allclose(seg.X.data[3], h.data, rtol=1e-12)
+        np.testing.assert_allclose(seg.X.data[3, 0], h.data, rtol=1e-12)
 
     def test_flags_match_gold_boundaries_from_geometry(self):
         spec = D.SynthSpec(albums=25, scenes_per_album=(1, 3),
@@ -116,8 +117,8 @@ class TestEncodeScenes:
         fill_oracle_scene_weights(ps, spec)
         for album in D.synth_dataset(spec):
             seg = encode_scenes(photo_rows(album.features, ps), ps)
-            assert seg.flags == album.gold_boundaries
-            assert seg.u == 1 + sum(album.gold_boundaries)
+            assert seg.flags[:, 0].tolist() == album.gold_boundaries
+            assert seg.u.tolist() == [1 + sum(album.gold_boundaries)]
 
     def test_oracle_softs_saturated(self):
         spec = D.SynthSpec(albums=5, feature_dim=8, vocab_size=27,
@@ -127,14 +128,14 @@ class TestEncodeScenes:
         fill_oracle_scene_weights(ps, spec)
         for album in D.synth_dataset(spec):
             seg = encode_scenes(photo_rows(album.features, ps), ps)
-            for s in seg.softs:
+            for s in seg.softs[:, 0]:
                 assert s < 1e-9 or s > 1 - 1e-9
 
     def test_fixed_flag_gradients(self):
         cfg, ps = small_params(9)
         rng = np.random.default_rng(9)
         feats = [rng.standard_normal(cfg.feature_dim) for _ in range(4)]
-        w = rng.standard_normal((5, cfg.d_v))
+        w = rng.standard_normal((5, 1, cfg.d_v))
 
         def fn(p):
             seg = encode_scenes(photo_rows(feats, p), p, force_flags=[0, 1, 0, 1])
@@ -174,17 +175,16 @@ class TestEncodeScenes:
         for b, n in enumerate(lengths):
             one = encode_scenes(V[:n, b], ps, force_flags=None if flags is None
                                 else flags[:n, b])
-            T.arr_sum(one.X * T.wrap(weights[:n + 1, b])).backward()
-            np.testing.assert_allclose(batch.X.data[:n + 1, b], one.X.data,
+            T.arr_sum(one.X * T.wrap(weights[:n + 1, b:b + 1])).backward()
+            np.testing.assert_allclose(batch.X.data[:n + 1, b], one.X.data[:, 0],
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(batch.X.data[n + 1:, b], 0.0)
-            assert [row[b] for row in batch.flags[:n]] == one.flags
-            assert batch.scene_mask[:n + 1, b].tolist() == one.scene_mask.tolist()
+            np.testing.assert_array_equal(batch.flags[:n, b], one.flags[:, 0])
+            np.testing.assert_array_equal(batch.scene_mask[:n + 1, b], one.scene_mask[:, 0])
             assert batch.scene_mask[n + 1:, b].sum() == 0
-            assert batch.u[b] == one.u
+            assert batch.u[b] == one.u[0]
             if not forced:
-                assert [row[b] for row in batch.softs[:n]] == pytest.approx(one.softs,
-                                                                          rel=1e-12)
+                np.testing.assert_allclose(batch.softs[:n, b], one.softs[:, 0], rtol=1e-12)
         assert batch_grads
         for name, grad in batch_grads.items():
             np.testing.assert_allclose(grad, ps[name].grad, rtol=1e-11, atol=1e-13,
@@ -217,8 +217,9 @@ class TestEncodeScenes:
 
 class TestFusedEqualsPerStep:
     """The one-node scene encoder against the per-step graph it replaced:
-    the same values to the bit, and the same gradients. A lone album is
-    the rows of a batch-of-one `encode_photos`."""
+    the same values to the bit, and the same gradients, on padded batches
+    with photo counts and on one album without them (the rows of a
+    batch-of-one `encode_photos`)."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["live", "forced", "relax"]),
@@ -234,15 +235,13 @@ class TestFusedEqualsPerStep:
             lengths = np.array(lengths)
         else:
             feats, lengths = 2.0 * rng.standard_normal((m, 1, cfg.feature_dim)), None
-        batch = feats.shape[1:-1] if batched else ()
-        flags = rng.integers(0, 2, size=(m,) + batch) if mode == "forced" else None
-        weights = T.wrap(rng.standard_normal((m + 1,) + batch + (cfg.d_v,)))
+        flags = rng.integers(0, 2, size=feats.shape[:2]) if mode == "forced" else None
+        weights = T.wrap(rng.standard_normal((m + 1, feats.shape[1], cfg.d_v)))
         runs = []
         fused = functools.partial(encode_scenes, relax=mode == "relax")
         for encode in (fused, encode_scenes_per_step):
             ps.zero_grads()
-            enc = encode_photos(feats, ps, [m] if lengths is None else lengths)
-            photos = T.reshape(enc.V, (m,) + batch + (cfg.d_v,))
+            photos = encode_photos(feats, ps, [m] if lengths is None else lengths).V
             V = T.NumArray(photos.data, requires_grad=True)
             seg = encode(V, ps, force_flags=flags, lengths=lengths)
             T.arr_sum(seg.X * weights).backward()
@@ -252,15 +251,60 @@ class TestFusedEqualsPerStep:
                                        else ps[n].grad for n in ps.names()
                                        if n.startswith(("photo.", "scene."))}))
         (fused, d_v, grads), (oracle, d_v_oracle, grads_oracle) = runs
-        assert fused.flags == oracle.flags
-        assert fused.softs == oracle.softs
+        np.testing.assert_array_equal(fused.flags, oracle.flags)
+        if mode == "forced":
+            assert fused.softs is None and oracle.softs is None
+        else:
+            np.testing.assert_array_equal(fused.softs, oracle.softs)
         np.testing.assert_allclose(fused.X.data, oracle.X.data, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(fused.scene_mask, oracle.scene_mask)
-        assert fused.u == oracle.u
+        np.testing.assert_array_equal(fused.u, oracle.u)
         np.testing.assert_allclose(d_v, d_v_oracle, rtol=1e-10, atol=1e-12)
         for name, grad in grads_oracle.items():
             np.testing.assert_allclose(grads[name], grad, rtol=1e-10, atol=1e-12,
                                        err_msg=name)
+
+
+def _bytes(a):
+    """Array bits, None kept: a gradient or soft score that is absent."""
+    return None if a is None else (a.shape, a.tobytes())
+
+
+class TestLoneAlbumIsBatchOfOne:
+    """One album given as a list of (D_v,) vectors, as (m, D_v) rows or as
+    an (m, 1, D_v) batch is the same batch of one: every field of the
+    segmentation, in its (m, B) layout, and every gradient agree to the
+    bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["live", "forced", "relax"]),
+           st.integers(1, 7))
+    def test_forms_agree_to_the_bit(self, seed, mode, m):
+        rng = np.random.default_rng(seed)
+        cfg, ps = small_params(seed % 1000)
+        rows = 2.0 * rng.standard_normal((m, cfg.d_v))
+        flags = rng.integers(0, 2, size=m) if mode == "forced" else None
+        weights = T.wrap(rng.standard_normal((m + 1, 1, cfg.d_v)))
+        runs = []
+        for form in ("list", "rows", "batch"):
+            ps.zero_grads()
+            V = T.NumArray(rows[:, None] if form == "batch" else rows, requires_grad=True)
+            if form == "list":
+                album, forced = list(rows), None if flags is None else flags.tolist()
+            else:
+                album, forced = V, flags if form == "rows" or flags is None else flags[:, None]
+            seg = encode_scenes(album, ps, force_flags=forced, relax=mode == "relax")
+            T.arr_sum(seg.X * weights).backward()
+            assert (seg.flags.shape, seg.X.shape, seg.scene_mask.shape, seg.u.shape) == \
+                ((m, 1), (m + 1, 1, cfg.d_v), (m + 1, 1), (1,))
+            runs.append([_bytes(x) for x in (seg.flags, seg.softs, seg.X.data,
+                                             seg.scene_mask, seg.u)]
+                        + [_bytes(ps[n].grad) for n in ps.names() if n.startswith("scene.")]
+                        + [None if form == "list" else _bytes(V.grad.reshape(m, -1))])
+        listed, as_rows, as_batch = runs
+        assert as_rows == as_batch
+        assert listed[:-1] == as_rows[:-1]   # a list of arrays takes no gradient
+        assert (mode == "forced") == (as_rows[1] is None)
 
 
 class TestSceneIndices:

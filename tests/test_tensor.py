@@ -254,7 +254,8 @@ class TestOps:
             y = T.tanh(ps["a"] @ ps["b"])
             m = T.stack_rows([y, T.relu(y), T.sigmoid(y)])
             v = T.arr_sum(m, axis=0) * (1.0 / 3.0)
-            w = T.concat([v, ps["b"] @ ps["c"]])
+            bc = T.reshape(ps["b"], (1, -1)) @ ps["c"]   # b as a row
+            w = T.concat([v, T.reshape(bc, (-1,))])
             return T.arr_sum(w * w)
 
         assert T.grad_check(fn, store) < 1e-4
@@ -339,9 +340,11 @@ class TestOps:
                                    rtol=1e-12)
         assert T.grad_check(fn, store) < 1e-4
 
-    def test_matmul_vector_by_stack_rejected(self):
-        with pytest.raises(T.DimensionError, match="stack"):
-            T.matmul(T.zeros(3), T.zeros((2, 3, 4)))
+    def test_matmul_vector_left_operand_rejected(self):
+        # the left operand is rows; a lone vector is a (1, n) row
+        for b_shape in [(3,), (3, 4), (2, 3, 4)]:
+            with pytest.raises(T.DimensionError, match=r"left operand must be rows"):
+                T.matmul(T.zeros(3), T.zeros(b_shape))
 
     @pytest.mark.parametrize("a_shape, b_shape", [((2, 1, 3), (2, 3, 4)),
                                                   ((1, 3), (2, 3, 4)),

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from storyforge import tensor as T
+from storyforge import trainer
 from storyforge.data import SynthSpec, synth_dataset, synth_vocab
-from storyforge.model import (DECODE_CHUNK, ModelConfig, build_parameters,
-                              generate_story, story_objective)
+from storyforge.metrics import cider
+from storyforge.model import DECODE_CHUNK, ModelConfig, build_parameters, story_objective
 from storyforge.trainer import (STAGE2_FROZEN, TrainConfig, canonical_log,
                                 decoded_pairs, run_stage1, run_stage2,
                                 run_training, validate, write_log)
+
+from helpers import per_album_pairs
 
 
 @pytest.fixture(scope="module")
@@ -221,26 +224,34 @@ class TestDeterminism:
         assert all("wall_time" not in line for line in canonical_log(p1))
 
 
+class Hyp:
+    """A decoded story: only its sentences are read by validation."""
+
+    def __init__(self, sentences):
+        self.sentences = sentences
+
+
+def emitting(monkeypatch, story_of):
+    """Make validation decode each album as `story_of(album)`."""
+    monkeypatch.setattr(trainer, "generate_stories",
+                        lambda albums, *rest: [Hyp(story_of(a)) for a in albums])
+
+
 class TestValidate:
-    def test_verbatim_emitter_beats_perturbed(self, corpus):
+    def test_verbatim_emitter_beats_perturbed(self, corpus, monkeypatch):
         _, vocab, albums = corpus
         cfg = tiny_tcfg(vocab).model
         params = build_parameters(cfg, np.random.default_rng(3))
 
-        class Hyp:
-            def __init__(self, sentences):
-                self.sentences = sentences
-
-        def verbatim(album, ps, c):
-            return Hyp([list(s) for s in album.stories[0]])
-
-        def perturbed(album, ps, c):
+        def perturbed(album):
             sents = [list(s) for s in album.stories[0]]
             sents[0][0] = 4 if sents[0][0] != 4 else 5
-            return Hyp(sents)
+            return sents
 
-        hi = validate(params, cfg, albums, vocab, generate_fn=verbatim)
-        lo = validate(params, cfg, albums, vocab, generate_fn=perturbed)
+        emitting(monkeypatch, lambda album: [list(s) for s in album.stories[0]])
+        hi = validate(params, cfg, albums, vocab)
+        emitting(monkeypatch, perturbed)
+        lo = validate(params, cfg, albums, vocab)
         assert hi > lo
         assert hi > 5.0
 
@@ -251,7 +262,7 @@ class TestValidate:
         assert validate(params, cfg, albums, vocab) == \
             validate(params, cfg, albums, vocab)
 
-    def test_default_path_equals_per_album_hook(self, corpus):
+    def test_batched_path_equals_per_album_calls(self, corpus):
         # batched decoding over more albums than one chunk, of unequal sizes
         _, vocab, _ = corpus
         cfg = tiny_tcfg(vocab).model
@@ -260,19 +271,13 @@ class TestValidate:
                                          photos_per_scene=(1, 2), feature_dim=6,
                                          vocab_size=25, seed=6), vocab)
         assert len({a.num_photos for a in albums}) > 1
-        assert decoded_pairs(params, cfg, albums, vocab) == \
-            decoded_pairs(params, cfg, albums, vocab, generate_fn=generate_story)
-        assert validate(params, cfg, albums, vocab) == \
-            validate(params, cfg, albums, vocab, generate_fn=generate_story)
+        pairs = per_album_pairs(params, cfg, albums, vocab)
+        assert decoded_pairs(params, cfg, albums, vocab) == pairs
+        assert validate(params, cfg, albums, vocab) == cider(pairs)
 
-    def test_empty_generation_scores_zero(self, corpus):
+    def test_empty_generation_scores_zero(self, corpus, monkeypatch):
         _, vocab, albums = corpus
         cfg = tiny_tcfg(vocab).model
         params = build_parameters(cfg, np.random.default_rng(5))
-
-        class Hyp:
-            sentences = [[], [], [], [], []]
-
-        score = validate(params, cfg, albums, vocab,
-                         generate_fn=lambda a, p, c: Hyp())
-        assert score == 0.0
+        emitting(monkeypatch, lambda album: [[], [], [], [], []])
+        assert validate(params, cfg, albums, vocab) == 0.0
