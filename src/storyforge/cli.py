@@ -113,13 +113,16 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def write_resolved(cfg, out_dir):
-    out = Path(out_dir)
+def write_resolved(cfg) -> Path:
+    """Write the resolved configuration into the output directory, made if
+    missing, and return that directory."""
+    out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "resolved_config.txt", "w", encoding="utf-8") as fh:
         for key in sorted(cfg):
             if cfg[key] is not None:
                 fh.write(f"{key}={cfg[key]}\n")
+    return out
 
 
 def _require(cfg, *keys):
@@ -154,7 +157,10 @@ def _load_model(cfg, run_config: ModelConfig | None = None):
             raise ConfigError(f"{cfg['checkpoint']}: meta field 'config' is malformed")
         merged = dict(cfg)
         merged.update({k: saved[k] for k in MODEL_KEYS if k in saved})
-        mcfg = config_from(ModelConfig, merged, vocab_size=len(vocab))
+        try:
+            mcfg = config_from(ModelConfig, merged, vocab_size=len(vocab))
+        except ConfigError as e:
+            raise ConfigError(f"{cfg['checkpoint']}: {e}") from None
     expected = build_parameters(mcfg, np.random.default_rng(0))
     for name in sorted(set(params.names()) | set(expected.names())):
         got = params[name].shape if name in params else None
@@ -184,8 +190,7 @@ def _metric_lines(pairs):
 
 
 def cmd_synth_data(cfg) -> int:
-    out = Path(cfg["out_dir"])
-    write_resolved(cfg, out)
+    out = write_resolved(cfg)
     spec = _synth_spec(cfg)
     vocab = synth_vocab(spec)
     albums = synth_dataset(spec, vocab)
@@ -197,8 +202,7 @@ def cmd_synth_data(cfg) -> int:
 
 def cmd_build_vocab(cfg) -> int:
     _require(cfg, "train_data")
-    out = Path(cfg["out_dir"])
-    write_resolved(cfg, out)
+    out = write_resolved(cfg)
     sentences = []
     for where, rec in read_records(cfg["train_data"], "stories"):
         with at_record(where):
@@ -211,8 +215,7 @@ def cmd_build_vocab(cfg) -> int:
 
 def cmd_train(cfg) -> int:
     _require(cfg, "train_data", "vocab_file")
-    out = Path(cfg["out_dir"])
-    write_resolved(cfg, out)
+    out = write_resolved(cfg)
     vocab = Vocabulary.load(cfg["vocab_file"])
     mcfg = config_from(ModelConfig, cfg, vocab_size=len(vocab))
     train_set = _model_albums(cfg["train_data"], vocab, mcfg)
@@ -251,8 +254,7 @@ def cmd_train(cfg) -> int:
 def cmd_generate(cfg) -> int:
     _require(cfg, "data")
     params, vocab, mcfg = _load_model(cfg)
-    out = Path(cfg["out_dir"])
-    write_resolved(cfg, out)
+    out = write_resolved(cfg)
     albums = _model_albums(cfg["data"], vocab, mcfg)
     path = Path(cfg["stories"]) if cfg["stories"] else out / "stories.jsonl"
     hyps = generate_stories(albums, params, mcfg, mode=cfg["mode"],
@@ -271,8 +273,7 @@ def cmd_generate(cfg) -> int:
 def cmd_inspect_scenes(cfg) -> int:
     _require(cfg, "data")
     params, vocab, mcfg = _load_model(cfg)
-    out = Path(cfg["out_dir"])
-    write_resolved(cfg, out)
+    out = write_resolved(cfg)
     albums = _model_albums(cfg["data"], vocab, mcfg)
     lines = []
     for album in albums:
@@ -289,8 +290,7 @@ def cmd_inspect_scenes(cfg) -> int:
 
 def cmd_evaluate(cfg) -> int:
     _require(cfg, "stories", "data", "vocab_file")
-    out = Path(cfg["out_dir"])
-    write_resolved(cfg, out)
+    out = write_resolved(cfg)
     vocab = Vocabulary.load(cfg["vocab_file"])
     albums = load_albums(cfg["data"], vocab, max_photos=cfg["max_photos"],
                          n_sentences=cfg["sentences"], max_words=cfg["max_words"])
@@ -319,8 +319,7 @@ def cmd_grad_check(cfg) -> int:
         raise ConfigError("gc_seeds must be >= 1 and seed >= 0")
     if not (np.isfinite(cfg["tolerance"]) and cfg["tolerance"] > 0):
         raise ConfigError("tolerance must be finite and > 0")
-    out = Path(cfg["out_dir"])
-    write_resolved(cfg, out)
+    write_resolved(cfg)
     worst = 0.0
     for seed in range(cfg["gc_seeds"]):
         err = full_pipeline_grad_check(seed=cfg["seed"] + seed,
@@ -345,8 +344,7 @@ def _sweep_cells(cfg):
 
 
 def cmd_sweep(cfg) -> int:
-    out = Path(cfg["out_dir"])
-    write_resolved(cfg, out)
+    out = write_resolved(cfg)
     spec = _synth_spec(cfg)
     vocab = synth_vocab(spec)
     albums = synth_dataset(spec, vocab)

@@ -10,6 +10,7 @@ row that records the special tokens and the min_count used to build it.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from collections import Counter
 from contextlib import contextmanager
@@ -30,6 +31,17 @@ class DataFormatError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration value outside its valid range."""
+
+
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
+
+def check_number(name, value, kind: str = "int"):
+    """Raise a ConfigError naming `name` unless `value` is an integer (kind
+    "int") or a real number ("float"); a bool is neither."""
+    cls, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, cls):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 @contextmanager
@@ -97,6 +109,9 @@ def build_vocab(corpus, min_count: int = 5) -> Vocabulary:
     Tokens seen fewer than min_count times are dropped and will encode as
     <unk>. Kept tokens are ordered by (-count, token) for stable ids.
     """
+    check_number("min_count", min_count)
+    if min_count < 0:
+        raise ConfigError("min_count must be >= 0")
     counts = Counter()
     for sent in corpus:
         counts.update(tokenize(sent) if isinstance(sent, str) else sent)

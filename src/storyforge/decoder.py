@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import BOS, EOS, PAD
+from .data import BOS, EOS, PAD, ConfigError, check_number
 
 
 @dataclass
@@ -115,6 +115,20 @@ def sentence_log_prob(z, sentence_ids, params):
             [T.pick(word_logps, t) for t in steps])
 
 
+def decode_width(mode, beam_width) -> int:
+    """The search width of decode `mode`: 1 for "greedy", which ignores
+    `beam_width`, and `beam_width` for "beam". Raises a ConfigError for
+    any other mode or a width that is not an integer >= 1."""
+    if mode not in ("greedy", "beam"):
+        raise ConfigError(f"unknown decode mode '{mode}'")
+    if mode == "greedy":
+        return 1
+    check_number("beam width", beam_width)
+    if beam_width < 1:
+        raise ConfigError("beam width must be >= 1")
+    return beam_width
+
+
 def _search(Z, params, max_words: int, width: int):
     """Beam search by total log-prob until EOS or max_words+1 tokens, one
     beam per row of Z (R, D_v). Each step runs the unfinished hypotheses of
@@ -155,6 +169,5 @@ def decode_sentence_greedy(z, params, max_words: int):
 def decode_sentence_beam(z, params, max_words: int, width: int):
     """Beam search of one z, (D_v,) or (1, D_v), at the given width, a
     one-row search: (ids, per-word logps)."""
-    if width < 1:
-        raise ValueError("beam width must be >= 1")
-    return _search(T.reshape(z, (1, -1)).data, params, max_words, width)[0]
+    return _search(T.reshape(z, (1, -1)).data, params, max_words,
+                   decode_width("beam", width))[0]

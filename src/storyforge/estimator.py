@@ -13,7 +13,7 @@ import inspect
 
 from .data import (SPECIALS, AlbumExample, Vocabulary, at_record, build_vocab,
                    check_gold, check_stories, encode_sentence, feature_rows, story_text)
-from .model import ModelConfig, generate_stories, scene_view
+from .model import ModelConfig, decode_width, generate_stories, scene_view
 from .trainer import TrainConfig, config_from, run_training, validate
 
 
@@ -114,8 +114,10 @@ class AlbumStoryteller:
     def fit(self, X, y=None, vocab: Vocabulary | None = None,
             validation=None):
         """Train on albums with reference stories; returns self."""
-        # the settings are checked before the albums are checked against
-        # them; the vocabulary, and with it vocab_size, comes later
+        # the settings, decoding's too, are checked before the albums are
+        # checked against them; the vocabulary, and with it vocab_size,
+        # comes later
+        decode_width(self.mode, self.beam_width)
         settings = self.get_params()
         mcfg = config_from(ModelConfig, settings, vocab_size=len(SPECIALS))
         tcfg = config_from(TrainConfig, settings, model=mcfg)

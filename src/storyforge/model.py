@@ -15,13 +15,20 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .data import AlbumExample, ConfigError
-from .decoder import (AttentionState, StoryHypothesis, _search, attend,
+from .data import AlbumExample, ConfigError, check_number
+from .decoder import (AttentionState, StoryHypothesis, _search, attend, decode_width,
                       score_sentences)
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
 from .photo_encoder import encode_photos
 from .reconstructor import reconstruct
 from .scene_encoder import encode_scenes, scene_indices
+
+
+def check_field_types(cfg):
+    """`check_number` on each int and float field of the config dataclass `cfg`."""
+    for f in fields(cfg):
+        if f.type in ("int", "float"):
+            check_number(f.name, getattr(cfg, f.name), f.type)
 
 
 @dataclass
@@ -39,6 +46,7 @@ class ModelConfig:
     max_photos: int = 40
 
     def __post_init__(self):
+        check_field_types(self)
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must cover the special tokens")
         for f in fields(self)[1:]:
@@ -206,7 +214,7 @@ def batch_objective(examples, params, cfg: ModelConfig, deranges=None,
                             relax=relax, lengths=lengths)
     zs, _ = summarize_album(encoding, n, params)
 
-    Z = T.reshape(T.stack_rows(zs), (-1, cfg.d_v))
+    Z = T.concat(zs)
     sentences = [story[j] for j in range(n) for story in stories]
     pos_logps, logits, _ = score_sentences(Z, sentences, params)
     nll = nll_loss(pos_logps)
@@ -249,11 +257,7 @@ def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
     encoded and summarized once, and every (album, sentence, hypothesis)
     is a row of one search. Greedy ignores `beam_width`. Returns one
     StoryHypothesis per album."""
-    if mode not in ("greedy", "beam"):
-        raise ConfigError(f"unknown decode mode '{mode}'")
-    width = 1 if mode == "greedy" else beam_width
-    if width < 1:
-        raise ConfigError("beam width must be >= 1")
+    width = decode_width(mode, beam_width)
     stories = []
     for lo in range(0, len(albums), DECODE_CHUNK):
         feats, lengths = pad_steps([a.features for a in albums[lo:lo + DECODE_CHUNK]])
@@ -261,8 +265,7 @@ def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
             encoding = encode_album(feats, params, cfg, lengths=lengths)
             zs, alphas = summarize_album(encoding, cfg.sentences, params)
         # row j*B + b holds sentence j of album b
-        decoded = _search(np.concatenate([z.data for z in zs]), params,
-                          cfg.max_words, width)
+        decoded = _search(T.concat(zs).data, params, cfg.max_words, width)
         for b, (m, used) in enumerate(zip(lengths, encoding.used_slots)):
             rows = decoded[b::len(lengths)]
             stories.append(StoryHypothesis([ids for ids, _ in rows],

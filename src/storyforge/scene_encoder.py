@@ -43,9 +43,8 @@ def detect_boundary(v_i, h_prev, params):
     decision to the bit, and its backward is the plain sigmoid path, which
     is the gradient the straight-through estimator passes to soft.
     """
-    score = v_i @ params["scene.detect.w_v"] \
-        + h_prev @ params["scene.detect.w_h"] + params["scene.detect.b"]
-    soft = T.sigmoid(T.reshape(score, score.shape + (1,)))
+    w_v, w_h = (T.reshape(params[f"scene.detect.{p}"], (-1, 1)) for p in ("w_v", "w_h"))
+    soft = T.sigmoid(v_i @ w_v + h_prev @ w_h + params["scene.detect.b"])
     return soft + T.wrap((soft.data > 0.5) - soft.data), soft
 
 

@@ -10,7 +10,8 @@ node on `_gru_step`). Loops whose next step depends on earlier outputs
 (attention feedback, decoding) take one fused node per step (`gru_cell`,
 whose rows are independent, such as the albums of a batch or the
 hypotheses of a beam), and so do attention's scores
-(`attention_scores`). The rest composes from small primitives.
+(`attention_scores`). The rest composes from small primitives, among
+them `matmul`, which multiplies rows by a matrix or a stack of matrices.
 """
 
 from __future__ import annotations
@@ -207,12 +208,12 @@ def mul(a, b) -> NumArray:
 
 
 def matmul(a, b) -> NumArray:
-    """Rows (..., m, n) times a matrix, a vector or a stack of matrices."""
+    """Rows (..., m, n) times a matrix (n, k) or a stack of matrices."""
     a, b = wrap(a), wrap(b)
     ad, bd = a.data, b.data
-    if ad.ndim < 2:
+    if min(ad.ndim, bd.ndim) < 2:
         raise DimensionError(f"matmul operands {ad.shape} @ {bd.shape}: "
-                             f"the left operand must be rows (..., m, n)")
+                             f"both must have at least two axes")
     try:
         out = ad @ bd
     except ValueError as exc:
@@ -220,12 +221,7 @@ def matmul(a, b) -> NumArray:
             f"matmul operands {ad.shape} @ {bd.shape}: {exc}") from None
 
     def bw(g):
-        if bd.ndim == 1:  # (..., m, n) @ (n,)
-            if a.requires_grad:
-                _acc(a, g[..., None] * bd)
-            if b.requires_grad:
-                _acc(b, _rows(ad).T @ g.reshape(-1))
-        elif bd.ndim == 2:  # (..., m, n) @ (n, k)
+        if bd.ndim == 2:  # (..., m, n) @ (n, k)
             if a.requires_grad:
                 _acc(a, g @ bd.T)
             if b.requires_grad:
@@ -294,19 +290,6 @@ def concat(parts: Sequence, axis: int = 0) -> NumArray:
                 _acc(p, gp)
 
     return _make(out, tuple(parts), bw)
-
-
-def stack_rows(rows: Sequence) -> NumArray:
-    """Stack equal-shape scalars or vectors along a new first axis."""
-    rows = [wrap(r) for r in rows]
-    out = np.stack([r.data for r in rows])
-
-    def bw(g):
-        for i, r in enumerate(rows):
-            if r.requires_grad:
-                _acc(r, g[i])
-
-    return _make(out, tuple(rows), bw)
 
 
 def arr_sum(a, axis=None) -> NumArray:

@@ -29,7 +29,7 @@ from .data import decode_ids, story_tokens
 from .losses import derangement
 from .metrics import EvalPair, cider
 from .model import (ConfigError, ModelConfig, batch_objective, build_parameters,
-                    generate_stories)
+                    check_field_types, generate_stories)
 
 STAGE1_FROZEN = ("reconstructor",)
 STAGE2_FROZEN = ("photo_encoder", "scene_encoder", "attention")
@@ -50,6 +50,7 @@ class TrainConfig:
     nll_stop: float = 0.0       # stop a stage early below this per-word NLL
 
     def __post_init__(self):
+        check_field_types(self)
         if self.stage not in ("1", "2", "all"):
             raise ConfigError(f"stage must be 1, 2, or all, got {self.stage!r}")
         if min(self.batch_size, self.validate_every, self.patience) < 1:
@@ -196,7 +197,7 @@ def run_training(train_set, val_set, tcfg: TrainConfig, vocab, init_params=None)
         elif init_params is not None:
             base, start = init_params, 0
         else:
-            raise ValueError("stage 2 needs stage-1 parameters")
+            raise ConfigError("stage 2 needs stage-1 parameters")
         r2 = run_stage2(base, train_set, val_set, tcfg, vocab, start_step=start)
     return r1, r2
 

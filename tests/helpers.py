@@ -94,7 +94,7 @@ def encode_scenes_per_step(V, params, force_flags=None, lengths=None):
     slot = np.arange(m + 1)[:, None]
     index = (np.where(slot < lengths, slot, np.where(slot == lengths, m + lengths - 1, 0)),
              np.arange(B))
-    X = T.pick(T.stack_rows(rows + states), index)
+    X = T.pick(T.reshape(T.concat(rows + states), (2 * m, B, -1)), index)
     flags = np.array(flags, dtype=np.int64)
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
     return SceneSegmentation(flags, None if force_flags is not None else np.array(softs),

@@ -280,6 +280,13 @@ def _build_vocab_with_stories(*stories):
     return make_argv
 
 
+def _build_vocab_with_min_count(count):
+    def make_argv(root, tmp_path):
+        return ["build-vocab", "--out-dir", str(tmp_path), "--min-count", count,
+                "--train-data", str(root / "d" / "albums.jsonl")]
+    return make_argv
+
+
 def _generate_with_smaller_vocab(root, tmp_path):
     vocab = Vocabulary.load(root / "d" / "vocab.txt")
     small = tmp_path / "vocab.txt"
@@ -368,8 +375,18 @@ def _edit_first_values(edit):
     return apply
 
 
+def _edit_saved_config(key, value):
+    def apply(obj):
+        obj["meta"]["config"][key] = value
+        return json.dumps(obj)
+    return apply
+
+
 CHECKPOINT_EDITS = {
     "version-only": lambda obj: json.dumps({"version": 1}),
+    "config-dim-string": _edit_saved_config("photo_hidden", "16"),
+    "config-dim-float": _edit_saved_config("photo_hidden", 16.5),
+    "config-dim-null": _edit_saved_config("photo_hidden", None),
     "unknown-frozen-group": lambda obj: json.dumps({**obj, "frozen": ["nope"]}),
     "values-one-short": _edit_first_values(list.pop),
     "null-value": _edit_first_values(lambda values: values.__setitem__(0, None)),
@@ -534,6 +551,13 @@ class TestBadInputExitCodes:
                     b'{"album_id": "nope", "sentences": ["hi"]}\n',
                     _evaluate_without_album_id),
          "stories.jsonl: line 1: album 'nope' not in reference data"),
+        (_generate_with_checkpoint("config-dim-string"),
+         "bad.ckpt.json: photo_hidden must be an integer, got '16'"),
+        (_generate_with_checkpoint("config-dim-float"),
+         "bad.ckpt.json: photo_hidden must be an integer, got 16.5"),
+        (_generate_with_checkpoint("config-dim-null"),
+         "bad.ckpt.json: photo_hidden must be an integer, got None"),
+        (_build_vocab_with_min_count("-1"), "min_count must be >= 0"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -562,7 +586,9 @@ class TestBadInputExitCodes:
             "generate-checkpoint-directory", "evaluate-stories-directory",
             "config-directory", "synth-data-out-dir-a-file", "train-data-not-utf8",
             "train-vocab-not-utf8", "config-not-utf8", "train-vocab-token-twice",
-            "train-vocab-lists-unk", "train-bad-val-data", "evaluate-bad-stories"])
+            "train-vocab-lists-unk", "train-bad-val-data", "evaluate-bad-stories",
+            "generate-config-dim-string", "generate-config-dim-float",
+            "generate-config-dim-null", "build-vocab-min-count-negative"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -39,6 +39,18 @@ class TestVocabulary:
         v = D.build_vocab(["b b a a c"], min_count=1)
         assert v.id_to_token[4:] == ["a", "b", "c"]
 
+    def test_min_count_must_be_a_non_negative_integer(self, tmp_path):
+        # Vocabulary.load reads min_count=(\d+): a negative count would be
+        # saved and then rejected by every command that loads the file
+        for bad, message in [(-1, "^min_count must be >= 0$"),
+                             (1.5, "^min_count must be an integer, got 1.5$"),
+                             (True, "^min_count must be an integer, got True$")]:
+            with pytest.raises(D.ConfigError, match=message):
+                D.build_vocab(["a b"], min_count=bad)
+        v = D.build_vocab(["a b"], min_count=0)
+        v.save(tmp_path / "vocab.txt")
+        assert D.Vocabulary.load(tmp_path / "vocab.txt").id_to_token == v.id_to_token
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             D.build_vocab([], min_count=1)

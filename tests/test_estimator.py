@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from storyforge import estimator
-from storyforge.data import UNK, SynthSpec, synth_dataset, synth_vocab
+from storyforge.data import UNK, ConfigError, SynthSpec, synth_dataset, synth_vocab
 from storyforge.estimator import (AlbumStoryteller, NotFittedError,
                                   check_albums, check_is_fitted)
 from storyforge.metrics import cider
@@ -255,6 +255,26 @@ class TestSharedPaths:
         albums = synth_dataset(SynthSpec(albums=2))
         with pytest.raises(ValueError, match=message):
             AlbumStoryteller(max_steps=1, **{setting: 0}).fit(albums)
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(mode="sample"), "^unknown decode mode 'sample'$"),
+        (dict(mode="beam", beam_width=0), "^beam width must be >= 1$"),
+        (dict(mode="beam", beam_width=2.5), "^beam width must be an integer, got 2.5$"),
+        (dict(batch_size=2.5), "^batch_size must be an integer, got 2.5$"),
+        (dict(seed=1.5), "^seed must be an integer, got 1.5$"),
+        (dict(lr="0.1"), "^lr must be a number, got '0.1'$"),
+        (dict(photo_hidden="16"), "^photo_hidden must be an integer, got '16'$"),
+        (dict(min_count=-1), "^min_count must be >= 0$")],
+        ids=["mode", "beam-width-0", "beam-width-float", "batch-size-float",
+             "seed-float", "lr-string", "photo-hidden-string", "min-count-negative"])
+    def test_fit_checks_decoding_and_types_before_any_step(self, monkeypatch, settings,
+                                                           message):
+        # a setting that predict would reject, or of the wrong type, stops
+        # fit with a ConfigError before training starts
+        monkeypatch.setattr(estimator, "run_training", _no_training)
+        albums = synth_dataset(SynthSpec(albums=2, seed=1))
+        with pytest.raises(ConfigError, match=message):
+            AlbumStoryteller(max_steps=1, validate_every=1, **settings).fit(albums)
 
     def test_fit_needs_validation_references_before_any_step(self, monkeypatch):
         monkeypatch.setattr(estimator, "run_training", _no_training)

@@ -251,8 +251,8 @@ class TestOps:
         store.add("c", rng.standard_normal((4, 2)), "p")
 
         def fn(ps):
-            y = T.tanh(ps["a"] @ ps["b"])
-            m = T.stack_rows([y, T.relu(y), T.sigmoid(y)])
+            y = T.tanh(ps["a"] @ T.reshape(ps["b"], (-1, 1)))   # b as a column
+            m = T.reshape(T.concat([y, T.relu(y), T.sigmoid(y)]), (3, -1))
             v = T.arr_sum(m, axis=0) * (1.0 / 3.0)
             bc = T.reshape(ps["b"], (1, -1)) @ ps["c"]   # b as a row
             w = T.concat([v, T.reshape(bc, (-1,))])
@@ -323,28 +323,31 @@ class TestOps:
         with pytest.raises(T.DimensionError):
             T.matmul(T.zeros((2, 3)), T.zeros((4, 2)))
 
-    def test_matmul_stack_by_vector_gradients(self):
+    def test_matmul_stack_by_column_gradients(self):
         rng = np.random.default_rng(11)
         store = T.ParamStore()
         store.add("a", rng.standard_normal((2, 3, 4)), "p")
-        store.add("w", rng.standard_normal(4), "p")
-        weights = rng.standard_normal((2, 3))
+        store.add("w", rng.standard_normal((4, 1)), "p")
+        weights = rng.standard_normal((2, 3, 1))
 
         def fn(ps):
             return T.arr_sum((ps["a"] @ ps["w"]) * T.wrap(weights))
 
         fn(store).backward()
         assert store["a"].grad.shape == (2, 3, 4)
-        assert store["w"].grad.shape == (4,)
-        np.testing.assert_allclose(store["a"].grad, weights[..., None] * store["w"].data,
+        assert store["w"].grad.shape == (4, 1)
+        np.testing.assert_allclose(store["a"].grad, weights * store["w"].data[:, 0],
                                    rtol=1e-12)
         assert T.grad_check(fn, store) < 1e-4
 
-    def test_matmul_vector_left_operand_rejected(self):
-        # the left operand is rows; a lone vector is a (1, n) row
-        for b_shape in [(3,), (3, 4), (2, 3, 4)]:
-            with pytest.raises(T.DimensionError, match=r"left operand must be rows"):
-                T.matmul(T.zeros(3), T.zeros(b_shape))
+    def test_matmul_vector_operand_rejected(self):
+        # a lone vector is a (1, n) row on the left or an (n, 1) column on
+        # the right
+        for shape in [(3,), (3, 3), (2, 3, 3)]:
+            with pytest.raises(T.DimensionError, match=r"at least two axes"):
+                T.matmul(T.zeros(3), T.zeros(shape))
+            with pytest.raises(T.DimensionError, match=r"at least two axes"):
+                T.matmul(T.zeros(shape), T.zeros(3))
 
     @pytest.mark.parametrize("a_shape, b_shape", [((2, 1, 3), (2, 3, 4)),
                                                   ((1, 3), (2, 3, 4)),
@@ -396,7 +399,8 @@ class TestOps:
 
         def composed(ps):
             q = T.reshape(ps["query"], batch + (1, 3))
-            return T.tanh(ps["memory"] @ ps["w_mem"] + q + ps["b"]) @ ps["w_out"]
+            act = T.tanh(ps["memory"] @ ps["w_mem"] + q + ps["b"])
+            return T.reshape(act @ T.reshape(ps["w_out"], (-1, 1)), batch + (5,))
 
         assert fused(store).data.tobytes() == composed(store).data.tobytes()
         grads = []
@@ -427,7 +431,7 @@ class TestOps:
     def test_forward_deterministic(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((5, 5))
-        b = rng.standard_normal(5)
+        b = rng.standard_normal((5, 1))
         r1 = (T.tanh(T.wrap(a) @ T.wrap(b))).data
         r2 = (T.tanh(T.wrap(a) @ T.wrap(b))).data
         assert (r1 == r2).all()
