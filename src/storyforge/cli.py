@@ -27,7 +27,7 @@ from .data import (DataFormatError, SynthSpec, Vocabulary, at_record, build_voca
                    story_text, story_tokens, synth_dataset, synth_vocab, utf8_text)
 from .metrics import EvalPair, bleu, cider, rouge_l
 from .model import (ConfigError, ModelConfig, build_parameters,
-                    full_pipeline_grad_check, generate_stories, scene_view)
+                    full_pipeline_grad_check, generate_stories, scene_views)
 from .trainer import (TrainConfig, config_from, decoded_pairs, run_training,
                       write_log)
 
@@ -52,15 +52,15 @@ DEFAULTS = {
     # model dims, then training
     **{f.name: (f.default, type(f.default)) for f in MODEL_FIELDS + TRAIN_FIELDS},
     "min_count": (5, int),
-    # synthetic data
-    "n_albums": (8, int),
-    "scenes_lo": (2, int),
-    "scenes_hi": (3, int),
-    "photos_lo": (2, int),
-    "photos_hi": (4, int),
-    "separation": (4.0, float),
-    "noise": (0.05, float),
-    "vocab_size": (30, int),
+    # synthetic data: SynthSpec's defaults
+    "n_albums": (SynthSpec.albums, int),
+    "scenes_lo": (SynthSpec.scenes_per_album[0], int),
+    "scenes_hi": (SynthSpec.scenes_per_album[1], int),
+    "photos_lo": (SynthSpec.photos_per_scene[0], int),
+    "photos_hi": (SynthSpec.photos_per_scene[1], int),
+    "separation": (SynthSpec.cluster_separation, float),
+    "noise": (SynthSpec.noise_scale, float),
+    "vocab_size": (SynthSpec.vocab_size, int),
     # decoding
     "mode": ("greedy", str),
     "beam_width": (3, int),
@@ -276,8 +276,7 @@ def cmd_inspect_scenes(cfg) -> int:
     out = write_resolved(cfg)
     albums = _model_albums(cfg["data"], vocab, mcfg)
     lines = []
-    for album in albums:
-        view = scene_view(album.features, params, mcfg)
+    for album, view in zip(albums, scene_views(albums, params, mcfg)):
         for i in range(album.num_photos):
             lines.append(f"{album.album_id} photo={i} soft={view['softs'][i]:.4f} "
                          f"flag={view['flags'][i]} scene={view['scene_of_photo'][i]}")

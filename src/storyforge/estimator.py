@@ -13,7 +13,7 @@ import inspect
 
 from .data import (SPECIALS, AlbumExample, Vocabulary, at_record, build_vocab,
                    check_gold, check_stories, encode_sentence, feature_rows, story_text)
-from .model import ModelConfig, decode_width, generate_stories, scene_view
+from .model import ModelConfig, decode_width, generate_stories, scene_views
 from .trainer import TrainConfig, config_from, run_training, validate
 
 
@@ -157,8 +157,7 @@ class AlbumStoryteller:
     def transform(self, X):
         """Scene view per album: boundary flags, soft scores, scene index."""
         check_is_fitted(self)
-        return [scene_view(album.features, self.params_, self.model_config_)
-                for album in self._albums(X)]
+        return scene_views(self._albums(X), self.params_, self.model_config_)
 
     def fit_transform(self, X, y=None, **fit_kwargs):
         return self.fit(X, y, **fit_kwargs).transform(X)

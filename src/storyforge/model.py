@@ -5,7 +5,8 @@ a batch of one: the encoders and attention keep one (step, album, ...)
 shape, and the training objective scores a batch's sentences as the rows
 of one padded batch, so a batch is one graph. Inference batches the same
 way: a chunk of albums is encoded and summarized once, and all of its
-sentences are decoded as the rows of one search.
+sentences are decoded as the rows of one search. The scene views read
+the same chunks, an album's view being its column of the chunk's batch.
 """
 
 from __future__ import annotations
@@ -163,15 +164,6 @@ def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=Fal
     return AlbumEncoding(enc, seg, memory, valid, state)
 
 
-def scene_view(features, params, cfg: ModelConfig) -> dict:
-    """One album's scenes under no_grad: flags, soft scores, scene of each photo."""
-    with T.no_grad():
-        seg = encode_album(features, params, cfg).scenes
-    flags = seg.flags[:, 0].tolist()
-    return {"flags": flags, "softs": seg.softs[:, 0].tolist(),
-            "scene_of_photo": scene_indices(flags), "num_scenes": int(seg.u[0])}
-
-
 def summarize_album(encoding: AlbumEncoding, n: int, params):
     """Run n attention steps; returns (z list, alpha list), (B, D_v) and
     (B, alpha_len) each."""
@@ -250,19 +242,26 @@ def story_objective(album, story_idx, params, cfg: ModelConfig,
 DECODE_CHUNK = 32   # albums padded, encoded and searched together at inference
 
 
-def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
-                     beam_width: int = 3) -> list:
-    """Decode n sentences for each album with the live boundary detector,
-    DECODE_CHUNK albums at a time: a chunk is padded into one batch,
-    encoded and summarized once, and every (album, sentence, hypothesis)
-    is a row of one search. Greedy ignores `beam_width`. Returns one
-    StoryHypothesis per album."""
-    width = decode_width(mode, beam_width)
-    stories = []
+def encoded_chunks(albums, params, cfg: ModelConfig):
+    """Yield (photo counts, AlbumEncoding) for each DECODE_CHUNK albums,
+    padded into one batch and encoded under no_grad."""
     for lo in range(0, len(albums), DECODE_CHUNK):
         feats, lengths = pad_steps([a.features for a in albums[lo:lo + DECODE_CHUNK]])
         with T.no_grad():
             encoding = encode_album(feats, params, cfg, lengths=lengths)
+        yield lengths, encoding
+
+
+def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
+                     beam_width: int = 3) -> list:
+    """Decode n sentences for each album with the live boundary detector:
+    each chunk of `encoded_chunks` is summarized once, and every (album,
+    sentence, hypothesis) is a row of one search. Greedy ignores
+    `beam_width`. Returns one StoryHypothesis per album."""
+    width = decode_width(mode, beam_width)
+    stories = []
+    for lengths, encoding in encoded_chunks(albums, params, cfg):
+        with T.no_grad():
             zs, alphas = summarize_album(encoding, cfg.sentences, params)
         # row j*B + b holds sentence j of album b
         decoded = _search(T.concat(zs).data, params, cfg.max_words, width)
@@ -279,6 +278,19 @@ def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",
                    beam_width: int = 3) -> StoryHypothesis:
     """One album's `generate_stories`."""
     return generate_stories([album], params, cfg, mode, beam_width)[0]
+
+
+def scene_views(albums, params, cfg: ModelConfig) -> list:
+    """Each album's scenes, encoded by `encoded_chunks`: boundary flags, soft
+    scores, the scene of each photo and the number of scenes."""
+    views = []
+    for lengths, encoding in encoded_chunks(albums, params, cfg):
+        seg = encoding.scenes
+        for b, (m, u) in enumerate(zip(lengths, seg.u)):
+            flags = seg.flags[:m, b].tolist()
+            views.append({"flags": flags, "softs": seg.softs[:m, b].tolist(),
+                          "scene_of_photo": scene_indices(flags), "num_scenes": int(u)})
+    return views
 
 
 def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8) -> float:

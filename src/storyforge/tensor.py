@@ -650,16 +650,13 @@ class Adam:
                 g = np.zeros_like(p.data)
             elif not np.isfinite(g).all():
                 raise EvaluationError(f"non-finite gradient for parameter '{name}'")
-            m = self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            m = self.m.get(name, 0.0) * b1 + (1.0 - b1) * g
+            v = self.v.get(name, 0.0) * b2 + (1.0 - b2) * g * g
+            update = self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            if not all(np.isfinite(a).all() for a in (m, v, update)):
+                raise EvaluationError(f"non-finite Adam update for parameter '{name}'")
+            self.m[name], self.v[name] = m, v
+            p.data -= update
 
 
 # -- gradient checking -------------------------------------------------------
@@ -740,8 +737,7 @@ def save_checkpoint(path, params: ParamStore, meta: dict | None = None):
         "meta": meta or {},
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:

@@ -114,7 +114,7 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     best_cider = -np.inf
     bad_validations = 0
     log, step = [], start_step
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     def keep_best(entry) -> bool:
         """Score the current weights into `entry`; keep them if they improve."""
@@ -158,7 +158,7 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
                  "per_word_nll": rep.nll / max(1, rep.word_count)}
         if step % tcfg.validate_every == 0:
             bad_validations = 0 if keep_best(entry) else bad_validations + 1
-        entry["wall_time"] = round(time.time() - t0, 6)
+        entry["wall_time"] = round(time.perf_counter() - t0, 6)
         log.append(entry)
         if bad_validations >= tcfg.patience:
             return result("patience")

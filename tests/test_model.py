@@ -11,11 +11,12 @@ from storyforge import tensor as T
 from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
 from storyforge.decoder import (decode_sentence_beam, decode_sentence_greedy,
                                 sentence_log_prob)
-from storyforge.model import (ConfigError, ModelConfig, batch_objective,
+from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_objective,
                               build_parameters, encode_album,
                               full_pipeline_grad_check, generate_stories,
-                              generate_story, pad_steps, story_objective,
-                              summarize_album)
+                              generate_story, pad_steps, scene_views,
+                              story_objective, summarize_album)
+from storyforge.scene_encoder import scene_indices
 
 
 def tiny_cfg(vocab_size=12):
@@ -422,6 +423,32 @@ class TestGenerateStories:
         monkeypatch.setattr(model, "encode_album", no_encoding)
         with pytest.raises(ValueError, match="^beam width must be >= 1$"):
             generate_stories([album], ps, cfg, mode="beam", beam_width=0)
+
+
+class TestSceneViews:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(1, 5), min_size=DECODE_CHUNK + 1,
+                    max_size=DECODE_CHUNK + 8).filter(lambda sizes: len(set(sizes)) > 1))
+    def test_chunked_views_equal_lone_encodings(self, seed, sizes):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        albums = [tiny_album(rng, cfg, m=m) for m in sizes]
+        views = scene_views(albums, ps, cfg)
+        assert len(views) == len(albums)
+        for album, view in zip(albums, views):
+            with T.no_grad():
+                seg = encode_album(album.features, ps, cfg).scenes
+            flags = seg.flags[:, 0].tolist()
+            assert view["flags"] == flags
+            assert view["scene_of_photo"] == scene_indices(flags)
+            assert view["num_scenes"] == int(seg.u[0])
+            np.testing.assert_allclose(view["softs"], seg.softs[:, 0], rtol=1e-12, atol=0)
+
+    def test_no_albums(self):
+        cfg = tiny_cfg()
+        assert scene_views([], build_parameters(cfg, np.random.default_rng(3)), cfg) == []
 
 
 class TestFullPipelineGradients:

@@ -545,6 +545,39 @@ class TestAdam:
         with pytest.raises(T.EvaluationError, match="layer.w"):
             T.Adam(store).step()
 
+    def test_overflowed_moment_raises_before_the_weight_moves(self):
+        # a finite grad whose square overflows would leave an inf second
+        # moment and a zero update; the step stops instead
+        store = T.ParamStore()
+        p = store.add("layer.w", np.array([1.0, 2.0]), "g")
+        opt = T.Adam(store)
+        p.grad = np.array([1e200, 0.5])
+        with np.errstate(over="ignore"):
+            with pytest.raises(T.EvaluationError, match="^non-finite Adam update "
+                               "for parameter 'layer.w'$"):
+                opt.step()
+        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+        assert "layer.w" not in opt.m and "layer.w" not in opt.v
+
+    def test_steps_match_the_in_place_moment_updates(self):
+        # the reference updates each moment in place: m *= b1; m += (1-b1) g
+        rng = np.random.default_rng(4)
+        store = T.ParamStore()
+        p = store.add("a", rng.standard_normal(6), "g")
+        opt = T.Adam(store, lr=0.01)
+        want, m, v = p.data.copy(), np.zeros(6), np.zeros(6)
+        for t in range(1, 5):
+            g = rng.standard_normal(6) * 10.0 ** rng.integers(-3, 4)
+            p.grad = g.copy()
+            opt.step()
+            m *= T.ADAM_BETA1
+            m += (1.0 - T.ADAM_BETA1) * g
+            v *= T.ADAM_BETA2
+            v += (1.0 - T.ADAM_BETA2) * g * g
+            want -= 0.01 * (m / (1.0 - T.ADAM_BETA1 ** t)) / (
+                np.sqrt(v / (1.0 - T.ADAM_BETA2 ** t)) + T.ADAM_EPS)
+            assert p.data.tobytes() == want.tobytes()
+
     def test_moment_state_carries_across_calls(self):
         store = T.ParamStore()
         p = store.add("a", np.array([0.0]), "g")

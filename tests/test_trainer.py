@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ class TestDivergence:
         for n, blob in snapshot.items():
             assert res.params[n].data.tobytes() == blob
 
+    def test_overflowed_adam_moment_stops_as_diverged(self, corpus):
+        # the order term's weight makes finite grads whose squares overflow
+        _, vocab, albums = corpus
+        tcfg = tiny_tcfg(vocab, lam=1e300, max_steps=2, validate_every=1)
+        init = build_parameters(tcfg.model, np.random.default_rng(tcfg.seed))
+        snapshot = {n: init[n].data.tobytes() for n in init.names()}
+        with np.errstate(over="ignore"):
+            r1, r2 = run_training(albums, albums, tcfg, vocab, init_params=init)
+        assert r1.stop_reason == "diverged" and r2 is None
+        for n, blob in snapshot.items():
+            assert r1.params[n].data.tobytes() == blob
+
 
 class TestDeterminism:
     def test_single_step_bitwise_reproducible(self, corpus):
@@ -210,6 +223,23 @@ class TestDeterminism:
         for n in a.final_params.names():
             assert a.final_params[n].data.tobytes() == \
                 b.final_params[n].data.tobytes()
+
+    def test_wall_time_follows_the_monotonic_clock(self, corpus, monkeypatch):
+        # a wall-clock step after the stage starts must not reach the log
+        _, vocab, albums = corpus
+        real_time, calls = time.time, []
+
+        def stepping_time():
+            calls.append(None)
+            return real_time() + (1000.0 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(time, "time", stepping_time)
+        t0 = time.perf_counter()
+        r1, r2 = run_training(albums, albums, tiny_tcfg(vocab, max_steps=2), vocab)
+        span = time.perf_counter() - t0
+        entries = r1.log + r2.log
+        assert len(entries) == 4
+        assert all(0.0 <= e["wall_time"] <= span for e in entries)
 
     def test_canonical_log_strips_wall_time(self, corpus, tmp_path):
         _, vocab, albums = corpus
