@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+from . import tensor as T
 from .data import (SPECIALS, AlbumExample, Vocabulary, at_record, build_vocab,
                    check_gold, check_stories, encode_sentence, feature_rows, story_text)
 from .model import ModelConfig, decode_width, generate_stories, scene_views
@@ -137,6 +138,9 @@ class AlbumStoryteller:
         mcfg = dataclasses.replace(mcfg, vocab_size=len(vocab))
         tcfg = dataclasses.replace(tcfg, model=mcfg)
         r1, r2 = run_training(albums, val, tcfg, vocab)
+        for stage, res in (("1", r1), ("2", r2)):
+            if res is not None and res.diverged:
+                raise T.EvaluationError(f"training diverged in stage {stage}")
         last = r2 if r2 is not None else r1
         self.vocab_ = vocab
         self.model_config_ = mcfg

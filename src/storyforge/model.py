@@ -176,27 +176,11 @@ def summarize_album(encoding: AlbumEncoding, n: int, params):
     return zs, alphas
 
 
-def batch_objective(examples, params, cfg: ModelConfig, deranges=None,
-                    lam: float = 0.2, mu: float = 0.8, force_flags=None,
-                    relax=False):
-    """Composite loss summed over B (album, story index) examples, as one
-    graph: the albums are padded into one batch, and the B*n true sentences
-    and the B*n deranged ones are each scored as one padded batch (row
-    j*B + b holds sentence j of example b). Every story needs the same
-    sentence count n.
-
-    deranges: one permutation of range(n) without fixed points per example,
-    used to score each true sentence against the sentence landing at its
-    position after the shuffle. None skips the order term (also skipped
-    when n < 2). Reconstruction is evaluated only when mu > 0.
-    force_flags: one list of 0/1 boundary decisions per album.
-    Returns (loss node, LossReport of the sums over the batch).
-    """
-    stories = [album.stories[si] for album, si in examples]
-    n = len(stories[0])
-    if any(len(story) != n for story in stories):
-        raise ValueError("every story in a batch needs the same sentence count")
-    feats, lengths = pad_steps([album.features for album, _ in examples])
+def batch_z(albums, n: int, params, cfg: ModelConfig, force_flags=None, relax=False):
+    """`batch_objective`'s encoding half: B albums padded into one batch,
+    encoded and summarized in n attention steps. Returns Z, one (n*B, D_v)
+    node whose row j*B + b is step j of album b."""
+    feats, lengths = pad_steps([album.features for album in albums])
     if force_flags is not None:
         force_flags, counts = pad_steps(force_flags)
         if not np.array_equal(counts, lengths):
@@ -205,8 +189,16 @@ def batch_objective(examples, params, cfg: ModelConfig, deranges=None,
     encoding = encode_album(feats, params, cfg, force_flags=force_flags,
                             relax=relax, lengths=lengths)
     zs, _ = summarize_album(encoding, n, params)
+    return T.concat(zs)
 
-    Z = T.concat(zs)
+
+def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
+                      mu: float = 0.8):
+    """`batch_objective`'s loss half: B stories of n sentences each, scored
+    against Z, whose row j*B + b goes with sentence j of story b."""
+    n = len(stories[0])
+    if any(len(story) != n for story in stories):
+        raise ValueError("every story in a batch needs the same sentence count")
     sentences = [story[j] for j in range(n) for story in stories]
     pos_logps, logits, _ = score_sentences(Z, sentences, params)
     nll = nll_loss(pos_logps)
@@ -225,6 +217,26 @@ def batch_objective(examples, params, cfg: ModelConfig, deranges=None,
                         recon=float(recon.data), total=float(loss.data),
                         word_count=sum(len(sent) for sent in sentences))
     return loss, report
+
+
+def batch_objective(examples, params, cfg: ModelConfig, deranges=None,
+                    lam: float = 0.2, mu: float = 0.8, force_flags=None,
+                    relax=False):
+    """Composite loss summed over B (album, story index) examples, as one
+    graph: `batch_z` of the albums, then `stories_objective` of the stories,
+    which scores the true and the deranged sentences as one batch each.
+
+    deranges: one permutation of range(n) without fixed points per example,
+    used to score each true sentence against the sentence landing at its
+    position after the shuffle. None skips the order term (also skipped
+    when n < 2). Reconstruction is evaluated only when mu > 0.
+    force_flags: one list of 0/1 boundary decisions per album.
+    Returns (loss node, LossReport of the sums over the batch).
+    """
+    stories = [album.stories[si] for album, si in examples]
+    Z = batch_z([album for album, _ in examples], len(stories[0]), params, cfg,
+                force_flags=force_flags, relax=relax)
+    return stories_objective(Z, stories, params, deranges=deranges, lam=lam, mu=mu)
 
 
 def story_objective(album, story_idx, params, cfg: ModelConfig,

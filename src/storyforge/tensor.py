@@ -724,20 +724,21 @@ def grad_check(fn: Callable[[ParamStore], NumArray], params: ParamStore,
 
 
 def save_checkpoint(path, params: ParamStore, meta: dict | None = None):
-    """Write parameters to a stable JSON container (names, shapes, row-major values)."""
-    obj = {
-        "version": CHECKPOINT_VERSION,
-        "params": {
-            name: {"shape": list(p.data.shape),
-                   "values": p.data.reshape(-1).tolist()}
-            for name, p in params.entries.items()
-        },
-        "groups": {g: sorted(members) for g, members in params.groups.items()},
-        "frozen": sorted(params.frozen),
-        "meta": meta or {},
-    }
+    """Write parameters to a stable JSON container (names, shapes, row-major
+    values): the bytes of `json.dumps(container, sort_keys=True)` and a
+    newline, written one parameter at a time so only one parameter's text
+    is held at once."""
+    head = json.dumps({"frozen": sorted(params.frozen), "meta": meta or {},
+                       "groups": {g: sorted(m) for g, m in params.groups.items()}},
+                      sort_keys=True)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(obj, sort_keys=True) + "\n")
+        f.write(head[:-1] + ', "params": {')
+        for i, name in enumerate(sorted(params.entries)):
+            data = params.entries[name].data
+            record = {"shape": list(data.shape), "values": data.reshape(-1).tolist()}
+            f.write((", " if i else "") + json.dumps(name) + ": "
+                    + json.dumps(record, sort_keys=True))
+        f.write('}, "version": ' + json.dumps(CHECKPOINT_VERSION) + "}\n")
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:

@@ -7,13 +7,18 @@ the sentence decoder and adds the reconstruction term.
 
 A "step" is one optimizer update over a batch of (album, story) examples:
 one graph, one forward and one backward pass. The batch's albums are
-padded into one batch for the encoders and attention, and all of its
-sentences are scored as the rows of one padded batch; the losses are
-sums over the batch (`model.batch_objective`). Albums with several
-reference stories contribute one example per reference. Order-loss
-derangements are drawn per example, in batch order, and redrawn each
-epoch. Validation decodes every album with `model.generate_stories`, a
-chunk of albums per search, and scores corpus CIDEr.
+padded into one batch for the encoders and attention (`model.batch_z`),
+and all of its sentences are scored as the rows of one padded batch; the
+losses are sums over the batch (`model.stories_objective`). Stage 2
+encodes each training album once, on the stage's clock: its frozen layers
+give every album's attended vectors Z in `model.encoded_chunks` passes
+under no_grad, and each step gathers its batch's rows of Z as a constant,
+so a stage-2 step builds only decoder and reconstructor graphs. Albums
+with several reference stories contribute one example per reference.
+Order-loss derangements are drawn per example, in batch order, and
+redrawn each epoch. Validation decodes every album with
+`model.generate_stories`, a chunk of albums per search, and scores corpus
+CIDEr.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from . import tensor as T
 from .data import decode_ids, story_tokens
 from .losses import derangement
 from .metrics import EvalPair, cider
-from .model import (ConfigError, ModelConfig, batch_objective, build_parameters,
-                    check_field_types, generate_stories)
+from .model import (ConfigError, ModelConfig, batch_z, build_parameters,
+                    check_field_types, encoded_chunks, generate_stories,
+                    stories_objective, summarize_album)
 
 STAGE1_FROZEN = ("reconstructor",)
 STAGE2_FROZEN = ("photo_encoder", "scene_encoder", "attention")
@@ -140,12 +146,24 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
 
     if tcfg.max_steps == 0:
         return result("max_steps")
+    # stage 2 learns nothing below Z: each training album's Z is computed once,
+    # on the stage's clock, as (n, album, D_v), and each step gathers its rows
+    album_z = None
+    if stage_no == 2:
+        with T.no_grad():
+            chunks = [summarize_album(encoding, n_sent, params)[0]
+                      for _, encoding in encoded_chunks(train_set, params, cfg)]
+        album_z = np.concatenate([np.stack([z.data for z in zs]) for zs in chunks], 1)
     for batch in batches():
         params.zero_grads()
         # one derangement per example, drawn in batch order
         ders = [derangement(n_sent, rng) for _ in batch] if n_sent >= 2 else None
-        loss, rep = batch_objective([(train_set[ai], si) for ai, si in batch],
-                                    params, cfg, deranges=ders, lam=tcfg.lam, mu=mu)
+        stories = [train_set[ai].stories[si] for ai, si in batch]
+        Z = (batch_z([train_set[ai] for ai, _ in batch], len(stories[0]), params, cfg)
+             if album_z is None   # row j*B + b: step j of the batch's album b
+             else T.wrap(album_z[:, [ai for ai, _ in batch]].reshape(-1, cfg.d_v)))
+        loss, rep = stories_objective(Z, stories, params, deranges=ders,
+                                      lam=tcfg.lam, mu=mu)
         if not np.isfinite(rep.total):
             return result("diverged")
         loss.backward()

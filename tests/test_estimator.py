@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from storyforge import estimator
+from storyforge import tensor as T
 from storyforge.data import UNK, ConfigError, SynthSpec, synth_dataset, synth_vocab
 from storyforge.estimator import (AlbumStoryteller, NotFittedError,
                                   check_albums, check_is_fitted)
@@ -197,6 +198,18 @@ class TestFitted:
         est = AlbumStoryteller(**TINY)
         views = est.fit_transform(albums, vocab=vocab)
         assert views == est.transform(albums)
+
+    @pytest.mark.parametrize("weights,stage", [({"lam": 1e300}, "1"), ({"mu": 1e300}, "2")])
+    def test_diverged_fit_raises_and_stays_unfitted(self, weights, stage):
+        # the huge loss weight overflows Adam's second moment, which the
+        # trainer stops as a diverged stage
+        est = AlbumStoryteller(max_steps=2, validate_every=1, **weights)
+        with np.errstate(over="ignore"), \
+                pytest.raises(T.EvaluationError, match=f"diverged in stage {stage}$"):
+            est.fit(synth_dataset(SynthSpec(albums=2, seed=1)))
+        with pytest.raises(NotFittedError):
+            check_is_fitted(est)
+        assert not hasattr(est, "log_")
 
 
 def _no_training(*args, **kwargs):

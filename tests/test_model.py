@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +13,14 @@ from storyforge import tensor as T
 from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
 from storyforge.decoder import (decode_sentence_beam, decode_sentence_greedy,
                                 sentence_log_prob)
+from storyforge.losses import derangement
 from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_objective,
-                              build_parameters, encode_album,
+                              build_parameters, encode_album, encoded_chunks,
                               full_pipeline_grad_check, generate_stories,
                               generate_story, pad_steps, scene_views,
-                              story_objective, summarize_album)
+                              stories_objective, story_objective, summarize_album)
 from storyforge.scene_encoder import scene_indices
+from storyforge.trainer import STAGE2_FROZEN
 
 
 def tiny_cfg(vocab_size=12):
@@ -310,6 +314,57 @@ class TestBatchObjective:
                 np.testing.assert_allclose(z.data[b], wz.data[0], rtol=1e-12, atol=1e-15)
                 np.testing.assert_allclose(alpha.data[b], wa.data[0], rtol=1e-12,
                                            atol=1e-15)
+
+
+class TestCachedZ:
+    """Stage 2's path: Z encoded once per album, `DECODE_CHUNK` albums per
+    no_grad pass, then gathered for a batch and fed to the loss half, gives
+    `batch_objective`'s loss and trained gradients."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(1, 5), min_size=2, max_size=5)
+           .filter(lambda sizes: len(set(sizes)) > 1),
+           st.lists(st.integers(0, 4), min_size=1, max_size=6),
+           st.integers(1, 3), st.integers(1, 3),
+           st.floats(0, 2), st.floats(0, 2))
+    def test_loss_half_on_cached_z_equals_batch_objective(self, seed, sizes, picks, n,
+                                                          chunk, lam, mu):
+        cfg = dataclasses.replace(tiny_cfg(), sentences=n)
+        ps = build_parameters(cfg, np.random.default_rng(seed))
+        ps.freeze(*STAGE2_FROZEN)
+        rng = np.random.default_rng(seed + 1)
+        albums = [tiny_album(rng, cfg, m=m, words=int(rng.integers(1, 6))) for m in sizes]
+        batch = [i % len(albums) for i in picks]   # albums may repeat
+        ders = [derangement(n, rng) for _ in batch] if n >= 2 else None
+        with mock.patch.object(model, "DECODE_CHUNK", chunk), T.no_grad():
+            cache = np.concatenate([np.stack([z.data for z in summarize_album(enc, n, ps)[0]])
+                                    for _, enc in encoded_chunks(albums, ps, cfg)], 1)
+        assert cache.shape == (n, len(albums), cfg.d_v)
+
+        def trained(objective):
+            ps.zero_grads()
+            loss, rep = objective()
+            loss.backward()
+            return loss.item(), rep, {name: ps[name].grad for name in ps.names()
+                                      if ps[name].requires_grad}
+
+        want, want_rep, want_grads = trained(lambda: batch_objective(
+            [(albums[i], 0) for i in batch], ps, cfg, deranges=ders, lam=lam, mu=mu))
+        Z = T.wrap(cache[:, batch].reshape(-1, cfg.d_v))   # row j*B + b
+        got, rep, grads = trained(lambda: stories_objective(
+            Z, [albums[i].stories[0] for i in batch], ps, deranges=ders, lam=lam, mu=mu))
+
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert rep.word_count == want_rep.word_count
+        assert {ps.group_of(name) for name in grads} == {"sentence_decoder",
+                                                          "reconstructor"}
+        for name, grad in grads.items():
+            if want_grads[name] is None:   # the reconstructor, when mu is 0
+                assert grad is None and mu == 0, name
+            else:
+                np.testing.assert_allclose(grad, want_grads[name], rtol=1e-10,
+                                           atol=1e-10, err_msg=name)
 
 
 class TestGenerateStory:

@@ -3,7 +3,9 @@
 Every field of ModelConfig and TrainConfig, plus the estimator's `mode`,
 `beam_width` and `min_count`, takes values drawn from strings, floats,
 bools, None, lists and negative numbers. Through `AlbumStoryteller.fit` a
-draw must train or raise a ConfigError; through a checkpoint's saved
+draw must train or raise a ConfigError, or, for a valid setting whose run
+diverges (a huge finite `lr`, say), the EvaluationError that names the
+diverged stage; through a checkpoint's saved
 config, `storyforge generate` must succeed or exit 1 with one `error:`
 line.
 """
@@ -68,6 +70,9 @@ def test_fit_trains_or_raises_config_error(corpus, key, value):
     try:
         est = AlbumStoryteller(**{**TINY, key: value}).fit(albums)
     except ConfigError:
+        return
+    except T.EvaluationError as e:
+        assert str(e) in ("training diverged in stage 1", "training diverged in stage 2")
         return
     assert est.n_iter_ >= 0
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -674,6 +675,33 @@ class TestCheckpoint:
         T.save_checkpoint(p1, store)
         T.save_checkpoint(p2, store)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("filled", [True, False])
+    def test_file_is_one_sorted_json_dump(self, tmp_path, filled):
+        # written one parameter at a time, the file is still the one-shot
+        # dump of the whole container
+        rng = np.random.default_rng(12)
+        store = T.ParamStore()
+        meta = {}
+        if filled:
+            store.add("z.w", rng.standard_normal((2, 3)), "late")
+            store.add("a.b", np.zeros(()), "early")
+            store.add("m.v", np.array([1e300, -0.0, 1.0 / 3.0]), "late")
+            store.add("b.u", rng.standard_normal(4), "mid")
+            store.freeze("late", "early")
+            meta = {"config": {"lr": 0.01, "sizes": [1, 2]}, "note": "caf\u00e9"}
+        obj = {
+            "version": T.CHECKPOINT_VERSION,
+            "params": {name: {"shape": list(store[name].shape),
+                              "values": store[name].data.reshape(-1).tolist()}
+                       for name in store.names()},
+            "groups": {g: sorted(m) for g, m in store.groups.items()},
+            "frozen": sorted(store.frozen),
+            "meta": meta,
+        }
+        path = tmp_path / "ckpt.json"
+        T.save_checkpoint(path, store, meta)
+        assert path.read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True) + "\n"
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"

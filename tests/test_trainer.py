@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from storyforge import tensor as T
-from storyforge import trainer
+from storyforge import model, trainer
 from storyforge.data import SynthSpec, synth_dataset, synth_vocab
 from storyforge.metrics import cider
 from storyforge.model import DECODE_CHUNK, ModelConfig, build_parameters, story_objective
@@ -148,6 +148,27 @@ class TestStage2:
             r2.final_params[n].data.tobytes() != r1.params[n].data.tobytes()
             for n in start.names() if start.group_of(n) == "reconstructor")
         assert moved
+
+    def test_encodes_each_album_once(self, corpus, monkeypatch):
+        # only the stage's close validates, so a step that encoded its batch
+        # would add calls with every step
+        _, vocab, albums = corpus
+        start = build_parameters(tiny_tcfg(vocab).model, np.random.default_rng(0))
+        encode_album, calls = model.encode_album, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return encode_album(*args, **kwargs)
+
+        monkeypatch.setattr(model, "encode_album", counted)
+        counts = []
+        for steps in (2, 6):
+            calls.clear()
+            res = run_stage2(start.copy(), albums, albums,
+                             tiny_tcfg(vocab, max_steps=steps, validate_every=100), vocab)
+            assert res.steps == steps and "val_cider" in res.log[-1]
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 2   # the training set, then validation
 
     def test_run_training_all_chains_stages(self, corpus):
         _, vocab, albums = corpus
