@@ -207,7 +207,8 @@ def cmd_build_vocab(cfg) -> int:
     for where, rec in read_records(cfg["train_data"], "stories"):
         with at_record(where):
             sentences += [s for story in check_stories(rec["stories"], None) for s in story]
-    vocab = build_vocab(sentences, min_count=cfg["min_count"])
+    with at_record(f"--train-data {cfg['train_data']}"):
+        vocab = build_vocab(sentences, min_count=cfg["min_count"])
     vocab.save(out / "vocab.txt")
     print(f"vocab {len(vocab)} tokens (min_count={cfg['min_count']}) -> {out}")
     return 0
@@ -293,7 +294,11 @@ def cmd_evaluate(cfg) -> int:
     vocab = Vocabulary.load(cfg["vocab_file"])
     albums = load_albums(cfg["data"], vocab, max_photos=cfg["max_photos"],
                          n_sentences=cfg["sentences"], max_words=cfg["max_words"])
-    refs = {a.album_id: [story_tokens(s) for s in a.raw_stories] for a in albums}
+    refs = {}
+    for a in albums:
+        if a.album_id in refs:
+            raise DataFormatError(f"{cfg['data']}: duplicate album_id '{a.album_id}'")
+        refs[a.album_id] = [story_tokens(s) for s in a.raw_stories]
     pairs = []
     for where, rec in read_records(cfg["stories"], "album_id", "sentences"):
         with at_record(where):

@@ -14,7 +14,7 @@ import numbers
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,20 @@ def check_number(name, value, kind: str = "int"):
     cls, noun = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, cls):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+
+
+def check_field_types(cfg):
+    """`check_number` on each int and float field of the config dataclass
+    `cfg`; each tuple field must be a pair (tuple or list) of integers."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in ("int", "float"):
+            check_number(f.name, value, f.type)
+        elif f.type == "tuple" and not (
+                isinstance(value, (tuple, list)) and len(value) == 2
+                and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                        for v in value)):
+            raise ConfigError(f"{f.name} must be a pair of integers, got {value!r}")
 
 
 @contextmanager
@@ -116,7 +130,7 @@ def build_vocab(corpus, min_count: int = 5) -> Vocabulary:
     for sent in corpus:
         counts.update(tokenize(sent) if isinstance(sent, str) else sent)
     if not counts:
-        raise ValueError("empty corpus")
+        raise DataFormatError("empty corpus")
     kept = sorted((t for t, c in counts.items() if c >= min_count and t not in SPECIALS),
                   key=lambda t: (-counts[t], t))
     return Vocabulary(kept, min_count=min_count)
@@ -218,8 +232,9 @@ def check_gold(gold, num_photos: int, max_photos: int) -> list | None:
 
 @contextmanager
 def at_record(where):
-    """Prefix a DataFormatError raised inside with where the bad record is:
-    `<path>: line N` for a file's record, `album N` for an estimator's."""
+    """Prefix a DataFormatError raised inside with where the bad data is:
+    `<path>: line N` for a file's record, `album N` for an estimator's,
+    `--train-data <path>` for build-vocab's corpus as a whole."""
     try:
         yield
     except DataFormatError as e:
@@ -301,6 +316,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("albums", "sentences", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

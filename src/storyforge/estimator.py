@@ -125,6 +125,8 @@ class AlbumStoryteller:
         albums = self._albums(X, "fit")
         val = albums
         if validation is not None:
+            if not isinstance(validation, (list, tuple)) or len(validation) == 0:
+                raise ValueError("validation must be a non-empty list of albums")
             with at_record("validation"):
                 val = self._albums(validation, "fit")
         if vocab is None:

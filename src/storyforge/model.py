@@ -16,20 +16,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .data import AlbumExample, ConfigError, check_number
+from .data import AlbumExample, ConfigError, check_field_types
 from .decoder import (AttentionState, StoryHypothesis, _search, attend, decode_width,
                       score_sentences)
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
 from .photo_encoder import encode_photos
 from .reconstructor import reconstruct
 from .scene_encoder import encode_scenes, scene_indices
-
-
-def check_field_types(cfg):
-    """`check_number` on each int and float field of the config dataclass `cfg`."""
-    for f in fields(cfg):
-        if f.type in ("int", "float"):
-            check_number(f.name, getattr(cfg, f.name), f.type)
 
 
 @dataclass
@@ -177,15 +170,10 @@ def summarize_album(encoding: AlbumEncoding, n: int, params):
 
 
 def batch_z(albums, n: int, params, cfg: ModelConfig, force_flags=None, relax=False):
-    """`batch_objective`'s encoding half: B albums padded into one batch,
-    encoded and summarized in n attention steps. Returns Z, one (n*B, D_v)
-    node whose row j*B + b is step j of album b."""
+    """B albums padded into one batch, encoded and summarized in n attention
+    steps; `force_flags` is an (m_max, B) 0/1 array of boundary decisions.
+    Returns Z, one (n*B, D_v) node whose row j*B + b is step j of album b."""
     feats, lengths = pad_steps([album.features for album in albums])
-    if force_flags is not None:
-        force_flags, counts = pad_steps(force_flags)
-        if not np.array_equal(counts, lengths):
-            raise ValueError(f"force_flags lengths {counts.tolist()} != photo "
-                             f"counts {lengths.tolist()}")
     encoding = encode_album(feats, params, cfg, force_flags=force_flags,
                             relax=relax, lengths=lengths)
     zs, _ = summarize_album(encoding, n, params)
@@ -194,8 +182,16 @@ def batch_z(albums, n: int, params, cfg: ModelConfig, force_flags=None, relax=Fa
 
 def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
                       mu: float = 0.8):
-    """`batch_objective`'s loss half: B stories of n sentences each, scored
-    against Z, whose row j*B + b goes with sentence j of story b."""
+    """Composite loss summed over B stories of n sentences each, as one
+    graph: the true and the deranged sentences are scored against Z, whose
+    row j*B + b goes with sentence j of story b, as one batch each.
+
+    deranges: one permutation of range(n) without fixed points per story,
+    used to score each true sentence against the sentence landing at its
+    position after the shuffle. None skips the order term (also skipped
+    when n < 2). Reconstruction is evaluated only when mu > 0.
+    Returns (loss node, LossReport of the sums over the batch).
+    """
     n = len(stories[0])
     if any(len(story) != n for story in stories):
         raise ValueError("every story in a batch needs the same sentence count")
@@ -219,36 +215,18 @@ def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
     return loss, report
 
 
-def batch_objective(examples, params, cfg: ModelConfig, deranges=None,
-                    lam: float = 0.2, mu: float = 0.8, force_flags=None,
-                    relax=False):
-    """Composite loss summed over B (album, story index) examples, as one
-    graph: `batch_z` of the albums, then `stories_objective` of the stories,
-    which scores the true and the deranged sentences as one batch each.
-
-    deranges: one permutation of range(n) without fixed points per example,
-    used to score each true sentence against the sentence landing at its
-    position after the shuffle. None skips the order term (also skipped
-    when n < 2). Reconstruction is evaluated only when mu > 0.
-    force_flags: one list of 0/1 boundary decisions per album.
-    Returns (loss node, LossReport of the sums over the batch).
-    """
-    stories = [album.stories[si] for album, si in examples]
-    Z = batch_z([album for album, _ in examples], len(stories[0]), params, cfg,
-                force_flags=force_flags, relax=relax)
-    return stories_objective(Z, stories, params, deranges=deranges, lam=lam, mu=mu)
-
-
 def story_objective(album, story_idx, params, cfg: ModelConfig,
                     derange=None, lam: float = 0.2, mu: float = 0.8,
                     force_flags=None, relax=False):
-    """Composite loss for one album/story pair: `batch_objective` at B=1.
+    """Composite loss for one album/story pair: `stories_objective` of
+    `batch_z` at B=1, with the album's m 0/1 `force_flags`.
     Returns (loss node, LossReport)."""
-    return batch_objective([(album, story_idx)], params, cfg,
-                           deranges=None if derange is None else [derange],
-                           lam=lam, mu=mu,
-                           force_flags=None if force_flags is None else [force_flags],
-                           relax=relax)
+    story = album.stories[story_idx]
+    flags = None if force_flags is None else np.reshape(force_flags, (-1, 1))
+    Z = batch_z([album], len(story), params, cfg, force_flags=flags, relax=relax)
+    return stories_objective(Z, [story], params,
+                             deranges=None if derange is None else [derange],
+                             lam=lam, mu=mu)
 
 
 DECODE_CHUNK = 32   # albums padded, encoded and searched together at inference

@@ -110,6 +110,15 @@ class TestSynthAndVocab:
         vocab = Vocabulary.load(out / "vocab.txt")
         assert len(vocab) > 4   # beyond the reserved specials
 
+    @pytest.mark.parametrize("stories", [[["", ""]], [[]]], ids=["empty-sentences", "no-sentences"])
+    def test_build_vocab_on_stories_without_tokens_exits_1(self, tmp_path, capsys,
+                                                           stories):
+        data = tmp_path / "albums.jsonl"
+        data.write_text(json.dumps({"album_id": "a", "stories": stories}) + "\n")
+        assert main(["build-vocab", "--out-dir", str(tmp_path / "v"),
+                     "--train-data", str(data)]) == 1
+        assert capsys.readouterr().err == f"error: --train-data {data}: empty corpus\n"
+
 
 class TestTrain:
     def test_artifacts_exist(self, workdir):
@@ -278,6 +287,21 @@ def _build_vocab_with_stories(*stories):
                                    if stories else {"album_id": "a"}) + "\n")
         return ["build-vocab", "--out-dir", str(tmp_path), "--train-data", str(data)]
     return make_argv
+
+
+def _evaluate_with_duplicate_album_id(root, tmp_path):
+    """Reference data whose second record takes the first's album_id, scored
+    on the first record's own reference."""
+    rows = [json.loads(line) for line in
+            (root / "d" / "albums.jsonl").read_text().splitlines()]
+    rows[1]["album_id"] = rows[0]["album_id"]
+    data = tmp_path / "dup.jsonl"
+    data.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
+    stories = tmp_path / "s.jsonl"
+    stories.write_text(json.dumps({"album_id": rows[0]["album_id"],
+                                   "sentences": rows[0]["stories"][0]}) + "\n")
+    return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
+            "--data", str(data), "--vocab-file", str(root / "d" / "vocab.txt")]
 
 
 def _build_vocab_with_min_count(count):
@@ -558,6 +582,7 @@ class TestBadInputExitCodes:
         (_generate_with_checkpoint("config-dim-null"),
          "bad.ckpt.json: photo_hidden must be an integer, got None"),
         (_build_vocab_with_min_count("-1"), "min_count must be >= 0"),
+        (_evaluate_with_duplicate_album_id, "dup.jsonl: duplicate album_id 'synth0000'"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -588,7 +613,8 @@ class TestBadInputExitCodes:
             "train-vocab-not-utf8", "config-not-utf8", "train-vocab-token-twice",
             "train-vocab-lists-unk", "train-bad-val-data", "evaluate-bad-stories",
             "generate-config-dim-string", "generate-config-dim-float",
-            "generate-config-dim-null", "build-vocab-min-count-negative"])
+            "generate-config-dim-null", "build-vocab-min-count-negative",
+            "evaluate-duplicate-album-id"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -289,6 +289,23 @@ class TestSharedPaths:
         with pytest.raises(ConfigError, match=message):
             AlbumStoryteller(max_steps=1, validate_every=1, **settings).fit(albums)
 
+    @pytest.mark.parametrize("validation", [[], ()], ids=["list", "tuple"])
+    def test_fit_names_empty_validation(self, monkeypatch, validation):
+        monkeypatch.setattr(estimator, "run_training", _no_training)
+        albums = synth_dataset(SynthSpec(albums=2, seed=1))
+        with pytest.raises(ValueError,
+                           match="^validation must be a non-empty list of albums$"):
+            AlbumStoryteller(max_steps=1, validate_every=1).fit(albums,
+                                                                validation=validation)
+
+    @pytest.mark.parametrize("sentence", ["", "  "], ids=["empty", "blank"])
+    def test_fit_rejects_stories_without_tokens(self, monkeypatch, sentence):
+        monkeypatch.setattr(estimator, "run_training", _no_training)
+        albums = [dataclasses.replace(a, raw_stories=[[sentence] * 5])
+                  for a in synth_dataset(SynthSpec(albums=2, seed=1))]
+        with pytest.raises(ValueError, match="^empty corpus$"):
+            AlbumStoryteller(min_count=1).fit(albums)
+
     def test_fit_needs_validation_references_before_any_step(self, monkeypatch):
         monkeypatch.setattr(estimator, "run_training", _no_training)
         albums = synth_dataset(SynthSpec(albums=2, seed=1))

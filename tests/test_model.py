@@ -14,7 +14,7 @@ from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
 from storyforge.decoder import (decode_sentence_beam, decode_sentence_greedy,
                                 sentence_log_prob)
 from storyforge.losses import derangement
-from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_objective,
+from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_z,
                               build_parameters, encode_album, encoded_chunks,
                               full_pipeline_grad_check, generate_stories,
                               generate_story, pad_steps, scene_views,
@@ -161,6 +161,14 @@ class TestStoryObjective:
         loss_b, _ = story_objective(album, 0, ps, cfg, force_flags=[0, 1, 1, 0])
         assert loss_a.data != loss_b.data
 
+    @pytest.mark.parametrize("flags", [[0, 1, 1], [0, 1, 1, 0, 0]], ids=["short", "long"])
+    def test_forced_flags_of_wrong_length_rejected(self, flags):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(7))
+        album = tiny_album(np.random.default_rng(7), cfg)   # 4 photos
+        with pytest.raises(ValueError, match="force_flags"):
+            story_objective(album, 0, ps, cfg, force_flags=flags)
+
 
 def op_nodes(root):
     """Operation nodes reachable from `root` (leaves are not counted)."""
@@ -225,14 +233,15 @@ class TestGraphSize:
         derange = np.array([1, 2, 3, 4, 0])
         single = max(op_nodes(story_objective(album, 0, ps, cfg, derange=derange)[0])
                      for album in albums)
-        batched = op_nodes(batch_objective([(album, 0) for album in albums], ps, cfg,
-                                           deranges=[derange] * len(albums))[0])
+        batched = op_nodes(stories_objective(batch_z(albums, 5, ps, cfg),
+                                             [album.stories[0] for album in albums], ps,
+                                             deranges=[derange] * len(albums))[0])
         assert batched <= 1.5 * single, (batched, single)
 
 
 class TestBatchObjective:
-    """The batch is one graph; its loss, report and gradients are the sums
-    of the per-example ones."""
+    """The batch objective, `stories_objective` of `batch_z`, is one graph;
+    its loss, report and gradients are the sums of the per-example ones."""
 
     def albums(self, cfg, sizes, seed):
         rng = np.random.default_rng(seed)
@@ -248,8 +257,9 @@ class TestBatchObjective:
         ders = [np.array([1, 2, 0]), np.array([2, 0, 1]), np.array([1, 2, 0]),
                 np.array([2, 0, 1])]
         ps.zero_grads()
-        loss, rep = batch_objective([(a, 0) for a in albums], ps, cfg, deranges=ders,
-                                    lam=0.3, mu=0.7)
+        loss, rep = stories_objective(batch_z(albums, cfg.sentences, ps, cfg),
+                                      [a.stories[0] for a in albums], ps, deranges=ders,
+                                      lam=0.3, mu=0.7)
         loss.backward()
         batched = {n: ps[n].grad for n in ps.names() if ps[n].requires_grad}
 
@@ -274,13 +284,15 @@ class TestBatchObjective:
         cfg = tiny_cfg()
         ps = build_parameters(cfg, np.random.default_rng(21))
         albums = self.albums(cfg, (2, 4), seed=21)
-        flags = [[0, 1], [0, 1, 1, 0]]
-        _, rep = batch_objective([(a, 0) for a in albums], ps, cfg, force_flags=flags)
-        want = sum(story_objective(a, 0, ps, cfg, force_flags=f)[1].total
-                   for a, f in zip(albums, flags))
+        stories = [a.stories[0] for a in albums]
+        flags = np.array([[0, 0], [1, 1], [0, 1], [0, 0]])   # (m_max, B), column b album b
+        Z = batch_z(albums, cfg.sentences, ps, cfg, force_flags=flags)
+        _, rep = stories_objective(Z, stories, ps)
+        want = sum(story_objective(a, 0, ps, cfg, force_flags=flags[:len(a.features), b])[1]
+                   .total for b, a in enumerate(albums))
         assert rep.total == pytest.approx(want, rel=1e-12)
         with pytest.raises(ValueError, match="force_flags"):
-            batch_objective([(a, 0) for a in albums], ps, cfg, force_flags=[[0], [0] * 4])
+            batch_z(albums, cfg.sentences, ps, cfg, force_flags=flags[:2])
 
     def test_unequal_sentence_counts_rejected(self):
         cfg = tiny_cfg()
@@ -288,7 +300,7 @@ class TestBatchObjective:
         a, b = self.albums(cfg, (2, 3), seed=22)
         b.stories = [b.stories[0][:2]]
         with pytest.raises(ValueError, match="sentence count"):
-            batch_objective([(a, 0), (b, 0)], ps, cfg)
+            stories_objective(batch_z([a, b], 3, ps, cfg), [a.stories[0], b.stories[0]], ps)
 
     def test_batched_encoding_holds_each_albums_own_layout(self):
         cfg = tiny_cfg()
@@ -318,8 +330,9 @@ class TestBatchObjective:
 
 class TestCachedZ:
     """Stage 2's path: Z encoded once per album, `DECODE_CHUNK` albums per
-    no_grad pass, then gathered for a batch and fed to the loss half, gives
-    `batch_objective`'s loss and trained gradients."""
+    no_grad pass, then gathered for a batch and fed to `stories_objective`,
+    gives the loss and trained gradients of stage 1's call, `stories_objective`
+    of `batch_z` on the batch."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1),
@@ -349,11 +362,13 @@ class TestCachedZ:
             return loss.item(), rep, {name: ps[name].grad for name in ps.names()
                                       if ps[name].requires_grad}
 
-        want, want_rep, want_grads = trained(lambda: batch_objective(
-            [(albums[i], 0) for i in batch], ps, cfg, deranges=ders, lam=lam, mu=mu))
+        stories = [albums[i].stories[0] for i in batch]
+        want, want_rep, want_grads = trained(lambda: stories_objective(
+            batch_z([albums[i] for i in batch], n, ps, cfg), stories, ps, deranges=ders,
+            lam=lam, mu=mu))
         Z = T.wrap(cache[:, batch].reshape(-1, cfg.d_v))   # row j*B + b
         got, rep, grads = trained(lambda: stories_objective(
-            Z, [albums[i].stories[0] for i in batch], ps, deranges=ders, lam=lam, mu=mu))
+            Z, stories, ps, deranges=ders, lam=lam, mu=mu))
 
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         assert rep.word_count == want_rep.word_count

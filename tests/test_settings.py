@@ -2,7 +2,9 @@
 
 Every field of ModelConfig and TrainConfig, plus the estimator's `mode`,
 `beam_width` and `min_count`, takes values drawn from strings, floats,
-bools, None, lists and negative numbers. Through `AlbumStoryteller.fit` a
+bools, None, lists and negative numbers. Every field of SynthSpec takes
+the same values, and each draw must build synthetic albums or raise a
+ConfigError. Through `AlbumStoryteller.fit` a
 draw must train or raise a ConfigError, or, for a valid setting whose run
 diverges (a huge finite `lr`, say), the EvaluationError that names the
 diverged stage; through a checkpoint's saved
@@ -61,6 +63,16 @@ def checkpoint_run(tmp_path_factory, corpus):
                       build_parameters(cfg, np.random.default_rng(0)),
                       meta={"config": dict(TINY)})
     return root
+
+
+@settings(max_examples=120, deadline=None)
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(SynthSpec)]), value=VALUES)
+def test_synth_spec_builds_albums_or_raises_config_error(key, value):
+    try:
+        spec = dataclasses.replace(SPEC, **{key: value})
+    except ConfigError:
+        return
+    assert len(synth_dataset(spec)) == spec.albums
 
 
 @settings(max_examples=120, deadline=None)
