@@ -384,17 +384,22 @@ def synth_dataset(spec: SynthSpec, vocab: Vocabulary | None = None) -> list[Albu
     s_lo, s_hi = spec.scenes_per_album
     p_lo, p_hi = spec.photos_per_scene
     albums = []
-    for a in range(spec.albums):
-        u = int(rng.integers(s_lo, s_hi + 1))
-        cluster_ids = np.sort(rng.choice(spec.num_clusters, size=u, replace=False))
-        feats, gold = [], []
-        for si, cid in enumerate(cluster_ids):
-            for p in range(int(rng.integers(p_lo, p_hi + 1))):
-                noise = spec.noise_scale * rng.standard_normal(spec.feature_dim)
-                feats.append(centers[cid] + noise)
-                gold.append(1 if (p == 0 and si > 0) else 0)
-        raw = [" ".join(_template(int(cluster_ids[min(j, u - 1)]), j))
-               for j in range(spec.sentences)]
-        ids = [encode_sentence(s, vocab) for s in raw]
-        albums.append(AlbumExample(f"synth{a:04d}", feats, [ids], [raw], gold))
+    try:
+        with np.errstate(over="raise"):   # a feature beyond the float range
+            for a in range(spec.albums):
+                u = int(rng.integers(s_lo, s_hi + 1))
+                cluster_ids = np.sort(rng.choice(spec.num_clusters, size=u, replace=False))
+                feats, gold = [], []
+                for si, cid in enumerate(cluster_ids):
+                    for p in range(int(rng.integers(p_lo, p_hi + 1))):
+                        noise = spec.noise_scale * rng.standard_normal(spec.feature_dim)
+                        feats.append(centers[cid] + noise)
+                        gold.append(1 if (p == 0 and si > 0) else 0)
+                raw = [" ".join(_template(int(cluster_ids[min(j, u - 1)]), j))
+                       for j in range(spec.sentences)]
+                ids = [encode_sentence(s, vocab) for s in raw]
+                albums.append(AlbumExample(f"synth{a:04d}", feats, [ids], [raw], gold))
+    except FloatingPointError:
+        raise ConfigError(f"noise_scale {spec.noise_scale} with cluster_separation "
+                          f"{spec.cluster_separation} overflows the photo features") from None
     return albums

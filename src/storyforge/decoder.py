@@ -41,16 +41,17 @@ class StoryHypothesis:
     flags: list            # scene boundary decisions for the album
 
 
-def attend(memory, valid_mask, state: AttentionState, params):
+def attend(memory, keys, valid_mask, state: AttentionState, params):
     """One attention step. Returns (z, alpha, new_state).
 
     memory: (B, L_max, D_v) rows = photos then scene slots then zero
-    padding, per album; valid_mask (B, L_max) marks the photo rows and
-    true scene rows. The state holds (B, H_a) and (B, L_max) rows.
+    padding, per album, and keys its projection memory @ attn.score.w_mem,
+    which the steps over one memory share; valid_mask (B, L_max) marks the
+    photo rows and true scene rows. The state holds (B, H_a) and (B, L_max)
+    rows.
     """
     h_new = T.gru_cell(state.alpha_prev, state.h_attn, params.gru("attn.gru"))
-    scores = T.attention_scores(memory, params["attn.score.w_mem"],
-                                h_new @ params["attn.score.w_state"],
+    scores = T.attention_scores(keys, h_new @ params["attn.score.w_state"],
                                 params["attn.score.b"], params["attn.score.w_out"])
     alpha = T.masked_softmax(scores, valid_mask)
     z = T.reshape(alpha, alpha.shape[:-1] + (1, -1)) @ memory

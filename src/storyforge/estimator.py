@@ -12,8 +12,9 @@ import dataclasses
 import inspect
 
 from . import tensor as T
-from .data import (SPECIALS, AlbumExample, Vocabulary, at_record, build_vocab,
-                   check_gold, check_stories, encode_sentence, feature_rows, story_text)
+from .data import (SPECIALS, AlbumExample, DataFormatError, Vocabulary, at_record,
+                   build_vocab, check_gold, check_stories, encode_sentence, feature_rows,
+                   story_text)
 from .model import ModelConfig, decode_width, generate_stories, scene_views
 from .trainer import TrainConfig, config_from, run_training, validate
 
@@ -109,7 +110,7 @@ class AlbumStoryteller:
         """`check_albums` at this estimator's sizes; caller `refs_for` needs refs."""
         albums = check_albums(X, self.feature_dim, self.max_photos, self.sentences)
         if refs_for and any(not a.raw_stories for a in albums):
-            raise ValueError(f"{refs_for} needs albums with reference stories")
+            raise DataFormatError(f"{refs_for} needs albums with reference stories")
         return albums
 
     def fit(self, X, y=None, vocab: Vocabulary | None = None,

@@ -2,11 +2,12 @@
 
 The pipeline runs on B albums padded into one batch, and a lone album is
 a batch of one: the encoders and attention keep one (step, album, ...)
-shape, and the training objective scores a batch's sentences as the rows
-of one padded batch, so a batch is one graph. Inference batches the same
-way: a chunk of albums is encoded and summarized once, and all of its
-sentences are decoded as the rows of one search. The scene views read
-the same chunks, an album's view being its column of the chunk's batch.
+shape, and the training objective scores a batch's true and deranged
+sentences as the rows of one padded batch, so a batch is one graph.
+Inference batches the same way: a chunk of albums is encoded and
+summarized once, and all of its sentences are decoded as the rows of one
+search. The scene views read the same chunks, an album's view being its
+column of the chunk's batch.
 """
 
 from __future__ import annotations
@@ -151,19 +152,19 @@ def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=Fal
     memory = T.pick(T.concat([enc.V, seg.X, zero]), index)
     valid = np.concatenate([np.ones((m, len(n))), seg.scene_mask, zero[..., 0]])[index]
 
-    h0 = T.concat([enc.fwd_final, enc.bwd_final], axis=-1) @ params["attn.init.w"] \
-        + params["attn.init.b"]
+    h0 = enc.final @ params["attn.init.w"] + params["attn.init.b"]
     state = AttentionState(h0, T.zeros(valid.shape))
     return AlbumEncoding(enc, seg, memory, valid, state)
 
 
 def summarize_album(encoding: AlbumEncoding, n: int, params):
-    """Run n attention steps; returns (z list, alpha list), (B, D_v) and
-    (B, alpha_len) each."""
+    """Run n attention steps over one projection of the memory's keys;
+    returns (z list, alpha list), (B, D_v) and (B, alpha_len) each."""
     state = encoding.init_state
+    keys = encoding.memory @ params["attn.score.w_mem"]
     zs, alphas = [], []
     for _ in range(n):
-        z, alpha, state = attend(encoding.memory, encoding.valid_mask, state, params)
+        z, alpha, state = attend(encoding.memory, keys, encoding.valid_mask, state, params)
         zs.append(z)
         alphas.append(alpha)
     return zs, alphas
@@ -184,7 +185,7 @@ def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
                       mu: float = 0.8):
     """Composite loss summed over B stories of n sentences each, as one
     graph: the true and the deranged sentences are scored against Z, whose
-    row j*B + b goes with sentence j of story b, as one batch each.
+    row j*B + b goes with sentence j of story b, as the rows of one batch.
 
     deranges: one permutation of range(n) without fixed points per story,
     used to score each true sentence against the sentence landing at its
@@ -196,22 +197,27 @@ def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
     if any(len(story) != n for story in stories):
         raise ValueError("every story in a batch needs the same sentence count")
     sentences = [story[j] for j in range(n) for story in stories]
-    pos_logps, logits, _ = score_sentences(Z, sentences, params)
+    true = slice(0, len(sentences))
+    order = deranges is not None and n >= 2
+    if order:   # the deranged rows follow the true ones, against Z again
+        sentences += [story[int(der[j])] for j in range(n)
+                      for story, der in zip(stories, deranges)]
+    logps, logits, _ = score_sentences(T.concat([Z, Z] if order else [Z]), sentences,
+                                       params)
+    pos_logps = T.pick(logps, true)
     nll = nll_loss(pos_logps)
 
     rank = recon = T.wrap(0.0)
-    if deranges is not None and n >= 2:
-        deranged = [story[int(der[j])] for j in range(n)
-                    for story, der in zip(stories, deranges)]
-        neg_logps, _, _ = score_sentences(Z, deranged, params)
-        rank = rank_loss(pos_logps, neg_logps)
+    if order:
+        rank = rank_loss(pos_logps, T.pick(logps, slice(true.stop, None)))
     if mu > 0:
-        recon = recon_loss(Z, reconstruct(logits, [len(s) for s in sentences], params))
+        recon = recon_loss(Z, reconstruct(T.pick(logits, (slice(None), true)),
+                                          [len(s) for s in sentences[true]], params))
 
     loss = total_loss(nll, rank, recon, lam=lam, mu=mu)
     report = LossReport(nll=float(nll.data), rank=float(rank.data),
                         recon=float(recon.data), total=float(loss.data),
-                        word_count=sum(len(sent) for sent in sentences))
+                        word_count=sum(len(sent) for sent in sentences[true]))
     return loss, report
 
 

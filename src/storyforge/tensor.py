@@ -6,12 +6,14 @@ finite-difference gradient checker, and a text checkpoint container.
 
 A recurrence over a whole sequence is one graph node (`gru_scan`, with a
 hand-derived backward through time; the scene encoder builds its own such
-node on `_gru_step`). Loops whose next step depends on earlier outputs
-(attention feedback, decoding) take one fused node per step (`gru_cell`,
-whose rows are independent, such as the albums of a batch or the
-hypotheses of a beam), and so do attention's scores
-(`attention_scores`). The rest composes from small primitives, among
-them `matmul`, which multiplies rows by a matrix or a stack of matrices.
+node on `_gru_step`); independent ones share a scan as cells side by side,
+whose weights `assemble` lays out as diagonal blocks. Loops whose next
+step depends on earlier outputs (attention feedback, decoding) take one
+fused node per step (`gru_cell`, whose rows are independent, such as the
+albums of a batch or the hypotheses of a beam), and so do attention's
+scores (`attention_scores`, on keys projected once). The rest composes
+from small primitives, among them `matmul`, which multiplies rows by a
+matrix or a stack of matrices.
 """
 
 from __future__ import annotations
@@ -333,22 +335,47 @@ def pick(a, index) -> NumArray:
     """Select along the first axis. An int picks one entry of a vector or one
     row of a matrix; an integer array gathers rows into its own shape
     (embedding lookup, row reversal). A tuple of integer arrays indexes the
-    leading axes together, as numpy does (a step of each batch row).
-    Backward adds repeats up."""
+    leading axes together, as numpy does (a step of each batch row). Backward
+    adds repeats up; an index of ints and slices, which has none, writes its
+    gradient into zeros."""
     a = wrap(a)
-    for axis, idx in enumerate(index if isinstance(index, tuple) else (index,)):
+    parts = index if isinstance(index, tuple) else (index,)
+    for axis, idx in enumerate(parts):
         idx = np.asarray(idx)
-        if idx.size and not (0 <= idx.min() and idx.max() < a.data.shape[axis]):
+        if idx.dtype != object and idx.size \
+                and not (0 <= idx.min() and idx.max() < a.data.shape[axis]):
             raise DimensionError(f"pick index {index} out of range for {a.data.shape}")
     out = a.data[index]
+    basic = all(isinstance(idx, (int, slice)) for idx in parts)
 
     def bw(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(ga, index, g)
+            if basic:
+                ga[index] = g
+            else:
+                np.add.at(ga, index, g)
             _acc(a, ga)
 
     return _make(out, (a,), bw)
+
+
+def assemble(shape, parts) -> NumArray:
+    """A zero array of `shape` with each node of `parts`, (index, node)
+    pairs whose indices do not overlap, written at out[index]; backward
+    gathers each node's gradient from its index (diagonal blocks of a
+    fused weight matrix)."""
+    parts = [(index, wrap(p)) for index, p in parts]
+    out = np.zeros(shape)
+    for index, p in parts:
+        out[index] = p.data
+
+    def bw(g):
+        for index, p in parts:
+            if p.requires_grad:
+                _acc(p, g[index])
+
+    return _make(out, tuple(p for _, p in parts), bw)
 
 
 def masked_softmax(logits, mask) -> NumArray:
@@ -506,29 +533,27 @@ def gru_scan(x, h0, w: GruWeights) -> NumArray:
     return _make(hs[1:], (x, h0, w.w_x, w.w_h, w.b), bw)
 
 
-def attention_scores(memory, w_mem, query, b, w_out) -> NumArray:
-    """Additive attention scores tanh(memory W_mem + query + b) w_out as one
-    node: memory (B, L, D) rows against one query (B, S) per batch row
-    give (B, L) scores. Only the tanh layer is kept for the backward."""
-    memory, query = wrap(memory), wrap(query)
-    act = np.tanh(memory.data @ w_mem.data + query.data[..., None, :] + b.data)
+def attention_scores(keys, query, b, w_out) -> NumArray:
+    """Additive attention scores tanh(keys + query + b) w_out as one node:
+    keys (B, L, S), the memory rows already projected by W_mem, against one
+    query (B, S) per batch row give (B, L) scores. Only the tanh layer is
+    kept for the backward."""
+    keys, query = wrap(keys), wrap(query)
+    act = np.tanh(keys.data + query.data[..., None, :] + b.data)
     out = act @ w_out.data
 
     def bw(g):
         d_pre = g[..., None] * w_out.data * (1.0 - act * act)
-        if memory.requires_grad:
-            _acc(memory, d_pre @ w_mem.data.T)
+        if keys.requires_grad:
+            _acc(keys, d_pre)
         if query.requires_grad:
             _acc(query, d_pre.sum(axis=-2))
-        rows = _rows(d_pre)
-        if w_mem.requires_grad:
-            _acc(w_mem, _rows(memory.data).T @ rows)
         if b.requires_grad:
-            _acc(b, rows.sum(axis=0))
+            _acc(b, _rows(d_pre).sum(axis=0))
         if w_out.requires_grad:
             _acc(w_out, _rows(act).T @ g.reshape(-1))
 
-    return _make(out, (memory, query, w_mem, b, w_out), bw)
+    return _make(out, (keys, query, b, w_out), bw)
 
 
 # -- parameter registry ----------------------------------------------------

@@ -583,6 +583,8 @@ class TestBadInputExitCodes:
          "bad.ckpt.json: photo_hidden must be an integer, got None"),
         (_build_vocab_with_min_count("-1"), "min_count must be >= 0"),
         (_evaluate_with_duplicate_album_id, "dup.jsonl: duplicate album_id 'synth0000'"),
+        (_command("synth-data", "--noise", "1e308"),
+         "noise_scale 1e+308 with cluster_separation 4.0 overflows the photo features"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -614,7 +616,7 @@ class TestBadInputExitCodes:
             "train-vocab-lists-unk", "train-bad-val-data", "evaluate-bad-stories",
             "generate-config-dim-string", "generate-config-dim-float",
             "generate-config-dim-null", "build-vocab-min-count-negative",
-            "evaluate-duplicate-album-id"])
+            "evaluate-duplicate-album-id", "synth-data-noise-overflow"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

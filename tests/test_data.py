@@ -292,6 +292,12 @@ class TestSynth:
                     assert (f == seg[0]).all()
                 start = end
 
+    def test_overflowing_features_rejected(self):
+        # every field is finite, but noise_scale times a draw is not
+        with pytest.raises(D.ConfigError, match="^noise_scale 1e[+]308 with "
+                                                "cluster_separation 4.0 overflows"):
+            D.synth_dataset(D.SynthSpec(noise_scale=1e308, albums=1))
+
     def test_single_scene_albums_have_zero_boundaries(self):
         spec = D.SynthSpec(albums=3, scenes_per_album=(1, 1), seed=2)
         for a in D.synth_dataset(spec):

@@ -30,6 +30,12 @@ def fresh_state(cfg):
     return AttentionState(T.zeros((1, cfg.attn_hidden)), T.zeros((1, cfg.alpha_len)))
 
 
+def attend_step(R, mask, state, ps):
+    """One `attend` step over memory R, its keys projected for this step."""
+    R = T.wrap(R)
+    return attend(R, R @ ps["attn.score.w_mem"], mask, state, ps)
+
+
 def np_gru_step(x, h, wx, wh, b):
     hid = h.shape[0]
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -60,7 +66,7 @@ class TestAttend:
         R = rng.standard_normal((1, cfg.alpha_len, cfg.d_v))
         mask = np.zeros((1, cfg.alpha_len))
         mask[0, 2] = 1.0
-        z, alpha, _ = attend(T.wrap(R), mask, fresh_state(cfg), ps)
+        z, alpha, _ = attend_step(R, mask, fresh_state(cfg), ps)
         np.testing.assert_array_equal(alpha.data, mask)
         np.testing.assert_allclose(z.data, R[:, 2], rtol=1e-12)
 
@@ -70,7 +76,7 @@ class TestAttend:
         rng = np.random.default_rng(1)
         R = rng.standard_normal((1, cfg.alpha_len, cfg.d_v))
         mask = np.array([[1, 0, 1, 1, 0, 0, 0]], dtype=float)
-        z, alpha, _ = attend(T.wrap(R), mask, fresh_state(cfg), ps)
+        z, alpha, _ = attend_step(R, mask, fresh_state(cfg), ps)
         np.testing.assert_allclose(alpha.data[mask > 0], 1 / 3, rtol=1e-12)
         np.testing.assert_allclose(z.data[0], R[0, [0, 2, 3]].mean(axis=0), rtol=1e-12)
 
@@ -83,7 +89,7 @@ class TestAttend:
         h_attn = rng.standard_normal(cfg.attn_hidden)
         alpha_prev = rng.standard_normal(cfg.alpha_len)
         state = AttentionState(T.wrap(h_attn[None]), T.wrap(alpha_prev[None]))
-        z, alpha, new_state = attend(T.wrap(R[None]), mask[None], state, ps)
+        z, alpha, new_state = attend_step(R[None], mask[None], state, ps)
         want_z, want_alpha, want_h = np_attend(R, mask, alpha_prev, h_attn, ps)
         np.testing.assert_allclose(alpha.data[0], want_alpha, rtol=1e-10)
         np.testing.assert_allclose(z.data[0], want_z, rtol=1e-10)
@@ -97,7 +103,7 @@ class TestAttend:
             mask = (rng.random((1, cfg.alpha_len)) < 0.6).astype(float)
             if mask.sum() == 0:
                 mask[0, 0] = 1.0
-            _, alpha, _ = attend(T.wrap(R), mask, fresh_state(cfg), ps)
+            _, alpha, _ = attend_step(R, mask, fresh_state(cfg), ps)
             assert alpha.data.sum() == pytest.approx(1.0)
             assert np.all(alpha.data[mask == 0] == 0.0)
 
@@ -106,7 +112,7 @@ class TestAttend:
         rng = np.random.default_rng(6)
         R = rng.standard_normal((1, cfg.alpha_len, cfg.d_v))
         mask = np.array([[1, 1, 1, 0, 0, 1, 0]], dtype=float)
-        z, _, _ = attend(T.wrap(R), mask, fresh_state(cfg), ps)
+        z, _, _ = attend_step(R, mask, fresh_state(cfg), ps)
         valid = R[mask > 0]
         eps = 1e-12
         assert np.all(z.data >= valid.min(axis=0) - eps)
@@ -116,7 +122,7 @@ class TestAttend:
         cfg, ps = make(7)
         R = T.wrap(np.zeros((1, cfg.alpha_len, cfg.d_v)))
         with pytest.raises(T.InvalidMaskError):
-            attend(R, np.zeros((1, cfg.alpha_len)), fresh_state(cfg), ps)
+            attend_step(R, np.zeros((1, cfg.alpha_len)), fresh_state(cfg), ps)
 
     def test_batch_rows_equal_album_calls(self):
         cfg, ps = make(9)
@@ -126,13 +132,13 @@ class TestAttend:
         mask[:, 0] = 1.0
         state = AttentionState(T.wrap(rng.standard_normal((3, cfg.attn_hidden))),
                                T.wrap(rng.standard_normal((3, cfg.alpha_len))))
-        z, alpha, new_state = attend(T.wrap(R), mask, state, ps)
+        z, alpha, new_state = attend_step(R, mask, state, ps)
         assert z.shape == (3, cfg.d_v) and alpha.shape == (3, cfg.alpha_len)
         for b in range(3):
             one = AttentionState(T.wrap(state.h_attn.data[b:b + 1]),
                                  T.wrap(state.alpha_prev.data[b:b + 1]))
-            want_z, want_alpha, want_state = attend(T.wrap(R[b:b + 1]), mask[b:b + 1],
-                                                    one, ps)
+            want_z, want_alpha, want_state = attend_step(R[b:b + 1], mask[b:b + 1],
+                                                         one, ps)
             np.testing.assert_allclose(z.data[b], want_z.data[0], rtol=1e-12)
             np.testing.assert_allclose(alpha.data[b], want_alpha.data[0], rtol=1e-12)
             np.testing.assert_allclose(new_state.h_attn.data[b],
@@ -149,7 +155,7 @@ class TestAttend:
             state = fresh_state(cfg)
             out = T.wrap(0.0)
             for _ in range(3):  # three sentences sharing the evolving state
-                z, _, state = attend(T.wrap(R), mask, state, p)
+                z, _, state = attend_step(R, mask, state, p)
                 out = out + T.arr_sum(z * T.wrap(w))
             return out
 

@@ -309,5 +309,8 @@ class TestSharedPaths:
     def test_fit_needs_validation_references_before_any_step(self, monkeypatch):
         monkeypatch.setattr(estimator, "run_training", _no_training)
         albums = synth_dataset(SynthSpec(albums=2, seed=1))
-        with pytest.raises(ValueError, match="^fit needs albums with reference stories$"):
+        with pytest.raises(ValueError, match="^validation: fit needs albums with "
+                                             "reference stories$"):
             AlbumStoryteller().fit(albums, validation=[np.zeros((3, 8))])
+        with pytest.raises(ValueError, match="^fit needs albums with reference stories$"):
+            AlbumStoryteller().fit([np.zeros((3, 8))], validation=albums)

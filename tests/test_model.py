@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from storyforge import model
 from storyforge import tensor as T
 from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
-from storyforge.decoder import (decode_sentence_beam, decode_sentence_greedy,
-                                sentence_log_prob)
-from storyforge.losses import derangement
+from storyforge.decoder import (attend, decode_sentence_beam, decode_sentence_greedy,
+                                score_sentences, sentence_log_prob)
+from storyforge.losses import derangement, nll_loss, rank_loss, recon_loss, total_loss
 from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_z,
                               build_parameters, encode_album, encoded_chunks,
                               full_pipeline_grad_check, generate_stories,
                               generate_story, pad_steps, scene_views,
                               stories_objective, story_objective, summarize_album)
+from storyforge.reconstructor import reconstruct
 from storyforge.scene_encoder import scene_indices
 from storyforge.trainer import STAGE2_FROZEN
 
@@ -107,9 +108,7 @@ class TestEncodeAlbum:
         rng = np.random.default_rng(3)
         album = tiny_album(rng, cfg)
         out = encode_album(album.features, ps, cfg)
-        finals = np.concatenate([out.photos.fwd_final.data,
-                                 out.photos.bwd_final.data], axis=-1)
-        want = finals @ ps["attn.init.w"].data + ps["attn.init.b"].data
+        want = out.photos.final.data @ ps["attn.init.w"].data + ps["attn.init.b"].data
         np.testing.assert_allclose(out.init_state.h_attn.data, want, rtol=1e-12)
         assert np.all(out.init_state.alpha_prev.data == 0.0)
 
@@ -326,6 +325,119 @@ class TestBatchObjective:
                 np.testing.assert_allclose(z.data[b], wz.data[0], rtol=1e-12, atol=1e-15)
                 np.testing.assert_allclose(alpha.data[b], wa.data[0], rtol=1e-12,
                                            atol=1e-15)
+
+
+def two_scan_objective(Z, stories, ps, deranges, lam, mu):
+    """`stories_objective` with the true and the deranged sentences scored
+    by a `score_sentences` call each: the loss node."""
+    n = len(stories[0])
+    sentences = [story[j] for j in range(n) for story in stories]
+    pos, logits, _ = score_sentences(Z, sentences, ps)
+    neg, _, _ = score_sentences(Z, [story[int(der[j])] for j in range(n)
+                                    for story, der in zip(stories, deranges)], ps)
+    recon = recon_loss(Z, reconstruct(logits, [len(s) for s in sentences], ps)) \
+        if mu > 0 else T.wrap(0.0)
+    return total_loss(nll_loss(pos), rank_loss(pos, neg), recon, lam=lam, mu=mu)
+
+
+def summarize_per_step(encoding, n, ps):
+    """`summarize_album` with the keys projected again for every step."""
+    state, zs, alphas = encoding.init_state, [], []
+    for _ in range(n):
+        keys = encoding.memory @ ps["attn.score.w_mem"]
+        z, alpha, state = attend(encoding.memory, keys, encoding.valid_mask, state, ps)
+        zs.append(z)
+        alphas.append(alpha)
+    return zs, alphas
+
+
+class TestFewerLoopSteps:
+    """A stage-1 step scores the true and deranged sentences as one scan and
+    projects the attention keys once per batch; both equal their unmerged
+    forms."""
+
+    def albums(self, cfg, sizes, seed):
+        rng = np.random.default_rng(seed)
+        return [tiny_album(rng, cfg, m=m, words=int(rng.integers(1, 6))) for m in sizes]
+
+    @pytest.mark.parametrize("mu", [0.0, 0.8])
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(1, 5), min_size=2, max_size=5)
+           .filter(lambda sizes: len(set(sizes)) > 1),
+           st.integers(2, 4), st.floats(0, 2))
+    def test_one_teacher_forced_scan_equals_two(self, mu, seed, sizes, n, lam):
+        cfg = dataclasses.replace(tiny_cfg(), sentences=n)
+        ps = build_parameters(cfg, np.random.default_rng(seed))
+        albums = self.albums(cfg, sizes, seed + 1)
+        rng = np.random.default_rng(seed + 2)
+        ders = [derangement(n, rng) for _ in albums]
+        stories = [a.stories[0] for a in albums]
+        results = []
+        for objective in (lambda Z: stories_objective(Z, stories, ps, deranges=ders,
+                                                      lam=lam, mu=mu)[0],
+                          lambda Z: two_scan_objective(Z, stories, ps, ders, lam, mu)):
+            ps.zero_grads()
+            loss = objective(batch_z(albums, n, ps, cfg))
+            loss.backward()
+            results.append((loss.item(), {name: ps[name].grad for name in ps.names()}))
+        (got, grads), (want, want_grads) = results
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        for name, grad in want_grads.items():
+            if grad is None:   # the reconstructor, when mu is 0
+                assert grads[name] is None and mu == 0, name
+            else:
+                np.testing.assert_allclose(grads[name], grad, rtol=1e-10, atol=1e-10,
+                                           err_msg=name)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(1, 5), min_size=2, max_size=7)
+           .filter(lambda sizes: len(set(sizes)) > 1),
+           st.integers(1, 3), st.integers(1, 3))
+    def test_keys_once_equal_keys_per_step(self, seed, sizes, n, chunk):
+        # chunk by chunk, as inference encodes, with gradients on
+        cfg = dataclasses.replace(tiny_cfg(), sentences=n)
+        ps = build_parameters(cfg, np.random.default_rng(seed))
+        albums = self.albums(cfg, sizes, seed + 1)
+        rng = np.random.default_rng(seed + 2)
+        w_z, w_alpha = rng.standard_normal(cfg.d_v), rng.standard_normal(cfg.alpha_len)
+        for lo in range(0, len(albums), chunk):
+            feats, lengths = pad_steps([a.features for a in albums[lo:lo + chunk]])
+            results = []
+            for summarize in (summarize_album, summarize_per_step):
+                ps.zero_grads()
+                zs, alphas = summarize(encode_album(feats, ps, cfg, lengths=lengths), n, ps)
+                (T.arr_sum(T.concat(zs) * T.wrap(w_z))
+                 + T.arr_sum(T.concat(alphas) * T.wrap(w_alpha))).backward()
+                results.append(([z.data for z in zs], [a.data for a in alphas],
+                                {name: ps[name].grad for name in ps.names()}))
+            (zs, alphas, grads), (want_zs, want_alphas, want_grads) = results
+            for got, want in zip(zs + alphas, want_zs + want_alphas):
+                np.testing.assert_array_equal(got, want)
+            for name, grad in want_grads.items():
+                if grad is None:   # the decoder and the reconstructor
+                    assert grads[name] is None, name
+                else:
+                    np.testing.assert_allclose(grads[name], grad, rtol=1e-10,
+                                               atol=1e-10, err_msg=name)
+
+    def test_stage_one_forward_gru_steps(self, monkeypatch):
+        # per photo: one step for both photo directions and one for the
+        # scenes; per word position: one step for the true and deranged
+        # sentences together; per sentence: one attention step
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(24))
+        albums = self.albums(cfg, (3, 5, 2, 4), seed=24)
+        stories = [a.stories[0] for a in albums]
+        rng = np.random.default_rng(25)
+        ders = [derangement(cfg.sentences, rng) for _ in albums]
+        steps, gru_step = [], T._gru_step
+        monkeypatch.setattr(T, "_gru_step", lambda *args: steps.append(1) or gru_step(*args))
+        stories_objective(batch_z(albums, cfg.sentences, ps, cfg), stories, ps,
+                          deranges=ders, mu=0.0)
+        m_max, t_max = 5, max(len(s) for story in stories for s in story)
+        assert len(steps) == m_max + m_max + t_max + cfg.sentences
 
 
 class TestCachedZ:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyforge import tensor as T
 from storyforge.photo_encoder import encode_photos
@@ -40,6 +42,22 @@ def np_encode(features, ps):
     return np.stack(rows), fwd[-1], bwd[0]
 
 
+def per_direction_scans(features, ps, lengths):
+    """The encoder as two scans of width H, the backward one over each
+    album's rows reversed in place: (V, [fwd final ; bwd final])."""
+    feats = T.wrap(features)
+    m, batch = feats.shape[:2]
+    steps, rows = np.arange(m)[:, None], np.arange(batch)
+    reverse = (np.where(steps < lengths, lengths - 1 - steps, steps), rows)
+    last = (lengths - 1, rows)
+    fwd_w, bwd_w = ps.gru("photo.fwd"), ps.gru("photo.bwd")
+    fwd = T.gru_scan(feats, T.zeros((batch, fwd_w.hidden_size)), fwd_w)
+    bwd_rev = T.gru_scan(feats.data[reverse], T.zeros((batch, bwd_w.hidden_size)), bwd_w)
+    V = T.relu(T.concat([fwd, T.pick(bwd_rev, reverse)], axis=-1)
+               + feats @ ps["photo.skip.w"])
+    return V, T.concat([T.pick(fwd, last), T.pick(bwd_rev, last)], axis=-1)
+
+
 def make_params(rng, f_dim, hid, zero=False):
     ps = T.ParamStore()
     draw = (lambda shape: np.zeros(shape)) if zero else \
@@ -71,8 +89,8 @@ class TestEncodePhotos:
         enc = encode_one([f], ps)
         assert enc.V.shape == (1, 1, 6)
         want_v, want_fwd, want_bwd = np_encode([f], ps)
-        np.testing.assert_allclose(enc.fwd_final.data[0], want_fwd, rtol=1e-12)
-        np.testing.assert_allclose(enc.bwd_final.data[0], want_bwd, rtol=1e-12)
+        np.testing.assert_allclose(enc.final.data[0], np.concatenate([want_fwd, want_bwd]),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_matches_numpy_oracle(self, seed):
@@ -83,8 +101,8 @@ class TestEncodePhotos:
         enc = encode_one(feats, ps)
         want_v, want_fwd, want_bwd = np_encode(feats, ps)
         np.testing.assert_allclose(enc.V.data[:, 0], want_v, rtol=1e-12)
-        np.testing.assert_allclose(enc.fwd_final.data[0], want_fwd, rtol=1e-12)
-        np.testing.assert_allclose(enc.bwd_final.data[0], want_bwd, rtol=1e-12)
+        np.testing.assert_allclose(enc.final.data[0], np.concatenate([want_fwd, want_bwd]),
+                                   rtol=1e-12)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -104,9 +122,9 @@ class TestEncodePhotos:
         feats = [rng.standard_normal(4) for _ in range(5)]
         enc_fw = encode_one(feats, ps)
         enc_rv = encode_one(feats[::-1], ps)
-        np.testing.assert_allclose(enc_rv.fwd_final.data, enc_fw.bwd_final.data,
+        np.testing.assert_allclose(enc_rv.final.data[:, :3], enc_fw.final.data[:, 3:],
                                    rtol=1e-12)
-        np.testing.assert_allclose(enc_rv.bwd_final.data, enc_fw.fwd_final.data,
+        np.testing.assert_allclose(enc_rv.final.data[:, 3:], enc_fw.final.data[:, :3],
                                    rtol=1e-12)
         swapped = np.concatenate([enc_rv.V.data[::-1, :, 3:],
                                   enc_rv.V.data[::-1, :, :3]], axis=-1)
@@ -122,8 +140,37 @@ class TestEncodePhotos:
         for b, n in enumerate(lengths):
             want_v, want_fwd, want_bwd = np_encode(list(feats[:n, b]), ps)
             np.testing.assert_allclose(batch.V.data[:n, b], want_v, rtol=1e-12)
-            np.testing.assert_allclose(batch.fwd_final.data[b], want_fwd, rtol=1e-12)
-            np.testing.assert_allclose(batch.bwd_final.data[b], want_bwd, rtol=1e-12)
+            np.testing.assert_allclose(batch.final.data[b],
+                                       np.concatenate([want_fwd, want_bwd]), rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 5),
+           st.lists(st.integers(1, 7), min_size=2, max_size=5)
+           .filter(lambda sizes: len(set(sizes)) > 1))
+    def test_one_scan_equals_per_direction_scans(self, seed, f_dim, hid, sizes):
+        # both directions as one scan of width 2H: the same V and finals bit
+        # for bit, and the same gradients up to summation order
+        rng = np.random.default_rng(seed)
+        ps = make_params(rng, f_dim, hid)
+        lengths = np.array(sizes)
+        feats = rng.standard_normal((lengths.max(), len(sizes), f_dim))
+        feats[np.arange(lengths.max())[:, None] >= lengths] = 0.0
+        w_v = rng.standard_normal((lengths.max(), len(sizes), 2 * hid))
+        w_final = rng.standard_normal((len(sizes), 2 * hid))
+        outs = []
+        for encode in (lambda: encode_photos(feats, ps, lengths),
+                       lambda: per_direction_scans(feats, ps, lengths)):
+            ps.zero_grads()
+            enc = encode()
+            V, final = (enc.V, enc.final) if hasattr(enc, "V") else enc
+            (T.arr_sum(V * T.wrap(w_v)) + T.arr_sum(final * T.wrap(w_final))).backward()
+            outs.append((V.data, final.data, {n: ps[n].grad for n in ps.names()}))
+        (got_v, got_final, got), (want_v, want_final, want) = outs
+        np.testing.assert_array_equal(got_v, want_v)
+        np.testing.assert_array_equal(got_final, want_final)
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-10,
+                                       err_msg=name)
 
     def test_batch_lengths_checked(self):
         ps = make_params(np.random.default_rng(10), 4, 3)
@@ -140,7 +187,8 @@ class TestEncodePhotos:
     def test_feature_dim_mismatch(self):
         rng = np.random.default_rng(7)
         ps = make_params(rng, 4, 3)
-        with pytest.raises(T.DimensionError):
+        with pytest.raises(T.DimensionError, match="photo features have 9 values, "
+                                                   "the photo encoder takes 4"):
             encode_one([rng.standard_normal(9)], ps)
 
     def test_gradients(self):
@@ -151,7 +199,6 @@ class TestEncodePhotos:
 
         def fn(p):
             enc = encode_one(feats, p)
-            return T.arr_sum(enc.V * T.wrap(w)) + T.arr_sum(enc.fwd_final) \
-                + T.arr_sum(enc.bwd_final)
+            return T.arr_sum(enc.V * T.wrap(w)) + T.arr_sum(enc.final)
 
         assert T.grad_check(fn, ps) < 1e-4

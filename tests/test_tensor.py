@@ -395,7 +395,7 @@ class TestOps:
         weights = rng.standard_normal(batch + (5,))
 
         def fused(ps):
-            return T.attention_scores(ps["memory"], ps["w_mem"], ps["query"],
+            return T.attention_scores(ps["memory"] @ ps["w_mem"], ps["query"],
                                       ps["b"], ps["w_out"])
 
         def composed(ps):
