@@ -18,8 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import AlbumExample, ConfigError, check_field_types
-from .decoder import (AttentionState, StoryHypothesis, _search, attend, decode_width,
-                      score_sentences)
+from .decoder import (AttentionState, StoryHypothesis, _search, attend, attend_scan,
+                      decode_width, score_sentences)
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
 from .photo_encoder import encode_photos
 from .reconstructor import reconstruct
@@ -158,8 +158,9 @@ def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=Fal
 
 
 def summarize_album(encoding: AlbumEncoding, n: int, params):
-    """Run n attention steps over one projection of the memory's keys;
-    returns (z list, alpha list), (B, D_v) and (B, alpha_len) each."""
+    """The per-step reference of `attend_scan`: n `attend` steps over one
+    projection of the memory's keys; returns (z list, alpha list), (B, D_v)
+    and (B, alpha_len) each."""
     state = encoding.init_state
     keys = encoding.memory @ params["attn.score.w_mem"]
     zs, alphas = [], []
@@ -177,8 +178,8 @@ def batch_z(albums, n: int, params, cfg: ModelConfig, force_flags=None, relax=Fa
     feats, lengths = pad_steps([album.features for album in albums])
     encoding = encode_album(feats, params, cfg, force_flags=force_flags,
                             relax=relax, lengths=lengths)
-    zs, _ = summarize_album(encoding, n, params)
-    return T.concat(zs)
+    Z, _ = attend_scan(encoding.memory, encoding.valid_mask, encoding.init_state, n, params)
+    return T.reshape(Z, (-1, cfg.d_v))
 
 
 def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
@@ -258,14 +259,15 @@ def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
     stories = []
     for lengths, encoding in encoded_chunks(albums, params, cfg):
         with T.no_grad():
-            zs, alphas = summarize_album(encoding, cfg.sentences, params)
+            Z, alphas = attend_scan(encoding.memory, encoding.valid_mask,
+                                    encoding.init_state, cfg.sentences, params)
         # row j*B + b holds sentence j of album b
-        decoded = _search(T.concat(zs).data, params, cfg.max_words, width)
+        decoded = _search(Z.data.reshape(-1, cfg.d_v), params, cfg.max_words, width)
         for b, (m, used) in enumerate(zip(lengths, encoding.used_slots)):
             rows = decoded[b::len(lengths)]
             stories.append(StoryHypothesis([ids for ids, _ in rows],
                                            [lps for _, lps in rows],
-                                           [a.data[b, :used].copy() for a in alphas],
+                                           [a[b, :used].copy() for a in alphas],
                                            encoding.scenes.flags[:m, b].tolist()))
     return stories
 

@@ -5,15 +5,16 @@ a named parameter registry with freezable groups, an Adam optimizer, a
 finite-difference gradient checker, and a text checkpoint container.
 
 A recurrence over a whole sequence is one graph node (`gru_scan`, with a
-hand-derived backward through time; the scene encoder builds its own such
-node on `_gru_step`); independent ones share a scan as cells side by side,
-whose weights `assemble` lays out as diagonal blocks. Loops whose next
-step depends on earlier outputs (attention feedback, decoding) take one
-fused node per step (`gru_cell`, whose rows are independent, such as the
-albums of a batch or the hypotheses of a beam), and so do attention's
-scores (`attention_scores`, on keys projected once). The rest composes
-from small primitives, among them `matmul`, which multiplies rows by a
-matrix or a stack of matrices.
+hand-derived backward through time; the scene encoder and the attention
+feedback build their own such nodes on `_gru_step`); independent ones
+share a scan as cells side by side, whose weights `assemble` lays out as
+diagonal blocks. Decoding, whose next step depends on the words it
+picked, takes one fused node per step (`gru_cell`, whose rows are
+independent, such as the hypotheses of a beam), and so does the one-step
+attention that the attention node is tested against (`attention_scores`,
+on keys projected once). The rest composes from small primitives, among
+them `matmul`, which multiplies rows by a matrix or a stack of matrices.
+Adam updates every learning entry as one flat vector.
 """
 
 from __future__ import annotations
@@ -663,25 +664,35 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self):
-        self.t += 1
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.entries.items():
-            if not p.requires_grad:
-                continue
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif not np.isfinite(g).all():
-                raise EvaluationError(f"non-finite gradient for parameter '{name}'")
-            m = self.m.get(name, 0.0) * b1 + (1.0 - b1) * g
-            v = self.v.get(name, 0.0) * b2 + (1.0 - b2) * g * g
-            update = self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            if not all(np.isfinite(a).all() for a in (m, v, update)):
-                raise EvaluationError(f"non-finite Adam update for parameter '{name}'")
-            self.m[name], self.v[name] = m, v
-            p.data -= update
+        """One flat update of every learning entry (a None gradient reads as
+        zeros); a non-finite gradient or update raises EvaluationError, naming
+        the first such entry, before any weight, moment or `t` changes."""
+        live = [(name, p) for name, p in self.params.entries.items() if p.requires_grad]
+        cuts = np.cumsum([0] + [p.data.size for _, p in live]).tolist()
+
+        def flat(arrays):   # one per live entry; None reads as zeros
+            return np.concatenate([np.zeros(0)] + [
+                np.zeros(p.data.size) if a is None else a.ravel()
+                for a, (_, p) in zip(arrays, live)])
+
+        g = flat([p.grad for _, p in live])
+        t, b1, b2 = self.t + 1, ADAM_BETA1, ADAM_BETA2
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            m = flat([self.m.get(name) for name, _ in live]) * b1 + (1.0 - b1) * g
+            v = flat([self.v.get(name) for name, _ in live]) * b2 + (1.0 - b2) * g * g
+            update = self.lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
+                                                        + ADAM_EPS)
+        ok = np.isfinite(m) & np.isfinite(v) & np.isfinite(update)
+        if not ok.all():
+            k = int(np.searchsorted(cuts, np.argmin(ok), side="right")) - 1
+            what = ("gradient" if not np.isfinite(g[cuts[k]:cuts[k + 1]]).all()
+                    else "Adam update")
+            raise EvaluationError(f"non-finite {what} for parameter '{live[k][0]}'")
+        self.t = t
+        for (name, p), lo, hi in zip(live, cuts, cuts[1:]):
+            shape = p.data.shape
+            self.m[name], self.v[name] = m[lo:hi].reshape(shape), v[lo:hi].reshape(shape)
+            p.data -= update[lo:hi].reshape(shape)
 
 
 # -- gradient checking -------------------------------------------------------

@@ -31,11 +31,12 @@ import numpy as np
 
 from . import tensor as T
 from .data import decode_ids, story_tokens
+from .decoder import attend_scan
 from .losses import derangement
 from .metrics import EvalPair, cider
 from .model import (ConfigError, ModelConfig, batch_z, build_parameters,
                     check_field_types, encoded_chunks, generate_stories,
-                    stories_objective, summarize_album)
+                    stories_objective)
 
 STAGE1_FROZEN = ("reconstructor",)
 STAGE2_FROZEN = ("photo_encoder", "scene_encoder", "attention")
@@ -151,9 +152,9 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     album_z = None
     if stage_no == 2:
         with T.no_grad():
-            chunks = [summarize_album(encoding, n_sent, params)[0]
-                      for _, encoding in encoded_chunks(train_set, params, cfg)]
-        album_z = np.concatenate([np.stack([z.data for z in zs]) for zs in chunks], 1)
+            album_z = np.concatenate([
+                attend_scan(e.memory, e.valid_mask, e.init_state, n_sent, params)[0].data
+                for _, e in encoded_chunks(train_set, params, cfg)], axis=1)
     for batch in batches():
         params.zero_grads()
         # one derangement per example, drawn in batch order

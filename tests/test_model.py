@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from storyforge import model
 from storyforge import tensor as T
 from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
-from storyforge.decoder import (attend, decode_sentence_beam, decode_sentence_greedy,
-                                score_sentences, sentence_log_prob)
+from storyforge.decoder import (attend, attend_scan, decode_sentence_beam,
+                                decode_sentence_greedy, score_sentences, sentence_log_prob)
 from storyforge.losses import derangement, nll_loss, rank_loss, recon_loss, total_loss
 from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_z,
                               build_parameters, encode_album, encoded_chunks,
@@ -21,7 +21,7 @@ from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_z,
                               stories_objective, story_objective, summarize_album)
 from storyforge.reconstructor import reconstruct
 from storyforge.scene_encoder import scene_indices
-from storyforge.trainer import STAGE2_FROZEN
+from storyforge.trainer import STAGE1_FROZEN, STAGE2_FROZEN
 
 
 def tiny_cfg(vocab_size=12):
@@ -184,9 +184,10 @@ def op_nodes(root):
 
 class TestGraphSize:
     def test_node_budget_at_acceptance_dimensions(self):
-        # sequences are one node each: the encoders, the decoder's 10
-        # teacher-forced sentences and the reconstructor cost a fixed count,
-        # not one node per photo or word. Every album builds 104 nodes; the
+        # sequences are one node each: the encoders, the attention steps, the
+        # decoder's 10 teacher-forced sentences and the reconstructor cost a
+        # fixed count, not one node per photo, sentence or word. Every album
+        # builds 61 nodes; the
         # per-photo scene encoder built 227 for the largest (11 photos), and
         # one node per decoder word step would add about 650.
         spec = SynthSpec(albums=8, scenes_per_album=(2, 3), photos_per_scene=(2, 4),
@@ -203,8 +204,7 @@ class TestGraphSize:
         assert max(counts) <= 160, counts
 
     def test_node_count_independent_of_photo_count(self):
-        # only the attention steps (one per sentence) and the node
-        # arithmetic around them repeat; nothing repeats per photo
+        # nothing repeats per photo
         cfg = ModelConfig(vocab_size=30, feature_dim=8, photo_hidden=16,
                           attn_hidden=32, attn_score_dim=32, dec_hidden=32,
                           emb_dim=32, mlp_hidden=32, max_photos=40)
@@ -438,6 +438,72 @@ class TestFewerLoopSteps:
                           deranges=ders, mu=0.0)
         m_max, t_max = 5, max(len(s) for story in stories for s in story)
         assert len(steps) == m_max + m_max + t_max + cfg.sentences
+
+
+class TestAttentionNode:
+    """`attend_scan`, the n attention steps as one node, equals
+    `summarize_album`, the per-step `attend` loop: values to 1e-12 and
+    gradients to 1e-10."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(1, 5), min_size=2, max_size=7)
+           .filter(lambda sizes: len(set(sizes)) > 1),
+           st.integers(1, 4), st.integers(1, 3))
+    def test_one_node_equals_the_per_step_loop(self, seed, sizes, n, chunk):
+        # chunk by chunk, as inference pads DECODE_CHUNK albums, here 1-3 a
+        # chunk; flags forced off at photo 1 (a slice: a chunk may hold one
+        # photo) leave every album of two photos or more a false scene slot
+        cfg = dataclasses.replace(tiny_cfg(), sentences=n)
+        ps = build_parameters(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        albums = [tiny_album(rng, cfg, m=m) for m in sizes]
+        for lo in range(0, len(albums), chunk):
+            feats, lengths = pad_steps([a.features for a in albums[lo:lo + chunk]])
+            flags = rng.integers(0, 2, size=feats.shape[:2])
+            flags[1:2] = 0
+            w = rng.standard_normal((n, len(lengths), cfg.d_v))
+            results = []
+            for one_node in (True, False):
+                ps.zero_grads()
+                enc = encode_album(feats, ps, cfg, force_flags=flags, lengths=lengths)
+                if one_node:
+                    Z, alphas = attend_scan(enc.memory, enc.valid_mask, enc.init_state, n, ps)
+                else:
+                    zs, steps = summarize_album(enc, n, ps)
+                    Z = T.reshape(T.concat(zs), (n, len(lengths), -1))
+                    alphas = np.stack([a.data for a in steps])
+                T.arr_sum(Z * T.wrap(w)).backward()
+                results.append((Z.data, alphas, {name: ps[name].grad for name in ps.names()}))
+            (z, alphas, grads), (want_z, want_alphas, want_grads) = results
+            assert not enc.scenes.scene_mask[1][lengths >= 2].any()
+            np.testing.assert_allclose(z, want_z, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(alphas, want_alphas, rtol=1e-12, atol=0)
+            for name, grad in want_grads.items():
+                if grad is None:   # the decoder and the reconstructor
+                    assert grads[name] is None, name
+                else:
+                    np.testing.assert_allclose(grads[name], grad, rtol=1e-10,
+                                               atol=1e-10, err_msg=name)
+
+    def test_stage_one_graph_size_does_not_grow_with_sentences(self):
+        # the train-overfit batch: 8 albums of 7-11 photos at the acceptance
+        # dimensions, reconstruction off as in stage 1; one node per attention
+        # step gave 60 nodes at n = 2 and 81 at n = 5
+        spec = SynthSpec(albums=8, scenes_per_album=(2, 3), photos_per_scene=(2, 4),
+                         feature_dim=8, cluster_separation=4.0, noise_scale=0.05,
+                         vocab_size=30, sentences=5, seed=42)
+        vocab = synth_vocab(spec)
+        cfg = ModelConfig(vocab_size=len(vocab), feature_dim=8, photo_hidden=16,
+                          attn_hidden=32, attn_score_dim=32, dec_hidden=32,
+                          emb_dim=32, mlp_hidden=32, max_photos=12)
+        ps = build_parameters(cfg, np.random.default_rng(0))
+        ps.freeze(*STAGE1_FROZEN)
+        albums = synth_dataset(spec, vocab)
+        counts = [op_nodes(stories_objective(
+            batch_z(albums, n, ps, cfg), [a.stories[0][:n] for a in albums], ps,
+            deranges=[np.roll(np.arange(n), 1)] * len(albums), mu=0.0)[0]) for n in (2, 5)]
+        assert counts[0] == counts[1], counts
 
 
 class TestCachedZ:

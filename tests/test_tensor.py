@@ -560,24 +560,63 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
         assert "layer.w" not in opt.m and "layer.w" not in opt.v
 
-    def test_steps_match_the_in_place_moment_updates(self):
-        # the reference updates each moment in place: m *= b1; m += (1-b1) g
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("grad", [1e200, np.nan])
+    def test_a_non_finite_step_changes_nothing(self, grad):
+        # the first entry is fine and the second is not: the step raises,
+        # naming the second, before either weight, moment or t changes
         store = T.ParamStore()
-        p = store.add("a", rng.standard_normal(6), "g")
-        opt = T.Adam(store, lr=0.01)
-        want, m, v = p.data.copy(), np.zeros(6), np.zeros(6)
-        for t in range(1, 5):
-            g = rng.standard_normal(6) * 10.0 ** rng.integers(-3, 4)
-            p.grad = g.copy()
+        a = store.add("a", np.array([1.0]), "g")
+        b = store.add("b", np.array([2.0]), "g")
+        a.grad, b.grad = np.array([0.5]), np.array([grad])
+        opt = T.Adam(store)
+        what = "gradient" if np.isnan(grad) else "Adam update"
+        with pytest.raises(T.EvaluationError, match=f"^non-finite {what} for parameter 'b'$"):
             opt.step()
-            m *= T.ADAM_BETA1
-            m += (1.0 - T.ADAM_BETA1) * g
-            v *= T.ADAM_BETA2
-            v += (1.0 - T.ADAM_BETA2) * g * g
-            want -= 0.01 * (m / (1.0 - T.ADAM_BETA1 ** t)) / (
-                np.sqrt(v / (1.0 - T.ADAM_BETA2 ** t)) + T.ADAM_EPS)
-            assert p.data.tobytes() == want.tobytes()
+        assert (a.data.tolist(), b.data.tolist()) == ([1.0], [2.0])
+        assert opt.m == {} and opt.v == {} and opt.t == 0
+
+    def test_steps_match_the_in_place_moment_updates(self):
+        # the reference updates each entry's moments in place, entry by
+        # entry: m *= b1; m += (1-b1) g. Stores as (name, shape, group):
+        # one entry; and several, with a frozen group between learning ones,
+        # a 0-d entry whose grad is always None, and a group "late" frozen
+        # after the second step of the same Adam
+        for entries in ([("a", (6,), "g")],
+                        [("a", (3, 2), "g"), ("f", (4,), "frozen"), ("none", (), "g"),
+                         ("late", (2, 3), "late"), ("z", (5,), "g")]):
+            rng = np.random.default_rng(4)
+            store = T.ParamStore()
+            for name, shape, group in entries:
+                store.add(name, rng.standard_normal(shape), group)
+            if "frozen" in store.groups:
+                store.freeze("frozen")
+            opt = T.Adam(store, lr=0.01)
+            want = {name: p.data.copy() for name, p in store.entries.items()}
+            m = {name: np.zeros(p.data.shape) for name, p in store.entries.items()}
+            v = {name: np.zeros(p.data.shape) for name, p in store.entries.items()}
+            for t in range(1, 5):
+                if t == 3 and "late" in store.groups:
+                    store.freeze("late")
+                for name, p in store.entries.items():
+                    p.grad = None if name == "none" else \
+                        rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-3, 4)
+                opt.step()
+                for name, p in store.entries.items():
+                    if not p.requires_grad:
+                        continue
+                    g = np.zeros(p.data.shape) if p.grad is None else p.grad
+                    m[name] *= T.ADAM_BETA1
+                    m[name] += (1.0 - T.ADAM_BETA1) * g
+                    v[name] *= T.ADAM_BETA2
+                    v[name] += (1.0 - T.ADAM_BETA2) * g * g
+                    want[name] -= 0.01 * (m[name] / (1.0 - T.ADAM_BETA1 ** t)) / (
+                        np.sqrt(v[name] / (1.0 - T.ADAM_BETA2 ** t)) + T.ADAM_EPS)
+                for name, p in store.entries.items():
+                    assert p.data.tobytes() == want[name].tobytes(), (t, name)
+                    if name in opt.m:
+                        assert opt.m[name].tobytes() == m[name].tobytes(), (t, name)
+                        assert opt.v[name].tobytes() == v[name].tobytes(), (t, name)
+            assert set(opt.m) == {name for name, _, group in entries if group != "frozen"}
 
     def test_moment_state_carries_across_calls(self):
         store = T.ParamStore()
