@@ -11,8 +11,9 @@ one-hidden-layer readout.
 Teacher-forced scoring runs any number of sentences (all of a batch's) as
 one padded batch through one GRU scan. Decoding is one beam search over
 any number of z rows (at inference, every sentence of a chunk of albums),
-a beam per row; its word step runs the unfinished hypotheses of all beams
-as the rows of one GRU cell, and greedy decoding is that search at width 1.
+a beam per row, on plain arrays, since nothing differentiates it; its word
+step runs the unfinished hypotheses of all beams as the rows of one GRU
+step, and greedy decoding is that search at width 1.
 
 The attention state persists across the n sentences of an album; its
 input alpha vector is padded to a fixed length so parameter shapes do not
@@ -78,7 +79,7 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
         hs[t + 1], cache = T._gru_step(alphas[t] @ wx + gru_w.b.data, hs[t], wh, hid)
         caches.append(cache)
         np.tanh(keys + (hs[t + 1] @ ws)[:, None, :] + b.data, out=acts[t])
-        alphas[t + 1] = T.masked_softmax(acts[t] @ wo, valid_mask).data
+        alphas[t + 1] = T._masked_softmax(acts[t] @ wo, valid_mask)
     Z = (alphas[1:, :, None, :] @ mem)[:, :, 0]
 
     def bw(g):
@@ -119,12 +120,17 @@ def _readout(h, z, params):
     return hidden @ params["dec.out.w2"] + params["dec.out.b2"]
 
 
-def _decoder_step(prev, h, Z, table, gru_w, params):
-    """One word step for B rows: the GRU consumes [embedding of prev (B,) ;
-    Z (B, D_v)] from states h (B, H), then the readout scores the vocabulary
-    from [h_new ; Z]. Returns (h_new (B, H), logits (B, vocab))."""
-    h = T.gru_cell(T.concat([T.pick(table, prev), Z], axis=-1), h, gru_w)
-    return h, _readout(h, Z, params)
+def _decoder_step(prev, H, Z, weights):
+    """One word step for B rows on plain arrays, `T.gru_cell`, `_readout`
+    and `T.log_softmax` to the bit: the GRU consumes [embedding of prev (B,)
+    ; Z (B, D_v)] from states H (B, H), then the readout scores [h_new ; Z].
+    `weights`: the table, GRU (w_x, w_h, b) and readout (w1, b1, w2, b2)
+    arrays. Returns (h_new (B, H), log-probs (B, vocab))."""
+    table, w_x, w_h, b, w1, b1, w2, b2 = weights
+    h, _ = T._gru_step(np.concatenate([table[prev], Z], axis=-1) @ w_x + b, H, w_h,
+                       len(w_h))
+    hidden = np.tanh(np.concatenate([h, Z], axis=-1) @ w1 + b1)
+    return h, T._log_softmax(hidden @ w2 + b2)
 
 
 def score_sentences(Z, sentences, params):
@@ -186,32 +192,37 @@ def decode_width(mode, beam_width) -> int:
 
 def _search(Z, params, max_words: int, width: int):
     """Beam search by total log-prob until EOS or max_words+1 tokens, one
-    beam per row of Z (R, D_v). Each step runs the unfinished hypotheses of
-    every beam as the rows of one `_decoder_step`, so finished ones drop out
-    of the GRU batch; each beam ranks the top `width` tokens of its rows,
-    with its finished hypotheses, by (total log-prob, ids): ties go to lower
-    token ids, and width 1 is greedy. Returns each row's best hypothesis as
-    (ids, per-word logps)."""
-    table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
-    H = np.zeros((len(Z), gru_w.hidden_size))
+    beam per row of Z (R, D_v), on plain arrays. Each step runs the
+    unfinished hypotheses of every beam as the rows of one `_decoder_step`,
+    so finished ones drop out of the batch; each beam ranks the top `width`
+    tokens of its rows, with its finished hypotheses, by (total log-prob,
+    ids): ties go to lower token ids, and width 1 is greedy. Returns each
+    row's best hypothesis as (ids, per-word logps)."""
+    weights = tuple(params[name].data for name in (
+        "dec.embed.table", "dec.gru.w_x", "dec.gru.w_h", "dec.gru.b",
+        "dec.out.w1", "dec.out.b1", "dec.out.w2", "dec.out.b2"))
+    H = np.zeros((len(Z), len(weights[2])))
     # per row: hypotheses (total log-prob, [BOS] + ids, per-word logps, row of H, finished)
     beams = [[(0.0, [BOS], [], r, False)] for r in range(len(Z))]
-    with T.no_grad():
-        for _ in range(max_words + 1):
-            live = [(r, b) for r, beam in enumerate(beams) for b in beam if not b[4]]
-            if not live:
-                break
-            h, d = _decoder_step(np.array([b[1][-1] for _, b in live]),
+    for _ in range(max_words + 1):
+        live = [(r, b) for r, beam in enumerate(beams) for b in beam if not b[4]]
+        if not live:
+            break
+        H, log_p = _decoder_step(np.array([b[1][-1] for _, b in live]),
                                  H.take([b[3] for _, b in live], axis=0),
-                                 Z.take([r for r, _ in live], axis=0), table, gru_w, params)
-            H, log_p = h.data, T.log_softmax(d).data
-            top = (-log_p).argsort(axis=-1, kind="stable")[:, :width]
-            beams = [[b for b in beam if b[4]] for beam in beams]
-            for i, ((r, (total, ids, logps, _, _)), lp, toks) in enumerate(
-                    zip(live, log_p.tolist(), top.tolist())):
-                beams[r] += [(total + lp[t], ids + [t], logps + [lp[t]], i, t == EOS)
-                             for t in toks]
-            beams = [sorted(beam, key=lambda b: (-b[0], b[1]))[:width] for beam in beams]
+                                 Z.take([r for r, _ in live], axis=0), weights)
+        top = (-log_p).argsort(axis=-1, kind="stable")[:, :width]
+        # candidates rank as (-total, parent ids, token), token -1 for a finished
+        # hypothesis, and only the kept ones are built. No parent's ids are a
+        # prefix of another's (live ones share one length and hold no EOS, and
+        # finished ones end at their only EOS), so this orders as (-total,
+        # ids + [token]) does, and the first three entries never tie.
+        ranked = [[(-b[0], b[1], -1, b) for b in beam if b[4]] for beam in beams]
+        for i, ((r, (total, ids, logps, _, _)), lp, toks) in enumerate(
+                zip(live, log_p.tolist(), top.tolist())):
+            ranked[r] += [(-(total + lp[t]), ids, t, (logps, lp[t], i)) for t in toks]
+        beams = [[b if t < 0 else (-neg, ids + [t], b[0] + [b[1]], b[2], t == EOS)
+                  for neg, ids, t, b in sorted(cands)[:width]] for cands in ranked]
     return [(beam[0][1][1:], beam[0][2]) for beam in beams]
 
 

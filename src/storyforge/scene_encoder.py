@@ -111,8 +111,7 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
 
     def bw(g):
-        d_out = np.zeros((2 * m,) + hs.shape[1:])
-        np.add.at(d_out, index, g)
+        d_out = T._scatter_add((2 * m,) + hs.shape[1:], index, g)
         d_emitted, d_states = d_out[:m], d_out[m:]
         d_gates = np.empty_like(gx)
         d_score = np.zeros(k.shape)

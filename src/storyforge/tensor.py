@@ -8,18 +8,20 @@ A recurrence over a whole sequence is one graph node (`gru_scan`, with a
 hand-derived backward through time; the scene encoder and the attention
 feedback build their own such nodes on `_gru_step`); independent ones
 share a scan as cells side by side, whose weights `assemble` lays out as
-diagonal blocks. Decoding, whose next step depends on the words it
-picked, takes one fused node per step (`gru_cell`, whose rows are
-independent, such as the hypotheses of a beam), and so does the one-step
-attention that the attention node is tested against (`attention_scores`,
-on keys projected once). The rest composes from small primitives, among
-them `matmul`, which multiplies rows by a matrix or a stack of matrices.
+diagonal blocks. The one-step attention that the attention node is tested
+against takes one fused node per step (`gru_cell` and `attention_scores`).
+Decoding builds no nodes: it runs `_gru_step` and `_log_softmax` on plain
+arrays, as the recurrence nodes' forwards do; each such array function
+(`_sigmoid` and `_masked_softmax` too) also serves its node. The rest
+composes from small primitives, among them `matmul`, which multiplies rows
+by a matrix or a stack of matrices.
 Adam updates every learning entry as one flat vector.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -351,14 +353,32 @@ def pick(a, index) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            ga = np.zeros_like(a.data)
             if basic:
+                ga = np.zeros_like(a.data)
                 ga[index] = g
             else:
-                np.add.at(ga, index, g)
+                ga = _scatter_add(a.data.shape, index, g)
             _acc(a, ga)
 
     return _make(out, (a,), bw)
+
+
+def _scatter_add(shape, index, g) -> np.ndarray:
+    """Zeros of `shape` with g added at `index`, an integer array or a tuple
+    of integer arrays over the leading axes, repeats summed (`np.add.at`'s
+    result up to rounding): the linearized index is sorted stably and each
+    run of equal entries summed by one `np.add.reduceat`."""
+    parts = index if isinstance(index, tuple) else (index,)
+    lead, rest = tuple(shape[:len(parts)]), tuple(shape[len(parts):])
+    flat = np.ravel_multi_index(parts, lead).ravel()   # broadcasts the parts
+    out = np.zeros((math.prod(lead),) + rest)
+    if flat.size:
+        order = flat.argsort(kind="stable")
+        keys = flat[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        out[keys[starts]] = np.add.reduceat(g.reshape((flat.size,) + rest)[order],
+                                            starts, axis=0)
+    return out.reshape(shape)
 
 
 def assemble(shape, parts) -> NumArray:
@@ -379,21 +399,25 @@ def assemble(shape, parts) -> NumArray:
     return _make(out, tuple(p for _, p in parts), bw)
 
 
+def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != logits.shape:
+        raise DimensionError(
+            f"mask shape {mask.shape} does not match logits {logits.shape}")
+    valid = mask > 0
+    if not valid.any(axis=-1).all():
+        raise InvalidMaskError("masked_softmax: a row of the mask has no valid positions")
+    top = np.where(valid, logits, -np.inf).max(axis=-1, keepdims=True)
+    # masked logits are replaced before exp, which they could overflow
+    e = np.exp(np.where(valid, logits, top) - top) * mask
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def masked_softmax(logits, mask) -> NumArray:
     """Softmax over the last axis, row by row, restricted to positions where
     mask is 1; exact zeros elsewhere. Every row needs a valid position."""
     logits = wrap(logits)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != logits.data.shape:
-        raise DimensionError(
-            f"mask shape {mask.shape} does not match logits {logits.data.shape}")
-    valid = mask > 0
-    if not valid.any(axis=-1).all():
-        raise InvalidMaskError("masked_softmax: a row of the mask has no valid positions")
-    top = np.where(valid, logits.data, -np.inf).max(axis=-1, keepdims=True)
-    # masked logits are replaced before exp, which they could overflow
-    e = np.exp(np.where(valid, logits.data, top) - top) * mask
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _masked_softmax(logits.data, mask)
 
     def bw(g):
         if logits.requires_grad:
@@ -402,11 +426,15 @@ def masked_softmax(logits, mask) -> NumArray:
     return _make(out, (logits,), bw)
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(logits) -> NumArray:
     """Log-probabilities over the last axis."""
     logits = wrap(logits)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = _log_softmax(logits.data)
 
     def bw(g):
         if logits.requires_grad:

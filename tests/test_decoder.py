@@ -408,6 +408,43 @@ class TestGeneration:
         assert ids == want_ids
         np.testing.assert_allclose(logps, want_logps, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 4, 5, 10]),
+           st.integers(1, 6), st.integers(1, 8), st.sampled_from([0.0, -10.0, 1.5]),
+           st.sampled_from(["none", "full", "partial"]))
+    def test_rows_search_equals_oracles(self, seed, width, rows, max_words, eos_bias,
+                                        ties):
+        # every row of one search decodes as the one-row oracles do; width 10
+        # exceeds the vocabulary of 8. "full" zeroes the readout so every
+        # token ties, "partial" keeps only a rounded output bias so some do
+        cfg, ps = make(seed)
+        rng = np.random.default_rng(seed)
+        w2, b2 = ps["dec.out.w2"].data, ps["dec.out.b2"].data
+        if ties != "none":
+            w2[...] = 0.0
+            b2[...] = 0.0 if ties == "full" else np.round(rng.standard_normal(len(b2)))
+        b2[EOS] = eos_bias
+        Z = rng.standard_normal((rows, cfg.d_v))
+        got = decoder._search(Z, ps, max_words, width)
+        for (ids, logps), z in zip(got, Z):
+            if width == 1:
+                want_ids, want_logps = greedy_oracle(T.wrap(z), ps, max_words)
+            else:
+                want_ids, want_logps = beam_oracle(T.wrap(z), ps, max_words, width)
+            assert ids == want_ids
+            np.testing.assert_allclose(logps, want_logps, rtol=1e-12, atol=1e-12)
+
+    def test_search_builds_no_graph_arrays(self, monkeypatch):
+        # the search runs on plain arrays: no NumArray, so no graph node
+        cfg, ps = make(29)
+        Z = np.random.default_rng(29).standard_normal((4, cfg.d_v))
+        made, init = [], T.NumArray.__init__
+        monkeypatch.setattr(T.NumArray, "__init__",
+                            lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+        for width in (1, 3):
+            decoder._search(Z, ps, cfg.max_words, width)
+        assert made == []
+
     @pytest.mark.parametrize("width", [None, 1, 3])
     def test_batch_of_one_z_decodes_alike(self, width):
         # a lone album's z rows come from `summarize_album` as (1, D_v)

@@ -314,6 +314,25 @@ class TestOps:
         for i, j in np.ndindex(4, 2):
             assert out[i, j].tobytes() == T.log_softmax(T.wrap(x[i, j])).data.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 9), st.integers(1, 3),
+           st.integers(0, 2), st.booleans())
+    def test_scatter_add_equals_add_at(self, seed, n_ids, rows, trailing, as_tuple):
+        # ids drawn from 4 values repeat; n_ids 0 is an empty index
+        rng = np.random.default_rng(seed)
+        rest = (3,) * trailing
+        ids = rng.integers(0, 4, size=(n_ids, rows))
+        if as_tuple:   # a step per batch row, as the photo and scene encoders pick
+            shape, index = (4, rows) + rest, (ids, np.arange(rows))
+        else:
+            shape, index = (4,) + rest, ids
+        g = rng.standard_normal(ids.shape + rest)
+        want = np.zeros(shape)
+        np.add.at(want, index, g)
+        got = T._scatter_add(shape, index, g)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_pick_rejects_out_of_range_indices(self):
         with pytest.raises(T.DimensionError):
             T.pick(T.zeros((3, 2)), np.array([0, 3]))
