@@ -2,7 +2,9 @@
 
 Eager forward math on float64 numpy arrays with reverse-mode gradients,
 a named parameter registry with freezable groups, an Adam optimizer, a
-finite-difference gradient checker, and a text checkpoint container.
+finite-difference gradient checker, and a JSON checkpoint container that
+holds each parameter as base64 float64 bytes (version 2; version 1 files,
+with float text, still load).
 
 A recurrence over a whole sequence is one graph node (`gru_scan`, with a
 hand-derived backward through time; the scene encoder and the attention
@@ -20,6 +22,7 @@ Adam updates every learning entry as one flat vector.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from contextlib import contextmanager
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DimensionError(ValueError):
@@ -788,10 +791,10 @@ def grad_check(fn: Callable[[ParamStore], NumArray], params: ParamStore,
 
 
 def save_checkpoint(path, params: ParamStore, meta: dict | None = None):
-    """Write parameters to a stable JSON container (names, shapes, row-major
-    values): the bytes of `json.dumps(container, sort_keys=True)` and a
-    newline, written one parameter at a time so only one parameter's text
-    is held at once."""
+    """Write parameters to a stable JSON container (names, shapes, and each
+    parameter's row-major little-endian float64 bytes as base64 text): the
+    bytes of `json.dumps(container, sort_keys=True)` and a newline, written
+    one parameter at a time so only one parameter's text is held at once."""
     head = json.dumps({"frozen": sorted(params.frozen), "meta": meta or {},
                        "groups": {g: sorted(m) for g, m in params.groups.items()}},
                       sort_keys=True)
@@ -799,7 +802,8 @@ def save_checkpoint(path, params: ParamStore, meta: dict | None = None):
         f.write(head[:-1] + ', "params": {')
         for i, name in enumerate(sorted(params.entries)):
             data = params.entries[name].data
-            record = {"shape": list(data.shape), "values": data.reshape(-1).tolist()}
+            payload = base64.b64encode(data.astype("<f8", copy=False).tobytes())
+            record = {"shape": list(data.shape), "values": payload.decode("ascii")}
             f.write((", " if i else "") + json.dumps(name) + ": "
                     + json.dumps(record, sort_keys=True))
         f.write('}, "version": ' + json.dumps(CHECKPOINT_VERSION) + "}\n")
@@ -807,7 +811,8 @@ def save_checkpoint(path, params: ParamStore, meta: dict | None = None):
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
     """Read a save_checkpoint container; a malformed one raises a one-line
-    ValueError naming the path and the bad field."""
+    ValueError naming the path and the bad field. Version 1 containers,
+    whose values are lists of numbers, still load."""
     def check(ok, msg):
         if not ok:
             raise ValueError(f"{path}: {msg}")
@@ -817,8 +822,9 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
             obj = json.load(f)
         except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"{path}: not a JSON checkpoint: {e}") from None
-    check(isinstance(obj, dict) and obj.get("version") == CHECKPOINT_VERSION,
-          f"field 'version' must be {CHECKPOINT_VERSION}")
+    version = obj.get("version") if isinstance(obj, dict) else None
+    check(version in (1, CHECKPOINT_VERSION),
+          f"field 'version' must be 1 or {CHECKPOINT_VERSION}")
     for key, typ in (("params", dict), ("groups", dict), ("frozen", list),
                      ("meta", dict)):
         check(isinstance(obj.get(key), typ), f"field '{key}' is missing or malformed")
@@ -827,9 +833,15 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         groups = [g for g, members in obj["groups"].items()
                   if isinstance(members, list) and name in members]
         check(groups, f"parameter '{name}' is in no group")
-        try:
-            value = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
-            ok = np.isfinite(value).all()
+        try:  # a short or non-base64 payload raises ValueError
+            shape, values = rec["shape"], rec["values"]
+            if version == 1:
+                values = np.array(values, dtype=np.float64)
+            else:  # read-only; `store.add` copies it
+                values = np.frombuffer(base64.b64decode(values, validate=True), "<f8")
+            value = values.reshape(shape)
+            ok = (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+                  and np.isfinite(value).all())
         except (KeyError, TypeError, ValueError):
             ok = False
         check(ok, f"parameter '{name}' needs a shape and that many finite values")

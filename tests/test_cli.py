@@ -1,9 +1,13 @@
 """End-to-end checks for the command-line interface."""
 
 import argparse
+import base64
 import json
+import math
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from storyforge import cli
@@ -197,6 +201,16 @@ class TestGenerate:
                          *data_args(workdir), "--mode", "greedy", *width]) == 0
         assert (tmp_path / "g0" / "stories.jsonl").read_bytes() == \
             (tmp_path / "g" / "stories.jsonl").read_bytes()
+
+    def test_version_1_checkpoint_gives_the_same_stories(self, workdir, tmp_path):
+        # the trained checkpoint rewritten as a version 1 container
+        v1 = _bad_checkpoint(workdir, tmp_path, _edit_first_values(lambda values: None))
+        assert json.loads(v1.read_text())["version"] == 1
+        for name, ckpt in (("v2", []), ("v1", ["--checkpoint", str(v1)])):
+            assert main(["generate", "--out-dir", str(tmp_path / name),
+                         *data_args(workdir), *ckpt]) == 0
+        assert (tmp_path / "v1" / "stories.jsonl").read_bytes() == \
+            (tmp_path / "v2" / "stories.jsonl").read_bytes()
 
 
 class TestInspectScenes:
@@ -393,10 +407,29 @@ def _bad_checkpoint(root, tmp_path, edit):
 
 
 def _edit_first_values(edit):
+    """Edit the first parameter's values as a version 1 container (float
+    lists), the layout written before version 2."""
     def apply(obj):
+        for rec in obj["params"].values():
+            rec["values"] = np.frombuffer(base64.b64decode(rec["values"]), "<f8").tolist()
         edit(obj["params"][sorted(obj["params"])[0]]["values"])
+        return json.dumps({**obj, "version": 1})
+    return apply
+
+
+def _edit_first_record(edit):
+    """Edit the first parameter's record (base64 payload of "<f8" bytes)."""
+    def apply(obj):
+        edit(obj["params"][sorted(obj["params"])[0]])
         return json.dumps(obj)
     return apply
+
+
+def _edit_first_payload(edit):
+    """Edit the bytes of the first parameter's payload."""
+    def apply(rec):
+        rec["values"] = base64.b64encode(edit(base64.b64decode(rec["values"]))).decode()
+    return _edit_first_record(apply)
 
 
 def _edit_saved_config(key, value):
@@ -414,6 +447,11 @@ CHECKPOINT_EDITS = {
     "unknown-frozen-group": lambda obj: json.dumps({**obj, "frozen": ["nope"]}),
     "values-one-short": _edit_first_values(list.pop),
     "null-value": _edit_first_values(lambda values: values.__setitem__(0, None)),
+    "payload-8-bytes-short": _edit_first_payload(lambda raw: raw[:-8]),
+    "payload-not-base64": _edit_first_record(
+        lambda rec: rec.__setitem__("values", "*" + rec["values"])),
+    "payload-nan": _edit_first_payload(lambda raw: struct.pack("<d", math.nan) + raw[8:]),
+    "shape-minus-one": _edit_first_record(lambda rec: rec.__setitem__("shape", [-1])),
     "not-json": lambda obj: "not json at all\n",
 }
 
@@ -508,6 +546,14 @@ class TestBadInputExitCodes:
          "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
         (_generate_with_checkpoint("null-value"),
          "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
+        (_generate_with_checkpoint("payload-8-bytes-short"),
+         "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
+        (_generate_with_checkpoint("payload-not-base64"),
+         "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
+        (_generate_with_checkpoint("payload-nan"),
+         "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
+        (_generate_with_checkpoint("shape-minus-one"),
+         "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
         (_generate_with_checkpoint("not-json"), "bad.ckpt.json: not a JSON checkpoint"),
         (_stage2_with_other_dims, "parameter 'dec.gru.b' has shape (18,), "
                                   "vocabulary and config need (24,)"),
@@ -592,7 +638,9 @@ class TestBadInputExitCodes:
             "generate-checkpoint-version-only", "stage2-checkpoint-version-only",
             "generate-checkpoint-unknown-frozen-group",
             "generate-checkpoint-values-one-short", "generate-checkpoint-null-value",
-            "generate-checkpoint-not-json",
+            "generate-checkpoint-payload-8-bytes-short",
+            "generate-checkpoint-payload-not-base64", "generate-checkpoint-payload-nan",
+            "generate-checkpoint-shape-minus-one", "generate-checkpoint-not-json",
             "stage2-other-dims", "train-patience-0", "train-lambda-negative",
             "train-sentences-0", "generate-mode-sample", "generate-beam-width-0",
             "grad-check-lambda-negative", "grad-check-gc-seeds-0",

@@ -470,6 +470,41 @@ class TestGeneration:
         assert len(ids) == cfg.max_words + 1
         assert rows == [1] + [3] * cfg.max_words
 
+    @pytest.mark.parametrize("table, want", [
+        # [5] outranks [4], so the beam holds [5] first; [5, 6] and [4, 7]
+        # tie at -2.5 for the second place behind [5, 4], and only the
+        # parent ids put [4, 7] first (its token 7 is the higher one)
+        ({(): {5: -1.0, 4: -1.5}, (5,): {4: -0.5, 6: -1.5}, (4,): {7: -1.0},
+          (5, 4): {EOS: -8.0}, (4, 7): {EOS: -0.5}, (5, 6): {EOS: -0.25}},
+         ([4, 7, EOS], [-1.5, -1.0, -0.5])),
+        # the finished [5, EOS] and the live [4, 6, 4] tie at -2 behind
+        # [4, 6, 7]; [4, 6] < [5, EOS] keeps [4, 6, 4], though a finished
+        # hypothesis ranks as token -1
+        ({(): {4: -0.5, 5: -1.0}, (4,): {6: -0.5, 7: -2.0}, (5,): {EOS: -1.0},
+          (4, 6): {7: -0.5, 4: -1.0}, (4, 6, 7): {EOS: -4.0}, (4, 6, 4): {EOS: -0.5}},
+         ([4, 6, 4, EOS], [-0.5, -0.5, -1.0, -0.5])),
+    ], ids=["live-tie", "finished-tie"])
+    def test_ties_across_parents_rank_by_ids(self, monkeypatch, table, want):
+        # a fake word step whose state rows hold each hypothesis's tokens and
+        # whose log-probs are dyadic, so candidates from different parents
+        # tie exactly at the width cut and lead to different best sentences
+        cfg, ps = make(29)
+
+        def step(prev, H, Z, weights):
+            hist = [[int(t) - 1 for t in row if t] + [int(p)] for row, p in zip(H, prev)]
+            log_p = np.full((len(prev), cfg.vocab_size), -64.0)
+            for row, h in zip(log_p, hist):
+                for t, lp in table.get(tuple(h[1:]), {}).items():
+                    row[t] = lp
+            states = np.zeros((len(prev), cfg.max_words + 2))
+            for row, h in zip(states, hist):
+                row[:len(h)] = np.add(h, 1)
+            return states, log_p
+
+        monkeypatch.setattr(decoder, "_decoder_step", step)
+        Z = np.zeros((1, cfg.d_v))
+        assert decoder._search(Z, ps, cfg.max_words, 2) == [want]
+
     def test_finished_rows_leave_the_step(self, monkeypatch):
         # one beam per row of Z; a step runs only the rows still decoding,
         # and each row decodes as it would alone

@@ -1,5 +1,9 @@
+import base64
 import json
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -709,6 +713,70 @@ class TestGradCheck:
         assert err < 1e-4
 
 
+# -0.0, the least and the greatest subnormals, values near the float64
+# limit, and a fraction whose shortest text has 16 digits
+EDGE_VALUES = [-0.0, 5e-324, -2.225073858507201e-308, 1.7e308, -1.7e308, 1.0 / 3.0]
+
+
+@st.composite
+def store_and_meta(draw):
+    """A store with a 0-d, an empty, a 1-d (holding EDGE_VALUES) and a 2-d
+    parameter in drawn groups, some frozen, and a non-empty meta."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = {
+        "a.scalar": np.array(draw(finite)),
+        "b.empty": np.zeros(draw(st.sampled_from([(0,), (2, 0)]))),
+        "c.vector": np.array(draw(st.permutations(
+            EDGE_VALUES + draw(st.lists(finite, max_size=3))))),
+        "d.matrix": np.array(draw(st.lists(finite, min_size=rows * cols,
+                                           max_size=rows * cols))).reshape(rows, cols),
+    }
+    store = T.ParamStore()
+    for name, value in values.items():
+        store.add(name, value, draw(st.sampled_from(["g1", "g2", "g3"])))
+    store.freeze(*draw(st.sets(st.sampled_from(sorted(store.groups)))))
+    meta = draw(st.dictionaries(st.text(max_size=4), st.one_of(
+        st.integers(), finite, st.text(max_size=4), st.lists(st.integers(), max_size=3)),
+        min_size=1, max_size=3))
+    return store, meta
+
+
+def container_text(store, meta, version):
+    """The one-shot sorted dump of a checkpoint container: version 1 holds
+    float lists, version 2 base64 of each parameter's "<f8" bytes."""
+    def values(a):
+        flat = a.reshape(-1).tolist()
+        if version == 1:
+            return flat
+        return base64.b64encode(struct.pack(f"<{len(flat)}d", *flat)).decode("ascii")
+
+    obj = {
+        "version": version,
+        "params": {name: {"shape": list(store[name].shape),
+                          "values": values(store[name].data)}
+                   for name in store.names()},
+        "groups": {g: sorted(m) for g, m in store.groups.items()},
+        "frozen": sorted(store.frozen),
+        "meta": meta,
+    }
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def assert_same_store(loaded, store):
+    """Same names, shapes, bits, groups and frozen groups; loaded weights
+    can be updated in place."""
+    assert sorted(loaded.names()) == sorted(store.names())
+    assert loaded.groups == store.groups
+    assert loaded.frozen == store.frozen
+    for name in store.names():
+        got, want = loaded[name], store[name]
+        assert got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.requires_grad == want.requires_grad
+        assert got.data.flags.writeable
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -748,18 +816,35 @@ class TestCheckpoint:
             store.add("b.u", rng.standard_normal(4), "mid")
             store.freeze("late", "early")
             meta = {"config": {"lr": 0.01, "sizes": [1, 2]}, "note": "caf\u00e9"}
-        obj = {
-            "version": T.CHECKPOINT_VERSION,
-            "params": {name: {"shape": list(store[name].shape),
-                              "values": store[name].data.reshape(-1).tolist()}
-                       for name in store.names()},
-            "groups": {g: sorted(m) for g, m in store.groups.items()},
-            "frozen": sorted(store.frozen),
-            "meta": meta,
-        }
         path = tmp_path / "ckpt.json"
         T.save_checkpoint(path, store, meta)
-        assert path.read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == container_text(store, meta, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(store_and_meta())
+    def test_round_trip_property(self, drawn):
+        store, meta = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            T.save_checkpoint(p1, store, meta)
+            T.save_checkpoint(p2, store, meta)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert p1.read_text(encoding="utf-8") == container_text(store, meta, 2)
+            loaded, loaded_meta = T.load_checkpoint(p1)
+        assert_same_store(loaded, store)
+        assert loaded_meta == meta
+
+    @settings(max_examples=30, deadline=None)
+    @given(store_and_meta())
+    def test_version_1_still_loads(self, drawn):
+        # a container as written before version 2, its values float text
+        store, meta = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "v1.json"
+            path.write_text(container_text(store, meta, 1), encoding="utf-8")
+            loaded, loaded_meta = T.load_checkpoint(path)
+        assert_same_store(loaded, store)
+        assert loaded_meta == meta
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
