@@ -7,9 +7,11 @@ vector z_j is the weight-averaged memory. Attention steps every album of
 a batch at once, each over its own memory rows, and its n steps are one
 graph node, `attend_scan`; `attend`, one step, is its reference in tests.
 The word decoder is a GRU over [previous-word embedding ; z_j] with a
-one-hidden-layer readout.
+one-hidden-layer readout over [h ; z_j].
 Teacher-forced scoring runs any number of sentences (all of a batch's) as
-one padded batch through one GRU scan. Decoding is one beam search over
+one padded batch through one GRU scan; the embedding table and each z_j
+are projected once, by row blocks of the GRU input and readout matrices,
+not joined onto every word step. Decoding is one beam search over
 any number of z rows (at inference, every sentence of a chunk of albums),
 a beam per row, on plain arrays, since nothing differentiates it; its word
 step runs the unfinished hypotheses of all beams as the rows of one GRU
@@ -113,17 +115,11 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
                        w_out), bw), alphas[1:]
 
 
-def _readout(h, z, params):
-    """Vocabulary scores from [h ; z], over any leading axes."""
-    hidden = T.tanh(T.concat([h, z], axis=-1) @ params["dec.out.w1"]
-                    + params["dec.out.b1"])
-    return hidden @ params["dec.out.w2"] + params["dec.out.b2"]
-
-
 def _decoder_step(prev, H, Z, weights):
-    """One word step for B rows on plain arrays, `T.gru_cell`, `_readout`
-    and `T.log_softmax` to the bit: the GRU consumes [embedding of prev (B,)
-    ; Z (B, D_v)] from states H (B, H), then the readout scores [h_new ; Z].
+    """One word step for B rows on plain arrays: the GRU consumes [embedding
+    of prev (B,) ; Z (B, D_v)] from states H (B, H), then the readout scores
+    [h_new ; Z]. It equals the tests' one-hypothesis step to the bit, and
+    `score_sentences`, which projects the table and Z apart, to rounding.
     `weights`: the table, GRU (w_x, w_h, b) and readout (w1, b1, w2, b2)
     arrays. Returns (h_new (B, H), log-probs (B, vocab))."""
     table, w_x, w_h, b, w1, b1, w2, b2 = weights
@@ -137,10 +133,15 @@ def score_sentences(Z, sentences, params):
     """Teacher-forced scores of B EOS-terminated sentences, sentence b given
     row b of Z (B, D_v), as one batch padded to the longest sentence; step
     t consumes the embedding of the previous token (BOS first) joined with
-    Z. Returns ((B,) total log-probs including EOS, (T_max, B, vocab)
+    Z. What does not change per word is projected once: the GRU input is
+    pick(table W_x[:E], prev) + (Z W_x[E:] + b) and the readout's hidden
+    layer tanh(H W1[:H] + (Z W1[H:] + b1)), Z's terms broadcast over the
+    steps. Returns ((B,) total log-probs including EOS, (T_max, B, vocab)
     logits, (T_max, B) per-word log-probs, 0 past a sentence's end)."""
-    table = params["dec.embed.table"]
-    vocab_size = table.shape[0]
+    Z, table = T.wrap(Z), params["dec.embed.table"]
+    if len(Z.data) != len(sentences):
+        raise T.DimensionError(f"Z has {len(Z.data)} rows for {len(sentences)} sentences")
+    vocab_size, emb = table.shape
     lengths = np.array([len(s) for s in sentences])
     if lengths.min() < 1:
         raise ValueError("cannot score an empty sentence")
@@ -154,11 +155,14 @@ def score_sentences(Z, sentences, params):
     valid = np.arange(len(ids))[:, None] < lengths
     targets = (ids[..., None] == np.arange(vocab_size)) & valid[..., None]
 
-    gru_w = params.gru("dec.gru")
-    Z_t = Z + np.zeros((len(ids), 1, 1))  # Z repeated at every step
-    H = T.gru_scan(T.concat([T.pick(table, prev), Z_t], axis=-1),
-                   T.zeros((len(sentences), gru_w.hidden_size)), gru_w)
-    logits = _readout(H, Z_t, params)
+    gru_w, w1 = params.gru("dec.gru"), params["dec.out.w1"]
+    hid = gru_w.hidden_size
+    gx = (T.pick(table @ T.pick(gru_w.w_x, slice(None, emb)), prev)
+          + (Z @ T.pick(gru_w.w_x, slice(emb, None)) + gru_w.b))
+    H = T.gru_scan(gx, T.zeros((len(sentences), hid)), gru_w.w_h)
+    hidden = T.tanh(H @ T.pick(w1, slice(None, hid))
+                    + (Z @ T.pick(w1, slice(hid, None)) + params["dec.out.b1"]))
+    logits = hidden @ params["dec.out.w2"] + params["dec.out.b2"]
     word_logps = T.arr_sum(T.log_softmax(logits) * targets, axis=2)
     return T.arr_sum(word_logps, axis=0), logits, word_logps
 

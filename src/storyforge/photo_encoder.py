@@ -53,10 +53,10 @@ def encode_photos(features, params, lengths) -> PhotoEncoding:
         return T.assemble((2 * n, 6 * hid), [((slice(0, n), cols), a),
                                              ((slice(n, None), cols + hid), b)])
 
-    w = T.GruWeights(blocks(fwd.input_size, fwd.w_x, bwd.w_x), blocks(hid, fwd.w_h, bwd.w_h),
-                     T.assemble((6 * hid,), [(cols, fwd.b), (cols + hid, bwd.b)]))
-    both = T.gru_scan(T.concat([feats, T.pick(feats, reverse)], axis=-1),
-                      T.zeros((batch, 2 * hid)), w)
+    gx = (T.concat([feats, T.pick(feats, reverse)], axis=-1)
+          @ blocks(fwd.input_size, fwd.w_x, bwd.w_x)
+          + T.assemble((6 * hid,), [(cols, fwd.b), (cols + hid, bwd.b)]))
+    both = T.gru_scan(gx, T.zeros((batch, 2 * hid)), blocks(hid, fwd.w_h, bwd.w_h))
     fwd_half = np.arange(2 * hid) < hid
     V = T.relu(both * fwd_half + T.pick(both, reverse) * ~fwd_half
                + feats @ params["photo.skip.w"])

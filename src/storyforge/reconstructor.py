@@ -4,7 +4,8 @@ Every word step's raw output distribution d_t is paired with the
 sentence-level mean d-bar and run through a GRU; the reconstructed
 summary is the mean of the GRU states. The hidden size equals the photo
 vector size so the result is directly comparable to the original z_j.
-All of a training step's sentences run as one padded batch through one GRU scan.
+All of a training step's sentences run as one padded batch through one GRU
+scan on logits W_x[:V] + (d-bar W_x[V:] + b): d-bar is projected once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ def reconstruct(logits, lengths, params) -> T.NumArray:
     inv_len = 1.0 / lengths[:, None]
     gru_w = params.gru("recon.gru")
     d_bar = T.arr_sum(logits * valid, axis=0) * inv_len
-    states = T.gru_scan(T.concat([logits, d_bar + np.zeros((steps, 1, 1))], axis=-1),
-                        T.zeros((len(lengths), gru_w.hidden_size)), gru_w)
+    vocab = logits.shape[-1]
+    gx = (logits @ T.pick(gru_w.w_x, slice(None, vocab))
+          + (d_bar @ T.pick(gru_w.w_x, slice(vocab, None)) + gru_w.b))
+    states = T.gru_scan(gx, T.zeros((len(lengths), gru_w.hidden_size)), gru_w.w_h)
     return T.arr_sum(states * valid, axis=0) * inv_len

@@ -7,7 +7,8 @@ holds each parameter as base64 float64 bytes (version 2; version 1 files,
 with float text, still load).
 
 A recurrence over a whole sequence is one graph node (`gru_scan`, with a
-hand-derived backward through time; the scene encoder and the attention
+hand-derived backward through time, on input pre-activations its caller
+builds; the scene encoder and the attention
 feedback build their own such nodes on `_gru_step`); independent ones
 share a scan as cells side by side, whose weights `assemble` lays out as
 diagonal blocks. The one-step attention that the attention node is tested
@@ -17,7 +18,8 @@ arrays, as the recurrence nodes' forwards do; each such array function
 (`_sigmoid` and `_masked_softmax` too) also serves its node. The rest
 composes from small primitives, among them `matmul`, which multiplies rows
 by a matrix or a stack of matrices.
-Adam updates every learning entry as one flat vector.
+Adam updates every learning entry as one flat vector, its moments two
+more that are laid out again only when a group is frozen or thawed.
 """
 
 from __future__ import annotations
@@ -496,20 +498,25 @@ def _gru_step_backward(g, hd, cache, wh, hid):
     return d_gates, d_h
 
 
-def _gru_grads(x, h0, w: GruWeights, hd, rh, d_gates, d_h0):
-    """Accumulate a recurrence node's gradients from its pre-activation
-    gradients; weight gradients sum over every leading axis."""
-    if x.requires_grad:
-        _acc(x, d_gates @ w.w_x.data.T)
+def _recurrent_grads(h0, w_h, hd, rh, d_gates, d_h0):
+    """Accumulate the gradients of a recurrence node's initial state and
+    W_h from its pre-activation gradients, summed over every leading axis."""
     if h0.requires_grad:
         _acc(h0, d_h0)
-    hid = w.hidden_size
+    if w_h.requires_grad:
+        hid, dg = len(w_h.data), _rows(d_gates)
+        _acc(w_h, np.concatenate([_rows(hd).T @ dg[:, :2 * hid],
+                                  _rows(rh).T @ dg[:, 2 * hid:]], axis=1))
+
+
+def _gru_grads(x, h0, w: GruWeights, hd, rh, d_gates, d_h0):
+    """`_recurrent_grads`, and those of the input x, W_x and b."""
+    _recurrent_grads(h0, w.w_h, hd, rh, d_gates, d_h0)
+    if x.requires_grad:
+        _acc(x, d_gates @ w.w_x.data.T)
     dg = _rows(d_gates)
     if w.w_x.requires_grad:
         _acc(w.w_x, _rows(x.data).T @ dg)
-    if w.w_h.requires_grad:
-        _acc(w.w_h, np.concatenate([_rows(hd).T @ dg[:, :2 * hid],
-                                    _rows(rh).T @ dg[:, 2 * hid:]], axis=1))
     if w.b.requires_grad:
         _acc(w.b, dg.sum(axis=0))
 
@@ -535,34 +542,37 @@ def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
     return _make(out, (x, h_prev, w.w_x, w.w_h, w.b), bw)
 
 
-def gru_scan(x, h0, w: GruWeights) -> NumArray:
+def gru_scan(gx, h0, w_h) -> NumArray:
     """The recurrence over a whole sequence as one node with a hand-written
-    backward through time: x is (T, B, I), h0 is (B, H), and the result
-    stacks the T states, (T, B, H). Batch rows never mix, so the steps
-    padded onto a short row leave its earlier states as they are."""
-    x, h0 = wrap(x), wrap(h0)
-    i_dim, hid = w.input_size, w.hidden_size
-    if x.data.ndim < 2 or x.data.shape[-1] != i_dim \
-            or h0.data.shape != x.data.shape[1:-1] + (hid,):
-        raise DimensionError(f"gru_scan input x {x.data.shape} and state h0 "
-                             f"{h0.data.shape}, expected (T, ..., {i_dim}) and (..., {hid})")
-    wh = w.w_h.data
-    gx = x.data @ w.w_x.data + w.b.data
-    hs = np.empty((len(gx) + 1,) + h0.data.shape)
+    backward through time: gx (T, B, 3H) is the input side x W_x + b, an
+    ordinary node, so an input fixed across steps is projected once; h0 is
+    (B, H), w_h (H, 3H), and the result stacks the T states, (T, B, H).
+    Batch rows never mix, so the steps padded onto a short row leave its
+    earlier states as they are."""
+    gx, h0, w_h = wrap(gx), wrap(h0), wrap(w_h)
+    hid = w_h.data.shape[0]
+    if gx.data.ndim < 2 or gx.data.shape[-1] != 3 * hid \
+            or h0.data.shape != gx.data.shape[1:-1] + (hid,):
+        raise DimensionError(f"gru_scan input gx {gx.data.shape} and state h0 "
+                             f"{h0.data.shape}, expected (T, ..., {3 * hid}) and (..., {hid})")
+    wh = w_h.data
+    hs = np.empty((len(gx.data) + 1,) + h0.data.shape)
     hs[0] = h0.data
     caches = []
-    for t, gx_t in enumerate(gx):
+    for t, gx_t in enumerate(gx.data):
         hs[t + 1], cache = _gru_step(gx_t, hs[t], wh, hid)
         caches.append(cache)
 
     def bw(g):
-        d_gates = np.empty_like(gx)
+        d_gates = np.empty_like(gx.data)
         d_h = np.zeros_like(hs[0])
-        for t in range(len(gx) - 1, -1, -1):
+        for t in range(len(d_gates) - 1, -1, -1):
             d_gates[t], d_h = _gru_step_backward(g[t] + d_h, hs[t], caches[t], wh, hid)
-        _gru_grads(x, h0, w, hs[:-1], np.stack([c[2] for c in caches]), d_gates, d_h)
+        if gx.requires_grad:
+            _acc(gx, d_gates)
+        _recurrent_grads(h0, w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates, d_h)
 
-    return _make(hs[1:], (x, h0, w.w_x, w.w_h, w.b), bw)
+    return _make(hs[1:], (gx, h0, w_h), bw)
 
 
 def attention_scores(keys, query, b, w_out) -> NumArray:
@@ -683,8 +693,10 @@ class Adam:
     """Adam with bias correction; entries that do not require grad (frozen
     groups) are skipped entirely.
 
-    Moment state is keyed by parameter name and carried across steps, so
-    the same instance must drive a whole training stage.
+    The moments are two flat vectors, laid out again only when the set of
+    learning entries changes; `m[name]` and `v[name]` are views of them, and
+    an entry that stops learning keeps its moments until it learns again.
+    The same instance must drive a whole training stage.
     """
 
     def __init__(self, params: ParamStore, lr: float = 0.0004):
@@ -693,37 +705,51 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._names = self._flat = None   # the learning entries' layout
 
     def step(self):
         """One flat update of every learning entry (a None gradient reads as
-        zeros); a non-finite gradient or update raises EvaluationError, naming
-        the first such entry, before any weight, moment or `t` changes."""
+        zeros) in preallocated buffers; a non-finite gradient or update raises
+        EvaluationError, naming the first such entry, before anything changes."""
         live = [(name, p) for name, p in self.params.entries.items() if p.requires_grad]
-        cuts = np.cumsum([0] + [p.data.size for _, p in live]).tolist()
-
-        def flat(arrays):   # one per live entry; None reads as zeros
-            return np.concatenate([np.zeros(0)] + [
-                np.zeros(p.data.size) if a is None else a.ravel()
-                for a, (_, p) in zip(arrays, live)])
-
-        g = flat([p.grad for _, p in live])
+        names, flat = [name for name, _ in live], self._flat
+        if names != self._names:   # flat moments from each entry's last ones
+            cuts = np.cumsum([0] + [p.data.size for _, p in live]).tolist()
+            m_old, v_old = (np.concatenate([np.zeros(0)] + [
+                d[name].ravel() if name in d else np.zeros(p.data.size)
+                for name, p in live]) for d in (self.m, self.v))
+            flat = (cuts, m_old, v_old, np.empty((4, cuts[-1])))   # and step buffers
+        cuts, m_old, v_old, (g, m, v, update) = flat
+        np.concatenate([np.zeros(0)] + [np.zeros(p.data.size) if p.grad is None
+                                         else p.grad.ravel() for _, p in live], out=g)
         t, b1, b2 = self.t + 1, ADAM_BETA1, ADAM_BETA2
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            m = flat([self.m.get(name) for name, _ in live]) * b1 + (1.0 - b1) * g
-            v = flat([self.v.get(name) for name, _ in live]) * b2 + (1.0 - b2) * g * g
-            update = self.lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
-                                                        + ADAM_EPS)
-        ok = np.isfinite(m) & np.isfinite(v) & np.isfinite(update)
-        if not ok.all():
-            k = int(np.searchsorted(cuts, np.argmin(ok), side="right")) - 1
-            what = ("gradient" if not np.isfinite(g[cuts[k]:cuts[k + 1]]).all()
+            # m_old b1 + (1 - b1) g, v_old b2 + (1 - b2) g g, then
+            # lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), op by op
+            np.multiply(m_old, b1, out=m)
+            m += np.multiply(g, 1.0 - b1, out=update)
+            np.multiply(v_old, b2, out=v)
+            v += np.multiply(np.multiply(g, 1.0 - b2, out=update), g, out=update)
+            np.sqrt(np.divide(v, 1.0 - b2 ** t, out=g), out=g)   # g is spent
+            g += ADAM_EPS
+            np.multiply(np.divide(m, 1.0 - b1 ** t, out=update), self.lr, out=update)
+            update /= g
+        if not (np.isfinite(v).all() and np.isfinite(update).all()):   # so is m then
+            bad = np.argmin(np.isfinite(v) & np.isfinite(update))
+            name, p = live[int(np.searchsorted(cuts, bad, side="right")) - 1]
+            what = ("gradient" if p.grad is not None and not np.isfinite(p.grad).all()
                     else "Adam update")
-            raise EvaluationError(f"non-finite {what} for parameter '{live[k][0]}'")
+            raise EvaluationError(f"non-finite {what} for parameter '{name}'")
+        spans = list(zip(live, cuts, cuts[1:]))
+        if flat is not self._flat:
+            self._names, self._flat = names, flat
+            for (name, p), lo, hi in spans:
+                self.m[name], self.v[name] = (a[lo:hi].reshape(p.data.shape)
+                                              for a in (m_old, v_old))
+        m_old[...], v_old[...] = m, v
         self.t = t
-        for (name, p), lo, hi in zip(live, cuts, cuts[1:]):
-            shape = p.data.shape
-            self.m[name], self.v[name] = m[lo:hi].reshape(shape), v[lo:hi].reshape(shape)
-            p.data -= update[lo:hi].reshape(shape)
+        for (_, p), lo, hi in spans:
+            p.data -= update[lo:hi].reshape(p.data.shape)
 
 
 # -- gradient checking -------------------------------------------------------
@@ -811,8 +837,9 @@ def save_checkpoint(path, params: ParamStore, meta: dict | None = None):
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
     """Read a save_checkpoint container; a malformed one raises a one-line
-    ValueError naming the path and the bad field. Version 1 containers,
-    whose values are lists of numbers, still load."""
+    ValueError naming the path and the bad field. The version is the
+    integer 1 or 2; version 1 containers, whose values are flat lists of
+    numbers, still load."""
     def check(ok, msg):
         if not ok:
             raise ValueError(f"{path}: {msg}")
@@ -823,7 +850,7 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"{path}: not a JSON checkpoint: {e}") from None
     version = obj.get("version") if isinstance(obj, dict) else None
-    check(version in (1, CHECKPOINT_VERSION),
+    check(type(version) is int and version in (1, CHECKPOINT_VERSION),
           f"field 'version' must be 1 or {CHECKPOINT_VERSION}")
     for key, typ in (("params", dict), ("groups", dict), ("frozen", list),
                      ("meta", dict)):
@@ -835,7 +862,9 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         check(groups, f"parameter '{name}' is in no group")
         try:  # a short or non-base64 payload raises ValueError
             shape, values = rec["shape"], rec["values"]
-            if version == 1:
+            if version == 1:   # a flat list of numbers: no text, bools or nesting
+                if type(values) is not list or {type(x) for x in values} - {int, float}:
+                    raise TypeError
                 values = np.array(values, dtype=np.float64)
             else:  # read-only; `store.add` copies it
                 values = np.frombuffer(base64.b64decode(values, validate=True), "<f8")

@@ -406,15 +406,26 @@ def _bad_checkpoint(root, tmp_path, edit):
     return path
 
 
-def _edit_first_values(edit):
-    """Edit the first parameter's values as a version 1 container (float
-    lists), the layout written before version 2."""
+def _as_version_1(edit=lambda records: None, version=1):
+    """The container as version 1 (float lists, the layout written before
+    version 2) with `edit` applied to its records and `version` stored."""
     def apply(obj):
         for rec in obj["params"].values():
             rec["values"] = np.frombuffer(base64.b64decode(rec["values"]), "<f8").tolist()
-        edit(obj["params"][sorted(obj["params"])[0]]["values"])
-        return json.dumps({**obj, "version": 1})
+        edit(obj["params"])
+        return json.dumps({**obj, "version": version})
     return apply
+
+
+def _edit_first_values(edit):
+    """Edit the first parameter's values as a version 1 container."""
+    return _as_version_1(lambda records: edit(records[sorted(records)[0]]["values"]))
+
+
+def _set_detector_bias(values):
+    """A version 1 container whose one-value 0-d record holds `values`."""
+    return _as_version_1(lambda records: records["scene.detect.b"].__setitem__(
+        "values", values))
 
 
 def _edit_first_record(edit):
@@ -453,6 +464,10 @@ CHECKPOINT_EDITS = {
     "payload-nan": _edit_first_payload(lambda raw: struct.pack("<d", math.nan) + raw[8:]),
     "shape-minus-one": _edit_first_record(lambda rec: rec.__setitem__("shape", [-1])),
     "not-json": lambda obj: "not json at all\n",
+    "version-true": _as_version_1(version=True),
+    "version-float": _as_version_1(version=1.0),
+    "values-string": _set_detector_bias("1.5"),
+    "values-nested": _set_detector_bias([[1.5]]),
 }
 
 
@@ -555,6 +570,14 @@ class TestBadInputExitCodes:
         (_generate_with_checkpoint("shape-minus-one"),
          "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
         (_generate_with_checkpoint("not-json"), "bad.ckpt.json: not a JSON checkpoint"),
+        (_generate_with_checkpoint("version-true"),
+         "bad.ckpt.json: field 'version' must be 1 or 2"),
+        (_generate_with_checkpoint("version-float"),
+         "bad.ckpt.json: field 'version' must be 1 or 2"),
+        (_generate_with_checkpoint("values-string"),
+         "bad.ckpt.json: parameter 'scene.detect.b' needs a shape and that many finite"),
+        (_generate_with_checkpoint("values-nested"),
+         "bad.ckpt.json: parameter 'scene.detect.b' needs a shape and that many finite"),
         (_stage2_with_other_dims, "parameter 'dec.gru.b' has shape (18,), "
                                   "vocabulary and config need (24,)"),
         (_train_with("--patience", "0"), "patience must be >= 1"),
@@ -641,6 +664,8 @@ class TestBadInputExitCodes:
             "generate-checkpoint-payload-8-bytes-short",
             "generate-checkpoint-payload-not-base64", "generate-checkpoint-payload-nan",
             "generate-checkpoint-shape-minus-one", "generate-checkpoint-not-json",
+            "generate-checkpoint-version-true", "generate-checkpoint-version-float",
+            "generate-checkpoint-values-string", "generate-checkpoint-values-nested",
             "stage2-other-dims", "train-patience-0", "train-lambda-negative",
             "train-sentences-0", "generate-mode-sample", "generate-beam-width-0",
             "grad-check-lambda-negative", "grad-check-gc-seeds-0",

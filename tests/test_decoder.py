@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from storyforge import decoder
 from storyforge import tensor as T
 from storyforge.data import BOS, EOS
-from storyforge.decoder import (AttentionState, _readout, attend,
+from storyforge.decoder import (AttentionState, attend,
                                 decode_sentence_beam, decode_sentence_greedy,
                                 score_sentences, sentence_log_prob)
 from storyforge.model import ModelConfig, build_parameters
@@ -312,12 +312,30 @@ class TestScoreSentences:
         with pytest.raises(ValueError, match="empty"):
             score_sentences(T.zeros((2, cfg.d_v)), [[EOS], []], ps)
 
+    def test_z_rows_must_match_the_sentences(self):
+        # Z's projections broadcast over the steps, so a lone row would
+        # otherwise score every sentence
+        cfg, ps = make(37)
+        for rows, n in ((1, 2), (3, 2)):
+            with pytest.raises(T.DimensionError,
+                               match=f"^Z has {rows} rows for {n} sentences$"):
+                score_sentences(T.zeros((rows, cfg.d_v)), [[EOS]] * n, ps)
+
+
+def readout(h, z, params):
+    """Vocabulary scores from [h ; z], over any leading axes: the decoder's
+    readout as one product of the joined rows, the form `_decoder_step`
+    equals to the bit."""
+    hidden = T.tanh(T.concat([h, z], axis=-1) @ params["dec.out.w1"]
+                    + params["dec.out.b1"])
+    return hidden @ params["dec.out.w2"] + params["dec.out.b2"]
+
 
 def one_row_step(prev, h, z, table, gru_w, params):
     """The word step on one hypothesis, a (1, H) state for a (1, D_v) z, as
     decoding ran before hypotheses became rows of one step."""
     h = T.gru_cell(T.concat([T.pick(table, [prev]), z], axis=-1), h, gru_w)
-    return h, _readout(h, z, params)
+    return h, readout(h, z, params)
 
 
 def greedy_oracle(z, params, max_words):

@@ -107,6 +107,11 @@ class TestGruCell:
         assert T.grad_check(fn, store) < 1e-4
 
 
+def pre_activations(x, w):
+    """The input-side pre-activations x W_x + b that `gru_scan` consumes."""
+    return x @ w.w_x + w.b
+
+
 class TestGruScan:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.sampled_from([(), (1,), (2,), (3,), (4,)]),
@@ -116,29 +121,32 @@ class TestGruScan:
         store = random_gru(rng, i_dim, hid)
         store.add("x", rng.standard_normal((steps,) + batch + (i_dim,)), "inputs")
         store.add("h0", rng.standard_normal(batch + (hid,)), "inputs")
-        out = T.gru_scan(store["x"], store["h0"], store.gru("g"))
+        w = store.gru("g")
+        out = T.gru_scan(pre_activations(store["x"], w), store["h0"], w.w_h)
         assert out.shape == (steps,) + batch + (hid,)
         for b in np.ndindex(*batch):
             h = T.wrap(store["h0"].data[b])
             for t in range(steps):
-                h = T.gru_cell(store["x"].data[(t,) + b], h, store.gru("g"))
+                h = T.gru_cell(store["x"].data[(t,) + b], h, w)
                 np.testing.assert_allclose(out.data[(t,) + b], h.data,
                                            rtol=1e-12, atol=1e-12)
-        w = rng.standard_normal(out.shape)
+        weights = rng.standard_normal(out.shape)
 
         def fn(ps):
-            return T.arr_sum(T.gru_scan(ps["x"], ps["h0"], ps.gru("g")) * T.wrap(w))
+            w = ps.gru("g")
+            out = T.gru_scan(pre_activations(ps["x"], w), ps["h0"], w.w_h)
+            return T.arr_sum(out * T.wrap(weights))
 
         assert T.grad_check(fn, store) < 1e-4
 
     def test_shape_mismatch_names_operand(self):
-        store = random_gru(np.random.default_rng(0), 3, 2)
-        with pytest.raises(T.DimensionError, match=r"x \(4, 2, 5\)"):
-            T.gru_scan(T.zeros((4, 2, 5)), T.zeros((2, 2)), store.gru("g"))
+        w_h = random_gru(np.random.default_rng(0), 3, 2).gru("g").w_h
+        with pytest.raises(T.DimensionError, match=r"gx \(4, 2, 5\)"):
+            T.gru_scan(T.zeros((4, 2, 5)), T.zeros((2, 2)), w_h)
         with pytest.raises(T.DimensionError, match=r"h0 \(3, 2\)"):
-            T.gru_scan(T.zeros((4, 2, 3)), T.zeros((3, 2)), store.gru("g"))
+            T.gru_scan(T.zeros((4, 2, 6)), T.zeros((3, 2)), w_h)
         with pytest.raises(T.DimensionError):
-            T.gru_scan(T.zeros(3), T.zeros(2), store.gru("g"))
+            T.gru_scan(T.zeros(6), T.zeros(2), w_h)
 
 
 class TestMaskedSoftmax:
@@ -602,11 +610,14 @@ class TestAdam:
         # the reference updates each entry's moments in place, entry by
         # entry: m *= b1; m += (1-b1) g. Stores as (name, shape, group):
         # one entry; and several, with a frozen group between learning ones,
-        # a 0-d entry whose grad is always None, and a group "late" frozen
-        # after the second step of the same Adam
+        # a 0-d entry whose grad is always None, a group "late" frozen
+        # after the second step of the same Adam, and a group "thaw" frozen
+        # after the second step and learning again after the third, whose
+        # moments resume from their step-2 values in a new flat layout
         for entries in ([("a", (6,), "g")],
                         [("a", (3, 2), "g"), ("f", (4,), "frozen"), ("none", (), "g"),
-                         ("late", (2, 3), "late"), ("z", (5,), "g")]):
+                         ("late", (2, 3), "late"), ("t1", (3,), "thaw"), ("z", (5,), "g"),
+                         ("t2", (2, 2), "thaw")]):
             rng = np.random.default_rng(4)
             store = T.ParamStore()
             for name, shape, group in entries:
@@ -619,7 +630,10 @@ class TestAdam:
             v = {name: np.zeros(p.data.shape) for name, p in store.entries.items()}
             for t in range(1, 5):
                 if t == 3 and "late" in store.groups:
-                    store.freeze("late")
+                    store.freeze("late", "thaw")
+                if t == 4 and "thaw" in store.groups:
+                    for name in store.groups["thaw"]:
+                        store[name].requires_grad = True
                 for name, p in store.entries.items():
                     p.grad = None if name == "none" else \
                         rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-3, 4)
