@@ -38,10 +38,15 @@ _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a nu
 
 def check_number(name, value, kind: str = "int"):
     """Raise a ConfigError naming `name` unless `value` is an integer (kind
-    "int") or a real number ("float"); a bool is neither."""
+    "int") or a real number that a float holds ("float"); a bool is neither."""
     cls, noun = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, cls):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if kind == "float":
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float") from None
 
 
 def check_field_types(cfg):

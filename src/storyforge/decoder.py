@@ -56,9 +56,10 @@ def attend(memory, keys, valid_mask, state: AttentionState, params):
     rows.
     """
     h_new = T.gru_cell(state.alpha_prev, state.h_attn, params.gru("attn.gru"))
-    scores = T.attention_scores(keys, h_new @ params["attn.score.w_state"],
-                                params["attn.score.b"], params["attn.score.w_out"])
-    alpha = T.masked_softmax(scores, valid_mask)
+    query = h_new @ params["attn.score.w_state"]
+    act = T.tanh(keys + T.reshape(query, query.shape[:-1] + (1, -1)) + params["attn.score.b"])
+    scores = act @ T.reshape(params["attn.score.w_out"], (-1, 1))   # (B, L_max, 1)
+    alpha = T.masked_softmax(T.reshape(scores, scores.shape[:-1]), valid_mask)
     z = T.reshape(alpha, alpha.shape[:-1] + (1, -1)) @ memory
     return T.reshape(z, z.shape[:-2] + (-1,)), alpha, AttentionState(h_new, alpha)
 
@@ -100,11 +101,13 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
             d_gates[t], d_h = T._gru_step_backward(d_query[t] @ ws.T + d_h, hs[t],
                                                    caches[t], wh, hid)
             d_x = d_gates[t] @ wx.T
-        T._gru_grads(T.wrap(alphas[:-1]), h0, gru_w, hs[:-1],
-                     np.stack([c[2] for c in caches]), d_gates, d_h)
+        T._recurrent_grads(h0, gru_w.w_h, hs[:-1], np.stack([c[2] for c in caches]),
+                           d_gates, d_h)
         if memory.requires_grad:
             T._acc(memory, alphas[1:].transpose(1, 2, 0) @ g_b + d_keys @ w_mem.data.T)
-        for p, grad in ((w_mem, T._rows(mem).T @ T._rows(d_keys)),
+        for p, grad in ((gru_w.w_x, T._rows(alphas[:-1]).T @ T._rows(d_gates)),
+                        (gru_w.b, T._rows(d_gates).sum(axis=0)),
+                        (w_mem, T._rows(mem).T @ T._rows(d_keys)),
                         (w_state, T._rows(hs[1:]).T @ T._rows(d_query)),
                         (b, T._rows(d_keys).sum(axis=0)),
                         (w_out, T._rows(acts).T @ d_scores.reshape(-1))):

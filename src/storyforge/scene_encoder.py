@@ -134,11 +134,13 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
             elif live:   # straight through the threshold: dL/dsoft = dL/dk
                 d_score[i] = d_k * softs[i] * (1.0 - softs[i])
                 d_h += d_score[i][:, None] * w_h.data
-        T._gru_grads(V, T.zeros(()), gru_w, resets, np.stack([c[2] for c in caches]),
-                     d_gates, None)
-        if V.requires_grad:
-            T._acc(V, d_rows + d_score[..., None] * w_v.data)
-        for p, grad in ((w_v, np.tensordot(d_score, rows, 2)),
+        T._recurrent_grads(T.zeros(()), gru_w.w_h, resets,
+                           np.stack([c[2] for c in caches]), d_gates, None)
+        for p, grad in ((V, d_gates @ gru_w.w_x.data.T),   # the input side, then
+                        (V, d_rows + d_score[..., None] * w_v.data),   # the detector's
+                        (gru_w.w_x, T._rows(rows).T @ T._rows(d_gates)),
+                        (gru_w.b, T._rows(d_gates).sum(axis=0)),
+                        (w_v, np.tensordot(d_score, rows, 2)),
                         (w_h, np.tensordot(d_score, hs[:-1], 2)), (b, d_score.sum())):
             if p.requires_grad:
                 T._acc(p, grad)

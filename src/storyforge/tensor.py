@@ -11,8 +11,8 @@ hand-derived backward through time, on input pre-activations its caller
 builds; the scene encoder and the attention
 feedback build their own such nodes on `_gru_step`); independent ones
 share a scan as cells side by side, whose weights `assemble` lays out as
-diagonal blocks. The one-step attention that the attention node is tested
-against takes one fused node per step (`gru_cell` and `attention_scores`).
+diagonal blocks. Only they and the small primitives have hand-written
+backwards; `gru_cell`, the step they are tested against, composes primitives.
 Decoding builds no nodes: it runs `_gru_step` and `_log_softmax` on plain
 arrays, as the recurrence nodes' forwards do; each such array function
 (`_sigmoid` and `_masked_softmax` too) also serves its node. The rest
@@ -509,21 +509,10 @@ def _recurrent_grads(h0, w_h, hd, rh, d_gates, d_h0):
                                   _rows(rh).T @ dg[:, 2 * hid:]], axis=1))
 
 
-def _gru_grads(x, h0, w: GruWeights, hd, rh, d_gates, d_h0):
-    """`_recurrent_grads`, and those of the input x, W_x and b."""
-    _recurrent_grads(h0, w.w_h, hd, rh, d_gates, d_h0)
-    if x.requires_grad:
-        _acc(x, d_gates @ w.w_x.data.T)
-    dg = _rows(d_gates)
-    if w.w_x.requires_grad:
-        _acc(w.w_x, _rows(x.data).T @ dg)
-    if w.b.requires_grad:
-        _acc(w.b, dg.sum(axis=0))
-
-
 def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
-    """One recurrence step on x (B, I) and h_prev (B, H), whose rows are
-    independent; fused node with a hand-derived backward."""
+    """One recurrence step on x (..., I) and h_prev (..., H), composed from
+    primitives that take `_gru_step`'s operations on the same views: its
+    values equal the step's to the bit, and autodiff gives its gradients."""
     x, h_prev = wrap(x), wrap(h_prev)
     i_dim, hid = w.input_size, w.hidden_size
     if x.data.shape[-1:] != (i_dim,):
@@ -532,14 +521,17 @@ def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
     if h_prev.data.shape != x.data.shape[:-1] + (hid,):
         raise DimensionError(f"gru_cell state h_prev has shape {h_prev.data.shape}, "
                              f"expected {x.data.shape[:-1] + (hid,)}")
-    wh, hd = w.w_h.data, h_prev.data
-    out, cache = _gru_step(x.data @ w.w_x.data + w.b.data, hd, wh, hid)
+    lead = x.data.shape[:-1] or (1,)   # matmul takes rows: a vector is one
+    x, h = reshape(x, lead + (i_dim,)), reshape(h_prev, lead + (hid,))
 
-    def bw(g):
-        d_gates, d_h = _gru_step_backward(g, hd, cache, wh, hid)
-        _gru_grads(x, h_prev, w, hd, cache[2], d_gates, d_h)
+    def cols(a, lo, hi=None):   # a[..., lo:hi]
+        return pick(a, (slice(None),) * (a.data.ndim - 1) + (slice(lo, hi),))
 
-    return _make(out, (x, h_prev, w.w_x, w.w_h, w.b), bw)
+    gx = x @ w.w_x + w.b
+    zr = sigmoid(cols(gx, 0, 2 * hid) + h @ cols(w.w_h, 0, 2 * hid))
+    z, r = cols(zr, 0, hid), cols(zr, hid)
+    c = tanh(cols(gx, 2 * hid) + (r * h) @ cols(w.w_h, 2 * hid))
+    return reshape((1.0 - z) * h + z * c, h_prev.data.shape)
 
 
 def gru_scan(gx, h0, w_h) -> NumArray:
@@ -573,29 +565,6 @@ def gru_scan(gx, h0, w_h) -> NumArray:
         _recurrent_grads(h0, w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates, d_h)
 
     return _make(hs[1:], (gx, h0, w_h), bw)
-
-
-def attention_scores(keys, query, b, w_out) -> NumArray:
-    """Additive attention scores tanh(keys + query + b) w_out as one node:
-    keys (B, L, S), the memory rows already projected by W_mem, against one
-    query (B, S) per batch row give (B, L) scores. Only the tanh layer is
-    kept for the backward."""
-    keys, query = wrap(keys), wrap(query)
-    act = np.tanh(keys.data + query.data[..., None, :] + b.data)
-    out = act @ w_out.data
-
-    def bw(g):
-        d_pre = g[..., None] * w_out.data * (1.0 - act * act)
-        if keys.requires_grad:
-            _acc(keys, d_pre)
-        if query.requires_grad:
-            _acc(query, d_pre.sum(axis=-2))
-        if b.requires_grad:
-            _acc(b, _rows(d_pre).sum(axis=0))
-        if w_out.requires_grad:
-            _acc(w_out, _rows(act).T @ g.reshape(-1))
-
-    return _make(out, (keys, query, b, w_out), bw)
 
 
 # -- parameter registry ----------------------------------------------------

@@ -24,6 +24,7 @@ CIDEr.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -62,7 +63,7 @@ class TrainConfig:
             raise ConfigError(f"stage must be 1, 2, or all, got {self.stage!r}")
         if min(self.batch_size, self.validate_every, self.patience) < 1:
             raise ConfigError("batch_size, validate_every and patience must be >= 1")
-        if min(self.max_steps, self.seed) < 0 or not np.isfinite(self.nll_stop):
+        if min(self.max_steps, self.seed) < 0 or not math.isfinite(self.nll_stop):
             raise ConfigError("max_steps and seed must be >= 0 and nll_stop finite")
         if not all(0 <= v < np.inf for v in (self.lr, self.lam, self.mu)):  # NaN fails too
             raise ConfigError("lr, lambda and mu must be >= 0 and finite")
@@ -116,6 +117,11 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     if not (examples and val_set):
         raise ValueError("training and validation sets must hold albums")
     n_sent = cfg.sentences
+    wrong = next(((album, len(story)) for album in train_set for story in album.stories
+                  if len(story) != n_sent), None)
+    if wrong:
+        raise ValueError(f"album '{wrong[0].album_id}': story has {wrong[1]} sentences, "
+                         f"expected {n_sent}")
 
     best = params.copy()
     best_cider = -np.inf

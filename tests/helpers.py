@@ -1,6 +1,7 @@
 """Shared test utilities: the per-step scene encoder that the fused one is
-checked against, validation pairs decoded one album at a time, and
-hand-built detector weights for clustered data.
+checked against, a fault planted in the GRU step's hand-written backward
+that such references must catch, validation pairs decoded one album at a
+time, and hand-built detector weights for clustered data.
 
 Detector weights: with zero photo GRUs and a signed-identity skip, photo
 vectors copy the raw feature into positive/negative halves. The scene GRU
@@ -99,6 +100,14 @@ def encode_scenes_per_step(V, params, force_flags=None, lengths=None):
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
     return SceneSegmentation(flags, None if force_flags is not None else np.array(softs),
                              X, mask, mask.sum(axis=0))
+
+
+def scale_gru_step_backward(monkeypatch, factor):
+    """Scale both outputs of `T._gru_step_backward`, the kernel that the
+    recurrence nodes share, by `factor` for the rest of the test."""
+    kernel = T._gru_step_backward
+    monkeypatch.setattr(T, "_gru_step_backward",
+                        lambda *args: tuple(factor * d for d in kernel(*args)))
 
 
 def per_album_pairs(params, cfg, albums, vocab, **decode):

@@ -1,5 +1,7 @@
-"""Every name a `storyforge` module imports is used in that module, and no
-`storyforge` module imports the benchmark."""
+"""Every name a `storyforge` module imports is used in that module, no
+`storyforge` module imports the benchmark, and only the small `tensor`
+primitives and the three recurrence nodes build graph nodes of their own
+(with a hand-written backward)."""
 
 import ast
 from pathlib import Path
@@ -72,3 +74,41 @@ def test_checker_flags_a_benchmark_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_benchmark_imports(path):
     assert benchmark_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the functions that may call `_make`, by module: the tensor primitives and
+# the recurrence nodes; everything else composes them
+MAKE_CALLERS = {
+    "tensor": {"add", "mul", "matmul", "sigmoid", "tanh", "relu", "concat", "arr_sum",
+               "reshape", "pick", "assemble", "masked_softmax", "log_softmax",
+               "gru_scan"},
+    "scene_encoder": {"encode_scenes"},
+    "decoder": {"attend_scan"},
+}
+
+
+def stray_make_calls(source: str, allowed: set) -> list[str]:
+    """`_make` calls (bare or as an attribute) outside the top-level
+    functions named in `allowed`."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "_make" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                where = getattr(top, "name", "module")
+                if where not in allowed:
+                    found.append(f"line {node.lineno}: {where}")
+    return found
+
+
+def test_checker_flags_a_stray_make_call():
+    src = ("def add(a, b):\n    return _make(a, (), None)\n\n"
+           "def cell(x):\n    def bw(g):\n        pass\n    return T._make(x, (), bw)\n")
+    assert stray_make_calls(src, {"add"}) == ["line 7: cell"]
+    assert stray_make_calls(src, {"add", "cell"}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_hand_written_backwards_only_in_primitives_and_recurrence_nodes(path):
+    assert stray_make_calls(path.read_text(encoding="utf-8"),
+                            MAKE_CALLERS.get(path.stem, set())) == []

@@ -23,6 +23,8 @@ from storyforge.reconstructor import reconstruct
 from storyforge.scene_encoder import scene_indices
 from storyforge.trainer import STAGE1_FROZEN, STAGE2_FROZEN
 
+from helpers import scale_gru_step_backward
+
 
 def tiny_cfg(vocab_size=12):
     return ModelConfig(vocab_size=vocab_size, feature_dim=4, photo_hidden=3,
@@ -440,6 +442,44 @@ class TestFewerLoopSteps:
         assert len(steps) == m_max + m_max + t_max + cfg.sentences
 
 
+def assert_attention_node_matches_loop(seed, sizes, n, chunk):
+    """`attend_scan` against `summarize_album` on albums of `sizes` photos,
+    padded `chunk` albums at a time: values to 1e-12, gradients to 1e-10."""
+    # flags forced off at photo 1 (a slice: a chunk may hold one photo)
+    # leave every album of two photos or more a false scene slot
+    cfg = dataclasses.replace(tiny_cfg(), sentences=n)
+    ps = build_parameters(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    albums = [tiny_album(rng, cfg, m=m) for m in sizes]
+    for lo in range(0, len(albums), chunk):
+        feats, lengths = pad_steps([a.features for a in albums[lo:lo + chunk]])
+        flags = rng.integers(0, 2, size=feats.shape[:2])
+        flags[1:2] = 0
+        w = rng.standard_normal((n, len(lengths), cfg.d_v))
+        results = []
+        for one_node in (True, False):
+            ps.zero_grads()
+            enc = encode_album(feats, ps, cfg, force_flags=flags, lengths=lengths)
+            if one_node:
+                Z, alphas = attend_scan(enc.memory, enc.valid_mask, enc.init_state, n, ps)
+            else:
+                zs, steps = summarize_album(enc, n, ps)
+                Z = T.reshape(T.concat(zs), (n, len(lengths), -1))
+                alphas = np.stack([a.data for a in steps])
+            T.arr_sum(Z * T.wrap(w)).backward()
+            results.append((Z.data, alphas, {name: ps[name].grad for name in ps.names()}))
+        (z, alphas, grads), (want_z, want_alphas, want_grads) = results
+        assert not enc.scenes.scene_mask[1][lengths >= 2].any()
+        np.testing.assert_allclose(z, want_z, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(alphas, want_alphas, rtol=1e-12, atol=0)
+        for name, grad in want_grads.items():
+            if grad is None:   # the decoder and the reconstructor
+                assert grads[name] is None, name
+            else:
+                np.testing.assert_allclose(grads[name], grad, rtol=1e-10,
+                                           atol=1e-10, err_msg=name)
+
+
 class TestAttentionNode:
     """`attend_scan`, the n attention steps as one node, equals
     `summarize_album`, the per-step `attend` loop: values to 1e-12 and
@@ -451,40 +491,16 @@ class TestAttentionNode:
            .filter(lambda sizes: len(set(sizes)) > 1),
            st.integers(1, 4), st.integers(1, 3))
     def test_one_node_equals_the_per_step_loop(self, seed, sizes, n, chunk):
-        # chunk by chunk, as inference pads DECODE_CHUNK albums, here 1-3 a
-        # chunk; flags forced off at photo 1 (a slice: a chunk may hold one
-        # photo) leave every album of two photos or more a false scene slot
-        cfg = dataclasses.replace(tiny_cfg(), sentences=n)
-        ps = build_parameters(cfg, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed + 1)
-        albums = [tiny_album(rng, cfg, m=m) for m in sizes]
-        for lo in range(0, len(albums), chunk):
-            feats, lengths = pad_steps([a.features for a in albums[lo:lo + chunk]])
-            flags = rng.integers(0, 2, size=feats.shape[:2])
-            flags[1:2] = 0
-            w = rng.standard_normal((n, len(lengths), cfg.d_v))
-            results = []
-            for one_node in (True, False):
-                ps.zero_grads()
-                enc = encode_album(feats, ps, cfg, force_flags=flags, lengths=lengths)
-                if one_node:
-                    Z, alphas = attend_scan(enc.memory, enc.valid_mask, enc.init_state, n, ps)
-                else:
-                    zs, steps = summarize_album(enc, n, ps)
-                    Z = T.reshape(T.concat(zs), (n, len(lengths), -1))
-                    alphas = np.stack([a.data for a in steps])
-                T.arr_sum(Z * T.wrap(w)).backward()
-                results.append((Z.data, alphas, {name: ps[name].grad for name in ps.names()}))
-            (z, alphas, grads), (want_z, want_alphas, want_grads) = results
-            assert not enc.scenes.scene_mask[1][lengths >= 2].any()
-            np.testing.assert_allclose(z, want_z, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(alphas, want_alphas, rtol=1e-12, atol=0)
-            for name, grad in want_grads.items():
-                if grad is None:   # the decoder and the reconstructor
-                    assert grads[name] is None, name
-                else:
-                    np.testing.assert_allclose(grads[name], grad, rtol=1e-10,
-                                               atol=1e-10, err_msg=name)
+        # chunk by chunk, as inference pads DECODE_CHUNK albums, here 1-3 a chunk
+        assert_attention_node_matches_loop(seed, sizes, n, chunk)
+
+    def test_the_loop_catches_a_wrong_gru_kernel(self, monkeypatch):
+        # the loop's steps differentiate by autodiff, so a fault in the
+        # hand-written GRU backward reaches the node alone
+        assert_attention_node_matches_loop(3, [2, 4, 3], 3, 3)
+        scale_gru_step_backward(monkeypatch, 1.01)
+        with pytest.raises(AssertionError):
+            assert_attention_node_matches_loop(3, [2, 4, 3], 3, 3)
 
     def test_stage_one_graph_size_does_not_grow_with_sentences(self):
         # the train-overfit batch: 8 albums of 7-11 photos at the acceptance

@@ -11,7 +11,8 @@ from storyforge.model import ModelConfig, build_parameters
 from storyforge.photo_encoder import encode_photos
 from storyforge.scene_encoder import detect_boundary, encode_scenes, scene_indices
 
-from helpers import encode_scenes_per_step, fill_oracle_scene_weights
+from helpers import (encode_scenes_per_step, fill_oracle_scene_weights,
+                     scale_gru_step_backward)
 
 
 def small_params(seed=0, feature_dim=5, photo_hidden=3):
@@ -215,6 +216,51 @@ class TestEncodeScenes:
             encode_scenes(np.ones((3, 2, cfg.d_v)), ps, lengths=lengths)
 
 
+def assert_fused_matches_per_step(seed, mode, lengths, batched):
+    """`encode_scenes` against `encode_scenes_per_step` on albums of
+    `lengths` photos, padded (`batched`) or one album of the longest count:
+    flags, softs, mask and counts equal, slots to 1e-12, and the gradients
+    of V and of the photo and scene weights to 1e-10."""
+    rng = np.random.default_rng(seed)
+    cfg, ps = small_params(seed % 1000, photo_hidden=int(rng.integers(1, 5)))
+    m = max(lengths)
+    if batched:
+        feats = np.zeros((m, len(lengths), cfg.feature_dim))
+        for b, n in enumerate(lengths):
+            feats[:n, b] = 2.0 * rng.standard_normal((n, cfg.feature_dim))
+        lengths = np.array(lengths)
+    else:
+        feats, lengths = 2.0 * rng.standard_normal((m, 1, cfg.feature_dim)), None
+    flags = rng.integers(0, 2, size=feats.shape[:2]) if mode == "forced" else None
+    weights = T.wrap(rng.standard_normal((m + 1, feats.shape[1], cfg.d_v)))
+    runs = []
+    fused = functools.partial(encode_scenes, relax=mode == "relax")
+    for encode in (fused, encode_scenes_per_step):
+        ps.zero_grads()
+        photos = encode_photos(feats, ps, [m] if lengths is None else lengths).V
+        V = T.NumArray(photos.data, requires_grad=True)
+        seg = encode(V, ps, force_flags=flags, lengths=lengths)
+        T.arr_sum(seg.X * weights).backward()
+        T.arr_sum(photos * T.wrap(V.grad)).backward()   # on into the photo weights
+        # a weight the graph never reached has no gradient: zero
+        runs.append((seg, V.grad, {n: np.zeros_like(ps[n].data) if ps[n].grad is None
+                                   else ps[n].grad for n in ps.names()
+                                   if n.startswith(("photo.", "scene."))}))
+    (fused, d_v, grads), (oracle, d_v_oracle, grads_oracle) = runs
+    np.testing.assert_array_equal(fused.flags, oracle.flags)
+    if mode == "forced":
+        assert fused.softs is None and oracle.softs is None
+    else:
+        np.testing.assert_array_equal(fused.softs, oracle.softs)
+    np.testing.assert_allclose(fused.X.data, oracle.X.data, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(fused.scene_mask, oracle.scene_mask)
+    np.testing.assert_array_equal(fused.u, oracle.u)
+    np.testing.assert_allclose(d_v, d_v_oracle, rtol=1e-10, atol=1e-12)
+    for name, grad in grads_oracle.items():
+        np.testing.assert_allclose(grads[name], grad, rtol=1e-10, atol=1e-12,
+                                   err_msg=name)
+
+
 class TestFusedEqualsPerStep:
     """The one-node scene encoder against the per-step graph it replaced:
     the same values to the bit, and the same gradients, on padded batches
@@ -225,44 +271,16 @@ class TestFusedEqualsPerStep:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["live", "forced", "relax"]),
            st.lists(st.integers(1, 7), min_size=1, max_size=4), st.booleans())
     def test_fused_equals_per_step(self, seed, mode, lengths, batched):
-        rng = np.random.default_rng(seed)
-        cfg, ps = small_params(seed % 1000, photo_hidden=int(rng.integers(1, 5)))
-        m = max(lengths)
-        if batched:
-            feats = np.zeros((m, len(lengths), cfg.feature_dim))
-            for b, n in enumerate(lengths):
-                feats[:n, b] = 2.0 * rng.standard_normal((n, cfg.feature_dim))
-            lengths = np.array(lengths)
-        else:
-            feats, lengths = 2.0 * rng.standard_normal((m, 1, cfg.feature_dim)), None
-        flags = rng.integers(0, 2, size=feats.shape[:2]) if mode == "forced" else None
-        weights = T.wrap(rng.standard_normal((m + 1, feats.shape[1], cfg.d_v)))
-        runs = []
-        fused = functools.partial(encode_scenes, relax=mode == "relax")
-        for encode in (fused, encode_scenes_per_step):
-            ps.zero_grads()
-            photos = encode_photos(feats, ps, [m] if lengths is None else lengths).V
-            V = T.NumArray(photos.data, requires_grad=True)
-            seg = encode(V, ps, force_flags=flags, lengths=lengths)
-            T.arr_sum(seg.X * weights).backward()
-            T.arr_sum(photos * T.wrap(V.grad)).backward()   # on into the photo weights
-            # a weight the graph never reached has no gradient: zero
-            runs.append((seg, V.grad, {n: np.zeros_like(ps[n].data) if ps[n].grad is None
-                                       else ps[n].grad for n in ps.names()
-                                       if n.startswith(("photo.", "scene."))}))
-        (fused, d_v, grads), (oracle, d_v_oracle, grads_oracle) = runs
-        np.testing.assert_array_equal(fused.flags, oracle.flags)
-        if mode == "forced":
-            assert fused.softs is None and oracle.softs is None
-        else:
-            np.testing.assert_array_equal(fused.softs, oracle.softs)
-        np.testing.assert_allclose(fused.X.data, oracle.X.data, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(fused.scene_mask, oracle.scene_mask)
-        np.testing.assert_array_equal(fused.u, oracle.u)
-        np.testing.assert_allclose(d_v, d_v_oracle, rtol=1e-10, atol=1e-12)
-        for name, grad in grads_oracle.items():
-            np.testing.assert_allclose(grads[name], grad, rtol=1e-10, atol=1e-12,
-                                       err_msg=name)
+        assert_fused_matches_per_step(seed, mode, lengths, batched)
+
+    @pytest.mark.parametrize("mode", ["live", "forced", "relax"])
+    def test_per_step_catches_a_wrong_gru_kernel(self, monkeypatch, mode):
+        # the per-step cells differentiate by autodiff, so a fault in the
+        # hand-written GRU backward reaches the fused node alone
+        assert_fused_matches_per_step(5, mode, [3, 5, 2], True)
+        scale_gru_step_backward(monkeypatch, 1.01)
+        with pytest.raises(AssertionError):
+            assert_fused_matches_per_step(5, mode, [3, 5, 2], True)
 
 
 def _bytes(a):

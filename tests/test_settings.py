@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from storyforge import tensor as T
 from storyforge.cli import main
@@ -67,6 +67,7 @@ def checkpoint_run(tmp_path_factory, corpus):
 
 @settings(max_examples=120, deadline=None)
 @given(key=st.sampled_from([f.name for f in dataclasses.fields(SynthSpec)]), value=VALUES)
+@example(key="noise_scale", value=10 ** 400)   # a real number no float holds
 def test_synth_spec_builds_albums_or_raises_config_error(key, value):
     try:
         spec = dataclasses.replace(SPEC, **{key: value})
@@ -77,6 +78,8 @@ def test_synth_spec_builds_albums_or_raises_config_error(key, value):
 
 @settings(max_examples=120, deadline=None)
 @given(key=st.sampled_from(SETTINGS), value=VALUES)
+@example(key="nll_stop", value=-2 ** 64)   # an int beyond numpy's integer types
+@example(key="lr", value=10 ** 400)
 def test_fit_trains_or_raises_config_error(corpus, key, value):
     albums, _ = corpus
     try:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -60,6 +61,18 @@ class TestEmptySets:
         train, val = ([], albums) if which == "train" else (albums, [])
         with pytest.raises(ValueError, match="must hold albums"):
             run_training(train, val, tiny_tcfg(vocab), vocab)
+
+
+class TestSentenceCount:
+    @pytest.mark.parametrize("stage", ["1", "2", "all"])
+    def test_story_of_another_length_raises_before_any_step(self, corpus, stage):
+        spec, vocab, _ = corpus   # the model tells 5 sentences, these stories 3
+        albums = synth_dataset(dataclasses.replace(spec, sentences=3), vocab)
+        tcfg = tiny_tcfg(vocab, stage=stage)
+        init = build_parameters(tcfg.model, np.random.default_rng(0)) if stage == "2" else None
+        with pytest.raises(ValueError,
+                           match="^album 'synth0000': story has 3 sentences, expected 5$"):
+            run_training(albums, albums, tcfg, vocab, init_params=init)
 
 
 class TestStage1:
