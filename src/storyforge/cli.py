@@ -299,18 +299,21 @@ def cmd_evaluate(cfg) -> int:
         if a.album_id in refs:
             raise DataFormatError(f"{cfg['data']}: duplicate album_id '{a.album_id}'")
         refs[a.album_id] = [story_tokens(s) for s in a.raw_stories]
-    pairs = []
+    pairs = {}   # by album_id: an album is scored once
     for where, rec in read_records(cfg["stories"], "album_id", "sentences"):
         with at_record(where):
             if rec["album_id"] not in refs:
                 raise DataFormatError(f"album '{rec['album_id']}' not in reference data")
+            if rec["album_id"] in pairs:
+                raise DataFormatError(f"duplicate album_id '{rec['album_id']}'")
             if not (isinstance(rec["sentences"], list)
                     and all(isinstance(s, str) for s in rec["sentences"])):
                 raise DataFormatError("sentences must be a list of strings")
-        pairs.append(EvalPair(story_tokens(rec["sentences"]), refs[rec["album_id"]]))
+        pairs[rec["album_id"]] = EvalPair(story_tokens(rec["sentences"]),
+                                          refs[rec["album_id"]])
     if not pairs:
         raise DataFormatError(f"{cfg['stories']}: holds no records")
-    lines = _metric_lines(pairs)
+    lines = _metric_lines(list(pairs.values()))
     (out / "metrics.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0

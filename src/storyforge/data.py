@@ -223,11 +223,13 @@ def check_stories(stories, n_sentences: int | None) -> list:
 
 
 def check_gold(gold, num_photos: int, max_photos: int) -> list | None:
-    """Gold scene boundaries, if any: one 0/1 for each of the album's
-    `num_photos` photos, returned without those past `max_photos`."""
+    """Gold scene boundaries, if any: an integer 0 or 1, not a bool, for each
+    of the album's `num_photos` photos, returned without those past `max_photos`."""
     if gold is None:
         return None
-    if not (isinstance(gold, list) and all(b in (0, 1) for b in gold)):
+    if not (isinstance(gold, list) and all(
+            isinstance(b, numbers.Integral) and not isinstance(b, bool) and b in (0, 1)
+            for b in gold)):
         raise DataFormatError("gold_boundaries must be a list of 0/1")
     if len(gold) != num_photos:
         raise DataFormatError(

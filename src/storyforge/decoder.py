@@ -4,8 +4,9 @@ One attention step per sentence: a GRU advances the attention state from
 the previous sentence's weight vector, every valid row of the memory R is
 scored against that state through a shared tanh layer, and the sentence
 vector z_j is the weight-averaged memory. Attention steps every album of
-a batch at once, each over its own memory rows, and its n steps are one
-graph node, `attend_scan`; `attend`, one step, is its reference in tests.
+a batch at once, each over its own memory rows, and the weight vectors of
+its n steps are one graph node, on keys projected once, in `attend_scan`;
+`attend`, one step, is its reference in tests.
 The word decoder is a GRU over [previous-word embedding ; z_j] with a
 one-hidden-layer readout over [h ; z_j].
 Teacher-forced scoring runs any number of sentences (all of a batch's) as
@@ -66,34 +67,31 @@ def attend(memory, keys, valid_mask, state: AttentionState, params):
 
 def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
     """n `attend` steps on memory (B, L_max, D_v) from `state`, whose
-    alpha_prev is a constant, as one graph node with a hand-written backward
-    through the steps; it projects the keys once. Returns Z, one (n, B, D_v)
-    node, and the (n, B, L_max) array of the alphas."""
+    alpha_prev is a constant. The keys are projected once, the alphas of the
+    steps are one graph node with a hand-written backward through the steps,
+    and Z is their weighted memory. Returns Z, one (n, B, D_v) node, and the
+    (n, B, L_max) array of the alphas."""
     memory, h0 = T.wrap(memory), state.h_attn
     gru_w = params.gru("attn.gru")
-    w_mem, w_state, b, w_out = (params[f"attn.score.{p}"]
-                                for p in ("w_mem", "w_state", "b", "w_out"))
-    mem, wx, wh, ws, wo = (p.data for p in (memory, gru_w.w_x, gru_w.w_h, w_state, w_out))
-    hid, keys = gru_w.hidden_size, mem @ w_mem.data
+    w_state, b, w_out = (params[f"attn.score.{p}"] for p in ("w_state", "b", "w_out"))
+    keys = memory @ params["attn.score.w_mem"]
+    wx, wh, ws, wo = (p.data for p in (gru_w.w_x, gru_w.w_h, w_state, w_out))
+    hid = gru_w.hidden_size
     hs, alphas = np.empty((n + 1,) + h0.shape), np.empty((n + 1,) + valid_mask.shape)
     hs[0], alphas[0] = h0.data, state.alpha_prev.data
     acts, caches = np.empty((n,) + keys.shape), []
     for t in range(n):   # `attend`'s arithmetic, to the bit
         hs[t + 1], cache = T._gru_step(alphas[t] @ wx + gru_w.b.data, hs[t], wh, hid)
         caches.append(cache)
-        np.tanh(keys + (hs[t + 1] @ ws)[:, None, :] + b.data, out=acts[t])
+        np.tanh(keys.data + (hs[t + 1] @ ws)[:, None, :] + b.data, out=acts[t])
         alphas[t + 1] = T._masked_softmax(acts[t] @ wo, valid_mask)
-    Z = (alphas[1:, :, None, :] @ mem)[:, :, 0]
 
-    def bw(g):
-        g_b = g.transpose(1, 0, 2)   # (B, n, D_v)
-        # alpha_t reaches z_t and, through the GRU input, step t+1
-        d_alpha = (g_b @ mem.transpose(0, 2, 1)).transpose(1, 0, 2)
-        d_scores, d_keys = np.empty_like(d_alpha), np.zeros_like(keys)
-        d_query, d_gates = (np.empty((n, len(mem), k)) for k in (ws.shape[1], 3 * hid))
+    def bw(g):   # alpha_t reaches Z and, through the GRU input, step t+1
+        d_scores, d_keys = np.empty_like(g), np.zeros_like(keys.data)
+        d_query, d_gates = (np.empty((n, len(hs[0]), k)) for k in (ws.shape[1], 3 * hid))
         d_x, d_h = 0.0, np.zeros_like(hs[0])
         for t in range(n - 1, -1, -1):   # small temporaries: one step's (B, L_max, S)
-            a, d_a = alphas[t + 1], d_alpha[t] + d_x
+            a, d_a = alphas[t + 1], g[t] + d_x
             d_scores[t] = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
             d_pre = d_scores[t][..., None] * wo * (1.0 - acts[t] * acts[t])
             d_keys += d_pre
@@ -103,19 +101,19 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
             d_x = d_gates[t] @ wx.T
         T._recurrent_grads(h0, gru_w.w_h, hs[:-1], np.stack([c[2] for c in caches]),
                            d_gates, d_h)
-        if memory.requires_grad:
-            T._acc(memory, alphas[1:].transpose(1, 2, 0) @ g_b + d_keys @ w_mem.data.T)
-        for p, grad in ((gru_w.w_x, T._rows(alphas[:-1]).T @ T._rows(d_gates)),
+        for p, grad in ((keys, d_keys),
+                        (gru_w.w_x, T._rows(alphas[:-1]).T @ T._rows(d_gates)),
                         (gru_w.b, T._rows(d_gates).sum(axis=0)),
-                        (w_mem, T._rows(mem).T @ T._rows(d_keys)),
                         (w_state, T._rows(hs[1:]).T @ T._rows(d_query)),
                         (b, T._rows(d_keys).sum(axis=0)),
                         (w_out, T._rows(acts).T @ d_scores.reshape(-1))):
             if p.requires_grad:
                 T._acc(p, grad)
 
-    return T._make(Z, (memory, h0, gru_w.w_x, gru_w.w_h, gru_w.b, w_mem, w_state, b,
-                       w_out), bw), alphas[1:]
+    A = T._make(alphas[1:], (keys, h0, gru_w.w_x, gru_w.w_h, gru_w.b, w_state, b, w_out),
+                bw)
+    Z = T.reshape(A, A.shape[:-1] + (1, -1)) @ memory
+    return T.reshape(Z, Z.shape[:-2] + (-1,)), A.data
 
 
 def _decoder_step(prev, H, Z, weights):

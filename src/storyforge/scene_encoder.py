@@ -6,11 +6,12 @@ representation and cleared before the step. The hard 0/1 decision uses a
 straight-through estimator so the classifier still receives gradients.
 
 Once the forward pass has fixed the decisions, the rest is an ordinary
-recurrence, so a batch of albums is one graph node: the forward runs the
-detector, threshold, reset and GRU step photo by photo in numpy, and a
-hand-written backward runs back through time, with dL/dsoft = dL/dk at
-each threshold. Every result has one (step, album, ...) layout; a lone
-album is a batch of one.
+recurrence, so a batch of albums is one graph node on the GRU input side
+V W_x + b: the forward runs the detector, threshold, reset and GRU step
+photo by photo in numpy, and a hand-written backward runs back through
+time, with dL/dsoft = dL/dk at each threshold; a `pick` gathers each
+album's slots from the node's emitted rows and states. Every result has
+one (step, album, ...) layout; a lone album is a batch of one.
 
 Emission layout: X has one slot per photo position plus one final slot.
 Slot i (i >= 2) holds k_i * h_{i-1}; a non-firing position contributes an
@@ -84,8 +85,8 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
     hid, wh = gru_w.hidden_size, gru_w.w_h.data
 
     # the input projections of all steps at once equal each step's to the bit
+    gx = V @ gru_w.w_x + gru_w.b
     rows = V.data
-    gx = rows @ gru_w.w_x.data + gru_w.b.data
     v_score = rows @ w_v.data
     live = force_flags is None
     k = np.empty(v_score.shape) if live else force_flags * 1.0
@@ -100,7 +101,7 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
         if i > 0:   # a firing boundary emits the state and clears it
             emitted[i] = k[i][:, None] * hs[i]
             resets[i] = hs[i] - emitted[i]
-        hs[i + 1], cache = T._gru_step(gx[i], resets[i], wh, hid)
+        hs[i + 1], cache = T._gru_step(gx.data[i], resets[i], wh, hid)
         caches.append(cache)
 
     # slot j of an album of n photos: emitted row j below n, the closing
@@ -110,10 +111,9 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
     flags = k.astype(np.int64)
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
 
-    def bw(g):
-        d_out = T._scatter_add((2 * m,) + hs.shape[1:], index, g)
-        d_emitted, d_states = d_out[:m], d_out[m:]
-        d_gates = np.empty_like(gx)
+    def bw(g):   # g is the gradient of [emitted ; states]
+        d_emitted, d_states = g[:m], g[m:]
+        d_gates = np.empty_like(gx.data)
         d_score = np.zeros(k.shape)
         d_rows = np.zeros_like(rows)   # the relaxed detector's share of dL/dV
         d_h = np.zeros_like(hs[0])
@@ -136,17 +136,16 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
                 d_h += d_score[i][:, None] * w_h.data
         T._recurrent_grads(T.zeros(()), gru_w.w_h, resets,
                            np.stack([c[2] for c in caches]), d_gates, None)
-        for p, grad in ((V, d_gates @ gru_w.w_x.data.T),   # the input side, then
-                        (V, d_rows + d_score[..., None] * w_v.data),   # the detector's
-                        (gru_w.w_x, T._rows(rows).T @ T._rows(d_gates)),
-                        (gru_w.b, T._rows(d_gates).sum(axis=0)),
+        if gx.requires_grad:
+            T._acc(gx, d_gates)
+        for p, grad in ((V, d_rows + d_score[..., None] * w_v.data),   # the detector's
                         (w_v, np.tensordot(d_score, rows, 2)),
                         (w_h, np.tensordot(d_score, hs[:-1], 2)), (b, d_score.sum())):
-            if p.requires_grad:
+            if live and p.requires_grad:
                 T._acc(p, grad)
 
-    X = T._make(np.concatenate([emitted, hs[1:]])[index],
-                (V, gru_w.w_x, gru_w.w_h, gru_w.b) + ((w_v, w_h, b) if live else ()), bw)
+    X = T.pick(T._make(np.concatenate([emitted, hs[1:]]),
+                       (gx, gru_w.w_h) + ((V, w_v, w_h, b) if live else ()), bw), index)
     return SceneSegmentation(flags, softs if live else None, X, mask, mask.sum(axis=0))
 
 

@@ -7,19 +7,20 @@ holds each parameter as base64 float64 bytes (version 2; version 1 files,
 with float text, still load).
 
 A recurrence over a whole sequence is one graph node (`gru_scan`, with a
-hand-derived backward through time, on input pre-activations its caller
-builds; the scene encoder and the attention
-feedback build their own such nodes on `_gru_step`); independent ones
-share a scan as cells side by side, whose weights `assemble` lays out as
-diagonal blocks. Only they and the small primitives have hand-written
-backwards; `gru_cell`, the step they are tested against, composes primitives.
+hand-derived backward through time; the scene encoder and the attention
+feedback build their own such nodes on `_gru_step`) that takes and returns
+only what recurs: its callers build the projections it reads and the
+gathers of its result from primitives. Independent ones share a scan as
+cells side by side, whose weights `assemble` lays out as diagonal blocks.
+Only they and the small primitives have hand-written backwards;
+`gru_cell`, the step they are tested against, composes primitives.
 Decoding builds no nodes: it runs `_gru_step` and `_log_softmax` on plain
 arrays, as the recurrence nodes' forwards do; each such array function
 (`_sigmoid` and `_masked_softmax` too) also serves its node. The rest
 composes from small primitives, among them `matmul`, which multiplies rows
 by a matrix or a stack of matrices.
-Adam updates every learning entry as one flat vector, its moments two
-more that are laid out again only when a group is frozen or thawed.
+Adam updates the entries that learn when it is made as one flat vector,
+its moments two more, all laid out once.
 """
 
 from __future__ import annotations
@@ -659,38 +660,38 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with bias correction; entries that do not require grad (frozen
-    groups) are skipped entirely.
+    """Adam with bias correction over the entries that learn when it is
+    made; entries that do not require grad (frozen groups) are skipped
+    entirely.
 
-    The moments are two flat vectors, laid out again only when the set of
-    learning entries changes; `m[name]` and `v[name]` are views of them, and
-    an entry that stops learning keeps its moments until it learns again.
-    The same instance must drive a whole training stage.
+    Those entries update as one flat vector, and their moments are two more,
+    laid out once; `m[name]` and `v[name]` are views of them. Freezing or
+    thawing an entry afterwards makes `step` raise, so each training stage
+    makes its own Adam.
     """
 
     def __init__(self, params: ParamStore, lr: float = 0.0004):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self._names = self._flat = None   # the learning entries' layout
+        live = [(name, p) for name, p in params.entries.items() if p.requires_grad]
+        cuts = np.cumsum([0] + [p.data.size for _, p in live]).tolist()
+        self._spans = [(name, p, lo, hi) for (name, p), lo, hi in zip(live, cuts, cuts[1:])]
+        self._moments, self._work = np.zeros((2, cuts[-1])), np.empty((4, cuts[-1]))
+        self.m, self.v = ({name: a[lo:hi].reshape(p.data.shape)
+                           for name, p, lo, hi in self._spans} for a in self._moments)
 
     def step(self):
         """One flat update of every learning entry (a None gradient reads as
-        zeros) in preallocated buffers; a non-finite gradient or update raises
-        EvaluationError, naming the first such entry, before anything changes."""
-        live = [(name, p) for name, p in self.params.entries.items() if p.requires_grad]
-        names, flat = [name for name, _ in live], self._flat
-        if names != self._names:   # flat moments from each entry's last ones
-            cuts = np.cumsum([0] + [p.data.size for _, p in live]).tolist()
-            m_old, v_old = (np.concatenate([np.zeros(0)] + [
-                d[name].ravel() if name in d else np.zeros(p.data.size)
-                for name, p in live]) for d in (self.m, self.v))
-            flat = (cuts, m_old, v_old, np.empty((4, cuts[-1])))   # and step buffers
-        cuts, m_old, v_old, (g, m, v, update) = flat
+        zeros) in preallocated buffers. A non-finite gradient or update raises
+        EvaluationError, naming the first such entry, and a change in which
+        entries learn raises ValueError, each before anything changes."""
+        if list(self.m) != [n for n, p in self.params.entries.items() if p.requires_grad]:
+            raise ValueError("the learning entries changed since this Adam was made")
+        (m_old, v_old), (g, m, v, update) = self._moments, self._work
         np.concatenate([np.zeros(0)] + [np.zeros(p.data.size) if p.grad is None
-                                         else p.grad.ravel() for _, p in live], out=g)
+                                         else p.grad.ravel() for _, p, _, _ in self._spans],
+                       out=g)
         t, b1, b2 = self.t + 1, ADAM_BETA1, ADAM_BETA2
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             # m_old b1 + (1 - b1) g, v_old b2 + (1 - b2) g g, then
@@ -705,19 +706,13 @@ class Adam:
             update /= g
         if not (np.isfinite(v).all() and np.isfinite(update).all()):   # so is m then
             bad = np.argmin(np.isfinite(v) & np.isfinite(update))
-            name, p = live[int(np.searchsorted(cuts, bad, side="right")) - 1]
+            name, p = next((name, p) for name, p, _, hi in self._spans if bad < hi)
             what = ("gradient" if p.grad is not None and not np.isfinite(p.grad).all()
                     else "Adam update")
             raise EvaluationError(f"non-finite {what} for parameter '{name}'")
-        spans = list(zip(live, cuts, cuts[1:]))
-        if flat is not self._flat:
-            self._names, self._flat = names, flat
-            for (name, p), lo, hi in spans:
-                self.m[name], self.v[name] = (a[lo:hi].reshape(p.data.shape)
-                                              for a in (m_old, v_old))
         m_old[...], v_old[...] = m, v
         self.t = t
-        for (_, p), lo, hi in spans:
+        for _, p, lo, hi in self._spans:
             p.data -= update[lo:hi].reshape(p.data.shape)
 
 

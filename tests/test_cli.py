@@ -318,6 +318,18 @@ def _evaluate_with_duplicate_album_id(root, tmp_path):
             "--data", str(data), "--vocab-file", str(root / "d" / "vocab.txt")]
 
 
+def _evaluate_with_duplicate_story(root, tmp_path):
+    """A stories file that lists one album twice, its first record a
+    perfect story."""
+    rec = json.loads((root / "d" / "albums.jsonl").read_text().splitlines()[0])
+    stories = tmp_path / "s.jsonl"
+    stories.write_text(2 * (json.dumps({"album_id": rec["album_id"],
+                                        "sentences": rec["stories"][0]}) + "\n"))
+    return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
+            "--data", str(root / "d" / "albums.jsonl"),
+            "--vocab-file", str(root / "d" / "vocab.txt")]
+
+
 def _build_vocab_with_min_count(count):
     def make_argv(root, tmp_path):
         return ["build-vocab", "--out-dir", str(tmp_path), "--min-count", count,
@@ -652,6 +664,7 @@ class TestBadInputExitCodes:
          "bad.ckpt.json: photo_hidden must be an integer, got None"),
         (_build_vocab_with_min_count("-1"), "min_count must be >= 0"),
         (_evaluate_with_duplicate_album_id, "dup.jsonl: duplicate album_id 'synth0000'"),
+        (_evaluate_with_duplicate_story, "s.jsonl: line 2: duplicate album_id 'synth0000'"),
         (_command("synth-data", "--noise", "1e308"),
          "noise_scale 1e+308 with cluster_separation 4.0 overflows the photo features"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
@@ -689,7 +702,8 @@ class TestBadInputExitCodes:
             "train-vocab-lists-unk", "train-bad-val-data", "evaluate-bad-stories",
             "generate-config-dim-string", "generate-config-dim-float",
             "generate-config-dim-null", "build-vocab-min-count-negative",
-            "evaluate-duplicate-album-id", "synth-data-noise-overflow"])
+            "evaluate-duplicate-album-id", "evaluate-duplicate-story",
+            "synth-data-noise-overflow"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

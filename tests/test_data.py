@@ -246,9 +246,12 @@ class TestStoryChecks:
         ([STORY, STORY[:3]], None, "story has 3 sentences, expected 5"),
         ([STORY], [0, 1, 2], "gold_boundaries must be a list of 0/1"),
         ([STORY], "010", "gold_boundaries must be a list of 0/1"),
+        ([STORY], [0, True, False], "gold_boundaries must be a list of 0/1"),
+        ([STORY], [0.0, 1.0, 0], "gold_boundaries must be a list of 0/1"),
         ([STORY], [0, 1], "gold_boundaries length 2 != photo count 3"),
     ], ids=["valid", "number", "object", "string-story", "number-sentence",
-            "short-story", "gold-value-2", "gold-string", "gold-short"])
+            "short-story", "gold-value-2", "gold-string", "gold-bool", "gold-float",
+            "gold-short"])
     def test_loader_and_estimator_agree(self, tmp_path, vocab, stories, gold,
                                         message):
         from storyforge.estimator import check_albums

@@ -503,23 +503,49 @@ class TestAttentionNode:
             assert_attention_node_matches_loop(3, [2, 4, 3], 3, 3)
 
     def test_stage_one_graph_size_does_not_grow_with_sentences(self):
-        # the train-overfit batch: 8 albums of 7-11 photos at the acceptance
-        # dimensions, reconstruction off as in stage 1; one node per attention
-        # step gave 60 nodes at n = 2 and 81 at n = 5
-        spec = SynthSpec(albums=8, scenes_per_album=(2, 3), photos_per_scene=(2, 4),
-                         feature_dim=8, cluster_separation=4.0, noise_scale=0.05,
-                         vocab_size=30, sentences=5, seed=42)
-        vocab = synth_vocab(spec)
-        cfg = ModelConfig(vocab_size=len(vocab), feature_dim=8, photo_hidden=16,
-                          attn_hidden=32, attn_score_dim=32, dec_hidden=32,
-                          emb_dim=32, mlp_hidden=32, max_photos=12)
-        ps = build_parameters(cfg, np.random.default_rng(0))
-        ps.freeze(*STAGE1_FROZEN)
-        albums = synth_dataset(spec, vocab)
-        counts = [op_nodes(stories_objective(
-            batch_z(albums, n, ps, cfg), [a.stories[0][:n] for a in albums], ps,
-            deranges=[np.roll(np.arange(n), 1)] * len(albums), mu=0.0)[0]) for n in (2, 5)]
+        # one node per attention step gave 60 nodes at n = 2 and 81 at n = 5
+        counts = [op_nodes(stage_one_loss(n)[1]) for n in (2, 5)]
         assert counts[0] == counts[1], counts
+
+    def test_input_projections_are_primitive_nodes(self):
+        # the recurrence nodes take and return only what recurs: the scene
+        # GRU's input side V W_x + b and the attention keys memory W_mem are
+        # `matmul` and `add` nodes, which give those weights their gradients
+        ps, loss = stage_one_loss(5)
+        names = ("scene.gru.w_x", "scene.gru.b", "attn.score.w_mem")
+        makers = {name: set() for name in names}   # the functions that made each child
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            node = stack.pop()
+            for p in node._parents:
+                for name in names:
+                    if p is ps[name]:
+                        makers[name].add(node._backward.__qualname__.split(".")[0])
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert makers == {"scene.gru.w_x": {"matmul"}, "scene.gru.b": {"add"},
+                          "attn.score.w_mem": {"matmul"}}
+
+
+def stage_one_loss(n):
+    """The stage-1 loss (reconstruction off) of the train-overfit batch, 8
+    albums of 7-11 photos at the acceptance dimensions, on n sentences:
+    (params, loss node)."""
+    spec = SynthSpec(albums=8, scenes_per_album=(2, 3), photos_per_scene=(2, 4),
+                     feature_dim=8, cluster_separation=4.0, noise_scale=0.05,
+                     vocab_size=30, sentences=5, seed=42)
+    vocab = synth_vocab(spec)
+    cfg = ModelConfig(vocab_size=len(vocab), feature_dim=8, photo_hidden=16,
+                      attn_hidden=32, attn_score_dim=32, dec_hidden=32,
+                      emb_dim=32, mlp_hidden=32, max_photos=12)
+    ps = build_parameters(cfg, np.random.default_rng(0))
+    ps.freeze(*STAGE1_FROZEN)
+    albums = synth_dataset(spec, vocab)
+    loss, _ = stories_objective(batch_z(albums, n, ps, cfg),
+                                [a.stories[0][:n] for a in albums], ps,
+                                deranges=[np.roll(np.arange(n), 1)] * len(albums), mu=0.0)
+    return ps, loss
 
 
 class TestCachedZ:

@@ -146,6 +146,22 @@ class TestEncodeScenes:
                    if n.startswith(("photo.", "scene.gru"))]
         assert T.grad_check(fn, ps, include=include) < 1e-4
 
+    def test_forced_flags_leave_the_detector_out_of_the_graph(self):
+        # with the decisions given, the detector takes no part: the scene
+        # node's parents are the input pre-activations V W_x + b and W_h
+        # alone, and the detector weights get no gradient
+        cfg, ps = small_params(11)
+        rng = np.random.default_rng(11)
+        ps.zero_grads()
+        V = T.NumArray(rng.standard_normal((4, 2, cfg.d_v)), requires_grad=True)
+        seg = encode_scenes(V, ps, force_flags=rng.integers(0, 2, size=(4, 2)))
+        (node,) = seg.X._parents
+        gx, w_h = node._parents
+        assert gx._backward.__qualname__.startswith("add.") and w_h is ps["scene.gru.w_h"]
+        T.arr_sum(seg.X).backward()
+        assert [ps[f"scene.detect.{p}"].grad for p in ("w_v", "w_h", "b")] == [None] * 3
+        assert V.grad is not None
+
     def test_ste_gradients_finite_nonzero(self):
         cfg, ps = small_params(10)
         rng = np.random.default_rng(10)
