@@ -302,6 +302,8 @@ def cmd_evaluate(cfg) -> int:
     pairs = {}   # by album_id: an album is scored once
     for where, rec in read_records(cfg["stories"], "album_id", "sentences"):
         with at_record(where):
+            if not isinstance(rec["album_id"], str):
+                raise DataFormatError("album_id must be a string")
             if rec["album_id"] not in refs:
                 raise DataFormatError(f"album '{rec['album_id']}' not in reference data")
             if rec["album_id"] in pairs:

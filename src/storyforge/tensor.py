@@ -16,9 +16,11 @@ Only they and the small primitives have hand-written backwards;
 `gru_cell`, the step they are tested against, composes primitives.
 Decoding builds no nodes: it runs `_gru_step` and `_log_softmax` on plain
 arrays, as the recurrence nodes' forwards do; each such array function
-(`_sigmoid` and `_masked_softmax` too) also serves its node. The rest
-composes from small primitives, among them `matmul`, which multiplies rows
-by a matrix or a stack of matrices.
+(`_sigmoid` and `_masked_softmax` too) also serves its node, and makes few
+array passes, which set its time at these widths (`_sigmoid` is one tanh;
+`_gru_step` updates its state in place). The rest composes from small
+primitives, among them `matmul`, which multiplies rows by a matrix or a
+stack of matrices.
 Adam updates the entries that learn when it is made as one flat vector,
 its moments two more, all laid out once.
 """
@@ -247,9 +249,11 @@ def matmul(a, b) -> NumArray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids exp overflow for large negative inputs
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # 1/2 + tanh(x/2)/2: one transcendental, saturating with no overflow
+    t = np.tanh(0.5 * x)
+    t *= 0.5
+    t += 0.5
+    return t
 
 
 def sigmoid(a) -> NumArray:
@@ -462,6 +466,9 @@ class GruWeights:
         r = sigmoid(x W_x[:, H:2H] + h W_h[:, H:2H] + b[H:2H])
         c = tanh   (x W_x[:, 2H:]  + (r * h) W_h[:, 2H:] + b[2H:])
         h' = (1 - z) * h + z * c
+
+    The kernel forms h' as h + z * (c - h), the same value in one pass
+    fewer.
     """
 
     w_x: NumArray  # (input, 3*hidden)
@@ -484,7 +491,10 @@ def _gru_step(gx, hd, wh, hid):
     z, r = zr[..., :hid], zr[..., hid:]
     rh = r * hd
     c = np.tanh(gx[..., 2 * hid:] + rh @ wh[:, 2 * hid:])
-    return (1.0 - z) * hd + z * c, (z, r, rh, c)
+    h = c - hd   # h + z (c - h), in place on the one fresh array
+    h *= z
+    h += hd
+    return h, (z, r, rh, c)
 
 
 def _gru_step_backward(g, hd, cache, wh, hid):
@@ -532,7 +542,7 @@ def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
     zr = sigmoid(cols(gx, 0, 2 * hid) + h @ cols(w.w_h, 0, 2 * hid))
     z, r = cols(zr, 0, hid), cols(zr, hid)
     c = tanh(cols(gx, 2 * hid) + (r * h) @ cols(w.w_h, 2 * hid))
-    return reshape((1.0 - z) * h + z * c, h_prev.data.shape)
+    return reshape(h + z * (c - h), h_prev.data.shape)
 
 
 def gru_scan(gx, h0, w_h) -> NumArray:

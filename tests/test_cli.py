@@ -318,6 +318,17 @@ def _evaluate_with_duplicate_album_id(root, tmp_path):
             "--data", str(data), "--vocab-file", str(root / "d" / "vocab.txt")]
 
 
+def _evaluate_with_album_id(album_id):
+    """evaluate on one stories record whose `album_id` is `album_id`."""
+    def make_argv(root, tmp_path):
+        stories = tmp_path / "s.jsonl"
+        stories.write_text(json.dumps({"album_id": album_id, "sentences": ["hi"]}) + "\n")
+        return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
+                "--data", str(root / "d" / "albums.jsonl"),
+                "--vocab-file", str(root / "d" / "vocab.txt")]
+    return make_argv
+
+
 def _evaluate_with_duplicate_story(root, tmp_path):
     """A stories file that lists one album twice, its first record a
     perfect story."""
@@ -667,6 +678,8 @@ class TestBadInputExitCodes:
         (_evaluate_with_duplicate_story, "s.jsonl: line 2: duplicate album_id 'synth0000'"),
         (_command("synth-data", "--noise", "1e308"),
          "noise_scale 1e+308 with cluster_separation 4.0 overflows the photo features"),
+        *[(_evaluate_with_album_id(album_id), "s.jsonl: line 1: album_id must be a string")
+          for album_id in (["synth0000"], {"id": "synth0000"}, 0, True, None)],
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -703,7 +716,9 @@ class TestBadInputExitCodes:
             "generate-config-dim-string", "generate-config-dim-float",
             "generate-config-dim-null", "build-vocab-min-count-negative",
             "evaluate-duplicate-album-id", "evaluate-duplicate-story",
-            "synth-data-noise-overflow"])
+            "synth-data-noise-overflow", "evaluate-album-id-list",
+            "evaluate-album-id-object", "evaluate-album-id-number",
+            "evaluate-album-id-bool", "evaluate-album-id-null"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,8 +108,8 @@ class TestGruCell:
         assert T.grad_check(fn, store) < 1e-4
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([(), (1,), (4,), (2, 3), (3, 1)]), st.integers(1, 6),
-           st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @given(st.sampled_from([(), (1,), (4,), (5,), (80,), (2, 3), (3, 1)]),
+           st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
     def test_equals_the_step_kernel_to_the_bit(self, batch, i_dim, hid, seed):
         # x with 1, 2 and 3 axes: the composed cell takes `_gru_step`'s
         # operations on the same views, not a flattening into rows
@@ -116,7 +117,11 @@ class TestGruCell:
         w = random_gru(rng, i_dim, hid).gru("g")
         x = rng.standard_normal(batch + (i_dim,))
         h = rng.standard_normal(batch + (hid,))
-        want, _ = T._gru_step(x @ w.w_x.data + w.b.data, h, w.w_h.data, hid)
+        gx = x @ w.w_x.data + w.b.data
+        inputs = [a.copy() for a in (gx, h, w.w_h.data)]
+        want, _ = T._gru_step(gx, h, w.w_h.data, hid)
+        # the kernel updates its state in place, on arrays it made itself
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((gx, h, w.w_h.data), inputs))
         got = T.gru_cell(x, h, w).data
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
@@ -258,14 +263,30 @@ class TestElementwise:
         out = T.sigmoid(T.wrap([-800.0, 800.0]))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
 
-    def test_sigmoid_is_the_piecewise_form_to_the_bit(self):
-        # one division over the selected numerators: 1/(1+e) at x >= 0,
-        # e/(1+e) below, with e = exp(-|x|)
+    def test_sigmoid_is_one_tanh_near_the_piecewise_form(self):
+        # 1/2 + tanh(x/2)/2 to the bit, and within 2.3e-16 of the reference
+        # 1/(1+e) at x >= 0, e/(1+e) below, with e = exp(-|x|)
         x = np.concatenate([np.random.default_rng(0).normal(scale=8.0, size=500),
                             [0.0, -0.0, 1e-300, -1e-300, 40.0, -745.0, np.inf, -np.inf]])
+        got = T.sigmoid(T.wrap(x)).data
+        assert got.tobytes() == (0.5 + 0.5 * np.tanh(0.5 * x)).tobytes()
         e = np.exp(-np.abs(x))
-        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        assert T.sigmoid(T.wrap(x)).data.tobytes() == want.tobytes()
+        piecewise = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.max(np.abs(got - piecewise)) <= 2.3e-16
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    def test_sigmoid_properties(self, xs):
+        x = np.sort(np.concatenate([xs, [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]]))
+        before = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, s_neg = T._sigmoid(x), T._sigmoid(-x)
+            assert np.isnan(T._sigmoid(np.array([np.nan, -np.nan]))).all()
+        assert x.tobytes() == before.tobytes()
+        assert np.all(np.diff(s) >= 0)
+        assert np.all(np.abs(s + s_neg - 1.0) <= np.spacing(1.0))
+        assert list(T._sigmoid(np.array([0.0, -0.0, np.inf, -np.inf]))) == [0.5, 0.5, 1.0, 0.0]
 
 
 class TestOps:
