@@ -104,6 +104,9 @@ def validate(params, cfg: ModelConfig, albums, vocab, mode: str = "greedy",
     return cider(decoded_pairs(params, cfg, albums, vocab, mode, beam_width))
 
 
+# a diverging run overflows on its way to a non-finite loss or Adam update,
+# which the stage checks for itself and stops on as "diverged"
+@np.errstate(over="ignore", invalid="ignore")
 def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
                vocab, start_step: int = 0) -> TrainResult:
     cfg = tcfg.model

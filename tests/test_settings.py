@@ -80,6 +80,7 @@ def test_synth_spec_builds_albums_or_raises_config_error(key, value):
 @given(key=st.sampled_from(SETTINGS), value=VALUES)
 @example(key="nll_stop", value=-2 ** 64)   # an int beyond numpy's integer types
 @example(key="lr", value=10 ** 400)
+@example(key="lr", value=1e200)   # finite, but a step overflows the weights
 def test_fit_trains_or_raises_config_error(corpus, key, value):
     albums, _ = corpus
     try:
