@@ -1,7 +1,7 @@
 """Album/story file formats, vocabulary handling, and a synthetic corpus.
 
 Album files are line-delimited JSON, one album per line:
-    {"album_id": str, "features": [[f..] x m], "stories": [[sent..] x refs],
+    {"album_id": str | int, "features": [[f..] x m], "stories": [[sent..] x refs],
      "gold_boundaries": [0/1 x m]?}
 Vocabulary files are one token per line ordered by id, after a single header
 row that records the special tokens and the min_count used to build it.
@@ -280,6 +280,9 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
     albums = []
     for where, rec in read_records(path, "album_id", "features", "stories"):
         with at_record(where):
+            album_id = rec["album_id"]
+            if isinstance(album_id, bool) or not isinstance(album_id, (str, int)):
+                raise DataFormatError("album_id must be a string or an integer")
             feats = feature_rows(rec["features"], feature_dim, max_photos)
             raw_stories = check_stories(rec["stories"], n_sentences)
             gold = check_gold(rec.get("gold_boundaries"), len(rec["features"]),
@@ -288,7 +291,7 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
             feature_dim = len(feats[0])
         stories = [[encode_sentence(s, vocab, max_words) for s in ref]
                    for ref in raw_stories]
-        albums.append(AlbumExample(str(rec["album_id"]), feats, stories,
+        albums.append(AlbumExample(str(album_id), feats, stories,
                                    raw_stories, gold))
     if not albums:
         raise DataFormatError(f"{path}: holds no albums")

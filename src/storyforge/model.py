@@ -4,10 +4,10 @@ The pipeline runs on B albums padded into one batch, and a lone album is
 a batch of one: the encoders and attention keep one (step, album, ...)
 shape, and the training objective scores a batch's true and deranged
 sentences as the rows of one padded batch, so a batch is one graph.
-Inference batches the same way: a chunk of albums is encoded and
-summarized once, and all of its sentences are decoded as the rows of one
-search. The scene views read the same chunks, an album's view being its
-column of the chunk's batch.
+Inference runs the training step's `batch_z` on each of `chunks`, and
+all of a chunk's sentences are decoded as the rows of one search. The
+scene views encode the same chunks without attention, an album's view
+being its column of the chunk's batch.
 """
 
 from __future__ import annotations
@@ -174,12 +174,13 @@ def summarize_album(encoding: AlbumEncoding, n: int, params):
 def batch_z(albums, n: int, params, cfg: ModelConfig, force_flags=None, relax=False):
     """B albums padded into one batch, encoded and summarized in n attention
     steps; `force_flags` is an (m_max, B) 0/1 array of boundary decisions.
-    Returns Z, one (n*B, D_v) node whose row j*B + b is step j of album b."""
+    Returns Z, one (n*B, D_v) node whose row j*B + b is step j of album b,
+    the batch's AlbumEncoding and the (n, B, alpha_len) alphas."""
     feats, lengths = pad_steps([album.features for album in albums])
-    encoding = encode_album(feats, params, cfg, force_flags=force_flags,
-                            relax=relax, lengths=lengths)
-    Z, _ = attend_scan(encoding.memory, encoding.valid_mask, encoding.init_state, n, params)
-    return T.reshape(Z, (-1, cfg.d_v))
+    enc = encode_album(feats, params, cfg, force_flags=force_flags, relax=relax,
+                       lengths=lengths)
+    Z, alphas = attend_scan(enc.memory, enc.valid_mask, enc.init_state, n, params)
+    return T.reshape(Z, (-1, cfg.d_v)), enc, alphas
 
 
 def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
@@ -230,7 +231,7 @@ def story_objective(album, story_idx, params, cfg: ModelConfig,
     Returns (loss node, LossReport)."""
     story = album.stories[story_idx]
     flags = None if force_flags is None else np.reshape(force_flags, (-1, 1))
-    Z = batch_z([album], len(story), params, cfg, force_flags=flags, relax=relax)
+    Z, _, _ = batch_z([album], len(story), params, cfg, force_flags=flags, relax=relax)
     return stories_objective(Z, [story], params,
                              deranges=None if derange is None else [derange],
                              lam=lam, mu=mu)
@@ -239,32 +240,26 @@ def story_objective(album, story_idx, params, cfg: ModelConfig,
 DECODE_CHUNK = 32   # albums padded, encoded and searched together at inference
 
 
-def encoded_chunks(albums, params, cfg: ModelConfig):
-    """Yield (photo counts, AlbumEncoding) for each DECODE_CHUNK albums,
-    padded into one batch and encoded under no_grad."""
-    for lo in range(0, len(albums), DECODE_CHUNK):
-        feats, lengths = pad_steps([a.features for a in albums[lo:lo + DECODE_CHUNK]])
-        with T.no_grad():
-            encoding = encode_album(feats, params, cfg, lengths=lengths)
-        yield lengths, encoding
+def chunks(albums) -> list:
+    """The albums in runs of DECODE_CHUNK, each one batch at inference."""
+    return [albums[lo:lo + DECODE_CHUNK] for lo in range(0, len(albums), DECODE_CHUNK)]
 
 
 def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
                      beam_width: int = 3) -> list:
     """Decode n sentences for each album with the live boundary detector:
-    each chunk of `encoded_chunks` is summarized once, and every (album,
+    each of `chunks` is one `batch_z` under no_grad, and every (album,
     sentence, hypothesis) is a row of one search. Greedy ignores
     `beam_width`. Returns one StoryHypothesis per album."""
     width = decode_width(mode, beam_width)
     stories = []
-    for lengths, encoding in encoded_chunks(albums, params, cfg):
+    for chunk in chunks(albums):
         with T.no_grad():
-            Z, alphas = attend_scan(encoding.memory, encoding.valid_mask,
-                                    encoding.init_state, cfg.sentences, params)
+            Z, encoding, alphas = batch_z(chunk, cfg.sentences, params, cfg)
         # row j*B + b holds sentence j of album b
-        decoded = _search(Z.data.reshape(-1, cfg.d_v), params, cfg.max_words, width)
-        for b, (m, used) in enumerate(zip(lengths, encoding.used_slots)):
-            rows = decoded[b::len(lengths)]
+        decoded = _search(Z.data, params, cfg.max_words, width)
+        for b, (m, used) in enumerate(zip(encoding.photos.lengths, encoding.used_slots)):
+            rows = decoded[b::len(chunk)]
             stories.append(StoryHypothesis([ids for ids, _ in rows],
                                            [lps for _, lps in rows],
                                            [a[b, :used].copy() for a in alphas],
@@ -279,11 +274,13 @@ def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",
 
 
 def scene_views(albums, params, cfg: ModelConfig) -> list:
-    """Each album's scenes, encoded by `encoded_chunks`: boundary flags, soft
-    scores, the scene of each photo and the number of scenes."""
+    """Each album's scenes, encoded a chunk of `chunks` at a time: boundary
+    flags, soft scores, the scene of each photo and the number of scenes."""
     views = []
-    for lengths, encoding in encoded_chunks(albums, params, cfg):
-        seg = encoding.scenes
+    for chunk in chunks(albums):
+        feats, lengths = pad_steps([a.features for a in chunk])
+        with T.no_grad():
+            seg = encode_album(feats, params, cfg, lengths=lengths).scenes
         for b, (m, u) in enumerate(zip(lengths, seg.u)):
             flags = seg.flags[:m, b].tolist()
             views.append({"flags": flags, "softs": seg.softs[:m, b].tolist(),

@@ -6,19 +6,19 @@ as zero, reconstructor untouched). Stage 2 freezes everything upstream of
 the sentence decoder and adds the reconstruction term.
 
 A "step" is one optimizer update over a batch of (album, story) examples:
-one graph, one forward and one backward pass. The batch's albums are
-padded into one batch for the encoders and attention (`model.batch_z`),
+one graph, one forward and one backward pass. `model.batch_z` pads,
+encodes and summarizes the batch's albums into their attended vectors Z,
 and all of its sentences are scored as the rows of one padded batch; the
 losses are sums over the batch (`model.stories_objective`). Stage 2
 encodes each training album once, on the stage's clock: its frozen layers
-give every album's attended vectors Z in `model.encoded_chunks` passes
-under no_grad, and each step gathers its batch's rows of Z as a constant,
-so a stage-2 step builds only decoder and reconstructor graphs. Albums
-with several reference stories contribute one example per reference.
+give every album's Z in one no_grad `model.batch_z` per `model.chunks`
+run, and each step gathers its batch's rows of Z as a constant, so a
+stage-2 step builds only decoder and reconstructor graphs. Albums with
+several reference stories contribute one example per reference.
 Order-loss derangements are drawn per example, in batch order, and
 redrawn each epoch. Validation decodes every album with
 `model.generate_stories`, a chunk of albums per search, and scores corpus
-CIDEr.
+CIDEr; a decode that overflows or computes an invalid value is divergence.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ import numpy as np
 
 from . import tensor as T
 from .data import decode_ids, story_tokens
-from .decoder import attend_scan
 from .losses import derangement
 from .metrics import EvalPair, cider
 from .model import (ConfigError, ModelConfig, batch_z, build_parameters,
-                    check_field_types, encoded_chunks, generate_stories,
-                    stories_objective)
+                    check_field_types, chunks, generate_stories, stories_objective)
 
 STAGE1_FROZEN = ("reconstructor",)
 STAGE2_FROZEN = ("photo_encoder", "scene_encoder", "attention")
@@ -83,8 +81,11 @@ class TrainResult:
     log: list
     best_cider: float
     steps: int
-    diverged: bool = False
     stop_reason: str = "max_steps"
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
 
 
 def decoded_pairs(params, cfg: ModelConfig, albums, vocab, mode: str = "greedy",
@@ -104,8 +105,8 @@ def validate(params, cfg: ModelConfig, albums, vocab, mode: str = "greedy",
     return cider(decoded_pairs(params, cfg, albums, vocab, mode, beam_width))
 
 
-# a diverging run overflows on its way to a non-finite loss or Adam update,
-# which the stage checks for itself and stops on as "diverged"
+# a diverging run overflows on its way to a non-finite loss, Adam update or
+# validation, which the stage checks for itself and stops on as "diverged"
 @np.errstate(over="ignore", invalid="ignore")
 def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
                vocab, start_step: int = 0) -> TrainResult:
@@ -133,9 +134,12 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     t0 = time.perf_counter()
 
     def keep_best(entry) -> bool:
-        """Score the current weights into `entry`; keep them if they improve."""
+        """Score the current weights into `entry`; keep them if they improve.
+        Raises FloatingPointError if their decode overflows or computes an
+        invalid value."""
         nonlocal best, best_cider
-        score = entry["val_cider"] = validate(params, cfg, val_set, vocab)
+        with np.errstate(over="raise", invalid="raise"):
+            score = entry["val_cider"] = validate(params, cfg, val_set, vocab)
         if score > best_cider:
             best_cider, best = score, params.copy()
             return True
@@ -144,9 +148,11 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     def result(stop_reason):
         if stop_reason != "diverged" and not (log and "val_cider" in log[-1]):
             # close with a final validation so `best` reflects the end state
-            keep_best(log[-1] if log else {})
-        return TrainResult(best, params.copy(), log, float(best_cider), step,
-                           stop_reason == "diverged", stop_reason)
+            try:
+                keep_best(log[-1] if log else {})
+            except FloatingPointError:
+                stop_reason = "diverged"
+        return TrainResult(best, params.copy(), log, float(best_cider), step, stop_reason)
 
     def batches():
         while True:
@@ -162,14 +168,14 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     if stage_no == 2:
         with T.no_grad():
             album_z = np.concatenate([
-                attend_scan(e.memory, e.valid_mask, e.init_state, n_sent, params)[0].data
-                for _, e in encoded_chunks(train_set, params, cfg)], axis=1)
+                batch_z(chunk, n_sent, params, cfg)[0].data.reshape(n_sent, -1, cfg.d_v)
+                for chunk in chunks(train_set)], axis=1)
     for batch in batches():
         params.zero_grads()
         # one derangement per example, drawn in batch order
         ders = [derangement(n_sent, rng) for _ in batch] if n_sent >= 2 else None
         stories = [train_set[ai].stories[si] for ai, si in batch]
-        Z = (batch_z([train_set[ai] for ai, _ in batch], len(stories[0]), params, cfg)
+        Z = (batch_z([train_set[ai] for ai, _ in batch], len(stories[0]), params, cfg)[0]
              if album_z is None   # row j*B + b: step j of the batch's album b
              else T.wrap(album_z[:, [ai for ai, _ in batch]].reshape(-1, cfg.d_v)))
         loss, rep = stories_objective(Z, stories, params, deranges=ders,
@@ -185,7 +191,10 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
         entry = {"step": step, "stage": stage_no, **asdict(rep),
                  "per_word_nll": rep.nll / max(1, rep.word_count)}
         if step % tcfg.validate_every == 0:
-            bad_validations = 0 if keep_best(entry) else bad_validations + 1
+            try:
+                bad_validations = 0 if keep_best(entry) else bad_validations + 1
+            except FloatingPointError:
+                return result("diverged")
         entry["wall_time"] = round(time.perf_counter() - t0, 6)
         log.append(entry)
         if bad_validations >= tcfg.patience:

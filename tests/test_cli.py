@@ -358,11 +358,11 @@ def _generate_with_smaller_vocab(root, tmp_path):
             "--vocab-file", str(small)]
 
 
-def _albums_with_features(root, tmp_path, edit):
-    """The synthetic album file with the first record's features edited."""
+def _edited_albums(root, tmp_path, edit, field="features"):
+    """The synthetic album file with the first record's `field` edited."""
     lines = (root / "d" / "albums.jsonl").read_text().splitlines()
     rec = json.loads(lines[0])
-    rec["features"] = edit(rec["features"])
+    rec[field] = edit(rec[field])
     data = tmp_path / "albums.jsonl"
     data.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
     return data
@@ -373,8 +373,21 @@ def _evaluate_data_with(edit):
         stories = tmp_path / "s.jsonl"
         stories.write_text(json.dumps({"album_id": "x", "sentences": ["hi"]}) + "\n")
         return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-                "--data", str(_albums_with_features(root, tmp_path, edit)),
+                "--data", str(_edited_albums(root, tmp_path, edit)),
                 "--vocab-file", str(root / "d" / "vocab.txt")]
+    return make_argv
+
+
+def _evaluate_data_with_album_id(album_id):
+    """evaluate on the synthetic albums with the first record's `album_id`
+    replaced, scoring a story of the second album."""
+    def make_argv(root, tmp_path):
+        data = _edited_albums(root, tmp_path, lambda _: album_id, field="album_id")
+        second = json.loads(data.read_text().splitlines()[1])["album_id"]
+        stories = tmp_path / "s.jsonl"
+        stories.write_text(json.dumps({"album_id": second, "sentences": ["hi"]}) + "\n")
+        return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
+                "--data", str(data), "--vocab-file", str(root / "d" / "vocab.txt")]
     return make_argv
 
 
@@ -388,7 +401,7 @@ def _evaluate_sentences_not_a_list(root, tmp_path):
 
 
 def _generate_with_other_feature_dim(root, tmp_path):
-    data = _albums_with_features(root, tmp_path, lambda rows: [r[:4] for r in rows])
+    data = _edited_albums(root, tmp_path, lambda rows: [r[:4] for r in rows])
     return ["generate", "--out-dir", str(tmp_path), "--data", str(data),
             "--checkpoint", str(root / "t" / "stage2.ckpt.json"),
             "--vocab-file", str(root / "d" / "vocab.txt")]
@@ -680,6 +693,9 @@ class TestBadInputExitCodes:
          "noise_scale 1e+308 with cluster_separation 4.0 overflows the photo features"),
         *[(_evaluate_with_album_id(album_id), "s.jsonl: line 1: album_id must be a string")
           for album_id in (["synth0000"], {"id": "synth0000"}, 0, True, None)],
+        *[(_evaluate_data_with_album_id(album_id),
+           "albums.jsonl: line 1: album_id must be a string or an integer")
+          for album_id in (None, True, 7.5, [1, 2], {"x": 1})],
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -718,7 +734,10 @@ class TestBadInputExitCodes:
             "evaluate-duplicate-album-id", "evaluate-duplicate-story",
             "synth-data-noise-overflow", "evaluate-album-id-list",
             "evaluate-album-id-object", "evaluate-album-id-number",
-            "evaluate-album-id-bool", "evaluate-album-id-null"])
+            "evaluate-album-id-bool", "evaluate-album-id-null",
+            "evaluate-data-album-id-null", "evaluate-data-album-id-bool",
+            "evaluate-data-album-id-float", "evaluate-data-album-id-list",
+            "evaluate-data-album-id-object"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -128,6 +128,12 @@ class TestLoadAlbums:
         assert len(a.stories[0]) == 5
         assert a.stories[0][0][-1] == D.EOS
 
+    @pytest.mark.parametrize("album_id, stored", [("7", "7"), (7, "7"), (-3, "-3"),
+                                                  (10 ** 20, "100000000000000000000")])
+    def test_album_id_string_or_integer(self, tmp_path, vocab, album_id, stored):
+        p = write_albums(tmp_path, [make_record(album_id=album_id)])
+        assert D.load_albums(p, vocab)[0].album_id == stored
+
     def test_photo_truncation(self, tmp_path, vocab):
         p = write_albums(tmp_path, [make_record(m=50)])
         (a,) = D.load_albums(p, vocab, max_photos=40)

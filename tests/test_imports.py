@@ -1,7 +1,8 @@
 """Every name a `storyforge` module imports is used in that module, no
-`storyforge` module imports the benchmark, and only the small `tensor`
+`storyforge` module imports the benchmark, only the small `tensor`
 primitives and the three recurrence nodes build graph nodes of their own
-(with a hand-written backward)."""
+(with a hand-written backward), and only `model` pads, encodes and attends
+over albums."""
 
 import ast
 from pathlib import Path
@@ -87,14 +88,21 @@ MAKE_CALLERS = {
 }
 
 
-def stray_make_calls(source: str, allowed: set) -> list[str]:
-    """`_make` calls (bare or as an attribute) outside the top-level
-    functions named in `allowed`."""
+# the functions that may pad, encode and attend, by module: `batch_z`, the
+# one path from albums to attended vectors, the scene views, which need no
+# attention, and `encode_album`'s own padding of a lone album
+PIPELINE_CALLEES = {"attend_scan", "encode_album", "pad_steps"}
+PIPELINE_CALLERS = {"model": {"batch_z", "scene_views", "encode_album"}}
+
+
+def stray_calls(source: str, callees: set, allowed: set) -> list[str]:
+    """Calls (bare or as an attribute) of the functions named in `callees`
+    outside the top-level functions named in `allowed`."""
     found = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and "_make" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            if isinstance(node, ast.Call) and callees & {
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
                 where = getattr(top, "name", "module")
                 if where not in allowed:
                     found.append(f"line {node.lineno}: {where}")
@@ -104,11 +112,26 @@ def stray_make_calls(source: str, allowed: set) -> list[str]:
 def test_checker_flags_a_stray_make_call():
     src = ("def add(a, b):\n    return _make(a, (), None)\n\n"
            "def cell(x):\n    def bw(g):\n        pass\n    return T._make(x, (), bw)\n")
-    assert stray_make_calls(src, {"add"}) == ["line 7: cell"]
-    assert stray_make_calls(src, {"add", "cell"}) == []
+    assert stray_calls(src, {"_make"}, {"add"}) == ["line 7: cell"]
+    assert stray_calls(src, {"_make"}, {"add", "cell"}) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_hand_written_backwards_only_in_primitives_and_recurrence_nodes(path):
-    assert stray_make_calls(path.read_text(encoding="utf-8"),
-                            MAKE_CALLERS.get(path.stem, set())) == []
+    assert stray_calls(path.read_text(encoding="utf-8"), {"_make"},
+                       MAKE_CALLERS.get(path.stem, set())) == []
+
+
+def test_checker_flags_a_stray_pipeline_call():
+    src = ("from .decoder import attend_scan\n\n"
+           "def step(e, n, ps):\n    return attend_scan(e.memory, e.valid_mask, e.init_state,"
+           " n, ps)\n\n"
+           "def views(albums):\n    return M.pad_steps([a.features for a in albums])\n")
+    assert stray_calls(src, PIPELINE_CALLEES, set()) == ["line 4: step", "line 7: views"]
+    assert stray_calls(src, PIPELINE_CALLEES, {"step", "views"}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_model_pads_encodes_and_attends(path):
+    assert stray_calls(path.read_text(encoding="utf-8"), PIPELINE_CALLEES,
+                       PIPELINE_CALLERS.get(path.stem, set())) == []

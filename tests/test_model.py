@@ -15,7 +15,7 @@ from storyforge.decoder import (attend, attend_scan, decode_sentence_beam,
                                 decode_sentence_greedy, score_sentences, sentence_log_prob)
 from storyforge.losses import derangement, nll_loss, rank_loss, recon_loss, total_loss
 from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_z,
-                              build_parameters, encode_album, encoded_chunks,
+                              build_parameters, chunks, encode_album,
                               full_pipeline_grad_check, generate_stories,
                               generate_story, pad_steps, scene_views,
                               stories_objective, story_objective, summarize_album)
@@ -234,7 +234,7 @@ class TestGraphSize:
         derange = np.array([1, 2, 3, 4, 0])
         single = max(op_nodes(story_objective(album, 0, ps, cfg, derange=derange)[0])
                      for album in albums)
-        batched = op_nodes(stories_objective(batch_z(albums, 5, ps, cfg),
+        batched = op_nodes(stories_objective(batch_z(albums, 5, ps, cfg)[0],
                                              [album.stories[0] for album in albums], ps,
                                              deranges=[derange] * len(albums))[0])
         assert batched <= 1.5 * single, (batched, single)
@@ -258,7 +258,7 @@ class TestBatchObjective:
         ders = [np.array([1, 2, 0]), np.array([2, 0, 1]), np.array([1, 2, 0]),
                 np.array([2, 0, 1])]
         ps.zero_grads()
-        loss, rep = stories_objective(batch_z(albums, cfg.sentences, ps, cfg),
+        loss, rep = stories_objective(batch_z(albums, cfg.sentences, ps, cfg)[0],
                                       [a.stories[0] for a in albums], ps, deranges=ders,
                                       lam=0.3, mu=0.7)
         loss.backward()
@@ -287,7 +287,14 @@ class TestBatchObjective:
         albums = self.albums(cfg, (2, 4), seed=21)
         stories = [a.stories[0] for a in albums]
         flags = np.array([[0, 0], [1, 1], [0, 1], [0, 0]])   # (m_max, B), column b album b
-        Z = batch_z(albums, cfg.sentences, ps, cfg, force_flags=flags)
+        Z, enc, alphas = batch_z(albums, cfg.sentences, ps, cfg, force_flags=flags)
+        # the batch's encoding holds the forced flags, and Z is the alphas'
+        # weighted memory
+        np.testing.assert_array_equal(enc.scenes.flags, flags)
+        assert alphas.shape == (cfg.sentences, len(albums), cfg.alpha_len)
+        np.testing.assert_allclose(Z.data.reshape(alphas.shape[:2] + (-1,)),
+                                   np.einsum("nbl,bld->nbd", alphas, enc.memory.data),
+                                   rtol=1e-12, atol=1e-15)
         _, rep = stories_objective(Z, stories, ps)
         want = sum(story_objective(a, 0, ps, cfg, force_flags=flags[:len(a.features), b])[1]
                    .total for b, a in enumerate(albums))
@@ -301,7 +308,8 @@ class TestBatchObjective:
         a, b = self.albums(cfg, (2, 3), seed=22)
         b.stories = [b.stories[0][:2]]
         with pytest.raises(ValueError, match="sentence count"):
-            stories_objective(batch_z([a, b], 3, ps, cfg), [a.stories[0], b.stories[0]], ps)
+            stories_objective(batch_z([a, b], 3, ps, cfg)[0], [a.stories[0], b.stories[0]],
+                              ps)
 
     def test_batched_encoding_holds_each_albums_own_layout(self):
         cfg = tiny_cfg()
@@ -380,7 +388,7 @@ class TestFewerLoopSteps:
                                                       lam=lam, mu=mu)[0],
                           lambda Z: two_scan_objective(Z, stories, ps, ders, lam, mu)):
             ps.zero_grads()
-            loss = objective(batch_z(albums, n, ps, cfg))
+            loss = objective(batch_z(albums, n, ps, cfg)[0])
             loss.backward()
             results.append((loss.item(), {name: ps[name].grad for name in ps.names()}))
         (got, grads), (want, want_grads) = results
@@ -436,7 +444,7 @@ class TestFewerLoopSteps:
         ders = [derangement(cfg.sentences, rng) for _ in albums]
         steps, gru_step = [], T._gru_step
         monkeypatch.setattr(T, "_gru_step", lambda *args: steps.append(1) or gru_step(*args))
-        stories_objective(batch_z(albums, cfg.sentences, ps, cfg), stories, ps,
+        stories_objective(batch_z(albums, cfg.sentences, ps, cfg)[0], stories, ps,
                           deranges=ders, mu=0.0)
         m_max, t_max = 5, max(len(s) for story in stories for s in story)
         assert len(steps) == m_max + m_max + t_max + cfg.sentences
@@ -542,17 +550,17 @@ def stage_one_loss(n):
     ps = build_parameters(cfg, np.random.default_rng(0))
     ps.freeze(*STAGE1_FROZEN)
     albums = synth_dataset(spec, vocab)
-    loss, _ = stories_objective(batch_z(albums, n, ps, cfg),
+    loss, _ = stories_objective(batch_z(albums, n, ps, cfg)[0],
                                 [a.stories[0][:n] for a in albums], ps,
                                 deranges=[np.roll(np.arange(n), 1)] * len(albums), mu=0.0)
     return ps, loss
 
 
 class TestCachedZ:
-    """Stage 2's path: Z encoded once per album, `DECODE_CHUNK` albums per
-    no_grad pass, then gathered for a batch and fed to `stories_objective`,
-    gives the loss and trained gradients of stage 1's call, `stories_objective`
-    of `batch_z` on the batch."""
+    """Stage 2's path: Z encoded once per album, one of `chunks` per no_grad
+    pass (here by the per-step `summarize_album`), then gathered for a batch
+    and fed to `stories_objective`, gives the loss and trained gradients of
+    stage 1's call, `stories_objective` of `batch_z` on the batch."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1),
@@ -570,9 +578,13 @@ class TestCachedZ:
         albums = [tiny_album(rng, cfg, m=m, words=int(rng.integers(1, 6))) for m in sizes]
         batch = [i % len(albums) for i in picks]   # albums may repeat
         ders = [derangement(n, rng) for _ in batch] if n >= 2 else None
+        runs = []
         with mock.patch.object(model, "DECODE_CHUNK", chunk), T.no_grad():
-            cache = np.concatenate([np.stack([z.data for z in summarize_album(enc, n, ps)[0]])
-                                    for _, enc in encoded_chunks(albums, ps, cfg)], 1)
+            for run in chunks(albums):
+                feats, lengths = pad_steps([a.features for a in run])
+                zs, _ = summarize_album(encode_album(feats, ps, cfg, lengths=lengths), n, ps)
+                runs.append(np.stack([z.data for z in zs]))
+        cache = np.concatenate(runs, axis=1)
         assert cache.shape == (n, len(albums), cfg.d_v)
 
         def trained(objective):
@@ -584,7 +596,7 @@ class TestCachedZ:
 
         stories = [albums[i].stories[0] for i in batch]
         want, want_rep, want_grads = trained(lambda: stories_objective(
-            batch_z([albums[i] for i in batch], n, ps, cfg), stories, ps, deranges=ders,
+            batch_z([albums[i] for i in batch], n, ps, cfg)[0], stories, ps, deranges=ders,
             lam=lam, mu=mu))
         Z = T.wrap(cache[:, batch].reshape(-1, cfg.d_v))   # row j*B + b
         got, rep, grads = trained(lambda: stories_objective(
@@ -713,6 +725,12 @@ class TestGenerateStories:
         monkeypatch.setattr(model, "encode_album", no_encoding)
         with pytest.raises(ValueError, match="^beam width must be >= 1$"):
             generate_stories([album], ps, cfg, mode="beam", beam_width=0)
+
+
+def test_chunks_are_runs_of_decode_chunk():
+    albums = list(range(2 * DECODE_CHUNK + 1))
+    assert [len(run) for run in chunks(albums)] == [DECODE_CHUNK, DECODE_CHUNK, 1]
+    assert [a for run in chunks(albums) for a in run] == albums and chunks([]) == []
 
 
 class TestSceneViews:

@@ -229,6 +229,31 @@ class TestDivergence:
         for n, blob in snapshot.items():
             assert res.params[n].data.tobytes() == blob
 
+    @pytest.mark.parametrize("validate_every", [1, 100])
+    def test_overflowing_validation_stops_as_diverged(self, corpus, validate_every):
+        # one step at lr 1e200 leaves finite weights near 1e200, whose decode
+        # overflows: a validation in the loop (1) or the closing one (100)
+        # stops the stage and keeps the last good weights, here the initial
+        _, vocab, albums = corpus
+        tcfg = tiny_tcfg(vocab, lr=1e200, max_steps=1, validate_every=validate_every)
+        init = build_parameters(tcfg.model, np.random.default_rng(tcfg.seed))
+        snapshot = {n: init[n].data.tobytes() for n in init.names()}
+        res = run_stage1(albums, albums, tcfg, vocab, params=init)
+        assert res.stop_reason == "diverged" and res.diverged and res.steps == 1
+        assert res.best_cider == -np.inf
+        assert not any("val_cider" in e for e in res.log)
+        assert max(np.abs(res.final_params[n].data).max() for n in snapshot) > 1e199
+        for n, blob in snapshot.items():
+            assert res.params[n].data.tobytes() == blob
+
+    def test_diverged_is_the_stop_reason(self, corpus):
+        _, vocab, albums = corpus
+        res = run_stage1(albums, albums, tiny_tcfg(vocab, max_steps=1), vocab)
+        assert (res.stop_reason, res.diverged) == ("max_steps", False)
+        assert "diverged" not in {f.name for f in dataclasses.fields(res)}
+        res.stop_reason = "diverged"
+        assert res.diverged
+
     def test_overflowed_adam_moment_stops_as_diverged(self, corpus):
         # the order term's weight makes finite grads whose squares overflow
         _, vocab, albums = corpus
