@@ -244,8 +244,8 @@ def cmd_train(cfg) -> int:
                           meta={"stage": stage_no, "steps": res.steps,
                                 "best_cider": res.best_cider,
                                 "config": snapshot})
-        print(f"stage {stage_no}: steps={res.steps} stop={res.stop_reason} "
-              f"best_cider={res.best_cider:.4f}")
+        best = "none" if res.best_cider is None else f"{res.best_cider:.4f}"
+        print(f"stage {stage_no}: steps={res.steps} stop={res.stop_reason} best_cider={best}")
         if res.diverged:
             print("training diverged; kept last good checkpoint", file=sys.stderr)
             return 2
@@ -417,6 +417,8 @@ def build_parser() -> _Parser:
     return parser
 
 
+# a model whose arithmetic overflows is a runtime failure, not a silent NaN
+@np.errstate(over="raise", invalid="raise")
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -429,7 +431,7 @@ def main(argv=None) -> int:
             PermissionError) as e:   # a path given to read or write
         print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
-    except (ValueError, T.DimensionError, T.EvaluationError) as e:
+    except (ValueError, FloatingPointError, T.DimensionError, T.EvaluationError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,8 @@ class NotFittedError(RuntimeError):
     """Raised when predict/transform/score run before fit."""
 
 
-def check_is_fitted(estimator, attr: str = "params_"):
-    if not hasattr(estimator, attr):
+def check_is_fitted(estimator):
+    if not hasattr(estimator, "params_"):
         raise NotFittedError(
             f"{type(estimator).__name__} is not fitted yet; call fit first")
 

@@ -16,6 +16,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+MAX_N = 4          # BLEU and CIDEr n-gram orders 1..MAX_N
+ROUGE_BETA = 1.2   # ROUGE-L's recall weight
+
 
 @dataclass
 class EvalPair:
@@ -36,18 +39,18 @@ def _ngrams(tokens, n) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(pairs, max_n: int = 4) -> dict:
-    """Returns {n: score} for n = 1..max_n."""
+def bleu(pairs) -> dict:
+    """Returns {n: score} for n = 1..MAX_N."""
     _require_corpus(pairs)
-    clipped = [0] * (max_n + 1)
-    totals = [0] * (max_n + 1)
+    clipped = [0] * (MAX_N + 1)
+    totals = [0] * (MAX_N + 1)
     cand_len, ref_len = 0, 0
     for pair in pairs:
         c = len(pair.candidate)
         cand_len += c
         # closest reference length; ties go to the shorter reference
         ref_len += min((abs(len(r) - c), len(r)) for r in pair.references)[1]
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             counts = _ngrams(pair.candidate, n)
             max_ref = Counter()
             for ref in pair.references:
@@ -56,10 +59,10 @@ def bleu(pairs, max_n: int = 4) -> dict:
             totals[n] += sum(counts.values())
 
     if cand_len == 0:
-        return {n: 0.0 for n in range(1, max_n + 1)}
+        return {n: 0.0 for n in range(1, MAX_N + 1)}
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     scores = {}
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         log_sum = 0.0
         degenerate = False
         for k in range(1, n + 1):
@@ -83,7 +86,7 @@ def _lcs_len(a, b) -> int:
     return prev[-1]
 
 
-def rouge_l(pairs, beta: float = 1.2) -> float:
+def rouge_l(pairs) -> float:
     _require_corpus(pairs)
     total = 0.0
     for pair in pairs:
@@ -94,22 +97,22 @@ def rouge_l(pairs, beta: float = 1.2) -> float:
                 continue
             prec = lcs / len(pair.candidate)
             rec = lcs / len(ref)
-            f = (1 + beta ** 2) * rec * prec / (rec + beta ** 2 * prec)
+            f = (1 + ROUGE_BETA ** 2) * rec * prec / (rec + ROUGE_BETA ** 2 * prec)
             if f > best:
                 best = f
         total += best
     return total / len(pairs)
 
 
-def cider(pairs, max_n: int = 4) -> float:
+def cider(pairs) -> float:
     _require_corpus(pairs)
     # document frequency: number of corpus items whose reference set
     # contains the n-gram. The log-N term is floored at log 2 so that a
     # one-item corpus still produces nonzero idf (an identical candidate
     # must score the full 10).
-    doc_freq = [Counter() for _ in range(max_n + 1)]
+    doc_freq = [Counter() for _ in range(MAX_N + 1)]
     for pair in pairs:
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             seen = set()
             for ref in pair.references:
                 seen.update(_ngrams(ref, n).keys())
@@ -126,7 +129,7 @@ def cider(pairs, max_n: int = 4) -> float:
     total = 0.0
     for pair in pairs:
         pair_score = 0.0
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             c_vec, c_norm = tfidf(pair.candidate, n)
             sim = 0.0
             for ref in pair.references:
@@ -135,5 +138,5 @@ def cider(pairs, max_n: int = 4) -> float:
                     dot = sum(w * r_vec.get(g, 0.0) for g, w in c_vec.items())
                     sim += dot / (c_norm * r_norm)
             pair_score += sim / len(pair.references)
-        total += pair_score / max_n
+        total += pair_score / MAX_N
     return 10.0 * total / len(pairs)

@@ -18,11 +18,14 @@ several reference stories contribute one example per reference.
 Order-loss derangements are drawn per example, in batch order, and
 redrawn each epoch. Validation decodes every album with
 `model.generate_stories`, a chunk of albums per search, and scores corpus
-CIDEr; a decode that overflows or computes an invalid value is divergence.
+CIDEr. A stage diverges on any overflow or invalid value in it, or on a
+non-finite loss or Adam update: it stops, keeps its best weights so far
+and reports `best_cider` None if no validation succeeded.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -79,7 +82,7 @@ class TrainResult:
     params: T.ParamStore         # best-validation weights (last good on divergence)
     final_params: T.ParamStore   # weights at the last completed step
     log: list
-    best_cider: float
+    best_cider: float | None     # None until a validation succeeds
     steps: int
     stop_reason: str = "max_steps"
 
@@ -105,9 +108,10 @@ def validate(params, cfg: ModelConfig, albums, vocab, mode: str = "greedy",
     return cider(decoded_pairs(params, cfg, albums, vocab, mode, beam_width))
 
 
-# a diverging run overflows on its way to a non-finite loss, Adam update or
-# validation, which the stage checks for itself and stops on as "diverged"
-@np.errstate(over="ignore", invalid="ignore")
+# every float fault in a stage is divergence: an overflow or an invalid value
+# anywhere in it, forward, backward, the stage-2 cache or a validation, raises
+# FloatingPointError, and the stage stops on it as "diverged"
+@np.errstate(over="raise", invalid="raise")
 def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
                vocab, start_step: int = 0) -> TrainResult:
     cfg = tcfg.model
@@ -127,32 +131,19 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
         raise ValueError(f"album '{wrong[0].album_id}': story has {wrong[1]} sentences, "
                          f"expected {n_sent}")
 
-    best = params.copy()
-    best_cider = -np.inf
+    best, best_cider = params.copy(), None
     bad_validations = 0
-    log, step = [], start_step
+    log, step, stop_reason = [], start_step, "max_steps"
     t0 = time.perf_counter()
 
     def keep_best(entry) -> bool:
-        """Score the current weights into `entry`; keep them if they improve.
-        Raises FloatingPointError if their decode overflows or computes an
-        invalid value."""
+        """Score the current weights into `entry`; keep them if they improve."""
         nonlocal best, best_cider
-        with np.errstate(over="raise", invalid="raise"):
-            score = entry["val_cider"] = validate(params, cfg, val_set, vocab)
-        if score > best_cider:
+        score = entry["val_cider"] = validate(params, cfg, val_set, vocab)
+        if best_cider is None or score > best_cider:
             best_cider, best = score, params.copy()
             return True
         return False
-
-    def result(stop_reason):
-        if stop_reason != "diverged" and not (log and "val_cider" in log[-1]):
-            # close with a final validation so `best` reflects the end state
-            try:
-                keep_best(log[-1] if log else {})
-            except FloatingPointError:
-                stop_reason = "diverged"
-        return TrainResult(best, params.copy(), log, float(best_cider), step, stop_reason)
 
     def batches():
         while True:
@@ -160,49 +151,49 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
             for lo in range(0, len(order), tcfg.batch_size):
                 yield [examples[i] for i in order[lo:lo + tcfg.batch_size]]
 
-    if tcfg.max_steps == 0:
-        return result("max_steps")
-    # stage 2 learns nothing below Z: each training album's Z is computed once,
-    # on the stage's clock, as (n, album, D_v), and each step gathers its rows
-    album_z = None
-    if stage_no == 2:
-        with T.no_grad():
-            album_z = np.concatenate([
-                batch_z(chunk, n_sent, params, cfg)[0].data.reshape(n_sent, -1, cfg.d_v)
-                for chunk in chunks(train_set)], axis=1)
-    for batch in batches():
-        params.zero_grads()
-        # one derangement per example, drawn in batch order
-        ders = [derangement(n_sent, rng) for _ in batch] if n_sent >= 2 else None
-        stories = [train_set[ai].stories[si] for ai, si in batch]
-        Z = (batch_z([train_set[ai] for ai, _ in batch], len(stories[0]), params, cfg)[0]
-             if album_z is None   # row j*B + b: step j of the batch's album b
-             else T.wrap(album_z[:, [ai for ai, _ in batch]].reshape(-1, cfg.d_v)))
-        loss, rep = stories_objective(Z, stories, params, deranges=ders,
-                                      lam=tcfg.lam, mu=mu)
-        if not np.isfinite(rep.total):
-            return result("diverged")
-        loss.backward()
-        try:
+    try:
+        # stage 2 learns nothing below Z: each training album's Z is computed
+        # once, on the stage's clock, as (n, album, D_v), and each step gathers
+        # its rows
+        album_z = None
+        if stage_no == 2 and tcfg.max_steps > 0:
+            with T.no_grad():
+                album_z = np.concatenate([
+                    batch_z(chunk, n_sent, params, cfg)[0].data.reshape(n_sent, -1, cfg.d_v)
+                    for chunk in chunks(train_set)], axis=1)
+        for batch in itertools.islice(batches(), tcfg.max_steps):
+            params.zero_grads()
+            # one derangement per example, drawn in batch order
+            ders = [derangement(n_sent, rng) for _ in batch] if n_sent >= 2 else None
+            stories = [train_set[ai].stories[si] for ai, si in batch]
+            Z = (batch_z([train_set[ai] for ai, _ in batch], len(stories[0]), params, cfg)[0]
+                 if album_z is None   # row j*B + b: step j of the batch's album b
+                 else T.wrap(album_z[:, [ai for ai, _ in batch]].reshape(-1, cfg.d_v)))
+            loss, rep = stories_objective(Z, stories, params, deranges=ders,
+                                          lam=tcfg.lam, mu=mu)
+            if not np.isfinite(rep.total):   # NaN weights compute without a fault
+                raise T.EvaluationError("non-finite loss")
+            loss.backward()
             opt.step()
-        except T.EvaluationError:
-            return result("diverged")
-        step += 1
-        entry = {"step": step, "stage": stage_no, **asdict(rep),
-                 "per_word_nll": rep.nll / max(1, rep.word_count)}
-        if step % tcfg.validate_every == 0:
-            try:
+            step += 1
+            entry = {"step": step, "stage": stage_no, **asdict(rep),
+                     "per_word_nll": rep.nll / max(1, rep.word_count)}
+            if step % tcfg.validate_every == 0:
                 bad_validations = 0 if keep_best(entry) else bad_validations + 1
-            except FloatingPointError:
-                return result("diverged")
-        entry["wall_time"] = round(time.perf_counter() - t0, 6)
-        log.append(entry)
-        if bad_validations >= tcfg.patience:
-            return result("patience")
-        if tcfg.nll_stop > 0 and entry["per_word_nll"] < tcfg.nll_stop:
-            return result("nll_stop")
-        if step - start_step >= tcfg.max_steps:
-            return result("max_steps")
+            entry["wall_time"] = round(time.perf_counter() - t0, 6)
+            log.append(entry)
+            if bad_validations >= tcfg.patience:
+                stop_reason = "patience"
+                break
+            if tcfg.nll_stop > 0 and entry["per_word_nll"] < tcfg.nll_stop:
+                stop_reason = "nll_stop"
+                break
+        if not (log and "val_cider" in log[-1]):
+            # close with a final validation so `best` reflects the end state
+            keep_best(log[-1] if log else {})
+    except (FloatingPointError, T.EvaluationError):
+        stop_reason = "diverged"
+    return TrainResult(best, params.copy(), log, best_cider, step, stop_reason)
 
 
 def run_stage1(train_set, val_set, tcfg: TrainConfig, vocab,

@@ -166,6 +166,18 @@ class TestTrain:
         assert (out / "stage2.ckpt.json").exists()
         assert not (out / "stage1.ckpt.json").exists()
 
+    def test_divergence_before_any_validation_writes_strict_json(self, workdir, tmp_path,
+                                                                  capsys):
+        # the first validation overflows, so no best CIDEr exists: null, not -Infinity
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        assert main(_train_argv(workdir, tmp_path, "--lr", "1e200",
+                                "--validate-every", "1")) == 2
+        assert "stop=diverged best_cider=none" in capsys.readouterr().out
+        text = (tmp_path / "run" / "stage1.ckpt.json").read_text()
+        assert json.loads(text, parse_constant=reject)["meta"]["best_cider"] is None
+
 
 class TestGenerate:
     def test_story_records(self, workdir, tmp_path):
@@ -479,6 +491,15 @@ def _edit_first_payload(edit):
     return _edit_first_record(apply)
 
 
+def _scale_weights(obj):
+    """Every weight times 1e160: finite, so the loader takes them, but the
+    model's arithmetic overflows."""
+    for rec in obj["params"].values():
+        values = np.frombuffer(base64.b64decode(rec["values"]), "<f8") * 1e160
+        rec["values"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
+    return json.dumps(obj)
+
+
 def _edit_saved_config(key, value):
     def apply(obj):
         obj["meta"]["config"][key] = value
@@ -744,6 +765,20 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and message in err
+
+
+class TestRuntimeFailureExitCodes:
+    @pytest.mark.parametrize("command", ["generate", "inspect-scenes"])
+    def test_overflowing_model_exits_2_and_writes_nothing(self, workdir, tmp_path, capsys,
+                                                           command):
+        path = _bad_checkpoint(workdir, tmp_path, _scale_weights)
+        assert main([command, "--out-dir", str(tmp_path),
+                     "--data", str(workdir / "d" / "albums.jsonl"), "--checkpoint", str(path),
+                     "--vocab-file", str(workdir / "d" / "vocab.txt")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("runtime error: overflow encountered")
+        assert not any((tmp_path / name).exists() for name in ("stories.jsonl", "scenes.txt"))
 
 
 class TestParser:

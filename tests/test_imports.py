@@ -1,8 +1,9 @@
 """Every name a `storyforge` module imports is used in that module, no
 `storyforge` module imports the benchmark, only the small `tensor`
 primitives and the three recurrence nodes build graph nodes of their own
-(with a hand-written backward), and only `model` pads, encodes and attends
-over albums."""
+(with a hand-written backward), only `model` pads, encodes and attends over
+albums, and only the functions in `ERRSTATE_CALLERS` set numpy's float-fault
+rule."""
 
 import ast
 from pathlib import Path
@@ -135,3 +136,57 @@ def test_checker_flags_a_stray_pipeline_call():
 def test_only_model_pads_encodes_and_attends(path):
     assert stray_calls(path.read_text(encoding="utf-8"), PIPELINE_CALLEES,
                        PIPELINE_CALLERS.get(path.stem, set())) == []
+
+
+# the functions that set numpy's float-fault rule, by module, with the rules
+# each sets: a training stage and the CLI raise on any overflow or invalid
+# value, the synthetic data on a feature beyond the float range, and Adam
+# ignores both while it fills its buffers, which it checks before it commits
+RAISE = {"over": "raise", "invalid": "raise"}
+ERRSTATE_CALLERS = {
+    "trainer": {"_run_stage": [RAISE]},
+    "cli": {"main": [RAISE]},
+    "data": {"synth_dataset": [{"over": "raise"}]},
+    "tensor": {"Adam.step": [{"over": "ignore", "invalid": "ignore"}]},
+}
+
+
+def errstate_rules(source: str) -> dict:
+    """The rules of the `np.errstate` calls, as a decorator or a `with`, by
+    the function that holds them (`name`, `Class.name` or `outer.inner`)."""
+    rules = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "errstate" in {
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)}:
+                rules.setdefault(where or "module", []).append(
+                    {k.arg: ast.literal_eval(k.value) for k in child.keywords})
+            # a decorator's call counts as its function's
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}".lstrip(".") if named else where)
+
+    visit(ast.parse(source), "")
+    return rules
+
+
+def test_checker_reads_each_rule_where_it_is_set():
+    src = ("import numpy as np\n\n"
+           "@np.errstate(over='ignore')\n"
+           "def run():\n"
+           "    def inner():\n"
+           "        with errstate(invalid='raise'):\n"
+           "            pass\n\n"
+           "class Opt:\n"
+           "    def step(self):\n"
+           "        with np.errstate(over='ignore', invalid='ignore'), open('f'):\n"
+           "            pass\n")
+    assert errstate_rules(src) == {"run": [{"over": "ignore"}],
+                                   "run.inner": [{"invalid": "raise"}],
+                                   "Opt.step": [{"over": "ignore", "invalid": "ignore"}]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_float_fault_rules_only_where_listed(path):
+    assert errstate_rules(path.read_text(encoding="utf-8")) == \
+        ERRSTATE_CALLERS.get(path.stem, {})

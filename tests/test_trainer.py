@@ -240,9 +240,31 @@ class TestDivergence:
         snapshot = {n: init[n].data.tobytes() for n in init.names()}
         res = run_stage1(albums, albums, tcfg, vocab, params=init)
         assert res.stop_reason == "diverged" and res.diverged and res.steps == 1
-        assert res.best_cider == -np.inf
+        assert res.best_cider is None
         assert not any("val_cider" in e for e in res.log)
         assert max(np.abs(res.final_params[n].data).max() for n in snapshot) > 1e199
+        for n, blob in snapshot.items():
+            assert res.params[n].data.tobytes() == blob
+
+    def test_an_overflow_inside_a_step_stops_as_diverged(self, corpus, monkeypatch):
+        # the third step's objective first overflows to a finite result: the
+        # stage stops there, before any validation, with the initial weights
+        _, vocab, albums = corpus
+        tcfg = tiny_tcfg(vocab, max_steps=5, validate_every=100)
+        init = build_parameters(tcfg.model, np.random.default_rng(tcfg.seed))
+        snapshot = {n: init[n].data.tobytes() for n in init.names()}
+        real, calls = trainer.stories_objective, []
+
+        def overflowing_on_the_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                assert np.tanh(np.array([1e308]) * 10.0)[0] == 1.0
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "stories_objective", overflowing_on_the_third_call)
+        res = run_stage1(albums, albums, tcfg, vocab, params=init)
+        assert (res.stop_reason, res.steps, res.best_cider) == ("diverged", 2, None)
+        assert len(res.log) == 2
         for n, blob in snapshot.items():
             assert res.params[n].data.tobytes() == blob
 
