@@ -18,9 +18,12 @@ a beam per row, on plain arrays, since nothing differentiates it; its word
 step runs the unfinished hypotheses of all beams as the rows of one GRU
 step, and greedy decoding is that search at width 1.
 
-The attention state persists across the n sentences of an album; its
-input alpha vector is padded to a fixed length so parameter shapes do not
-depend on album size.
+The attention state persists across the n sentences of an album. A
+batch's memory, and with it the alpha vector the attention GRU reads, has
+L = 2*m_max+1 slots for its longest album of m_max photos; the GRU reads
+the first L rows of its input matrix, which is sized for `alpha_len`
+slots, so parameter shapes do not depend on album size and the rows past
+L get no gradient.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .data import BOS, EOS, PAD, ConfigError, check_number
 @dataclass
 class AttentionState:
     h_attn: T.NumArray     # (B, H_a)
-    alpha_prev: T.NumArray  # (B, L_max) zero before the first sentence
+    alpha_prev: T.NumArray  # (B, L) on the batch's slots, zero before the first sentence
 
 
 @dataclass
@@ -47,50 +50,60 @@ class StoryHypothesis:
     flags: list            # scene boundary decisions for the album
 
 
+def _attention_gru(params, slots: int) -> T.GruWeights:
+    """The attention GRU's weights for alpha inputs over `slots` slots: the
+    first `slots` rows of attn.gru.w_x as one pick node, whose backward
+    leaves the other rows' gradient 0."""
+    w = params.gru("attn.gru")
+    return T.GruWeights(T.pick(w.w_x, slice(None, slots)), w.w_h, w.b)
+
+
 def attend(memory, keys, valid_mask, state: AttentionState, params):
     """One attention step. Returns (z, alpha, new_state).
 
-    memory: (B, L_max, D_v) rows = photos then scene slots then zero
-    padding, per album, and keys its projection memory @ attn.score.w_mem,
-    which the steps over one memory share; valid_mask (B, L_max) marks the
-    photo rows and true scene rows. The state holds (B, H_a) and (B, L_max)
-    rows.
+    memory: (B, L, D_v) rows = photos then scene slots then zero padding,
+    per album, and keys its projection memory @ attn.score.w_mem, which
+    the steps over one memory share; valid_mask (B, L) marks the photo rows
+    and true scene rows. The state holds (B, H_a) and (B, L) rows, and L
+    is at most `alpha_len`.
     """
-    h_new = T.gru_cell(state.alpha_prev, state.h_attn, params.gru("attn.gru"))
+    h_new = T.gru_cell(state.alpha_prev, state.h_attn,
+                       _attention_gru(params, np.shape(valid_mask)[-1]))
     query = h_new @ params["attn.score.w_state"]
     act = T.tanh(keys + T.reshape(query, query.shape[:-1] + (1, -1)) + params["attn.score.b"])
-    scores = act @ T.reshape(params["attn.score.w_out"], (-1, 1))   # (B, L_max, 1)
+    scores = act @ T.reshape(params["attn.score.w_out"], (-1, 1))   # (B, L, 1)
     alpha = T.masked_softmax(T.reshape(scores, scores.shape[:-1]), valid_mask)
     z = T.reshape(alpha, alpha.shape[:-1] + (1, -1)) @ memory
     return T.reshape(z, z.shape[:-2] + (-1,)), alpha, AttentionState(h_new, alpha)
 
 
 def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
-    """n `attend` steps on memory (B, L_max, D_v) from `state`, whose
-    alpha_prev is a constant. The keys are projected once, the alphas of the
-    steps are one graph node with a hand-written backward through the steps,
-    and Z is their weighted memory. Returns Z, one (n, B, D_v) node, and the
-    (n, B, L_max) array of the alphas."""
+    """n `attend` steps on memory (B, L, D_v) from `state`, whose alpha_prev
+    is a constant. The keys are projected once and the mask checked once,
+    the alphas of the steps are one graph node with a hand-written backward
+    through the steps, and Z is their weighted memory. Returns Z, one
+    (n, B, D_v) node, and the (n, B, L) array of the alphas."""
     memory, h0 = T.wrap(memory), state.h_attn
-    gru_w = params.gru("attn.gru")
+    gru_w = _attention_gru(params, memory.shape[-2])
     w_state, b, w_out = (params[f"attn.score.{p}"] for p in ("w_state", "b", "w_out"))
     keys = memory @ params["attn.score.w_mem"]
+    offset = T._mask_offset(valid_mask, keys.shape[:-1])
     wx, wh, ws, wo = (p.data for p in (gru_w.w_x, gru_w.w_h, w_state, w_out))
     hid = gru_w.hidden_size
-    hs, alphas = np.empty((n + 1,) + h0.shape), np.empty((n + 1,) + valid_mask.shape)
+    hs, alphas = np.empty((n + 1,) + h0.shape), np.empty((n + 1,) + offset.shape)
     hs[0], alphas[0] = h0.data, state.alpha_prev.data
     acts, caches = np.empty((n,) + keys.shape), []
     for t in range(n):   # `attend`'s arithmetic, to the bit
-        hs[t + 1], cache = T._gru_step(alphas[t] @ wx + gru_w.b.data, hs[t], wh, hid)
-        caches.append(cache)
+        caches.append(T._gru_step(alphas[t] @ wx + gru_w.b.data, hs[t], wh, hid,
+                                  out=hs[t + 1])[1])
         np.tanh(keys.data + (hs[t + 1] @ ws)[:, None, :] + b.data, out=acts[t])
-        alphas[t + 1] = T._masked_softmax(acts[t] @ wo, valid_mask)
+        T._softmax_offset(acts[t] @ wo, offset, out=alphas[t + 1])
 
     def bw(g):   # alpha_t reaches Z and, through the GRU input, step t+1
         d_scores, d_keys = np.empty_like(g), np.zeros_like(keys.data)
         d_query, d_gates = (np.empty((n, len(hs[0]), k)) for k in (ws.shape[1], 3 * hid))
         d_x, d_h = 0.0, np.zeros_like(hs[0])
-        for t in range(n - 1, -1, -1):   # small temporaries: one step's (B, L_max, S)
+        for t in range(n - 1, -1, -1):   # small temporaries: one step's (B, L, S)
             a, d_a = alphas[t + 1], g[t] + d_x
             d_scores[t] = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
             d_pre = d_scores[t][..., None] * wo * (1.0 - acts[t] * acts[t])
@@ -209,13 +222,19 @@ def _search(Z, params, max_words: int, width: int):
     H = np.zeros((len(Z), len(weights[2])))
     # per row: hypotheses (total log-prob, [BOS] + ids, per-word logps, row of H, finished)
     beams = [[(0.0, [BOS], [], r, False)] for r in range(len(Z))]
+    z_rows, Z_live = list(range(len(Z))), Z
     for _ in range(max_words + 1):
         live = [(r, b) for r, beam in enumerate(beams) for b in beam if not b[4]]
         if not live:
             break
-        H, log_p = _decoder_step(np.array([b[1][-1] for _, b in live]),
-                                 H.take([b[3] for _, b in live], axis=0),
-                                 Z.take([r for r, _ in live], axis=0), weights)
+        # the live rows' states and z rows, gathered only when they moved
+        parents, rows = [b[3] for _, b in live], [r for r, _ in live]
+        if parents != list(range(len(H))):
+            H = H.take(parents, axis=0)
+        if rows != z_rows:
+            z_rows, Z_live = rows, Z.take(rows, axis=0)
+        H, log_p = _decoder_step(np.array([b[1][-1] for _, b in live]), H, Z_live,
+                                 weights)
         top = (-log_p).argsort(axis=-1, kind="stable")[:, :width]
         # candidates rank as (-total, parent ids, token), token -1 for a finished
         # hypothesis, and only the kept ones are built. No parent's ids are a

@@ -104,8 +104,8 @@ def build_parameters(cfg: ModelConfig, rng) -> T.ParamStore:
 class AlbumEncoding:
     photos: object           # PhotoEncoding
     scenes: object           # SceneSegmentation
-    memory: T.NumArray       # (B, alpha_len, D_v): photo rows, scene slots, padding
-    valid_mask: np.ndarray   # (B, alpha_len) floats, 1 on photos and true scenes
+    memory: T.NumArray       # (B, L, D_v): photo rows, scene slots, padding, L = 2*m_max+1
+    valid_mask: np.ndarray   # (B, L) floats, 1 on photos and true scenes
     init_state: AttentionState
 
     @property
@@ -128,23 +128,25 @@ def pad_steps(sequences):
 
 def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=False,
                  lengths=None) -> AlbumEncoding:
-    """Photo pass, scene segmentation, and the padded attention memory of
-    B albums padded by `pad_steps` with their photo counts in `lengths`.
+    """Photo pass, scene segmentation, and the attention memory of B albums
+    padded by `pad_steps` with their photo counts in `lengths`, over the
+    batch's own 2*m_max+1 slots for its longest album of m_max photos.
     Without `lengths`, `features` is one album's (m, F) rows, encoded as a
     batch of one."""
     if lengths is None:
         features, lengths = pad_steps([features])
     enc = encode_photos(features, params, lengths)
     m, n = len(enc.V.data), enc.lengths
-    if 2 * n.max() + 1 > cfg.alpha_len:
-        raise T.DimensionError(f"{n.max()} photos need {2 * n.max() + 1} attention "
+    slots = 2 * n.max() + 1
+    if slots > cfg.alpha_len:
+        raise T.DimensionError(f"{n.max()} photos need {slots} attention "
                                f"slots, config allows {cfg.alpha_len}")
     seg = encode_scenes(enc.V, params, force_flags=force_flags, relax=relax,
                         lengths=n)
 
     # slot s of an album of n photos: photo s below n, scene slot s - n up
     # to 2n, then padding; photos, scene slots and a zero row form one source
-    s = np.arange(cfg.alpha_len)
+    s = np.arange(slots)
     n_col = n[:, None]
     index = (np.where(s < n_col, s, np.where(s <= 2 * n_col, m + s - n_col, 2 * m + 1)),
              np.arange(len(n))[:, None])
@@ -160,7 +162,7 @@ def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=Fal
 def summarize_album(encoding: AlbumEncoding, n: int, params):
     """The per-step reference of `attend_scan`: n `attend` steps over one
     projection of the memory's keys; returns (z list, alpha list), (B, D_v)
-    and (B, alpha_len) each."""
+    and (B, L) each over the memory's L slots."""
     state = encoding.init_state
     keys = encoding.memory @ params["attn.score.w_mem"]
     zs, alphas = [], []
@@ -175,7 +177,7 @@ def batch_z(albums, n: int, params, cfg: ModelConfig, force_flags=None, relax=Fa
     """B albums padded into one batch, encoded and summarized in n attention
     steps; `force_flags` is an (m_max, B) 0/1 array of boundary decisions.
     Returns Z, one (n*B, D_v) node whose row j*B + b is step j of album b,
-    the batch's AlbumEncoding and the (n, B, alpha_len) alphas."""
+    the batch's AlbumEncoding and the (n, B, L) alphas over its L slots."""
     feats, lengths = pad_steps([album.features for album in albums])
     enc = encode_album(feats, params, cfg, force_flags=force_flags, relax=relax,
                        lengths=lengths)

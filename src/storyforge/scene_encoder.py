@@ -99,10 +99,9 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
             softs[i] = T._sigmoid(v_score[i] + hs[i] @ w_h.data + b.data)
             k[i] = softs[i] > 0.5
         if i > 0:   # a firing boundary emits the state and clears it
-            emitted[i] = k[i][:, None] * hs[i]
-            resets[i] = hs[i] - emitted[i]
-        hs[i + 1], cache = T._gru_step(gx.data[i], resets[i], wh, hid)
-        caches.append(cache)
+            np.multiply(k[i][:, None], hs[i], out=emitted[i])
+            np.subtract(hs[i], emitted[i], out=resets[i])
+        caches.append(T._gru_step(gx.data[i], resets[i], wh, hid, out=hs[i + 1])[1])
 
     # slot j of an album of n photos: emitted row j below n, the closing
     # state at n, and the all-zero row 0 past it; the mask is gathered alike

@@ -16,11 +16,12 @@ Only they and the small primitives have hand-written backwards;
 `gru_cell`, the step they are tested against, composes primitives.
 Decoding builds no nodes: it runs `_gru_step` and `_log_softmax` on plain
 arrays, as the recurrence nodes' forwards do; each such array function
-(`_sigmoid` and `_masked_softmax` too) also serves its node, and makes few
+(`_sigmoid` and `_softmax_offset` too) also serves its node, and makes few
 array passes, which set its time at these widths (`_sigmoid` is one tanh;
-`_gru_step` updates its state in place). The rest composes from small
-primitives, among them `matmul`, which multiplies rows by a matrix or a
-stack of matrices.
+`_gru_step` updates its state in place, in the caller's row of states if
+given one; a masked softmax adds a 0/-inf offset, so a loop checks its mask
+once). The rest composes from small primitives, among them `matmul`, which
+multiplies rows by a matrix or a stack of matrices.
 Adam updates the entries that learn when it is made as one flat vector,
 its moments two more, all laid out once.
 """
@@ -409,25 +410,37 @@ def assemble(shape, parts) -> NumArray:
     return _make(out, tuple(p for _, p in parts), bw)
 
 
-def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
+def _mask_offset(mask, shape) -> np.ndarray:
+    """The 0/-inf offset that restricts a softmax over logits of `shape` to
+    the positions where the 0/1 `mask` is 1. Raises unless the shapes match
+    and every row has a valid position, so a loop over one mask checks it
+    once."""
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != logits.shape:
-        raise DimensionError(
-            f"mask shape {mask.shape} does not match logits {logits.shape}")
+    if mask.shape != shape:
+        raise DimensionError(f"mask shape {mask.shape} does not match logits {shape}")
     valid = mask > 0
     if not valid.any(axis=-1).all():
         raise InvalidMaskError("masked_softmax: a row of the mask has no valid positions")
-    top = np.where(valid, logits, -np.inf).max(axis=-1, keepdims=True)
-    # masked logits are replaced before exp, which they could overflow
-    e = np.exp(np.where(valid, logits, top) - top) * mask
-    return e / e.sum(axis=-1, keepdims=True)
+    return np.where(valid, 0.0, -np.inf)
+
+
+def _softmax_offset(logits: np.ndarray, offset: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis of logits + `_mask_offset`'s offset, into
+    `out` if given. A masked position's exp is of -inf, exactly 0, so for
+    finite logits this equals, to the bit, the masked softmax that replaces
+    masked logits by the row's valid maximum and multiplies by the mask."""
+    e = np.add(logits, offset, out=out)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def masked_softmax(logits, mask) -> NumArray:
     """Softmax over the last axis, row by row, restricted to positions where
     mask is 1; exact zeros elsewhere. Every row needs a valid position."""
     logits = wrap(logits)
-    out = _masked_softmax(logits.data, mask)
+    out = _softmax_offset(logits.data, _mask_offset(mask, logits.data.shape))
 
     def bw(g):
         if logits.requires_grad:
@@ -484,14 +497,15 @@ class GruWeights:
         return self.w_h.data.shape[0]
 
 
-def _gru_step(gx, hd, wh, hid):
+def _gru_step(gx, hd, wh, hid, out=None):
     """One step on (..., H) states from the input-side pre-activations
-    gx = x W_x + b. Returns (h', cache for `_gru_step_backward`)."""
+    gx = x W_x + b, writing h' into `out` (a fresh array if None), which
+    must not overlap hd. Returns (h', cache for `_gru_step_backward`)."""
     zr = _sigmoid(gx[..., :2 * hid] + hd @ wh[:, :2 * hid])
     z, r = zr[..., :hid], zr[..., hid:]
     rh = r * hd
     c = np.tanh(gx[..., 2 * hid:] + rh @ wh[:, 2 * hid:])
-    h = c - hd   # h + z (c - h), in place on the one fresh array
+    h = np.subtract(c, hd, out=out)   # h + z (c - h), in place
     h *= z
     h += hd
     return h, (z, r, rh, c)
@@ -563,8 +577,7 @@ def gru_scan(gx, h0, w_h) -> NumArray:
     hs[0] = h0.data
     caches = []
     for t, gx_t in enumerate(gx.data):
-        hs[t + 1], cache = _gru_step(gx_t, hs[t], wh, hid)
-        caches.append(cache)
+        caches.append(_gru_step(gx_t, hs[t], wh, hid, out=hs[t + 1])[1])
 
     def bw(g):
         d_gates = np.empty_like(gx.data)

@@ -211,6 +211,18 @@ class TestFitted:
             check_is_fitted(est)
         assert not hasattr(est, "log_")
 
+    def test_overflowing_weights_raise_in_each_method(self):
+        # a fitted model whose arithmetic overflows raises fit's error class,
+        # naming the method, instead of empty sentences, NaN soft scores and
+        # a score of 0
+        albums = synth_dataset(SynthSpec(albums=2, seed=1))
+        est = AlbumStoryteller(max_steps=1, validate_every=1).fit(albums)
+        for p in est.params_.entries.values():
+            p.data *= 1e160
+        for method in ("predict", "transform", "score"):
+            with pytest.raises(T.EvaluationError, match=f"^{method}: "):
+                getattr(est, method)(albums)
+
 
 def _no_training(*args, **kwargs):
     pytest.fail("fit started training on input it should have rejected")

@@ -139,13 +139,16 @@ def test_only_model_pads_encodes_and_attends(path):
 
 
 # the functions that set numpy's float-fault rule, by module, with the rules
-# each sets: a training stage and the CLI raise on any overflow or invalid
-# value, the synthetic data on a feature beyond the float range, and Adam
-# ignores both while it fills its buffers, which it checks before it commits
+# each sets: a training stage, the CLI and the fitted estimator's methods
+# raise on any overflow or invalid value, the synthetic data on a feature
+# beyond the float range, and Adam ignores both while it fills its buffers,
+# which it checks before it commits
 RAISE = {"over": "raise", "invalid": "raise"}
 ERRSTATE_CALLERS = {
     "trainer": {"_run_stage": [RAISE]},
     "cli": {"main": [RAISE]},
+    "estimator": {f"AlbumStoryteller.{method}": [RAISE]
+                  for method in ("predict", "transform", "score")},
     "data": {"synth_dataset": [{"over": "raise"}]},
     "tensor": {"Adam.step": [{"over": "ignore", "invalid": "ignore"}]},
 }

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from storyforge import model
 from storyforge import tensor as T
 from storyforge.data import EOS, SynthSpec, synth_dataset, synth_vocab
-from storyforge.decoder import (attend, attend_scan, decode_sentence_beam,
+from storyforge.decoder import (AttentionState, attend, attend_scan, decode_sentence_beam,
                                 decode_sentence_greedy, score_sentences, sentence_log_prob)
 from storyforge.losses import derangement, nll_loss, rank_loss, recon_loss, total_loss
 from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_z,
@@ -87,14 +87,20 @@ class TestEncodeAlbum:
         rng = np.random.default_rng(1)
         album = tiny_album(rng, cfg, m=4)
         out = encode_album(album.features, ps, cfg)   # a batch of one
-        assert out.memory.shape == (1, cfg.alpha_len, cfg.d_v)
+        # the batch's own 2*4+1 slots, not alpha_len's 11
+        assert out.memory.shape == (1, 9, cfg.d_v)
         assert out.used_slots.tolist() == [9]
         np.testing.assert_array_equal(out.valid_mask[0, :4], np.ones(4))
-        np.testing.assert_array_equal(out.valid_mask[0, 9:], np.zeros(cfg.alpha_len - 9))
-        np.testing.assert_array_equal(out.memory.data[0, 9:],
-                                      np.zeros((cfg.alpha_len - 9, cfg.d_v)))
         np.testing.assert_allclose(out.memory.data[0, :4], out.photos.V.data[:, 0])
         np.testing.assert_allclose(out.memory.data[0, 4:9], out.scenes.X.data[:, 0])
+        # a shorter album is padded to the longest album's slots
+        feats, lengths = pad_steps([album.features, album.features[:2]])
+        batch = encode_album(feats, ps, cfg, lengths=lengths)
+        assert batch.memory.shape == (2, 9, cfg.d_v)
+        assert batch.used_slots.tolist() == [9, 5]
+        np.testing.assert_array_equal(batch.valid_mask[1, :2], np.ones(2))
+        np.testing.assert_array_equal(batch.valid_mask[1, 5:], np.zeros(4))
+        np.testing.assert_array_equal(batch.memory.data[1, 5:], np.zeros((4, cfg.d_v)))
 
     def test_album_too_long_rejected(self):
         cfg = tiny_cfg()
@@ -291,7 +297,7 @@ class TestBatchObjective:
         # the batch's encoding holds the forced flags, and Z is the alphas'
         # weighted memory
         np.testing.assert_array_equal(enc.scenes.flags, flags)
-        assert alphas.shape == (cfg.sentences, len(albums), cfg.alpha_len)
+        assert alphas.shape == (cfg.sentences, len(albums), 2 * 4 + 1)
         np.testing.assert_allclose(Z.data.reshape(alphas.shape[:2] + (-1,)),
                                    np.einsum("nbl,bld->nbd", alphas, enc.memory.data),
                                    rtol=1e-12, atol=1e-15)
@@ -319,12 +325,16 @@ class TestBatchObjective:
         assert feats.shape == (5, 3, cfg.feature_dim) and lengths.tolist() == [1, 5, 3]
         batch = encode_album(feats, ps, cfg, lengths=lengths)
         zs, alphas = summarize_album(batch, 2, ps)
+        assert batch.memory.shape[1] == 2 * 5 + 1
         for b, album in enumerate(albums):
             one = encode_album(album.features, ps, cfg)   # a batch of one
-            np.testing.assert_allclose(batch.memory.data[b], one.memory.data[0],
+            used = one.used_slots[0]   # the lone album's own slots; padding past them
+            assert batch.used_slots[b] == used == one.memory.shape[1]
+            np.testing.assert_allclose(batch.memory.data[b, :used], one.memory.data[0],
                                        rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(batch.valid_mask[b], one.valid_mask[0])
-            assert batch.used_slots[b] == one.used_slots[0]
+            np.testing.assert_array_equal(batch.valid_mask[b, :used], one.valid_mask[0])
+            assert not batch.memory.data[b, used:].any()
+            assert not batch.valid_mask[b, used:].any()
             np.testing.assert_allclose(batch.init_state.h_attn.data[b],
                                        one.init_state.h_attn.data[0], rtol=1e-12)
             m = len(album.features)
@@ -333,8 +343,9 @@ class TestBatchObjective:
             want_z, want_alpha = summarize_album(one, 2, ps)
             for z, alpha, wz, wa in zip(zs, alphas, want_z, want_alpha):
                 np.testing.assert_allclose(z.data[b], wz.data[0], rtol=1e-12, atol=1e-15)
-                np.testing.assert_allclose(alpha.data[b], wa.data[0], rtol=1e-12,
+                np.testing.assert_allclose(alpha.data[b, :used], wa.data[0], rtol=1e-12,
                                            atol=1e-15)
+                assert not alpha.data[b, used:].any()
 
 
 def two_scan_objective(Z, stories, ps, deranges, lam, mu):
@@ -414,12 +425,13 @@ class TestFewerLoopSteps:
         w_z, w_alpha = rng.standard_normal(cfg.d_v), rng.standard_normal(cfg.alpha_len)
         for lo in range(0, len(albums), chunk):
             feats, lengths = pad_steps([a.features for a in albums[lo:lo + chunk]])
+            slots = 2 * lengths.max() + 1   # the chunk's own attention slots
             results = []
             for summarize in (summarize_album, summarize_per_step):
                 ps.zero_grads()
                 zs, alphas = summarize(encode_album(feats, ps, cfg, lengths=lengths), n, ps)
                 (T.arr_sum(T.concat(zs) * T.wrap(w_z))
-                 + T.arr_sum(T.concat(alphas) * T.wrap(w_alpha))).backward()
+                 + T.arr_sum(T.concat(alphas) * T.wrap(w_alpha[:slots]))).backward()
                 results.append(([z.data for z in zs], [a.data for a in alphas],
                                 {name: ps[name].grad for name in ps.names()}))
             (zs, alphas, grads), (want_zs, want_alphas, want_grads) = results
@@ -443,7 +455,8 @@ class TestFewerLoopSteps:
         rng = np.random.default_rng(25)
         ders = [derangement(cfg.sentences, rng) for _ in albums]
         steps, gru_step = [], T._gru_step
-        monkeypatch.setattr(T, "_gru_step", lambda *args: steps.append(1) or gru_step(*args))
+        monkeypatch.setattr(T, "_gru_step",
+                            lambda *args, **kw: steps.append(1) or gru_step(*args, **kw))
         stories_objective(batch_z(albums, cfg.sentences, ps, cfg)[0], stories, ps,
                           deranges=ders, mu=0.0)
         m_max, t_max = 5, max(len(s) for story in stories for s in story)
@@ -534,6 +547,53 @@ class TestAttentionNode:
                     stack.append(p)
         assert makers == {"scene.gru.w_x": {"matmul"}, "scene.gru.b": {"add"},
                           "attn.score.w_mem": {"matmul"}}
+
+
+class TestOwnSlots:
+    """Attention over a batch's own 2*m_max+1 slots equals the per-step
+    oracle over the same memory zero-padded to `alpha_len` slots."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           st.integers(1, 5))
+    def test_own_slots_equal_alpha_len_padding(self, seed, sizes, n):
+        cfg = dataclasses.replace(tiny_cfg(), sentences=n)
+        ps = build_parameters(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        feats, lengths = pad_steps([tiny_album(rng, cfg, m=m).features for m in sizes])
+        B, slots, full = len(sizes), 2 * max(sizes) + 1, cfg.alpha_len
+        w = rng.standard_normal((n, B, cfg.d_v))
+        results = []
+        for padded in (False, True):
+            ps.zero_grads()
+            enc = encode_album(feats, ps, cfg, lengths=lengths)
+            assert enc.memory.shape == (B, slots, cfg.d_v)
+            if padded:
+                memory = T.assemble((B, full, cfg.d_v), [(np.s_[:, :slots], enc.memory)])
+                mask = np.pad(enc.valid_mask, ((0, 0), (0, full - slots)))
+                state = AttentionState(enc.init_state.h_attn, T.zeros((B, full)))
+                zs, steps = summarize_album(dataclasses.replace(
+                    enc, memory=memory, valid_mask=mask, init_state=state), n, ps)
+                Z = T.reshape(T.concat(zs), (n, B, -1))
+                alphas = np.stack([a.data for a in steps])
+            else:
+                Z, alphas = attend_scan(enc.memory, enc.valid_mask, enc.init_state, n, ps)
+            T.arr_sum(Z * T.wrap(w)).backward()
+            results.append((Z.data, alphas, {name: ps[name].grad for name in ps.names()}))
+        (z, alphas, grads), (want_z, want_alphas, want_grads) = results
+        # relative to Z's scale: a component that cancels keeps rounding's share
+        np.testing.assert_allclose(z, want_z, rtol=0, atol=1e-14 * np.abs(want_z).max())
+        np.testing.assert_allclose(alphas, want_alphas[..., :slots], rtol=1e-14, atol=0)
+        assert not want_alphas[..., slots:].any()
+        for b, used in enumerate(2 * lengths + 1):
+            assert not alphas[:, b, used:].any()
+        assert not grads["attn.gru.w_x"][slots:].any()
+        for name, grad in want_grads.items():
+            if grad is None:   # the decoder and the reconstructor
+                assert grads[name] is None, name
+            else:
+                np.testing.assert_allclose(grads[name], grad, rtol=1e-12, atol=1e-12,
+                                           err_msg=name)
 
 
 def stage_one_loss(n):

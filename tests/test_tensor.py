@@ -109,8 +109,9 @@ class TestGruCell:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(), (1,), (4,), (5,), (80,), (2, 3), (3, 1)]),
-           st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-    def test_equals_the_step_kernel_to_the_bit(self, batch, i_dim, hid, seed):
+           st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_equals_the_step_kernel_to_the_bit(self, batch, i_dim, hid, seed, into_buffer):
         # x with 1, 2 and 3 axes: the composed cell takes `_gru_step`'s
         # operations on the same views, not a flattening into rows
         rng = np.random.default_rng(seed)
@@ -119,8 +120,15 @@ class TestGruCell:
         h = rng.standard_normal(batch + (hid,))
         gx = x @ w.w_x.data + w.b.data
         inputs = [a.copy() for a in (gx, h, w.w_h.data)]
-        want, _ = T._gru_step(gx, h, w.w_h.data, hid)
-        # the kernel updates its state in place, on arrays it made itself
+        want, cache = T._gru_step(gx, h, w.w_h.data, hid)
+        if into_buffer:   # h' written into the caller's array, as the scans do
+            buf = np.full(batch + (hid,), np.nan)
+            fresh, cache_fresh = want, cache
+            want, cache = T._gru_step(gx, h, w.w_h.data, hid, out=buf)
+            assert want is buf and fresh.tobytes() == buf.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, cache_fresh))
+        # the kernel updates its state in place, on arrays it made itself or
+        # was given
         assert all(a.tobytes() == b.tobytes() for a, b in zip((gx, h, w.w_h.data), inputs))
         got = T.gru_cell(x, h, w).data
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
@@ -222,6 +230,26 @@ class TestMaskedSoftmax:
         for i, j in np.ndindex(3, 2):
             row = T.masked_softmax(T.wrap(x[i, j]), mask[i, j]).data
             assert out[i, j].tobytes() == row.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(1,), (3,), (2, 5), (4, 2, 9)]))
+    def test_offset_kernel_equals_the_where_form_to_the_bit(self, seed, shape):
+        # the offset kernel against the np.where form, which swaps masked
+        # logits for the row's valid maximum and multiplies by the mask
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 30.0])
+        logits[rng.random(shape) < 0.2] = -0.0
+        mask = (rng.random(shape) < 0.5).astype(float)
+        mask[..., rng.integers(shape[-1])] = 1.0
+        mask[(0,) * (len(shape) - 1)] = 0.0   # the first row: one valid slot
+        mask[(0,) * len(shape)] = 1.0
+        valid = mask > 0
+        top = np.where(valid, logits, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(valid, logits, top) - top) * mask
+        want = e / e.sum(axis=-1, keepdims=True)
+        got = T._softmax_offset(logits, T._mask_offset(mask, shape))
+        assert got.tobytes() == want.tobytes()
+        assert T.masked_softmax(T.wrap(logits), mask).data.tobytes() == want.tobytes()
 
     def test_row_without_valid_position_rejected(self):
         mask = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
