@@ -7,7 +7,9 @@ STORYFORGE_CONFIG environment variable), then explicit command flags.
 Unknown config keys are rejected. Every run writes its resolved
 configuration into the output directory.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 usage, configuration or data error, 2 runtime
+failure, among them the EvaluationError the model raises on an overflow
+or invalid value.
 """
 
 from __future__ import annotations
@@ -417,8 +419,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-# a model whose arithmetic overflows is a runtime failure, not a silent NaN
-@np.errstate(over="raise", invalid="raise")
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
             PermissionError) as e:   # a path given to read or write
         print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError, T.DimensionError, T.EvaluationError) as e:
+    except (ValueError, T.EvaluationError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 

@@ -197,6 +197,8 @@ def feature_rows(rows, feature_dim: int | None,
             vec = np.array(row, dtype=np.float64)
         except (TypeError, ValueError):
             raise DataFormatError("non-numeric feature value") from None
+        except OverflowError:   # an integer beyond the float range
+            raise DataFormatError("non-finite feature value") from None
         if vec.ndim != 1:
             raise DataFormatError("feature row is not a list of numbers")
         if feature_dim is None:
@@ -259,7 +261,7 @@ def read_records(path, *required):
             with at_record(where):
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:   # bad JSON, or an integer past int's digit limit
                     raise DataFormatError(f"invalid record: {e}") from e
                 if not isinstance(rec, dict):
                     raise DataFormatError("record is not an object")

@@ -112,9 +112,8 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
             d_gates[t], d_h = T._gru_step_backward(d_query[t] @ ws.T + d_h, hs[t],
                                                    caches[t], wh, hid)
             d_x = d_gates[t] @ wx.T
-        T._recurrent_grads(h0, gru_w.w_h, hs[:-1], np.stack([c[2] for c in caches]),
-                           d_gates, d_h)
-        for p, grad in ((keys, d_keys),
+        T._recurrent_grads(gru_w.w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates)
+        for p, grad in ((keys, d_keys), (h0, d_h),
                         (gru_w.w_x, T._rows(alphas[:-1]).T @ T._rows(d_gates)),
                         (gru_w.b, T._rows(d_gates).sum(axis=0)),
                         (w_state, T._rows(hs[1:]).T @ T._rows(d_query)),
@@ -173,7 +172,7 @@ def score_sentences(Z, sentences, params):
     hid = gru_w.hidden_size
     gx = (T.pick(table @ T.pick(gru_w.w_x, slice(None, emb)), prev)
           + (Z @ T.pick(gru_w.w_x, slice(emb, None)) + gru_w.b))
-    H = T.gru_scan(gx, T.zeros((len(sentences), hid)), gru_w.w_h)
+    H = T.gru_scan(gx, gru_w.w_h)
     hidden = T.tanh(H @ T.pick(w1, slice(None, hid))
                     + (Z @ T.pick(w1, slice(hid, None)) + params["dec.out.b1"]))
     logits = hidden @ params["dec.out.w2"] + params["dec.out.b2"]

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-from contextlib import contextmanager
-
-import numpy as np
 
 from . import tensor as T
 from .data import (SPECIALS, AlbumExample, DataFormatError, Vocabulary, at_record,
@@ -60,23 +57,14 @@ def check_albums(X, feature_dim: int, max_photos: int,
     return albums
 
 
-@contextmanager
-def _float_faults(method: str):
-    """A float fault in `method`'s arithmetic, which runs under
-    `np.errstate(over="raise", invalid="raise")`, raises the EvaluationError
-    that `fit` raises on divergence, naming the method."""
-    try:
-        yield
-    except FloatingPointError as e:
-        raise T.EvaluationError(f"{method}: {e}") from e
-
-
 class AlbumStoryteller:
     """Generates a fixed-length story for an album of photo features.
 
     fit trains the encoder/decoder stack on albums that carry reference
     stories; predict emits decoded sentences; transform exposes the scene
-    segmentation for each album.
+    segmentation for each album. predict, transform and score raise
+    tensor.EvaluationError on an overflow or invalid value, as fit does
+    on a diverged stage.
     """
 
     def __init__(self, feature_dim=ModelConfig.feature_dim,
@@ -167,31 +155,25 @@ class AlbumStoryteller:
         self.log_ = (r1.log if r1 else []) + (r2.log if r2 else [])
         return self
 
-    @np.errstate(over="raise", invalid="raise")
     def predict(self, X):
         """Decode one story per album: a list of sentence-string lists."""
         check_is_fitted(self)
-        with _float_faults("predict"):
-            return [story_text(hyp.sentences, self.vocab_)
-                    for hyp in generate_stories(self._albums(X), self.params_,
-                                                self.model_config_, mode=self.mode,
-                                                beam_width=self.beam_width)]
+        return [story_text(hyp.sentences, self.vocab_)
+                for hyp in generate_stories(self._albums(X), self.params_,
+                                            self.model_config_, mode=self.mode,
+                                            beam_width=self.beam_width)]
 
-    @np.errstate(over="raise", invalid="raise")
     def transform(self, X):
         """Scene view per album: boundary flags, soft scores, scene index."""
         check_is_fitted(self)
-        with _float_faults("transform"):
-            return scene_views(self._albums(X), self.params_, self.model_config_)
+        return scene_views(self._albums(X), self.params_, self.model_config_)
 
     def fit_transform(self, X, y=None, **fit_kwargs):
         return self.fit(X, y, **fit_kwargs).transform(X)
 
-    @np.errstate(over="raise", invalid="raise")
     def score(self, X, y=None):
         """`trainer.validate`: CIDEr of the stories decoded in this estimator's
         `mode` and `beam_width` against the albums' references."""
         check_is_fitted(self)
-        with _float_faults("score"):
-            return validate(self.params_, self.model_config_, self._albums(X, "score"),
-                            self.vocab_, mode=self.mode, beam_width=self.beam_width)
+        return validate(self.params_, self.model_config_, self._albums(X, "score"),
+                        self.vocab_, mode=self.mode, beam_width=self.beam_width)

@@ -7,7 +7,9 @@ sentences as the rows of one padded batch, so a batch is one graph.
 Inference runs the training step's `batch_z` on each of `chunks`, and
 all of a chunk's sentences are decoded as the rows of one search. The
 scene views encode the same chunks without attention, an album's view
-being its column of the chunk's batch.
+being its column of the chunk's batch. Inference, the scene views and
+the gradient check run under `tensor.float_faults`: an overflow or
+invalid value raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -247,6 +249,7 @@ def chunks(albums) -> list:
     return [albums[lo:lo + DECODE_CHUNK] for lo in range(0, len(albums), DECODE_CHUNK)]
 
 
+@T.float_faults()
 def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
                      beam_width: int = 3) -> list:
     """Decode n sentences for each album with the live boundary detector:
@@ -275,6 +278,7 @@ def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",
     return generate_stories([album], params, cfg, mode, beam_width)[0]
 
 
+@T.float_faults()
 def scene_views(albums, params, cfg: ModelConfig) -> list:
     """Each album's scenes, encoded a chunk of `chunks` at a time: boundary
     flags, soft scores, the scene of each photo and the number of scenes."""
@@ -290,6 +294,7 @@ def scene_views(albums, params, cfg: ModelConfig) -> list:
     return views
 
 
+@T.float_faults()
 def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8) -> float:
     """End-to-end analytic-vs-numeric gradient comparison on a random album.
 

@@ -56,7 +56,7 @@ def encode_photos(features, params, lengths) -> PhotoEncoding:
     gx = (T.concat([feats, T.pick(feats, reverse)], axis=-1)
           @ blocks(fwd.input_size, fwd.w_x, bwd.w_x)
           + T.assemble((6 * hid,), [(cols, fwd.b), (cols + hid, bwd.b)]))
-    both = T.gru_scan(gx, T.zeros((batch, 2 * hid)), blocks(hid, fwd.w_h, bwd.w_h))
+    both = T.gru_scan(gx, blocks(hid, fwd.w_h, bwd.w_h))
     fwd_half = np.arange(2 * hid) < hid
     V = T.relu(both * fwd_half + T.pick(both, reverse) * ~fwd_half
                + feats @ params["photo.skip.w"])

@@ -29,5 +29,5 @@ def reconstruct(logits, lengths, params) -> T.NumArray:
     vocab = logits.shape[-1]
     gx = (logits @ T.pick(gru_w.w_x, slice(None, vocab))
           + (d_bar @ T.pick(gru_w.w_x, slice(vocab, None)) + gru_w.b))
-    states = T.gru_scan(gx, T.zeros((len(lengths), gru_w.hidden_size)), gru_w.w_h)
+    states = T.gru_scan(gx, gru_w.w_h)
     return T.arr_sum(states * valid, axis=0) * inv_len

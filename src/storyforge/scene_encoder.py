@@ -133,8 +133,7 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
             elif live:   # straight through the threshold: dL/dsoft = dL/dk
                 d_score[i] = d_k * softs[i] * (1.0 - softs[i])
                 d_h += d_score[i][:, None] * w_h.data
-        T._recurrent_grads(T.zeros(()), gru_w.w_h, resets,
-                           np.stack([c[2] for c in caches]), d_gates, None)
+        T._recurrent_grads(gru_w.w_h, resets, np.stack([c[2] for c in caches]), d_gates)
         if gx.requires_grad:
             T._acc(gx, d_gates)
         for p, grad in ((V, d_rows + d_score[..., None] * w_v.data),   # the detector's

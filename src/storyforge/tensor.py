@@ -6,14 +6,15 @@ finite-difference gradient checker, and a JSON checkpoint container that
 holds each parameter as base64 float64 bytes (version 2; version 1 files,
 with float text, still load).
 
-A recurrence over a whole sequence is one graph node (`gru_scan`, with a
-hand-derived backward through time; the scene encoder and the attention
-feedback build their own such nodes on `_gru_step`) that takes and returns
-only what recurs: its callers build the projections it reads and the
-gathers of its result from primitives. Independent ones share a scan as
-cells side by side, whose weights `assemble` lays out as diagonal blocks.
-Only they and the small primitives have hand-written backwards;
-`gru_cell`, the step they are tested against, composes primitives.
+A recurrence over a whole sequence is one graph node (`gru_scan`, from
+zero states, with a hand-derived backward through time; the scene encoder
+and the attention feedback build their own such nodes on `_gru_step`) that
+takes and returns only what recurs: its callers build the projections it
+reads and the gathers of its result from primitives. Independent ones
+share a scan as cells side by side, whose weights `assemble` lays out as
+diagonal blocks. Only they and the small primitives have hand-written
+backwards; `gru_cell`, the step they are tested against, composes
+primitives.
 Decoding builds no nodes: it runs `_gru_step` and `_log_softmax` on plain
 arrays, as the recurrence nodes' forwards do; each such array function
 (`_sigmoid` and `_softmax_offset` too) also serves its node, and makes few
@@ -23,7 +24,9 @@ given one; a masked softmax adds a 0/-inf offset, so a loop checks its mask
 once). The rest composes from small primitives, among them `matmul`, which
 multiplies rows by a matrix or a stack of matrices.
 Adam updates the entries that learn when it is made as one flat vector,
-its moments two more, all laid out once.
+its moments two more, all laid out once. `float_faults` is the rule the
+model's arithmetic runs under: an overflow or invalid value raises
+EvaluationError.
 """
 
 from __future__ import annotations
@@ -50,6 +53,18 @@ class InvalidMaskError(ValueError):
 
 class EvaluationError(RuntimeError):
     """A checked evaluation produced a non-finite result."""
+
+
+@contextmanager
+def float_faults():
+    """The float-fault rule of the model's arithmetic, as a `with` block or a
+    decorator (`@float_faults()`): an overflow or invalid value inside raises
+    EvaluationError with numpy's message, its cause the FloatingPointError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise EvaluationError(str(e)) from e
 
 
 _grad_enabled = True
@@ -523,11 +538,9 @@ def _gru_step_backward(g, hd, cache, wh, hid):
     return d_gates, d_h
 
 
-def _recurrent_grads(h0, w_h, hd, rh, d_gates, d_h0):
-    """Accumulate the gradients of a recurrence node's initial state and
-    W_h from its pre-activation gradients, summed over every leading axis."""
-    if h0.requires_grad:
-        _acc(h0, d_h0)
+def _recurrent_grads(w_h, hd, rh, d_gates):
+    """Accumulate the gradient of a recurrence node's W_h from its
+    pre-activation gradients, summed over every leading axis."""
     if w_h.requires_grad:
         hid, dg = len(w_h.data), _rows(d_gates)
         _acc(w_h, np.concatenate([_rows(hd).T @ dg[:, :2 * hid],
@@ -559,22 +572,20 @@ def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
     return reshape(h + z * (c - h), h_prev.data.shape)
 
 
-def gru_scan(gx, h0, w_h) -> NumArray:
-    """The recurrence over a whole sequence as one node with a hand-written
-    backward through time: gx (T, B, 3H) is the input side x W_x + b, an
-    ordinary node, so an input fixed across steps is projected once; h0 is
-    (B, H), w_h (H, 3H), and the result stacks the T states, (T, B, H).
-    Batch rows never mix, so the steps padded onto a short row leave its
-    earlier states as they are."""
-    gx, h0, w_h = wrap(gx), wrap(h0), wrap(w_h)
+def gru_scan(gx, w_h) -> NumArray:
+    """The recurrence over a whole sequence from zero states, as one node
+    with a hand-written backward through time: gx (T, B, 3H) is the input
+    side x W_x + b, an ordinary node, so an input fixed across steps is
+    projected once; w_h is (H, 3H), and the result stacks the T states,
+    (T, B, H). Batch rows never mix, so the steps padded onto a short row
+    leave its earlier states as they are."""
+    gx, w_h = wrap(gx), wrap(w_h)
     hid = w_h.data.shape[0]
-    if gx.data.ndim < 2 or gx.data.shape[-1] != 3 * hid \
-            or h0.data.shape != gx.data.shape[1:-1] + (hid,):
-        raise DimensionError(f"gru_scan input gx {gx.data.shape} and state h0 "
-                             f"{h0.data.shape}, expected (T, ..., {3 * hid}) and (..., {hid})")
+    if gx.data.ndim < 2 or gx.data.shape[-1] != 3 * hid:
+        raise DimensionError(f"gru_scan input gx {gx.data.shape}, "
+                             f"expected (T, ..., {3 * hid})")
     wh = w_h.data
-    hs = np.empty((len(gx.data) + 1,) + h0.data.shape)
-    hs[0] = h0.data
+    hs = np.zeros((len(gx.data) + 1,) + gx.data.shape[1:-1] + (hid,))
     caches = []
     for t, gx_t in enumerate(gx.data):
         caches.append(_gru_step(gx_t, hs[t], wh, hid, out=hs[t + 1])[1])
@@ -586,9 +597,9 @@ def gru_scan(gx, h0, w_h) -> NumArray:
             d_gates[t], d_h = _gru_step_backward(g[t] + d_h, hs[t], caches[t], wh, hid)
         if gx.requires_grad:
             _acc(gx, d_gates)
-        _recurrent_grads(h0, w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates, d_h)
+        _recurrent_grads(w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates)
 
-    return _make(hs[1:], (gx, h0, w_h), bw)
+    return _make(hs[1:], (gx, w_h), bw)
 
 
 # -- parameter registry ----------------------------------------------------
@@ -805,21 +816,17 @@ def grad_check(fn: Callable[[ParamStore], NumArray], params: ParamStore,
 
 def save_checkpoint(path, params: ParamStore, meta: dict | None = None):
     """Write parameters to a stable JSON container (names, shapes, and each
-    parameter's row-major little-endian float64 bytes as base64 text): the
-    bytes of `json.dumps(container, sort_keys=True)` and a newline, written
-    one parameter at a time so only one parameter's text is held at once."""
-    head = json.dumps({"frozen": sorted(params.frozen), "meta": meta or {},
-                       "groups": {g: sorted(m) for g, m in params.groups.items()}},
-                      sort_keys=True)
+    parameter's row-major little-endian float64 bytes as base64 text):
+    `json.dumps(container, sort_keys=True)` and a newline."""
+    records = {name: {"shape": list(p.data.shape),
+                      "values": base64.b64encode(p.data.astype("<f8", copy=False)
+                                                 .tobytes()).decode("ascii")}
+               for name, p in params.entries.items()}
+    container = {"frozen": sorted(params.frozen), "meta": meta or {},
+                 "groups": {g: sorted(m) for g, m in params.groups.items()},
+                 "params": records, "version": CHECKPOINT_VERSION}
     with open(path, "w", encoding="utf-8") as f:
-        f.write(head[:-1] + ', "params": {')
-        for i, name in enumerate(sorted(params.entries)):
-            data = params.entries[name].data
-            payload = base64.b64encode(data.astype("<f8", copy=False).tobytes())
-            record = {"shape": list(data.shape), "values": payload.decode("ascii")}
-            f.write((", " if i else "") + json.dumps(name) + ": "
-                    + json.dumps(record, sort_keys=True))
-        f.write('}, "version": ' + json.dumps(CHECKPOINT_VERSION) + "}\n")
+        f.write(json.dumps(container, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
@@ -852,13 +859,14 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
             if version == 1:   # a flat list of numbers: no text, bools or nesting
                 if type(values) is not list or {type(x) for x in values} - {int, float}:
                     raise TypeError
+                # an int past float's range raises OverflowError
                 values = np.array(values, dtype=np.float64)
             else:  # read-only; `store.add` copies it
                 values = np.frombuffer(base64.b64decode(values, validate=True), "<f8")
             value = values.reshape(shape)
             ok = (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
                   and np.isfinite(value).all())
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             ok = False
         check(ok, f"parameter '{name}' needs a shape and that many finite values")
         store.add(name, value, groups[0])

@@ -110,8 +110,8 @@ def validate(params, cfg: ModelConfig, albums, vocab, mode: str = "greedy",
 
 # every float fault in a stage is divergence: an overflow or an invalid value
 # anywhere in it, forward, backward, the stage-2 cache or a validation, raises
-# FloatingPointError, and the stage stops on it as "diverged"
-@np.errstate(over="raise", invalid="raise")
+# FloatingPointError or EvaluationError, and the stage stops on it as "diverged"
+@T.float_faults()
 def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
                vocab, start_step: int = 0) -> TrainResult:
     cfg = tcfg.model

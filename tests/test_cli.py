@@ -515,6 +515,7 @@ CHECKPOINT_EDITS = {
     "unknown-frozen-group": lambda obj: json.dumps({**obj, "frozen": ["nope"]}),
     "values-one-short": _edit_first_values(list.pop),
     "null-value": _edit_first_values(lambda values: values.__setitem__(0, None)),
+    "value-beyond-float": _edit_first_values(lambda values: values.__setitem__(0, 10 ** 400)),
     "payload-8-bytes-short": _edit_first_payload(lambda raw: raw[:-8]),
     "payload-not-base64": _edit_first_record(
         lambda rec: rec.__setitem__("values", "*" + rec["values"])),
@@ -573,6 +574,27 @@ def _with_directory(flag, make_argv):
     return with_directory
 
 
+def _with_albums(flag, edit, make_argv):
+    """`make_argv`'s command with `flag` naming the synthetic albums, the
+    first record's features edited by `edit`."""
+    def with_albums(root, tmp_path):
+        return make_argv(root, tmp_path) + [flag, str(_edited_albums(root, tmp_path, edit))]
+    return with_albums
+
+
+def _huge_first_feature(rows):
+    """A JSON integer beyond the float range in place of the first value."""
+    return [[10 ** 400] + rows[0][1:]] + rows[1:]
+
+
+# a JSON integer of 4,301 digits, past Python's limit for reading one
+LONG_INT = b"1" + b"0" * 4300
+
+
+def _inspect_scenes(root, tmp_path):
+    return ["inspect-scenes", "--out-dir", str(tmp_path), *data_args(root)]
+
+
 def _synth_into_a_file(root, tmp_path):
     path = tmp_path / "afile"
     path.write_text("")
@@ -617,6 +639,8 @@ class TestBadInputExitCodes:
         (_generate_with_checkpoint("values-one-short"),
          "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
         (_generate_with_checkpoint("null-value"),
+         "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
+        (_generate_with_checkpoint("value-beyond-float"),
          "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
         (_generate_with_checkpoint("payload-8-bytes-short"),
          "bad.ckpt.json: parameter 'attn.gru.b' needs a shape and that many finite"),
@@ -717,6 +741,18 @@ class TestBadInputExitCodes:
         *[(_evaluate_data_with_album_id(album_id),
            "albums.jsonl: line 1: album_id must be a string or an integer")
           for album_id in (None, True, 7.5, [1, 2], {"x": 1})],
+        *[(make_argv, "albums.jsonl: line 1: non-finite feature value") for make_argv in (
+            _with_albums("--train-data", _huge_first_feature, _train_with()),
+            _with_albums("--data", _huge_first_feature, _generate_with()),
+            _with_albums("--data", _huge_first_feature, _inspect_scenes),
+            _evaluate_data_with(_huge_first_feature))],
+        *[(_with_file(flag, "long.jsonl", b'{"album_id": ' + LONG_INT + rest, make_argv),
+           "long.jsonl: line 1: invalid record: Exceeds the limit (4300 digits)")
+          for flag, rest, make_argv in (
+              ("--train-data", b', "stories": [["a"]]}\n', _command("build-vocab")),
+              ("--train-data", b', "features": [[0]], "stories": [["a"]]}\n',
+               _train_with()),
+              ("--stories", b', "sentences": ["hi"]}\n', _evaluate_without_album_id))],
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -724,6 +760,7 @@ class TestBadInputExitCodes:
             "generate-checkpoint-version-only", "stage2-checkpoint-version-only",
             "generate-checkpoint-unknown-frozen-group",
             "generate-checkpoint-values-one-short", "generate-checkpoint-null-value",
+            "generate-checkpoint-value-beyond-float",
             "generate-checkpoint-payload-8-bytes-short",
             "generate-checkpoint-payload-not-base64", "generate-checkpoint-payload-nan",
             "generate-checkpoint-shape-minus-one", "generate-checkpoint-not-json",
@@ -758,7 +795,10 @@ class TestBadInputExitCodes:
             "evaluate-album-id-bool", "evaluate-album-id-null",
             "evaluate-data-album-id-null", "evaluate-data-album-id-bool",
             "evaluate-data-album-id-float", "evaluate-data-album-id-list",
-            "evaluate-data-album-id-object"])
+            "evaluate-data-album-id-object", "train-feature-beyond-float",
+            "generate-feature-beyond-float", "inspect-scenes-feature-beyond-float",
+            "evaluate-feature-beyond-float", "build-vocab-album-id-past-digit-limit",
+            "train-album-id-past-digit-limit", "evaluate-story-album-id-past-digit-limit"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1
@@ -779,6 +819,13 @@ class TestRuntimeFailureExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("runtime error: overflow encountered")
         assert not any((tmp_path / name).exists() for name in ("stories.jsonl", "scenes.txt"))
+
+    def test_overflowing_grad_check_exits_2(self, tmp_path, capsys):
+        assert main(["grad-check", "--out-dir", str(tmp_path), "--lambda", "1e308",
+                     "--gc-seeds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("runtime error: overflow encountered")
 
 
 class TestParser:

@@ -9,7 +9,8 @@ import pytest
 
 from storyforge import estimator
 from storyforge import tensor as T
-from storyforge.data import UNK, ConfigError, SynthSpec, synth_dataset, synth_vocab
+from storyforge.data import (UNK, AlbumExample, ConfigError, DataFormatError, SynthSpec,
+                             synth_dataset, synth_vocab)
 from storyforge.estimator import (AlbumStoryteller, NotFittedError,
                                   check_albums, check_is_fitted)
 from storyforge.metrics import cider
@@ -87,6 +88,16 @@ class TestValidationHelpers:
         bad[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             check_albums([bad], 6, 40)
+
+    def test_integer_beyond_float_range_rejected(self, fitted):
+        # a JSON-sized integer that no float holds, in a bare matrix or an album
+        rows = [[0] * 6, [10 ** 400] + [0] * 5]
+        album = AlbumExample("big", rows, [], [])
+        for method in (AlbumStoryteller(**TINY).fit, fitted.predict):
+            for X in ([rows], [album]):
+                with pytest.raises(DataFormatError,
+                                   match="^album 0: non-finite feature value$"):
+                    method(X)
 
     def test_empty_album_rejected(self):
         with pytest.raises(ValueError):
@@ -213,14 +224,14 @@ class TestFitted:
 
     def test_overflowing_weights_raise_in_each_method(self):
         # a fitted model whose arithmetic overflows raises fit's error class,
-        # naming the method, instead of empty sentences, NaN soft scores and
-        # a score of 0
+        # with numpy's message, instead of empty sentences, NaN soft scores
+        # and a score of 0
         albums = synth_dataset(SynthSpec(albums=2, seed=1))
         est = AlbumStoryteller(max_steps=1, validate_every=1).fit(albums)
         for p in est.params_.entries.values():
             p.data *= 1e160
         for method in ("predict", "transform", "score"):
-            with pytest.raises(T.EvaluationError, match=f"^{method}: "):
+            with pytest.raises(T.EvaluationError, match="^overflow encountered"):
                 getattr(est, method)(albums)
 
 

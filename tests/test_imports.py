@@ -3,7 +3,7 @@
 primitives and the three recurrence nodes build graph nodes of their own
 (with a hand-written backward), only `model` pads, encodes and attends over
 albums, and only the functions in `ERRSTATE_CALLERS` set numpy's float-fault
-rule."""
+rule or apply `tensor.float_faults`."""
 
 import ast
 from pathlib import Path
@@ -139,32 +139,37 @@ def test_only_model_pads_encodes_and_attends(path):
 
 
 # the functions that set numpy's float-fault rule, by module, with the rules
-# each sets: a training stage, the CLI and the fitted estimator's methods
-# raise on any overflow or invalid value, the synthetic data on a feature
-# beyond the float range, and Adam ignores both while it fills its buffers,
-# which it checks before it commits
+# each sets: `tensor.float_faults` raises on any overflow or invalid value,
+# and inference, the scene views, the gradient check and a training stage
+# apply it (FAULTS); the synthetic data raises on a feature beyond the float
+# range, and Adam ignores both while it fills its buffers, which it checks
+# before it commits
 RAISE = {"over": "raise", "invalid": "raise"}
+FAULTS = "float_faults"
 ERRSTATE_CALLERS = {
-    "trainer": {"_run_stage": [RAISE]},
-    "cli": {"main": [RAISE]},
-    "estimator": {f"AlbumStoryteller.{method}": [RAISE]
-                  for method in ("predict", "transform", "score")},
+    "tensor": {"float_faults": [RAISE],
+               "Adam.step": [{"over": "ignore", "invalid": "ignore"}]},
+    "model": {name: [FAULTS]
+              for name in ("generate_stories", "scene_views", "full_pipeline_grad_check")},
+    "trainer": {"_run_stage": [FAULTS]},
     "data": {"synth_dataset": [{"over": "raise"}]},
-    "tensor": {"Adam.step": [{"over": "ignore", "invalid": "ignore"}]},
 }
 
 
 def errstate_rules(source: str) -> dict:
-    """The rules of the `np.errstate` calls, as a decorator or a `with`, by
-    the function that holds them (`name`, `Class.name` or `outer.inner`)."""
+    """The rules of the `np.errstate` calls, their keywords, and FAULTS for
+    each `float_faults` call, as a decorator or a `with`, by the function
+    that holds them (`name`, `Class.name` or `outer.inner`)."""
     rules = {}
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "errstate" in {
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)}:
+            called = isinstance(child, ast.Call) and {
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)}
+            if called and called & {"errstate", FAULTS}:
                 rules.setdefault(where or "module", []).append(
-                    {k.arg: ast.literal_eval(k.value) for k in child.keywords})
+                    FAULTS if FAULTS in called
+                    else {k.arg: ast.literal_eval(k.value) for k in child.keywords})
             # a decorator's call counts as its function's
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, f"{where}.{child.name}".lstrip(".") if named else where)
@@ -183,10 +188,15 @@ def test_checker_reads_each_rule_where_it_is_set():
            "class Opt:\n"
            "    def step(self):\n"
            "        with np.errstate(over='ignore', invalid='ignore'), open('f'):\n"
-           "            pass\n")
+           "            pass\n\n"
+           "@T.float_faults()\n"
+           "def decode():\n"
+           "    with float_faults():\n"
+           "        pass\n")
     assert errstate_rules(src) == {"run": [{"over": "ignore"}],
                                    "run.inner": [{"invalid": "raise"}],
-                                   "Opt.step": [{"over": "ignore", "invalid": "ignore"}]}
+                                   "Opt.step": [{"over": "ignore", "invalid": "ignore"}],
+                                   "decode": [FAULTS, FAULTS]}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

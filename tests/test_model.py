@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -817,6 +818,31 @@ class TestSceneViews:
     def test_no_albums(self):
         cfg = tiny_cfg()
         assert scene_views([], build_parameters(cfg, np.random.default_rng(3)), cfg) == []
+
+
+class TestFloatFaults:
+    """Inference, the scene views and the gradient check raise EvaluationError
+    on an overflow, emit no warning and leave numpy's rule as they found it."""
+
+    @pytest.mark.parametrize("run", [
+        lambda album, ps, cfg: generate_story(album, ps, cfg),
+        lambda album, ps, cfg: generate_story(album, ps, cfg, mode="beam", beam_width=3),
+        lambda album, ps, cfg: scene_views([album], ps, cfg),
+        lambda album, ps, cfg: full_pipeline_grad_check(seed=0, lam=1e308),
+    ], ids=["greedy", "beam-3", "scene-views", "grad-check"])
+    def test_overflow_raises_evaluation_error(self, run):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(4))
+        for p in ps.entries.values():   # finite weights whose arithmetic overflows
+            p.data *= 1e160
+        album = tiny_album(np.random.default_rng(4), cfg)
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(T.EvaluationError, match="^overflow encountered") as info:
+                run(album, ps, cfg)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert caught == [] and np.geterr() == before
 
 
 class TestFullPipelineGradients:

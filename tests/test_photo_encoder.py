@@ -51,10 +51,8 @@ def per_direction_scans(features, ps, lengths):
     reverse = (np.where(steps < lengths, lengths - 1 - steps, steps), rows)
     last = (lengths - 1, rows)
     fwd_w, bwd_w = ps.gru("photo.fwd"), ps.gru("photo.bwd")
-    fwd = T.gru_scan(feats @ fwd_w.w_x + fwd_w.b, T.zeros((batch, fwd_w.hidden_size)),
-                     fwd_w.w_h)
-    bwd_rev = T.gru_scan(T.wrap(feats.data[reverse]) @ bwd_w.w_x + bwd_w.b,
-                         T.zeros((batch, bwd_w.hidden_size)), bwd_w.w_h)
+    fwd = T.gru_scan(feats @ fwd_w.w_x + fwd_w.b, fwd_w.w_h)
+    bwd_rev = T.gru_scan(T.wrap(feats.data[reverse]) @ bwd_w.w_x + bwd_w.b, bwd_w.w_h)
     V = T.relu(T.concat([fwd, T.pick(bwd_rev, reverse)], axis=-1)
                + feats @ ps["photo.skip.w"])
     return V, T.concat([T.pick(fwd, last), T.pick(bwd_rev, last)], axis=-1)

@@ -147,12 +147,11 @@ class TestGruScan:
         rng = np.random.default_rng(seed)
         store = random_gru(rng, i_dim, hid)
         store.add("x", rng.standard_normal((steps,) + batch + (i_dim,)), "inputs")
-        store.add("h0", rng.standard_normal(batch + (hid,)), "inputs")
         w = store.gru("g")
-        out = T.gru_scan(pre_activations(store["x"], w), store["h0"], w.w_h)
+        out = T.gru_scan(pre_activations(store["x"], w), w.w_h)
         assert out.shape == (steps,) + batch + (hid,)
         for b in np.ndindex(*batch):
-            h = T.wrap(store["h0"].data[b])
+            h = T.zeros(hid)
             for t in range(steps):
                 h = T.gru_cell(store["x"].data[(t,) + b], h, w)
                 np.testing.assert_allclose(out.data[(t,) + b], h.data,
@@ -161,7 +160,7 @@ class TestGruScan:
 
         def fn(ps):
             w = ps.gru("g")
-            out = T.gru_scan(pre_activations(ps["x"], w), ps["h0"], w.w_h)
+            out = T.gru_scan(pre_activations(ps["x"], w), w.w_h)
             return T.arr_sum(out * T.wrap(weights))
 
         assert T.grad_check(fn, store) < 1e-4
@@ -169,11 +168,41 @@ class TestGruScan:
     def test_shape_mismatch_names_operand(self):
         w_h = random_gru(np.random.default_rng(0), 3, 2).gru("g").w_h
         with pytest.raises(T.DimensionError, match=r"gx \(4, 2, 5\)"):
-            T.gru_scan(T.zeros((4, 2, 5)), T.zeros((2, 2)), w_h)
-        with pytest.raises(T.DimensionError, match=r"h0 \(3, 2\)"):
-            T.gru_scan(T.zeros((4, 2, 6)), T.zeros((3, 2)), w_h)
+            T.gru_scan(T.zeros((4, 2, 5)), w_h)
         with pytest.raises(T.DimensionError):
-            T.gru_scan(T.zeros(6), T.zeros(2), w_h)
+            T.gru_scan(T.zeros(6), w_h)
+
+
+class TestFloatFaults:
+    def test_a_fault_raises_evaluation_error_with_numpy_message(self):
+        before = np.geterr()
+        with pytest.raises(T.EvaluationError, match="^overflow encountered in multiply$") \
+                as info:
+            with T.float_faults():
+                np.array([1e300]) * 1e300
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert np.geterr() == before
+
+    def test_nests_and_serves_repeated_calls_as_a_decorator(self):
+        @T.float_faults()
+        def root(x):
+            return float(np.sqrt(np.float64(x)))   # an invalid value below 0
+
+        with np.errstate(all="ignore"):
+            outside = np.geterr()
+            for _ in range(3):   # each call applies the rule afresh
+                assert root(4.0) == 2.0
+                with pytest.raises(T.EvaluationError,
+                                   match="^invalid value encountered in sqrt$"):
+                    root(-1.0)
+                # nested: the inner rule converts the fault, the outer passes
+                # the EvaluationError on
+                with pytest.raises(T.EvaluationError) as info:
+                    with T.float_faults():
+                        root(-1.0)
+                assert isinstance(info.value.__cause__, FloatingPointError)
+                assert np.geterr() == outside
+            assert np.isnan(np.sqrt(np.float64(-1.0)))   # the outer rule holds again
 
 
 class TestMaskedSoftmax:
