@@ -118,7 +118,7 @@ class Vocabulary:
             tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
         try:
             return cls(tokens, min_count=int(m.group(1)))
-        except DataFormatError as e:
+        except ValueError as e:   # a duplicate token, or a min_count past int's digit limit
             raise DataFormatError(f"{path}: {e}") from None
 
 

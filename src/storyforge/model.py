@@ -5,11 +5,11 @@ a batch of one: the encoders and attention keep one (step, album, ...)
 shape, and the training objective scores a batch's true and deranged
 sentences as the rows of one padded batch, so a batch is one graph.
 Inference runs the training step's `batch_z` on each of `chunks`, and
-all of a chunk's sentences are decoded as the rows of one search. The
-scene views encode the same chunks without attention, an album's view
-being its column of the chunk's batch. Inference, the scene views and
-the gradient check run under `tensor.float_faults`: an overflow or
-invalid value raises EvaluationError.
+all of a chunk's sentences are decoded as the rows of one search; the
+scene views read the same `batch_z` encodings, an album's view being its
+column of the chunk's batch. Inference, the scene views and the gradient
+check run under `tensor.float_faults`: an overflow or invalid value
+raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -178,20 +178,20 @@ def summarize_album(encoding: AlbumEncoding, n: int, params):
 def batch_z(albums, n: int, params, cfg: ModelConfig, force_flags=None, relax=False):
     """B albums padded into one batch, encoded and summarized in n attention
     steps; `force_flags` is an (m_max, B) 0/1 array of boundary decisions.
-    Returns Z, one (n*B, D_v) node whose row j*B + b is step j of album b,
-    the batch's AlbumEncoding and the (n, B, L) alphas over its L slots."""
+    Returns Z, one (n, B, D_v) node whose [j, b] is step j of album b, the
+    batch's AlbumEncoding and the (n, B, L) alphas over its L slots."""
     feats, lengths = pad_steps([album.features for album in albums])
     enc = encode_album(feats, params, cfg, force_flags=force_flags, relax=relax,
                        lengths=lengths)
     Z, alphas = attend_scan(enc.memory, enc.valid_mask, enc.init_state, n, params)
-    return T.reshape(Z, (-1, cfg.d_v)), enc, alphas
+    return Z, enc, alphas
 
 
 def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
                       mu: float = 0.8):
     """Composite loss summed over B stories of n sentences each, as one
-    graph: the true and the deranged sentences are scored against Z, whose
-    row j*B + b goes with sentence j of story b, as the rows of one batch.
+    graph: each true and deranged sentence j of story b is scored against
+    Z[j, b] of the (n, B, D_v) node Z, all as the rows of one batch.
 
     deranges: one permutation of range(n) without fixed points per story,
     used to score each true sentence against the sentence landing at its
@@ -202,6 +202,9 @@ def stories_objective(Z, stories, params, deranges=None, lam: float = 0.2,
     n = len(stories[0])
     if any(len(story) != n for story in stories):
         raise ValueError("every story in a batch needs the same sentence count")
+    if Z.shape[:2] != (n, len(stories)):
+        raise T.DimensionError(f"Z of shape {Z.shape} for {len(stories)} stories of {n}")
+    Z = T.reshape(Z, (-1, Z.shape[-1]))   # row j*B + b, as `sentences` lists them
     sentences = [story[j] for j in range(n) for story in stories]
     true = slice(0, len(sentences))
     order = deranges is not None and n >= 2
@@ -261,8 +264,8 @@ def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
     for chunk in chunks(albums):
         with T.no_grad():
             Z, encoding, alphas = batch_z(chunk, cfg.sentences, params, cfg)
-        # row j*B + b holds sentence j of album b
-        decoded = _search(Z.data, params, cfg.max_words, width)
+        # flattened once for the search: row j*B + b is sentence j of album b
+        decoded = _search(Z.data.reshape(-1, cfg.d_v), params, cfg.max_words, width)
         for b, (m, used) in enumerate(zip(encoding.photos.lengths, encoding.used_slots)):
             rows = decoded[b::len(chunk)]
             stories.append(StoryHypothesis([ids for ids, _ in rows],
@@ -280,14 +283,14 @@ def generate_story(album, params, cfg: ModelConfig, mode: str = "greedy",
 
 @T.float_faults()
 def scene_views(albums, params, cfg: ModelConfig) -> list:
-    """Each album's scenes, encoded a chunk of `chunks` at a time: boundary
-    flags, soft scores, the scene of each photo and the number of scenes."""
+    """Each album's scenes in its chunk's `batch_z` encoding: boundary flags,
+    soft scores, the scene of each photo and the number of scenes."""
     views = []
     for chunk in chunks(albums):
-        feats, lengths = pad_steps([a.features for a in chunk])
         with T.no_grad():
-            seg = encode_album(feats, params, cfg, lengths=lengths).scenes
-        for b, (m, u) in enumerate(zip(lengths, seg.u)):
+            encoding = batch_z(chunk, cfg.sentences, params, cfg)[1]
+        seg = encoding.scenes
+        for b, (m, u) in enumerate(zip(encoding.photos.lengths, seg.u)):
             flags = seg.flags[:m, b].tolist()
             views.append({"flags": flags, "softs": seg.softs[:m, b].tolist(),
                           "scene_of_photo": scene_indices(flags), "num_scenes": int(u)})

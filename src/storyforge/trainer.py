@@ -12,7 +12,7 @@ and all of its sentences are scored as the rows of one padded batch; the
 losses are sums over the batch (`model.stories_objective`). Stage 2
 encodes each training album once, on the stage's clock: its frozen layers
 give every album's Z in one no_grad `model.batch_z` per `model.chunks`
-run, and each step gathers its batch's rows of Z as a constant, so a
+run, and each step gathers its batch's columns of Z as a constant, so a
 stage-2 step builds only decoder and reconstructor graphs. Albums with
 several reference stories contribute one example per reference.
 Order-loss derangements are drawn per example, in batch order, and
@@ -153,22 +153,19 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
 
     try:
         # stage 2 learns nothing below Z: each training album's Z is computed
-        # once, on the stage's clock, as (n, album, D_v), and each step gathers
-        # its rows
+        # once, on the stage's clock, and each step gathers its albums
         album_z = None
         if stage_no == 2 and tcfg.max_steps > 0:
             with T.no_grad():
-                album_z = np.concatenate([
-                    batch_z(chunk, n_sent, params, cfg)[0].data.reshape(n_sent, -1, cfg.d_v)
-                    for chunk in chunks(train_set)], axis=1)
+                album_z = np.concatenate([batch_z(chunk, n_sent, params, cfg)[0].data
+                                          for chunk in chunks(train_set)], axis=1)
         for batch in itertools.islice(batches(), tcfg.max_steps):
             params.zero_grads()
             # one derangement per example, drawn in batch order
             ders = [derangement(n_sent, rng) for _ in batch] if n_sent >= 2 else None
             stories = [train_set[ai].stories[si] for ai, si in batch]
             Z = (batch_z([train_set[ai] for ai, _ in batch], len(stories[0]), params, cfg)[0]
-                 if album_z is None   # row j*B + b: step j of the batch's album b
-                 else T.wrap(album_z[:, [ai for ai, _ in batch]].reshape(-1, cfg.d_v)))
+                 if album_z is None else T.wrap(album_z[:, [ai for ai, _ in batch]]))
             loss, rep = stories_objective(Z, stories, params, deranges=ders,
                                           lam=tcfg.lam, mu=mu)
             if not np.isfinite(rep.total):   # NaN weights compute without a fault

@@ -522,6 +522,8 @@ CHECKPOINT_EDITS = {
     "payload-nan": _edit_first_payload(lambda raw: struct.pack("<d", math.nan) + raw[8:]),
     "shape-minus-one": _edit_first_record(lambda rec: rec.__setitem__("shape", [-1])),
     "not-json": lambda obj: "not json at all\n",
+    "config-not-an-object": lambda obj: json.dumps({**obj, "meta": {**obj["meta"],
+                                                                    "config": 3}}),
     "version-true": _as_version_1(version=True),
     "version-float": _as_version_1(version=1.0),
     "values-string": _set_detector_bias("1.5"),
@@ -611,9 +613,11 @@ def _with_file(flag, name, content: bytes, make_argv):
     return with_file
 
 
-def _vocab_file(*tokens):
-    return "\n".join(["#vocab specials=<pad>,<bos>,<eos>,<unk> min_count=1",
-                      *tokens, ""]).encode()
+SPECIALS_HEADER = "#vocab specials=<pad>,<bos>,<eos>,<unk>"
+
+
+def _vocab_file(*tokens, header=SPECIALS_HEADER + " min_count=1"):
+    return "\n".join([header, *tokens, ""]).encode()
 
 
 class TestBadInputExitCodes:
@@ -753,6 +757,17 @@ class TestBadInputExitCodes:
               ("--train-data", b', "features": [[0]], "stories": [["a"]]}\n',
                _train_with()),
               ("--stories", b', "sentences": ["hi"]}\n', _evaluate_without_album_id))],
+        (_with_file("--vocab-file", "long.txt",
+                    _vocab_file("a", header=SPECIALS_HEADER + " min_count=" + LONG_INT.decode()),
+                    _train_with()), "long.txt: Exceeds the limit (4300 digits)"),
+        (_with_file("--train-data", "list.jsonl", b"[1, 2]\n", _command("build-vocab")),
+         "list.jsonl: line 1: record is not an object"),
+        (_with_file("--vocab-file", "nomin.txt", _vocab_file("a", header=SPECIALS_HEADER),
+                    _train_with()), "nomin.txt: header lacks min_count"),
+        (_with_file("--stories", "blank.jsonl", b"\n \n", _evaluate_without_album_id),
+         "blank.jsonl: holds no records"),
+        (_generate_with_checkpoint("config-not-an-object"),
+         "bad.ckpt.json: meta field 'config' is malformed"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
             "generate-smaller-vocab", "evaluate-number-feature-row",
             "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
@@ -798,7 +813,10 @@ class TestBadInputExitCodes:
             "evaluate-data-album-id-object", "train-feature-beyond-float",
             "generate-feature-beyond-float", "inspect-scenes-feature-beyond-float",
             "evaluate-feature-beyond-float", "build-vocab-album-id-past-digit-limit",
-            "train-album-id-past-digit-limit", "evaluate-story-album-id-past-digit-limit"])
+            "train-album-id-past-digit-limit", "evaluate-story-album-id-past-digit-limit",
+            "train-vocab-min-count-past-digit-limit", "build-vocab-record-a-list",
+            "train-vocab-header-without-min-count", "evaluate-blank-stories",
+            "generate-checkpoint-config-not-an-object"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1

@@ -90,10 +90,10 @@ MAKE_CALLERS = {
 
 
 # the functions that may pad, encode and attend, by module: `batch_z`, the
-# one path from albums to attended vectors, the scene views, which need no
-# attention, and `encode_album`'s own padding of a lone album
+# one path from albums to every batch result (attended vectors, encodings
+# and alphas), and `encode_album`'s own padding of a lone album
 PIPELINE_CALLEES = {"attend_scan", "encode_album", "pad_steps"}
-PIPELINE_CALLERS = {"model": {"batch_z", "scene_views", "encode_album"}}
+PIPELINE_CALLERS = {"model": {"batch_z", "encode_album"}}
 
 
 def stray_calls(source: str, callees: set, allowed: set) -> list[str]:

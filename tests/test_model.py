@@ -299,8 +299,8 @@ class TestBatchObjective:
         # weighted memory
         np.testing.assert_array_equal(enc.scenes.flags, flags)
         assert alphas.shape == (cfg.sentences, len(albums), 2 * 4 + 1)
-        np.testing.assert_allclose(Z.data.reshape(alphas.shape[:2] + (-1,)),
-                                   np.einsum("nbl,bld->nbd", alphas, enc.memory.data),
+        assert Z.shape == (cfg.sentences, len(albums), cfg.d_v)
+        np.testing.assert_allclose(Z.data, np.einsum("nbl,bld->nbd", alphas, enc.memory.data),
                                    rtol=1e-12, atol=1e-15)
         _, rep = stories_objective(Z, stories, ps)
         want = sum(story_objective(a, 0, ps, cfg, force_flags=flags[:len(a.features), b])[1]
@@ -317,6 +317,18 @@ class TestBatchObjective:
         with pytest.raises(ValueError, match="sentence count"):
             stories_objective(batch_z([a, b], 3, ps, cfg)[0], [a.stories[0], b.stories[0]],
                               ps)
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 3, 1, 4)])
+    def test_z_not_in_sentence_album_shape_rejected(self, sizes):
+        # Z flattened to (n*B, D_v) rows, or (B, n, D_v) with B != n
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(22))
+        albums = self.albums(cfg, sizes, seed=22)
+        stories = [a.stories[0] for a in albums]
+        Z = batch_z(albums, cfg.sentences, ps, cfg)[0]
+        for bad in (T.reshape(Z, (-1, cfg.d_v)), T.wrap(Z.data.transpose(1, 0, 2))):
+            with pytest.raises(T.DimensionError, match="for .* stories of 3"):
+                stories_objective(bad, stories, ps)
 
     def test_batched_encoding_holds_each_albums_own_layout(self):
         cfg = tiny_cfg()
@@ -353,6 +365,7 @@ def two_scan_objective(Z, stories, ps, deranges, lam, mu):
     """`stories_objective` with the true and the deranged sentences scored
     by a `score_sentences` call each: the loss node."""
     n = len(stories[0])
+    Z = T.reshape(Z, (-1, Z.shape[-1]))   # row j*B + b: sentence j of story b
     sentences = [story[j] for j in range(n) for story in stories]
     pos, logits, _ = score_sentences(Z, sentences, ps)
     neg, _, _ = score_sentences(Z, [story[int(der[j])] for j in range(n)
@@ -659,7 +672,7 @@ class TestCachedZ:
         want, want_rep, want_grads = trained(lambda: stories_objective(
             batch_z([albums[i] for i in batch], n, ps, cfg)[0], stories, ps, deranges=ders,
             lam=lam, mu=mu))
-        Z = T.wrap(cache[:, batch].reshape(-1, cfg.d_v))   # row j*B + b
+        Z = T.wrap(cache[:, batch])
         got, rep, grads = trained(lambda: stories_objective(
             Z, stories, ps, deranges=ders, lam=lam, mu=mu))
 
@@ -818,6 +831,19 @@ class TestSceneViews:
     def test_no_albums(self):
         cfg = tiny_cfg()
         assert scene_views([], build_parameters(cfg, np.random.default_rng(3)), cfg) == []
+
+    def test_attention_overflow_raises_as_decoding_does(self):
+        # the views read the encoding that decoding attends over, so weights
+        # whose attention alone overflows fail both
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(5))
+        for name in ps.names():
+            if ps.group_of(name) == "attention":
+                ps[name].data *= 1e160
+        album = tiny_album(np.random.default_rng(5), cfg)
+        for run in (scene_views, generate_stories):
+            with pytest.raises(T.EvaluationError, match="^overflow encountered"):
+                run([album], ps, cfg)
 
 
 class TestFloatFaults:
