@@ -355,20 +355,23 @@ def _sweep_cells(cfg):
 
 
 def cmd_sweep(cfg) -> int:
-    out = write_resolved(cfg)
+    cells = _sweep_cells(cfg)   # the grid and step count, before any work
+    if cfg["sweep_steps"] < 0:
+        raise ConfigError("sweep_steps must be >= 0")
     spec = _synth_spec(cfg)
     vocab = synth_vocab(spec)
     albums = synth_dataset(spec, vocab)
     mcfg = config_from(ModelConfig, cfg, vocab_size=len(vocab))
-    lines = []
+    # a cell sets the stage, weights and schedule; nll_stop keeps its
+    # default. Every cell's config is checked before anything is written
+    runs = [(lam, mu, config_from(TrainConfig, cfg, model=mcfg, stage=stage, lam=lam,
+                                  mu=mu, max_steps=cfg["sweep_steps"],
+                                  validate_every=max(1, cfg["sweep_steps"]),
+                                  nll_stop=TrainConfig.nll_stop))
+            for lam, mu, stage in cells]
+    out = write_resolved(cfg)
     with open(out / "sweep.txt", "w", encoding="utf-8") as fh:
-        for lam, mu, stage in _sweep_cells(cfg):
-            # a cell sets the stage, weights and schedule; nll_stop keeps
-            # its default
-            tcfg = config_from(TrainConfig, cfg, model=mcfg, stage=stage,
-                               lam=lam, mu=mu, max_steps=cfg["sweep_steps"],
-                               validate_every=max(1, cfg["sweep_steps"]),
-                               nll_stop=TrainConfig.nll_stop)
+        for lam, mu, tcfg in runs:
             r1, r2 = run_training(albums, albums, tcfg, vocab)
             res = r2 if r2 is not None else r1
             scores = _scores(decoded_pairs(res.params, mcfg, albums, vocab))
@@ -377,7 +380,6 @@ def cmd_sweep(cfg) -> int:
                 for name in ("bleu-1", "bleu-4", "rouge-l", "cider"))
             fh.write(line + "\n")
             fh.flush()
-            lines.append(line)
             print(line)
     return 0
 

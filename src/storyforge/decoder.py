@@ -10,13 +10,14 @@ its n steps are one graph node, on keys projected once, in `attend_scan`;
 The word decoder is a GRU over [previous-word embedding ; z_j] with a
 one-hidden-layer readout over [h ; z_j].
 Teacher-forced scoring runs any number of sentences (all of a batch's) as
-one padded batch through one GRU scan; the embedding table and each z_j
-are projected once, by row blocks of the GRU input and readout matrices,
-not joined onto every word step. Decoding is one beam search over
-any number of z rows (at inference, every sentence of a chunk of albums),
-a beam per row, on plain arrays, since nothing differentiates it; its word
-step runs the unfinished hypotheses of all beams as the rows of one GRU
-step, and greedy decoding is that search at width 1.
+one padded batch through one GRU scan and one target log-prob node; the
+embedding table and each z_j are projected once, by row blocks of the GRU
+input and readout matrices, not joined onto every word step. Decoding is
+one beam search over any number of z rows (at inference, every sentence of
+a chunk of albums), a beam per row, on plain arrays, since nothing
+differentiates it; its word step runs the unfinished hypotheses of all
+beams as the rows of one GRU step, and greedy decoding is that search at
+width 1.
 
 The attention state persists across the n sentences of an album. A
 batch's memory, and with it the alpha vector the attention GRU reads, has
@@ -113,14 +114,14 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
                                                    caches[t], wh, hid)
             d_x = d_gates[t] @ wx.T
         T._recurrent_grads(gru_w.w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates)
-        for p, grad in ((keys, d_keys), (h0, d_h),
+        for p, grad in ((keys, d_keys), (h0, d_h),   # each made here: owned
                         (gru_w.w_x, T._rows(alphas[:-1]).T @ T._rows(d_gates)),
                         (gru_w.b, T._rows(d_gates).sum(axis=0)),
                         (w_state, T._rows(hs[1:]).T @ T._rows(d_query)),
                         (b, T._rows(d_keys).sum(axis=0)),
                         (w_out, T._rows(acts).T @ d_scores.reshape(-1))):
             if p.requires_grad:
-                T._acc(p, grad)
+                T._acc(p, grad, owned=True)
 
     A = T._make(alphas[1:], (keys, h0, gru_w.w_x, gru_w.w_h, gru_w.b, w_state, b, w_out),
                 bw)
@@ -149,8 +150,10 @@ def score_sentences(Z, sentences, params):
     Z. What does not change per word is projected once: the GRU input is
     pick(table W_x[:E], prev) + (Z W_x[E:] + b) and the readout's hidden
     layer tanh(H W1[:H] + (Z W1[H:] + b1)), Z's terms broadcast over the
-    steps. Returns ((B,) total log-probs including EOS, (T_max, B, vocab)
-    logits, (T_max, B) per-word log-probs, 0 past a sentence's end)."""
+    steps. The per-word log-probs are one `T.target_log_probs` node, each
+    word's log-softmax at its id, with no (T_max, B, vocab) target mask.
+    Returns ((B,) total log-probs including EOS, (T_max, B, vocab) logits,
+    (T_max, B) per-word log-probs, 0 past a sentence's end)."""
     Z, table = T.wrap(Z), params["dec.embed.table"]
     if len(Z.data) != len(sentences):
         raise T.DimensionError(f"Z has {len(Z.data)} rows for {len(sentences)} sentences")
@@ -166,7 +169,6 @@ def score_sentences(Z, sentences, params):
         raise ValueError(f"token id {bad[0]} outside vocabulary of {vocab_size}")
     prev = np.vstack([np.full((1, len(sentences)), BOS), ids[:-1]])
     valid = np.arange(len(ids))[:, None] < lengths
-    targets = (ids[..., None] == np.arange(vocab_size)) & valid[..., None]
 
     gru_w, w1 = params.gru("dec.gru"), params["dec.out.w1"]
     hid = gru_w.hidden_size
@@ -176,7 +178,7 @@ def score_sentences(Z, sentences, params):
     hidden = T.tanh(H @ T.pick(w1, slice(None, hid))
                     + (Z @ T.pick(w1, slice(hid, None)) + params["dec.out.b1"]))
     logits = hidden @ params["dec.out.w2"] + params["dec.out.b2"]
-    word_logps = T.arr_sum(T.log_softmax(logits) * targets, axis=2)
+    word_logps = T.target_log_probs(logits, ids, valid)
     return T.arr_sum(word_logps, axis=0), logits, word_logps
 
 

@@ -22,7 +22,13 @@ array passes, which set its time at these widths (`_sigmoid` is one tanh;
 `_gru_step` updates its state in place, in the caller's row of states if
 given one; a masked softmax adds a 0/-inf offset, so a loop checks its mask
 once). The rest composes from small primitives, among them `matmul`, which
-multiplies rows by a matrix or a stack of matrices.
+multiplies rows by a matrix or a stack of matrices, and `target_log_probs`,
+the teacher-forced head, which gathers each target's log-softmax with no
+one-hot mask.
+A backward hands `_acc` the gradient arrays it makes without a copy, and
+`add` and `reshape` their node's own gradient, which backward drops next,
+to one parent; `_acc` copies any other first gradient (a broadcast view, a
+slice).
 Adam updates the entries that learn when it is made as one flat vector,
 its moments two more, all laid out once. `float_faults` is the rule the
 model's arithmetic runs under: an overflow or invalid value raises
@@ -183,9 +189,12 @@ def _make(data, parents, backward) -> NumArray:
     return NumArray(data)
 
 
-def _acc(p: NumArray, g: np.ndarray):
+def _acc(p: NumArray, g: np.ndarray, owned: bool = False):
+    """Add g into p's gradient. A first gradient is copied unless `owned`:
+    an array the backward made fresh, or its node's own gradient, handed to
+    one parent only, which no other node holds or writes."""
     if p.grad is None:
-        p.grad = np.array(g, dtype=np.float64)
+        p.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         p.grad += g
 
@@ -214,11 +223,14 @@ def add(a, b) -> NumArray:
     a, b = wrap(a), wrap(b)
     out = a.data + b.data
 
-    def bw(g):
+    def bw(g):   # g, this node's own, goes uncopied to one parent at most
+        ga = None
         if a.requires_grad:
-            _acc(a, _unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            _acc(a, ga, owned=True)
         if b.requires_grad:
-            _acc(b, _unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            _acc(b, gb, owned=gb is not ga)
 
     return _make(out, (a, b), bw)
 
@@ -229,9 +241,9 @@ def mul(a, b) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, _unbroadcast(g * b.data, a.data.shape))
+            _acc(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _acc(b, _unbroadcast(g * a.data, b.data.shape))
+            _acc(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _make(out, (a, b), bw)
 
@@ -252,14 +264,14 @@ def matmul(a, b) -> NumArray:
     def bw(g):
         if bd.ndim == 2:  # (..., m, n) @ (n, k)
             if a.requires_grad:
-                _acc(a, g @ bd.T)
+                _acc(a, g @ bd.T, owned=True)
             if b.requires_grad:
-                _acc(b, _rows(ad).T @ _rows(g))
+                _acc(b, _rows(ad).T @ _rows(g), owned=True)
         else:  # stacks of matrices, broadcast against each other
             if a.requires_grad:
-                _acc(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+                _acc(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape), owned=True)
             if b.requires_grad:
-                _acc(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+                _acc(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape), owned=True)
 
     return _make(out, (a, b), bw)
 
@@ -278,7 +290,7 @@ def sigmoid(a) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g * out * (1.0 - out))
+            _acc(a, g * out * (1.0 - out), owned=True)
 
     return _make(out, (a,), bw)
 
@@ -289,7 +301,7 @@ def tanh(a) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g * (1.0 - out * out))
+            _acc(a, g * (1.0 - out * out), owned=True)
 
     return _make(out, (a,), bw)
 
@@ -300,7 +312,7 @@ def relu(a) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g * (a.data > 0.0))
+            _acc(a, g * (a.data > 0.0), owned=True)
 
     return _make(out, (a,), bw)
 
@@ -355,7 +367,7 @@ def reshape(a, shape) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g.reshape(a.data.shape))
+            _acc(a, g.reshape(a.data.shape), owned=True)   # g is this node's own
 
     return _make(out, (a,), bw)
 
@@ -384,7 +396,7 @@ def pick(a, index) -> NumArray:
                 ga[index] = g
             else:
                 ga = _scatter_add(a.data.shape, index, g)
-            _acc(a, ga)
+            _acc(a, ga, owned=True)
 
     return _make(out, (a,), bw)
 
@@ -459,14 +471,15 @@ def masked_softmax(logits, mask) -> NumArray:
 
     def bw(g):
         if logits.requires_grad:
-            _acc(logits, out * (g - (g * out).sum(axis=-1, keepdims=True)))
+            _acc(logits, out * (g - (g * out).sum(axis=-1, keepdims=True)), owned=True)
 
     return _make(out, (logits,), bw)
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def log_softmax(logits) -> NumArray:
@@ -476,9 +489,37 @@ def log_softmax(logits) -> NumArray:
 
     def bw(g):
         if logits.requires_grad:
-            _acc(logits, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
+            _acc(logits, g - np.exp(out) * g.sum(axis=-1, keepdims=True), owned=True)
 
     return _make(out, (logits,), bw)
+
+
+def target_log_probs(logits, ids, valid) -> NumArray:
+    """The log-softmax of (T, B, V) logits at each position's target id
+    (T, B), exactly 0.0 where `valid` (T, B) is False: `log_softmax` times a
+    one-hot mask summed over V, to the bit, with no (T, B, V) mask. Backward
+    forms g one-hot - exp(log-softmax) g as `log_softmax`'s does."""
+    logits, ids, valid = wrap(logits), np.asarray(ids), np.asarray(valid, dtype=bool)
+    if not ids.shape == valid.shape == logits.data.shape[:-1]:
+        raise DimensionError(f"targets {ids.shape} and mask {valid.shape} "
+                             f"do not fit logits {logits.data.shape}")
+    out = _log_softmax(logits.data)
+    at = np.nonzero(valid) + (ids[valid],)
+    picked = np.zeros(ids.shape)
+    picked[valid] = out[at]
+
+    def bw(g):
+        if logits.requires_grad:
+            # the one-hot row of g sums to g (+0.0 for a zero row, as numpy sums)
+            d = np.exp(out)
+            d *= (np.where(valid, g, 0.0) + 0.0)[..., None]
+            d_at = d[at]
+            # off target, g times 0 minus exp(out) g: its sign of zero too
+            np.subtract(np.copysign(0.0, g)[..., None], d, out=d)
+            d[at] = g[valid] - d_at
+            _acc(logits, d, owned=True)
+
+    return _make(picked, (logits,), bw)
 
 
 # -- gated recurrent cell -------------------------------------------------
@@ -544,7 +585,7 @@ def _recurrent_grads(w_h, hd, rh, d_gates):
     if w_h.requires_grad:
         hid, dg = len(w_h.data), _rows(d_gates)
         _acc(w_h, np.concatenate([_rows(hd).T @ dg[:, :2 * hid],
-                                  _rows(rh).T @ dg[:, 2 * hid:]], axis=1))
+                                  _rows(rh).T @ dg[:, 2 * hid:]], axis=1), owned=True)
 
 
 def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
@@ -596,7 +637,7 @@ def gru_scan(gx, w_h) -> NumArray:
         for t in range(len(d_gates) - 1, -1, -1):
             d_gates[t], d_h = _gru_step_backward(g[t] + d_h, hs[t], caches[t], wh, hid)
         if gx.requires_grad:
-            _acc(gx, d_gates)
+            _acc(gx, d_gates, owned=True)
         _recurrent_grads(w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates)
 
     return _make(hs[1:], (gx, w_h), bw)

@@ -1,7 +1,8 @@
 """Shared test utilities: the per-step scene encoder that the fused one is
 checked against, a fault planted in the GRU step's hand-written backward
 that such references must catch, validation pairs decoded one album at a
-time, and hand-built detector weights for clustered data.
+time, the copy-every-gradient rule that gradient ownership is checked
+against, and hand-built detector weights for clustered data.
 
 Detector weights: with zero photo GRUs and a signed-identity skip, photo
 vectors copy the raw feature into positive/negative halves. The scene GRU
@@ -117,3 +118,25 @@ def per_album_pairs(params, cfg, albums, vocab, **decode):
                       for tok in decode_ids(ids, vocab)],
                      [story_tokens(story) for story in album.raw_stories])
             for album in albums]
+
+
+def copy_every_first_gradient(monkeypatch):
+    """Make `T._acc` copy every first gradient, whether or not its caller
+    hands the array over: the rule that ownership must match to the bit."""
+    acc = T._acc
+    monkeypatch.setattr(T, "_acc", lambda p, g, owned=False: acc(p, g))
+
+
+def grads_both_ways(monkeypatch, run) -> list:
+    """`run()` builds a graph, runs its backward and returns the leaves it
+    differentiates, by name; returns their gradients' bytes (None for none)
+    as the backwards hand them over, then with every first gradient copied."""
+    results = []
+    for copy in (False, True):
+        with monkeypatch.context() as m:
+            if copy:
+                copy_every_first_gradient(m)
+            leaves = run()
+            results.append({name: None if leaf.grad is None else leaf.grad.tobytes()
+                            for name, leaf in leaves.items()})
+    return results

@@ -934,3 +934,19 @@ class TestSweep:
     def test_bad_grid_name(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path),
                      "--sweep-grid", "gamma", *self.SMALL]) == 1
+        assert not (tmp_path / "sweep.txt").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_steps_name_the_flag_and_write_nothing(self, tmp_path, capsys):
+        assert main(["sweep", "--out-dir", str(tmp_path), "--sweep-grid", "lambda",
+                     *self.SMALL, "--sweep-steps", "-1"]) == 1   # the last one counts
+        assert capsys.readouterr().err == "error: sweep_steps must be >= 0\n"
+        assert not (tmp_path / "sweep.txt").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_training_value_writes_nothing(self, tmp_path, capsys):
+        # checked by each cell's TrainConfig, which is built before writing
+        assert main(["sweep", "--out-dir", str(tmp_path), "--sweep-grid", "lambda",
+                     *self.SMALL, "--lr", "-1"]) == 1
+        assert "lr" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

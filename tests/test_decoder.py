@@ -312,6 +312,14 @@ class TestScoreSentences:
         with pytest.raises(ValueError, match="empty"):
             score_sentences(T.zeros((2, cfg.d_v)), [[EOS], []], ps)
 
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_out_of_vocabulary_id_rejected(self, bad):
+        # the target gather would wrap a negative id and fault past the table
+        cfg, ps = make(36)
+        assert cfg.vocab_size == 8
+        with pytest.raises(ValueError, match=f"^token id {bad} outside vocabulary of 8$"):
+            score_sentences(T.zeros((2, cfg.d_v)), [[EOS], [4, bad, EOS]], ps)
+
     def test_z_rows_must_match_the_sentences(self):
         # Z's projections broadcast over the steps, so a lone row would
         # otherwise score every sentence

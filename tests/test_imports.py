@@ -83,7 +83,7 @@ def test_no_benchmark_imports(path):
 MAKE_CALLERS = {
     "tensor": {"add", "mul", "matmul", "sigmoid", "tanh", "relu", "concat", "arr_sum",
                "reshape", "pick", "assemble", "masked_softmax", "log_softmax",
-               "gru_scan"},
+               "target_log_probs", "gru_scan"},
     "scene_encoder": {"encode_scenes"},
     "decoder": {"attend_scan"},
 }

@@ -24,7 +24,7 @@ from storyforge.reconstructor import reconstruct
 from storyforge.scene_encoder import scene_indices
 from storyforge.trainer import STAGE1_FROZEN, STAGE2_FROZEN
 
-from helpers import scale_gru_step_backward
+from helpers import grads_both_ways, scale_gru_step_backward
 
 
 def tiny_cfg(vocab_size=12):
@@ -885,3 +885,53 @@ class TestFullPipelineGradients:
         t0 = time.time()
         full_pipeline_grad_check(seed=2)
         assert time.time() - t0 < 3.0
+
+
+class TestGradientOwnership:
+    """The objectives' leaf gradients keep their bytes when `_acc` copies
+    every first gradient: the gate on which backwards hand their arrays
+    over (the hand-written recurrence nodes, `target_log_probs` and the
+    primitives) and which copy."""
+
+    @pytest.mark.parametrize("stage,relax", [(1, False), (1, True), (2, False)])
+    def test_stories_objective(self, monkeypatch, stage, relax):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(40))
+        ps.freeze(*(STAGE1_FROZEN if stage == 1 else STAGE2_FROZEN))
+        rng = np.random.default_rng(41)
+        albums = [tiny_album(rng, cfg, m=m, words=w) for m, w in ((3, 2), (5, 4), (2, 1))]
+        ders = [derangement(cfg.sentences, rng) for _ in albums]
+        stories = [a.stories[0] for a in albums]
+        with T.no_grad():
+            cached = batch_z(albums, cfg.sentences, ps, cfg)[0].data
+
+        def run():
+            ps.zero_grads()
+            # stage 2 also differentiates its cached Z, a leaf here
+            Z = (batch_z(albums, cfg.sentences, ps, cfg, relax=relax)[0] if stage == 1
+                 else T.NumArray(cached, requires_grad=True))
+            loss, _ = stories_objective(Z, stories, ps, deranges=ders, lam=0.3,
+                                        mu=0.0 if stage == 1 else 0.8)
+            loss.backward()
+            leaves = {n: ps[n] for n in ps.names() if ps[n].requires_grad}
+            return leaves if stage == 1 else {**leaves, "Z": Z}
+
+        owned, copied = grads_both_ways(monkeypatch, run)
+        assert owned == copied
+
+    def test_story_objective_on_the_grad_check_album(self, monkeypatch):
+        # the album, flags and derangement that `full_pipeline_grad_check` builds
+        with monkeypatch.context() as m:
+            checks = []
+            m.setattr(T, "grad_check", lambda fn, params, **kw: checks.append(
+                (fn, params)) or 0.0)
+            full_pipeline_grad_check(seed=0, lam=0.5, mu=1.0)
+        (fn, ps), = checks
+
+        def run():
+            ps.zero_grads()
+            fn(ps).backward()
+            return {n: ps[n] for n in ps.names()}
+
+        owned, copied = grads_both_ways(monkeypatch, run)
+        assert owned == copied

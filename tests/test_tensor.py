@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from storyforge import tensor as T
 
+from helpers import grads_both_ways
+
 
 def scalar_gru_oracle(x, h, wx, wh, b):
     """GRU step evaluated gate by gate in plain scalar arithmetic."""
@@ -535,6 +537,91 @@ class TestOps:
         with T.no_grad():
             y = T.tanh(x)
         assert not y.requires_grad and y._parents == ()
+
+
+class TestTargetLogProbs:
+    """`target_log_probs` against its oracle, `log_softmax` times a one-hot
+    target mask summed over the vocabulary."""
+
+    def test_gradient(self):
+        rng = np.random.default_rng(11)
+        store = T.ParamStore()
+        store.add("x", 3.0 * rng.standard_normal((4, 3, 6)), "p")
+        ids = rng.integers(0, 6, size=(4, 3))
+        valid = np.arange(4)[:, None] < np.array([4, 1, 2])
+        weights = rng.standard_normal((4, 3))
+
+        def fn(ps):
+            return T.arr_sum(T.target_log_probs(ps["x"], ids, valid) * T.wrap(weights))
+
+        assert T.grad_check(fn, store) < 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 5),
+           st.integers(1, 40), st.sampled_from([0.1, 3.0, 400.0]))
+    def test_equals_masked_log_softmax_to_the_bit(self, seed, steps, rows, vocab, scale):
+        # ragged lengths; scale 400 underflows exp in the backward
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((steps, rows, vocab))
+        ids = rng.integers(0, vocab, size=(steps, rows))
+        valid = np.arange(steps)[:, None] < rng.integers(1, steps + 1, size=rows)
+        one_hot = (ids[..., None] == np.arange(vocab)) & valid[..., None]
+        w = rng.standard_normal((steps, rows))   # dL/d(output), signed zeros too
+        w[rng.random(w.shape) < 0.2] = 0.0
+        w[rng.random(w.shape) < 0.2] = -0.0
+        results = []
+        for head in (lambda l: T.target_log_probs(l, ids, valid),
+                     lambda l: T.arr_sum(T.log_softmax(l) * one_hot, axis=2)):
+            logits = T.NumArray(x, requires_grad=True)
+            out = head(logits)
+            T.arr_sum(out * T.wrap(w)).backward()
+            results.append((out.data, logits.grad))
+        (got, got_grad), (want, want_grad) = results
+        np.testing.assert_array_equal(got, want)
+        assert got[valid].tobytes() == want[valid].tobytes()
+        assert got[~valid].tobytes() == np.zeros((~valid).sum()).tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+    def test_shapes_must_fit(self):
+        logits = T.zeros((3, 2, 5))
+        with pytest.raises(T.DimensionError, match="do not fit logits"):
+            T.target_log_probs(logits, np.zeros((3, 2), int), np.ones((2, 3), bool))
+        with pytest.raises(T.DimensionError, match="do not fit logits"):
+            T.target_log_probs(logits, np.zeros((3, 5), int), np.ones((3, 5), bool))
+
+
+class TestGradientOwnership:
+    """A backward hands `_acc` the arrays it makes, and `add` and `reshape`
+    their node's own gradient to one parent, without a copy: every leaf's
+    gradient keeps its bytes against copying each first gradient."""
+
+    @pytest.mark.parametrize("graph", ["x + x", "x * x", "two adds read one node",
+                                       "reshape into add", "sum and tanh read x",
+                                       "tanh and sum read x"])
+    def test_leaf_gradients_equal_copying_every_first_one(self, monkeypatch, graph):
+        rng = np.random.default_rng(12)
+        x0, y0, w = (rng.standard_normal((3, 2)) for _ in range(3))
+
+        def run():
+            x, y = T.NumArray(x0, requires_grad=True), T.NumArray(y0, requires_grad=True)
+            if graph == "x + x":
+                out = T.tanh(x + x) * x
+            elif graph == "x * x":
+                out = T.tanh(x * x) + x
+            elif graph == "two adds read one node":
+                u = T.tanh(x)
+                out = (u + y) * w + T.sigmoid(u + x)
+            elif graph == "reshape into add":   # x is read again after
+                r = T.reshape(x, (2, 3))
+                out = T.reshape(r + T.reshape(y, (2, 3)), (3, 2)) * w + T.tanh(x) * y
+            else:   # a sum's gradient is a broadcast view: x's first must be a copy
+                s, t = T.arr_sum(x, axis=0) * w[0], T.tanh(x)
+                out = s + t if graph == "sum and tanh read x" else t + s
+            T.arr_sum(out * out).backward()
+            return {"x": x, "y": y}
+
+        owned, copied = grads_both_ways(monkeypatch, run)
+        assert owned == copied
 
 
 class TestParamStore:
