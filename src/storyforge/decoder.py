@@ -114,14 +114,14 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
                                                    caches[t], wh, hid)
             d_x = d_gates[t] @ wx.T
         T._recurrent_grads(gru_w.w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates)
-        for p, grad in ((keys, d_keys), (h0, d_h),   # each made here: owned
+        for p, grad in ((keys, d_keys), (h0, d_h),
                         (gru_w.w_x, T._rows(alphas[:-1]).T @ T._rows(d_gates)),
                         (gru_w.b, T._rows(d_gates).sum(axis=0)),
                         (w_state, T._rows(hs[1:]).T @ T._rows(d_query)),
                         (b, T._rows(d_keys).sum(axis=0)),
                         (w_out, T._rows(acts).T @ d_scores.reshape(-1))):
             if p.requires_grad:
-                T._acc(p, grad, owned=True)
+                T._acc(p, grad)
 
     A = T._make(alphas[1:], (keys, h0, gru_w.w_x, gru_w.w_h, gru_w.b, w_state, b, w_out),
                 bw)

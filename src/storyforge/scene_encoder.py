@@ -135,13 +135,13 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
                 d_h += d_score[i][:, None] * w_h.data
         T._recurrent_grads(gru_w.w_h, resets, np.stack([c[2] for c in caches]), d_gates)
         if gx.requires_grad:
-            T._acc(gx, d_gates, owned=True)
+            T._acc(gx, d_gates)
         for p, grad in ((V, d_rows + d_score[..., None] * w_v.data),   # the detector's
                         (w_v, np.tensordot(d_score, rows, 2)),
                         (w_h, np.tensordot(d_score, hs[:-1], 2)),
                         (b, np.array(d_score.sum()))):
             if live and p.requires_grad:
-                T._acc(p, grad, owned=True)
+                T._acc(p, grad)
 
     X = T.pick(T._make(np.concatenate([emitted, hs[1:]]),
                        (gx, gru_w.w_h) + ((V, w_v, w_h, b) if live else ()), bw), index)

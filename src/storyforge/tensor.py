@@ -25,10 +25,9 @@ once). The rest composes from small primitives, among them `matmul`, which
 multiplies rows by a matrix or a stack of matrices, and `target_log_probs`,
 the teacher-forced head, which gathers each target's log-softmax with no
 one-hot mask.
-A backward hands `_acc` the gradient arrays it makes without a copy, and
-`add` and `reshape` their node's own gradient, which backward drops next,
-to one parent; `_acc` copies any other first gradient (a broadcast view, a
-slice).
+Gradients are never written in place: `_acc` keeps a first gradient as it
+is handed and adds later ones out of place, so a backward may hand over
+views and arrays that other nodes hold too.
 Adam updates the entries that learn when it is made as one flat vector,
 its moments two more, all laid out once. `float_faults` is the rule the
 model's arithmetic runs under: an overflow or invalid value raises
@@ -189,14 +188,11 @@ def _make(data, parents, backward) -> NumArray:
     return NumArray(data)
 
 
-def _acc(p: NumArray, g: np.ndarray, owned: bool = False):
-    """Add g into p's gradient. A first gradient is copied unless `owned`:
-    an array the backward made fresh, or its node's own gradient, handed to
-    one parent only, which no other node holds or writes."""
-    if p.grad is None:
-        p.grad = g if owned else np.array(g, dtype=np.float64)
-    else:
-        p.grad += g
+def _acc(p: NumArray, g: np.ndarray):
+    """Add g to p's gradient out of place: a first g is kept as it is (a
+    view, or an array another node holds too), as no gradient is ever
+    written in place."""
+    p.grad = g if p.grad is None else p.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -223,14 +219,11 @@ def add(a, b) -> NumArray:
     a, b = wrap(a), wrap(b)
     out = a.data + b.data
 
-    def bw(g):   # g, this node's own, goes uncopied to one parent at most
-        ga = None
+    def bw(g):
         if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            _acc(a, ga, owned=True)
+            _acc(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            _acc(b, gb, owned=gb is not ga)
+            _acc(b, _unbroadcast(g, b.data.shape))
 
     return _make(out, (a, b), bw)
 
@@ -241,9 +234,9 @@ def mul(a, b) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+            _acc(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _acc(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+            _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out, (a, b), bw)
 
@@ -264,14 +257,14 @@ def matmul(a, b) -> NumArray:
     def bw(g):
         if bd.ndim == 2:  # (..., m, n) @ (n, k)
             if a.requires_grad:
-                _acc(a, g @ bd.T, owned=True)
+                _acc(a, g @ bd.T)
             if b.requires_grad:
-                _acc(b, _rows(ad).T @ _rows(g), owned=True)
+                _acc(b, _rows(ad).T @ _rows(g))
         else:  # stacks of matrices, broadcast against each other
             if a.requires_grad:
-                _acc(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape), owned=True)
+                _acc(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
             if b.requires_grad:
-                _acc(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape), owned=True)
+                _acc(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     return _make(out, (a, b), bw)
 
@@ -290,7 +283,7 @@ def sigmoid(a) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g * out * (1.0 - out), owned=True)
+            _acc(a, g * out * (1.0 - out))
 
     return _make(out, (a,), bw)
 
@@ -301,7 +294,7 @@ def tanh(a) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g * (1.0 - out * out), owned=True)
+            _acc(a, g * (1.0 - out * out))
 
     return _make(out, (a,), bw)
 
@@ -312,7 +305,7 @@ def relu(a) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g * (a.data > 0.0), owned=True)
+            _acc(a, g * (a.data > 0.0))
 
     return _make(out, (a,), bw)
 
@@ -367,7 +360,7 @@ def reshape(a, shape) -> NumArray:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g.reshape(a.data.shape), owned=True)   # g is this node's own
+            _acc(a, g.reshape(a.data.shape))
 
     return _make(out, (a,), bw)
 
@@ -396,7 +389,7 @@ def pick(a, index) -> NumArray:
                 ga[index] = g
             else:
                 ga = _scatter_add(a.data.shape, index, g)
-            _acc(a, ga, owned=True)
+            _acc(a, ga)
 
     return _make(out, (a,), bw)
 
@@ -471,7 +464,7 @@ def masked_softmax(logits, mask) -> NumArray:
 
     def bw(g):
         if logits.requires_grad:
-            _acc(logits, out * (g - (g * out).sum(axis=-1, keepdims=True)), owned=True)
+            _acc(logits, out * (g - (g * out).sum(axis=-1, keepdims=True)))
 
     return _make(out, (logits,), bw)
 
@@ -482,23 +475,12 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def log_softmax(logits) -> NumArray:
-    """Log-probabilities over the last axis."""
-    logits = wrap(logits)
-    out = _log_softmax(logits.data)
-
-    def bw(g):
-        if logits.requires_grad:
-            _acc(logits, g - np.exp(out) * g.sum(axis=-1, keepdims=True), owned=True)
-
-    return _make(out, (logits,), bw)
-
-
 def target_log_probs(logits, ids, valid) -> NumArray:
     """The log-softmax of (T, B, V) logits at each position's target id
-    (T, B), exactly 0.0 where `valid` (T, B) is False: `log_softmax` times a
-    one-hot mask summed over V, to the bit, with no (T, B, V) mask. Backward
-    forms g one-hot - exp(log-softmax) g as `log_softmax`'s does."""
+    (T, B), exactly 0.0 where `valid` (T, B) is False: the log-softmax times
+    a one-hot mask summed over V, to the bit, with no (T, B, V) mask. Backward
+    forms g one-hot - exp(log-softmax) g in the order of operations of the
+    log-softmax's own backward, g - exp(log-softmax) sum(g)."""
     logits, ids, valid = wrap(logits), np.asarray(ids), np.asarray(valid, dtype=bool)
     if not ids.shape == valid.shape == logits.data.shape[:-1]:
         raise DimensionError(f"targets {ids.shape} and mask {valid.shape} "
@@ -517,7 +499,7 @@ def target_log_probs(logits, ids, valid) -> NumArray:
             # off target, g times 0 minus exp(out) g: its sign of zero too
             np.subtract(np.copysign(0.0, g)[..., None], d, out=d)
             d[at] = g[valid] - d_at
-            _acc(logits, d, owned=True)
+            _acc(logits, d)
 
     return _make(picked, (logits,), bw)
 
@@ -585,7 +567,7 @@ def _recurrent_grads(w_h, hd, rh, d_gates):
     if w_h.requires_grad:
         hid, dg = len(w_h.data), _rows(d_gates)
         _acc(w_h, np.concatenate([_rows(hd).T @ dg[:, :2 * hid],
-                                  _rows(rh).T @ dg[:, 2 * hid:]], axis=1), owned=True)
+                                  _rows(rh).T @ dg[:, 2 * hid:]], axis=1))
 
 
 def gru_cell(x, h_prev, w: GruWeights) -> NumArray:
@@ -637,7 +619,7 @@ def gru_scan(gx, w_h) -> NumArray:
         for t in range(len(d_gates) - 1, -1, -1):
             d_gates[t], d_h = _gru_step_backward(g[t] + d_h, hs[t], caches[t], wh, hid)
         if gx.requires_grad:
-            _acc(gx, d_gates, owned=True)
+            _acc(gx, d_gates)
         _recurrent_grads(w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates)
 
     return _make(hs[1:], (gx, w_h), bw)

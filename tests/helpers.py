@@ -1,8 +1,9 @@
 """Shared test utilities: the per-step scene encoder that the fused one is
 checked against, a fault planted in the GRU step's hand-written backward
 that such references must catch, validation pairs decoded one album at a
-time, the copy-every-gradient rule that gradient ownership is checked
-against, and hand-built detector weights for clustered data.
+time, the copy-every-gradient rule that handed-over gradients are checked
+against, the log-softmax node that the target head is checked against,
+and hand-built detector weights for clustered data.
 
 Detector weights: with zero photo GRUs and a signed-identity skip, photo
 vectors copy the raw feature into positive/negative halves. The scene GRU
@@ -121,10 +122,25 @@ def per_album_pairs(params, cfg, albums, vocab, **decode):
 
 
 def copy_every_first_gradient(monkeypatch):
-    """Make `T._acc` copy every first gradient, whether or not its caller
-    hands the array over: the rule that ownership must match to the bit."""
+    """Make `T._acc` copy every array it is handed before it keeps or adds
+    it: the rule that handing gradients over, views and shared arrays
+    included, must match to the bit."""
     acc = T._acc
-    monkeypatch.setattr(T, "_acc", lambda p, g, owned=False: acc(p, g))
+    monkeypatch.setattr(T, "_acc", lambda p, g: acc(p, np.array(g, dtype=np.float64)))
+
+
+def log_softmax(logits) -> T.NumArray:
+    """Log-probabilities over the last axis as a graph node: the oracle that
+    `T.target_log_probs` equals times a one-hot mask summed over the
+    vocabulary."""
+    logits = T.wrap(logits)
+    out = T._log_softmax(logits.data)
+
+    def bw(g):
+        if logits.requires_grad:
+            T._acc(logits, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
+
+    return T._make(out, (logits,), bw)
 
 
 def grads_both_ways(monkeypatch, run) -> list:

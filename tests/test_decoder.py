@@ -13,6 +13,8 @@ from storyforge.decoder import (AttentionState, attend,
                                 score_sentences, sentence_log_prob)
 from storyforge.model import ModelConfig, build_parameters
 
+from helpers import log_softmax
+
 
 def small_cfg():
     return ModelConfig(vocab_size=8, feature_dim=4, photo_hidden=2,
@@ -302,7 +304,7 @@ class TestScoreSentences:
         assert all(d.data.shape == (cfg.vocab_size,) for d in logits)
         assert all(lp.data.shape == () for lp in word_logps)
         for tok, d, lp in zip(ids, logits, word_logps):
-            log_p = T.log_softmax(d).data
+            log_p = log_softmax(d).data
             assert float(lp.data) == pytest.approx(log_p[tok], rel=1e-12)
         assert math.fsum(float(lp.data) for lp in word_logps) == pytest.approx(
             total.item(), rel=1e-12)
@@ -354,7 +356,7 @@ def greedy_oracle(z, params, max_words):
     with T.no_grad():
         for _ in range(max_words + 1):
             h, d = one_row_step(prev, h, z, table, gru_w, params)
-            log_p = T.log_softmax(d).data[0]
+            log_p = log_softmax(d).data[0]
             tok = int(np.argmax(log_p))
             ids.append(tok)
             logps.append(float(log_p[tok]))
@@ -378,7 +380,7 @@ def beam_oracle(z, params, max_words, width):
                     continue
                 h_new, d = one_row_step(ids[-1] if ids else BOS, h, z, table,
                                         gru_w, params)
-                log_p = T.log_softmax(d).data[0]
+                log_p = log_softmax(d).data[0]
                 for tok in np.argsort(-log_p, kind="stable")[:width]:
                     tok = int(tok)
                     candidates.append((ids + [tok], logps + [float(log_p[tok])],

@@ -2,8 +2,9 @@
 `storyforge` module imports the benchmark, only the small `tensor`
 primitives and the three recurrence nodes build graph nodes of their own
 (with a hand-written backward), only `model` pads, encodes and attends over
-albums, and only the functions in `ERRSTATE_CALLERS` set numpy's float-fault
-rule or apply `tensor.float_faults`."""
+albums, only the functions in `ERRSTATE_CALLERS` set numpy's float-fault
+rule or apply `tensor.float_faults`, and no module writes into a gradient
+in place."""
 
 import ast
 from pathlib import Path
@@ -82,8 +83,8 @@ def test_no_benchmark_imports(path):
 # the recurrence nodes; everything else composes them
 MAKE_CALLERS = {
     "tensor": {"add", "mul", "matmul", "sigmoid", "tanh", "relu", "concat", "arr_sum",
-               "reshape", "pick", "assemble", "masked_softmax", "log_softmax",
-               "target_log_probs", "gru_scan"},
+               "reshape", "pick", "assemble", "masked_softmax", "target_log_probs",
+               "gru_scan"},
     "scene_encoder": {"encode_scenes"},
     "decoder": {"attend_scan"},
 }
@@ -203,3 +204,51 @@ def test_checker_reads_each_rule_where_it_is_set():
 def test_float_fault_rules_only_where_listed(path):
     assert errstate_rules(path.read_text(encoding="utf-8")) == \
         ERRSTATE_CALLERS.get(path.stem, {})
+
+
+def names_a_gradient(node) -> bool:
+    """`x.grad`, or a subscript of it (`x.grad[i]`, `x.grad[i][j]`)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "grad"
+
+
+def in_place_gradient_writes(source: str) -> list[str]:
+    """Writes into a gradient array: an augmented assignment to `.grad` or
+    to a subscript of it, an assignment to such a subscript, and an `out=`
+    that names one (alone or in a tuple). Rebinding `.grad` is no write."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign):
+            targets = [t for t in node.targets if isinstance(t, ast.Subscript)]
+        elif isinstance(node, ast.Call):
+            targets = [t for k in node.keywords if k.arg == "out"
+                       for t in getattr(k.value, "elts", [k.value])]
+        else:
+            continue
+        if any(names_a_gradient(t) for t in targets):
+            found.append(f"line {node.lineno}: {ast.unparse(node).splitlines()[0]}")
+    return found
+
+
+def test_checker_flags_an_in_place_gradient_write():
+    src = ("p.grad += g\n"
+           "p.grad[0] -= 1.0\n"
+           "p.grad[:, 1] = 0.0\n"
+           "np.add(p.grad, g, out=p.grad)\n"
+           "np.multiply(a, 2.0, out=(p.grad[1:],))\n"
+           "p.grad = g if p.grad is None else p.grad + g\n"
+           "d_h += h.grad\n"
+           "d_rows[i] = v.grad\n"
+           "np.add(p.grad, g, out=buf)\n")
+    assert in_place_gradient_writes(src) == [
+        "line 1: p.grad += g", "line 2: p.grad[0] -= 1.0", "line 3: p.grad[:, 1] = 0.0",
+        "line 4: np.add(p.grad, g, out=p.grad)",
+        "line 5: np.multiply(a, 2.0, out=(p.grad[1:],))"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_gradient_written_in_place(path):
+    assert in_place_gradient_writes(path.read_text(encoding="utf-8")) == []

@@ -889,9 +889,10 @@ class TestFullPipelineGradients:
 
 class TestGradientOwnership:
     """The objectives' leaf gradients keep their bytes when `_acc` copies
-    every first gradient: the gate on which backwards hand their arrays
-    over (the hand-written recurrence nodes, `target_log_probs` and the
-    primitives) and which copy."""
+    every array it is handed: the gate on the rule that lets every
+    backward (the hand-written recurrence nodes, `target_log_probs` and the
+    primitives) hand over views and shared arrays, that no gradient is
+    written in place, by `_acc` or by a backward after handing it over."""
 
     @pytest.mark.parametrize("stage,relax", [(1, False), (1, True), (2, False)])
     def test_stories_objective(self, monkeypatch, stage, relax):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from storyforge import tensor as T
 
-from helpers import grads_both_ways
+from helpers import grads_both_ways, log_softmax
 
 
 def scalar_gru_oracle(x, h, wx, wh, b):
@@ -376,7 +376,7 @@ class TestOps:
             return pick_sum(ps["x"])
 
         def pick_sum(x):
-            ls = T.log_softmax(x)
+            ls = log_softmax(x)
             return T.pick(ls, 2) + 0.5 * T.pick(ls, 4)
 
         assert T.grad_check(fn, store) < 1e-4
@@ -384,7 +384,7 @@ class TestOps:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
     def test_log_softmax_extreme_logits(self, logits):
-        out = T.log_softmax(T.wrap(logits)).data
+        out = log_softmax(T.wrap(logits)).data
         assert np.isfinite(out).all() and (out <= 0.0).all()
         assert np.exp(out).sum() == pytest.approx(1.0)
 
@@ -410,15 +410,15 @@ class TestOps:
         def fn(ps):
             x = T.concat([T.pick(ps["table"], ids), ps["u"] + np.zeros((3, 1, 1))],
                          axis=-1)
-            return T.arr_sum(T.log_softmax(x @ ps["w"]) * T.wrap(weights))
+            return T.arr_sum(log_softmax(x @ ps["w"]) * T.wrap(weights))
 
         assert T.grad_check(fn, store) < 1e-4
 
     def test_log_softmax_rows_match_vector_calls(self):
         x = np.random.default_rng(3).standard_normal((4, 2, 6))
-        out = T.log_softmax(T.wrap(x)).data
+        out = log_softmax(T.wrap(x)).data
         for i, j in np.ndindex(4, 2):
-            assert out[i, j].tobytes() == T.log_softmax(T.wrap(x[i, j])).data.tobytes()
+            assert out[i, j].tobytes() == log_softmax(T.wrap(x[i, j])).data.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 9), st.integers(1, 3),
@@ -571,7 +571,7 @@ class TestTargetLogProbs:
         w[rng.random(w.shape) < 0.2] = -0.0
         results = []
         for head in (lambda l: T.target_log_probs(l, ids, valid),
-                     lambda l: T.arr_sum(T.log_softmax(l) * one_hot, axis=2)):
+                     lambda l: T.arr_sum(log_softmax(l) * one_hot, axis=2)):
             logits = T.NumArray(x, requires_grad=True)
             out = head(logits)
             T.arr_sum(out * T.wrap(w)).backward()
@@ -591,13 +591,14 @@ class TestTargetLogProbs:
 
 
 class TestGradientOwnership:
-    """A backward hands `_acc` the arrays it makes, and `add` and `reshape`
-    their node's own gradient to one parent, without a copy: every leaf's
-    gradient keeps its bytes against copying each first gradient."""
+    """`_acc` keeps what a backward hands it, views and arrays other nodes
+    hold included, and never writes into it: every leaf's gradient keeps
+    its bytes against copying every array handed to `_acc`."""
 
     @pytest.mark.parametrize("graph", ["x + x", "x * x", "two adds read one node",
                                        "reshape into add", "sum and tanh read x",
-                                       "tanh and sum read x"])
+                                       "tanh and sum read x", "concat x, x and y",
+                                       "assemble x and y"])
     def test_leaf_gradients_equal_copying_every_first_one(self, monkeypatch, graph):
         rng = np.random.default_rng(12)
         x0, y0, w = (rng.standard_normal((3, 2)) for _ in range(3))
@@ -614,7 +615,16 @@ class TestGradientOwnership:
             elif graph == "reshape into add":   # x is read again after
                 r = T.reshape(x, (2, 3))
                 out = T.reshape(r + T.reshape(y, (2, 3)), (3, 2)) * w + T.tanh(x) * y
-            else:   # a sum's gradient is a broadcast view: x's first must be a copy
+            elif graph == "concat x, x and y":   # y keeps a slice, x adds two
+                wide = np.tile(w, 3)
+                out = T.concat([x, x, y], axis=1) * wide + T.tanh(x) @ wide[:2]
+            elif graph == "assemble x and y":   # slices of one gradient, x and y read again
+                wide = np.tile(w, 2)
+                cols = [(slice(None), slice(0, 2)), (slice(None), slice(2, 4))]
+                blocks = T.assemble((3, 4), [(cols[0], x), (cols[1], y)])
+                out = blocks * wide + T.sigmoid(x * y) @ wide[:2]
+            else:   # a sum's gradient is a read-only broadcast view: x keeps it
+                # and adds the tanh's to it, or adds it to the tanh's
                 s, t = T.arr_sum(x, axis=0) * w[0], T.tanh(x)
                 out = s + t if graph == "sum and tanh read x" else t + s
             T.arr_sum(out * out).backward()
