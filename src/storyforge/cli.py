@@ -292,6 +292,9 @@ def cmd_inspect_scenes(cfg) -> int:
 
 def cmd_evaluate(cfg) -> int:
     _require(cfg, "stories", "data", "vocab_file")
+    for key in ("max_photos", "sentences", "max_words"):   # as ModelConfig checks them
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
     out = write_resolved(cfg)
     vocab = Vocabulary.load(cfg["vocab_file"])
     albums = load_albums(cfg["data"], vocab, max_photos=cfg["max_photos"],

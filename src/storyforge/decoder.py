@@ -15,9 +15,10 @@ embedding table and each z_j are projected once, by row blocks of the GRU
 input and readout matrices, not joined onto every word step. Decoding is
 one beam search over any number of z rows (at inference, every sentence of
 a chunk of albums), a beam per row, on plain arrays, since nothing
-differentiates it; its word step runs the unfinished hypotheses of all
-beams as the rows of one GRU step, and greedy decoding is that search at
-width 1.
+differentiates it. It projects the table and Z once per search, as teacher
+forcing does, so its word step takes teacher forcing's arithmetic; that
+step runs the unfinished hypotheses of all beams as the rows of one GRU
+step, and greedy decoding is that search at width 1.
 
 The attention state persists across the n sentences of an album. A
 batch's memory, and with it the alpha vector the attention GRU reads, has
@@ -129,18 +130,18 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
     return T.reshape(Z, Z.shape[:-2] + (-1,)), A.data
 
 
-def _decoder_step(prev, H, Z, weights):
-    """One word step for B rows on plain arrays: the GRU consumes [embedding
-    of prev (B,) ; Z (B, D_v)] from states H (B, H), then the readout scores
-    [h_new ; Z]. It equals the tests' one-hypothesis step to the bit, and
-    `score_sentences`, which projects the table and Z apart, to rounding.
-    `weights`: the table, GRU (w_x, w_h, b) and readout (w1, b1, w2, b2)
-    arrays. Returns (h_new (B, H), log-probs (B, vocab))."""
-    table, w_x, w_h, b, w1, b1, w2, b2 = weights
-    h, _ = T._gru_step(np.concatenate([table[prev], Z], axis=-1) @ w_x + b, H, w_h,
-                       len(w_h))
-    hidden = np.tanh(np.concatenate([h, Z], axis=-1) @ w1 + b1)
-    return h, T._log_softmax(hidden @ w2 + b2)
+def _decoder_step(prev, H, ZX, ZR, weights):
+    """One word step for B rows on plain arrays, in `score_sentences`'
+    form: the GRU input is TX[prev (B,)] + ZX (B, 3H) and the readout's
+    hidden layer tanh(h_new W1[:H] + ZR (B, M)), where TX = table W_x[:E],
+    ZX = Z W_x[E:] + b and ZR = Z W1[H:] + b1 are projected once per search.
+    A lone row's log-probs equal teacher forcing's to the bit; rows of a
+    wider step run the products at another row count, which may move them
+    by an ulp. `weights`: the TX, GRU w_h and readout (W1[:H], w2, b2)
+    arrays. Returns (h_new (B, H) from states H (B, H), log-probs (B, vocab))."""
+    tx, w_h, w1, w2, b2 = weights
+    h, _ = T._gru_step(tx[prev] + ZX, H, w_h, len(w_h))
+    return h, T._log_softmax(np.tanh(h @ w1 + ZR) @ w2 + b2)
 
 
 def score_sentences(Z, sentences, params):
@@ -211,31 +212,35 @@ def decode_width(mode, beam_width) -> int:
 
 def _search(Z, params, max_words: int, width: int):
     """Beam search by total log-prob until EOS or max_words+1 tokens, one
-    beam per row of Z (R, D_v), on plain arrays. Each step runs the
-    unfinished hypotheses of every beam as the rows of one `_decoder_step`,
-    so finished ones drop out of the batch; each beam ranks the top `width`
+    beam per row of Z (R, D_v), on plain arrays. The table and Z are
+    projected once, as in `score_sentences`. Each step runs the unfinished
+    hypotheses of every beam as the rows of one `_decoder_step`, so
+    finished ones drop out of the batch; each beam ranks the top `width`
     tokens of its rows, with its finished hypotheses, by (total log-prob,
     ids): ties go to lower token ids, and width 1 is greedy. Returns each
     row's best hypothesis as (ids, per-word logps)."""
-    weights = tuple(params[name].data for name in (
+    table, w_x, w_h, b_x, w1, b1, w2, b2 = (params[name].data for name in (
         "dec.embed.table", "dec.gru.w_x", "dec.gru.w_h", "dec.gru.b",
         "dec.out.w1", "dec.out.b1", "dec.out.w2", "dec.out.b2"))
-    H = np.zeros((len(Z), len(weights[2])))
+    emb, hid = table.shape[1], len(w_h)
+    weights = (table @ w_x[:emb], w_h, w1[:hid], w2, b2)
+    ZX, ZR = Z @ w_x[emb:] + b_x, Z @ w1[hid:] + b1
+    H = np.zeros((len(Z), hid))
     # per row: hypotheses (total log-prob, [BOS] + ids, per-word logps, row of H, finished)
     beams = [[(0.0, [BOS], [], r, False)] for r in range(len(Z))]
-    z_rows, Z_live = list(range(len(Z))), Z
+    z_rows, ZX_live, ZR_live = list(range(len(Z))), ZX, ZR
     for _ in range(max_words + 1):
         live = [(r, b) for r, beam in enumerate(beams) for b in beam if not b[4]]
         if not live:
             break
-        # the live rows' states and z rows, gathered only when they moved
+        # the live rows' states and z projections, gathered only when they moved
         parents, rows = [b[3] for _, b in live], [r for r, _ in live]
         if parents != list(range(len(H))):
             H = H.take(parents, axis=0)
         if rows != z_rows:
-            z_rows, Z_live = rows, Z.take(rows, axis=0)
-        H, log_p = _decoder_step(np.array([b[1][-1] for _, b in live]), H, Z_live,
-                                 weights)
+            z_rows, ZX_live, ZR_live = rows, ZX.take(rows, axis=0), ZR.take(rows, axis=0)
+        H, log_p = _decoder_step(np.array([b[1][-1] for _, b in live]), H, ZX_live,
+                                 ZR_live, weights)
         top = (-log_p).argsort(axis=-1, kind="stable")[:, :width]
         # candidates rank as (-total, parent ids, token), token -1 for a finished
         # hypothesis, and only the kept ones are built. No parent's ids are a

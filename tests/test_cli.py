@@ -403,6 +403,19 @@ def _evaluate_data_with_album_id(album_id):
     return make_argv
 
 
+def _evaluate_with(*extra):
+    """evaluate of the first album's own reference story, with `extra` flags."""
+    def make_argv(root, tmp_path):
+        rec = json.loads((root / "d" / "albums.jsonl").read_text().splitlines()[0])
+        stories = tmp_path / "s.jsonl"
+        stories.write_text(json.dumps({"album_id": rec["album_id"],
+                                       "sentences": rec["stories"][0]}) + "\n")
+        return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
+                "--data", str(root / "d" / "albums.jsonl"),
+                "--vocab-file", str(root / "d" / "vocab.txt"), *extra]
+    return make_argv
+
+
 def _evaluate_sentences_not_a_list(root, tmp_path):
     first = json.loads((root / "d" / "albums.jsonl").read_text().splitlines()[0])
     stories = tmp_path / "s.jsonl"
@@ -668,6 +681,10 @@ class TestBadInputExitCodes:
         (_train_with("--patience", "0"), "patience must be >= 1"),
         (_train_with("--lambda", "-1"), "lambda and mu must be >= 0"),
         (_train_with("--sentences", "0"), "sentences must be >= 1"),
+        (_evaluate_with("--max-photos", "-3"), "max_photos must be >= 1"),
+        (_evaluate_with("--max-photos", "0"), "max_photos must be >= 1"),
+        (_evaluate_with("--max-words", "0"), "max_words must be >= 1"),
+        (_evaluate_with("--sentences", "-1"), "sentences must be >= 1"),
         (_generate_with("--mode", "sample"), "unknown decode mode 'sample'"),
         (_generate_with("--mode", "beam", "--beam-width", "0"),
          "beam width must be >= 1"),
@@ -782,7 +799,9 @@ class TestBadInputExitCodes:
             "generate-checkpoint-version-true", "generate-checkpoint-version-float",
             "generate-checkpoint-values-string", "generate-checkpoint-values-nested",
             "stage2-other-dims", "train-patience-0", "train-lambda-negative",
-            "train-sentences-0", "generate-mode-sample", "generate-beam-width-0",
+            "train-sentences-0", "evaluate-max-photos-negative",
+            "evaluate-max-photos-0", "evaluate-max-words-0", "evaluate-sentences-negative",
+            "generate-mode-sample", "generate-beam-width-0",
             "grad-check-lambda-negative", "grad-check-gc-seeds-0",
             "grad-check-tolerance-negative", "grad-check-tolerance-0",
             "grad-check-tolerance-nan", "grad-check-tolerance-inf",

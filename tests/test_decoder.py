@@ -332,62 +332,49 @@ class TestScoreSentences:
                 score_sentences(T.zeros((rows, cfg.d_v)), [[EOS]] * n, ps)
 
 
-def readout(h, z, params):
-    """Vocabulary scores from [h ; z], over any leading axes: the decoder's
-    readout as one product of the joined rows, the form `_decoder_step`
-    equals to the bit."""
-    hidden = T.tanh(T.concat([h, z], axis=-1) @ params["dec.out.w1"]
-                    + params["dec.out.b1"])
-    return hidden @ params["dec.out.w2"] + params["dec.out.b2"]
-
-
-def one_row_step(prev, h, z, table, gru_w, params):
-    """The word step on one hypothesis, a (1, H) state for a (1, D_v) z, as
-    decoding ran before hypotheses became rows of one step."""
-    h = T.gru_cell(T.concat([T.pick(table, [prev]), z], axis=-1), h, gru_w)
-    return h, readout(h, z, params)
+def next_log_probs(z, ids, params):
+    """Log-probs of the word after `ids` given z (1, D_v): ids + [EOS]
+    teacher-forced through `score_sentences`, read at step len(ids). The
+    search's word step takes teacher forcing's form, so a lone row's step
+    equals this to the bit."""
+    _, logits, _ = score_sentences(z, [ids + [EOS]], params)
+    return log_softmax(logits.data[len(ids)]).data[0]
 
 
 def greedy_oracle(z, params, max_words):
-    """Argmax decoding with a loop of its own."""
-    table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
-    h, prev, z = T.zeros((1, gru_w.hidden_size)), BOS, T.reshape(z, (1, -1))
-    ids, logps = [], []
+    """Argmax decoding with a loop of its own, each word scored by
+    teacher-forcing its prefix."""
+    z, ids, logps = T.reshape(z, (1, -1)), [], []
     with T.no_grad():
         for _ in range(max_words + 1):
-            h, d = one_row_step(prev, h, z, table, gru_w, params)
-            log_p = log_softmax(d).data[0]
+            log_p = next_log_probs(z, ids, params)
             tok = int(np.argmax(log_p))
             ids.append(tok)
             logps.append(float(log_p[tok]))
             if tok == EOS:
                 break
-            prev = tok
     return ids, logps
 
 
 def beam_oracle(z, params, max_words, width):
-    """Beam search that steps each hypothesis on its own and ranks by
-    (summed log-prob, ids)."""
-    table, gru_w = params["dec.embed.table"], params.gru("dec.gru")
-    beams, z = [([], [], T.zeros((1, gru_w.hidden_size)), False)], T.reshape(z, (1, -1))
+    """Beam search that scores each hypothesis on its own, by teacher-forcing
+    its prefix, and ranks by (summed log-prob, ids)."""
+    beams, z = [([], [], False)], T.reshape(z, (1, -1))
     with T.no_grad():
         for _ in range(max_words + 1):
             candidates = []
-            for ids, logps, h, done in beams:
+            for ids, logps, done in beams:
                 if done:
-                    candidates.append((ids, logps, h, True))
+                    candidates.append((ids, logps, True))
                     continue
-                h_new, d = one_row_step(ids[-1] if ids else BOS, h, z, table,
-                                        gru_w, params)
-                log_p = log_softmax(d).data[0]
+                log_p = next_log_probs(z, ids, params)
                 for tok in np.argsort(-log_p, kind="stable")[:width]:
                     tok = int(tok)
                     candidates.append((ids + [tok], logps + [float(log_p[tok])],
-                                       h_new, tok == EOS))
+                                       tok == EOS))
             candidates.sort(key=lambda c: (-sum(c[1]), c[0]))
             beams = candidates[:width]
-            if all(done for _, _, _, done in beams):
+            if all(done for _, _, done in beams):
                 break
     return beams[0][0], beams[0][1]
 
@@ -518,7 +505,7 @@ class TestGeneration:
         # tie exactly at the width cut and lead to different best sentences
         cfg, ps = make(29)
 
-        def step(prev, H, Z, weights):
+        def step(prev, H, ZX, ZR, weights):
             hist = [[int(t) - 1 for t in row if t] + [int(p)] for row, p in zip(H, prev)]
             log_p = np.full((len(prev), cfg.vocab_size), -64.0)
             for row, h in zip(log_p, hist):
@@ -572,3 +559,41 @@ class TestGeneration:
         cfg, ps = make(25)
         with pytest.raises(ValueError):
             decode_sentence_beam(T.zeros(cfg.d_v), ps, 5, width=0)
+
+
+LONE_Z_CONFIGS = {"small": small_cfg(), "v30": ModelConfig(vocab_size=30),
+                  "v999": ModelConfig(vocab_size=999)}
+
+
+class TestSearchIsTeacherForcing:
+    """The search projects the embedding table and z once, as
+    `score_sentences` does, so its word log-probs are teacher forcing's."""
+
+    @staticmethod
+    def decode_and_force(cfg, seed, width):
+        ps = build_parameters(cfg, np.random.default_rng(seed))
+        z = np.random.default_rng(seed).standard_normal((1, cfg.d_v))
+        ids, logps = decoder._search(z, ps, cfg.max_words, width)[0]
+        with T.no_grad():
+            _, _, word_logps = score_sentences(T.wrap(z), [ids], ps)
+        return ps, z, ids, np.array(logps), word_logps.data[:, 0]
+
+    @pytest.mark.parametrize("name", LONE_Z_CONFIGS)
+    def test_lone_greedy_equals_teacher_forcing_bit_for_bit(self, name):
+        cfg = LONE_Z_CONFIGS[name]
+        differ = []
+        for seed in range(60):
+            _, _, _, logps, forced = self.decode_and_force(cfg, seed, 1)
+            if logps.tobytes() != forced.tobytes():
+                differ.append(seed)
+        assert differ == []
+
+    @pytest.mark.parametrize("name", LONE_Z_CONFIGS)
+    def test_lone_beam_equals_oracle_and_teacher_forcing(self, name):
+        # beam rows run their products at other row counts than teacher
+        # forcing's one row, which may move a log-prob by an ulp
+        cfg = LONE_Z_CONFIGS[name]
+        for seed in range(20):
+            ps, z, ids, logps, forced = self.decode_and_force(cfg, seed, 3)
+            assert ids == beam_oracle(T.wrap(z), ps, cfg.max_words, 3)[0]
+            np.testing.assert_allclose(logps, forced, rtol=1e-12, atol=0)
