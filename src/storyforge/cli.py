@@ -186,11 +186,6 @@ def _scores(pairs) -> dict:
             "rouge-l": rouge_l(pairs), "cider": cider(pairs)}
 
 
-def _metric_lines(pairs):
-    return [f"{name} {value:.4f} {len(pairs)}"
-            for name, value in _scores(pairs).items()]
-
-
 def cmd_synth_data(cfg) -> int:
     out = write_resolved(cfg)
     spec = _synth_spec(cfg)
@@ -292,13 +287,10 @@ def cmd_inspect_scenes(cfg) -> int:
 
 def cmd_evaluate(cfg) -> int:
     _require(cfg, "stories", "data", "vocab_file")
-    for key in ("max_photos", "sentences", "max_words"):   # as ModelConfig checks them
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    out = write_resolved(cfg)
     vocab = Vocabulary.load(cfg["vocab_file"])
     albums = load_albums(cfg["data"], vocab, max_photos=cfg["max_photos"],
                          n_sentences=cfg["sentences"], max_words=cfg["max_words"])
+    out = write_resolved(cfg)
     refs = {}
     for a in albums:
         if a.album_id in refs:
@@ -320,7 +312,8 @@ def cmd_evaluate(cfg) -> int:
                                           refs[rec["album_id"]])
     if not pairs:
         raise DataFormatError(f"{cfg['stories']}: holds no records")
-    lines = _metric_lines(list(pairs.values()))
+    lines = [f"{name} {value:.4f} {len(pairs)}"
+             for name, value in _scores(list(pairs.values())).items()]
     (out / "metrics.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0

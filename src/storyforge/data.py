@@ -49,6 +49,13 @@ def check_number(name, value, kind: str = "int"):
             raise ConfigError(f"{name} is too large for a float") from None
 
 
+def check_size(name, value):
+    """`check_number` for an integer, then a ConfigError unless it is >= 1."""
+    check_number(name, value)
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1")
+
+
 def check_field_types(cfg):
     """`check_number` on each int and float field of the config dataclass
     `cfg`; each tuple field must be a pair (tuple or list) of integers."""
@@ -277,8 +284,11 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
     """Read a non-empty album file; photo streams are truncated to max_photos.
 
     Every feature row must have `feature_dim` values; None lets the file's
-    first row decide.
+    first row decide; the sizes are checked before any record is read.
     """
+    for name, size in (("max_photos", max_photos), ("sentences", n_sentences),
+                       ("max_words", max_words)):
+        check_size(name, size)
     albums = []
     for where, rec in read_records(path, "album_id", "features", "stories"):
         with at_record(where):
@@ -289,8 +299,7 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
             raw_stories = check_stories(rec["stories"], n_sentences)
             gold = check_gold(rec.get("gold_boundaries"), len(rec["features"]),
                               max_photos)
-        if feats:  # empty only when max_photos < 1
-            feature_dim = len(feats[0])
+        feature_dim = len(feats[0])
         stories = [[encode_sentence(s, vocab, max_words) for s in ref]
                    for ref in raw_stories]
         albums.append(AlbumExample(str(album_id), feats, stories,
@@ -330,8 +339,7 @@ class SynthSpec:
     def __post_init__(self):
         check_field_types(self)
         for name in ("albums", "sentences", "feature_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            check_size(name, getattr(self, name))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for name in ("scenes_per_album", "photos_per_scene"):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import BOS, EOS, PAD, ConfigError, check_number
+from .data import BOS, EOS, PAD, ConfigError, check_size
 
 
 @dataclass
@@ -204,9 +204,7 @@ def decode_width(mode, beam_width) -> int:
         raise ConfigError(f"unknown decode mode '{mode}'")
     if mode == "greedy":
         return 1
-    check_number("beam width", beam_width)
-    if beam_width < 1:
-        raise ConfigError("beam width must be >= 1")
+    check_size("beam width", beam_width)
     return beam_width
 
 

@@ -13,8 +13,8 @@ import inspect
 
 from . import tensor as T
 from .data import (SPECIALS, AlbumExample, DataFormatError, Vocabulary, at_record,
-                   build_vocab, check_gold, check_stories, encode_sentence, feature_rows,
-                   story_text)
+                   build_vocab, check_gold, check_size, check_stories, encode_sentence,
+                   feature_rows, story_text)
 from .model import ModelConfig, decode_width, generate_stories, scene_views
 from .trainer import TrainConfig, config_from, run_training, validate
 
@@ -32,11 +32,12 @@ def check_is_fitted(estimator):
 def check_albums(X, feature_dim: int, max_photos: int,
                  n_sentences: int | None = None):
     """Validate AlbumExamples or bare feature matrices with the album
-    loader's checks, dropping photos past max_photos; reference stories,
-    where an album has any, need `n_sentences` sentences (None: any).
-    Bare matrices become story-less albums, which fit and score reject.
-    An error names the album by its index in X: `album N: ...`.
+    loader's checks, cut to max_photos, an integer >= 1 as the loader's;
+    reference stories, where an album has any, need `n_sentences` sentences
+    (None: any). Bare matrices become story-less albums, which fit and score
+    reject. An error names the album by its index in X: `album N: ...`.
     """
+    check_size("max_photos", max_photos)
     if not isinstance(X, (list, tuple)) or len(X) == 0:
         raise ValueError("X must be a non-empty list of albums")
     albums = []
@@ -57,14 +58,23 @@ def check_albums(X, feature_dim: int, max_photos: int,
     return albums
 
 
+def _albums(X, cfg: ModelConfig, refs_for: str | None = None):
+    """`check_albums` at the sizes of `cfg`; caller `refs_for` needs refs."""
+    albums = check_albums(X, cfg.feature_dim, cfg.max_photos, cfg.sentences)
+    if refs_for and any(not a.raw_stories for a in albums):
+        raise DataFormatError(f"{refs_for} needs albums with reference stories")
+    return albums
+
+
 class AlbumStoryteller:
     """Generates a fixed-length story for an album of photo features.
 
     fit trains the encoder/decoder stack on albums that carry reference
     stories; predict emits decoded sentences; transform exposes the scene
-    segmentation for each album. predict, transform and score raise
-    tensor.EvaluationError on an overflow or invalid value, as fit does
-    on a diverged stage.
+    segmentation for each album. After fit, albums are checked and cut to
+    the fitted model, `model_config_`; `mode` and `beam_width` are read at
+    each call. predict, transform and score raise tensor.EvaluationError
+    on an overflow or invalid value, as fit does on a diverged stage.
     """
 
     def __init__(self, feature_dim=ModelConfig.feature_dim,
@@ -108,13 +118,6 @@ class AlbumStoryteller:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(changed.items()))
         return f"{type(self).__name__}({inner})"
 
-    def _albums(self, X, refs_for: str | None = None):
-        """`check_albums` at this estimator's sizes; caller `refs_for` needs refs."""
-        albums = check_albums(X, self.feature_dim, self.max_photos, self.sentences)
-        if refs_for and any(not a.raw_stories for a in albums):
-            raise DataFormatError(f"{refs_for} needs albums with reference stories")
-        return albums
-
     def fit(self, X, y=None, vocab: Vocabulary | None = None,
             validation=None):
         """Train on albums with reference stories; returns self."""
@@ -125,20 +128,20 @@ class AlbumStoryteller:
         settings = self.get_params()
         mcfg = config_from(ModelConfig, settings, vocab_size=len(SPECIALS))
         tcfg = config_from(TrainConfig, settings, model=mcfg)
-        albums = self._albums(X, "fit")
+        albums = _albums(X, mcfg, "fit")
         val = albums
         if validation is not None:
             if not isinstance(validation, (list, tuple)) or len(validation) == 0:
                 raise ValueError("validation must be a non-empty list of albums")
             with at_record("validation"):
-                val = self._albums(validation, "fit")
+                val = _albums(validation, mcfg, "fit")
         if vocab is None:
             vocab = build_vocab([s for a in albums for story in a.raw_stories
                                  for s in story], min_count=self.min_count)
         # token ids must come from the working vocabulary, whatever encoded
         # the albums originally
         albums = [dataclasses.replace(a, stories=[
-            [encode_sentence(s, vocab, self.max_words) for s in story]
+            [encode_sentence(s, vocab, mcfg.max_words) for s in story]
             for story in a.raw_stories]) for a in albums]
         mcfg = dataclasses.replace(mcfg, vocab_size=len(vocab))
         tcfg = dataclasses.replace(tcfg, model=mcfg)
@@ -158,15 +161,14 @@ class AlbumStoryteller:
     def predict(self, X):
         """Decode one story per album: a list of sentence-string lists."""
         check_is_fitted(self)
-        return [story_text(hyp.sentences, self.vocab_)
-                for hyp in generate_stories(self._albums(X), self.params_,
-                                            self.model_config_, mode=self.mode,
-                                            beam_width=self.beam_width)]
+        cfg = self.model_config_
+        return [story_text(hyp.sentences, self.vocab_) for hyp in generate_stories(
+            _albums(X, cfg), self.params_, cfg, mode=self.mode, beam_width=self.beam_width)]
 
     def transform(self, X):
         """Scene view per album: boundary flags, soft scores, scene index."""
         check_is_fitted(self)
-        return scene_views(self._albums(X), self.params_, self.model_config_)
+        return scene_views(_albums(X, self.model_config_), self.params_, self.model_config_)
 
     def fit_transform(self, X, y=None, **fit_kwargs):
         return self.fit(X, y, **fit_kwargs).transform(X)
@@ -175,5 +177,6 @@ class AlbumStoryteller:
         """`trainer.validate`: CIDEr of the stories decoded in this estimator's
         `mode` and `beam_width` against the albums' references."""
         check_is_fitted(self)
-        return validate(self.params_, self.model_config_, self._albums(X, "score"),
-                        self.vocab_, mode=self.mode, beam_width=self.beam_width)
+        cfg = self.model_config_
+        return validate(self.params_, cfg, _albums(X, cfg, "score"), self.vocab_,
+                        mode=self.mode, beam_width=self.beam_width)

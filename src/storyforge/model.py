@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .data import AlbumExample, ConfigError, check_field_types
+from .data import AlbumExample, ConfigError, check_field_types, check_size
 from .decoder import (AttentionState, StoryHypothesis, _search, attend, attend_scan,
                       decode_width, score_sentences)
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
@@ -47,8 +47,7 @@ class ModelConfig:
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must cover the special tokens")
         for f in fields(self)[1:]:
-            if getattr(self, f.name) < 1:
-                raise ConfigError(f"{f.name} must be >= 1")
+            check_size(f.name, getattr(self, f.name))
 
     @property
     def alpha_len(self):
@@ -146,15 +145,14 @@ def encode_album(features, params, cfg: ModelConfig, force_flags=None, relax=Fal
     seg = encode_scenes(enc.V, params, force_flags=force_flags, relax=relax,
                         lengths=n)
 
-    # slot s of an album of n photos: photo s below n, scene slot s - n up
-    # to 2n, then padding; photos, scene slots and a zero row form one source
+    # slot s of an album of n photos: photo s below n, scene slot s - n up to
+    # 2n, then padding: scene slot 0, all zero with mask 0 as the first photo never emits
     s = np.arange(slots)
     n_col = n[:, None]
-    index = (np.where(s < n_col, s, np.where(s <= 2 * n_col, m + s - n_col, 2 * m + 1)),
+    index = (np.where(s < n_col, s, np.where(s <= 2 * n_col, m + s - n_col, m)),
              np.arange(len(n))[:, None])
-    zero = np.zeros((1,) + enc.V.shape[1:])
-    memory = T.pick(T.concat([enc.V, seg.X, zero]), index)
-    valid = np.concatenate([np.ones((m, len(n))), seg.scene_mask, zero[..., 0]])[index]
+    memory = T.pick(T.concat([enc.V, seg.X]), index)
+    valid = np.concatenate([np.ones((m, len(n))), seg.scene_mask])[index]
 
     h0 = enc.final @ params["attn.init.w"] + params["attn.init.b"]
     state = AttentionState(h0, T.zeros(valid.shape))

@@ -844,6 +844,18 @@ class TestBadInputExitCodes:
         assert err.startswith("error: ") and message in err
 
 
+    @pytest.mark.parametrize("make_argv", [
+        _evaluate_data_with(lambda rows: rows[:1] + [5]),
+        _evaluate_with("--max-photos", "0")], ids=["malformed-data", "max-photos-0"])
+    def test_evaluate_on_bad_input_writes_nothing(self, workdir, tmp_path, capsys,
+                                                   make_argv):
+        # evaluate loads before it writes, as generate and inspect-scenes do
+        out = tmp_path / "out"
+        assert main(make_argv(workdir, tmp_path) + ["--out-dir", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestRuntimeFailureExitCodes:
     @pytest.mark.parametrize("command", ["generate", "inspect-scenes"])
     def test_overflowing_model_exits_2_and_writes_nothing(self, workdir, tmp_path, capsys,

@@ -140,6 +140,27 @@ class TestLoadAlbums:
         assert a.num_photos == 40
         np.testing.assert_array_equal(a.features[39], np.full(4, 39.0))
 
+    @pytest.mark.parametrize("size, value, message", [
+        ("max_photos", -3, "^max_photos must be >= 1$"),
+        ("max_photos", 0, "^max_photos must be >= 1$"),
+        ("max_photos", 2.5, "^max_photos must be an integer, got 2.5$"),
+        ("max_photos", True, "^max_photos must be an integer, got True$"),
+        ("max_words", 0, "^max_words must be >= 1$"),
+        ("max_words", -2, "^max_words must be >= 1$"),
+        ("n_sentences", 0, "^sentences must be >= 1$")])
+    def test_sizes_below_one_rejected(self, tmp_path, vocab, size, value, message):
+        # a negative cut would drop the last photos or words of every album
+        # instead of failing, and a zero one would load albums with no photos
+        p = write_albums(tmp_path, [make_record(m=4), make_record(m=7)])
+        with pytest.raises(D.ConfigError, match=message):
+            D.load_albums(p, vocab, **{size: value})
+
+    def test_sizes_checked_before_any_record(self, tmp_path, vocab):
+        p = tmp_path / "albums.jsonl"
+        p.write_text("{broken\n")
+        with pytest.raises(D.ConfigError, match="^max_photos must be >= 1$"):
+            D.load_albums(p, vocab, max_photos=0)
+
     def test_malformed_line_number_reported(self, tmp_path, vocab):
         p = tmp_path / "albums.jsonl"
         p.write_text(json.dumps(make_record()) + "\n{broken\n")

@@ -235,6 +235,41 @@ class TestFitted:
                 getattr(est, method)(albums)
 
 
+class TestFittedSizes:
+    """After fit, albums are checked and cut to the fitted model, whatever
+    the size settings say since."""
+
+    @pytest.fixture(scope="class")
+    def fitted12(self, corpus):
+        albums, vocab = corpus
+        return AlbumStoryteller(**{**TINY, "max_photos": 12}).fit(albums, vocab=vocab)
+
+    def test_predict_cuts_to_the_fitted_max_photos(self, fitted12):
+        album = np.random.default_rng(5).normal(size=(20, 6))
+        est = copy.copy(fitted12).set_params(max_photos=40)
+        assert est.predict([album]) == fitted12.predict([album[:12]])
+        (view,) = est.transform([album])
+        assert len(view["flags"]) == 12
+
+    def test_predict_checks_features_against_the_fitted_dim(self, fitted12, corpus):
+        albums, _ = corpus
+        est = copy.copy(fitted12).set_params(feature_dim=16)
+        assert est.predict(albums) == fitted12.predict(albums)
+
+    def test_score_checks_references_against_the_fitted_count(self, fitted12, corpus):
+        albums, _ = corpus
+        est = copy.copy(fitted12).set_params(sentences=3)
+        assert est.score(albums) == fitted12.score(albums)
+
+    def test_transform_keeps_the_fitted_cut(self, fitted12):
+        rng = np.random.default_rng(6)
+        X = [rng.normal(size=(4, 6)), rng.normal(size=(7, 6))]
+        est = copy.copy(fitted12).set_params(max_photos=-3)
+        views = est.transform(X)
+        assert [len(view["flags"]) for view in views] == [4, 7]
+        assert views == fitted12.transform(X)
+
+
 def _no_training(*args, **kwargs):
     pytest.fail("fit started training on input it should have rejected")
 
