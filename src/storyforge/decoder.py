@@ -13,12 +13,15 @@ Teacher-forced scoring runs any number of sentences (all of a batch's) as
 one padded batch through one GRU scan and one target log-prob node; the
 embedding table and each z_j are projected once, by row blocks of the GRU
 input and readout matrices, not joined onto every word step. Decoding is
-one beam search over any number of z rows (at inference, every sentence of
-a chunk of albums), a beam per row, on plain arrays, since nothing
-differentiates it. It projects the table and Z once per search, as teacher
-forcing does, so its word step takes teacher forcing's arithmetic; that
-step runs the unfinished hypotheses of all beams as the rows of one GRU
-step, and greedy decoding is that search at width 1.
+one search over any number of z rows (at inference, every sentence of a
+chunk of albums) on plain arrays, since nothing differentiates it. It
+projects the table and Z once per search, as teacher forcing does, so its
+word step takes teacher forcing's arithmetic, and each step runs only the
+unfinished rows. Greedy decoding takes each live row's argmax, ties to the
+lower id, and ranks nothing: finished rows leave the step, and no row is
+sorted at any vocabulary size. Beam search keeps a beam per row and runs
+the unfinished hypotheses of all beams as the rows of one GRU step; its
+ranking loop, at width 1, is greedy's reference in tests.
 
 The attention state persists across the n sentences of an album. A
 batch's memory, and with it the alpha vector the attention GRU reads, has
@@ -209,24 +212,62 @@ def decode_width(mode, beam_width) -> int:
 
 
 def _search(Z, params, max_words: int, width: int):
-    """Beam search by total log-prob until EOS or max_words+1 tokens, one
-    beam per row of Z (R, D_v), on plain arrays. The table and Z are
-    projected once, as in `score_sentences`. Each step runs the unfinished
-    hypotheses of every beam as the rows of one `_decoder_step`, so
-    finished ones drop out of the batch; each beam ranks the top `width`
-    tokens of its rows, with its finished hypotheses, by (total log-prob,
-    ids): ties go to lower token ids, and width 1 is greedy. Returns each
+    """Decode each row of Z (R, D_v) on plain arrays until EOS or
+    max_words+1 tokens, on `_project`'s once-per-search projections, as
+    `score_sentences` projects. Width 1 is `_argmax_loop`: an argmax per
+    live row, ties to the lower id, finished rows leave the step, and no
+    ranking. A wider search is `_ranking_loop`'s beam search. Returns each
     row's best hypothesis as (ids, per-word logps)."""
+    proj = _project(Z, params)
+    if width == 1:
+        return _argmax_loop(proj, max_words)
+    return _ranking_loop(proj, max_words, width)
+
+
+def _project(Z, params):
+    """What a search projects once: `_decoder_step`'s weights (TX = table
+    W_x[:E] first) and Z's terms ZX = Z W_x[E:] + b and ZR = Z W1[H:] + b1."""
     table, w_x, w_h, b_x, w1, b1, w2, b2 = (params[name].data for name in (
         "dec.embed.table", "dec.gru.w_x", "dec.gru.w_h", "dec.gru.b",
         "dec.out.w1", "dec.out.b1", "dec.out.w2", "dec.out.b2"))
     emb, hid = table.shape[1], len(w_h)
     weights = (table @ w_x[:emb], w_h, w1[:hid], w2, b2)
-    ZX, ZR = Z @ w_x[emb:] + b_x, Z @ w1[hid:] + b1
-    H = np.zeros((len(Z), hid))
+    return weights, Z @ w_x[emb:] + b_x, Z @ w1[hid:] + b1
+
+
+def _argmax_loop(proj, max_words: int):
+    """Greedy decoding of `_project`'s rows: each step takes every live
+    row's first maximum, so ties go to the lower id, as the ranking does
+    at width 1, and rows that emit EOS leave the step. Nothing is sorted,
+    and the ids and log-probs become lists once, at the end."""
+    weights, ZX, ZR = proj
+    steps, n = max_words + 1, len(ZX)
+    ids, logps = np.full((steps, n), -1), np.zeros((steps, n))
+    rows, prev, H = np.arange(n), np.full(n, BOS), np.zeros((n, len(weights[1])))
+    for t in range(steps):
+        if not len(rows):
+            break
+        H, log_p = _decoder_step(prev, H, ZX, ZR, weights)
+        prev = log_p.argmax(axis=-1)
+        ids[t, rows], logps[t, rows] = prev, log_p[np.arange(len(prev)), prev]
+        going = prev != EOS
+        if not going.all():
+            rows, prev, H, ZX, ZR = (a[going] for a in (rows, prev, H, ZX, ZR))
+    lengths = (ids >= 0).sum(axis=0).tolist()
+    return [(i[:k], lp[:k]) for i, lp, k in zip(ids.T.tolist(), logps.T.tolist(), lengths)]
+
+
+def _ranking_loop(proj, max_words: int, width: int):
+    """Beam search of `_project`'s rows by total log-prob, a beam per row.
+    Each step runs the unfinished hypotheses of every beam as the rows of
+    one `_decoder_step`; each beam ranks the top `width` tokens of its
+    rows, with its finished hypotheses, by (total log-prob, ids): ties go
+    to lower token ids. At width 1 it is `_argmax_loop`'s reference."""
+    weights, ZX, ZR = proj
+    H = np.zeros((len(ZX), len(weights[1])))
     # per row: hypotheses (total log-prob, [BOS] + ids, per-word logps, row of H, finished)
-    beams = [[(0.0, [BOS], [], r, False)] for r in range(len(Z))]
-    z_rows, ZX_live, ZR_live = list(range(len(Z))), ZX, ZR
+    beams = [[(0.0, [BOS], [], r, False)] for r in range(len(ZX))]
+    z_rows, ZX_live, ZR_live = list(range(len(ZX))), ZX, ZR
     for _ in range(max_words + 1):
         live = [(r, b) for r, beam in enumerate(beams) for b in beam if not b[4]]
         if not live:

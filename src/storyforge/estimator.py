@@ -34,10 +34,13 @@ def check_albums(X, feature_dim: int, max_photos: int,
     """Validate AlbumExamples or bare feature matrices with the album
     loader's checks, cut to max_photos, an integer >= 1 as the loader's;
     reference stories, where an album has any, need `n_sentences` sentences
-    (None: any). Bare matrices become story-less albums, which fit and score
-    reject. An error names the album by its index in X: `album N: ...`.
+    (None: any, else an integer >= 1 as `sentences`). Bare matrices become
+    story-less albums, which fit and score reject. An error names the album
+    by its index in X: `album N: ...`.
     """
     check_size("max_photos", max_photos)
+    if n_sentences is not None:
+        check_size("sentences", n_sentences)
     if not isinstance(X, (list, tuple)) or len(X) == 0:
         raise ValueError("X must be a non-empty list of albums")
     albums = []

@@ -255,8 +255,10 @@ def generate_stories(albums, params, cfg: ModelConfig, mode: str = "greedy",
                      beam_width: int = 3) -> list:
     """Decode n sentences for each album with the live boundary detector:
     each of `chunks` is one `batch_z` under no_grad, and every (album,
-    sentence, hypothesis) is a row of one search. Greedy ignores
-    `beam_width`. Returns one StoryHypothesis per album."""
+    sentence) is a row of one search. Greedy ignores `beam_width` and takes
+    each live row's argmax on arrays, ties to the lower id, with no ranking;
+    finished rows leave the step. Beam search runs every unfinished
+    hypothesis as a row. Returns one StoryHypothesis per album."""
     width = decode_width(mode, beam_width)
     stories = []
     for chunk in chunks(albums):

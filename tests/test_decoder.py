@@ -449,6 +449,56 @@ class TestGeneration:
             assert ids == want_ids
             np.testing.assert_allclose(logps, want_logps, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(1, 8),
+           st.sampled_from([0.0, -10.0, 1.5]), st.sampled_from(["none", "full", "partial"]))
+    def test_argmax_loop_equals_ranking_loop(self, seed, rows, max_words, eos_bias, ties):
+        # greedy's own loop returns the width-1 ranking's ids and the very
+        # same log-prob floats; the ties are drawn as in the test above
+        cfg, ps = make(seed)
+        rng = np.random.default_rng(seed)
+        w2, b2 = ps["dec.out.w2"].data, ps["dec.out.b2"].data
+        if ties != "none":
+            w2[...] = 0.0
+            b2[...] = 0.0 if ties == "full" else np.round(rng.standard_normal(len(b2)))
+        b2[EOS] = eos_bias
+        Z = rng.standard_normal((rows, cfg.d_v))
+        want = decoder._ranking_loop(decoder._project(Z, ps), max_words, 1)
+        assert decoder._search(Z, ps, max_words, 1) == want
+        assert len(want) == rows
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_no_rows_decode_to_nothing(self, width):
+        cfg, ps = make(30)
+        assert decoder._search(np.zeros((0, cfg.d_v)), ps, cfg.max_words, width) == []
+
+    def test_greedy_sorts_no_log_probs(self, monkeypatch):
+        # at a large vocabulary a sort of each row dominates the word step;
+        # an argmax needs none. Width 3 sorts, which shows the fake is read.
+        class Sorted(Exception):
+            pass
+
+        class Unsortable(np.ndarray):
+            def argsort(self, *args, **kwargs):
+                raise Sorted
+
+            sort = argpartition = argsort
+
+        cfg, ps = make(31)
+        ps["dec.out.b2"].data[EOS] = -10.0  # every row runs to the length cap
+        Z = np.random.default_rng(31).standard_normal((4, cfg.d_v))
+        want, step = decoder._search(Z, ps, cfg.max_words, 1), decoder._decoder_step
+
+        def unsortable_step(*args):
+            h, log_p = step(*args)
+            return h, log_p.view(Unsortable)
+
+        monkeypatch.setattr(decoder, "_decoder_step", unsortable_step)
+        got = decoder._search(Z, ps, cfg.max_words, 1)
+        assert got == want and len(got[0][0]) == cfg.max_words + 1
+        with pytest.raises(Sorted):
+            decoder._search(Z, ps, cfg.max_words, 3)
+
     def test_search_builds_no_graph_arrays(self, monkeypatch):
         # the search runs on plain arrays: no NumArray, so no graph node
         cfg, ps = make(29)

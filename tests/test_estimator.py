@@ -83,6 +83,13 @@ class TestValidationHelpers:
         with pytest.raises(ValueError, match="expected 6, got 4"):
             check_albums([np.zeros((3, 4))], 6, 40)
 
+    @pytest.mark.parametrize("n", [0, -2, True, 5.0])
+    def test_sentence_count_is_a_setting(self, corpus, n):
+        # a bad count names the setting, not the first album with stories
+        albums, _ = corpus
+        with pytest.raises(ConfigError, match="^sentences must be "):
+            check_albums(albums, 6, 40, n)
+
     def test_non_finite_rejected(self):
         bad = np.zeros((2, 6))
         bad[1, 0] = np.nan
