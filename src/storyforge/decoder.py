@@ -17,11 +17,14 @@ one search over any number of z rows (at inference, every sentence of a
 chunk of albums) on plain arrays, since nothing differentiates it. It
 projects the table and Z once per search, as teacher forcing does, so its
 word step takes teacher forcing's arithmetic, and each step runs only the
-unfinished rows. Greedy decoding takes each live row's argmax, ties to the
-lower id, and ranks nothing: finished rows leave the step, and no row is
-sorted at any vocabulary size. Beam search keeps a beam per row and runs
-the unfinished hypotheses of all beams as the rows of one GRU step; its
-ranking loop, at width 1, is greedy's reference in tests.
+unfinished rows. The word step adds Z's projection into its gather of the
+table's and runs the readout in place on its own products, so it writes
+nothing it is handed. Greedy decoding takes each live row's argmax, ties
+to the lower id, and ranks nothing: finished rows leave the step, and no
+row is sorted at any vocabulary size. Beam search keeps a beam per row and
+runs the unfinished hypotheses of all beams as the rows of one GRU step;
+only each row's top `width` log-probs become Python floats. Its ranking
+loop, at width 1, is greedy's reference in tests.
 
 The attention state persists across the n sentences of an album. A
 batch's memory, and with it the alpha vector the attention GRU reads, has
@@ -141,10 +144,19 @@ def _decoder_step(prev, H, ZX, ZR, weights):
     A lone row's log-probs equal teacher forcing's to the bit; rows of a
     wider step run the products at another row count, which may move them
     by an ulp. `weights`: the TX, GRU w_h and readout (W1[:H], w2, b2)
-    arrays. Returns (h_new (B, H) from states H (B, H), log-probs (B, vocab))."""
+    arrays. ZX is added into the gathered rows of TX and the readout runs
+    in place on its products, so nothing it is handed is written. Returns
+    (h_new (B, H) from states H (B, H), log-probs (B, vocab))."""
     tx, w_h, w1, w2, b2 = weights
-    h, _ = T._gru_step(tx[prev] + ZX, H, w_h, len(w_h))
-    return h, T._log_softmax(np.tanh(h @ w1 + ZR) @ w2 + b2)
+    gx = tx.take(prev, axis=0)   # a gathered copy, whatever prev's shape
+    gx += ZX
+    h, _ = T._gru_step(gx, H, w_h, len(w_h))
+    hidden = h @ w1
+    hidden += ZR
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ w2
+    logits += b2
+    return h, T._log_softmax(logits)
 
 
 def score_sentences(Z, sentences, params):
@@ -262,7 +274,8 @@ def _ranking_loop(proj, max_words: int, width: int):
     Each step runs the unfinished hypotheses of every beam as the rows of
     one `_decoder_step`; each beam ranks the top `width` tokens of its
     rows, with its finished hypotheses, by (total log-prob, ids): ties go
-    to lower token ids. At width 1 it is `_argmax_loop`'s reference."""
+    to lower token ids. Only those tokens' log-probs, `width` per row,
+    become Python floats. At width 1 it is `_argmax_loop`'s reference."""
     weights, ZX, ZR = proj
     H = np.zeros((len(ZX), len(weights[1])))
     # per row: hypotheses (total log-prob, [BOS] + ids, per-word logps, row of H, finished)
@@ -281,15 +294,16 @@ def _ranking_loop(proj, max_words: int, width: int):
         H, log_p = _decoder_step(np.array([b[1][-1] for _, b in live]), H, ZX_live,
                                  ZR_live, weights)
         top = (-log_p).argsort(axis=-1, kind="stable")[:, :width]
+        kept = log_p[np.arange(len(top))[:, None], top]   # only these become floats
         # candidates rank as (-total, parent ids, token), token -1 for a finished
         # hypothesis, and only the kept ones are built. No parent's ids are a
         # prefix of another's (live ones share one length and hold no EOS, and
         # finished ones end at their only EOS), so this orders as (-total,
         # ids + [token]) does, and the first three entries never tie.
         ranked = [[(-b[0], b[1], -1, b) for b in beam if b[4]] for beam in beams]
-        for i, ((r, (total, ids, logps, _, _)), lp, toks) in enumerate(
-                zip(live, log_p.tolist(), top.tolist())):
-            ranked[r] += [(-(total + lp[t]), ids, t, (logps, lp[t], i)) for t in toks]
+        for i, ((r, (total, ids, logps, _, _)), lps, toks) in enumerate(
+                zip(live, kept.tolist(), top.tolist())):
+            ranked[r] += [(-(total + lp), ids, t, (logps, lp, i)) for lp, t in zip(lps, toks)]
         beams = [[b if t < 0 else (-neg, ids + [t], b[0] + [b[1]], b[2], t == EOS)
                   for neg, ids, t, b in sorted(cands)[:width]] for cands in ranked]
     return [(beam[0][1][1:], beam[0][2]) for beam in beams]

@@ -19,9 +19,12 @@ Decoding builds no nodes: it runs `_gru_step` and `_log_softmax` on plain
 arrays, as the recurrence nodes' forwards do; each such array function
 (`_sigmoid` and `_softmax_offset` too) also serves its node, and makes few
 array passes, which set its time at these widths (`_sigmoid` is one tanh;
-`_gru_step` updates its state in place, in the caller's row of states if
-given one; a masked softmax adds a 0/-inf offset, so a loop checks its mask
-once). The rest composes from small primitives, among them `matmul`, which
+`_gru_step` starts each gate from its matrix product and adds into it,
+squashes it and updates the state in place, writing only arrays it made
+and the caller's row of states if given one, never its inputs;
+`_log_softmax` reduces with `np.maximum.reduce` and `np.add.reduce`; a
+masked softmax adds a 0/-inf offset, so a loop checks its mask once). The
+rest composes from small primitives, among them `matmul`, which
 multiplies rows by a matrix or a stack of matrices, and `target_log_probs`,
 the teacher-forced head, which gathers each target's log-softmax with no
 one-hot mask.
@@ -470,8 +473,10 @@ def masked_softmax(logits, mask) -> NumArray:
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis into a new array; x is left as it is.
+    The ufunc reductions are `.max` and `.sum` without their wrappers."""
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     return shifted
 
 
@@ -538,11 +543,22 @@ class GruWeights:
 def _gru_step(gx, hd, wh, hid, out=None):
     """One step on (..., H) states from the input-side pre-activations
     gx = x W_x + b, writing h' into `out` (a fresh array if None), which
-    must not overlap hd. Returns (h', cache for `_gru_step_backward`)."""
-    zr = _sigmoid(gx[..., :2 * hid] + hd @ wh[:, :2 * hid])
+    must not overlap hd; gx and hd share their leading shape. Each gate
+    starts from its matrix product, gx's columns are added into it and its
+    nonlinearity runs in place, so the kernel writes only into arrays it
+    made and into `out`, never into gx, hd or wh. Returns (h', cache for
+    `_gru_step_backward`)."""
+    zr = hd @ wh[:, :2 * hid]
+    zr += gx[..., :2 * hid]
+    zr *= 0.5   # `_sigmoid`, in place
+    np.tanh(zr, out=zr)
+    zr *= 0.5
+    zr += 0.5
     z, r = zr[..., :hid], zr[..., hid:]
     rh = r * hd
-    c = np.tanh(gx[..., 2 * hid:] + rh @ wh[:, 2 * hid:])
+    c = rh @ wh[:, 2 * hid:]
+    c += gx[..., 2 * hid:]
+    np.tanh(c, out=c)
     h = np.subtract(c, hd, out=out)   # h + z (c - h), in place
     h *= z
     h += hd

@@ -143,6 +143,14 @@ def log_softmax(logits) -> T.NumArray:
     return T._make(out, (logits,), bw)
 
 
+def two_line_log_softmax(x: np.ndarray) -> np.ndarray:
+    """The log-softmax over the last axis in its two-line `.max`/`.sum`
+    form: the oracle that `T._log_softmax` equals to the bit."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
 def grads_both_ways(monkeypatch, run) -> list:
     """`run()` builds a graph, runs its backward and returns the leaves it
     differentiates, by name; returns their gradients' bytes (None for none)

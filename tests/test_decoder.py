@@ -13,7 +13,7 @@ from storyforge.decoder import (AttentionState, attend,
                                 score_sentences, sentence_log_prob)
 from storyforge.model import ModelConfig, build_parameters
 
-from helpers import log_softmax
+from helpers import log_softmax, two_line_log_softmax
 
 
 def small_cfg():
@@ -498,6 +498,55 @@ class TestGeneration:
         assert got == want and len(got[0][0]) == cfg.max_words + 1
         with pytest.raises(Sorted):
             decoder._search(Z, ps, cfg.max_words, 3)
+
+    def test_beam_makes_floats_only_of_kept_log_probs(self, monkeypatch):
+        # at a large vocabulary a full row's `tolist` makes a float per word;
+        # a beam keeps `width` log-probs of each row and converts only those
+        cfg, ps = make(32)
+
+        class Listed(Exception):
+            pass
+
+        class Unlistable(np.ndarray):
+            def tolist(self):
+                if self.shape[-1] == cfg.vocab_size:
+                    raise Listed
+                return np.asarray(self).tolist()
+
+        ps["dec.out.b2"].data[EOS] = -10.0  # every row runs to the length cap
+        Z = np.random.default_rng(32).standard_normal((4, cfg.d_v))
+        want, step = decoder._search(Z, ps, cfg.max_words, 3), decoder._decoder_step
+
+        def unlistable_step(*args):
+            h, log_p = step(*args)
+            with pytest.raises(Listed):   # the fake refuses a full row
+                log_p.view(Unlistable)[:1].tolist()
+            return h, log_p.view(Unlistable)
+
+        monkeypatch.setattr(decoder, "_decoder_step", unlistable_step)
+        got = decoder._search(Z, ps, cfg.max_words, 3)
+        assert got == want and len(got[0][0]) == cfg.max_words + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+    def test_decoder_step_writes_only_its_own_arrays(self, seed, rows):
+        # the step adds ZX into its gather of TX and runs the readout in place
+        # on its own products: nothing it is handed moves, and its output is
+        # the out-of-place form's, to the bit
+        cfg, ps = make(seed)
+        rng = np.random.default_rng(seed)
+        weights, ZX, ZR = decoder._project(rng.standard_normal((rows, cfg.d_v)), ps)
+        prev = rng.integers(0, cfg.vocab_size, rows)
+        H = rng.standard_normal((rows, cfg.dec_hidden))
+        handed = (prev, H, ZX, ZR) + weights
+        before = [a.copy() for a in handed]
+        h, log_p = decoder._decoder_step(prev, H, ZX, ZR, weights)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(handed, before))
+        prev, H, ZX, ZR, tx, w_h, w1, w2, b2 = before
+        want_h, _ = T._gru_step(tx[prev] + ZX, H, w_h, len(w_h))
+        want = two_line_log_softmax(np.tanh(want_h @ w1 + ZR) @ w2 + b2)
+        assert (h.shape, h.tobytes()) == (want_h.shape, want_h.tobytes())
+        assert (log_p.shape, log_p.tobytes()) == (want.shape, want.tobytes())
 
     def test_search_builds_no_graph_arrays(self, monkeypatch):
         # the search runs on plain arrays: no NumArray, so no graph node

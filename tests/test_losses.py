@@ -156,3 +156,20 @@ class TestDerangement:
         a = derangement(5, np.random.default_rng(7))
         b = derangement(5, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_draws_as_the_numpy_check_draws(self, n):
+        # the fixed-point check moved from numpy to Python; the draws, and
+        # so every training run's bits, are the numpy form's
+        def numpy_check(n, rng):
+            while True:
+                perm = rng.permutation(n)
+                if not np.any(perm == np.arange(n)):
+                    return perm
+
+        for seed in range(50):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                got, want = derangement(n, rng), numpy_check(n, oracle)
+                assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+            assert rng.bit_generator.state == oracle.bit_generator.state

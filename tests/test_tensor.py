@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from storyforge import tensor as T
 
-from helpers import grads_both_ways, log_softmax
+from helpers import grads_both_ways, log_softmax, two_line_log_softmax
 
 
 def scalar_gru_oracle(x, h, wx, wh, b):
@@ -387,6 +388,18 @@ class TestOps:
         out = log_softmax(T.wrap(logits)).data
         assert np.isfinite(out).all() and (out <= 0.0).all()
         assert np.exp(out).sum() == pytest.approx(1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=8),
+                      elements=st.floats(-1e300, 1e300)))
+    def test_log_softmax_kernel_equals_two_line_form(self, x):
+        # the ufunc reductions are `.max` and `.sum` without their wrappers:
+        # the same bits, on extreme logits too, and the input is not written
+        before = x.copy()
+        got = T._log_softmax(x)
+        assert x.tobytes() == before.tobytes()
+        want = two_line_log_softmax(before)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     def test_take_row_gradient(self):
         store = T.ParamStore()
