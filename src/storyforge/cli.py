@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import (DataFormatError, SynthSpec, Vocabulary, at_record, build_vocab,
-                   check_stories, load_albums, read_records, save_albums,
+                   check_number, check_stories, load_albums, read_records, save_albums,
                    story_text, story_tokens, synth_dataset, synth_vocab, utf8_text)
 from .metrics import EvalPair, bleu, cider, rouge_l
 from .model import (ConfigError, ModelConfig, build_parameters,
@@ -320,10 +320,9 @@ def cmd_evaluate(cfg) -> int:
 
 
 def cmd_grad_check(cfg) -> int:
-    if not (0 <= cfg["lam"] < np.inf and 0 <= cfg["mu"] < np.inf):  # NaN fails too
-        raise ConfigError("lambda and mu must be >= 0 and finite")
-    if cfg["gc_seeds"] < 1 or cfg["seed"] < 0:
-        raise ConfigError("gc_seeds must be >= 1 and seed >= 0")
+    for key, kind in (("lam", "Weight"), ("mu", "Weight"), ("gc_seeds", "Size"),
+                      ("seed", "Count")):
+        check_number(key, cfg[key], kind)
     if not (np.isfinite(cfg["tolerance"]) and cfg["tolerance"] > 0):
         raise ConfigError("tolerance must be finite and > 0")
     write_resolved(cfg)
@@ -352,8 +351,7 @@ def _sweep_cells(cfg):
 
 def cmd_sweep(cfg) -> int:
     cells = _sweep_cells(cfg)   # the grid and step count, before any work
-    if cfg["sweep_steps"] < 0:
-        raise ConfigError("sweep_steps must be >= 0")
+    check_number("sweep_steps", cfg["sweep_steps"], "Count")
     spec = _synth_spec(cfg)
     vocab = synth_vocab(spec)
     albums = synth_dataset(spec, vocab)

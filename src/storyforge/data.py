@@ -10,6 +10,7 @@ row that records the special tokens and the min_count used to build it.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import re
 from collections import Counter
@@ -23,6 +24,8 @@ SPECIALS = ["<pad>", "<bos>", "<eos>", "<unk>"]
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[^a-z0-9\s]")
 _VOCAB_HEADER = "#vocab"
+# types in a feature row that numpy would read as a number, but JSON does not
+_NOT_NUMBERS = {bool, np.bool_, str, type(None)}
 
 
 class DataFormatError(ValueError):
@@ -33,35 +36,39 @@ class ConfigError(ValueError):
     """A configuration value outside its valid range."""
 
 
-_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+# The kinds of setting, by the name of a config field's annotation: (number
+# type, its noun, least value or None); a real with a least value is finite
+Size, Count, Weight = int, int, float
+_KINDS = {"int": (numbers.Integral, "an integer", None),
+          "Size": (numbers.Integral, "an integer", 1),
+          "Count": (numbers.Integral, "an integer", 0),
+          "float": (numbers.Real, "a number", None),
+          "Weight": (numbers.Real, "a number", 0)}
 
 
 def check_number(name, value, kind: str = "int"):
-    """Raise a ConfigError naming `name` unless `value` is an integer (kind
-    "int") or a real number that a float holds ("float"); a bool is neither."""
-    cls, noun = _KINDS[kind]
+    """Raise a ConfigError naming `name` unless `value` is a number of `kind`:
+    any "int" or "float", a "Size" >= 1, a "Count" >= 0 or a finite "Weight"
+    >= 0. Sizes and counts are integers, reals fit in a float, a bool is no number."""
+    cls, noun, least = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, cls):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
-    if kind == "float":
+    real = cls is numbers.Real
+    if real:
         try:
             float(value)
         except OverflowError:
             raise ConfigError(f"{name} is too large for a float") from None
-
-
-def check_size(name, value):
-    """`check_number` for an integer, then a ConfigError unless it is >= 1."""
-    check_number(name, value)
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1")
+    if least is not None and not least <= value < math.inf:   # NaN fails too
+        raise ConfigError(f"{name} must be >= {least}{' and finite' if real else ''}")
 
 
 def check_field_types(cfg):
-    """`check_number` on each int and float field of the config dataclass
-    `cfg`; each tuple field must be a pair (tuple or list) of integers."""
+    """`check_number` on each field of the config dataclass `cfg` annotated
+    with a kind; each tuple field must be a pair (tuple or list) of integers."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type in ("int", "float"):
+        if f.type in _KINDS:
             check_number(f.name, value, f.type)
         elif f.type == "tuple" and not (
                 isinstance(value, (tuple, list)) and len(value) == 2
@@ -135,9 +142,7 @@ def build_vocab(corpus, min_count: int = 5) -> Vocabulary:
     Tokens seen fewer than min_count times are dropped and will encode as
     <unk>. Kept tokens are ordered by (-count, token) for stable ids.
     """
-    check_number("min_count", min_count)
-    if min_count < 0:
-        raise ConfigError("min_count must be >= 0")
+    check_number("min_count", min_count, "Count")
     counts = Counter()
     for sent in corpus:
         counts.update(tokenize(sent) if isinstance(sent, str) else sent)
@@ -193,13 +198,17 @@ def feature_rows(rows, feature_dim: int | None,
                  max_photos: int) -> list[np.ndarray]:
     """One album's features (JSON number lists, an (m, F) array or (F,)
     arrays) as float64 (F,) vectors; rows past `max_photos` are not read.
-    `feature_dim` None takes F from the first row."""
+    A bool, string or null is no feature value, nor is an array of other
+    than integers or reals. `feature_dim` None takes F from the first row."""
     if not isinstance(rows, (list, np.ndarray)) or len(rows) == 0:
         raise DataFormatError("features must be a non-empty list")
     out = []
     for row in rows[:max_photos]:
         if not isinstance(row, (list, np.ndarray)):
             raise DataFormatError("feature row is not a list of numbers")
+        if (row.dtype.kind not in "iuf" if isinstance(row, np.ndarray)
+                else not _NOT_NUMBERS.isdisjoint(map(type, row))):
+            raise DataFormatError("non-numeric feature value")
         try:
             vec = np.array(row, dtype=np.float64)
         except (TypeError, ValueError):
@@ -288,7 +297,7 @@ def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
     """
     for name, size in (("max_photos", max_photos), ("sentences", n_sentences),
                        ("max_words", max_words)):
-        check_size(name, size)
+        check_number(name, size, "Size")
     albums = []
     for where, rec in read_records(path, "album_id", "features", "stories"):
         with at_record(where):
@@ -326,28 +335,22 @@ def save_albums(path, albums):
 
 @dataclass
 class SynthSpec:
-    albums: int = 8
+    albums: Size = 8
     scenes_per_album: tuple = (2, 3)
     photos_per_scene: tuple = (2, 4)
-    feature_dim: int = 8
+    feature_dim: Size = 8
     cluster_separation: float = 4.0
-    noise_scale: float = 0.05
+    noise_scale: Weight = 0.05
     vocab_size: int = 30
-    sentences: int = 5
-    seed: int = 0
+    sentences: Size = 5
+    seed: Count = 0
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("albums", "sentences", "feature_dim"):
-            check_size(name, getattr(self, name))
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         for name in ("scenes_per_album", "photos_per_scene"):
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
                 raise ConfigError(f"{name} range ({lo}, {hi}) needs 1 <= lo <= hi")
-        if not 0 <= self.noise_scale < np.inf:  # NaN fails both checks
-            raise ConfigError("noise_scale must be finite and >= 0")
         if not 0 < self.cluster_separation < np.inf:
             raise ConfigError("cluster_separation must be finite and > 0")
         if self.num_clusters < self.scenes_per_album[1]:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import BOS, EOS, PAD, ConfigError, check_size
+from .data import BOS, EOS, PAD, ConfigError, check_number
 
 
 @dataclass
@@ -219,7 +219,7 @@ def decode_width(mode, beam_width) -> int:
         raise ConfigError(f"unknown decode mode '{mode}'")
     if mode == "greedy":
         return 1
-    check_size("beam width", beam_width)
+    check_number("beam width", beam_width, "Size")
     return beam_width
 
 

@@ -13,7 +13,7 @@ import inspect
 
 from . import tensor as T
 from .data import (SPECIALS, AlbumExample, DataFormatError, Vocabulary, at_record,
-                   build_vocab, check_gold, check_size, check_stories, encode_sentence,
+                   build_vocab, check_gold, check_number, check_stories, encode_sentence,
                    feature_rows, story_text)
 from .model import ModelConfig, decode_width, generate_stories, scene_views
 from .trainer import TrainConfig, config_from, run_training, validate
@@ -38,9 +38,9 @@ def check_albums(X, feature_dim: int, max_photos: int,
     story-less albums, which fit and score reject. An error names the album
     by its index in X: `album N: ...`.
     """
-    check_size("max_photos", max_photos)
+    check_number("max_photos", max_photos, "Size")
     if n_sentences is not None:
-        check_size("sentences", n_sentences)
+        check_number("sentences", n_sentences, "Size")
     if not isinstance(X, (list, tuple)) or len(X) == 0:
         raise ValueError("X must be a non-empty list of albums")
     albums = []

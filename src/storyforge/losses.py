@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import check_number
 
 
 @dataclass
@@ -46,8 +47,8 @@ def recon_loss(Z, Z_tilde):
 
 
 def total_loss(nll, rank, recon, lam: float = 0.2, mu: float = 0.8):
-    if lam < 0 or mu < 0:
-        raise ValueError("trade-off weights must be >= 0")
+    check_number("lam", lam, "Weight")
+    check_number("mu", mu, "Weight")
     return nll + lam * rank + mu * recon
 
 

@@ -14,12 +14,12 @@ raises EvaluationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .data import AlbumExample, ConfigError, check_field_types, check_size
+from .data import AlbumExample, ConfigError, Size, check_field_types
 from .decoder import (AttentionState, StoryHypothesis, _search, attend, attend_scan,
                       decode_width, score_sentences)
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
@@ -31,23 +31,21 @@ from .scene_encoder import encode_scenes, scene_indices
 @dataclass
 class ModelConfig:
     vocab_size: int
-    feature_dim: int = 8
-    photo_hidden: int = 16   # per direction; photo vectors get twice this
-    attn_hidden: int = 32
-    attn_score_dim: int = 32
-    dec_hidden: int = 32
-    emb_dim: int = 32
-    mlp_hidden: int = 32
-    max_words: int = 25
-    sentences: int = 5
-    max_photos: int = 40
+    feature_dim: Size = 8
+    photo_hidden: Size = 16   # per direction; photo vectors get twice this
+    attn_hidden: Size = 32
+    attn_score_dim: Size = 32
+    dec_hidden: Size = 32
+    emb_dim: Size = 32
+    mlp_hidden: Size = 32
+    max_words: Size = 25
+    sentences: Size = 5
+    max_photos: Size = 40
 
     def __post_init__(self):
         check_field_types(self)
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must cover the special tokens")
-        for f in fields(self)[1:]:
-            check_size(f.name, getattr(self, f.name))
 
     @property
     def alpha_len(self):

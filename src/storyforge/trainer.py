@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .data import decode_ids, story_tokens
+from .data import Count, Size, Weight, decode_ids, story_tokens
 from .losses import derangement
 from .metrics import EvalPair, cider
 from .model import (ConfigError, ModelConfig, batch_z, build_parameters,
@@ -48,26 +48,22 @@ STAGE2_FROZEN = ("photo_encoder", "scene_encoder", "attention")
 class TrainConfig:
     model: ModelConfig
     stage: str = "all"          # "1", "2", or "all"
-    lr: float = 0.0004
-    lam: float = 0.2
-    mu: float = 0.8
-    batch_size: int = 1
-    max_steps: int = 1000       # per stage
-    validate_every: int = 100
-    patience: int = 30          # consecutive non-improving validations
-    seed: int = 0
+    lr: Weight = 0.0004
+    lam: Weight = 0.2
+    mu: Weight = 0.8
+    batch_size: Size = 1
+    max_steps: Count = 1000     # per stage
+    validate_every: Size = 100
+    patience: Size = 30         # consecutive non-improving validations
+    seed: Count = 0
     nll_stop: float = 0.0       # stop a stage early below this per-word NLL
 
     def __post_init__(self):
         check_field_types(self)
         if self.stage not in ("1", "2", "all"):
             raise ConfigError(f"stage must be 1, 2, or all, got {self.stage!r}")
-        if min(self.batch_size, self.validate_every, self.patience) < 1:
-            raise ConfigError("batch_size, validate_every and patience must be >= 1")
-        if min(self.max_steps, self.seed) < 0 or not math.isfinite(self.nll_stop):
-            raise ConfigError("max_steps and seed must be >= 0 and nll_stop finite")
-        if not all(0 <= v < np.inf for v in (self.lr, self.lam, self.mu)):  # NaN fails too
-            raise ConfigError("lr, lambda and mu must be >= 0 and finite")
+        if not math.isfinite(self.nll_stop):
+            raise ConfigError("nll_stop must be finite")
 
 
 def config_from(cls, values, **given):

@@ -679,7 +679,7 @@ class TestBadInputExitCodes:
         (_stage2_with_other_dims, "parameter 'dec.gru.b' has shape (18,), "
                                   "vocabulary and config need (24,)"),
         (_train_with("--patience", "0"), "patience must be >= 1"),
-        (_train_with("--lambda", "-1"), "lambda and mu must be >= 0"),
+        (_train_with("--lambda", "-1"), "lam must be >= 0 and finite"),
         (_train_with("--sentences", "0"), "sentences must be >= 1"),
         (_evaluate_with("--max-photos", "-3"), "max_photos must be >= 1"),
         (_evaluate_with("--max-photos", "0"), "max_photos must be >= 1"),
@@ -688,7 +688,7 @@ class TestBadInputExitCodes:
         (_generate_with("--mode", "sample"), "unknown decode mode 'sample'"),
         (_generate_with("--mode", "beam", "--beam-width", "0"),
          "beam width must be >= 1"),
-        (_command("grad-check", "--lambda", "-1"), "lambda and mu must be >= 0"),
+        (_command("grad-check", "--lambda", "-1"), "lam must be >= 0 and finite"),
         (_command("grad-check", "--gc-seeds", "0"), "gc_seeds must be >= 1"),
         (_command("grad-check", "--tolerance", "-1"), "tolerance must be finite and > 0"),
         (_command("grad-check", "--tolerance", "0"), "tolerance must be finite and > 0"),
@@ -705,7 +705,7 @@ class TestBadInputExitCodes:
          "photos_per_scene range (0, 4) needs 1 <= lo <= hi"),
         (_command("synth-data", "--scenes-lo", "0"),
          "scenes_per_album range (0, 3) needs 1 <= lo <= hi"),
-        (_command("synth-data", "--noise", "-1"), "noise_scale must be finite and >= 0"),
+        (_command("synth-data", "--noise", "-1"), "noise_scale must be >= 0 and finite"),
         (_command("synth-data", "--separation", "nan"),
          "cluster_separation must be finite and > 0"),
         (_build_vocab_with_stories(5), "line 1: stories must be a non-empty list"),
@@ -714,15 +714,18 @@ class TestBadInputExitCodes:
         (_build_vocab_with_stories(["hello world"]),
          "line 1: each story must be a list of sentence strings"),
         (_build_vocab_with_stories(), "line 1: missing field 'stories'"),
-        (_train_with("--seed", "-1"), "max_steps and seed must be >= 0"),
+        (_train_with("--seed", "-1"), "seed must be >= 0"),
         (_command("synth-data", "--seed", "-1"), "seed must be >= 0"),
-        (_command("grad-check", "--seed", "-1"), "gc_seeds must be >= 1 and seed >= 0"),
-        (_command("grad-check", "--lambda", "nan"), "lambda and mu must be >= 0 and finite"),
-        (_train_with("--lr", "nan"), "lr, lambda and mu must be >= 0 and finite"),
-        (_train_with("--lr", "-1"), "lr, lambda and mu must be >= 0 and finite"),
-        (_train_with("--lambda", "nan"), "lr, lambda and mu must be >= 0 and finite"),
-        (_train_with("--mu", "inf"), "lr, lambda and mu must be >= 0 and finite"),
-        (_train_with("--nll-stop", "nan"), "nll_stop finite"),
+        (_command("grad-check", "--seed", "-1"), "seed must be >= 0"),
+        (_command("grad-check", "--lambda", "nan"), "lam must be >= 0 and finite"),
+        (_train_with("--lr", "nan"), "lr must be >= 0 and finite"),
+        (_train_with("--lr", "-1"), "lr must be >= 0 and finite"),
+        (_train_with("--lambda", "nan"), "lam must be >= 0 and finite"),
+        (_train_with("--mu", "inf"), "mu must be >= 0 and finite"),
+        (_train_with("--nll-stop", "nan"), "nll_stop must be finite"),
+        (_train_with("--max-steps", "-1"), "max_steps must be >= 0"),
+        (_command("synth-data", "--noise", "nan"), "noise_scale must be >= 0 and finite"),
+        (_command("grad-check", "--mu", "inf"), "mu must be >= 0 and finite"),
         (_with_directory("--train-data", _train_with()), "adir: Is a directory"),
         (_with_directory("--vocab-file", _train_with()), "adir: Is a directory"),
         (_with_directory("--checkpoint", _generate_with()), "adir: Is a directory"),
@@ -816,7 +819,8 @@ class TestBadInputExitCodes:
             "synth-data-seed-negative", "grad-check-seed-negative",
             "grad-check-lambda-nan", "train-lr-nan",
             "train-lr-negative", "train-lambda-nan", "train-mu-inf",
-            "train-nll-stop-nan", "train-data-directory", "train-vocab-directory",
+            "train-nll-stop-nan", "train-max-steps-negative", "synth-data-noise-nan",
+            "grad-check-mu-inf", "train-data-directory", "train-vocab-directory",
             "generate-checkpoint-directory", "evaluate-stories-directory",
             "config-directory", "synth-data-out-dir-a-file", "train-data-not-utf8",
             "train-vocab-not-utf8", "config-not-utf8", "train-vocab-token-twice",

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -16,6 +17,43 @@ class TestTokenize:
 
     def test_empty(self):
         assert D.tokenize("   ") == []
+
+
+class TestCheckNumber:
+    """One rule per kind of setting, in `data.check_number`."""
+
+    @pytest.mark.parametrize("kind, good, bad, message", [
+        ("int", [-3, 0, 10 ** 400], [], None),
+        ("Size", [1, 10 ** 400, np.int64(2)], [0, -1], "must be >= 1"),
+        ("Count", [0, 7], [-1], "must be >= 0"),
+        ("float", [-1.5, 0, math.inf, math.nan], [], None),
+        ("Weight", [0, 0.0, 2, 1e308, np.float64(0.5)],
+         [-0.1, -1, math.nan, math.inf, -math.inf, np.float64("nan")],
+         "must be >= 0 and finite"),
+    ], ids=["int", "Size", "Count", "float", "Weight"])
+    def test_range(self, kind, good, bad, message):
+        for value in good:
+            D.check_number("x", value, kind)
+        for value in bad:
+            with pytest.raises(D.ConfigError, match=f"^x {message}$"):
+                D.check_number("x", value, kind)
+
+    @pytest.mark.parametrize("kind", ["int", "Size", "Count"])
+    def test_integer_kinds_take_no_other_number(self, kind):
+        for value in (True, 1.0, "1", None):
+            with pytest.raises(D.ConfigError, match=f"^x must be an integer, got {value!r}$"):
+                D.check_number("x", value, kind)
+
+    @pytest.mark.parametrize("kind", ["float", "Weight"])
+    def test_real_kinds_take_no_bool_string_or_huge_integer(self, kind):
+        for value in (True, "0.2", None):
+            with pytest.raises(D.ConfigError, match=f"^x must be a number, got {value!r}$"):
+                D.check_number("x", value, kind)
+        with pytest.raises(D.ConfigError, match="^x is too large for a float$"):
+            D.check_number("x", 10 ** 400, kind)
+
+    def test_each_kind_is_an_annotation(self):
+        assert (D.Size, D.Count, D.Weight) == (int, int, float)
 
 
 class TestVocabulary:
@@ -223,8 +261,12 @@ class TestFeatureRows:
         ([ROW, [1.0, 2.0]], "feature-dim mismatch: expected 4, got 2"),
         ([ROW, [1.0, float("nan"), 3.0, 4.0]], "non-finite feature value"),
         ([ROW, [1.0, float("inf"), 3.0, 4.0]], "non-finite feature value"),
+        ([ROW, [1.0, True, 3.0, 4.0]], "non-numeric feature value"),
+        ([ROW, ["1", 2.0, 3.0, 4.0]], "non-numeric feature value"),
+        ([ROW, [1.0, None, 3.0, 4.0]], "non-numeric feature value"),
     ], ids=["valid", "empty", "object", "number-row", "nested-row",
-            "string-value", "short-row", "nan", "inf"])
+            "string-value", "short-row", "nan", "inf", "bool-value", "numeric-string",
+            "null"])
     def test_loader_and_estimator_agree(self, tmp_path, vocab, rows, message):
         from storyforge.estimator import check_albums
         p = write_albums(tmp_path, [make_record(), make_record(),
@@ -245,6 +287,14 @@ class TestFeatureRows:
     def test_array_inputs(self, rows):
         feats = D.feature_rows(rows, 4, max_photos=4)
         np.testing.assert_array_equal(feats, np.ones((4, 4)))
+
+    @pytest.mark.parametrize("rows", [np.ones((2, 4), dtype=bool), np.full((2, 4), "1"),
+                                      np.ones((2, 4)).astype(object),
+                                      np.ones((2, 4), dtype=complex)],
+                             ids=["bool", "string", "object", "complex"])
+    def test_array_of_non_numbers(self, rows):
+        with pytest.raises(D.DataFormatError, match="^non-numeric feature value$"):
+            D.feature_rows(rows, 4, max_photos=4)
 
     def test_rows_past_max_photos_are_not_read(self):
         assert len(D.feature_rows([ROW, ROW, "junk"], 4, max_photos=2)) == 2

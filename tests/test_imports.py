@@ -3,8 +3,9 @@
 primitives and the three recurrence nodes build graph nodes of their own
 (with a hand-written backward), only `model` pads, encodes and attends over
 albums, only the functions in `ERRSTATE_CALLERS` set numpy's float-fault
-rule or apply `tensor.float_faults`, and no module writes into a gradient
-in place."""
+rule or apply `tensor.float_faults`, no module writes into a gradient in
+place, and every number field of a config dataclass declares its kind of
+setting (`data.Size`, `Count` or `Weight`) unless `UNRANGED` names it."""
 
 import ast
 from pathlib import Path
@@ -252,3 +253,35 @@ def test_checker_flags_an_in_place_gradient_write():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_gradient_written_in_place(path):
     assert in_place_gradient_writes(path.read_text(encoding="utf-8")) == []
+
+
+# the config dataclasses, each with its number fields whose range is no kind
+# of `data._KINDS` and is checked by hand
+UNRANGED = {"ModelConfig": {"vocab_size"}, "TrainConfig": {"nll_stop"},
+            "SynthSpec": {"vocab_size", "cluster_separation"}}
+
+
+def undeclared_number_fields(source: str) -> list[str]:
+    """Fields of the config dataclasses annotated plain `int` or `float` that
+    `UNRANGED` does not name: a setting whose range nothing checks."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name in UNRANGED:
+            found += [f"line {stmt.lineno}: {node.name}.{stmt.target.id}"
+                      for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and getattr(stmt.annotation, "id", None) in ("int", "float")
+                      and stmt.target.id not in UNRANGED[node.name]]
+    return found
+
+
+def test_checker_flags_a_plain_number_field():
+    src = ("@dataclass\nclass TrainConfig:\n    model: ModelConfig\n"
+           "    lr: Weight = 0.1\n    nll_stop: float = 0.0\n    warmup: int = 0\n\n"
+           "@dataclass\nclass Other:\n    n: int = 1\n")
+    assert undeclared_number_fields(src) == ["line 6: TrainConfig.warmup"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_config_number_fields_declare_their_kind(path):
+    assert undeclared_number_fields(path.read_text(encoding="utf-8")) == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from storyforge import tensor as T
+from storyforge.data import ConfigError
 from storyforge.losses import (derangement, nll_loss, rank_loss, recon_loss,
                                total_loss)
 
@@ -137,6 +138,14 @@ class TestTotalLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             total_loss(T.wrap(1.0), T.wrap(1.0), T.wrap(1.0), lam=-0.1)
+
+    @pytest.mark.parametrize("name", ["lam", "mu"])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, -math.inf, True, "0.2"],
+                             ids=["negative", "nan", "inf", "minus-inf", "bool", "string"])
+    def test_bad_weight_names_its_setting(self, name, bad):
+        # a NaN or infinite weight would give a NaN or infinite loss, not an error
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            total_loss(T.wrap(1.0), T.wrap(1.0), T.wrap(1.0), **{name: bad})
 
 
 class TestDerangement:

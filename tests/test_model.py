@@ -161,6 +161,16 @@ class TestStoryObjective:
         _, rep = story_objective(album, 0, ps, cfg, mu=0.0)
         assert rep.recon == 0.0
 
+    @pytest.mark.parametrize("weights", [{"lam": math.nan}, {"mu": math.inf}],
+                             ids=["lam-nan", "mu-inf"])
+    def test_non_finite_weight_is_an_error_not_a_loss(self, weights):
+        cfg = tiny_cfg()
+        ps = build_parameters(cfg, np.random.default_rng(6))
+        album = tiny_album(np.random.default_rng(6), cfg)
+        name = next(iter(weights))
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 0 and finite$"):
+            story_objective(album, 0, ps, cfg, derange=np.array([1, 2, 0]), **weights)
+
     def test_forced_flags_change_segmentation_not_interface(self):
         cfg = tiny_cfg()
         ps = build_parameters(cfg, np.random.default_rng(7))

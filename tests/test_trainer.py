@@ -50,7 +50,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("weights", [{"lam": -1.0}, {"mu": -0.5}])
     def test_negative_loss_weight(self, corpus, weights):
         _, vocab, _ = corpus
-        with pytest.raises(ValueError, match="lambda and mu"):
+        with pytest.raises(ValueError,
+                           match=f"^{next(iter(weights))} must be >= 0 and finite$"):
             tiny_tcfg(vocab, **weights)
 
 
