@@ -361,7 +361,7 @@ class SynthSpec:
     @property
     def num_clusters(self):
         # template inventory: 4 specials + {the, shows} + {group_c, thing_c} + {step_j}
-        return (self.vocab_size - 4 - 2 - self.sentences) // 2
+        return (self.vocab_size - len(SPECIALS) - 2 - self.sentences) // 2
 
 
 def cluster_centers(spec: SynthSpec) -> np.ndarray:

@@ -168,15 +168,15 @@ def score_sentences(Z, sentences, params):
     layer tanh(H W1[:H] + (Z W1[H:] + b1)), Z's terms broadcast over the
     steps. The per-word log-probs are one `T.target_log_probs` node, each
     word's log-softmax at its id, with no (T_max, B, vocab) target mask.
-    Returns ((B,) total log-probs including EOS, (T_max, B, vocab) logits,
-    (T_max, B) per-word log-probs, 0 past a sentence's end)."""
+    An empty sentence fails `tensor.step_lengths`. Returns ((B,) total
+    log-probs including EOS, (T_max, B, vocab) logits, (T_max, B) per-word
+    log-probs, 0 past a sentence's end)."""
     Z, table = T.wrap(Z), params["dec.embed.table"]
     if len(Z.data) != len(sentences):
         raise T.DimensionError(f"Z has {len(Z.data)} rows for {len(sentences)} sentences")
     vocab_size, emb = table.shape
-    lengths = np.array([len(s) for s in sentences])
-    if lengths.min() < 1:
-        raise ValueError("cannot score an empty sentence")
+    lengths = [len(s) for s in sentences]
+    lengths = T.step_lengths(lengths, max(lengths, default=0), len(lengths))
     ids = np.full((lengths.max(), len(sentences)), PAD)
     for b, sent in enumerate(sentences):
         ids[:len(sent), b] = sent

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import AlbumExample, ConfigError, Size, check_field_types
+from .data import EOS, SPECIALS, AlbumExample, ConfigError, Size, check_field_types
 from .decoder import (AttentionState, StoryHypothesis, _search, attend, attend_scan,
                       decode_width, score_sentences)
 from .losses import LossReport, nll_loss, rank_loss, recon_loss, total_loss
@@ -44,7 +44,7 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.vocab_size < 4:
+        if self.vocab_size < len(SPECIALS):
             raise ConfigError("vocab_size must cover the special tokens")
 
     @property
@@ -115,10 +115,9 @@ class AlbumEncoding:
 def pad_steps(sequences):
     """B sequences of equal-shape rows (an album's photo features, or its
     boundary flags) padded time-major with zeros: ((T_max, B, *row) array,
-    (B,) lengths)."""
-    lengths = np.array([len(seq) for seq in sequences])
-    if lengths.size == 0 or lengths.min() < 1:
-        raise ValueError("album has no photos")
+    (B,) lengths), the lengths checked by `tensor.step_lengths`."""
+    lengths = [len(seq) for seq in sequences]
+    lengths = T.step_lengths(lengths, max(lengths, default=0), len(lengths))
     padded = np.zeros((lengths.max(), len(sequences)) + np.shape(sequences[0][0]))
     for b, seq in enumerate(sequences):
         padded[:len(seq), b] = seq
@@ -310,8 +309,8 @@ def full_pipeline_grad_check(seed: int, lam: float = 0.2, mu: float = 0.8) -> fl
     params = build_parameters(cfg, rng)
     m = int(rng.integers(3, 7))
     features = [rng.standard_normal(cfg.feature_dim) for _ in range(m)]
-    story = [[int(t) for t in rng.integers(4, cfg.vocab_size, size=rng.integers(2, 5))]
-             + [2] for _ in range(cfg.sentences)]
+    story = [[int(t) for t in rng.integers(len(SPECIALS), cfg.vocab_size, rng.integers(2, 5))]
+             + [EOS] for _ in range(cfg.sentences)]
     album = AlbumExample("grad-check", features, [story], [])
     flags = [int(b) for b in rng.integers(0, 2, size=m)]
     derange = np.array([1, 2, 0])

@@ -17,16 +17,14 @@ from . import tensor as T
 
 def reconstruct(logits, lengths, params) -> T.NumArray:
     """logits: (T_max, B, vocab) score rows, of which sentence b owns the
-    first lengths[b] >= 1; later steps are padding. Returns (B, D_v)."""
-    lengths = np.asarray(lengths)
-    if lengths.size == 0 or lengths.min() < 1:
-        raise ValueError("cannot reconstruct from an empty logits sequence")
-    steps = logits.shape[0]
+    first lengths[b], counts that `tensor.step_lengths` checks; later steps
+    are padding. Returns (B, D_v)."""
+    steps, rows, vocab = logits.shape
+    lengths = T.step_lengths(lengths, steps, rows)
     valid = (np.arange(steps)[:, None] < lengths)[..., None].astype(np.float64)
     inv_len = 1.0 / lengths[:, None]
     gru_w = params.gru("recon.gru")
     d_bar = T.arr_sum(logits * valid, axis=0) * inv_len
-    vocab = logits.shape[-1]
     gx = (logits @ T.pick(gru_w.w_x, slice(None, vocab))
           + (d_bar @ T.pick(gru_w.w_x, slice(vocab, None)) + gru_w.b))
     states = T.gru_scan(gx, gru_w.w_h)

@@ -347,12 +347,14 @@ def arr_sum(a, axis=None) -> NumArray:
 
 def step_lengths(lengths, steps: int, rows: int) -> np.ndarray:
     """The step count of each of the `rows` rows of a time-major batch of
-    `steps` steps; None means every row runs all the steps. Raises
-    ValueError unless each count is an integer within 1..steps."""
+    `steps` steps, the one rule of every padded batch (photos, words, the
+    reconstructor's steps); None means every row runs all the steps. Raises
+    ValueError unless rows >= 1 and each count is an integer in 1..steps."""
     lengths = np.full(rows, steps) if lengths is None else np.asarray(lengths)
-    if lengths.shape != (rows,) or not np.issubdtype(lengths.dtype, np.integer) \
+    if lengths.shape != (rows,) or lengths.size == 0 \
+            or not np.issubdtype(lengths.dtype, np.integer) \
             or lengths.min() < 1 or lengths.max() > steps:
-        raise ValueError(f"photo counts {lengths.tolist()} do not fit {steps} steps "
+        raise ValueError(f"step counts {lengths.tolist()} do not fit {steps} steps "
                          f"of a batch of {rows} rows")
     return lengths
 

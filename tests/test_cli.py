@@ -4,6 +4,7 @@ import argparse
 import base64
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -845,7 +846,10 @@ class TestBadInputExitCodes:
         assert main(make_argv(workdir, tmp_path)) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and message in err
+        # the message starts a field of the line, right after "error: ", ": "
+        # or a path's "/", so it cannot be the tail of a wider message
+        assert err.startswith("error: ")
+        assert re.search(r"(?:^error: |: |/)" + re.escape(message), err), err
 
 
     @pytest.mark.parametrize("make_argv", [

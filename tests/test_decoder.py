@@ -311,7 +311,7 @@ class TestScoreSentences:
 
     def test_empty_sentence_rejected(self):
         cfg, ps = make(36)
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match=r"^step counts \[1, 0\] do not fit 1 steps"):
             score_sentences(T.zeros((2, cfg.d_v)), [[EOS], []], ps)
 
     @pytest.mark.parametrize("bad", [-1, 8])

@@ -4,8 +4,9 @@ primitives and the three recurrence nodes build graph nodes of their own
 (with a hand-written backward), only `model` pads, encodes and attends over
 albums, only the functions in `ERRSTATE_CALLERS` set numpy's float-fault
 rule or apply `tensor.float_faults`, no module writes into a gradient in
-place, and every number field of a config dataclass declares its kind of
-setting (`data.Size`, `Count` or `Weight`) unless `UNRANGED` names it."""
+place, every number field of a config dataclass declares its kind of
+setting (`data.Size`, `Count` or `Weight`) unless `UNRANGED` names it, and
+only `tensor.step_lengths` checks the step counts of a padded batch."""
 
 import ast
 from pathlib import Path
@@ -285,3 +286,38 @@ def test_checker_flags_a_plain_number_field():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_config_number_fields_declare_their_kind(path):
     assert undeclared_number_fields(path.read_text(encoding="utf-8")) == []
+
+
+# the one function that checks the step counts of a padded batch, by module
+STEP_COUNT_CHECKERS = {"tensor": {"step_lengths"}}
+
+
+def step_count_checks(source: str, allowed: set) -> list[str]:
+    """`<expr>.min() < 1` comparisons, a hand-written check that counts are
+    >= 1, outside the top-level functions named in `allowed`."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Lt)
+                    and isinstance(node.left, ast.Call) and not node.left.args
+                    and getattr(node.left.func, "attr", None) == "min"
+                    and getattr(node.comparators[0], "value", None) == 1):
+                where = getattr(top, "name", "module")
+                if where not in allowed:
+                    found.append(f"line {node.lineno}: {where}")
+    return found
+
+
+def test_checker_flags_a_step_count_check():
+    src = ("def step_lengths(lengths):\n    if lengths.min() < 1:\n        raise ValueError\n\n"
+           "def pad(seqs):\n    n = np.array([len(s) for s in seqs])\n"
+           "    if n.size == 0 or n.min() < 1:\n        raise ValueError\n"
+           "    return n.min() < 2, n.max() < 1, min(n) < 1\n")
+    assert step_count_checks(src, {"step_lengths"}) == ["line 7: pad"]
+    assert step_count_checks(src, {"step_lengths", "pad"}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_step_lengths_checks_step_counts(path):
+    assert step_count_checks(path.read_text(encoding="utf-8"),
+                             STEP_COUNT_CHECKERS.get(path.stem, set())) == []

@@ -20,8 +20,9 @@ from storyforge.model import (DECODE_CHUNK, ConfigError, ModelConfig, batch_z,
                               full_pipeline_grad_check, generate_stories,
                               generate_story, pad_steps, scene_views,
                               stories_objective, story_objective, summarize_album)
+from storyforge.photo_encoder import encode_photos
 from storyforge.reconstructor import reconstruct
-from storyforge.scene_encoder import scene_indices
+from storyforge.scene_encoder import encode_scenes, scene_indices
 from storyforge.trainer import STAGE1_FROZEN, STAGE2_FROZEN
 
 from helpers import grads_both_ways, scale_gru_step_backward
@@ -120,6 +121,40 @@ class TestEncodeAlbum:
         want = out.photos.final.data @ ps["attn.init.w"].data + ps["attn.init.b"].data
         np.testing.assert_allclose(out.init_state.h_attn.data, want, rtol=1e-12)
         assert np.all(out.init_state.alpha_prev.data == 0.0)
+
+
+# every entry point that takes the step counts of a padded batch, given
+# counts for a batch of 3 steps and 2 rows (`tiny_cfg` sizes): the encoders
+# and the reconstructor take them beside the batch, `pad_steps` and
+# `score_sentences` read them off the sequences they pad
+STEP_COUNT_ENTRIES = {
+    "encode_photos": lambda ps, n: encode_photos(np.zeros((3, 2, 4)), ps, n),
+    "encode_scenes": lambda ps, n: encode_scenes(np.ones((3, 2, 6)), ps, lengths=n),
+    "reconstruct": lambda ps, n: reconstruct(T.zeros((3, 2, 12)), n, ps),
+    "pad_steps": lambda ps, n: pad_steps([np.ones((k, 4)) for k in n]),
+    "score_sentences": lambda ps, n: score_sentences(T.zeros((2, 6)),
+                                                     [[EOS] * k for k in n], ps),
+}
+GOOD_STEP_COUNTS = [3, 1]
+STEP_COUNT_CASES = (
+    [(entry, n) for entry in ("encode_photos", "encode_scenes", "reconstruct")
+     for n in ([0, 3], [4, 3], [3], [3.0, 3.0])]
+    + [("pad_steps", [3, 0]), ("score_sentences", [3, 0])]
+    + [(entry, GOOD_STEP_COUNTS) for entry in STEP_COUNT_ENTRIES])
+
+
+@pytest.mark.parametrize("entry, counts", STEP_COUNT_CASES,
+                         ids=[f"{e}-{n}" for e, n in STEP_COUNT_CASES])
+def test_one_rule_for_the_step_counts_of_every_padded_batch(entry, counts):
+    # `tensor.step_lengths` owns the rule, so each entry point raises its one
+    # message for a count of 0, one past the steps, a wrong row count,
+    # floats or an empty sequence, and takes a good batch
+    ps = build_parameters(tiny_cfg(), np.random.default_rng(0))
+    if counts == GOOD_STEP_COUNTS:
+        STEP_COUNT_ENTRIES[entry](ps, counts)
+        return
+    with pytest.raises(ValueError, match=r"^step counts \[.*\] do not fit"):
+        STEP_COUNT_ENTRIES[entry](ps, counts)
 
 
 class TestStoryObjective:

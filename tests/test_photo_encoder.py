@@ -176,7 +176,7 @@ class TestEncodePhotos:
         ps = make_params(np.random.default_rng(10), 4, 3)
         feats = np.zeros((3, 2, 4))
         for lengths in ([3], [0, 3], [4, 1]):
-            with pytest.raises(ValueError, match="photo counts"):
+            with pytest.raises(ValueError, match="^step counts .* do not fit 3 steps"):
                 encode_photos(feats, ps, lengths)
 
     def test_empty_album_rejected(self):

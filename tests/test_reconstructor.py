@@ -66,6 +66,12 @@ class TestReconstruct:
             reconstruct(T.zeros((0, 1, 4)), [0], ps)
         with pytest.raises(ValueError):
             reconstruct(T.zeros((2, 2, 4)), [2, 0], ps)
+        # one count for three rows, counts past the steps, counts not integers:
+        # each would otherwise return a value
+        for logits, lengths in ((T.zeros((2, 3, 4)), [2]), (T.zeros((2, 2, 4)), [3, 3]),
+                                (T.zeros((2, 2, 4)), [2.0, 2.0])):
+            with pytest.raises(ValueError, match="^step counts"):
+                reconstruct(logits, lengths, ps)
 
     def test_permutation_keeps_mean_input(self):
         # permuting the steps changes the output in general, but the shared

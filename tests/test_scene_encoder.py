@@ -228,7 +228,7 @@ class TestEncodeScenes:
     def test_photo_counts_checked(self, lengths):
         # a count outside 1..m steps, a fractional one, or one for two albums
         cfg, ps = small_params(15)
-        with pytest.raises(ValueError, match="^photo counts .* do not fit 3 steps"):
+        with pytest.raises(ValueError, match="^step counts .* do not fit 3 steps"):
             encode_scenes(np.ones((3, 2, cfg.d_v)), ps, lengths=lengths)
 
 

@@ -551,6 +551,13 @@ class TestOps:
             y = T.tanh(x)
         assert not y.requires_grad and y._parents == ()
 
+    @pytest.mark.parametrize("lengths", [np.array([], int), None], ids=["empty", "none"])
+    def test_step_lengths_rejects_a_batch_of_no_rows(self, lengths):
+        # numpy's own reduction error, not the rule's message, without the check
+        with pytest.raises(ValueError, match=r"^step counts \[\] do not fit 3 steps "
+                                             r"of a batch of 0 rows$"):
+            T.step_lengths(lengths, 3, 0)
+
 
 class TestTargetLogProbs:
     """`target_log_probs` against its oracle, `log_softmax` times a one-hot
