@@ -19,12 +19,13 @@ projects the table and Z once per search, as teacher forcing does, so its
 word step takes teacher forcing's arithmetic, and each step runs only the
 unfinished rows. The word step adds Z's projection into its gather of the
 table's and runs the readout in place on its own products, so it writes
-nothing it is handed. Greedy decoding takes each live row's argmax, ties
-to the lower id, and ranks nothing: finished rows leave the step, and no
-row is sorted at any vocabulary size. Beam search keeps a beam per row and
-runs the unfinished hypotheses of all beams as the rows of one GRU step;
-only each row's top `width` log-probs become Python floats. Its ranking
-loop, at width 1, is greedy's reference in tests.
+nothing it is handed. Greedy decoding reads the step's logits: each live
+row's first maximum, ties to the lower id, and its exp sum; finished rows
+leave the step, and nothing is sorted. Beam search keeps a beam per row
+and runs the unfinished hypotheses of all beams as the rows of one GRU
+step; only each row's top `width` log-probs become Python floats. At
+width 1 its ranking loop, greedy's reference in tests, gives greedy's ids
+but where unequal logits round to one log-prob: greedy takes the larger.
 
 The attention state persists across the n sentences of an album. A
 batch's memory, and with it the alpha vector the attention GRU reads, has
@@ -136,17 +137,15 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
     return T.reshape(Z, Z.shape[:-2] + (-1,)), A.data
 
 
-def _decoder_step(prev, H, ZX, ZR, weights):
+def _word_logits(prev, H, ZX, ZR, weights):
     """One word step for B rows on plain arrays, in `score_sentences`'
     form: the GRU input is TX[prev (B,)] + ZX (B, 3H) and the readout's
     hidden layer tanh(h_new W1[:H] + ZR (B, M)), where TX = table W_x[:E],
     ZX = Z W_x[E:] + b and ZR = Z W1[H:] + b1 are projected once per search.
-    A lone row's log-probs equal teacher forcing's to the bit; rows of a
-    wider step run the products at another row count, which may move them
-    by an ulp. `weights`: the TX, GRU w_h and readout (W1[:H], w2, b2)
-    arrays. ZX is added into the gathered rows of TX and the readout runs
-    in place on its products, so nothing it is handed is written. Returns
-    (h_new (B, H) from states H (B, H), log-probs (B, vocab))."""
+    `weights`: the TX, GRU w_h and readout (W1[:H], w2, b2) arrays. ZX is
+    added into the gathered rows of TX and the readout runs in place on its
+    products, so nothing it is handed is written. Returns (h_new (B, H)
+    from states H (B, H), logits (B, vocab))."""
     tx, w_h, w1, w2, b2 = weights
     gx = tx.take(prev, axis=0)   # a gathered copy, whatever prev's shape
     gx += ZX
@@ -156,6 +155,14 @@ def _decoder_step(prev, H, ZX, ZR, weights):
     np.tanh(hidden, out=hidden)
     logits = hidden @ w2
     logits += b2
+    return h, logits
+
+
+def _decoder_step(prev, H, ZX, ZR, weights):
+    """`_word_logits` and their log-softmax (B, vocab). A lone row's log-probs
+    equal teacher forcing's to the bit; a wider step runs the products at
+    another row count, which may move them by an ulp."""
+    h, logits = _word_logits(prev, H, ZX, ZR, weights)
     return h, T._log_softmax(logits)
 
 
@@ -225,11 +232,12 @@ def decode_width(mode, beam_width) -> int:
 
 def _search(Z, params, max_words: int, width: int):
     """Decode each row of Z (R, D_v) on plain arrays until EOS or
-    max_words+1 tokens, on `_project`'s once-per-search projections, as
-    `score_sentences` projects. Width 1 is `_argmax_loop`: an argmax per
-    live row, ties to the lower id, finished rows leave the step, and no
-    ranking. A wider search is `_ranking_loop`'s beam search. Returns each
+    max_words+1 tokens (max_words an integer >= 1, else a ConfigError), on
+    `_project`'s once-per-search projections, as `score_sentences`
+    projects. Width 1 is `_argmax_loop`, an argmax of each live row's
+    logits; a wider search is `_ranking_loop`'s beam search. Returns each
     row's best hypothesis as (ids, per-word logps)."""
+    check_number("max_words", max_words, "Size")
     proj = _project(Z, params)
     if width == 1:
         return _argmax_loop(proj, max_words)
@@ -237,7 +245,7 @@ def _search(Z, params, max_words: int, width: int):
 
 
 def _project(Z, params):
-    """What a search projects once: `_decoder_step`'s weights (TX = table
+    """What a search projects once: `_word_logits`' weights (TX = table
     W_x[:E] first) and Z's terms ZX = Z W_x[E:] + b and ZR = Z W1[H:] + b1."""
     table, w_x, w_h, b_x, w1, b1, w2, b2 = (params[name].data for name in (
         "dec.embed.table", "dec.gru.w_x", "dec.gru.w_h", "dec.gru.b",
@@ -248,23 +256,33 @@ def _project(Z, params):
 
 
 def _argmax_loop(proj, max_words: int):
-    """Greedy decoding of `_project`'s rows: each step takes every live
-    row's first maximum, so ties go to the lower id, as the ranking does
-    at width 1, and rows that emit EOS leave the step. Nothing is sorted,
-    and the ids and log-probs become lists once, at the end."""
+    """Greedy decoding of `_project`'s rows on the word step's logits: each
+    step takes every live row's first maximum (exact ties to the lower id)
+    and sum of exp(logits - max); rows that emit EOS leave the step. At the
+    end the (steps, rows) tables of ids and sums give each word's log-prob,
+    0.0 - log(sum): the log-softmax at the argmax, to the bit. The ids are
+    the width-1 ranking's but at one edge: where two unequal logits round
+    to one log-prob, it takes the lower id, this loop the larger logit."""
     weights, ZX, ZR = proj
-    steps, n = max_words + 1, len(ZX)
-    ids, logps = np.full((steps, n), -1), np.zeros((steps, n))
+    n = len(ZX)
     rows, prev, H = np.arange(n), np.full(n, BOS), np.zeros((n, len(weights[1])))
-    for t in range(steps):
+    emitted = []   # per step: the live rows, their ids and their exp sums
+    for _ in range(max_words + 1):
         if not len(rows):
             break
-        H, log_p = _decoder_step(prev, H, ZX, ZR, weights)
-        prev = log_p.argmax(axis=-1)
-        ids[t, rows], logps[t, rows] = prev, log_p[np.arange(len(prev)), prev]
-        going = prev != EOS
-        if not going.all():
+        H, logits = _word_logits(prev, H, ZX, ZR, weights)
+        prev = logits.argmax(axis=-1)
+        emitted.append((rows, prev, T._exp_sums(logits)[1]))
+        if EOS in prev:
+            going = prev != EOS
             rows, prev, H, ZX, ZR = (a[going] for a in (rows, prev, H, ZX, ZR))
+    if not emitted:
+        return []
+    live, chosen, exp_sums = zip(*emitted)
+    at = np.repeat(np.arange(len(live)), [len(r) for r in live]), np.concatenate(live)
+    ids, sums = np.full((len(live), n), -1), np.ones((len(live), n))
+    ids[at], sums[at] = np.concatenate(chosen), np.concatenate(exp_sums)[:, 0]
+    logps = 0.0 - np.log(sums)
     lengths = (ids >= 0).sum(axis=0).tolist()
     return [(i[:k], lp[:k]) for i, lp, k in zip(ids.T.tolist(), logps.T.tolist(), lengths)]
 

@@ -15,14 +15,15 @@ share a scan as cells side by side, whose weights `assemble` lays out as
 diagonal blocks. Only they and the small primitives have hand-written
 backwards; `gru_cell`, the step they are tested against, composes
 primitives.
-Decoding builds no nodes: it runs `_gru_step` and `_log_softmax` on plain
-arrays, as the recurrence nodes' forwards do; each such array function
-(`_sigmoid` and `_softmax_offset` too) also serves its node, and makes few
-array passes, which set its time at these widths (`_sigmoid` is one tanh;
-`_gru_step` starts each gate from its matrix product and adds into it,
-squashes it and updates the state in place, writing only arrays it made
-and the caller's row of states if given one, never its inputs;
-`_log_softmax` reduces with `np.maximum.reduce` and `np.add.reduce`; a
+Decoding builds no nodes: it runs `_gru_step`, `_log_softmax` and its
+core `_exp_sums` (greedy's) on plain arrays, as the recurrence nodes'
+forwards do; each such array function (`_sigmoid` and `_softmax_offset`
+too) also serves its node, and makes few array passes, which set its
+time at these widths (`_sigmoid` is one tanh; `_gru_step` starts each
+gate from its matrix product and adds into it, squashes it and updates
+the state in place, writing only arrays it made and the caller's row of
+states if given one, never its inputs; `_exp_sums` shifts by the row
+max and sums the exps by `np.maximum.reduce` and `np.add.reduce`; a
 masked softmax adds a 0/-inf offset, so a loop checks its mask once). The
 rest composes from small primitives, among them `matmul`, which
 multiplies rows by a matrix or a stack of matrices, and `target_log_probs`,
@@ -474,11 +475,17 @@ def masked_softmax(logits, mask) -> NumArray:
     return _make(out, (logits,), bw)
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis into a new array; x is left as it is.
-    The ufunc reductions are `.max` and `.sum` without their wrappers."""
+def _exp_sums(x: np.ndarray):
+    """`_log_softmax`'s core: x less its row maxima (last axis), a new array,
+    and each row's sum of their exp (keepdims), by ufunc reductions."""
     shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted, np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis into a new array; x is left as it is."""
+    shifted, sums = _exp_sums(x)
+    shifted -= np.log(sums)
     return shifted
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from storyforge import decoder
 from storyforge import tensor as T
-from storyforge.data import BOS, EOS
+from storyforge.data import BOS, EOS, ConfigError
 from storyforge.decoder import (AttentionState, attend,
                                 decode_sentence_beam, decode_sentence_greedy,
                                 score_sentences, sentence_log_prob)
@@ -474,7 +474,8 @@ class TestGeneration:
 
     def test_greedy_sorts_no_log_probs(self, monkeypatch):
         # at a large vocabulary a sort of each row dominates the word step;
-        # an argmax needs none. Width 3 sorts, which shows the fake is read.
+        # an argmax needs none. Width 3 sorts its log-softmax of the fake
+        # logits, which shows the fake is read.
         class Sorted(Exception):
             pass
 
@@ -487,13 +488,13 @@ class TestGeneration:
         cfg, ps = make(31)
         ps["dec.out.b2"].data[EOS] = -10.0  # every row runs to the length cap
         Z = np.random.default_rng(31).standard_normal((4, cfg.d_v))
-        want, step = decoder._search(Z, ps, cfg.max_words, 1), decoder._decoder_step
+        want, step = decoder._search(Z, ps, cfg.max_words, 1), decoder._word_logits
 
         def unsortable_step(*args):
-            h, log_p = step(*args)
-            return h, log_p.view(Unsortable)
+            h, logits = step(*args)
+            return h, logits.view(Unsortable)
 
-        monkeypatch.setattr(decoder, "_decoder_step", unsortable_step)
+        monkeypatch.setattr(decoder, "_word_logits", unsortable_step)
         got = decoder._search(Z, ps, cfg.max_words, 1)
         assert got == want and len(got[0][0]) == cfg.max_words + 1
         with pytest.raises(Sorted):
@@ -532,7 +533,8 @@ class TestGeneration:
     def test_decoder_step_writes_only_its_own_arrays(self, seed, rows):
         # the step adds ZX into its gather of TX and runs the readout in place
         # on its own products: nothing it is handed moves, and its output is
-        # the out-of-place form's, to the bit
+        # the out-of-place form's, to the bit, as logits (greedy's step) and
+        # as log-probs (the beam's)
         cfg, ps = make(seed)
         rng = np.random.default_rng(seed)
         weights, ZX, ZR = decoder._project(rng.standard_normal((rows, cfg.d_v)), ps)
@@ -540,13 +542,69 @@ class TestGeneration:
         H = rng.standard_normal((rows, cfg.dec_hidden))
         handed = (prev, H, ZX, ZR) + weights
         before = [a.copy() for a in handed]
-        h, log_p = decoder._decoder_step(prev, H, ZX, ZR, weights)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(handed, before))
         prev, H, ZX, ZR, tx, w_h, w1, w2, b2 = before
         want_h, _ = T._gru_step(tx[prev] + ZX, H, w_h, len(w_h))
-        want = two_line_log_softmax(np.tanh(want_h @ w1 + ZR) @ w2 + b2)
-        assert (h.shape, h.tobytes()) == (want_h.shape, want_h.tobytes())
-        assert (log_p.shape, log_p.tobytes()) == (want.shape, want.tobytes())
+        want_logits = np.tanh(want_h @ w1 + ZR) @ w2 + b2
+        for step, want in ((decoder._word_logits, want_logits),
+                           (decoder._decoder_step, two_line_log_softmax(want_logits))):
+            h, out = step(*handed[:4], weights)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(handed, before))
+            assert (h.shape, h.tobytes()) == (want_h.shape, want_h.tobytes())
+            assert (out.shape, out.tobytes()) == (want.shape, want.tobytes())
+
+    def test_greedy_forms_no_log_softmax_row(self, monkeypatch):
+        # greedy needs each row's argmax and exp sum of the logits, not a
+        # (rows, vocab) log-softmax; width 3 ranks log-probs, which shows the
+        # fake is read
+        class LogSoftmaxed(Exception):
+            pass
+
+        def no_log_softmax(x):
+            raise LogSoftmaxed
+
+        cfg, ps = make(34)
+        ps["dec.out.b2"].data[EOS] = -10.0  # every row runs to the length cap
+        Z = np.random.default_rng(34).standard_normal((4, cfg.d_v))
+        want = decoder._search(Z, ps, cfg.max_words, 1)
+        monkeypatch.setattr(decoder.T, "_log_softmax", no_log_softmax)
+        got = decoder._search(Z, ps, cfg.max_words, 1)
+        assert got == want
+        assert all(len(ids) == cfg.max_words + 1 for ids, _ in got)
+        with pytest.raises(LogSoftmaxed):
+            decoder._search(Z, ps, cfg.max_words, 3)
+
+    def test_greedy_takes_the_larger_logit_where_log_probs_merge(self, monkeypatch):
+        # 64 logits of 1.0 and id 6 one ulp above: rounding gives ids 0 and 6
+        # one log-prob, so a ranking by log-probs would take id 0; greedy
+        # takes the first maximum of the logits, id 6, at that log-prob
+        cfg, ps = make(35)
+        logits = np.ones(64)
+        logits[6] = np.nextafter(1.0, 2.0)
+        log_p = T._log_softmax(logits)
+        assert logits[6] > logits[0] and log_p[6] == log_p[0]
+
+        def fake_logits(prev, H, ZX, ZR, weights):
+            return H, np.tile(logits, (len(prev), 1))
+
+        monkeypatch.setattr(decoder, "_word_logits", fake_logits)
+        max_words = 3
+        [(ids, logps)] = decoder._search(np.zeros((1, cfg.d_v)), ps, max_words, 1)
+        assert ids == [6] * (max_words + 1)
+        assert [np.float64(lp).tobytes() for lp in logps] == \
+            [log_p[6].tobytes()] * (max_words + 1)
+
+    @pytest.mark.parametrize("max_words", [-2, -1, 0, True, 1.5])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_search_checks_max_words(self, width, max_words):
+        # at -1 a search returned sentences with no token, at -2 it failed
+        # in numpy, and True decoded as 1
+        cfg, ps = make(36)
+        z = T.wrap(np.random.default_rng(36).standard_normal(cfg.d_v))
+        with pytest.raises(ConfigError, match="^max_words must be"):
+            if width == 1:
+                decode_sentence_greedy(z, ps, max_words)
+            else:
+                decode_sentence_beam(z, ps, max_words, width)
 
     def test_search_builds_no_graph_arrays(self, monkeypatch):
         # the search runs on plain arrays: no NumArray, so no graph node
@@ -626,8 +684,8 @@ class TestGeneration:
         ps["dec.out.b2"].data[EOS] = 1.0   # rows end after 1, 2, 15 and 26 tokens
         Z = np.random.default_rng(28).standard_normal((6, cfg.d_v))
         want = [decode_sentence_greedy(z, ps, cfg.max_words) for z in Z]
-        rows, step = [], decoder._decoder_step
-        monkeypatch.setattr(decoder, "_decoder_step",
+        rows, step = [], decoder._word_logits
+        monkeypatch.setattr(decoder, "_word_logits",
                             lambda prev, *rest: rows.append(len(prev)) or step(prev, *rest))
         got = decoder._search(Z, ps, cfg.max_words, 1)
         lengths = [len(ids) for ids, _ in got]
