@@ -25,8 +25,9 @@ import numpy as np
 
 from . import tensor as T
 from .data import (DataFormatError, SynthSpec, Vocabulary, at_record, build_vocab,
-                   check_number, check_stories, load_albums, read_records, save_albums,
-                   story_text, story_tokens, synth_dataset, synth_vocab, utf8_text)
+                   check_album_id, check_number, check_stories, load_albums, read_records,
+                   save_albums, story_text, story_tokens, synth_dataset, synth_vocab,
+                   utf8_text)
 from .metrics import EvalPair, bleu, cider, rouge_l
 from .model import (ConfigError, ModelConfig, build_parameters,
                     full_pipeline_grad_check, generate_stories, scene_views)
@@ -174,10 +175,9 @@ def _load_model(cfg, run_config: ModelConfig | None = None):
 
 
 def _model_albums(path, vocab, mcfg: ModelConfig):
-    """Albums with the model's photo cap, story shape and feature dim."""
+    """Albums with the model's photo cap, word cap and feature dim."""
     return load_albums(path, vocab, max_photos=mcfg.max_photos,
-                       n_sentences=mcfg.sentences, max_words=mcfg.max_words,
-                       feature_dim=mcfg.feature_dim)
+                       max_words=mcfg.max_words, feature_dim=mcfg.feature_dim)
 
 
 def _scores(pairs) -> dict:
@@ -203,7 +203,7 @@ def cmd_build_vocab(cfg) -> int:
     sentences = []
     for where, rec in read_records(cfg["train_data"], "stories"):
         with at_record(where):
-            sentences += [s for story in check_stories(rec["stories"], None) for s in story]
+            sentences += [s for story in check_stories(rec["stories"]) for s in story]
     with at_record(f"--train-data {cfg['train_data']}"):
         vocab = build_vocab(sentences, min_count=cfg["min_count"])
     vocab.save(out / "vocab.txt")
@@ -286,16 +286,16 @@ def cmd_inspect_scenes(cfg) -> int:
 
 
 def cmd_evaluate(cfg) -> int:
-    _require(cfg, "stories", "data", "vocab_file")
-    vocab = Vocabulary.load(cfg["vocab_file"])
-    albums = load_albums(cfg["data"], vocab, max_photos=cfg["max_photos"],
-                         n_sentences=cfg["sentences"], max_words=cfg["max_words"])
-    out = write_resolved(cfg)
-    refs = {}
-    for a in albums:
-        if a.album_id in refs:
-            raise DataFormatError(f"{cfg['data']}: duplicate album_id '{a.album_id}'")
-        refs[a.album_id] = [story_tokens(s) for s in a.raw_stories]
+    _require(cfg, "stories", "data")
+    refs = {}   # the reference data's stories by album id; features are not read
+    for where, rec in read_records(cfg["data"], "album_id", "stories"):
+        with at_record(where):
+            album_id = check_album_id(rec["album_id"])
+            if album_id in refs:
+                raise DataFormatError(f"duplicate album_id '{album_id}'")
+            refs[album_id] = [story_tokens(s) for s in check_stories(rec["stories"])]
+    if not refs:
+        raise DataFormatError(f"{cfg['data']}: holds no albums")
     pairs = {}   # by album_id: an album is scored once
     for where, rec in read_records(cfg["stories"], "album_id", "sentences"):
         with at_record(where):
@@ -312,6 +312,7 @@ def cmd_evaluate(cfg) -> int:
                                           refs[rec["album_id"]])
     if not pairs:
         raise DataFormatError(f"{cfg['stories']}: holds no records")
+    out = write_resolved(cfg)
     lines = [f"{name} {value:.4f} {len(pairs)}"
              for name, value in _scores(list(pairs.values())).items()]
     (out / "metrics.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -406,11 +407,10 @@ def build_parser() -> _Parser:
     add("generate", cmd_generate,
         ["data", "checkpoint", "vocab_file", "stories", "mode", "beam_width"])
     add("inspect-scenes", cmd_inspect_scenes, ["data", "checkpoint", "vocab_file"])
-    add("evaluate", cmd_evaluate,
-        ["stories", "data", "vocab_file", "max_photos", "sentences", "max_words"])
+    add("evaluate", cmd_evaluate, ["stories", "data"])
     add("grad-check", cmd_grad_check, ["gc_seeds", "tolerance", "lam", "mu", "seed"])
     add("sweep", cmd_sweep,
-        ["sweep_grid", "sweep_steps", "lr", "batch_size", "patience"]
+        ["sweep_grid", "sweep_steps", "lr", "batch_size"]
         + synth + MODEL_KEYS[:7])  # feature_dim .. mlp_hidden
     return parser
 

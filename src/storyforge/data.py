@@ -1,7 +1,7 @@
 """Album/story file formats, vocabulary handling, and a synthetic corpus.
 
 Album files are line-delimited JSON, one album per line:
-    {"album_id": str | int, "features": [[f..] x m], "stories": [[sent..] x refs],
+    {"album_id": str | int, "features": [[f..] x m], "stories": [[sent..] x refs]?,
      "gold_boundaries": [0/1 x m]?}
 Vocabulary files are one token per line ordered by id, after a single header
 row that records the special tokens and the min_count used to build it.
@@ -228,16 +228,21 @@ def feature_rows(rows, feature_dim: int | None,
     return out
 
 
-def check_stories(stories, n_sentences: int | None) -> list:
-    """A non-empty list of stories, each a list of `n_sentences` (None: any) strings."""
+def check_stories(stories) -> list:
+    """A non-empty list of stories, each a list of any number of sentence strings."""
     if not isinstance(stories, list) or len(stories) == 0:
         raise DataFormatError("stories must be a non-empty list")
     for ref in stories:
         if not (isinstance(ref, list) and all(isinstance(s, str) for s in ref)):
             raise DataFormatError("each story must be a list of sentence strings")
-        if n_sentences is not None and len(ref) != n_sentences:
-            raise DataFormatError(f"story has {len(ref)} sentences, expected {n_sentences}")
     return stories
+
+
+def check_album_id(album_id) -> str:
+    """A record's `album_id`, a string or an integer but no bool, as text."""
+    if isinstance(album_id, bool) or not isinstance(album_id, (str, int)):
+        raise DataFormatError("album_id must be a string or an integer")
+    return str(album_id)
 
 
 def check_gold(gold, num_photos: int, max_photos: int) -> list | None:
@@ -287,43 +292,40 @@ def read_records(path, *required):
             yield where, rec
 
 
-def load_albums(path, vocab: Vocabulary, max_photos: int = 40,
-                n_sentences: int = 5, max_words: int = 25,
+def load_albums(path, vocab: Vocabulary, max_photos: int = 40, max_words: int = 25,
                 feature_dim: int | None = None) -> list[AlbumExample]:
-    """Read a non-empty album file; photo streams are truncated to max_photos.
+    """Read a non-empty album file, `stories` optional; photos past max_photos are cut.
 
     Every feature row must have `feature_dim` values; None lets the file's
     first row decide; the sizes are checked before any record is read.
     """
-    for name, size in (("max_photos", max_photos), ("sentences", n_sentences),
-                       ("max_words", max_words)):
+    for name, size in (("max_photos", max_photos), ("max_words", max_words)):
         check_number(name, size, "Size")
     albums = []
-    for where, rec in read_records(path, "album_id", "features", "stories"):
+    for where, rec in read_records(path, "album_id", "features"):
         with at_record(where):
-            album_id = rec["album_id"]
-            if isinstance(album_id, bool) or not isinstance(album_id, (str, int)):
-                raise DataFormatError("album_id must be a string or an integer")
+            album_id = check_album_id(rec["album_id"])
             feats = feature_rows(rec["features"], feature_dim, max_photos)
-            raw_stories = check_stories(rec["stories"], n_sentences)
+            raw_stories = check_stories(rec["stories"]) if "stories" in rec else []
             gold = check_gold(rec.get("gold_boundaries"), len(rec["features"]),
                               max_photos)
         feature_dim = len(feats[0])
         stories = [[encode_sentence(s, vocab, max_words) for s in ref]
                    for ref in raw_stories]
-        albums.append(AlbumExample(str(album_id), feats, stories,
-                                   raw_stories, gold))
+        albums.append(AlbumExample(album_id, feats, stories, raw_stories, gold))
     if not albums:
         raise DataFormatError(f"{path}: holds no albums")
     return albums
 
 
 def save_albums(path, albums):
+    """Write albums as `load_albums` reads them, a story-less one without `stories`."""
     with open(path, "w", encoding="utf-8") as fh:
         for a in albums:
             rec = {"album_id": a.album_id,
-                   "features": [f.tolist() for f in a.features],
-                   "stories": a.raw_stories}
+                   "features": [f.tolist() for f in a.features]}
+            if a.raw_stories:
+                rec["stories"] = a.raw_stories
             if a.gold_boundaries is not None:
                 rec["gold_boundaries"] = list(a.gold_boundaries)
             fh.write(json.dumps(rec) + "\n")

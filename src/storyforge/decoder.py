@@ -103,7 +103,7 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
     hs[0], alphas[0] = h0.data, state.alpha_prev.data
     acts, caches = np.empty((n,) + keys.shape), []
     for t in range(n):   # `attend`'s arithmetic, to the bit
-        caches.append(T._gru_step(alphas[t] @ wx + gru_w.b.data, hs[t], wh, hid,
+        caches.append(T._gru_step(alphas[t] @ wx + gru_w.b.data, hs[t], wh,
                                   out=hs[t + 1])[1])
         np.tanh(keys.data + (hs[t + 1] @ ws)[:, None, :] + b.data, out=acts[t])
         T._softmax_offset(acts[t] @ wo, offset, out=alphas[t + 1])
@@ -119,9 +119,9 @@ def attend_scan(memory, valid_mask, state: AttentionState, n: int, params):
             d_keys += d_pre
             d_query[t] = d_pre.sum(axis=-2)
             d_gates[t], d_h = T._gru_step_backward(d_query[t] @ ws.T + d_h, hs[t],
-                                                   caches[t], wh, hid)
+                                                   caches[t], wh)
             d_x = d_gates[t] @ wx.T
-        T._recurrent_grads(gru_w.w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates)
+        T._recurrent_grads(gru_w.w_h, hs[:-1], caches, d_gates)
         for p, grad in ((keys, d_keys), (h0, d_h),
                         (gru_w.w_x, T._rows(alphas[:-1]).T @ T._rows(d_gates)),
                         (gru_w.b, T._rows(d_gates).sum(axis=0)),
@@ -149,7 +149,7 @@ def _word_logits(prev, H, ZX, ZR, weights):
     tx, w_h, w1, w2, b2 = weights
     gx = tx.take(prev, axis=0)   # a gathered copy, whatever prev's shape
     gx += ZX
-    h, _ = T._gru_step(gx, H, w_h, len(w_h))
+    h, _ = T._gru_step(gx, H, w_h)
     hidden = h @ w1
     hidden += ZR
     np.tanh(hidden, out=hidden)

@@ -12,11 +12,11 @@ import dataclasses
 import inspect
 
 from . import tensor as T
-from .data import (SPECIALS, AlbumExample, DataFormatError, Vocabulary, at_record,
-                   build_vocab, check_gold, check_number, check_stories, encode_sentence,
+from .data import (SPECIALS, AlbumExample, Vocabulary, at_record, build_vocab,
+                   check_gold, check_number, check_stories, encode_sentence,
                    feature_rows, story_text)
 from .model import ModelConfig, decode_width, generate_stories, scene_views
-from .trainer import TrainConfig, config_from, run_training, validate
+from .trainer import TrainConfig, check_references, config_from, run_training, validate
 
 
 class NotFittedError(RuntimeError):
@@ -29,18 +29,13 @@ def check_is_fitted(estimator):
             f"{type(estimator).__name__} is not fitted yet; call fit first")
 
 
-def check_albums(X, feature_dim: int, max_photos: int,
-                 n_sentences: int | None = None):
+def check_albums(X, feature_dim: int, max_photos: int):
     """Validate AlbumExamples or bare feature matrices with the album
-    loader's checks, cut to max_photos, an integer >= 1 as the loader's;
-    reference stories, where an album has any, need `n_sentences` sentences
-    (None: any, else an integer >= 1 as `sentences`). Bare matrices become
-    story-less albums, which fit and score reject. An error names the album
-    by its index in X: `album N: ...`.
+    loader's checks, cut to max_photos, an integer >= 1 as the loader's.
+    Bare matrices become story-less albums, which the trainer rejects for
+    fit and score. An error names the album by its index in X: `album N: ...`.
     """
     check_number("max_photos", max_photos, "Size")
-    if n_sentences is not None:
-        check_number("sentences", n_sentences, "Size")
     if not isinstance(X, (list, tuple)) or len(X) == 0:
         raise ValueError("X must be a non-empty list of albums")
     albums = []
@@ -49,7 +44,7 @@ def check_albums(X, feature_dim: int, max_photos: int,
             if isinstance(item, AlbumExample):
                 features = feature_rows(item.features, feature_dim, max_photos)
                 if item.raw_stories:
-                    check_stories(item.raw_stories, n_sentences)
+                    check_stories(item.raw_stories)
                 gold = check_gold(item.gold_boundaries, len(item.features), max_photos)
                 albums.append(dataclasses.replace(item, features=features,
                                                   gold_boundaries=gold))
@@ -61,12 +56,9 @@ def check_albums(X, feature_dim: int, max_photos: int,
     return albums
 
 
-def _albums(X, cfg: ModelConfig, refs_for: str | None = None):
-    """`check_albums` at the sizes of `cfg`; caller `refs_for` needs refs."""
-    albums = check_albums(X, cfg.feature_dim, cfg.max_photos, cfg.sentences)
-    if refs_for and any(not a.raw_stories for a in albums):
-        raise DataFormatError(f"{refs_for} needs albums with reference stories")
-    return albums
+def _albums(X, cfg: ModelConfig):
+    """`check_albums` at the sizes of `cfg`."""
+    return check_albums(X, cfg.feature_dim, cfg.max_photos)
 
 
 class AlbumStoryteller:
@@ -131,13 +123,14 @@ class AlbumStoryteller:
         settings = self.get_params()
         mcfg = config_from(ModelConfig, settings, vocab_size=len(SPECIALS))
         tcfg = config_from(TrainConfig, settings, model=mcfg)
-        albums = _albums(X, mcfg, "fit")
+        albums = _albums(X, mcfg)
         val = albums
         if validation is not None:
             if not isinstance(validation, (list, tuple)) or len(validation) == 0:
                 raise ValueError("validation must be a non-empty list of albums")
             with at_record("validation"):
-                val = _albums(validation, mcfg, "fit")
+                val = _albums(validation, mcfg)
+        check_references(albums, mcfg.sentences)   # before a vocabulary is built
         if vocab is None:
             vocab = build_vocab([s for a in albums for story in a.raw_stories
                                  for s in story], min_count=self.min_count)
@@ -181,5 +174,5 @@ class AlbumStoryteller:
         `mode` and `beam_width` against the albums' references."""
         check_is_fitted(self)
         cfg = self.model_config_
-        return validate(self.params_, cfg, _albums(X, cfg, "score"), self.vocab_,
+        return validate(self.params_, cfg, _albums(X, cfg), self.vocab_,
                         mode=self.mode, beam_width=self.beam_width)

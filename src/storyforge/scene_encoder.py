@@ -101,7 +101,7 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
         if i > 0:   # a firing boundary emits the state and clears it
             np.multiply(k[i][:, None], hs[i], out=emitted[i])
             np.subtract(hs[i], emitted[i], out=resets[i])
-        caches.append(T._gru_step(gx.data[i], resets[i], wh, hid, out=hs[i + 1])[1])
+        caches.append(T._gru_step(gx.data[i], resets[i], wh, out=hs[i + 1])[1])
 
     # slot j of an album of n photos: emitted row j below n, the closing
     # state at n, and the all-zero row 0 past it; the mask is gathered alike
@@ -118,7 +118,7 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
         d_h = np.zeros_like(hs[0])
         for i in range(m - 1, -1, -1):
             d_gates[i], d_reset = T._gru_step_backward(d_states[i] + d_h, resets[i],
-                                                       caches[i], wh, hid)
+                                                       caches[i], wh)
             if i == 0:   # the first step starts from the constant zero state
                 break
             d_emit = d_emitted[i] - d_reset
@@ -133,7 +133,7 @@ def encode_scenes(V, params, force_flags=None, relax: bool = False,
             elif live:   # straight through the threshold: dL/dsoft = dL/dk
                 d_score[i] = d_k * softs[i] * (1.0 - softs[i])
                 d_h += d_score[i][:, None] * w_h.data
-        T._recurrent_grads(gru_w.w_h, resets, np.stack([c[2] for c in caches]), d_gates)
+        T._recurrent_grads(gru_w.w_h, resets, caches, d_gates)
         if gx.requires_grad:
             T._acc(gx, d_gates)
         for p, grad in ((V, d_rows + d_score[..., None] * w_v.data),   # the detector's

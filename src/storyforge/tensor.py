@@ -273,9 +273,9 @@ def matmul(a, b) -> NumArray:
     return _make(out, (a, b), bw)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     # 1/2 + tanh(x/2)/2: one transcendental, saturating with no overflow
-    t = np.tanh(0.5 * x)
+    t = np.tanh(np.multiply(x, 0.5, out=out), out=out)
     t *= 0.5
     t += 0.5
     return t
@@ -549,20 +549,17 @@ class GruWeights:
         return self.w_h.data.shape[0]
 
 
-def _gru_step(gx, hd, wh, hid, out=None):
+def _gru_step(gx, hd, wh, out=None):
     """One step on (..., H) states from the input-side pre-activations
     gx = x W_x + b, writing h' into `out` (a fresh array if None), which
     must not overlap hd; gx and hd share their leading shape. Each gate
     starts from its matrix product, gx's columns are added into it and its
     nonlinearity runs in place, so the kernel writes only into arrays it
-    made and into `out`, never into gx, hd or wh. Returns (h', cache for
-    `_gru_step_backward`)."""
+    made and into `out`, never into gx, hd or wh (H, 3H). Returns (h', cache)."""
+    hid = len(wh)
     zr = hd @ wh[:, :2 * hid]
     zr += gx[..., :2 * hid]
-    zr *= 0.5   # `_sigmoid`, in place
-    np.tanh(zr, out=zr)
-    zr *= 0.5
-    zr += 0.5
+    _sigmoid(zr, out=zr)
     z, r = zr[..., :hid], zr[..., hid:]
     rh = r * hd
     c = rh @ wh[:, 2 * hid:]
@@ -574,9 +571,10 @@ def _gru_step(gx, hd, wh, hid, out=None):
     return h, (z, r, rh, c)
 
 
-def _gru_step_backward(g, hd, cache, wh, hid):
+def _gru_step_backward(g, hd, cache, wh):
     """dL/dh' -> (dL/d pre-activations (..., 3H), dL/dh)."""
     z, r, rh, c = cache
+    hid = len(wh)
     d_c = g * z * (1.0 - c * c)
     d_z = g * (c - hd) * z * (1.0 - z)
     d_rh = d_c @ wh[:, 2 * hid:].T
@@ -586,11 +584,12 @@ def _gru_step_backward(g, hd, cache, wh, hid):
     return d_gates, d_h
 
 
-def _recurrent_grads(w_h, hd, rh, d_gates):
-    """Accumulate the gradient of a recurrence node's W_h from its
-    pre-activation gradients, summed over every leading axis."""
+def _recurrent_grads(w_h, hd, caches, d_gates):
+    """Accumulate a recurrence node's W_h gradient, summed over every leading
+    axis, from its steps' entering states hd, `_gru_step` caches and d_gates."""
     if w_h.requires_grad:
         hid, dg = len(w_h.data), _rows(d_gates)
+        rh = np.stack([c[2] for c in caches])
         _acc(w_h, np.concatenate([_rows(hd).T @ dg[:, :2 * hid],
                                   _rows(rh).T @ dg[:, 2 * hid:]], axis=1))
 
@@ -636,16 +635,16 @@ def gru_scan(gx, w_h) -> NumArray:
     hs = np.zeros((len(gx.data) + 1,) + gx.data.shape[1:-1] + (hid,))
     caches = []
     for t, gx_t in enumerate(gx.data):
-        caches.append(_gru_step(gx_t, hs[t], wh, hid, out=hs[t + 1])[1])
+        caches.append(_gru_step(gx_t, hs[t], wh, out=hs[t + 1])[1])
 
     def bw(g):
         d_gates = np.empty_like(gx.data)
         d_h = np.zeros_like(hs[0])
         for t in range(len(d_gates) - 1, -1, -1):
-            d_gates[t], d_h = _gru_step_backward(g[t] + d_h, hs[t], caches[t], wh, hid)
+            d_gates[t], d_h = _gru_step_backward(g[t] + d_h, hs[t], caches[t], wh)
         if gx.requires_grad:
             _acc(gx, d_gates)
-        _recurrent_grads(w_h, hs[:-1], np.stack([c[2] for c in caches]), d_gates)
+        _recurrent_grads(w_h, hs[:-1], caches, d_gates)
 
     return _make(hs[1:], (gx, w_h), bw)
 

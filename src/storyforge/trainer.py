@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .data import Count, Size, Weight, decode_ids, story_tokens
+from .data import Count, DataFormatError, Size, Weight, at_record, decode_ids, story_tokens
 from .losses import derangement
 from .metrics import EvalPair, cider
 from .model import (ConfigError, ModelConfig, batch_z, build_parameters,
@@ -87,10 +87,23 @@ class TrainResult:
         return self.stop_reason == "diverged"
 
 
+def check_references(albums, n_sentences: int | None = None):
+    """Raise a DataFormatError at the first album without reference stories
+    or, given `n_sentences`, with a story of another length."""
+    for album in albums:
+        if not album.raw_stories:
+            raise DataFormatError(f"album '{album.album_id}' has no reference stories")
+        wrong = [len(s) for s in album.stories if n_sentences not in (None, len(s))]
+        if wrong:
+            raise DataFormatError(f"album '{album.album_id}': story has {wrong[0]} "
+                                  f"sentences, expected {n_sentences}")
+
+
 def decoded_pairs(params, cfg: ModelConfig, albums, vocab, mode: str = "greedy",
                   beam_width: int = 3):
     """Decode every album with `generate_stories` in `mode` and pair its
-    tokens with all its reference stories."""
+    tokens with all its reference stories, which each album must have."""
+    check_references(albums)
     hyps = generate_stories(albums, params, cfg, mode, beam_width)
     return [EvalPair([tok for ids in hyp.sentences for tok in decode_ids(ids, vocab)],
                      [story_tokens(story) for story in album.raw_stories])
@@ -116,16 +129,14 @@ def _run_stage(stage_no: int, params, train_set, val_set, tcfg: TrainConfig,
     params.freeze(*(STAGE1_FROZEN if stage_no == 1 else STAGE2_FROZEN))
     opt = T.Adam(params, lr=tcfg.lr)
     rng = np.random.default_rng([tcfg.seed, stage_no])
+    n_sent = cfg.sentences
+    check_references(train_set, n_sent)   # a trained story tells the model's count
+    with at_record("validation"):
+        check_references(val_set)
     examples = [(ai, si) for ai, album in enumerate(train_set)
                 for si in range(len(album.stories))]
     if not (examples and val_set):
         raise ValueError("training and validation sets must hold albums")
-    n_sent = cfg.sentences
-    wrong = next(((album, len(story)) for album in train_set for story in album.stories
-                  if len(story) != n_sent), None)
-    if wrong:
-        raise ValueError(f"album '{wrong[0].album_id}': story has {wrong[1]} sentences, "
-                         f"expected {n_sent}")
 
     best, best_cider = params.copy(), None
     bad_validations = 0

@@ -1,9 +1,10 @@
-"""Shared test utilities: the per-step scene encoder that the fused one is
-checked against, a fault planted in the GRU step's hand-written backward
-that such references must catch, validation pairs decoded one album at a
-time, the copy-every-gradient rule that handed-over gradients are checked
-against, the log-softmax node that the target head is checked against,
-and hand-built detector weights for clustered data.
+"""Shared test utilities: a plain-numpy GRU step, the per-step scene
+encoder that the fused one is checked against, a fault planted in the GRU
+step's hand-written backward that such references must catch, validation
+pairs decoded one album at a time, the copy-every-gradient rule that
+handed-over gradients are checked against, the log-softmax node that the
+target head is checked against, and hand-built detector weights for
+clustered data.
 
 Detector weights: with zero photo GRUs and a signed-identity skip, photo
 vectors copy the raw feature into positive/negative halves. The scene GRU
@@ -102,6 +103,18 @@ def encode_scenes_per_step(V, params, force_flags=None, lengths=None):
     mask = np.concatenate([0 * flags[:1], flags[1:], np.ones_like(flags)])[index]
     return SceneSegmentation(flags, None if force_flags is not None else np.array(softs),
                              X, mask, mask.sum(axis=0))
+
+
+def np_gru_step(x, h, wx, wh, b):
+    """One GRU step on a state vector h (H,) in plain numpy, written apart
+    from the engine's kernel: the oracle the encoders, the attention and
+    the decoders are checked against."""
+    hid = h.shape[0]
+    pre_x, pre_h = x @ wx + b, h @ wh
+    z = 1.0 / (1.0 + np.exp(-(pre_x[:hid] + pre_h[:hid])))
+    r = 1.0 / (1.0 + np.exp(-(pre_x[hid:2 * hid] + pre_h[hid:2 * hid])))
+    c = np.tanh(pre_x[2 * hid:] + (r * h) @ wh[:, 2 * hid:])
+    return (1 - z) * h + z * c
 
 
 def scale_gru_step_backward(monkeypatch, factor):

@@ -48,6 +48,24 @@ def data_args(root):
             "--vocab-file", str(root / "d" / "vocab.txt")]
 
 
+def _with_stories(root, tmp_path, edit, records=None):
+    """The synthetic album file with the `stories` of its first `records`
+    records (None: all) replaced by `edit(stories)`, or dropped where that
+    is None."""
+    recs = [json.loads(line) for line in (root / "d" / "albums.jsonl").read_text().splitlines()]
+    for rec in recs[:records]:
+        rec["stories"] = edit(rec["stories"])
+        if rec["stories"] is None:
+            del rec["stories"]
+    data = tmp_path / "refs.jsonl"
+    data.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    return data
+
+
+def _three_sentences(stories):
+    return [story[:3] for story in stories]
+
+
 class TestConfigResolution:
     def test_defaults_then_file_then_flag(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -180,6 +198,15 @@ class TestTrain:
         assert json.loads(text, parse_constant=reject)["meta"]["best_cider"] is None
 
 
+    @pytest.mark.parametrize("flag", ["--train-data", "--val-data"])
+    def test_storyless_album_stops_before_any_checkpoint(self, workdir, tmp_path, capsys,
+                                                         flag):
+        argv = _train_with_stories(lambda stories: None, flag)(workdir, tmp_path)
+        assert main(argv) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["resolved_config.txt"]
+
+
 class TestGenerate:
     def test_story_records(self, workdir, tmp_path):
         out = tmp_path / "g"
@@ -226,6 +253,25 @@ class TestGenerate:
             (tmp_path / "v2" / "stories.jsonl").read_bytes()
 
 
+class TestInferenceWithoutReferences:
+    """generate and inspect-scenes read no reference stories: albums without
+    them, or whose stories are shorter than the model's, give the files that
+    the same albums with their own references give."""
+
+    @pytest.mark.parametrize("edit", [lambda stories: None, _three_sentences],
+                             ids=["story-less", "three-sentences"])
+    @pytest.mark.parametrize("command, output", [("generate", "stories.jsonl"),
+                                                 ("inspect-scenes", "scenes.txt")])
+    def test_same_files(self, workdir, tmp_path, capsys, edit, command, output):
+        data = _with_stories(workdir, tmp_path, edit)
+        for name, path in (("full", workdir / "d" / "albums.jsonl"), ("edited", data)):
+            assert main([command, "--out-dir", str(tmp_path / name), *data_args(workdir),
+                         "--data", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "edited" / output).read_bytes() == \
+            (tmp_path / "full" / output).read_bytes()
+
+
 class TestInspectScenes:
     def test_line_format(self, workdir, tmp_path, capsys):
         out = tmp_path / "i"
@@ -255,8 +301,7 @@ class TestEvaluate:
                                      "sentences": a.raw_stories[0]}) + "\n")
         out = tmp_path / "e"
         assert main(["evaluate", "--out-dir", str(out), "--stories",
-                     str(stories), "--data", str(workdir / "d" / "albums.jsonl"),
-                     "--vocab-file", str(workdir / "d" / "vocab.txt")]) == 0
+                     str(stories), "--data", str(workdir / "d" / "albums.jsonl")]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [l.split()[0] for l in lines] == [
             "bleu-1", "bleu-2", "bleu-3", "bleu-4", "rouge-l", "cider"]
@@ -275,27 +320,60 @@ class TestEvaluate:
             fh.write(json.dumps({"album_id": albums[0].album_id,
                                  "sentences": ["the show"]}) + "\n")
         assert main(["evaluate", "--out-dir", str(tmp_path), "--stories",
-                     str(stories), "--data", str(workdir / "d" / "albums.jsonl"),
-                     "--vocab-file", str(workdir / "d" / "vocab.txt")]) == 0
+                     str(stories), "--data", str(workdir / "d" / "albums.jsonl")]) == 0
         for line in capsys.readouterr().out.strip().splitlines():
             value = line.split()[1]
             assert len(value.split(".")[1]) == 4
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:1] + [5], lambda rows: [["x"] + rows[0][1:]] + rows[1:],
+        lambda rows: _huge_first_feature(rows)],
+        ids=["number-feature-row", "string-feature-value", "feature-beyond-float"])
+    def test_features_are_not_read(self, workdir, tmp_path, capsys, edit):
+        # evaluate scores stories only: whatever the reference data's
+        # features hold, it prints what it prints on the intact file
+        argv = _evaluate_with()(workdir, tmp_path)
+        printed = []
+        for data in (workdir / "d" / "albums.jsonl", _edited_albums(workdir, tmp_path, edit)):
+            assert main(argv + ["--data", str(data)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and len(printed[0].splitlines()) == 6
+
+    def test_scores_references_of_any_length(self, workdir, tmp_path, capsys):
+        # three-sentence references against a model config of five, and no
+        # vocabulary: each album's own reference scores 1 on BLEU and ROUGE-L
+        data = _with_stories(workdir, tmp_path, _three_sentences)
+        stories = tmp_path / "s.jsonl"
+        stories.write_text("".join(
+            json.dumps({"album_id": rec["album_id"], "sentences": rec["stories"][0]}) + "\n"
+            for rec in map(json.loads, data.read_text().splitlines())))
+        assert main(["evaluate", "--out-dir", str(tmp_path / "e"), "--stories", str(stories),
+                     "--data", str(data)]) == 0
+        scores = {l.split()[0]: float(l.split()[1])
+                  for l in capsys.readouterr().out.splitlines()}
+        for name in ("bleu-1", "bleu-2", "bleu-3", "bleu-4", "rouge-l"):
+            assert scores[name] == pytest.approx(1.0)
+
+    def test_reference_data_needs_stories(self, workdir, tmp_path, capsys):
+        data = _with_stories(workdir, tmp_path, lambda stories: None, 1)
+        argv = _evaluate_with()(workdir, tmp_path)
+        assert main(argv + ["--data", str(data), "--out-dir", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err == f"error: {data}: line 1: missing field 'stories'\n"
+        assert not (tmp_path / "e").exists()
 
     def test_unknown_album_rejected(self, workdir, tmp_path):
         stories = tmp_path / "s.jsonl"
         stories.write_text(json.dumps(
             {"album_id": "ghost", "sentences": ["hi"]}) + "\n")
         assert main(["evaluate", "--out-dir", str(tmp_path), "--stories",
-                     str(stories), "--data", str(workdir / "d" / "albums.jsonl"),
-                     "--vocab-file", str(workdir / "d" / "vocab.txt")]) == 1
+                     str(stories), "--data", str(workdir / "d" / "albums.jsonl")]) == 1
 
 
 def _evaluate_without_album_id(root, tmp_path):
     stories = tmp_path / "s.jsonl"
     stories.write_text(json.dumps({"sentences": ["hi"]}) + "\n")
     return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-            "--data", str(root / "d" / "albums.jsonl"),
-            "--vocab-file", str(root / "d" / "vocab.txt")]
+            "--data", str(root / "d" / "albums.jsonl")]
 
 
 def _build_vocab_on_broken_json(root, tmp_path):
@@ -328,7 +406,7 @@ def _evaluate_with_duplicate_album_id(root, tmp_path):
     stories.write_text(json.dumps({"album_id": rows[0]["album_id"],
                                    "sentences": rows[0]["stories"][0]}) + "\n")
     return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-            "--data", str(data), "--vocab-file", str(root / "d" / "vocab.txt")]
+            "--data", str(data)]
 
 
 def _evaluate_with_album_id(album_id):
@@ -337,8 +415,7 @@ def _evaluate_with_album_id(album_id):
         stories = tmp_path / "s.jsonl"
         stories.write_text(json.dumps({"album_id": album_id, "sentences": ["hi"]}) + "\n")
         return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-                "--data", str(root / "d" / "albums.jsonl"),
-                "--vocab-file", str(root / "d" / "vocab.txt")]
+                "--data", str(root / "d" / "albums.jsonl")]
     return make_argv
 
 
@@ -350,8 +427,7 @@ def _evaluate_with_duplicate_story(root, tmp_path):
     stories.write_text(2 * (json.dumps({"album_id": rec["album_id"],
                                         "sentences": rec["stories"][0]}) + "\n"))
     return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-            "--data", str(root / "d" / "albums.jsonl"),
-            "--vocab-file", str(root / "d" / "vocab.txt")]
+            "--data", str(root / "d" / "albums.jsonl")]
 
 
 def _build_vocab_with_min_count(count):
@@ -381,13 +457,12 @@ def _edited_albums(root, tmp_path, edit, field="features"):
     return data
 
 
-def _evaluate_data_with(edit):
+def _evaluate_data_with(edit, field="features"):
     def make_argv(root, tmp_path):
         stories = tmp_path / "s.jsonl"
         stories.write_text(json.dumps({"album_id": "x", "sentences": ["hi"]}) + "\n")
         return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-                "--data", str(_edited_albums(root, tmp_path, edit)),
-                "--vocab-file", str(root / "d" / "vocab.txt")]
+                "--data", str(_edited_albums(root, tmp_path, edit, field))]
     return make_argv
 
 
@@ -400,7 +475,7 @@ def _evaluate_data_with_album_id(album_id):
         stories = tmp_path / "s.jsonl"
         stories.write_text(json.dumps({"album_id": second, "sentences": ["hi"]}) + "\n")
         return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-                "--data", str(data), "--vocab-file", str(root / "d" / "vocab.txt")]
+                "--data", str(data)]
     return make_argv
 
 
@@ -412,8 +487,7 @@ def _evaluate_with(*extra):
         stories.write_text(json.dumps({"album_id": rec["album_id"],
                                        "sentences": rec["stories"][0]}) + "\n")
         return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-                "--data", str(root / "d" / "albums.jsonl"),
-                "--vocab-file", str(root / "d" / "vocab.txt"), *extra]
+                "--data", str(root / "d" / "albums.jsonl"), *extra]
     return make_argv
 
 
@@ -422,8 +496,7 @@ def _evaluate_sentences_not_a_list(root, tmp_path):
     stories = tmp_path / "s.jsonl"
     stories.write_text(json.dumps({"album_id": first["album_id"], "sentences": 5}) + "\n")
     return ["evaluate", "--out-dir", str(tmp_path), "--stories", str(stories),
-            "--data", str(root / "d" / "albums.jsonl"),
-            "--vocab-file", str(root / "d" / "vocab.txt")]
+            "--data", str(root / "d" / "albums.jsonl")]
 
 
 def _generate_with_other_feature_dim(root, tmp_path):
@@ -457,6 +530,14 @@ def _train_with_empty_val_data(root, tmp_path):
 def _train_with(*extra):
     def make_argv(root, tmp_path):
         return _train_argv(root, tmp_path, *extra)
+    return make_argv
+
+
+def _train_with_stories(edit, flag="--train-data"):
+    """train with `flag` naming the synthetic albums, the first record's
+    stories edited as `_with_stories` does."""
+    def make_argv(root, tmp_path):
+        return _train_argv(root, tmp_path, flag, str(_with_stories(root, tmp_path, edit, 1)))
     return make_argv
 
 
@@ -639,10 +720,6 @@ class TestBadInputExitCodes:
         (_evaluate_without_album_id, "line 1: missing field 'album_id'"),
         (_build_vocab_on_broken_json, "line 2: invalid record"),
         (_generate_with_smaller_vocab, "parameter 'dec.embed.table' has shape"),
-        (_evaluate_data_with(lambda rows: rows[:1] + [5]),
-         "line 1: feature row is not a list of numbers"),
-        (_evaluate_data_with(lambda rows: [["x"] + rows[0][1:]] + rows[1:]),
-         "line 1: non-numeric feature value"),
         (_evaluate_sentences_not_a_list, "line 1: sentences must be a list of strings"),
         (_generate_with_other_feature_dim,
          "line 1: feature-dim mismatch: expected 6, got 4"),
@@ -682,10 +759,11 @@ class TestBadInputExitCodes:
         (_train_with("--patience", "0"), "patience must be >= 1"),
         (_train_with("--lambda", "-1"), "lam must be >= 0 and finite"),
         (_train_with("--sentences", "0"), "sentences must be >= 1"),
-        (_evaluate_with("--max-photos", "-3"), "max_photos must be >= 1"),
-        (_evaluate_with("--max-photos", "0"), "max_photos must be >= 1"),
-        (_evaluate_with("--max-words", "0"), "max_words must be >= 1"),
-        (_evaluate_with("--sentences", "-1"), "sentences must be >= 1"),
+        # evaluate reads no sizes, so a size flag is a usage error
+        (_evaluate_with("--max-photos", "-3"), "unrecognized arguments: --max-photos -3"),
+        (_evaluate_with("--max-photos", "0"), "unrecognized arguments: --max-photos 0"),
+        (_evaluate_with("--max-words", "0"), "unrecognized arguments: --max-words 0"),
+        (_evaluate_with("--sentences", "-1"), "unrecognized arguments: --sentences -1"),
         (_generate_with("--mode", "sample"), "unknown decode mode 'sample'"),
         (_generate_with("--mode", "beam", "--beam-width", "0"),
          "beam width must be >= 1"),
@@ -757,7 +835,8 @@ class TestBadInputExitCodes:
         (_generate_with_checkpoint("config-dim-null"),
          "bad.ckpt.json: photo_hidden must be an integer, got None"),
         (_build_vocab_with_min_count("-1"), "min_count must be >= 0"),
-        (_evaluate_with_duplicate_album_id, "dup.jsonl: duplicate album_id 'synth0000'"),
+        (_evaluate_with_duplicate_album_id,
+         "dup.jsonl: line 2: duplicate album_id 'synth0000'"),
         (_evaluate_with_duplicate_story, "s.jsonl: line 2: duplicate album_id 'synth0000'"),
         (_command("synth-data", "--noise", "1e308"),
          "noise_scale 1e+308 with cluster_separation 4.0 overflows the photo features"),
@@ -769,8 +848,7 @@ class TestBadInputExitCodes:
         *[(make_argv, "albums.jsonl: line 1: non-finite feature value") for make_argv in (
             _with_albums("--train-data", _huge_first_feature, _train_with()),
             _with_albums("--data", _huge_first_feature, _generate_with()),
-            _with_albums("--data", _huge_first_feature, _inspect_scenes),
-            _evaluate_data_with(_huge_first_feature))],
+            _with_albums("--data", _huge_first_feature, _inspect_scenes))],
         *[(_with_file(flag, "long.jsonl", b'{"album_id": ' + LONG_INT + rest, make_argv),
            "long.jsonl: line 1: invalid record: Exceeds the limit (4300 digits)")
           for flag, rest, make_argv in (
@@ -789,9 +867,13 @@ class TestBadInputExitCodes:
          "blank.jsonl: holds no records"),
         (_generate_with_checkpoint("config-not-an-object"),
          "bad.ckpt.json: meta field 'config' is malformed"),
+        (_train_with_stories(lambda stories: None), "album 'synth0000' has no reference stories"),
+        (_train_with_stories(lambda stories: None, "--val-data"),
+         "validation: album 'synth0000' has no reference stories"),
+        (_train_with_stories(_three_sentences),
+         "album 'synth0000': story has 3 sentences, expected 5"),
     ], ids=["evaluate-without-album-id", "build-vocab-broken-json",
-            "generate-smaller-vocab", "evaluate-number-feature-row",
-            "evaluate-string-feature-value", "evaluate-sentences-not-a-list",
+            "generate-smaller-vocab", "evaluate-sentences-not-a-list",
             "generate-other-feature-dim", "train-empty-data", "train-empty-val-data",
             "generate-checkpoint-version-only", "stage2-checkpoint-version-only",
             "generate-checkpoint-unknown-frozen-group",
@@ -836,11 +918,12 @@ class TestBadInputExitCodes:
             "evaluate-data-album-id-float", "evaluate-data-album-id-list",
             "evaluate-data-album-id-object", "train-feature-beyond-float",
             "generate-feature-beyond-float", "inspect-scenes-feature-beyond-float",
-            "evaluate-feature-beyond-float", "build-vocab-album-id-past-digit-limit",
+            "build-vocab-album-id-past-digit-limit",
             "train-album-id-past-digit-limit", "evaluate-story-album-id-past-digit-limit",
             "train-vocab-min-count-past-digit-limit", "build-vocab-record-a-list",
             "train-vocab-header-without-min-count", "evaluate-blank-stories",
-            "generate-checkpoint-config-not-an-object"])
+            "generate-checkpoint-config-not-an-object", "train-storyless-album",
+            "train-storyless-val-album", "train-three-sentence-story"])
     def test_one_line_and_exit_1(self, workdir, tmp_path, capsys,
                                  make_argv, message):
         assert main(make_argv(workdir, tmp_path)) == 1
@@ -853,11 +936,12 @@ class TestBadInputExitCodes:
 
 
     @pytest.mark.parametrize("make_argv", [
-        _evaluate_data_with(lambda rows: rows[:1] + [5]),
-        _evaluate_with("--max-photos", "0")], ids=["malformed-data", "max-photos-0"])
+        _evaluate_data_with(lambda stories: 5, field="stories"),
+        _evaluate_with("--max-photos", "0"), _evaluate_with_album_id(7)],
+        ids=["malformed-data", "max-photos-0", "malformed-stories"])
     def test_evaluate_on_bad_input_writes_nothing(self, workdir, tmp_path, capsys,
                                                    make_argv):
-        # evaluate loads before it writes, as generate and inspect-scenes do
+        # evaluate reads both of its files before it writes anything
         out = tmp_path / "out"
         assert main(make_argv(workdir, tmp_path) + ["--out-dir", str(out)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
@@ -901,11 +985,10 @@ class TestParser:
         "generate": ["--data", "--checkpoint", "--vocab-file", "--stories",
                      "--mode", "--beam-width"],
         "inspect-scenes": ["--data", "--checkpoint", "--vocab-file"],
-        "evaluate": ["--stories", "--data", "--vocab-file", "--max-photos",
-                     "--sentences", "--max-words"],
+        "evaluate": ["--stories", "--data"],
         "grad-check": ["--gc-seeds", "--tolerance", "--lambda", "--mu", "--seed"],
         "sweep": ["--sweep-grid", "--sweep-steps", "--lr", "--batch-size",
-                  "--patience", "--n-albums", "--scenes-lo", "--scenes-hi",
+                  "--n-albums", "--scenes-lo", "--scenes-hi",
                   "--photos-lo", "--photos-hi", "--separation", "--noise",
                   "--vocab-size", "--seed", "--feature-dim", "--photo-hidden",
                   "--attn-hidden", "--attn-score-dim", "--dec-hidden",

@@ -13,7 +13,7 @@ from storyforge.decoder import (AttentionState, attend,
                                 score_sentences, sentence_log_prob)
 from storyforge.model import ModelConfig, build_parameters
 
-from helpers import log_softmax, two_line_log_softmax
+from helpers import log_softmax, np_gru_step, two_line_log_softmax
 
 
 def small_cfg():
@@ -36,16 +36,6 @@ def attend_step(R, mask, state, ps):
     """One `attend` step over memory R, its keys projected for this step."""
     R = T.wrap(R)
     return attend(R, R @ ps["attn.score.w_mem"], mask, state, ps)
-
-
-def np_gru_step(x, h, wx, wh, b):
-    hid = h.shape[0]
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    px, ph = x @ wx + b, h @ wh
-    z = sig(px[:hid] + ph[:hid])
-    r = sig(px[hid:2 * hid] + ph[hid:2 * hid])
-    c = np.tanh(px[2 * hid:] + (r * h) @ wh[:, 2 * hid:])
-    return (1 - z) * h + z * c
 
 
 def np_attend(R, mask, alpha_prev, h_attn, ps):
@@ -543,7 +533,7 @@ class TestGeneration:
         handed = (prev, H, ZX, ZR) + weights
         before = [a.copy() for a in handed]
         prev, H, ZX, ZR, tx, w_h, w1, w2, b2 = before
-        want_h, _ = T._gru_step(tx[prev] + ZX, H, w_h, len(w_h))
+        want_h, _ = T._gru_step(tx[prev] + ZX, H, w_h)
         want_logits = np.tanh(want_h @ w1 + ZR) @ w2 + b2
         for step, want in ((decoder._word_logits, want_logits),
                            (decoder._decoder_step, two_line_log_softmax(want_logits))):

@@ -7,7 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
-from storyforge import estimator
+from storyforge import estimator, trainer
 from storyforge import tensor as T
 from storyforge.data import (UNK, AlbumExample, ConfigError, DataFormatError, SynthSpec,
                              synth_dataset, synth_vocab)
@@ -84,11 +84,12 @@ class TestValidationHelpers:
             check_albums([np.zeros((3, 4))], 6, 40)
 
     @pytest.mark.parametrize("n", [0, -2, True, 5.0])
-    def test_sentence_count_is_a_setting(self, corpus, n):
+    def test_sentence_count_is_a_setting(self, corpus, monkeypatch, n):
         # a bad count names the setting, not the first album with stories
+        monkeypatch.setattr(estimator, "run_training", _no_training)
         albums, _ = corpus
         with pytest.raises(ConfigError, match="^sentences must be "):
-            check_albums(albums, 6, 40, n)
+            AlbumStoryteller(**{**TINY, "sentences": n}).fit(albums)
 
     def test_non_finite_rejected(self):
         bad = np.zeros((2, 6))
@@ -161,6 +162,15 @@ class TestFitted:
         rng = np.random.default_rng(0)
         stories = fitted.predict([rng.normal(size=(3, 6))])
         assert len(stories) == 1
+
+    def test_inference_reads_references_of_any_length(self, fitted):
+        # the model tells 5 sentences; predict and transform do not read the
+        # references, so 3-sentence ones change nothing
+        spec = dataclasses.replace(SPEC, sentences=3)
+        albums = synth_dataset(spec, synth_vocab(spec))
+        bare = [np.array(a.features) for a in albums]
+        assert fitted.predict(albums) == fitted.predict(bare)
+        assert fitted.transform(albums) == fitted.transform(bare)
 
     def test_albums_past_max_photos_are_truncated(self, fitted):
         # the loader's contract: photos past max_photos are dropped
@@ -281,6 +291,12 @@ def _no_training(*args, **kwargs):
     pytest.fail("fit started training on input it should have rejected")
 
 
+def _no_steps(monkeypatch):
+    """Fail the test if a training stage builds a batch's Z, as its first
+    step (or stage 2's encoding of the training albums) does."""
+    monkeypatch.setattr(trainer, "batch_z", _no_training)
+
+
 class TestSharedPaths:
     """score is the trainer's validation CIDEr, and fit rejects what the
     album loader rejects, before any step."""
@@ -308,10 +324,15 @@ class TestSharedPaths:
             est.params_, est.model_config_, albums, est.vocab_, mode="beam", beam_width=2))
 
     def test_fit_checks_sentence_count_before_any_step(self, monkeypatch):
-        monkeypatch.setattr(estimator, "run_training", _no_training)
+        _no_steps(monkeypatch)
         albums = synth_dataset(SynthSpec(albums=2, sentences=3, seed=1))
-        with pytest.raises(ValueError, match="^album 0: story has 3 sentences, expected 5$"):
+        with pytest.raises(DataFormatError,
+                           match="^album 'synth0000': story has 3 sentences, expected 5$"):
             AlbumStoryteller(sentences=5).fit(albums)
+        # validation stories are only scored against: any length will do
+        val = synth_dataset(SynthSpec(albums=2, sentences=3, seed=2))
+        est = AlbumStoryteller(**{**TINY, "feature_dim": 8, "max_steps": 0})
+        assert est.fit(synth_dataset(SynthSpec(albums=2, seed=1)), validation=val).n_iter_ == 0
 
     def test_fit_names_the_bad_album(self, monkeypatch):
         monkeypatch.setattr(estimator, "run_training", _no_training)
@@ -372,10 +393,12 @@ class TestSharedPaths:
             AlbumStoryteller(min_count=1).fit(albums)
 
     def test_fit_needs_validation_references_before_any_step(self, monkeypatch):
-        monkeypatch.setattr(estimator, "run_training", _no_training)
+        # the trainer's check, which runs before the stage's first step
+        _no_steps(monkeypatch)
         albums = synth_dataset(SynthSpec(albums=2, seed=1))
-        with pytest.raises(ValueError, match="^validation: fit needs albums with "
-                                             "reference stories$"):
+        with pytest.raises(DataFormatError, match="^validation: album 'album0000' has no "
+                                                  "reference stories$"):
             AlbumStoryteller().fit(albums, validation=[np.zeros((3, 8))])
-        with pytest.raises(ValueError, match="^fit needs albums with reference stories$"):
+        with pytest.raises(DataFormatError,
+                           match="^album 'album0000' has no reference stories$"):
             AlbumStoryteller().fit([np.zeros((3, 8))], validation=albums)

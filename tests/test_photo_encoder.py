@@ -6,20 +6,7 @@ from hypothesis import strategies as st
 from storyforge import tensor as T
 from storyforge.photo_encoder import encode_photos
 
-
-def np_gru_step(x, h, wx, wh, b):
-    """Plain-numpy GRU step, written independently of the engine."""
-    hid = h.shape[0]
-
-    def sig(v):
-        return 1.0 / (1.0 + np.exp(-v))
-
-    pre_x = x @ wx + b
-    pre_h = h @ wh
-    z = sig(pre_x[:hid] + pre_h[:hid])
-    r = sig(pre_x[hid:2 * hid] + pre_h[hid:2 * hid])
-    c = np.tanh(pre_x[2 * hid:] + (r * h) @ wh[:, 2 * hid:])
-    return (1 - z) * h + z * c
+from helpers import np_gru_step
 
 
 def np_encode(features, ps):

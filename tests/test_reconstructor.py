@@ -4,6 +4,8 @@ import pytest
 from storyforge import tensor as T
 from storyforge.reconstructor import reconstruct
 
+from helpers import np_gru_step
+
 
 def make_params(rng, vocab, d_v, zero=False):
     ps = T.ParamStore()
@@ -12,16 +14,6 @@ def make_params(rng, vocab, d_v, zero=False):
     ps.add("recon.gru.w_h", draw((d_v, 3 * d_v)), "reconstructor")
     ps.add("recon.gru.b", draw(3 * d_v), "reconstructor")
     return ps
-
-
-def np_gru_step(x, h, wx, wh, b):
-    hid = h.shape[0]
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    px, ph = x @ wx + b, h @ wh
-    z = sig(px[:hid] + ph[:hid])
-    r = sig(px[hid:2 * hid] + ph[hid:2 * hid])
-    c = np.tanh(px[2 * hid:] + (r * h) @ wh[:, 2 * hid:])
-    return (1 - z) * h + z * c
 
 
 def one_row(seq):

@@ -11,14 +11,15 @@ diverged stage; through a checkpoint's saved
 config, `storyforge generate` must succeed or exit 1 with one `error:`
 line.
 
-The album sizes (`max_photos`, `sentences`, `max_words`) take integers
-from -5 to 60, floats, bools, None and integers past the float range.
-Through `load_albums`, and `check_albums` with the one size it cuts to,
+The loader's sizes (`max_photos`, `max_words`) take integers from -5 to
+60, floats, bools, None and integers past the float range. Through
+`load_albums`, and `check_albums` with the one size it cuts to,
 `max_photos`, a draw must keep exactly each album's first photos, gold
-flags and words, or raise a ConfigError naming the first bad size (or,
-for a sentence count the stories do not have, the DataFormatError that
-says so); through `storyforge evaluate` it must score, or exit 1 with one
-`error:` line and write nothing.
+flags and words, or raise a ConfigError naming the first bad size.
+`storyforge evaluate` reads no sizes: given in a config file they change
+nothing, so it must score, or exit 1 with one `error:` line and write
+nothing for a value that is no integer; given as flags they are a usage
+error.
 """
 
 import contextlib
@@ -32,9 +33,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from storyforge import tensor as T
-from storyforge.cli import DEFAULTS, main
-from storyforge.data import (EOS, ConfigError, DataFormatError, SynthSpec, load_albums,
-                             save_albums, synth_dataset, synth_vocab)
+from storyforge.cli import main
+from storyforge.data import (EOS, ConfigError, SynthSpec, load_albums, save_albums,
+                             synth_dataset, synth_vocab)
 from storyforge.estimator import AlbumStoryteller, check_albums
 from storyforge.model import ModelConfig, build_parameters
 from storyforge.trainer import TrainConfig
@@ -126,7 +127,7 @@ def test_generate_on_saved_config_succeeds_or_exits_1(checkpoint_run, key, value
 
 SIZE = st.one_of(st.integers(-5, 60), st.floats(), st.booleans(), st.none(),
                  st.integers(min_value=2 ** 1024), st.integers(max_value=-2 ** 1024))
-CUTS = ("max_photos", "sentences", "max_words")   # in the order the loader checks them
+CUTS = ("max_photos", "max_words")   # in the order the loader checks them
 
 
 def _half(loading):
@@ -135,7 +136,6 @@ def _half(loading):
 
 
 CUT_DRAWS = st.fixed_dictionaries({"max_photos": _half(st.integers(1, 5)),
-                                   "sentences": _half(st.just(SPEC.sentences)),
                                    "max_words": _half(st.integers(1, 6))})
 
 
@@ -171,23 +171,17 @@ def _assert_cut(cut, albums, max_photos, max_words):
 
 @settings(max_examples=150, deadline=None)
 @given(sizes=CUT_DRAWS)
-@example(sizes=dict(max_photos=-3, sentences=2, max_words=25))
-@example(sizes=dict(max_photos=2, sentences=2, max_words=-2))
+@example(sizes=dict(max_photos=-3, max_words=25))
+@example(sizes=dict(max_photos=2, max_words=-2))
 def test_load_albums_cuts_to_its_sizes_or_raises_config_error(corpus, album_files, sizes):
     albums, vocab = corpus
     try:
         loaded = load_albums(album_files / "albums.jsonl", vocab,
-                             max_photos=sizes["max_photos"],
-                             n_sentences=sizes["sentences"], max_words=sizes["max_words"])
+                             max_photos=sizes["max_photos"], max_words=sizes["max_words"])
     except ConfigError as e:
         assert str(e).startswith(f"{_first_bad(sizes)} must be ")
         return
-    except DataFormatError as e:   # a valid count that the stories do not have
-        assert _first_bad(sizes) is None
-        assert str(e).endswith(f"story has {SPEC.sentences} sentences, "
-                               f"expected {sizes['sentences']}")
-        return
-    assert _first_bad(sizes) is None and sizes["sentences"] == SPEC.sentences
+    assert _first_bad(sizes) is None
     _assert_cut(loaded, albums, sizes["max_photos"], sizes["max_words"])
 
 
@@ -197,7 +191,7 @@ def test_load_albums_cuts_to_its_sizes_or_raises_config_error(corpus, album_file
 def test_check_albums_cuts_to_max_photos_or_raises_config_error(corpus, max_photos):
     albums, _ = corpus
     try:
-        checked = check_albums(albums, SPEC.feature_dim, max_photos, SPEC.sentences)
+        checked = check_albums(albums, SPEC.feature_dim, max_photos)
     except ConfigError as e:
         assert not _is_size(max_photos) and str(e).startswith("max_photos must be ")
         return
@@ -206,22 +200,28 @@ def test_check_albums_cuts_to_max_photos_or_raises_config_error(corpus, max_phot
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=CUT_DRAWS)
-@example(sizes=dict(max_photos=-3, sentences=2, max_words=None))
-def test_evaluate_scores_or_exits_1_writing_nothing(album_files, sizes):
+@given(sizes=st.fixed_dictionaries({name: SIZE for name in ("max_photos", "sentences",
+                                                            "max_words")}),
+       as_flags=st.booleans())
+@example(sizes=dict(max_photos=-3, sentences=2, max_words=None), as_flags=False)
+def test_evaluate_scores_or_exits_1_writing_nothing(album_files, sizes, as_flags):
     root, out = album_files, album_files / "out"
     shutil.rmtree(out, ignore_errors=True)
     argv = ["evaluate", "--out-dir", str(out), "--stories", str(root / "stories.jsonl"),
-            "--data", str(root / "albums.jsonl"), "--vocab-file", str(root / "vocab.txt")]
-    for name, value in sizes.items():
-        if value is not None:
-            argv.append(f"--{name.replace('_', '-')}={value}")
+            "--data", str(root / "albums.jsonl")]
+    given_sizes = {name: value for name, value in sizes.items() if value is not None}
+    if as_flags:
+        argv += [f"--{name.replace('_', '-')}={value}" for name, value in given_sizes.items()]
+    else:
+        (root / "sizes.cfg").write_text("".join(f"{name}={value}\n"
+                                                for name, value in given_sizes.items()))
+        argv += ["--config", str(root / "sizes.cfg")]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    given_sizes = {name: DEFAULTS[name][0] if value is None else value
-                   for name, value in sizes.items()}
-    if _first_bad(given_sizes) is None and given_sizes["sentences"] == SPEC.sentences:
+    # a config file's value must parse as its key's type, an integer; a
+    # flag is not evaluate's at all; in range or not, a size is not read
+    if not given_sizes or not as_flags and all(type(v) is int for v in given_sizes.values()):
         assert code == 0 and err.getvalue() == ""
         assert (out / "metrics.txt").exists()
     else:

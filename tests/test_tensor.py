@@ -123,11 +123,11 @@ class TestGruCell:
         h = rng.standard_normal(batch + (hid,))
         gx = x @ w.w_x.data + w.b.data
         inputs = [a.copy() for a in (gx, h, w.w_h.data)]
-        want, cache = T._gru_step(gx, h, w.w_h.data, hid)
+        want, cache = T._gru_step(gx, h, w.w_h.data)
         if into_buffer:   # h' written into the caller's array, as the scans do
             buf = np.full(batch + (hid,), np.nan)
             fresh, cache_fresh = want, cache
-            want, cache = T._gru_step(gx, h, w.w_h.data, hid, out=buf)
+            want, cache = T._gru_step(gx, h, w.w_h.data, out=buf)
             assert want is buf and fresh.tobytes() == buf.tobytes()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, cache_fresh))
         # the kernel updates its state in place, on arrays it made itself or

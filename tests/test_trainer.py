@@ -7,7 +7,7 @@ import pytest
 
 from storyforge import tensor as T
 from storyforge import model, trainer
-from storyforge.data import SynthSpec, synth_dataset, synth_vocab
+from storyforge.data import DataFormatError, SynthSpec, synth_dataset, synth_vocab
 from storyforge.metrics import cider
 from storyforge.model import DECODE_CHUNK, ModelConfig, build_parameters, story_objective
 from storyforge.trainer import (STAGE2_FROZEN, TrainConfig, canonical_log,
@@ -62,6 +62,34 @@ class TestEmptySets:
         train, val = ([], albums) if which == "train" else (albums, [])
         with pytest.raises(ValueError, match="must hold albums"):
             run_training(train, val, tiny_tcfg(vocab), vocab)
+
+
+class TestReferences:
+    @pytest.mark.parametrize("which", ["train", "val"])
+    def test_storyless_albums_are_named_before_any_step(self, corpus, monkeypatch, which):
+        # named as story-less, not as an empty set: they give no examples
+        _, vocab, albums = corpus
+        bare = [dataclasses.replace(a, stories=[], raw_stories=[]) for a in albums]
+        train, val = (bare, albums) if which == "train" else (albums, bare)
+        monkeypatch.setattr(trainer, "batch_z", lambda *a, **k: pytest.fail("a step ran"))
+        with pytest.raises(DataFormatError, match=f"^{'validation: ' * (which == 'val')}"
+                                                  "album 'synth0000' has no reference stories$"):
+            run_training(train, val, tiny_tcfg(vocab), vocab)
+
+    def test_decoded_pairs_need_references(self, corpus, monkeypatch):
+        _, vocab, albums = corpus
+        params = build_parameters(tiny_tcfg(vocab).model, np.random.default_rng(0))
+        bare = albums[:1] + [dataclasses.replace(albums[1], stories=[], raw_stories=[])]
+        monkeypatch.setattr(trainer, "generate_stories",
+                            lambda *a, **k: pytest.fail("decoding ran"))
+        with pytest.raises(DataFormatError, match="^album 'synth0001' has no reference stories$"):
+            decoded_pairs(params, tiny_tcfg(vocab).model, bare, vocab)
+
+    def test_validation_stories_of_any_length(self, corpus):
+        spec, vocab, albums = corpus
+        val = synth_dataset(dataclasses.replace(spec, sentences=3), vocab)
+        r1, r2 = run_training(albums, val, tiny_tcfg(vocab, max_steps=1), vocab)
+        assert r1.best_cider is not None and r2.best_cider is not None
 
 
 class TestSentenceCount:
